@@ -49,7 +49,6 @@ from .linalg import (
     hom_tensor_left,
     hom_vector_to_map,
     insert_vector,
-    kernel_basis,
     map_to_hom_vector,
     relabel,
     rref,
@@ -911,7 +910,7 @@ def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
         if not (b_n @ b_prev).is_zero():
             raise LinAlgError(f"coboundary square is nonzero entering degree {n}")
         image_vecs = [b_prev.column(j) for j in range(b_prev.source.dim)]
-    kernel_vecs = kernel_basis(b_n.fractions())
+    kernel_vecs = b_n.kernel()
     reps, dim = _quotient_representatives(kernel_vecs, image_vecs)
     return CohomologyResult(n, dim, tuple(reps), module.spaces[n])
 
@@ -927,7 +926,7 @@ def cyclic_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     fixed = subspace_from_kernel(
         LinearMap.identity(module.spaces[n]) - lambda_operator(module, n), prefix="l")
     b_n = full_b(module, n) @ fixed.basis
-    kernel_vecs = kernel_basis(b_n.fractions())
+    kernel_vecs = b_n.kernel()
     image_vecs = []
     if n >= 1:
         fixed_prev = subspace_from_kernel(

@@ -25,6 +25,7 @@ from .linalg import (
     dual_space,
     evaluation_pairing,
     insert_vector,
+    relabel,
     tensor_map,
     tensor_maps,
     tensor_permutation,
@@ -248,9 +249,7 @@ def dualize(m: SaydModule) -> SaydContramodule:
                     entries.append((v, i * d + u, fr[u, v]))
     action = LinearMap.from_entries(tensor_space(h.space, dual), dual, entries)
     alpha_t = m.coaction.transpose()
-    alpha = LinearMap(
-        tensor_space(dual_space(h.space), dual), dual, alpha_t._num, alpha_t._den
-    )
+    alpha = relabel(alpha_t, tensor_space(dual_space(h.space), dual), dual)
     return SaydContramodule(h, dual, action, alpha)
 
 

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals on based vector spaces.
 
-Everything is a matrix of exact rationals.  Internally a matrix is an integer
-numpy array together with one positive common denominator, kept gcd-reduced;
-products and sums run on int64 whenever an exact overflow bound allows and
-fall back to Python-int object arrays otherwise, so no result is ever rounded.
+Everything is a matrix of exact rationals, stored column-sparse: for each
+column a dict from row index to a nonzero Python-int numerator, plus one
+positive common denominator, kept gcd-reduced.  Python ints never overflow,
+so no result is ever rounded, and every kernel costs time proportional to the
+nonzeros it touches.  numpy only holds dense vectors and the dense
+`LinearMap.fractions()` view.
 
 Conventions, used everywhere downstream:
   * a LinearMap stores a (target.dim x source.dim) matrix acting on column
@@ -15,16 +17,18 @@ Conventions, used everywhere downstream:
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 Rational = Fraction
 
-_INT64_SAFE = 2**62
+_ZERO = Fraction(0)
 
 
 class LinAlgError(ValueError):
@@ -89,93 +93,77 @@ def _coerce_fraction(x) -> Fraction:
     raise LinAlgError(f"not an exact rational: {x!r}")
 
 
-def _gcd_of_array(num: np.ndarray, seed: int) -> int:
-    g = abs(seed)
-    if num.size == 0:
-        return g if g else 1
-    if num.dtype == np.int64:
-        g = math.gcd(g, int(np.gcd.reduce(np.abs(num), axis=None)))
-    else:
-        for v in num.flat:
-            g = math.gcd(g, abs(int(v)))
-            if g == 1:
-                break
-    return g
+def _canonical(source: VectorSpace, target: VectorSpace, cols, den: int) -> "LinearMap":
+    """The map with column dicts `cols` (no zero entries) over `den` > 0, gcd-reduced."""
+    if den != 1:
+        g = math.gcd(den, *(v for col in cols for v in col.values()))
+        if g > 1:
+            cols = [{i: v // g for i, v in col.items()} for col in cols]
+            den //= g
+    return LinearMap(source, target, tuple(cols), den)
 
 
-def _canonical(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """gcd-reduce and downcast to int64 when entries fit."""
-    if den <= 0:
-        raise LinAlgError("denominator must be positive")
-    g = _gcd_of_array(num, den)
-    if g > 1:
-        if num.dtype == np.int64:
-            num = num // np.int64(g)
-        else:
-            num = np.array([[int(x) // g for x in row] for row in num], dtype=object).reshape(num.shape)
-        den //= g
-    if num.dtype == object:
-        m = _max_abs(num)
-        if m < 2**62:
-            num = num.astype(np.int64)
-    num = np.ascontiguousarray(num)
-    num.setflags(write=False)
-    return num, den
+def _from_columns(source: VectorSpace, target: VectorSpace, cols) -> "LinearMap":
+    """The map whose column j is the dict cols[j] of nonzero Fractions."""
+    den = math.lcm(*(x.denominator for col in cols for x in col.values()))
+    # den is the lcm of reduced denominators, so the numerators share no factor with it
+    return LinearMap(source, target, tuple(
+        {i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in cols), den)
 
 
-def _max_abs(num: np.ndarray) -> int:
-    if num.size == 0:
-        return 0
-    if num.dtype == np.int64:
-        return int(np.max(np.abs(num)))
-    return max(abs(int(x)) for x in num.flat)
+def _dense(entries: dict, n: int) -> np.ndarray:
+    """A length-n Fraction vector with the given nonzero entries."""
+    out = np.full(n, _ZERO, dtype=object)
+    for i, x in entries.items():
+        out[i] = x
+    return out
 
 
-def _to_object(num: np.ndarray) -> np.ndarray:
-    if num.dtype == object:
-        return num
-    return np.array([[int(x) for x in row] for row in num], dtype=object).reshape(num.shape)
+def _integer_row(values) -> dict[int, int]:
+    """The nonzero entries of a rational row, scaled to integers by a positive factor."""
+    fr = {j: f for j, x in enumerate(values) if x and (f := Fraction(x))}
+    den = math.lcm(*(x.denominator for x in fr.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in fr.items()}
 
 
-def _num_den_from_rows(rows) -> tuple[np.ndarray, int]:
-    fr = [[_coerce_fraction(x) for x in row] for row in rows]
-    den = 1
-    for row in fr:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    num = np.array(
-        [[int(x.numerator * (den // x.denominator)) for x in row] for row in fr],
-        dtype=object,
-    )
-    if not fr or not fr[0]:
-        num = num.reshape(len(fr), len(fr[0]) if fr else 0)
-    return num, den
+def _transposed(cols, nrows: int) -> list[dict[int, int]]:
+    """Row dicts of the matrix with column dicts `cols`."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
 
 
 @dataclass(frozen=True)
 class LinearMap:
-    """An exact linear map between based spaces, stored as scaled integers.
+    """An exact linear map between based spaces, stored as sparse scaled integers.
 
-    Composition is valid whenever the inner dimensions agree; labels are
-    bookkeeping only.
+    `_cols[j]` maps row index to the nonzero numerator of entry (i, j); every
+    entry is that numerator over `_den`.  Composition is valid whenever the
+    inner dimensions agree; labels are bookkeeping only.
     """
 
     source: VectorSpace
     target: VectorSpace
-    _num: np.ndarray = field(repr=False)
+    _cols: tuple[dict[int, int], ...] = field(repr=False)
     _den: int = field(repr=False)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rows(source: VectorSpace, target: VectorSpace, rows) -> "LinearMap":
-        num, den = _num_den_from_rows(rows)
-        if num.shape != (target.dim, source.dim):
+        rows = [[_coerce_fraction(x) for x in row] for row in rows]
+        if len(rows) != target.dim or any(len(row) != source.dim for row in rows):
             raise LinAlgError(
-                f"matrix shape {num.shape} does not match ({target.dim}, {source.dim})"
+                f"matrix with {len(rows)} rows does not match ({target.dim}, {source.dim})"
             )
-        num, den = _canonical(num, den)
-        return LinearMap(source, target, num, den)
+        cols = [{} for _ in range(source.dim)]
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][i] = x
+        return _from_columns(source, target, cols)
 
     @staticmethod
     def from_entries(
@@ -183,61 +171,55 @@ class LinearMap:
         target: VectorSpace,
         entries: Iterable[tuple[int, int, Fraction]],
     ) -> "LinearMap":
-        """Sparse constructor from (target_index, source_index, value)."""
-        rows = [[Fraction(0)] * source.dim for _ in range(target.dim)]
+        """Sparse constructor from (target_index, source_index, value); repeats add up."""
+        cols = [{} for _ in range(source.dim)]
         for i, j, v in entries:
-            rows[i][j] += _coerce_fraction(v)
-        return LinearMap.from_rows(source, target, rows)
+            if not (0 <= i < target.dim and 0 <= j < source.dim):
+                raise LinAlgError(
+                    f"entry ({i}, {j}) is outside the ({target.dim}, {source.dim}) matrix"
+                )
+            col = cols[j]
+            col[i] = col.get(i, 0) + _coerce_fraction(v)
+        return _from_columns(source, target, [{i: x for i, x in col.items() if x} for col in cols])
 
     @staticmethod
     def zero(source: VectorSpace, target: VectorSpace) -> "LinearMap":
-        num = np.zeros((target.dim, source.dim), dtype=np.int64)
-        num.setflags(write=False)
-        return LinearMap(source, target, num, 1)
+        return LinearMap(source, target, tuple({} for _ in range(source.dim)), 1)
 
     @staticmethod
     def identity(space: VectorSpace) -> "LinearMap":
-        num = np.eye(space.dim, dtype=np.int64)
-        num.setflags(write=False)
-        return LinearMap(space, space, num, 1)
+        return LinearMap(space, space, tuple({j: 1} for j in range(space.dim)), 1)
 
     @staticmethod
     def scalar(space: VectorSpace, c) -> "LinearMap":
-        c = _coerce_fraction(c)
-        num = np.eye(space.dim, dtype=np.int64) * np.int64(c.numerator)
-        return LinearMap(space, space, *_canonical(num, c.denominator))
+        return LinearMap.identity(space).scale(c)
 
     # -- views --------------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._num.shape
+        return self.target.dim, self.source.dim
 
     def fractions(self) -> np.ndarray:
         """Dense matrix of Fractions (fresh object array)."""
-        out = np.empty(self._num.shape, dtype=object)
-        d = self._den
-        for i in range(self._num.shape[0]):
-            for j in range(self._num.shape[1]):
-                out[i, j] = Fraction(int(self._num[i, j]), d)
+        out = np.full(self.shape, _ZERO, dtype=object)
+        for j, col in enumerate(self._cols):
+            for i, v in col.items():
+                out[i, j] = Fraction(v, self._den)
         return out
 
     def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(int(self._num[i, j]), self._den)
+        return Fraction(self._cols[j].get(i, 0), self._den)
 
     def is_zero(self) -> bool:
-        if self._num.dtype == np.int64:
-            return not self._num.any()
-        return all(int(x) == 0 for x in self._num.flat)
+        return not any(self._cols)
 
     def first_nonzero(self) -> Optional[tuple[int, int, Fraction]]:
         """Row-major first nonzero entry, for deterministic failure reports."""
-        nz = np.nonzero(self._num) if self._num.dtype == np.int64 else np.nonzero(
-            np.array([[int(x) != 0 for x in row] for row in self._num], dtype=bool).reshape(self._num.shape)
-        )
-        if len(nz[0]) == 0:
+        first = min(((i, j) for j, col in enumerate(self._cols) for i in col), default=None)
+        if first is None:
             return None
-        i, j = int(nz[0][0]), int(nz[1][0])
+        i, j = first
         return i, j, self.entry(i, j)
 
     # -- exact arithmetic ---------------------------------------------
@@ -247,35 +229,28 @@ class LinearMap:
             raise LinAlgError(
                 f"cannot compose: inner dims {self.source.dim} != {other.target.dim}"
             )
-        a, b = self._num, other._num
-        k = a.shape[1]
-        if a.dtype == np.int64 and b.dtype == np.int64:
-            bound = k * _max_abs(a) * _max_abs(b)
-            if bound < _INT64_SAFE:
-                prod = a @ b
-            else:
-                prod = np.dot(_to_object(a), _to_object(b))
-        else:
-            prod = np.dot(_to_object(a), _to_object(b))
-        num, den = _canonical(prod, self._den * other._den)
-        return LinearMap(other.source, self.target, num, den)
+        a = self._cols
+        cols = []
+        for col in other._cols:
+            acc = {}
+            for k, b in col.items():
+                for i, v in a[k].items():
+                    acc[i] = acc.get(i, 0) + v * b
+            cols.append({i: v for i, v in acc.items() if v})
+        return _canonical(other.source, self.target, cols, self._den * other._den)
 
     def _add_sub(self, other: "LinearMap", sign: int) -> "LinearMap":
         if self.shape != other.shape:
             raise LinAlgError("cannot add maps of different shapes")
-        da, db = self._den, other._den
-        L = da * db // math.gcd(da, db)
-        fa, fb = L // da, L // db
-        a, b = self._num, other._num
-        if a.dtype == np.int64 and b.dtype == np.int64:
-            if _max_abs(a) * fa + _max_abs(b) * fb < _INT64_SAFE:
-                s = a * np.int64(fa) + np.int64(sign) * b * np.int64(fb)
-            else:
-                s = _to_object(a) * fa + sign * _to_object(b) * fb
-        else:
-            s = _to_object(a) * fa + sign * _to_object(b) * fb
-        num, den = _canonical(s, L)
-        return LinearMap(self.source, self.target, num, den)
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        cols = []
+        for ca, cb in zip(self._cols, other._cols):
+            acc = {i: v * fa for i, v in ca.items()}
+            for i, v in cb.items():
+                acc[i] = acc.get(i, 0) + v * fb
+            cols.append({i: v for i, v in acc.items() if v})
+        return _canonical(self.source, self.target, cols, den)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         return self._add_sub(other, 1)
@@ -284,29 +259,21 @@ class LinearMap:
         return self._add_sub(other, -1)
 
     def __neg__(self) -> "LinearMap":
-        num = self._num if self._num.dtype == object else self._num.copy()
-        return LinearMap(self.source, self.target, *_canonical(-num, self._den))
+        cols = tuple({i: -v for i, v in col.items()} for col in self._cols)
+        return LinearMap(self.source, self.target, cols, self._den)
 
     def scale(self, c) -> "LinearMap":
         c = _coerce_fraction(c)
-        a = self._num
-        if a.dtype == np.int64 and abs(c.numerator) * _max_abs(a) < _INT64_SAFE:
-            num = a * np.int64(c.numerator)
-        else:
-            num = _to_object(a) * c.numerator
-        num, den = _canonical(num, self._den * c.denominator)
-        return LinearMap(self.source, self.target, num, den)
+        if not c:
+            return LinearMap.zero(self.source, self.target)
+        cols = [{i: v * c.numerator for i, v in col.items()} for col in self._cols]
+        return _canonical(self.source, self.target, cols, self._den * c.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearMap):
             return NotImplemented
-        if self.shape != other.shape or self._den != other._den:
-            return False
-        return bool(np.array_equal(self._num, other._num))
-
-    def equal_matrix(self, other: "LinearMap") -> bool:
-        """Entrywise equality ignoring space labels."""
-        return self == other
+        return (self.shape == other.shape and self._den == other._den
+                and self._cols == other._cols)
 
     # -- vectors ------------------------------------------------------
 
@@ -314,47 +281,54 @@ class LinearMap:
         """Apply to a column vector of Fractions; returns Fractions."""
         if len(vec) != self.source.dim:
             raise LinAlgError("vector length mismatch")
-        col = np.array([_coerce_fraction(x) for x in vec], dtype=object)
-        out = np.dot(_to_object(self._num), col)
-        d = self._den
-        return np.array([Fraction(x, 1) / d for x in out], dtype=object)
+        xs = [_coerce_fraction(x) for x in vec]
+        vden = math.lcm(*(x.denominator for x in xs))
+        out = [0] * self.target.dim
+        for col, x in zip(self._cols, xs):
+            if x:
+                c = x.numerator * (vden // x.denominator)
+                for i, v in col.items():
+                    out[i] += v * c
+        d = self._den * vden
+        return np.array([Fraction(v, d) if v else _ZERO for v in out], dtype=object)
 
     def column(self, j: int) -> np.ndarray:
-        return np.array(
-            [Fraction(int(self._num[i, j]), self._den) for i in range(self.target.dim)],
-            dtype=object,
-        )
+        return _dense({i: Fraction(v, self._den) for i, v in self._cols[j].items()},
+                      self.target.dim)
 
     # -- structure ----------------------------------------------------
 
     def transpose(self) -> "LinearMap":
         """The dual map between dual spaces."""
-        num = self._num.T
-        return LinearMap(
-            dual_space(self.target), dual_space(self.source), *_canonical(np.ascontiguousarray(num), self._den)
-        )
+        cols = _transposed(self._cols, self.target.dim)
+        return LinearMap(dual_space(self.target), dual_space(self.source), tuple(cols), self._den)
 
     def rank(self) -> int:
-        _, piv = rref(self.fractions())
-        return len(piv)
+        return len(_eliminate(self._cols, self.target.dim)[1])
 
     def kernel(self) -> list[np.ndarray]:
         """Deterministic kernel basis; first nonzero entry of each vector positive."""
-        return kernel_basis(self.fractions(), sign_normalize=True)
+        n = self.source.dim
+        vecs = _kernel_vectors(_transposed(self._cols, self.target.dim), n, sign_normalize=True)
+        return [_dense(v, n) for v in vecs]
 
     def inverse(self) -> "LinearMap":
         if self.source.dim != self.target.dim:
             raise LinAlgError("only square maps can be inverted")
         n = self.source.dim
-        aug = np.empty((n, 2 * n), dtype=object)
-        aug[:, :n] = self.fractions()
-        for i in range(n):
-            for j in range(n):
-                aug[i, n + j] = Fraction(1 if i == j else 0)
-        r, piv = rref(aug)
+        # [N | den I] row-reduces to [I | (N / den)^-1]
+        aug = _transposed(self._cols, n)
+        for i, row in enumerate(aug):
+            row[n + i] = self._den
+        rows, piv = _eliminate(aug, 2 * n)
         if piv != list(range(n)):
             raise LinAlgError("map is not invertible")
-        return LinearMap.from_rows(self.target, self.source, r[:, n:])
+        cols = [{} for _ in range(n)]
+        for k, row in enumerate(rows):
+            for j, x in row.items():
+                if j >= n:
+                    cols[j - n][k] = x
+        return _from_columns(self.target, self.source, cols)
 
 
 def insert_vector(space: VectorSpace, vec) -> LinearMap:
@@ -390,13 +364,11 @@ def vectors_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
     """Kronecker product matching the row-major tensor basis convention."""
-    a, b = f._num, g._num
-    if a.dtype == np.int64 and b.dtype == np.int64 and _max_abs(a) * _max_abs(b) < _INT64_SAFE:
-        num = np.kron(a, b)
-    else:
-        num = np.kron(_to_object(a), _to_object(b))
-    num, den = _canonical(num, f._den * g._den)
-    return LinearMap(tensor_space(f.source, g.source), tensor_space(f.target, g.target), num, den)
+    m = g.target.dim
+    cols = [{i * m + k: a * b for i, a in fc.items() for k, b in gc.items()}
+            for fc in f._cols for gc in g._cols]
+    return _canonical(tensor_space(f.source, g.source), tensor_space(f.target, g.target),
+                      cols, f._den * g._den)
 
 
 def tensor_maps(maps: Sequence[LinearMap]) -> LinearMap:
@@ -417,25 +389,85 @@ def tensor_permutation(spaces: Sequence[VectorSpace], perm: Sequence[int]) -> Li
     if sorted(perm) != list(range(len(spaces))):
         raise LinAlgError("perm must be a permutation of the factor indices")
     dims = [s.dim for s in spaces]
-    src = tensor_spaces(spaces)
-    tgt = tensor_spaces([spaces[p] for p in perm])
-    n = src.dim
-    idx = np.arange(n)
-    multi = np.array(np.unravel_index(idx, dims))  # factor x flat
-    out_dims = [dims[p] for p in perm]
-    strides = np.ones(len(perm), dtype=np.int64)
-    for i in range(len(perm) - 2, -1, -1):
-        strides[i] = strides[i + 1] * out_dims[i + 1]
-    out_idx = np.zeros(n, dtype=np.int64)
-    for i, p in enumerate(perm):
-        out_idx += multi[p] * strides[i]
-    num = np.zeros((n, n), dtype=np.int64)
-    num[out_idx, idx] = 1
-    num.setflags(write=False)
-    return LinearMap(src, tgt, num, 1)
+    # weight[p]: stride in the output of the slot that input factor p moves to
+    weight = [0] * len(perm)
+    stride = 1
+    for i in reversed(range(len(perm))):
+        weight[perm[i]] = stride
+        stride *= dims[perm[i]]
+    cols = tuple({sum(x * w for x, w in zip(multi, weight)): 1}
+                 for multi in itertools.product(*(range(d) for d in dims)))
+    return LinearMap(tensor_spaces(spaces), tensor_spaces([spaces[p] for p in perm]), cols, 1)
 
 
 # -- elimination -----------------------------------------------------
+
+
+def _eliminate(rows: Sequence[dict[int, int]], ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced row echelon form of sparse integer rows (the inputs are not modified).
+
+    Pivot choice is the first nonzero row in column order, so the result is
+    the same on every run.  Rows stay integral: eliminating column c from a
+    row replaces it by p*row - a*pivot_row divided by its content.  Returns
+    the nonzero RREF rows as {column: Fraction}, each 1 at its pivot, and
+    the pivot columns.
+    """
+    rows = list(rows)
+    n = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if c in rows[i]), None)
+        if pr is None:
+            continue
+        rows[pr], rows[r] = rows[r], rows[pr]
+        prow = rows[r]
+        for i in range(n):
+            a = rows[i].get(c) if i != r else None
+            if a:
+                rows[i] = _reduce_row(rows[i], a, prow, prow[c])
+        pivots.append(c)
+        r += 1
+    return [{j: Fraction(v, row[c]) for j, v in row.items()} for row, c in zip(rows, pivots)], pivots
+
+
+def _reduce_row(row: dict[int, int], a: int, prow: dict[int, int], p: int) -> dict[int, int]:
+    """The primitive integer row proportional to row - (a/p) * prow."""
+    g = math.gcd(a, p)
+    a, p = a // g, p // g
+    if p < 0:
+        a, p = -a, -p
+    new = dict(row) if p == 1 else {j: v * p for j, v in row.items()}
+    for j, v in prow.items():
+        w = new.get(j, 0) - a * v
+        if w:
+            new[j] = w
+        else:
+            del new[j]
+    g = math.gcd(*new.values())
+    if g > 1:
+        new = {j: v // g for j, v in new.items()}
+    return new
+
+
+def _kernel_vectors(rows: Sequence[dict[int, int]], ncols: int,
+                    sign_normalize: bool) -> list[dict[int, Fraction]]:
+    """Kernel basis of sparse integer rows read off their RREF, one sparse
+    vector per free column: 1 there, minus that RREF column at the pivots."""
+    rows, pivots = _eliminate(rows, ncols)
+    pivot_set = set(pivots)
+    vecs = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
+    for row, c in zip(rows, pivots):
+        for j, x in row.items():
+            if j != c:
+                vecs[j][c] = -x
+    if sign_normalize:
+        for f, v in vecs.items():
+            if v[min(v)] < 0:
+                vecs[f] = {i: -x for i, x in v.items()}
+    return list(vecs.values())
 
 
 def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -444,53 +476,19 @@ def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     Pivot choice is the first nonzero row in column order, so the result is
     the same on every run.
     """
-    m = np.array([[Fraction(x) for x in row] for row in mat], dtype=object)
-    if m.ndim != 2:
-        m = m.reshape(mat.shape)
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pr = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            tmp = m[pr].copy()
-            m[pr] = m[r]
-            m[r] = tmp
-        m[r] = m[r] / m[r, c]
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * m[r]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    nrows, ncols = np.shape(mat)
+    rows, pivots = _eliminate([_integer_row(row) for row in mat], ncols)
+    out = np.full((nrows, ncols), _ZERO, dtype=object)
+    for k, row in enumerate(rows):
+        for j, x in row.items():
+            out[k, j] = x
+    return out, pivots
 
 
 def kernel_basis(mat: np.ndarray, sign_normalize: bool = True) -> list[np.ndarray]:
-    rows, cols = np.shape(mat)
-    r, piv = rref(mat)
-    free = [c for c in range(cols) if c not in piv]
-    basis = []
-    for f in free:
-        v = np.array([Fraction(0)] * cols, dtype=object)
-        v[f] = Fraction(1)
-        for ri, c in enumerate(piv):
-            v[c] = -r[ri, f]
-        if sign_normalize:
-            for x in v:
-                if x != 0:
-                    if x < 0:
-                        v = -v
-                    break
-        basis.append(v)
-    return basis
+    _, ncols = np.shape(mat)
+    vecs = _kernel_vectors([_integer_row(row) for row in mat], ncols, sign_normalize)
+    return [_dense(v, ncols) for v in vecs]
 
 
 def solve(mat: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
@@ -498,19 +496,12 @@ def solve(mat: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
 
     Free variables are set to zero.
     """
-    rows, cols = np.shape(mat)
-    aug = np.empty((rows, cols + 1), dtype=object)
-    for i in range(rows):
-        for j in range(cols):
-            aug[i, j] = Fraction(mat[i][j])
-        aug[i, cols] = Fraction(rhs[i])
-    r, piv = rref(aug)
-    if cols in piv:
+    nrows, ncols = np.shape(mat)
+    aug = [_integer_row([*mat[i], rhs[i]]) for i in range(nrows)]
+    rows, piv = _eliminate(aug, ncols + 1)
+    if piv and piv[-1] == ncols:
         return None
-    x = np.array([Fraction(0)] * cols, dtype=object)
-    for ri, c in enumerate(piv):
-        x[c] = r[ri, cols]
-    return x
+    return _dense({c: row[ncols] for row, c in zip(rows, piv) if ncols in row}, ncols)
 
 
 # -- subspaces and quotients ----------------------------------------
@@ -536,11 +527,10 @@ class Subspace:
 
     def coords_matrix(self) -> LinearMap:
         """The left inverse of `basis` given by slicing the support rows."""
-        num = np.zeros((self.dim, self.ambient.dim), dtype=np.int64)
+        cols = [{} for _ in range(self.ambient.dim)]
         for k, s in enumerate(self.supports):
-            num[k, s] = 1
-        num.setflags(write=False)
-        return LinearMap(self.ambient, self.space, num, 1)
+            cols[s] = {k: 1}
+        return LinearMap(self.ambient, self.space, tuple(cols), 1)
 
     def coords(self, vec: np.ndarray) -> np.ndarray:
         c = np.array([Fraction(vec[s]) for s in self.supports], dtype=object)
@@ -562,30 +552,23 @@ class Subspace:
 
 
 def subspace_from_kernel(mat: LinearMap, prefix: str = "k") -> Subspace:
-    vecs = kernel_basis(mat.fractions(), sign_normalize=False)
-    return subspace_from_basis(mat.source, vecs, prefix)
+    vecs = _kernel_vectors(_transposed(mat._cols, mat.target.dim), mat.source.dim,
+                           sign_normalize=False)
+    return _subspace(mat.source, vecs, prefix)
 
 
-def subspace_from_basis(ambient: VectorSpace, vecs: list[np.ndarray], prefix: str = "k") -> Subspace:
-    """Wrap kernel-style vectors (identity on their support rows) as a Subspace."""
+def _subspace(ambient: VectorSpace, vecs: list[dict[int, Fraction]], prefix: str) -> Subspace:
+    """Wrap sparse kernel-style vectors as a Subspace; the support of each is
+    its first entry equal to 1 where every other vector vanishes."""
     space = VectorSpace.make(len(vecs), prefix)
-    if not vecs:
-        return Subspace(ambient, space, LinearMap.zero(space, ambient), ())
-    cols = [[Fraction(v[i]) for v in vecs] for i in range(ambient.dim)]
-    basis = LinearMap.from_rows(space, ambient, cols)
+    used = Counter(i for v in vecs for i in v)
     supports = []
-    for j, v in enumerate(vecs):
-        sup = None
-        for i in range(ambient.dim):
-            if v[i] != 0:
-                ok = v[i] == 1 and all(Fraction(w[i]) == 0 for k, w in enumerate(vecs) if k != j)
-                if ok:
-                    sup = i
-                    break
+    for v in vecs:
+        sup = next((i for i in sorted(v) if v[i] == 1 and used[i] == 1), None)
         if sup is None:
             raise LinAlgError("basis lacks an identity support row")
         supports.append(sup)
-    return Subspace(ambient, space, basis, tuple(supports))
+    return Subspace(ambient, space, _from_columns(space, ambient, vecs), tuple(supports))
 
 
 def solve_constrained_subspace(
@@ -596,10 +579,8 @@ def solve_constrained_subspace(
     if len(mats) != len(constraints):
         raise LinAlgError("constraint source does not match the common space")
     if not mats:
-        vecs = [basis_vector(space, i) for i in range(space.dim)]
-        return subspace_from_basis(space, vecs, prefix)
-    stacked = stack_vertical(mats)
-    return subspace_from_kernel(stacked, prefix)
+        return _subspace(space, [{i: Fraction(1)} for i in range(space.dim)], prefix)
+    return subspace_from_kernel(stack_vertical(mats), prefix)
 
 
 @dataclass(frozen=True)
@@ -619,27 +600,20 @@ def cokernel(f: LinearMap, prefix: Optional[str] = None) -> Quotient:
     ascending; representatives are those basis vectors themselves.
     """
     W = f.target
-    r, piv = rref(f.fractions().T)
-    piv_rows = [r[k] for k in range(len(piv))]
-    non_piv = [j for j in range(W.dim) if j not in piv]
-    labels = tuple(f"[{W.labels[j]}]" for j in non_piv)
+    # the columns of f are the rows of its transpose
+    rows, piv = _eliminate(f._cols, W.dim)
+    pivot_set = set(piv)
+    non_piv = [j for j in range(W.dim) if j not in pivot_set]
     if prefix is not None:
         q_space = VectorSpace.make(len(non_piv), prefix)
     else:
-        q_space = VectorSpace(len(non_piv), labels)
-    proj_rows = []
-    for j in non_piv:
-        row = [Fraction(0)] * W.dim
-        row[j] = Fraction(1)
-        for k, p in enumerate(piv):
-            row[p] -= piv_rows[k][j]
-        proj_rows.append(row)
-    if proj_rows:
-        projection = LinearMap.from_rows(W, q_space, proj_rows)
-    else:
-        projection = LinearMap.zero(W, q_space)
-    sect_rows = [[Fraction(1) if non_piv[a] == i else Fraction(0) for a in range(len(non_piv))] for i in range(W.dim)]
-    section = LinearMap.from_rows(q_space, W, sect_rows)
+        q_space = VectorSpace(len(non_piv), tuple(f"[{W.labels[j]}]" for j in non_piv))
+    pos = {j: a for a, j in enumerate(non_piv)}
+    proj_cols = [{pos[j]: Fraction(1)} if j in pos else {} for j in range(W.dim)]
+    for row, p in zip(rows, piv):
+        proj_cols[p] = {pos[j]: -x for j, x in row.items() if j != p}
+    projection = _from_columns(W, q_space, proj_cols)
+    section = LinearMap(q_space, W, tuple({j: 1} for j in non_piv), 1)
     return Quotient(W, q_space, projection, section)
 
 
@@ -651,15 +625,18 @@ def stack_vertical(maps: Sequence[LinearMap]) -> LinearMap:
     if not maps:
         raise LinAlgError("nothing to stack")
     src = maps[0].source
-    rows = []
+    if any(m.source.dim != src.dim for m in maps):
+        raise LinAlgError("stacked maps must share their source")
+    den = math.lcm(*(m._den for m in maps))
+    cols = [{} for _ in range(src.dim)]
+    offset = 0
     for m in maps:
-        if m.source.dim != src.dim:
-            raise LinAlgError("stacked maps must share their source")
-        rows.extend(list(m.fractions()))
-    tgt = VectorSpace.make(sum(m.target.dim for m in maps), "s")
-    if tgt.dim == 0:
-        return LinearMap.zero(src, tgt)
-    return LinearMap.from_rows(src, tgt, rows)
+        scale = den // m._den
+        for col, mc in zip(cols, m._cols):
+            for i, v in mc.items():
+                col[offset + i] = v * scale
+        offset += m.target.dim
+    return _canonical(src, VectorSpace.make(offset, "s"), cols, den)
 
 
 def direct_sum_space(spaces: Sequence[VectorSpace], tag: str = "c") -> VectorSpace:
@@ -679,20 +656,19 @@ def from_blocks(
     """Assemble a map between direct sums from sparse blocks (ti, sj) -> map."""
     src = source_space or direct_sum_space(sources)
     tgt = target_space or direct_sum_space(targets)
-    if src.dim == 0 or tgt.dim == 0:
-        return LinearMap.zero(src, tgt)
-    s_off = np.cumsum([0] + [s.dim for s in sources])
-    t_off = np.cumsum([0] + [t.dim for t in targets])
-    rows = [[Fraction(0)] * src.dim for _ in range(tgt.dim)]
+    s_off = list(itertools.accumulate((s.dim for s in sources), initial=0))
+    t_off = list(itertools.accumulate((t.dim for t in targets), initial=0))
+    den = math.lcm(*(m._den for m in blocks.values()))
+    cols = [{} for _ in range(src.dim)]
     for (ti, sj), m in blocks.items():
         if m.shape != (targets[ti].dim, sources[sj].dim):
             raise LinAlgError("block shape mismatch")
-        fr = m.fractions()
-        for i in range(m.target.dim):
-            for j in range(m.source.dim):
-                if fr[i, j]:
-                    rows[t_off[ti] + i][s_off[sj] + j] = fr[i, j]
-    return LinearMap.from_rows(src, tgt, rows)
+        scale, s0, t0 = den // m._den, s_off[sj], t_off[ti]
+        for j, mc in enumerate(m._cols):
+            col = cols[s0 + j]
+            for i, v in mc.items():
+                col[t0 + i] = v * scale
+    return _canonical(src, tgt, cols, den)
 
 
 # -- map-space (Hom) coordinates ------------------------------------
@@ -714,29 +690,27 @@ def hom_space(x: VectorSpace, y: VectorSpace, prefix: str = "f") -> VectorSpace:
 def hom_precompose(p: LinearMap, y: VectorSpace) -> LinearMap:
     """Hom(X, Y) -> Hom(X', Y), phi -> phi o p, for p: X' -> X."""
     m = tensor_map(p.transpose(), LinearMap.identity(y))
-    return LinearMap(hom_space(p.target, y), hom_space(p.source, y), m._num, m._den)
+    return relabel(m, hom_space(p.target, y), hom_space(p.source, y))
 
 
 def hom_postcompose(x: VectorSpace, q: LinearMap) -> LinearMap:
     """Hom(X, Y) -> Hom(X, Y'), phi -> q o phi, for q: Y -> Y'."""
-    ix = LinearMap.identity(x)
-    m = tensor_map(ix, q)
-    return LinearMap(hom_space(x, q.source), hom_space(x, q.target), m._num, m._den)
+    m = tensor_map(LinearMap.identity(x), q)
+    return relabel(m, hom_space(x, q.source), hom_space(x, q.target))
 
 
 def map_to_hom_vector(m: LinearMap) -> np.ndarray:
     """Coordinates of a concrete map inside hom_space(source, target)."""
-    fr = m.fractions()
-    out = []
-    for i in range(m.source.dim):
-        for u in range(m.target.dim):
-            out.append(fr[u, i])
-    return np.array(out, dtype=object)
+    t = m.target.dim
+    return _dense({j * t + i: Fraction(v, m._den)
+                   for j, col in enumerate(m._cols) for i, v in col.items()},
+                  m.source.dim * t)
 
 
 def hom_vector_to_map(vec: np.ndarray, x: VectorSpace, y: VectorSpace) -> LinearMap:
-    rows = [[Fraction(vec[i * y.dim + u]) for i in range(x.dim)] for u in range(y.dim)]
-    return LinearMap.from_rows(x, y, rows)
+    cols = [{u: f for u in range(y.dim) if (f := Fraction(vec[i * y.dim + u]))}
+            for i in range(x.dim)]
+    return _from_columns(x, y, cols)
 
 
 def relabel(m: LinearMap, source: Optional[VectorSpace] = None,
@@ -749,7 +723,7 @@ def relabel(m: LinearMap, source: Optional[VectorSpace] = None,
             f"relabel dimension mismatch: map is {m.target.dim}x{m.source.dim}, "
             f"requested {tgt.dim}x{src.dim}"
         )
-    return LinearMap(src, tgt, m._num, m._den)
+    return LinearMap(src, tgt, m._cols, m._den)
 
 
 def hom_tensor_left(factor: VectorSpace, x: VectorSpace, y: VectorSpace) -> LinearMap:

@@ -162,12 +162,12 @@ def test_module_functionals_reduce_to_plain_over_trivial_hopf(triv, z2):
     plain = plain_algebra_cocyclic(z2.algebra, degree_cap=3)
     for n in range(3):
         for i in range(n + 2):
-            assert reduced.module.face(n, i).equal_matrix(plain.face(n, i))
+            assert reduced.module.face(n, i) == plain.face(n, i)
     for n in range(1, 4):
         for j in range(n):
-            assert reduced.module.degeneracy(n, j).equal_matrix(plain.degeneracy(n, j))
+            assert reduced.module.degeneracy(n, j) == plain.degeneracy(n, j)
     for n in range(4):
-        assert reduced.module.tau(n).equal_matrix(plain.tau(n))
+        assert reduced.module.tau(n) == plain.tau(n)
 
 
 def test_comodule_maps_reduce_to_plain_over_trivial_hopf(triv, z2):
@@ -177,9 +177,9 @@ def test_comodule_maps_reduce_to_plain_over_trivial_hopf(triv, z2):
     plain = plain_algebra_cocyclic(z2.algebra, degree_cap=3)
     for n in range(3):
         for i in range(n + 2):
-            assert reduced.module.face(n, i).equal_matrix(plain.face(n, i))
+            assert reduced.module.face(n, i) == plain.face(n, i)
     for n in range(4):
-        assert reduced.module.tau(n).equal_matrix(plain.tau(n))
+        assert reduced.module.tau(n) == plain.tau(n)
 
 
 def test_contramodule_maps_reduce_to_plain_over_trivial_hopf(triv, z2):
@@ -189,9 +189,9 @@ def test_contramodule_maps_reduce_to_plain_over_trivial_hopf(triv, z2):
     plain = plain_algebra_cocyclic(z2.algebra, degree_cap=3)
     for n in range(3):
         for i in range(n + 2):
-            assert reduced.module.face(n, i).equal_matrix(plain.face(n, i))
+            assert reduced.module.face(n, i) == plain.face(n, i)
     for n in range(4):
-        assert reduced.module.tau(n).equal_matrix(plain.tau(n))
+        assert reduced.module.tau(n) == plain.tau(n)
 
 
 def test_coalgebra_reduces_to_bare_coalgebra_cochains_over_trivial_hopf(triv, z2):
@@ -212,16 +212,16 @@ def test_coalgebra_reduces_to_bare_coalgebra_cochains_over_trivial_hopf(triv, z2
 
     for n in range(2):
         for i in range(n + 1):
-            assert complex_.module.face(n, i).equal_matrix(comul_slot(n + 1, i))
+            assert complex_.module.face(n, i) == comul_slot(n + 1, i)
         # the wrap-around coface comultiplies slot 0 and carries the first leg
         # to the end: c0 ... cn -> c0_(2) (x) c1 ... cn (x) c0_(1)
         spaces = [c] * (n + 2)
         move_first_to_last = tensor_permutation(spaces, list(range(1, n + 2)) + [0])
-        assert complex_.module.face(n, n + 1).equal_matrix(
+        assert complex_.module.face(n, n + 1) == (
             move_first_to_last @ comul_slot(n + 1, 0))
     for n in range(3):
         rotate_first_to_last = tensor_permutation([c] * (n + 1), list(range(1, n + 1)) + [0])
-        assert complex_.module.tau(n).equal_matrix(rotate_first_to_last)
+        assert complex_.module.tau(n) == rotate_first_to_last
 
 
 # ---------------------------------------------------------------- negatives
@@ -276,7 +276,7 @@ def test_normalization_projector_properties(z2):
             assert (module.degeneracy(n, j) @ p).is_zero()
         assert p @ p == p
         fixed = p @ view.normalized[n].basis
-        assert fixed.equal_matrix(view.normalized[n].basis)
+        assert fixed == view.normalized[n].basis
 
 
 def test_connes_boundary_squares_to_zero_only_after_normalization(z2):
@@ -312,7 +312,7 @@ def test_dualization_round_trip_is_identity(z2, z2_sign_algebra):
                                   trivial_coefficients(z2).module, degree_cap=2)
     for n in range(3):
         dim = iso.module_side.module.spaces[n].dim
-        assert (iso.backward[n] @ iso.forward[n]).equal_matrix(
+        assert (iso.backward[n] @ iso.forward[n]) == (
             LinearMap.identity(iso.module_side.module.spaces[n]))
         assert dim == iso.contra_side.module.spaces[n].dim
 
@@ -377,6 +377,6 @@ def test_quotient_complex_projection_section(z2):
         trivial_coefficients(z2).module, 2)
     for n in range(3):
         q = complex_.quotients[n]
-        assert (q.projection @ q.section).equal_matrix(
+        assert (q.projection @ q.section) == (
             LinearMap.identity(complex_.module.spaces[n]))
         assert (q.projection @ complex_.relations[n]).is_zero()

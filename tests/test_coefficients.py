@@ -144,12 +144,12 @@ class TestContramoduleChecker:
         m = block_module(h)
         d = dualize(m)
         for i in range(h.dim):
-            assert d.act_by(i).equal_matrix(m.act_by(i).transpose())
+            assert d.act_by(i) == m.act_by(i).transpose()
 
     def test_alpha_of_dual_is_coaction_transpose(self):
         m = block_module(z2())
         d = dualize(m)
-        assert d.alpha.equal_matrix(m.coaction.transpose())
+        assert d.alpha == m.coaction.transpose()
 
     def test_overcounting_alpha_fails_counit_diagram(self):
         h = z2()
@@ -202,7 +202,7 @@ class TestContratensor:
         pair = trivial_coefficients(h)
         ct = contratensor(pair.module, pair.contramodule)
         assert ct.space.dim == 1
-        assert ct.projection.equal_matrix(LinearMap.identity(ct.space))
+        assert ct.projection == LinearMap.identity(ct.space)
 
     def test_trivial_pair_over_order_two(self):
         pair = trivial_coefficients(z2())

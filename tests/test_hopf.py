@@ -244,9 +244,9 @@ class TestConvolutionAlgebra:
         ca = CoalgebraAction(counit_coalgebra(h), a, LinearMap.identity(a.space))
         conv = convolution_algebra(ca)
         assert conv.dim == 2
-        assert conv.algebra.mul.equal_matrix(a.mul)
+        assert conv.algebra.mul == a.mul
         emb = iota(ca, conv)
-        assert emb.equal_matrix(LinearMap.identity(a.space))
+        assert emb == LinearMap.identity(a.space)
 
     def test_scalar_valued_maps_cut_to_dimension_one(self):
         h = z2()
@@ -302,7 +302,7 @@ class TestCrossedProduct:
         componentwise = tensor_map(a.mul, h.mul) @ tensor_permutation(
             [a.space, h.space, a.space, h.space], [0, 2, 1, 3]
         )
-        assert alg.mul.equal_matrix(componentwise)
+        assert alg.mul == componentwise
 
     def test_scalar_left_factor_collapses(self):
         h = z2()
@@ -314,7 +314,7 @@ class TestCrossedProduct:
         b = ComoduleAlgebra(h, h.space, h.mul, h.unit, regular_coaction(h))
         alg = crossed_product(a, b)
         assert alg.space.dim == h.dim
-        assert alg.mul.equal_matrix(h.mul)
+        assert alg.mul == h.mul
 
     def test_regular_coaction_with_adjoint_action(self):
         h = z2()

@@ -1,5 +1,6 @@
 """Exact linear algebra core, cross-checked against sympy."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -46,6 +47,47 @@ def rand_map(rng, src, tgt, span=9, den=5):
     return LinearMap.from_rows(src, tgt, rows)
 
 
+def rand_huge_fraction(rng):
+    """Numerator and denominator both above 2**64."""
+    return Fraction(rng.choice([-1, 1]) * rng.randint(2**64, 2**80), rng.randint(2**64, 2**80))
+
+
+def rand_sparse_map(rng, src, tgt, huge=False):
+    """At most 10% of the entries nonzero; row 0 and the last column stay zero."""
+    cells = [(i, j) for i in range(1, tgt.dim) for j in range(src.dim - 1)]
+    picks = rng.sample(cells, min(len(cells), tgt.dim * src.dim // 10))
+    value = (lambda: rand_huge_fraction(rng)) if huge else (lambda: rand_fraction(rng) or Fraction(1))
+    return LinearMap.from_entries(src, tgt, [(i, j, value()) for i, j in picks])
+
+
+# dimensions of the sparse cases: empty, a line, and sizes with room for 10% density
+SPARSE_DIMS = (0, 1, 12, 17)
+
+
+def sparse_cases(rng, count):
+    """(source, target, map) triples over every pair of SPARSE_DIMS, small and huge entries."""
+    for huge in (False, True):
+        for m, n in itertools.product(SPARSE_DIMS, repeat=2):
+            for _ in range(count):
+                src, tgt = VectorSpace.make(n), VectorSpace.make(m)
+                yield src, tgt, rand_sparse_map(rng, src, tgt, huge)
+
+
+def rand_sparse_vector(rng, n, huge=False):
+    """A vector with every third entry or so nonzero."""
+    value = (lambda: rand_huge_fraction(rng)) if huge else (lambda: rand_fraction(rng))
+    return vector_from([value() if rng.random() < 0.3 else 0 for _ in range(n)])
+
+
+def sympy_vector(vec) -> sympy.Matrix:
+    return sympy.Matrix(len(vec), 1, lambda i, _: sympy.Rational(vec[i].numerator, vec[i].denominator))
+
+
+def sympy_kron(a: sympy.Matrix, b: sympy.Matrix) -> sympy.Matrix:
+    return sympy.Matrix(a.rows * b.rows, a.cols * b.cols,
+                        lambda r, c: a[r // b.rows, c // b.cols] * b[r % b.rows, c % b.cols])
+
+
 def to_sympy(m: LinearMap) -> sympy.Matrix:
     fr = m.fractions()
     return sympy.Matrix(
@@ -66,6 +108,10 @@ class TestArithmetic:
             f = rand_map(rng, a, b)
             g = rand_map(rng, b, c)
             assert to_sympy(g @ f) == to_sympy(g) * to_sympy(f)
+        for a, b, f in sparse_cases(rng, 1):
+            for c in (VectorSpace.make(0), VectorSpace.make(9)):
+                g = rand_sparse_map(rng, b, c, huge=rng.random() < 0.5)
+                assert to_sympy(g @ f) == to_sympy(g) * to_sympy(f)
 
     def test_add_sub_scale_match_sympy(self):
         rng = random.Random(102)
@@ -78,7 +124,7 @@ class TestArithmetic:
         assert to_sympy(-f) == -to_sympy(f)
 
     def test_huge_entries_stay_exact(self):
-        # entries past the int64 product guard must fall back without rounding
+        # products and sums far past 64 bits stay exact
         big = 2**45
         a = VectorSpace.make(3)
         f = LinearMap.from_rows(
@@ -111,11 +157,23 @@ class TestArithmetic:
         v = vector_from([1, -1, 2])
         assert vectors_equal(f.apply(v), [5, Fraction(-3, 2)])
         assert vectors_equal(f.column(2), [3, -1])
+        rng = random.Random(112)
+        for src, _, f in sparse_cases(rng, 2):
+            v = rand_sparse_vector(rng, src.dim, huge=rng.random() < 0.5)
+            assert sympy_vector(f.apply(v)) == to_sympy(f) * sympy_vector(v)
+            for j in range(src.dim):
+                assert sympy_vector(f.column(j)) == to_sympy(f)[:, j]
 
     def test_sparse_constructor_accumulates(self):
         a = VectorSpace.make(2)
         f = LinearMap.from_entries(a, a, [(0, 0, Fraction(1)), (0, 0, Fraction(2)), (1, 0, Fraction(-1))])
         assert f.entry(0, 0) == 3 and f.entry(1, 0) == -1
+
+    def test_sparse_constructor_rejects_out_of_range_indices(self):
+        a, b = VectorSpace.make(3), VectorSpace.make(2)
+        for i, j in [(-1, 0), (0, -1), (2, 0), (0, 3)]:
+            with pytest.raises(LinAlgError):
+                LinearMap.from_entries(a, b, [(i, j, Fraction(1))])
 
 
 class TestElimination:
@@ -134,6 +192,16 @@ class TestElimination:
                 for i in range(rows)
                 for j in range(cols)
             )
+        for _, _, f in sparse_cases(rng, 2):
+            ours, piv = rref(f.fractions())
+            sr, spiv = to_sympy(f).rref()
+            assert piv == list(spiv)
+            assert ours.shape == f.shape
+            assert all(
+                sympy.Rational(ours[i, j].numerator, ours[i, j].denominator) == sr[i, j]
+                for i in range(f.target.dim)
+                for j in range(f.source.dim)
+            )
 
     def test_kernel_of_rank_one_square(self):
         a = VectorSpace.make(2)
@@ -144,11 +212,15 @@ class TestElimination:
 
     def test_kernel_spans_sympy_nullspace(self):
         rng = random.Random(104)
+        dense = []
         for _ in range(6):
             src = VectorSpace.make(rng.randint(1, 6))
             tgt = VectorSpace.make(rng.randint(1, 5))
-            f = rand_map(rng, src, tgt)
+            dense.append((src, tgt, rand_map(rng, src, tgt)))
+        for src, tgt, f in dense + list(sparse_cases(rng, 1)):
             ours = f.kernel()
+            basis = kernel_basis(f.fractions())
+            assert len(basis) == len(ours) and all(map(vectors_equal, ours, basis))
             theirs = to_sympy(f).nullspace()
             assert len(ours) == len(theirs)
             for v in ours:
@@ -168,6 +240,18 @@ class TestElimination:
         x = solve(m, vector_from([3, 6]))
         assert x is not None and vectors_equal(x, [3, 0])
         assert solve(m, vector_from([3, 7])) is None
+        rng = random.Random(113)
+        for src, tgt, f in sparse_cases(rng, 2):
+            sm = to_sympy(f)
+            free = [j for j in range(src.dim) if j not in sm.rref()[1]]
+            rhs = f.apply(rand_sparse_vector(rng, src.dim, huge=True))
+            x = solve(f.fractions(), rhs)
+            assert sm * sympy_vector(x) == sympy_vector(rhs)
+            assert all(x[j] == 0 for j in free)
+            if tgt.dim:
+                # row 0 of a sparse case is zero, so a nonzero first entry is unreachable
+                rhs[0] = rand_huge_fraction(rng)
+                assert solve(f.fractions(), rhs) is None
 
     def test_inverse(self):
         a = VectorSpace.make(3)
@@ -177,6 +261,21 @@ class TestElimination:
         sing = LinearMap.from_rows(a, a, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
         with pytest.raises(LinAlgError):
             sing.inverse()
+        rng = random.Random(114)
+        for n, huge in itertools.product(SPARSE_DIMS, (False, True)):
+            v = VectorSpace.make(n)
+            # a scaled permutation times a sparse unit lower triangle is sparse and invertible
+            order = rng.sample(range(n), n)
+            perm = LinearMap.from_entries(v, v, [(order[j], j, rand_huge_fraction(rng) if huge
+                                                  else rng.choice([-3, -1, 2, 5])) for j in range(n)])
+            lower = rand_sparse_map(rng, v, v, huge)
+            lower = LinearMap.from_entries(v, v, [(i, j, lower.entry(i, j)) for i in range(n)
+                                                  for j in range(i) if lower.entry(i, j)])
+            f = (LinearMap.identity(v) + lower) @ perm
+            assert to_sympy(f.inverse()) == to_sympy(f).inv()
+            if n:
+                with pytest.raises(LinAlgError):
+                    rand_sparse_map(rng, v, v, huge).inverse()  # row 0 is zero
 
 
 class TestTensor:
@@ -187,6 +286,11 @@ class TestTensor:
         t = tensor_map(f, g)
         sk = sympy.Matrix(np.kron(np.array(to_sympy(f)), np.array(to_sympy(g))).tolist())
         assert to_sympy(t) == sk
+        small = [VectorSpace.make(n) for n in (0, 1, 3)]
+        for _, _, f in sparse_cases(rng, 1):
+            c, d = rng.choice(small), rng.choice(small)
+            g = rand_sparse_map(rng, c, d, huge=True) if rng.random() < 0.5 else rand_map(rng, c, d)
+            assert to_sympy(tensor_map(f, g)) == sympy_kron(to_sympy(f), to_sympy(g))
 
     def test_tensor_respects_composition(self):
         rng = random.Random(106)
@@ -216,6 +320,22 @@ class TestTensor:
         expect = np.array([Fraction(0)] * 12, dtype=object)
         expect[5] = Fraction(1)
         assert vectors_equal(out, expect)
+        # on pure tensors: the permutation reorders the factors of a Kronecker product
+        rng = random.Random(115)
+        for k in range(5):
+            for _ in range(4):
+                dims = [rng.choice((0, 1, 2, 3)) if rng.random() < 0.2 else rng.choice((2, 3))
+                        for _ in range(k)]
+                spaces = [VectorSpace.make(d) for d in dims]
+                perm = rng.sample(range(k), k)
+                vecs = [sympy_vector(rand_sparse_vector(rng, d, huge=True)) for d in dims]
+                pure = sympy.Matrix([[1]])
+                for vec in vecs:
+                    pure = sympy_kron(pure, vec)
+                moved = sympy.Matrix([[1]])
+                for p in perm:
+                    moved = sympy_kron(moved, vecs[p])
+                assert to_sympy(tensor_permutation(spaces, perm)) * pure == moved
 
     def test_permutation_composition(self):
         spaces = [VectorSpace.make(2), VectorSpace.make(3), VectorSpace.make(2)]
@@ -223,7 +343,7 @@ class TestTensor:
         spaces2 = [spaces[1], spaces[2], spaces[0]]
         p2 = tensor_permutation(spaces2, [1, 2, 0])
         p3 = tensor_permutation(spaces, [2, 0, 1])
-        assert (p2 @ p1).equal_matrix(p3)
+        assert p2 @ p1 == p3
 
     def test_permutation_conjugates_tensor_maps(self):
         rng = random.Random(107)
@@ -241,7 +361,7 @@ class TestTensor:
         assert left.dim == flat.dim
         rng = random.Random(108)
         ms = [rand_map(rng, s, s) for s in spaces]
-        assert tensor_map(tensor_map(ms[0], ms[1]), ms[2]).equal_matrix(tensor_maps(ms))
+        assert tensor_map(tensor_map(ms[0], ms[1]), ms[2]) == tensor_maps(ms)
 
 
 class TestQuotientsAndSubspaces:
@@ -256,11 +376,14 @@ class TestQuotientsAndSubspaces:
 
     def test_cokernel_random_properties(self):
         rng = random.Random(109)
+        dense = []
         for _ in range(6):
             src = VectorSpace.make(rng.randint(1, 4))
             tgt = VectorSpace.make(rng.randint(1, 5))
-            f = rand_map(rng, src, tgt)
+            dense.append((src, tgt, rand_map(rng, src, tgt)))
+        for src, tgt, f in dense + list(sparse_cases(rng, 1)):
             q = cokernel(f)
+            assert f.rank() == to_sympy(f).rank()
             assert q.space.dim == tgt.dim - f.rank()
             assert (q.projection @ f).is_zero()
             assert q.projection @ q.section == LinearMap.identity(q.space)
@@ -364,3 +487,8 @@ class TestDeterminism:
         f = LinearMap.from_rows(a, a, [[0, 0], [Fraction(5, 3), 1]])
         i, j, v = f.first_nonzero()
         assert (i, j, v) == (1, 0, Fraction(5, 3))
+        for _, _, f in sparse_cases(random.Random(116), 2):
+            fr = f.fractions()
+            first = next(((i, j, fr[i, j]) for i in range(f.target.dim)
+                          for j in range(f.source.dim) if fr[i, j]), None)
+            assert f.first_nonzero() == first
