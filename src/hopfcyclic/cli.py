@@ -55,7 +55,7 @@ from .hopf import (
     check_module_coalgebra,
 )
 from .linalg import LinAlgError
-from .reporting import Report, format_rational
+from .reporting import Report
 from .specfile import DEFAULT_DEGREE_CAP, SpecError, SpecFile, parse_spec
 
 def _check_pair(pair: CompatiblePair) -> Report:
@@ -93,7 +93,7 @@ def _degree_cap() -> int:
 
 
 def _vector_text(coords) -> str:
-    return "[" + ", ".join(format_rational(x) for x in coords) + "]"
+    return "[" + ", ".join(str(x) for x in coords) + "]"
 
 
 def _emit(report: Report, fmt: str) -> None:

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .coefficients import SaydContramodule, SaydModule, dualize
 from .hopf import Algebra, ComoduleAlgebra, HopfAlgebra, ModuleAlgebra, ModuleCoalgebra
 from .linalg import (
@@ -56,6 +54,7 @@ from .linalg import (
     stack_vertical,
     subspace_from_kernel,
     tensor_map,
+    tensor_maps,
     tensor_permutation,
     tensor_space,
     tensor_spaces,
@@ -188,48 +187,18 @@ def _pow(space: VectorSpace, k: int) -> VectorSpace:
     return tensor_spaces([space] * k)
 
 
-def _multiply_slots(mul: LinearMap, k: int, i: int) -> LinearMap:
-    """X^{(k)} -> X^{(k-1)} multiplying adjacent slots i, i+1."""
-    x = mul.target
+# (slots consumed, slots produced) of the structure maps placed by `_on_slots`
+_MUL, _UNIT, _COMUL, _COUNIT = (2, 1), (0, 1), (1, 2), (1, 0)
+
+
+def _on_slots(f: LinearMap, arity: tuple[int, int], k: int, i: int) -> LinearMap:
+    """X^{(k)} -> X^{(k-p+q)}: f: X^{(p)} -> X^{(q)} on the slots from i on,
+    the identity on the others.  X is the side of f that is one slot wide."""
+    p, q = arity
+    x = f.source if p == 1 else f.target
     ident = LinearMap.identity(x)
-    pieces = [ident] * i + [mul] + [ident] * (k - 2 - i)
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = tensor_map(out, p)
-    return relabel(out, _pow(x, k), _pow(x, k - 1))
-
-
-def _insert_unit(unit: LinearMap, k: int, pos: int) -> LinearMap:
-    """X^{(k)} -> X^{(k+1)} inserting the algebra unit at position pos."""
-    x = unit.target
-    ident = LinearMap.identity(x)
-    pieces = [ident] * pos + [unit] + [ident] * (k - pos)
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = tensor_map(out, p)
-    return relabel(out, _pow(x, k), _pow(x, k + 1))
-
-
-def _comul_slot(comul: LinearMap, k: int, i: int) -> LinearMap:
-    """X^{(k)} -> X^{(k+1)} comultiplying slot i."""
-    x = comul.source
-    ident = LinearMap.identity(x)
-    pieces = [ident] * i + [comul] + [ident] * (k - 1 - i)
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = tensor_map(out, p)
-    return relabel(out, _pow(x, k), _pow(x, k + 1))
-
-
-def _counit_slot(counit: LinearMap, k: int, i: int) -> LinearMap:
-    """X^{(k)} -> X^{(k-1)} collapsing slot i with the counit."""
-    x = counit.source
-    ident = LinearMap.identity(x)
-    pieces = [ident] * i + [counit] + [ident] * (k - 1 - i)
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = tensor_map(out, p)
-    return relabel(out, _pow(x, k), _pow(x, k - 1))
+    out = tensor_maps([ident] * i + [f] + [ident] * (k - p - i))
+    return relabel(out, _pow(x, k), _pow(x, k - p + q))
 
 
 def _rotate_last_to_front(space: VectorSpace, k: int) -> LinearMap:
@@ -285,10 +254,10 @@ class HomCochainComplex:
         return hom_vector_to_map(vec, self.domains[n], self.values)
 
     def cochain_map(self, n: int, vec) -> LinearMap:
-        ambient = self.subspaces[n].basis.apply(np.array([Fraction(x) for x in vec], dtype=object))
+        ambient = self.subspaces[n].basis.apply([Fraction(x) for x in vec])
         return hom_vector_to_map(ambient, self.domains[n], self.values)
 
-    def coords_of_map(self, n: int, m: LinearMap) -> np.ndarray:
+    def coords_of_map(self, n: int, m: LinearMap) -> list[Fraction]:
         return self.subspaces[n].coords(map_to_hom_vector(m))
 
 
@@ -338,18 +307,18 @@ def plain_algebra_cocyclic(algebra: Algebra, values: Optional[VectorSpace] = Non
     faces = []
     for n in range(cap):
         row = [
-            relabel(hom_precompose(_multiply_slots(algebra.mul, n + 2, i), v),
+            relabel(hom_precompose(_on_slots(algebra.mul, _MUL, n + 2, i), v),
                     spaces[n], spaces[n + 1])
             for i in range(n + 1)
         ]
-        wrap = _multiply_slots(algebra.mul, n + 2, 0) @ _rotate_last_to_front(a, n + 2)
+        wrap = _on_slots(algebra.mul, _MUL, n + 2, 0) @ _rotate_last_to_front(a, n + 2)
         row.append(relabel(hom_precompose(wrap, v), spaces[n], spaces[n + 1]))
         faces.append(tuple(row))
 
     degeneracies = [()]
     for n in range(1, cap + 1):
         degeneracies.append(tuple(
-            relabel(hom_precompose(_insert_unit(algebra.unit, n, j + 1), v),
+            relabel(hom_precompose(_on_slots(algebra.unit, _UNIT, n, j + 1), v),
                     spaces[n], spaces[n - 1])
             for j in range(n)))
 
@@ -400,9 +369,9 @@ def coalgebra_cocyclic(coalgebra: ModuleCoalgebra, coefficients: SaydModule,
 
     def face_ambient(n: int, i: int) -> LinearMap:
         if i <= n:
-            return relabel(tensor_map(id_m, _comul_slot(coalgebra.comul, n + 1, i)),
+            return relabel(tensor_map(id_m, _on_slots(coalgebra.comul, _COMUL, n + 1, i)),
                            ambients[n], ambients[n + 1])
-        step1 = tensor_map(coefficients.coaction, _comul_slot(coalgebra.comul, n + 1, 0))
+        step1 = tensor_map(coefficients.coaction, _on_slots(coalgebra.comul, _COMUL, n + 1, 0))
         perm = tensor_permutation([h.space, m, c, c, _pow(c, n)], [1, 3, 4, 0, 2])
         front = tensor_spaces([m, c, _pow(c, n)])
         act = tensor_map(LinearMap.identity(front), coalgebra.action)
@@ -421,7 +390,7 @@ def coalgebra_cocyclic(coalgebra: ModuleCoalgebra, coefficients: SaydModule,
               for i in range(n + 2))
         for n in range(cap))
     degeneracies = tuple(
-        tuple(_descend(relabel(tensor_map(id_m, _counit_slot(coalgebra.counit, n + 1, j + 1)),
+        tuple(_descend(relabel(tensor_map(id_m, _on_slots(coalgebra.counit, _COUNIT, n + 1, j + 1)),
                                ambients[n], ambients[n - 1]),
                        relations[n], quotients[n], quotients[n - 1],
                        f"codegeneracy {j} at degree {n}")
@@ -482,7 +451,7 @@ def algebra_module_cocyclic(algebra: ModuleAlgebra, coefficients: SaydModule,
     for n in range(cap):
         row = []
         for i in range(n + 1):
-            arg = relabel(tensor_map(id_m, _multiply_slots(algebra.mul, n + 2, i)),
+            arg = relabel(tensor_map(id_m, _on_slots(algebra.mul, _MUL, n + 2, i)),
                           domains[n + 1], domains[n])
             row.append(_induced(relabel(hom_precompose(arg, g), ambients[n], ambients[n + 1]),
                                 subspaces[n], subspaces[n + 1], f"coface {i} at degree {n}"))
@@ -495,7 +464,7 @@ def algebra_module_cocyclic(algebra: ModuleAlgebra, coefficients: SaydModule,
     for n in range(1, cap + 1):
         row = []
         for j in range(n):
-            arg = relabel(tensor_map(id_m, _insert_unit(algebra.unit, n, j + 1)),
+            arg = relabel(tensor_map(id_m, _on_slots(algebra.unit, _UNIT, n, j + 1)),
                           domains[n - 1], domains[n])
             row.append(_induced(relabel(hom_precompose(arg, g), ambients[n], ambients[n - 1]),
                                 subspaces[n], subspaces[n - 1],
@@ -552,7 +521,7 @@ def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule
         rot = _rotate_last_to_front(b, k)
         co = relabel(tensor_map(algebra.coaction, LinearMap.identity(_pow(b, k - 1))),
                      _pow(b, k), tensor_space(h.space, _pow(b, k)))
-        inner = psi @ _multiply_slots(algebra.mul, k, 0) if with_product else psi
+        inner = psi @ _on_slots(algebra.mul, _MUL, k, 0) if with_product else psi
         out = swap_act @ tensor_map(id_h, inner) @ co @ rot
         return map_to_hom_vector(out)
 
@@ -570,7 +539,7 @@ def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule
     faces = []
     for n in range(cap):
         row = [
-            _induced(relabel(hom_precompose(_multiply_slots(algebra.mul, n + 2, i), n_space),
+            _induced(relabel(hom_precompose(_on_slots(algebra.mul, _MUL, n + 2, i), n_space),
                              ambients[n], ambients[n + 1]),
                      subspaces[n], subspaces[n + 1], f"coface {i} at degree {n}")
             for i in range(n + 1)
@@ -581,7 +550,7 @@ def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule
     degeneracies = [()]
     for n in range(1, cap + 1):
         degeneracies.append(tuple(
-            _induced(relabel(hom_precompose(_insert_unit(algebra.unit, n, j + 1), n_space),
+            _induced(relabel(hom_precompose(_on_slots(algebra.unit, _UNIT, n, j + 1), n_space),
                              ambients[n], ambients[n - 1]),
                      subspaces[n], subspaces[n - 1], f"codegeneracy {j} at degree {n}")
             for j in range(n)))
@@ -647,7 +616,7 @@ def algebra_contra_cocyclic(algebra: ModuleAlgebra, coefficients: SaydContramodu
                             pow_k, pow_k)
             arg = acted @ rot
             if with_product:
-                arg = _multiply_slots(algebra.mul, k, 0) @ arg
+                arg = _on_slots(algebra.mul, _MUL, k, 0) @ arg
             slot = relabel(tensor_map(insert_vector(h.space, basis_vector(h.space, t)),
                                       LinearMap.identity(m_space)),
                            m_space, coefficients.alpha.source)
@@ -661,7 +630,7 @@ def algebra_contra_cocyclic(algebra: ModuleAlgebra, coefficients: SaydContramodu
     faces = []
     for n in range(cap):
         row = [
-            _induced(relabel(hom_precompose(_multiply_slots(algebra.mul, n + 2, i), m_space),
+            _induced(relabel(hom_precompose(_on_slots(algebra.mul, _MUL, n + 2, i), m_space),
                              ambients[n], ambients[n + 1]),
                      subspaces[n], subspaces[n + 1], f"coface {i} at degree {n}")
             for i in range(n + 1)
@@ -672,7 +641,7 @@ def algebra_contra_cocyclic(algebra: ModuleAlgebra, coefficients: SaydContramodu
     degeneracies = [()]
     for n in range(1, cap + 1):
         degeneracies.append(tuple(
-            _induced(relabel(hom_precompose(_insert_unit(algebra.unit, n, j + 1), m_space),
+            _induced(relabel(hom_precompose(_on_slots(algebra.unit, _UNIT, n, j + 1), m_space),
                              ambients[n], ambients[n - 1]),
                      subspaces[n], subspaces[n - 1], f"codegeneracy {j} at degree {n}")
             for j in range(n)))
@@ -870,27 +839,19 @@ class CohomologyResult:
     space: VectorSpace
 
 
-def _quotient_representatives(kernel_vecs, image_vecs):
-    """Deterministic representatives of ker/im; image must lie in the kernel span."""
-    if image_vecs:
-        r_im, piv_im = rref(np.array(image_vecs, dtype=object))
-    else:
-        r_im, piv_im = np.zeros((0, 0), dtype=object), []
-    reduced = []
-    for v in kernel_vecs:
-        w = np.array([Fraction(x) for x in v], dtype=object)
-        for k, p in enumerate(piv_im):
-            if w[p] != 0:
-                w = w - r_im[k] * w[p]
-        reduced.append(w)
-    dim = len(kernel_vecs) - len(piv_im)
-    if not reduced:
-        return [], dim
-    r2, piv2 = rref(np.array(reduced, dtype=object))
-    if len(piv2) != dim:
+def _quotient_representatives(b: LinearMap, b_prev: LinearMap):
+    """Deterministic representatives of ker b / im b_prev.
+
+    The image must lie in the kernel.  The representatives are the RREF rows
+    of the kernel whose pivots are not pivots of the image.
+    """
+    kernel = subspace_from_kernel(b).basis.transpose()
+    image = b_prev.transpose()
+    image_pivots = set(rref(image)[1])
+    rows, pivots = rref(stack_vertical([image, kernel]))
+    if len(pivots) != kernel.target.dim:
         raise LinAlgError("image is not contained in the kernel")
-    reps = [tuple(Fraction(x) for x in r2[k]) for k in range(len(piv2))]
-    return reps, dim
+    return [tuple(row) for row, p in zip(rows, pivots) if p not in image_pivots]
 
 
 def _require_degree(module: CocyclicModule, n: int) -> None:
@@ -904,15 +865,19 @@ def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     """ker b / im b at degree n on the full (unnormalized) complex."""
     _require_degree(module, n)
     b_n = full_b(module, n)
-    image_vecs = []
+    b_prev = LinearMap.zero(VectorSpace.make(0), module.spaces[n])
     if n >= 1:
         b_prev = full_b(module, n - 1)
         if not (b_n @ b_prev).is_zero():
             raise LinAlgError(f"coboundary square is nonzero entering degree {n}")
-        image_vecs = [b_prev.column(j) for j in range(b_prev.source.dim)]
-    kernel_vecs = b_n.kernel()
-    reps, dim = _quotient_representatives(kernel_vecs, image_vecs)
-    return CohomologyResult(n, dim, tuple(reps), module.spaces[n])
+    reps = _quotient_representatives(b_n, b_prev)
+    return CohomologyResult(n, len(reps), tuple(reps), module.spaces[n])
+
+
+def _cyclic_fixed(module: CocyclicModule, n: int) -> Subspace:
+    """The fixed vectors of the signed cyclic operator at degree n."""
+    return subspace_from_kernel(
+        LinearMap.identity(module.spaces[n]) - lambda_operator(module, n), prefix="l")
 
 
 def cyclic_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
@@ -923,25 +888,15 @@ def cyclic_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     eigenspaces.
     """
     _require_degree(module, n)
-    fixed = subspace_from_kernel(
-        LinearMap.identity(module.spaces[n]) - lambda_operator(module, n), prefix="l")
-    b_n = full_b(module, n) @ fixed.basis
-    kernel_vecs = b_n.kernel()
-    image_vecs = []
+    fixed = _cyclic_fixed(module, n)
+    image = LinearMap.zero(VectorSpace.make(0), fixed.space)
     if n >= 1:
-        fixed_prev = subspace_from_kernel(
-            LinearMap.identity(module.spaces[n - 1]) - lambda_operator(module, n - 1),
-            prefix="l")
-        image_ambient = full_b(module, n - 1) @ fixed_prev.basis
-        for j in range(fixed_prev.dim):
-            try:
-                image_vecs.append(fixed.coords(image_ambient.column(j)))
-            except MembershipError as exc:
-                raise LinAlgError(
-                    f"the coboundary does not preserve the cyclic eigenspace at degree {n}"
-                ) from exc
-    reps, dim = _quotient_representatives(kernel_vecs, image_vecs)
-    ambient_reps = tuple(
-        tuple(Fraction(x) for x in fixed.basis.apply(np.array(r, dtype=object)))
-        for r in reps)
-    return CohomologyResult(n, dim, ambient_reps, module.spaces[n])
+        try:
+            image = fixed.restrict_from(full_b(module, n - 1), _cyclic_fixed(module, n - 1))
+        except MembershipError as exc:
+            raise LinAlgError(
+                f"the coboundary does not preserve the cyclic eigenspace at degree {n}"
+            ) from exc
+    reps = _quotient_representatives(full_b(module, n) @ fixed.basis, image)
+    ambient_reps = tuple(tuple(fixed.basis.apply(r)) for r in reps)
+    return CohomologyResult(n, len(reps), ambient_reps, module.spaces[n])

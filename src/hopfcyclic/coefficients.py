@@ -26,6 +26,7 @@ from .linalg import (
     evaluation_pairing,
     insert_vector,
     relabel,
+    stack_vertical,
     tensor_map,
     tensor_maps,
     tensor_permutation,
@@ -102,19 +103,8 @@ def hom_evaluation(h: HopfAlgebra, value_space: VectorSpace) -> LinearMap:
 
 def contramodule_stability_map(m: SaydContramodule) -> LinearMap:
     """The map V -> H* (x) V sending v to the function h -> h.v."""
-    h = m.hopf
-    n, d = h.dim, m.dim
-    src = m.space
-    tgt = tensor_space(dual_space(h.space), m.space)
-    entries = []
-    for i in range(n):
-        act = m.act_by(i)
-        fr = act.fractions()
-        for u in range(d):
-            for t in range(d):
-                if fr[u, t]:
-                    entries.append((i * d + u, t, fr[u, t]))
-    return LinearMap.from_entries(src, tgt, entries)
+    acts = stack_vertical([m.act_by(i) for i in range(m.hopf.dim)])
+    return relabel(acts, m.space, tensor_space(dual_space(m.hopf.space), m.space))
 
 
 def check_sayd_module(m: SaydModule) -> Report:
@@ -238,16 +228,10 @@ def check_compatible_pair(p: CompatiblePair) -> Report:
 def dualize(m: SaydModule) -> SaydContramodule:
     """The contramodule on M*: (h.f)(x) = f(x.h); alpha(f)(x) = f(x_(-1))(x_(0))."""
     h = m.hopf
-    n, d = h.dim, m.dim
     dual = dual_space(m.space)
-    entries = []
-    for i in range(n):
-        fr = m.act_by(i).fractions()
-        for u in range(d):
-            for v in range(d):
-                if fr[u, v]:
-                    entries.append((v, i * d + u, fr[u, v]))
-    action = LinearMap.from_entries(tensor_space(h.space, dual), dual, entries)
+    # entry (v, (i, u)) of the action is entry (u, v) of the right action of basis element i
+    acts = stack_vertical([m.act_by(i) for i in range(h.dim)])
+    action = relabel(acts.transpose(), tensor_space(h.space, dual), dual)
     alpha_t = m.coaction.transpose()
     alpha = relabel(alpha_t, tensor_space(dual_space(h.space), dual), dual)
     return SaydContramodule(h, dual, action, alpha)

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
 from .coefficients import (
     CompatiblePair,
     Contratensor,
@@ -40,6 +38,7 @@ from .coefficients import (
     contratensor,
 )
 from .cocyclic import (
+    DEFAULT_DEGREE_CAP,
     CocyclicModule,
     HomCochainComplex,
     QuotientCochainComplex,
@@ -50,13 +49,14 @@ from .cocyclic import (
     full_b,
     normalization_projector,
     plain_algebra_cocyclic,
+    _induced,
+    _pow,
 )
 from .hopf import (
     Algebra,
     CoalgebraAction,
     ComoduleAlgebra,
     ConvolutionAlgebra,
-    HopfAlgebra,
     ModuleAlgebra,
     ModuleCoalgebra,
     convolution_algebra,
@@ -66,7 +66,6 @@ from .hopf import (
 from .linalg import (
     LinAlgError,
     LinearMap,
-    MembershipError,
     Subspace,
     VectorSpace,
     direct_sum_space,
@@ -74,29 +73,21 @@ from .linalg import (
     hom_postcompose,
     hom_precompose,
     hom_space,
-    map_to_hom_vector,
     relabel,
     solve,
     solve_constrained_subspace,
     stack_vertical,
     tensor_map,
-    tensor_maps,
+    tensor_permutation,
     tensor_power_map,
     tensor_space,
-    tensor_spaces,
     vectors_equal,
 )
 from .reporting import Report, require
 
-DEFAULT_DEGREE_CAP = 4
 
-
-def _power(space: VectorSpace, k: int) -> VectorSpace:
-    return tensor_spaces([space] * k)
-
-
-def _as_vector(vec, dim: int, label: str) -> np.ndarray:
-    out = np.array([Fraction(x) for x in vec], dtype=object)
+def _as_vector(vec, dim: int, label: str) -> list[Fraction]:
+    out = [Fraction(x) for x in vec]
     if len(out) != dim:
         raise LinAlgError(f"{label} has length {len(out)}, expected {dim}")
     return out
@@ -294,13 +285,6 @@ class TotalMixedComplex:
         return [(p, n - p) for p in range(n + 1)]
 
 
-def _restricted(op: LinearMap, source: Subspace, target: Subspace, what: str) -> LinearMap:
-    try:
-        return target.restrict_from(op, source)
-    except MembershipError as exc:
-        raise LinAlgError(f"{what} leaves the normalized complex") from exc
-
-
 def total_complex(module: BicocyclicModule) -> TotalMixedComplex:
     cap = module.degree_cap
     subs = tuple(
@@ -323,10 +307,10 @@ def total_complex(module: BicocyclicModule) -> TotalMixedComplex:
         blocks = {}
         for p in range(n + 1):
             q = n - p
-            vertical = _restricted(module.vertical_b(p, q), subs[p][q], subs[p + 1][q],
-                                   f"the vertical coboundary at bidegree ({p},{q})")
-            horizontal = _restricted(module.horizontal_b(p, q), subs[p][q], subs[p][q + 1],
-                                     f"the horizontal coboundary at bidegree ({p},{q})")
+            vertical = _induced(module.vertical_b(p, q), subs[p][q], subs[p + 1][q],
+                                f"the vertical coboundary at bidegree ({p},{q})")
+            horizontal = _induced(module.horizontal_b(p, q), subs[p][q], subs[p][q + 1],
+                                  f"the horizontal coboundary at bidegree ({p},{q})")
             blocks[(p + 1, p)] = vertical.scale(Fraction((-1) ** q))
             blocks[(p, p)] = horizontal
         b_ops.append(from_blocks(sources, targets, blocks,
@@ -340,12 +324,12 @@ def total_complex(module: BicocyclicModule) -> TotalMixedComplex:
         for p in range(n + 1):
             q = n - p
             if p >= 1:
-                vertical = _restricted(
+                vertical = _induced(
                     module.vertical_connes(p, q), subs[p][q], subs[p - 1][q],
                     f"the vertical cyclic boundary at bidegree ({p},{q})")
                 blocks[(p - 1, p)] = vertical.scale(Fraction((-1) ** q))
             if q >= 1:
-                horizontal = _restricted(
+                horizontal = _induced(
                     module.horizontal_connes(p, q), subs[p][q], subs[p][q - 1],
                     f"the horizontal cyclic boundary at bidegree ({p},{q})")
                 blocks[(p, p)] = horizontal
@@ -452,21 +436,32 @@ def check_bb_cocycle(module: CocyclicModule, cocycle: BBcocycle,
     degrees = cocycle.component_degrees()
     rep.add("components reach degree 0 or 1", degrees[-1] in (0, 1),
             "" if degrees[-1] in (0, 1) else f"bottom degree is {degrees[-1]}")
-    comps = [np.array([Fraction(x) for x in c], dtype=object)
-             for c in cocycle.components]
+    comps = cocycle.components
     n = cocycle.degree
     if n <= module.degree_cap - 1:
         _vector_entry(rep, "b y0 = 0", full_b(module, n).apply(comps[0]),
                       module.spaces[n + 1])
     for k in range(len(comps) - 1):
         d = degrees[k]
-        vec = full_B(module, d).apply(comps[k]) + full_b(module, d - 2).apply(comps[k + 1])
+        vec = [x + y for x, y in zip(full_B(module, d).apply(comps[k]),
+                                     full_b(module, d - 2).apply(comps[k + 1]))]
         _vector_entry(rep, f"B y{k} + b y{k + 1} = 0 (into degree {d - 1})",
                       vec, module.spaces[d - 1])
     if degrees[-1] == 1:
         _vector_entry(rep, "B of the bottom component = 0",
                       full_B(module, 1).apply(comps[-1]), module.spaces[0])
     return rep
+
+
+def _solve_blocks(unknowns: list[VectorSpace],
+                  equations: list[tuple[VectorSpace, dict[int, LinearMap]]],
+                  rhs: list[Fraction]) -> Optional[list[Fraction]]:
+    """One solution of a block system, or None.  Unknown k is a vector in
+    unknowns[k]; equation r is (space, {k: block}) and sums block @ unknown k
+    into that space.  `rhs` gives the leading right-hand entries, the rest are 0."""
+    blocks = {(r, k): m for r, (_, eq) in enumerate(equations) for k, m in eq.items()}
+    mat = from_blocks(unknowns, [space for space, _ in equations], blocks)
+    return solve(mat, rhs + [Fraction(0)] * (mat.target.dim - len(rhs)))
 
 
 def cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcocycle:
@@ -485,88 +480,48 @@ def cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcocycle:
             raise LinAlgError(
                 "the top component is not closed under the Hochschild coboundary")
 
-    tail_degrees = []
-    d = degree - 2
-    while d >= 0:
-        tail_degrees.append(d)
-        d -= 2
+    tail_degrees = list(range(degree - 2, -1, -2))
     if not tail_degrees:
         if degree == 1:
             residual = full_B(module, 1).apply(y0)
             if not _vector_is_zero(residual):
                 raise CompletionObstruction(0, residual)
-        return BBcocycle(degree, (tuple(Fraction(x) for x in y0),))
+        return BBcocycle(degree, (tuple(y0),))
 
-    dims = [module.spaces[d].dim for d in tail_degrees]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    total_cols = int(offsets[-1])
+    # unknown k is the component of degree tail_degrees[k]; the equations on
+    # unknowns 0..t-1 alone come first, as equations[:ends[t]]
+    unknowns = [module.spaces[d] for d in tail_degrees]
+    offsets = list(itertools.accumulate((u.dim for u in unknowns), initial=0))
+    equations, ends = [], [0]
+    for k, d in enumerate(tail_degrees):
+        closed = {k: full_b(module, d)}
+        if k:
+            closed[k - 1] = full_B(module, d + 2)
+        equations.append((module.spaces[d + 1], closed))
+        equations += [(module.spaces[d - 1], {k: module.degeneracy(d, j)}) for j in range(d)]
+        ends.append(len(equations))
+    if tail_degrees[-1] == 1:
+        equations.append((module.spaces[0], {len(tail_degrees) - 1: full_B(module, 1)}))
+    # the first equation, b u0 = -B y0, carries the only nonzero right-hand side
+    top_boundary = full_B(module, degree).apply(y0)
+    rhs = [-x for x in top_boundary]
 
-    def build_system(parts: int, include_bottom: bool):
-        rows = []
-        rhs = []
-
-        def add_block(row_dim, fill):
-            block = np.zeros((row_dim, total_cols), dtype=object)
-            block[...] = Fraction(0)
-            r = np.array([Fraction(0)] * row_dim, dtype=object)
-            fill(block, r)
-            rows.append(block)
-            rhs.append(r)
-
-        for k in range(1, parts + 1):
-            dk = tail_degrees[k - 1]
-            b_mat = full_b(module, dk).fractions()
-
-            def fill(block, r, k=k, dk=dk, b_mat=b_mat):
-                block[:, offsets[k - 1]:offsets[k]] = b_mat
-                if k == 1:
-                    bvec = full_B(module, degree).apply(y0)
-                    r[:] = [-x for x in bvec]
-                else:
-                    prev = full_B(module, dk + 2).fractions()
-                    block[:, offsets[k - 2]:offsets[k - 1]] = prev
-
-            add_block(module.spaces[dk + 1].dim, fill)
-        if include_bottom and tail_degrees[parts - 1] == 1:
-            def fill(block, r, parts=parts):
-                block[:, offsets[parts - 1]:offsets[parts]] = full_B(module, 1).fractions()
-
-            add_block(module.spaces[0].dim, fill)
-        for k in range(1, parts + 1):
-            dk = tail_degrees[k - 1]
-            for j in range(dk):
-                s_mat = module.degeneracy(dk, j).fractions()
-
-                def fill(block, r, k=k, s_mat=s_mat):
-                    block[:, offsets[k - 1]:offsets[k]] = s_mat
-
-                add_block(module.spaces[dk - 1].dim, fill)
-        return np.concatenate(rows, axis=0), np.concatenate(rhs)
-
-    mat, rhs = build_system(len(tail_degrees), True)
-    sol = solve(mat, rhs)
+    sol = _solve_blocks(unknowns, equations, rhs)
     if sol is None:
         for t in range(1, len(tail_degrees) + 1):
-            mat_t, rhs_t = build_system(t, False)
-            sol_t = solve(mat_t, rhs_t)
-            if sol_t is None:
+            if _solve_blocks(unknowns, equations[:ends[t]], rhs) is None:
                 if t == 1:
-                    witness = full_B(module, degree).apply(y0)
+                    witness = top_boundary
                 else:
-                    prev_mat, prev_rhs = build_system(t - 1, False)
-                    prev_sol = solve(prev_mat, prev_rhs)
-                    u_prev = prev_sol[offsets[t - 2]:offsets[t - 1]]
-                    witness = full_B(module, tail_degrees[t - 2]).apply(u_prev)
+                    prev = _solve_blocks(unknowns, equations[:ends[t - 1]], rhs)
+                    witness = full_B(module, tail_degrees[t - 2]).apply(
+                        prev[offsets[t - 2]:offsets[t - 1]])
                 raise CompletionObstruction(tail_degrees[t - 1], witness)
-        bottom = full_B(module, 1)
-        u_last = solve(*build_system(len(tail_degrees), False))
-        witness = bottom.apply(u_last[offsets[-2]:offsets[-1]])
-        raise CompletionObstruction(0, witness)
+        last = _solve_blocks(unknowns, equations[:ends[-1]], rhs)
+        raise CompletionObstruction(0, full_B(module, 1).apply(last[offsets[-2]:]))
 
-    components = [tuple(Fraction(x) for x in y0)]
-    for k in range(len(tail_degrees)):
-        components.append(tuple(Fraction(x)
-                                for x in sol[offsets[k]:offsets[k + 1]]))
+    components = [tuple(y0)]
+    components += [tuple(sol[offsets[k]:offsets[k + 1]]) for k in range(len(tail_degrees))]
     return BBcocycle(degree, tuple(components))
 
 
@@ -577,29 +532,21 @@ def bb_cohomologous(module: CocyclicModule, first: BBcocycle,
         raise LinAlgError("cannot compare cocycles of different degrees")
     n = first.degree
     degrees = first.component_degrees()
-    deltas = [
-        np.array([Fraction(a) - Fraction(b) for a, b in zip(c2, c1)], dtype=object)
-        for c1, c2 in zip(first.components, second.components)]
-
-    hom_degrees = [n - 1 - 2 * k for k in range(len(degrees)) if n - 1 - 2 * k >= 0]
+    deltas = [Fraction(a) - Fraction(b)
+              for c1, c2 in zip(first.components, second.components)
+              for a, b in zip(c2, c1)]
+    hom_degrees = list(range(n - 1, -1, -2))[:len(degrees)]
     if not hom_degrees:
-        return all(_vector_is_zero(d) for d in deltas)
-    dims = [module.spaces[d].dim for d in hom_degrees]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    total_cols = int(offsets[-1])
-
-    rows = []
-    rhs = []
+        return _vector_is_zero(deltas)
+    # component k of the difference is b of chain k plus B of chain k - 1
+    equations = []
     for k, dk in enumerate(degrees):
-        block = np.zeros((module.spaces[dk].dim, total_cols), dtype=object)
-        block[...] = Fraction(0)
-        if k < len(hom_degrees):
-            block[:, offsets[k]:offsets[k + 1]] = full_b(module, dk - 1).fractions()
-        if k >= 1:
-            block[:, offsets[k - 1]:offsets[k]] = full_B(module, dk + 1).fractions()
-        rows.append(block)
-        rhs.append(deltas[k])
-    return solve(np.concatenate(rows, axis=0), np.concatenate(rhs)) is not None
+        eq = {k: full_b(module, dk - 1)} if k < len(hom_degrees) else {}
+        if k:
+            eq[k - 1] = full_B(module, dk + 1)
+        equations.append((module.spaces[dk], eq))
+    unknowns = [module.spaces[d] for d in hom_degrees]
+    return _solve_blocks(unknowns, equations, deltas) is not None
 
 
 def cyclic_cocycle_subspace(module: CocyclicModule, degree: int) -> Subspace:
@@ -744,7 +691,7 @@ def _psi_blocks(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
     conv = setup.convolution
     n_space = setup.module.space
     id_n = LinearMap.identity(n_space)
-    target = hom_space(_power(conv.algebra.space, q + 1), values)
+    target = hom_space(_pow(conv.algebra.space, q + 1), values)
     blocks = []
     for i in range(x.module.spaces[q].dim):
         phi = x.basis_map(q, i)
@@ -759,13 +706,11 @@ def _psi_blocks(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
 
 
 def _assemble_psi(setup: ConvolutionCupSetup, q: int, blocks, target) -> LinearMap:
-    y = setup.coalgebra_cochains
-    source = setup.diagonal_module.spaces[q]
-    cols = [(block @ y.quotients[q].section).fractions() for block in blocks]
-    if not cols:
-        return LinearMap.zero(source, target)
-    matrix = np.concatenate(cols, axis=1) if len(cols) > 1 else cols[0]
-    return LinearMap.from_rows(source, target, matrix)
+    """The blocks side by side, each read on the quotient's representatives."""
+    section = setup.coalgebra_cochains.quotients[q].section
+    return from_blocks([section.source] * len(blocks), [target],
+                       {(0, i): block @ section for i, block in enumerate(blocks)},
+                       source_space=setup.diagonal_module.spaces[q], target_space=target)
 
 
 def psi_matrix(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
@@ -807,10 +752,19 @@ def _iterated_coactions(comodule_algebra: ComoduleAlgebra, count: int):
     b = comodule_algebra.space
     mats = [comodule_algebra.coaction]
     for k in range(1, count):
-        step = tensor_map(LinearMap.identity(_power(h.space, k)),
+        step = tensor_map(LinearMap.identity(_pow(h.space, k)),
                           comodule_algebra.coaction) @ mats[-1]
-        mats.append(relabel(step, b, tensor_space(_power(h.space, k + 1), b)))
+        mats.append(relabel(step, b, tensor_space(_pow(h.space, k + 1), b)))
     return mats
+
+
+def _digits(flat: int, dims) -> list[int]:
+    """The row-major multi-index of a flat index into a tensor product."""
+    out = []
+    for d in reversed(dims):
+        flat, r = divmod(flat, d)
+        out.append(r)
+    return out[::-1]
 
 
 def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
@@ -825,8 +779,8 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
     b_alg = setup.comodule_algebra
     h = a_alg.hopf
     da, db, dh = a_alg.space.dim, b_alg.space.dim, h.space.dim
-    source = _power(setup.crossed.space, n + 1)
-    target = tensor_space(_power(b_alg.space, n + 1), _power(a_alg.space, n + 1))
+    source = _pow(setup.crossed.space, n + 1)
+    target = tensor_space(_pow(b_alg.space, n + 1), _pow(a_alg.space, n + 1))
 
     iter_mats = _iterated_coactions(b_alg, n + 1)
     expansions_by_basis = []
@@ -835,13 +789,11 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
         dims = [dh] * (k + 1) + [db]
         per_basis = []
         for u in range(db):
-            column = mat.column(u)
             support = []
-            for flat, value in enumerate(column):
+            for flat, value in enumerate(mat.column(u)):
                 if value != 0:
-                    decoded = np.unravel_index(flat, dims)
-                    support.append((tuple(int(t) for t in decoded[:-1]),
-                                    int(decoded[-1]), value))
+                    decoded = _digits(flat, dims)
+                    support.append((tuple(decoded[:-1]), decoded[-1], value))
             per_basis.append(support)
         expansions_by_basis.append(per_basis)
 
@@ -854,9 +806,9 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
     a_strides = [da ** (n - j) for j in range(n + 1)]
     b_strides = [db ** (n - j) for j in range(n + 1)]
     for col in range(source.dim):
-        decoded = np.unravel_index(col, source_dims)
-        a_idx = [int(x) for x in decoded[0::2]]
-        b_idx = [int(x) for x in decoded[1::2]]
+        decoded = _digits(col, source_dims)
+        a_idx = decoded[0::2]
+        b_idx = decoded[1::2]
         for combo in itertools.product(
                 *[expansions_by_basis[k][b_idx[k]] for k in range(n + 1)]):
             coeff = Fraction(1)
@@ -866,17 +818,15 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
             bodies_flat = sum(c[1] * b_strides[k] for k, c in enumerate(combo))
             slot_vectors = []
             for j in range(n + 1):
-                p = np.array([Fraction(0)] * dh, dtype=object)
+                p = [Fraction(0)] * dh
                 p[legs[j][0]] = Fraction(1)
                 for k in range(j + 1, n + 1):
                     m = legs[k][k - j]
-                    p = np.array(
-                        [sum(p[s] * mul_fr[t, s * dh + m] for s in range(dh))
-                         for t in range(dh)], dtype=object)
-                s_vec = np.dot(sinv_fr, p)
-                acted = np.array(
-                    [sum(s_vec[s] * act_fr[t, s * da + a_idx[j]] for s in range(dh))
-                     for t in range(da)], dtype=object)
+                    p = [sum(p[s] * mul_fr[t][s * dh + m] for s in range(dh))
+                         for t in range(dh)]
+                s_vec = [sum(x * y for x, y in zip(row, p)) for row in sinv_fr]
+                acted = [sum(s_vec[s] * act_fr[t][s * da + a_idx[j]] for s in range(dh))
+                         for t in range(da)]
                 slot_vectors.append(
                     [(t, v) for t, v in enumerate(acted) if v != 0])
             for picks in itertools.product(*slot_vectors):
@@ -894,23 +844,23 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
 
 def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
                values: VectorSpace) -> LinearMap:
-    """Diagonal degree-n space -> Hom((A x B)^{(n+1)}, V)."""
-    transformer = _phi_transformer(setup, n)
+    """Diagonal degree-n space -> Hom((A x B)^{(n+1)}, V).
+
+    Column (r, i) is collapse o (psi_r (x) phi_i) o transformer for the basis
+    cochains psi_r and phi_i, read as a Hom vector.  All columns come from
+    one Kronecker product of the two cochain bases.
+    """
     x = setup.comodule_cochains
     y = setup.algebra_cochains
-    target = hom_space(_power(setup.crossed.space, n + 1), values)
-    source = setup.diagonal_module.spaces[n]
-    cols = []
-    for r in range(x.module.spaces[n].dim):
-        psi_r = x.basis_map(n, r)
-        for i in range(y.module.spaces[n].dim):
-            phi_i = y.basis_map(n, i)
-            composite = collapse @ tensor_map(psi_r, phi_i) @ transformer
-            cols.append(map_to_hom_vector(composite))
-    if not cols:
-        return LinearMap.zero(source, target)
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(target.dim)]
-    return LinearMap.from_rows(source, target, rows)
+    domain = tensor_space(x.domains[n], y.domains[n])
+    # Hom(D, V) (x) Hom(E, W) -> Hom(D (x) E, V (x) W) reorders the factors
+    reorder = tensor_permutation([x.domains[n], x.values, y.domains[n], y.values],
+                                 [0, 2, 1, 3])
+    out = (hom_precompose(_phi_transformer(setup, n), values)
+           @ hom_postcompose(domain, collapse)
+           @ reorder @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis))
+    return relabel(out, setup.diagonal_module.spaces[n],
+                   hom_space(_pow(setup.crossed.space, n + 1), values))
 
 
 def phi_scalar(setup: CrossedProductCupSetup, n: int) -> LinearMap:
@@ -1013,7 +963,7 @@ def check_collapse_factorization(setup, name: str = "collapse factorization") ->
         base = setup.crossed.space
         scalar, tensor = phi_scalar, phi_tensor
     for q in range(cap + 1):
-        post = hom_postcompose(_power(base, q + 1), setup.pair_collapse)
+        post = hom_postcompose(_pow(base, q + 1), setup.pair_collapse)
         rep.check_equal(f"collapse of the tensor-valued map (degree {q})",
                         post @ tensor(setup, q), scalar(setup, q))
     return rep
@@ -1023,7 +973,8 @@ def check_collapse_factorization(setup, name: str = "collapse factorization") ->
 # the four pipelines
 
 
-def _validated_cocycle(module: CocyclicModule, degree: int, vec, label: str) -> np.ndarray:
+def _validated_cocycle(module: CocyclicModule, degree: int, vec,
+                       label: str) -> list[Fraction]:
     v = _as_vector(vec, module.spaces[degree].dim, label)
     if degree > module.degree_cap - 1:
         raise LinAlgError(f"{label} sits at degree {degree}, too high to validate "
@@ -1045,7 +996,7 @@ def _validated_cocycle(module: CocyclicModule, degree: int, vec, label: str) -> 
     return v
 
 
-def _finish(target: CocyclicModule, degree: int, top_vec: np.ndarray) -> BBcocycle:
+def _finish(target: CocyclicModule, degree: int, top_vec: list[Fraction]) -> BBcocycle:
     if not _vector_is_zero(full_b(target, degree).apply(top_vec)):
         raise LinAlgError("the product cochain is not closed under the "
                           "Hochschild coboundary")
@@ -1072,7 +1023,7 @@ def _cup_convolution(setup: ConvolutionCupSetup, p: int, q: int, left, right,
     omega = _validated_cocycle(setup.coalgebra_cochains.module, q, right,
                                "the coalgebra-side cochain")
     n = p + q
-    x_vec = np.kron(phi, omega)
+    x_vec = [a * b for a in phi for b in omega]
     y_vec = aw_map(setup.bicomplex, p, q).apply(x_vec)
     z_conv = psi_matrix(setup, n, collapse, values).apply(y_vec)
     pullback = hom_precompose(tensor_power_map(setup.embedding, n + 1), values)
@@ -1105,7 +1056,7 @@ def _cup_crossed(setup: CrossedProductCupSetup, psi_degree: int, phi_degree: int
     phi_vec = _validated_cocycle(setup.algebra_cochains.module, phi_degree, right,
                                  "the algebra-side cochain")
     n = psi_degree + phi_degree
-    x_vec = np.kron(psi_vec, phi_vec)
+    x_vec = [a * b for a in psi_vec for b in phi_vec]
     y_vec = aw_map(setup.bicomplex, psi_degree, phi_degree).apply(x_vec)
     z = phi_matrix(setup, n, collapse, values).apply(y_vec)
     return _finish(target, n, z)
@@ -1136,7 +1087,6 @@ def collapse_bb(cocycle: BBcocycle, base_space: VectorSpace,
     out = []
     for k, comp in enumerate(cocycle.components):
         d = cocycle.degree - 2 * k
-        post = hom_postcompose(_power(base_space, d + 1), collapse)
-        vec = post.apply(np.array([Fraction(x) for x in comp], dtype=object))
-        out.append(tuple(Fraction(x) for x in vec))
+        post = hom_postcompose(_pow(base_space, d + 1), collapse)
+        out.append(tuple(post.apply(comp)))
     return BBcocycle(cocycle.degree, tuple(out))

@@ -4,8 +4,8 @@ Everything is a matrix of exact rationals, stored column-sparse: for each
 column a dict from row index to a nonzero Python-int numerator, plus one
 positive common denominator, kept gcd-reduced.  Python ints never overflow,
 so no result is ever rounded, and every kernel costs time proportional to the
-nonzeros it touches.  numpy only holds dense vectors and the dense
-`LinearMap.fractions()` view.
+nonzeros it touches.  Vectors are plain lists of Fractions, and the dense
+`LinearMap.fractions()` view is a list of rows.
 
 Conventions, used everywhere downstream:
   * a LinearMap stores a (target.dim x source.dim) matrix acting on column
@@ -23,8 +23,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 Rational = Fraction
 
@@ -111,19 +109,12 @@ def _from_columns(source: VectorSpace, target: VectorSpace, cols) -> "LinearMap"
         {i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in cols), den)
 
 
-def _dense(entries: dict, n: int) -> np.ndarray:
+def _dense(entries: dict, n: int) -> list[Fraction]:
     """A length-n Fraction vector with the given nonzero entries."""
-    out = np.full(n, _ZERO, dtype=object)
+    out = [_ZERO] * n
     for i, x in entries.items():
         out[i] = x
     return out
-
-
-def _integer_row(values) -> dict[int, int]:
-    """The nonzero entries of a rational row, scaled to integers by a positive factor."""
-    fr = {j: f for j, x in enumerate(values) if x and (f := Fraction(x))}
-    den = math.lcm(*(x.denominator for x in fr.values()))
-    return {j: x.numerator * (den // x.denominator) for j, x in fr.items()}
 
 
 def _transposed(cols, nrows: int) -> list[dict[int, int]]:
@@ -200,12 +191,12 @@ class LinearMap:
     def shape(self) -> tuple[int, int]:
         return self.target.dim, self.source.dim
 
-    def fractions(self) -> np.ndarray:
-        """Dense matrix of Fractions (fresh object array)."""
-        out = np.full(self.shape, _ZERO, dtype=object)
+    def fractions(self) -> list[list[Fraction]]:
+        """Dense matrix of Fractions as a fresh list of rows."""
+        out = [[_ZERO] * self.source.dim for _ in range(self.target.dim)]
         for j, col in enumerate(self._cols):
             for i, v in col.items():
-                out[i, j] = Fraction(v, self._den)
+                out[i][j] = Fraction(v, self._den)
         return out
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -277,7 +268,7 @@ class LinearMap:
 
     # -- vectors ------------------------------------------------------
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
+    def apply(self, vec: Sequence) -> list[Fraction]:
         """Apply to a column vector of Fractions; returns Fractions."""
         if len(vec) != self.source.dim:
             raise LinAlgError("vector length mismatch")
@@ -290,9 +281,9 @@ class LinearMap:
                 for i, v in col.items():
                     out[i] += v * c
         d = self._den * vden
-        return np.array([Fraction(v, d) if v else _ZERO for v in out], dtype=object)
+        return [Fraction(v, d) if v else _ZERO for v in out]
 
-    def column(self, j: int) -> np.ndarray:
+    def column(self, j: int) -> list[Fraction]:
         return _dense({i: Fraction(v, self._den) for i, v in self._cols[j].items()},
                       self.target.dim)
 
@@ -306,11 +297,9 @@ class LinearMap:
     def rank(self) -> int:
         return len(_eliminate(self._cols, self.target.dim)[1])
 
-    def kernel(self) -> list[np.ndarray]:
+    def kernel(self) -> list[list[Fraction]]:
         """Deterministic kernel basis; first nonzero entry of each vector positive."""
-        n = self.source.dim
-        vecs = _kernel_vectors(_transposed(self._cols, self.target.dim), n, sign_normalize=True)
-        return [_dense(v, n) for v in vecs]
+        return kernel_basis(self)
 
     def inverse(self) -> "LinearMap":
         if self.source.dim != self.target.dim:
@@ -344,21 +333,21 @@ def evaluation_pairing(v: VectorSpace) -> LinearMap:
     )
 
 
-def zero_vector(space: VectorSpace) -> np.ndarray:
-    return np.array([Fraction(0)] * space.dim, dtype=object)
+def zero_vector(space: VectorSpace) -> list[Fraction]:
+    return [_ZERO] * space.dim
 
 
-def basis_vector(space: VectorSpace, i: int) -> np.ndarray:
+def basis_vector(space: VectorSpace, i: int) -> list[Fraction]:
     v = zero_vector(space)
     v[i] = Fraction(1)
     return v
 
 
-def vector_from(entries) -> np.ndarray:
-    return np.array([_coerce_fraction(x) for x in entries], dtype=object)
+def vector_from(entries) -> list[Fraction]:
+    return [_coerce_fraction(x) for x in entries]
 
 
-def vectors_equal(a: np.ndarray, b: np.ndarray) -> bool:
+def vectors_equal(a: Sequence, b: Sequence) -> bool:
     return len(a) == len(b) and all(Fraction(x) == Fraction(y) for x, y in zip(a, b))
 
 
@@ -470,34 +459,42 @@ def _kernel_vectors(rows: Sequence[dict[int, int]], ncols: int,
     return list(vecs.values())
 
 
-def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over Fractions.
-
-    Pivot choice is the first nonzero row in column order, so the result is
-    the same on every run.
-    """
-    nrows, ncols = np.shape(mat)
-    rows, pivots = _eliminate([_integer_row(row) for row in mat], ncols)
-    out = np.full((nrows, ncols), _ZERO, dtype=object)
-    for k, row in enumerate(rows):
-        for j, x in row.items():
-            out[k, j] = x
-    return out, pivots
+def _rows(mat: LinearMap) -> list[dict[int, int]]:
+    """Sparse integer rows of `mat`: its numerators, which span the same rows."""
+    return _transposed(mat._cols, mat.target.dim)
 
 
-def kernel_basis(mat: np.ndarray, sign_normalize: bool = True) -> list[np.ndarray]:
-    _, ncols = np.shape(mat)
-    vecs = _kernel_vectors([_integer_row(row) for row in mat], ncols, sign_normalize)
-    return [_dense(v, ncols) for v in vecs]
+def rref(mat: LinearMap) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form as dense rows, zero rows last, and the pivot
+    columns; pivots are chosen as in `_eliminate`."""
+    rows, pivots = _eliminate(_rows(mat), mat.source.dim)
+    zero_rows = [{}] * (mat.target.dim - len(rows))
+    return [_dense(row, mat.source.dim) for row in rows + zero_rows], pivots
 
 
-def solve(mat: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+def kernel_basis(mat: LinearMap, sign_normalize: bool = True) -> list[list[Fraction]]:
+    """One kernel vector per non-pivot column, read off the RREF."""
+    n = mat.source.dim
+    return [_dense(v, n) for v in _kernel_vectors(_rows(mat), n, sign_normalize)]
+
+
+def solve(mat: LinearMap, rhs: Sequence) -> Optional[list[Fraction]]:
     """One deterministic solution of mat x = rhs, or None if inconsistent.
 
     Free variables are set to zero.
     """
-    nrows, ncols = np.shape(mat)
-    aug = [_integer_row([*mat[i], rhs[i]]) for i in range(nrows)]
+    if len(rhs) != mat.target.dim:
+        raise LinAlgError("right-hand side length mismatch")
+    ncols = mat.source.dim
+    # row i holds numerators over den; times den * q it reads row * q = p * den
+    # for rhs[i] = p / q, all integers
+    aug = _rows(mat)
+    for row, x in zip(aug, map(_coerce_fraction, rhs)):
+        if x.denominator != 1:
+            for j in row:
+                row[j] *= x.denominator
+        if x:
+            row[ncols] = x.numerator * mat._den
     rows, piv = _eliminate(aug, ncols + 1)
     if piv and piv[-1] == ncols:
         return None
@@ -532,8 +529,8 @@ class Subspace:
             cols[s] = {k: 1}
         return LinearMap(self.ambient, self.space, tuple(cols), 1)
 
-    def coords(self, vec: np.ndarray) -> np.ndarray:
-        c = np.array([Fraction(vec[s]) for s in self.supports], dtype=object)
+    def coords(self, vec: Sequence) -> list[Fraction]:
+        c = [Fraction(vec[s]) for s in self.supports]
         if not vectors_equal(self.basis.apply(c), [Fraction(x) for x in vec]):
             raise MembershipError("vector does not lie in the subspace")
         return c
@@ -552,8 +549,7 @@ class Subspace:
 
 
 def subspace_from_kernel(mat: LinearMap, prefix: str = "k") -> Subspace:
-    vecs = _kernel_vectors(_transposed(mat._cols, mat.target.dim), mat.source.dim,
-                           sign_normalize=False)
+    vecs = _kernel_vectors(_rows(mat), mat.source.dim, sign_normalize=False)
     return _subspace(mat.source, vecs, prefix)
 
 
@@ -699,7 +695,7 @@ def hom_postcompose(x: VectorSpace, q: LinearMap) -> LinearMap:
     return relabel(m, hom_space(x, q.source), hom_space(x, q.target))
 
 
-def map_to_hom_vector(m: LinearMap) -> np.ndarray:
+def map_to_hom_vector(m: LinearMap) -> list[Fraction]:
     """Coordinates of a concrete map inside hom_space(source, target)."""
     t = m.target.dim
     return _dense({j * t + i: Fraction(v, m._den)
@@ -707,7 +703,7 @@ def map_to_hom_vector(m: LinearMap) -> np.ndarray:
                   m.source.dim * t)
 
 
-def hom_vector_to_map(vec: np.ndarray, x: VectorSpace, y: VectorSpace) -> LinearMap:
+def hom_vector_to_map(vec: Sequence, x: VectorSpace, y: VectorSpace) -> LinearMap:
     cols = [{u: f for u in range(y.dim) if (f := Fraction(vec[i * y.dim + u]))}
             for i in range(x.dim)]
     return _from_columns(x, y, cols)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .linalg import LinearMap
@@ -102,7 +101,3 @@ def require(report: Report, context: str = "") -> Report:
             + (f" ({bad.detail})" if bad.detail else "")
         )
     return report
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)

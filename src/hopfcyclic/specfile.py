@@ -21,9 +21,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .cocyclic import (
+    DEFAULT_DEGREE_CAP,
     CocyclicModule,
     algebra_contra_cocyclic,
     algebra_module_cocyclic,
@@ -66,8 +67,6 @@ from .linalg import (
     tensor_space,
     tensor_spaces,
 )
-
-DEFAULT_DEGREE_CAP = 4
 
 
 class SpecError(ValueError):

@@ -91,9 +91,8 @@ def failures(report):
 
 def basis_cocycle(module, degree):
     sub = cyclic_cocycle_subspace(module, degree)
-    mat = sub.basis.fractions()
-    if mat.shape[1]:
-        return [x for x in mat[:, 0]]
+    if sub.dim:
+        return sub.basis.column(0)
     return [0] * module.spaces[degree].dim
 
 

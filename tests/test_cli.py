@@ -1,6 +1,9 @@
 """Tests for the JSON spec-file parser and the hcc command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -295,3 +298,28 @@ class TestDeterminism:
         self.run_twice(capsys, ["cup", Z2CUP, "--variant", "ac", "--p", "1",
                                 "--q", "1", "--left", "phi", "--right", "omega",
                                 "--format", "json"])
+
+
+class TestStandardLibraryOnly:
+    """The package and hcc run with numpy unimportable."""
+
+    BLOCK = "import sys; sys.modules['numpy'] = None; "
+    HCC = BLOCK + "from hopfcyclic.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def run(self, code, *argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, (argv, result.stderr)
+
+    def test_import_without_numpy(self):
+        self.run(self.BLOCK + "import hopfcyclic")
+
+    def test_check_without_numpy(self):
+        self.run(self.HCC, "check", Z2CUP)
+
+    def test_cup_without_numpy(self):
+        self.run(self.HCC, "cup", Z2CUP, "--variant", "aa-general", "--p", "0", "--q", "1",
+                 "--left", "psi0", "--right", "phi1")

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hopfcyclic.coefficients import dualize, grouplike_coefficients, trivial_coefficients
