@@ -26,7 +26,7 @@ with coface, codegeneracy and cyclic operators.  This module provides
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -58,6 +58,7 @@ from .linalg import (
     tensor_permutation,
     tensor_space,
     tensor_spaces,
+    vector_from,
 )
 from .reporting import Report
 
@@ -82,6 +83,9 @@ class CocyclicModule:
     faces: tuple[tuple[LinearMap, ...], ...]
     degeneracies: tuple[tuple[LinearMap, ...], ...]
     cyclic: tuple[LinearMap, ...]
+    # ("b", n) / ("B", n) -> full_b / full_B of this tower, built on first use
+    _coboundaries: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         cap = self.degree_cap
@@ -254,7 +258,7 @@ class HomCochainComplex:
         return hom_vector_to_map(vec, self.domains[n], self.values)
 
     def cochain_map(self, n: int, vec) -> LinearMap:
-        ambient = self.subspaces[n].basis.apply([Fraction(x) for x in vec])
+        ambient = self.subspaces[n].basis.apply(vector_from(vec))
         return hom_vector_to_map(ambient, self.domains[n], self.values)
 
     def coords_of_map(self, n: int, m: LinearMap) -> list[Fraction]:
@@ -742,23 +746,29 @@ def check_dualization(iso: DualizationIsomorphism,
 
 
 def full_b(module: CocyclicModule, n: int) -> LinearMap:
-    """Alternating sum of the cofaces out of degree n."""
-    out = module.faces[n][0]
-    for i in range(1, n + 2):
-        term = module.faces[n][i]
-        out = out + term if i % 2 == 0 else out - term
-    return out
+    """Alternating sum of the cofaces out of degree n, built once per tower."""
+    cache = module._coboundaries
+    if ("b", n) not in cache:
+        out = module.faces[n][0]
+        for i in range(1, n + 2):
+            term = module.faces[n][i]
+            out = out + term if i % 2 == 0 else out - term
+        cache["b", n] = out
+    return cache["b", n]
 
 
 def full_B(module: CocyclicModule, n: int) -> LinearMap:
-    """The Connes boundary C^n -> C^{n-1} (n >= 1)."""
-    base = module.degeneracies[n][n - 1] @ module.cyclic[n]
-    acc = base
-    power = base
-    for i in range(1, n):
-        power = module.cyclic[n - 1] @ power
-        acc = acc + power if ((n - 1) * i) % 2 == 0 else acc - power
-    return acc
+    """The Connes boundary C^n -> C^{n-1} (n >= 1), built once per tower."""
+    cache = module._coboundaries
+    if ("B", n) not in cache:
+        base = module.degeneracies[n][n - 1] @ module.cyclic[n]
+        acc = base
+        power = base
+        for i in range(1, n):
+            power = module.cyclic[n - 1] @ power
+            acc = acc + power if ((n - 1) * i) % 2 == 0 else acc - power
+        cache["B", n] = acc
+    return cache["B", n]
 
 
 def lambda_operator(module: CocyclicModule, n: int) -> LinearMap:

@@ -22,7 +22,7 @@ Ingredients, all realized as exact rational matrices:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -81,13 +81,14 @@ from .linalg import (
     tensor_permutation,
     tensor_power_map,
     tensor_space,
+    vector_from,
     vectors_equal,
 )
 from .reporting import Report, require
 
 
 def _as_vector(vec, dim: int, label: str) -> list[Fraction]:
-    out = [Fraction(x) for x in vec]
+    out = vector_from(vec)
     if len(out) != dim:
         raise LinAlgError(f"{label} has length {len(out)}, expected {dim}")
     return out
@@ -599,6 +600,9 @@ class ConvolutionCupSetup:
     tensor_target: CocyclicModule
     scalar_convolution_target: CocyclicModule
     tensor_convolution_target: CocyclicModule
+    # q -> the products f_u of convolution basis maps, built on first use
+    _psi_products: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
 
 def ac_cup_setup(algebra: ModuleAlgebra, coalgebra: ModuleCoalgebra,
@@ -652,6 +656,9 @@ class CrossedProductCupSetup:
     pair_collapse: Optional[LinearMap]
     scalar_target: CocyclicModule
     tensor_target: CocyclicModule
+    # n -> _phi_transformer(self, n), built on first use
+    _phi_transformers: dict = field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
 
 
 def aa_cup_setup(algebra: ModuleAlgebra, comodule_algebra: ComoduleAlgebra,
@@ -683,24 +690,29 @@ def aa_cup_setup(algebra: ModuleAlgebra, comodule_algebra: ComoduleAlgebra,
 # the convolution-algebra comparison map
 
 
+def _convolution_products(setup: ConvolutionCupSetup, q: int) -> list[LinearMap]:
+    """f_u = f_{u_0} (x) ... (x) f_{u_q} over the convolution basis maps, for
+    every u in row-major order; built once per setup and degree."""
+    cache = setup._psi_products
+    if q not in cache:
+        basis = setup.convolution.basis_maps
+        cache[q] = list(basis) if q == 0 else [
+            tensor_map(f, g) for f in _convolution_products(setup, q - 1) for g in basis]
+    return cache[q]
+
+
 def _psi_blocks(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
                 values: VectorSpace):
     """Per algebra-cochain basis map, the matrix N (x) C^{(q+1)} -> Hom(B^{(q+1)}, V)."""
     x = setup.algebra_cochains
     y = setup.coalgebra_cochains
-    conv = setup.convolution
-    n_space = setup.module.space
-    id_n = LinearMap.identity(n_space)
-    target = hom_space(_pow(conv.algebra.space, q + 1), values)
+    id_n = LinearMap.identity(setup.module.space)
+    target = hom_space(_pow(setup.convolution.algebra.space, q + 1), values)
+    products = _convolution_products(setup, q)
     blocks = []
     for i in range(x.module.spaces[q].dim):
         phi = x.basis_map(q, i)
-        pieces = []
-        for u in itertools.product(range(conv.dim), repeat=q + 1):
-            f_u = conv.basis_maps[u[0]]
-            for k in range(1, q + 1):
-                f_u = tensor_map(f_u, conv.basis_maps[u[k]])
-            pieces.append(collapse @ tensor_map(id_n, phi @ f_u))
+        pieces = [collapse @ tensor_map(id_n, phi @ f_u) for f_u in products]
         blocks.append(relabel(stack_vertical(pieces), y.ambients[q], target))
     return blocks, target
 
@@ -773,7 +785,10 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
     Expands each crossed-product leg by iterated coactions, multiplies the
     matching coaction legs into one Hopf element per slot, and lets its
     inverse antipode act on the algebra leg.  Built sparsely column by
-    column, so the cost scales with the support of the coactions.
+    column, so the cost scales with the support of the coactions; each slot's
+    acted vector is computed once per distinct (coaction legs, algebra index).
+    The map depends on neither the collapse nor the values, so `phi_matrix`
+    builds it once per setup and degree.
     """
     a_alg = setup.algebra
     b_alg = setup.comodule_algebra
@@ -801,6 +816,7 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
     sinv_fr = h.antipode_inv.fractions()
     act_fr = a_alg.action.fractions()
 
+    slot_memo: dict[tuple, list[tuple[int, Fraction]]] = {}
     entries: dict[tuple[int, int], Fraction] = {}
     source_dims = [da, db] * (n + 1)
     a_strides = [da ** (n - j) for j in range(n + 1)]
@@ -818,17 +834,20 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
             bodies_flat = sum(c[1] * b_strides[k] for k, c in enumerate(combo))
             slot_vectors = []
             for j in range(n + 1):
-                p = [Fraction(0)] * dh
-                p[legs[j][0]] = Fraction(1)
-                for k in range(j + 1, n + 1):
-                    m = legs[k][k - j]
-                    p = [sum(p[s] * mul_fr[t][s * dh + m] for s in range(dh))
-                         for t in range(dh)]
-                s_vec = [sum(x * y for x, y in zip(row, p)) for row in sinv_fr]
-                acted = [sum(s_vec[s] * act_fr[t][s * da + a_idx[j]] for s in range(dh))
-                         for t in range(da)]
-                slot_vectors.append(
-                    [(t, v) for t, v in enumerate(acted) if v != 0])
+                # slot j multiplies legs[j][0], legs[j+1][1], ..., legs[n][n-j]
+                key = (tuple(legs[k][k - j] for k in range(j, n + 1)), a_idx[j])
+                if key not in slot_memo:
+                    factors, a = key
+                    p = [Fraction(0)] * dh
+                    p[factors[0]] = Fraction(1)
+                    for m in factors[1:]:
+                        p = [sum(p[s] * mul_fr[t][s * dh + m] for s in range(dh))
+                             for t in range(dh)]
+                    s_vec = [sum(x * y for x, y in zip(row, p)) for row in sinv_fr]
+                    acted = [sum(s_vec[s] * act_fr[t][s * da + a] for s in range(dh))
+                             for t in range(da)]
+                    slot_memo[key] = [(t, v) for t, v in enumerate(acted) if v != 0]
+                slot_vectors.append(slot_memo[key])
             for picks in itertools.product(*slot_vectors):
                 value = coeff
                 a_flat = 0
@@ -848,15 +867,19 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
 
     Column (r, i) is collapse o (psi_r (x) phi_i) o transformer for the basis
     cochains psi_r and phi_i, read as a Hom vector.  All columns come from
-    one Kronecker product of the two cochain bases.
+    one Kronecker product of the two cochain bases.  The transformer is built
+    once per setup and degree and shared by every collapse.
     """
+    transformers = setup._phi_transformers
+    if n not in transformers:
+        transformers[n] = _phi_transformer(setup, n)
     x = setup.comodule_cochains
     y = setup.algebra_cochains
     domain = tensor_space(x.domains[n], y.domains[n])
     # Hom(D, V) (x) Hom(E, W) -> Hom(D (x) E, V (x) W) reorders the factors
     reorder = tensor_permutation([x.domains[n], x.values, y.domains[n], y.values],
                                  [0, 2, 1, 3])
-    out = (hom_precompose(_phi_transformer(setup, n), values)
+    out = (hom_precompose(transformers[n], values)
            @ hom_postcompose(domain, collapse)
            @ reorder @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis))
     return relabel(out, setup.diagonal_module.spaces[n],

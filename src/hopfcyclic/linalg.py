@@ -530,8 +530,9 @@ class Subspace:
         return LinearMap(self.ambient, self.space, tuple(cols), 1)
 
     def coords(self, vec: Sequence) -> list[Fraction]:
-        c = [Fraction(vec[s]) for s in self.supports]
-        if not vectors_equal(self.basis.apply(c), [Fraction(x) for x in vec]):
+        vec = vector_from(vec)
+        c = [vec[s] for s in self.supports]
+        if not vectors_equal(self.basis.apply(c), vec):
             raise MembershipError("vector does not lie in the subspace")
         return c
 

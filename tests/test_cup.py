@@ -1,10 +1,14 @@
 """Tests for bicocyclic towers, total complexes, comparison maps and cups."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hopfcyclic import cup
 from hopfcyclic.coefficients import (
     SaydModule,
     grouplike_coefficients,
@@ -41,6 +45,10 @@ from hopfcyclic.cup import (
     cyclic_cocycle_subspace,
     cyclic_complete,
     diagonal,
+    phi_scalar,
+    phi_tensor,
+    psi_scalar,
+    psi_tensor,
     tensor_bicocyclic,
     total_complex,
 )
@@ -64,6 +72,9 @@ from hopfcyclic.linalg import (
     VectorSpace,
     tensor_space,
 )
+from hopfcyclic.specfile import parse_spec
+
+Z2CUP = str(Path(__file__).resolve().parent.parent / "demo" / "z2_cup.json")
 
 
 def failures(report):
@@ -272,6 +283,67 @@ def test_collapse_factorization(setup_ac_grouplike, setup_aa_grouplike):
     for setup in (setup_ac_grouplike, setup_aa_grouplike):
         report = check_collapse_factorization(setup)
         assert report.passed, failures(report)
+
+
+# sha256 of (source labels, target labels, nonzero entries) of the comparison
+# maps of the cap-3 setups of demo/z2_cup.json in degrees 0..3, recorded before
+# their parts were memoized.  The grouplike coefficients are one-dimensional,
+# so the scalar and the contratensor-valued maps coincide.
+PINNED_COMPARISON_DIGESTS = {
+    "psi": ["d5c270a315bed56ead34945aa170f885f1d5233260cf20e94d54935395acd1a9",
+            "e9caa8e1cbfb11b199c7fae6bbe9fa9562eceb0bdf6a011ea4742d35aa2a0cdf",
+            "a998ce8b5920fa9a29819d310ee114737722a474d52ab1254061205274cea8f5",
+            "1d6c99889e6bd6c883b1d9d742605901425c783abe5ae8921db8938a13f11680"],
+    "phi": ["0e21d6b604df8b95f3e3b4c127390f8c65d6b9a073e6b293595d56c0c84d3665",
+            "a4303a381e3e27137bcce5eea8ec5ca23712ea3e886b47cb003fbf31dccaa1bc",
+            "27bb806c372e358623fd94ba5511c54023c419b39562ea026677eb27e87744c6",
+            "46bc3b1a3aae8e7fcc3022e830c93b6d0be07d503548101ec38e8567007f9d74"],
+}
+
+
+def map_digest(m):
+    entries = [[i, j, str(v)] for i, row in enumerate(m.fractions())
+               for j, v in enumerate(row) if v]
+    blob = json.dumps([list(m.source.labels), list(m.target.labels), entries])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def demo_setups():
+    spec = parse_spec(Z2CUP)
+    return spec.build_cup_setup("ac", 3), spec.build_cup_setup("aa", 3)
+
+
+@pytest.mark.parametrize("family,variant", [("psi", psi_scalar), ("psi", psi_tensor),
+                                            ("phi", phi_scalar), ("phi", phi_tensor)])
+def test_comparison_maps_are_pinned(demo_setups, family, variant):
+    setup = demo_setups[0] if family == "psi" else demo_setups[1]
+    assert [map_digest(variant(setup, n)) for n in range(4)] == \
+        PINNED_COMPARISON_DIGESTS[family]
+
+
+def test_comparison_parts_are_built_once_per_setup(monkeypatch):
+    builds = []
+    build = cup._phi_transformer
+
+    def counted(setup, n):
+        builds.append((id(setup), n))
+        return build(setup, n)
+
+    monkeypatch.setattr(cup, "_phi_transformer", counted)
+    spec = parse_spec(Z2CUP)
+    first = spec.build_cup_setup("aa", 3)
+    for report in (check_phi(first), check_phi(first, tensor_valued=True),
+                   check_collapse_factorization(first)):
+        assert report.passed, failures(report)
+    assert sorted(n for _, n in builds) == [0, 1, 2, 3]
+    second = spec.build_cup_setup("aa", 3)
+    assert check_phi(second).passed
+    assert len(builds) == 8
+    assert set(builds[4:]) == {(id(second), n) for n in range(4)}
+    module = first.scalar_target
+    assert full_b(module, 1) is full_b(module, 1)
+    assert full_B(module, 2) is full_B(module, 2)
 
 
 # ------------------------------------------------------------- cup pipelines
@@ -495,6 +567,17 @@ def test_cup_rejects_non_cocycle(setup_ac_grouplike):
         cup_ac(setup_ac_grouplike, 1, 1, [1, 0], [-1, 1])
     with pytest.raises(LinAlgError, match="not closed under the Hochschild"):
         cup_ac(setup_ac_grouplike, 1, 1, [0, 1], [1, 1])
+
+
+def test_float_inputs_are_rejected(triv, setup_ac_grouplike):
+    module = plain_algebra_cocyclic(triv.algebra, degree_cap=3)
+    with pytest.raises(LinAlgError, match="not an exact rational"):
+        cyclic_complete(module, 2, [0.1])
+    with pytest.raises(LinAlgError, match="not an exact rational"):
+        cup_ac(setup_ac_grouplike, 1, 1, [0.0, 1.0], [-1, 1])
+    for exact in (1, Fraction(1, 3), "1/3"):
+        assert cyclic_complete(module, 2, [exact]).degree == 2
+    assert cup_ac(setup_ac_grouplike, 1, 1, ["0", "1"], [-1, Fraction(1)]).degree == 2
 
 
 def test_cup_rejects_wrong_length(setup_ac_grouplike):
