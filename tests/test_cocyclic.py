@@ -1,10 +1,18 @@
 """Structural checks for the cocyclic constructions and their cohomology."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from hopfcyclic.coefficients import dualize, grouplike_coefficients, trivial_coefficients
+from hopfcyclic.coefficients import (
+    check_sayd_contramodule,
+    check_sayd_module,
+    dualize,
+    grouplike_coefficients,
+    trivial_coefficients,
+)
 from hopfcyclic.cocyclic import (
     CocyclicModule,
     check_dualization,
@@ -33,6 +41,7 @@ from hopfcyclic.hopf import (
     group_algebra,
     left_regular_action,
     regular_coaction,
+    sweedler_h4,
     trivial_action,
     trivial_coaction,
     trivial_hopf,
@@ -40,6 +49,7 @@ from hopfcyclic.hopf import (
 from hopfcyclic.linalg import (
     LinAlgError,
     LinearMap,
+    VectorSpace,
     subspace_from_kernel,
     tensor_map,
     tensor_permutation,
@@ -379,3 +389,213 @@ def test_quotient_complex_projection_section(z2):
         assert (q.projection @ q.section) == (
             LinearMap.identity(complex_.module.spaces[n]))
         assert (q.projection @ complex_.relations[n]).is_zero()
+
+
+# ------------------------------------------------------------ pinned towers
+#
+# sha256 of every tower's space labels, realization data (subspace bases or
+# quotient sections) and operators; an operator contributes its source
+# labels, target labels and nonzero entries.  Recorded before operator
+# assembly was rewritten, so any change of column order, label or
+# denominator fails here.
+
+
+def _map_record(m):
+    entries = [[i, j, str(v)] for i, row in enumerate(m.fractions())
+               for j, v in enumerate(row) if v]
+    return [list(m.source.labels), list(m.target.labels), entries]
+
+
+def tower_digest(complex_):
+    module = getattr(complex_, "module", complex_)
+    record = [[list(s.labels) for s in module.spaces],
+              [[_map_record(f) for f in row] for row in module.faces],
+              [[_map_record(s) for s in row] for row in module.degeneracies],
+              [_map_record(t) for t in module.cyclic]]
+    if hasattr(complex_, "subspaces"):
+        record.append([[list(d.labels) for d in complex_.domains],
+                       list(complex_.values.labels)])
+        record.append([[list(sub.ambient.labels), list(sub.supports),
+                        _map_record(sub.basis)] for sub in complex_.subspaces])
+    if hasattr(complex_, "quotients"):
+        record.append([[_map_record(r), _map_record(q.projection), _map_record(q.section)]
+                       for r, q in zip(complex_.relations, complex_.quotients)])
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+def _pin_hopf(name):
+    if name == "Z/2":
+        return group_algebra(cyclic_group_table(2), labels=["1", "g"])
+    if name == "Z/3":
+        return group_algebra(cyclic_group_table(3))
+    return sweedler_h4()
+
+
+def _passing_sigmas(h):
+    """The grouplike coefficient pairs of h that pass the SAYD checks."""
+    out = []
+    for sigma in range(h.dim):
+        pair = grouplike_coefficients(h, sigma)
+        if check_sayd_module(pair.module).passed and \
+                check_sayd_contramodule(pair.contramodule).passed:
+            out.append(sigma)
+    return out
+
+
+def _equivariant_tower(kind, h, sigma, cap):
+    pair = grouplike_coefficients(h, sigma)
+    if kind == "coalgebra":
+        c = ModuleCoalgebra(h, h.space, h.comul, h.counit, left_regular_action(h))
+        return coalgebra_cocyclic(c, pair.module, cap)
+    if kind == "comodule_algebra":
+        b = ComoduleAlgebra(h, h.space, h.mul, h.unit, regular_coaction(h))
+        return comodule_algebra_cocyclic(b, pair.module, cap)
+    a = ModuleAlgebra(h, h.space, h.mul, h.unit, adjoint_action(h))
+    if kind == "algebra_module":
+        return algebra_module_cocyclic(a, pair.module, cap)
+    return algebra_contra_cocyclic(a, pair.contramodule, cap)
+
+
+PLAIN_PIN_CASES = [(hopf, v, cap) for hopf in ("Z/2", "Z/3", "sweedler4")
+                   for v in (1, 2) for cap in (1, 2, 3)]
+EQUIVARIANT_PIN_CASES = [(kind, hopf, sigma, cap)
+                         for kind in ("coalgebra", "algebra_module",
+                                      "comodule_algebra", "algebra_contra")
+                         for hopf, sigmas in (("Z/3", (0, 1, 2)), ("sweedler4", (1,)))
+                         for sigma in sigmas for cap in (1, 2)]
+
+PINNED_TOWER_DIGESTS = {
+    "plain Z/2 V1 cap 1":
+        "ca78e2fa7def650e049c014316cff7572b3079f01475e22db0c4a1b165b5db1d",
+    "plain Z/2 V1 cap 2":
+        "6812bc06683270a7d7fe363b31050a237dbd5b244bdd70f242414afb48b21991",
+    "plain Z/2 V1 cap 3":
+        "6e67b3b49e0dc213889aee8f63c53c7cdec8f0d1c93f943ab6d5d54e7606f052",
+    "plain Z/2 V2 cap 1":
+        "13977ce87aaa4385d831911330ff3306d25b3d97b053a88be366da44078f3628",
+    "plain Z/2 V2 cap 2":
+        "62d7dd8bf35e6046812132c98cf65941c9933fbb6aab0e9b8d6bb6a605084a56",
+    "plain Z/2 V2 cap 3":
+        "d2125537a18ee2d547f2afb97e9b04bf753d9f9fe8fbfd572d4913abcfa4a5ac",
+    "plain Z/3 V1 cap 1":
+        "91146fe63a2a67bc826c04b54220f7e1ed693b573cfe233e02386b5b377994e9",
+    "plain Z/3 V1 cap 2":
+        "46c91d9d413c2d8c6c1aa1dd9d0e83bf0abe923cddcde0ec1d7a3519a053c948",
+    "plain Z/3 V1 cap 3":
+        "8818fd68ed62b9bf851fa540c7d4b886f882f712bc8a413756e2fc5df341402e",
+    "plain Z/3 V2 cap 1":
+        "f4f9600425ff9228f367997ee72de7cc1825834555906506330f3f653a75a0f3",
+    "plain Z/3 V2 cap 2":
+        "dae31b65a4e49c99898065e7d04ba8f2b14aab79d4ba0efec45e3bfa7a66cb75",
+    "plain Z/3 V2 cap 3":
+        "f804f94b78dc1955956a489e7b3cd48009d51f7890a93111d0dfee93d3e7ea47",
+    "plain sweedler4 V1 cap 1":
+        "50c5ecbdd1188bbda6931598a2cab9450ec46abd0012529ac08697a12092ad67",
+    "plain sweedler4 V1 cap 2":
+        "14357048fabc0cf78db646a24dcae67cb0177ea2dcd3a23dd5eb6d2d312f37bb",
+    "plain sweedler4 V1 cap 3":
+        "31b1f5b9c5c9491d3b6f86b938b509121e5096c832a9d8eba77655d3e4930c0e",
+    "plain sweedler4 V2 cap 1":
+        "f0a205001b11ecc31d59d60eda2858e63b6ecd847acecb99f9508233fe0578e5",
+    "plain sweedler4 V2 cap 2":
+        "19abfbad97e93992bc687e462e4242f8a40d4dc840935dcf6815992256e9aaba",
+    "plain sweedler4 V2 cap 3":
+        "a4926353bc9e5d2872ba7463ac43b7908870060d7fa645af26df97a4707ffd8c",
+    "coalgebra Z/3 sigma 0 cap 1":
+        "800108ccf5bd1c33e515ed9452d43b79122da0f5d97ee67fe5637aacee1fb56a",
+    "coalgebra Z/3 sigma 0 cap 2":
+        "e39ca5e4be93b94063887be6c5082b294c75a5522aaf06b634cfe15da41db071",
+    "coalgebra Z/3 sigma 1 cap 1":
+        "dfad94d0c07b1e50784227d54e3ba5b45ea77b2afe67c447c19db50ced96c36f",
+    "coalgebra Z/3 sigma 1 cap 2":
+        "0fa0ba59e7ab3bbe1239bbe93fe4611fde207413cca3ea0b559a14cfa133e554",
+    "coalgebra Z/3 sigma 2 cap 1":
+        "5b53017f3a233ea7082ea21e193e795f548e1758771f8b291388371a8e7292d6",
+    "coalgebra Z/3 sigma 2 cap 2":
+        "cab764486c183552b95ecec62486e4644bacdd961f7362822e5f41eed06ef9c7",
+    "coalgebra sweedler4 sigma 1 cap 1":
+        "9a75c8ba3202dfa841f90a49c2c1cb91d44717700ed742b8577ba82825b565d8",
+    "coalgebra sweedler4 sigma 1 cap 2":
+        "eecc2e586ae23e68f950c8ec1d0e6fcfeffc28b64d6de3d6f9c2147f2e99dd4f",
+    "algebra_module Z/3 sigma 0 cap 1":
+        "7a2883948f779d7248549526e91faee865e27d162754338c8d24f2c4282435d5",
+    "algebra_module Z/3 sigma 0 cap 2":
+        "2dea2dad542e5e73bb4a29f3f7620a3df445d1c8aed2d1cd8d323b6a323a1c86",
+    "algebra_module Z/3 sigma 1 cap 1":
+        "7a2883948f779d7248549526e91faee865e27d162754338c8d24f2c4282435d5",
+    "algebra_module Z/3 sigma 1 cap 2":
+        "2dea2dad542e5e73bb4a29f3f7620a3df445d1c8aed2d1cd8d323b6a323a1c86",
+    "algebra_module Z/3 sigma 2 cap 1":
+        "7a2883948f779d7248549526e91faee865e27d162754338c8d24f2c4282435d5",
+    "algebra_module Z/3 sigma 2 cap 2":
+        "2dea2dad542e5e73bb4a29f3f7620a3df445d1c8aed2d1cd8d323b6a323a1c86",
+    "algebra_module sweedler4 sigma 1 cap 1":
+        "fa0d8765e4b793238f325bbcafcea9a3e2ebace8247f83bc8bd63ffd0076bac9",
+    "algebra_module sweedler4 sigma 1 cap 2":
+        "fc27a92c41fb518ff8fcd36bfcd675f8db24d3f48a3a081a0e0552ad44457cbf",
+    "comodule_algebra Z/3 sigma 0 cap 1":
+        "e82b5ee69957fb1fc669fc4cfdac2fa4b7c0ce4c4d986fb03cda6910020a5726",
+    "comodule_algebra Z/3 sigma 0 cap 2":
+        "2976d100936cdbd9bb7f77f4ac41fed61a50f4f7df3528cdd36be39ed8889e63",
+    "comodule_algebra Z/3 sigma 1 cap 1":
+        "c86ef43abf73897501d6b40e169a13d9e3c75d5d5668713b9cf4dbe29835e5aa",
+    "comodule_algebra Z/3 sigma 1 cap 2":
+        "43d6ddf5ac78c717ee955f5af700cdf9f39e946c5909bca363358412b2eec25e",
+    "comodule_algebra Z/3 sigma 2 cap 1":
+        "bef3b8677ec18c8a056c5e0c3be27256bd797d4f84d2eea9fd2eed13b2ead702",
+    "comodule_algebra Z/3 sigma 2 cap 2":
+        "4a59159ce7cc99bc495b4d1e9108f80fc01b786d52d83b0bb9bfea5739d3ed8f",
+    "comodule_algebra sweedler4 sigma 1 cap 1":
+        "d36701ae22ffeb19c17f0d179862f683a6c92ffa6feb9aec39dd33c2062dadc0",
+    "comodule_algebra sweedler4 sigma 1 cap 2":
+        "d63e3022715834d9257e7a42e4a83e69c7dd7a26bd486c448ed01eb6b7c914e0",
+    "algebra_contra Z/3 sigma 0 cap 1":
+        "746e9b355f3a9892189f7fa4d5b61c013092c32e81a1ad888f0d9c9693526fde",
+    "algebra_contra Z/3 sigma 0 cap 2":
+        "ae8e2003afa5e91e6ae11d156605a3d6a69645a1dd3d5225604e6dbb6a4e0856",
+    "algebra_contra Z/3 sigma 1 cap 1":
+        "746e9b355f3a9892189f7fa4d5b61c013092c32e81a1ad888f0d9c9693526fde",
+    "algebra_contra Z/3 sigma 1 cap 2":
+        "ae8e2003afa5e91e6ae11d156605a3d6a69645a1dd3d5225604e6dbb6a4e0856",
+    "algebra_contra Z/3 sigma 2 cap 1":
+        "746e9b355f3a9892189f7fa4d5b61c013092c32e81a1ad888f0d9c9693526fde",
+    "algebra_contra Z/3 sigma 2 cap 2":
+        "ae8e2003afa5e91e6ae11d156605a3d6a69645a1dd3d5225604e6dbb6a4e0856",
+    "algebra_contra sweedler4 sigma 1 cap 1":
+        "7a7e1a335784d999676d67e981b9d9272cea736c2528bf94b5bd21468031d72d",
+    "algebra_contra sweedler4 sigma 1 cap 2":
+        "58814cd7bf57af42d76daed75b55ac5cacac4e3e2896b6d810cf6dca1e01503f",
+}
+
+
+def test_pinned_grouplike_pairs_are_the_passing_ones():
+    assert _passing_sigmas(_pin_hopf("Z/3")) == [0, 1, 2]
+    assert _passing_sigmas(_pin_hopf("sweedler4")) == [1]
+
+
+@pytest.mark.parametrize("hopf,v,cap", PLAIN_PIN_CASES)
+def test_plain_towers_are_pinned(hopf, v, cap):
+    values = None if v == 1 else VectorSpace.make(v, "v")
+    tower = plain_algebra_cocyclic(_pin_hopf(hopf).algebra, values, cap)
+    assert tower_digest(tower) == PINNED_TOWER_DIGESTS[f"plain {hopf} V{v} cap {cap}"]
+
+
+@pytest.mark.parametrize("kind,hopf,sigma,cap", EQUIVARIANT_PIN_CASES)
+def test_equivariant_towers_are_pinned(kind, hopf, sigma, cap):
+    tower = _equivariant_tower(kind, _pin_hopf(hopf), sigma, cap)
+    assert tower_digest(tower) == \
+        PINNED_TOWER_DIGESTS[f"{kind} {hopf} sigma {sigma} cap {cap}"]
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("coalgebra", "coface 1 at degree 0 is not well defined on the quotient"),
+    ("algebra_module", "coface 2 at degree 1 does not preserve the cochain space"),
+    ("comodule_algebra", "coface 1 at degree 0 does not preserve the cochain space"),
+    ("algebra_contra", "coface 2 at degree 1 does not preserve the cochain space"),
+])
+def test_unstable_sweedler_coefficients_are_refused(kind, message):
+    """The unit grouplike of sweedler4 is not a SAYD coefficient (S^2 is not
+    the identity); every construction refuses it at its first bad operator."""
+    with pytest.raises(LinAlgError) as info:
+        _equivariant_tower(kind, sweedler_h4(), 0, 2)
+    assert str(info.value) == message
