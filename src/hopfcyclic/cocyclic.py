@@ -22,6 +22,17 @@ with coface, codegeneracy and cyclic operators.  This module provides
     normalization projector;
   * Hochschild and cyclic cohomology in degrees below the tower cap, with
     deterministic representatives.
+
+Operator assembly.  Each construction builds its tensor powers and Hom
+spaces once, then writes every operator in one sparse pass (`slot_map`)
+straight between the tower's own spaces.  A degree-n ambient space has
+coordinates (lead, x_0, ..., x_n, trail): coface i and codegeneracy j are
+id (x) f (x) id with f the (transposed, for Hom spaces) structure map on
+their slots.  The cyclic operator is its degree-0 kernel with x_1..x_n
+carried through and the first slot moved to the end, and the last coface is
+t d_0, written the same way from its degree-0 kernel.  The equivariant
+constructions restrict these ambient operators to their cochain spaces
+(`_induced`, `_descend`), verifying membership and well-definedness.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .coefficients import SaydContramodule, SaydModule, dualize
+from .coefficients import SaydContramodule, SaydModule, contramodule_stability_map, dualize
 from .hopf import Algebra, ComoduleAlgebra, HopfAlgebra, ModuleAlgebra, ModuleCoalgebra
 from .linalg import (
     LinAlgError,
@@ -39,25 +50,20 @@ from .linalg import (
     Quotient,
     Subspace,
     VectorSpace,
-    basis_vector,
     cokernel,
-    hom_postcompose,
-    hom_precompose,
     hom_space,
-    hom_tensor_left,
     hom_vector_to_map,
     insert_vector,
     map_to_hom_vector,
     relabel,
     rref,
+    slot_map,
     solve_constrained_subspace,
     stack_vertical,
     subspace_from_kernel,
     tensor_map,
-    tensor_maps,
     tensor_permutation,
     tensor_space,
-    tensor_spaces,
     vector_from,
 )
 from .reporting import Report
@@ -83,9 +89,9 @@ class CocyclicModule:
     faces: tuple[tuple[LinearMap, ...], ...]
     degeneracies: tuple[tuple[LinearMap, ...], ...]
     cyclic: tuple[LinearMap, ...]
-    # ("b", n) / ("B", n) -> full_b / full_B of this tower, built on first use
-    _coboundaries: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
+    # ("b", n) / ("B", n) / ("fixed", n) -> full_b / full_B / _cyclic_fixed of
+    # this tower, built on first use
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cap = self.degree_cap
@@ -184,30 +190,39 @@ def verify_cocyclic(module: CocyclicModule, name: str = "cocyclic module") -> Re
 
 
 # --------------------------------------------------------------------------
-# elementwise builders shared by the constructions
+# operator assembly shared by the constructions
 
 
-def _pow(space: VectorSpace, k: int) -> VectorSpace:
-    return tensor_spaces([space] * k)
+def _powers(space: VectorSpace, k: int) -> list[VectorSpace]:
+    """X^{(0)}, ..., X^{(k)}, each the tensor product of the one before with X."""
+    out = [VectorSpace.ground(), space]
+    while len(out) <= k:
+        out.append(tensor_space(out[-1], space))
+    return out[:k + 1]
 
 
-# (slots consumed, slots produced) of the structure maps placed by `_on_slots`
-_MUL, _UNIT, _COMUL, _COUNIT = (2, 1), (0, 1), (1, 2), (1, 0)
+def _diagonal_actions(hopf: HopfAlgebra, action: LinearMap, k: int) -> list[LinearMap]:
+    """H (x) X^{(m)} -> X^{(m)} for m = 1..k, each built from the one before."""
+    x = action.target
+    out = [action]
+    for m in range(1, k):
+        prev = out[-1]
+        perm = tensor_permutation([hopf.space, hopf.space, x, prev.target], [0, 2, 1, 3])
+        out.append(tensor_map(action, prev) @ perm @ tensor_map(
+            hopf.comul, LinearMap.identity(tensor_space(x, prev.target))))
+    return out
 
 
-def _on_slots(f: LinearMap, arity: tuple[int, int], k: int, i: int) -> LinearMap:
-    """X^{(k)} -> X^{(k-p+q)}: f: X^{(p)} -> X^{(q)} on the slots from i on,
-    the identity on the others.  X is the side of f that is one slot wide."""
-    p, q = arity
-    x = f.source if p == 1 else f.target
-    ident = LinearMap.identity(x)
-    out = tensor_maps([ident] * i + [f] + [ident] * (k - p - i))
-    return relabel(out, _pow(x, k), _pow(x, k - p + q))
-
-
-def _rotate_last_to_front(space: VectorSpace, k: int) -> LinearMap:
-    perm = [k - 1] + list(range(k - 1))
-    return relabel(tensor_permutation([space] * k, perm), _pow(space, k), _pow(space, k))
+def _diagonal_coactions(hopf: HopfAlgebra, coaction: LinearMap, k: int) -> list[LinearMap]:
+    """X^{(m)} -> H (x) X^{(m)} for m = 1..k, each built from the one before."""
+    x = coaction.source
+    out = [coaction]
+    for m in range(1, k):
+        prev = out[-1]
+        perm = tensor_permutation([hopf.space, x, hopf.space, prev.source], [0, 2, 1, 3])
+        out.append(tensor_map(hopf.mul, LinearMap.identity(tensor_space(x, prev.source)))
+                   @ perm @ tensor_map(coaction, prev))
+    return out
 
 
 def diagonal_action(hopf: HopfAlgebra, action: LinearMap, k: int) -> LinearMap:
@@ -216,28 +231,74 @@ def diagonal_action(hopf: HopfAlgebra, action: LinearMap, k: int) -> LinearMap:
     `action` is a left action H (x) X -> X; factor i receives leg i of the
     comultiplication.
     """
-    x = action.target
-    out = relabel(action, tensor_space(hopf.space, _pow(x, 1)), _pow(x, 1))
-    for m in range(1, k):
-        prev = out
-        perm = tensor_permutation([hopf.space, hopf.space, x, _pow(x, m)], [0, 2, 1, 3])
-        step = tensor_map(action, prev) @ perm @ tensor_map(
-            hopf.comul, LinearMap.identity(_pow(x, m + 1)))
-        out = relabel(step, tensor_space(hopf.space, _pow(x, m + 1)), _pow(x, m + 1))
-    return out
+    return _diagonal_actions(hopf, action, k)[-1]
 
 
 def diagonal_coaction(hopf: HopfAlgebra, coaction: LinearMap, k: int) -> LinearMap:
     """X^{(k)} -> H (x) X^{(k)}: multiply the coaction legs of all factors."""
-    x = coaction.source
-    out = relabel(coaction, _pow(x, 1), tensor_space(hopf.space, _pow(x, 1)))
-    for m in range(1, k):
-        prev = out
-        perm = tensor_permutation([hopf.space, x, hopf.space, _pow(x, m)], [0, 2, 1, 3])
-        step = tensor_map(hopf.mul, LinearMap.identity(_pow(x, m + 1))) @ perm @ tensor_map(
-            coaction, prev)
-        out = relabel(step, _pow(x, m + 1), tensor_space(hopf.space, _pow(x, m + 1)))
-    return out
+    return _diagonal_coactions(hopf, coaction, k)[-1]
+
+
+def _operators(ambients, width: int, lead: int, trail: int, coface: LinearMap,
+               codegeneracy: LinearMap, tau0: LinearMap):
+    """Ambient cofaces, codegeneracies and cyclic operators of a tower whose
+    degree-n space has coordinates (lead, x_0, ..., x_n, trail), row-major,
+    with every x_i of dimension `width`.
+
+    Coface i <= n puts `coface` (one slot into two) on slot i, codegeneracy j
+    puts `codegeneracy` (one slot into none) on slot j + 1.  The cyclic
+    operator is the degree-0 one, `tau0`, with x_1 .. x_n carried through
+    and the first slot moved to the end; the last coface is t d_0, built the
+    same way from its degree-0 kernel.
+    """
+    cap = len(ambients) - 1
+    dims = [width ** k for k in range(cap + 1)]
+    tail = (trail, width * trail)
+    cyclic = tuple(slot_map(tau0, 1, dims[n], ambients[n], ambients[n], tail)
+                   for n in range(cap + 1))
+    faces = []
+    for n in range(cap):
+        row = [slot_map(coface, lead * dims[i], dims[n - i] * trail, ambients[n], ambients[n + 1])
+               for i in range(n + 1)]
+        if n == 0:
+            last0 = cyclic[1] @ row[0]
+        row.append(slot_map(last0, 1, dims[n], ambients[n], ambients[n + 1], tail))
+        faces.append(tuple(row))
+    degeneracies = tuple(
+        tuple(slot_map(codegeneracy, lead * dims[j + 1], dims[n - 1 - j] * trail,
+                       ambients[n], ambients[n - 1])
+              for j in range(n))
+        for n in range(cap + 1))
+    return tuple(faces), degeneracies, cyclic
+
+
+def _realize(spaces, operators, induce) -> CocyclicModule:
+    """The tower on `spaces` of the ambient operators, each passed through
+    induce(op, source degree, target degree, name) in construction order."""
+    faces, degeneracies, cyclic = operators
+    return CocyclicModule(
+        len(spaces) - 1, tuple(spaces),
+        tuple(tuple(induce(f, n, n + 1, f"coface {i} at degree {n}") for i, f in enumerate(row))
+              for n, row in enumerate(faces)),
+        tuple(tuple(induce(s, n, n - 1, f"codegeneracy {j} at degree {n}")
+                    for j, s in enumerate(row))
+              for n, row in enumerate(degeneracies)),
+        tuple(induce(t, n, n, f"cyclic operator at degree {n}") for n, t in enumerate(cyclic)))
+
+
+def _balanced_relation(coefficients: SaydModule, diag: LinearMap, source: VectorSpace,
+                       target: VectorSpace) -> LinearMap:
+    """M (x) H (x) X^{(k)} -> M (x) X^{(k)}: right action minus the diagonal action `diag`."""
+    return (slot_map(coefficients.action, 1, diag.target.dim, source, target)
+            - slot_map(diag, coefficients.space.dim, 1, source, target))
+
+
+def _twisting_actions(algebra: ModuleAlgebra) -> list[list[list[Fraction]]]:
+    """Dense matrices of a -> S^{-1}(t) . a, one per basis element t of H."""
+    h = algebra.hopf
+    return [(algebra.action @ tensor_map(insert_vector(h.space, h.antipode_inv.column(t)),
+                                         LinearMap.identity(algebra.space))).fractions()
+            for t in range(h.space.dim)]
 
 
 # --------------------------------------------------------------------------
@@ -289,11 +350,11 @@ def _descend(op: LinearMap, relation: LinearMap, source: Quotient, target: Quoti
     return target.projection @ op @ source.section
 
 
-def _columns_map(source_space: VectorSpace, target_space: VectorSpace, cols) -> LinearMap:
-    if source_space.dim == 0 or target_space.dim == 0:
-        return LinearMap.zero(source_space, target_space)
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(target_space.dim)]
-    return LinearMap.from_rows(source_space, target_space, rows)
+def _hom_tower(subspaces, domains, values, operators) -> HomCochainComplex:
+    def induce(op, s, t, what):
+        return _induced(op, subspaces[s], subspaces[t], what)
+    module = _realize([sub.space for sub in subspaces], operators, induce)
+    return HomCochainComplex(module, tuple(subspaces), tuple(domains), values)
 
 
 # --------------------------------------------------------------------------
@@ -304,52 +365,17 @@ def plain_algebra_cocyclic(algebra: Algebra, values: Optional[VectorSpace] = Non
                            degree_cap: int = DEFAULT_DEGREE_CAP) -> CocyclicModule:
     """Cochains Hom(A^{(n+1)}, V) with the standard cyclic structure."""
     v = VectorSpace.ground() if values is None else values
-    a = algebra.space
-    cap = degree_cap
-    spaces = tuple(hom_space(_pow(a, n + 1), v) for n in range(cap + 1))
-
-    faces = []
-    for n in range(cap):
-        row = [
-            relabel(hom_precompose(_on_slots(algebra.mul, _MUL, n + 2, i), v),
-                    spaces[n], spaces[n + 1])
-            for i in range(n + 1)
-        ]
-        wrap = _on_slots(algebra.mul, _MUL, n + 2, 0) @ _rotate_last_to_front(a, n + 2)
-        row.append(relabel(hom_precompose(wrap, v), spaces[n], spaces[n + 1]))
-        faces.append(tuple(row))
-
-    degeneracies = [()]
-    for n in range(1, cap + 1):
-        degeneracies.append(tuple(
-            relabel(hom_precompose(_on_slots(algebra.unit, _UNIT, n, j + 1), v),
-                    spaces[n], spaces[n - 1])
-            for j in range(n)))
-
-    cyclic = tuple(
-        relabel(hom_precompose(_rotate_last_to_front(a, n + 1), v), spaces[n], spaces[n])
-        for n in range(cap + 1))
-
-    return CocyclicModule(cap, spaces, tuple(faces), tuple(degeneracies), tuple(cyclic))
+    powers = _powers(algebra.space, degree_cap + 1)
+    spaces = [hom_space(powers[n + 1], v) for n in range(degree_cap + 1)]
+    # phi -> phi o m_i, phi -> phi o u_j, and the rotation phi(a_n, a_0, ...)
+    faces, degeneracies, cyclic = _operators(
+        spaces, algebra.space.dim, 1, v.dim, algebra.mul.transpose(),
+        algebra.unit.transpose(), LinearMap.identity(spaces[0]))
+    return CocyclicModule(degree_cap, tuple(spaces), faces, degeneracies, cyclic)
 
 
 # --------------------------------------------------------------------------
 # construction 2: coalgebra cochains with module coefficients
-
-
-def _balanced_relation(coefficients: SaydModule, slot_action: LinearMap,
-                       carrier: VectorSpace, k: int) -> LinearMap:
-    """M (x) H (x) X^{(k)} -> M (x) X^{(k)}: right action minus diagonal action."""
-    h = coefficients.hopf
-    m = coefficients.space
-    powk = _pow(slot_action.target, k)
-    src = tensor_spaces([m, h.space, powk])
-    tgt = tensor_space(m, powk)
-    left = relabel(tensor_map(coefficients.action, LinearMap.identity(powk)), src, tgt)
-    right = relabel(tensor_map(LinearMap.identity(m),
-                               diagonal_action(h, slot_action, k)), src, tgt)
-    out = left - right
-    return relabel(out, src, carrier)
 
 
 def coalgebra_cocyclic(coalgebra: ModuleCoalgebra, coefficients: SaydModule,
@@ -362,50 +388,25 @@ def coalgebra_cocyclic(coalgebra: ModuleCoalgebra, coefficients: SaydModule,
     m = coefficients.space
     cap = degree_cap
 
-    ambients = tuple(tensor_space(m, _pow(c, n + 1)) for n in range(cap + 1))
+    powers = _powers(c, cap + 1)
+    ambients = tuple(tensor_space(m, powers[n + 1]) for n in range(cap + 1))
+    diagonals = _diagonal_actions(h, coalgebra.action, cap + 1)
+    m_h = tensor_space(m, h.space)
     relations = tuple(
-        _balanced_relation(coefficients, coalgebra.action, ambients[n], n + 1)
+        _balanced_relation(coefficients, diagonals[n], tensor_space(m_h, powers[n + 1]),
+                           ambients[n])
         for n in range(cap + 1))
-    quotients = tuple(cokernel(relations[n]) for n in range(cap + 1))
-    spaces = tuple(q.space for q in quotients)
+    quotients = tuple(cokernel(r) for r in relations)
 
-    id_m = LinearMap.identity(m)
+    # degree 0: m (x) c -> m_(0) (x) m_(-1) . c
+    tau0 = tensor_map(LinearMap.identity(m), coalgebra.action) @ tensor_permutation(
+        [h.space, m, c], [1, 0, 2]) @ tensor_map(coefficients.coaction, LinearMap.identity(c))
+    operators = _operators(ambients, c.dim, m.dim, 1, coalgebra.comul, coalgebra.counit, tau0)
 
-    def face_ambient(n: int, i: int) -> LinearMap:
-        if i <= n:
-            return relabel(tensor_map(id_m, _on_slots(coalgebra.comul, _COMUL, n + 1, i)),
-                           ambients[n], ambients[n + 1])
-        step1 = tensor_map(coefficients.coaction, _on_slots(coalgebra.comul, _COMUL, n + 1, 0))
-        perm = tensor_permutation([h.space, m, c, c, _pow(c, n)], [1, 3, 4, 0, 2])
-        front = tensor_spaces([m, c, _pow(c, n)])
-        act = tensor_map(LinearMap.identity(front), coalgebra.action)
-        return relabel(act @ perm @ step1, ambients[n], ambients[n + 1])
+    def induce(op, s, t, what):
+        return _descend(op, relations[s], quotients[s], quotients[t], what)
 
-    def tau_ambient(n: int) -> LinearMap:
-        step1 = tensor_map(coefficients.coaction, LinearMap.identity(_pow(c, n + 1)))
-        perm = tensor_permutation([h.space, m, c, _pow(c, n)], [1, 3, 0, 2])
-        front = tensor_spaces([m, _pow(c, n)])
-        act = tensor_map(LinearMap.identity(front), coalgebra.action)
-        return relabel(act @ perm @ step1, ambients[n], ambients[n])
-
-    faces = tuple(
-        tuple(_descend(face_ambient(n, i), relations[n], quotients[n], quotients[n + 1],
-                       f"coface {i} at degree {n}")
-              for i in range(n + 2))
-        for n in range(cap))
-    degeneracies = tuple(
-        tuple(_descend(relabel(tensor_map(id_m, _on_slots(coalgebra.counit, _COUNIT, n + 1, j + 1)),
-                               ambients[n], ambients[n - 1]),
-                       relations[n], quotients[n], quotients[n - 1],
-                       f"codegeneracy {j} at degree {n}")
-              for j in range(n))
-        for n in range(cap + 1))
-    cyclic = tuple(
-        _descend(tau_ambient(n), relations[n], quotients[n], quotients[n],
-                 f"cyclic operator at degree {n}")
-        for n in range(cap + 1))
-
-    module = CocyclicModule(cap, spaces, faces, degeneracies, cyclic)
+    module = _realize([q.space for q in quotients], operators, induce)
     return QuotientCochainComplex(module, quotients, ambients, relations)
 
 
@@ -424,65 +425,28 @@ def algebra_module_cocyclic(algebra: ModuleAlgebra, coefficients: SaydModule,
     g = VectorSpace.ground()
     cap = degree_cap
 
-    domains = tuple(tensor_space(m, _pow(a, n + 1)) for n in range(cap + 1))
+    powers = _powers(a, cap + 1)
+    domains = tuple(tensor_space(m, powers[n + 1]) for n in range(cap + 1))
     ambients = tuple(hom_space(domains[n], g) for n in range(cap + 1))
-    relations = tuple(
-        _balanced_relation(coefficients, algebra.action, domains[n], n + 1)
-        for n in range(cap + 1))
+    diagonals = _diagonal_actions(h, algebra.action, cap + 1)
+    m_h = tensor_space(m, h.space)
     subspaces = tuple(
-        solve_constrained_subspace(ambients[n], [hom_precompose(relations[n], g)], prefix="p")
+        solve_constrained_subspace(ambients[n], [_balanced_relation(
+            coefficients, diagonals[n], tensor_space(m_h, powers[n + 1]), domains[n]
+        ).transpose()], prefix="p")
         for n in range(cap + 1))
 
-    id_m = LinearMap.identity(m)
-    id_a = LinearMap.identity(a)
-    act_sinv = algebra.action @ tensor_map(h.antipode_inv, id_a)
-
-    def last_face_argument(n: int) -> LinearMap:
-        # M (x) A^{(n+2)} -> M (x) A^{(n+1)}
-        step1 = tensor_map(coefficients.coaction, LinearMap.identity(_pow(a, n + 2)))
-        perm = tensor_permutation([h.space, m, a, _pow(a, n), a], [1, 0, 4, 2, 3])
-        term = algebra.mul @ tensor_map(act_sinv, id_a)
-        body = tensor_map(id_m, tensor_map(term, LinearMap.identity(_pow(a, n))))
-        return relabel(body @ perm @ step1, domains[n + 1], domains[n])
-
-    def tau_argument(n: int) -> LinearMap:
-        step1 = tensor_map(coefficients.coaction, LinearMap.identity(_pow(a, n + 1)))
-        perm = tensor_permutation([h.space, m, _pow(a, n), a], [1, 0, 3, 2])
-        body = tensor_map(id_m, tensor_map(act_sinv, LinearMap.identity(_pow(a, n))))
-        return relabel(body @ perm @ step1, domains[n], domains[n])
-
-    faces = []
-    for n in range(cap):
-        row = []
-        for i in range(n + 1):
-            arg = relabel(tensor_map(id_m, _on_slots(algebra.mul, _MUL, n + 2, i)),
-                          domains[n + 1], domains[n])
-            row.append(_induced(relabel(hom_precompose(arg, g), ambients[n], ambients[n + 1]),
-                                subspaces[n], subspaces[n + 1], f"coface {i} at degree {n}"))
-        row.append(_induced(relabel(hom_precompose(last_face_argument(n), g),
-                                    ambients[n], ambients[n + 1]),
-                            subspaces[n], subspaces[n + 1], f"coface {n + 1} at degree {n}"))
-        faces.append(tuple(row))
-
-    degeneracies = [()]
-    for n in range(1, cap + 1):
-        row = []
-        for j in range(n):
-            arg = relabel(tensor_map(id_m, _on_slots(algebra.unit, _UNIT, n, j + 1)),
-                          domains[n - 1], domains[n])
-            row.append(_induced(relabel(hom_precompose(arg, g), ambients[n], ambients[n - 1]),
-                                subspaces[n], subspaces[n - 1],
-                                f"codegeneracy {j} at degree {n}"))
-        degeneracies.append(tuple(row))
-
-    cyclic = tuple(
-        _induced(relabel(hom_precompose(tau_argument(n), g), ambients[n], ambients[n]),
-                 subspaces[n], subspaces[n], f"cyclic operator at degree {n}")
-        for n in range(cap + 1))
-
-    spaces = tuple(sub.space for sub in subspaces)
-    module = CocyclicModule(cap, spaces, tuple(faces), tuple(degeneracies), cyclic)
-    return HomCochainComplex(module, subspaces, domains, g)
+    # degree 0: phi -> phi(m_(0) (x) S^{-1}(m_(-1)) . a)
+    co = coefficients.coaction.fractions()
+    twist = _twisting_actions(algebra)
+    dm, da = m.dim, a.dim
+    tau0 = LinearMap.from_entries(ambients[0], ambients[0], [
+        (k * da + x, j * da + y, co[t * dm + j][k] * s[y][x])
+        for t, s in enumerate(twist) for j in range(dm) for k in range(dm)
+        if co[t * dm + j][k] for y in range(da) for x in range(da)])
+    operators = _operators(ambients, a.dim, m.dim, 1, algebra.mul.transpose(),
+                           algebra.unit.transpose(), tau0)
+    return _hom_tower(subspaces, domains, g, operators)
 
 
 # --------------------------------------------------------------------------
@@ -498,74 +462,34 @@ def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule
     b = algebra.space
     n_space = coefficients.space
     cap = degree_cap
+    db, dn, dh = b.dim, n_space.dim, h.space.dim
 
-    domains = tuple(_pow(b, n + 1) for n in range(cap + 1))
+    domains = _powers(b, cap + 1)[1:]
     ambients = tuple(hom_space(domains[n], n_space) for n in range(cap + 1))
 
+    # psi is colinear when N's coaction after psi equals (id (x) psi) after the
+    # diagonal coaction; both sides land in coordinates (t, x, u) for the leg t
+    co = algebra.coaction.fractions()  # rows (t, y), columns x
+    flipped = LinearMap.from_entries(b, tensor_space(h.space, b), [
+        (t * db + x, y, co[t * db + y][x])
+        for t in range(dh) for y in range(db) for x in range(db)])
     subspaces = []
-    for n in range(cap + 1):
-        grad = diagonal_coaction(h, algebra.coaction, n + 1)
-        post = hom_postcompose(domains[n], coefficients.coaction)
-        pre = hom_precompose(grad, tensor_space(h.space, n_space)) @ hom_tensor_left(
-            h.space, domains[n], n_space)
-        constraint = relabel(post, ambients[n]) - relabel(pre, ambients[n])
+    for n, grad in enumerate(_diagonal_coactions(h, flipped, cap + 1)):
+        legs = VectorSpace.make(dh * ambients[n].dim, "c")
+        constraint = (slot_map(coefficients.coaction, 1, domains[n].dim, ambients[n], legs,
+                               (dn, dn))
+                      - slot_map(grad, 1, dn, ambients[n], legs))
         subspaces.append(solve_constrained_subspace(ambients[n], [constraint], prefix="p"))
-    subspaces = tuple(subspaces)
 
-    id_h = LinearMap.identity(h.space)
-    swap_act = coefficients.action @ tensor_permutation([h.space, n_space], [1, 0])
-
-    def basis_cochain(n: int, r: int) -> LinearMap:
-        return hom_vector_to_map(subspaces[n].basis.column(r), domains[n], n_space)
-
-    def twisted_column(n: int, r: int, with_product: bool):
-        """The last coface (with_product) or cyclic operator applied to basis map r."""
-        k = n + 2 if with_product else n + 1
-        psi = basis_cochain(n, r)
-        rot = _rotate_last_to_front(b, k)
-        co = relabel(tensor_map(algebra.coaction, LinearMap.identity(_pow(b, k - 1))),
-                     _pow(b, k), tensor_space(h.space, _pow(b, k)))
-        inner = psi @ _on_slots(algebra.mul, _MUL, k, 0) if with_product else psi
-        out = swap_act @ tensor_map(id_h, inner) @ co @ rot
-        return map_to_hom_vector(out)
-
-    def twisted_operator(n: int, with_product: bool, what: str) -> LinearMap:
-        target = n + 1 if with_product else n
-        cols = []
-        for r in range(subspaces[n].dim):
-            vec = twisted_column(n, r, with_product)
-            try:
-                cols.append(subspaces[target].coords(vec))
-            except MembershipError as exc:
-                raise LinAlgError(f"{what} does not preserve the cochain space") from exc
-        return _columns_map(subspaces[n].space, subspaces[target].space, cols)
-
-    faces = []
-    for n in range(cap):
-        row = [
-            _induced(relabel(hom_precompose(_on_slots(algebra.mul, _MUL, n + 2, i), n_space),
-                             ambients[n], ambients[n + 1]),
-                     subspaces[n], subspaces[n + 1], f"coface {i} at degree {n}")
-            for i in range(n + 1)
-        ]
-        row.append(twisted_operator(n, True, f"coface {n + 1} at degree {n}"))
-        faces.append(tuple(row))
-
-    degeneracies = [()]
-    for n in range(1, cap + 1):
-        degeneracies.append(tuple(
-            _induced(relabel(hom_precompose(_on_slots(algebra.unit, _UNIT, n, j + 1), n_space),
-                             ambients[n], ambients[n - 1]),
-                     subspaces[n], subspaces[n - 1], f"codegeneracy {j} at degree {n}")
-            for j in range(n)))
-
-    cyclic = tuple(
-        twisted_operator(n, False, f"cyclic operator at degree {n}")
-        for n in range(cap + 1))
-
-    spaces = tuple(sub.space for sub in subspaces)
-    module = CocyclicModule(cap, spaces, tuple(faces), tuple(degeneracies), cyclic)
-    return HomCochainComplex(module, subspaces, domains, n_space)
+    # degree 0: psi -> psi(b_(0)) . b_(-1)
+    act = coefficients.action.fractions()  # rows w, columns (u, t)
+    tau0 = LinearMap.from_entries(ambients[0], ambients[0], [
+        (x * dn + w, y * dn + u, co[t * db + y][x] * act[w][u * dh + t])
+        for t in range(dh) for y in range(db) for x in range(db)
+        if co[t * db + y][x] for u in range(dn) for w in range(dn)])
+    operators = _operators(ambients, db, 1, dn, algebra.mul.transpose(),
+                           algebra.unit.transpose(), tau0)
+    return _hom_tower(subspaces, domains, n_space, operators)
 
 
 # --------------------------------------------------------------------------
@@ -581,82 +505,30 @@ def algebra_contra_cocyclic(algebra: ModuleAlgebra, coefficients: SaydContramodu
     a = algebra.space
     m_space = coefficients.space
     cap = degree_cap
+    da, dm = a.dim, m_space.dim
 
-    domains = tuple(_pow(a, n + 1) for n in range(cap + 1))
+    domains = _powers(a, cap + 1)[1:]
     ambients = tuple(hom_space(domains[n], m_space) for n in range(cap + 1))
 
-    id_a = LinearMap.identity(a)
-
+    # phi is equivariant when phi(t . x) = t . phi(x) for every basis element
+    # t of H; both sides land in coordinates (t, x, u)
+    acts = contramodule_stability_map(coefficients)
     subspaces = []
-    for n in range(cap + 1):
-        diag = diagonal_action(h, algebra.action, n + 1)
-        constraints = []
-        for t in range(h.space.dim):
-            ins = relabel(tensor_map(insert_vector(h.space, basis_vector(h.space, t)),
-                                     LinearMap.identity(domains[n])),
-                          domains[n], tensor_space(h.space, domains[n]))
-            d_t = diag @ ins
-            constraints.append(
-                relabel(hom_precompose(d_t, m_space), ambients[n], ambients[n]) -
-                relabel(hom_postcompose(domains[n], coefficients.act_by(t)),
-                        ambients[n], ambients[n]))
-        subspaces.append(solve_constrained_subspace(ambients[n], constraints, prefix="p"))
-    subspaces = tuple(subspaces)
+    for n, diag in enumerate(_diagonal_actions(h, algebra.action, cap + 1)):
+        legs = VectorSpace.make(h.space.dim * ambients[n].dim, "c")
+        constraint = (slot_map(diag.transpose(), 1, dm, ambients[n], legs)
+                      - slot_map(acts, 1, domains[n].dim, ambients[n], legs, (dm, dm)))
+        subspaces.append(solve_constrained_subspace(ambients[n], [constraint], prefix="p"))
 
-    s_inv_act = tuple(
-        algebra.action @ relabel(
-            tensor_map(insert_vector(h.space, h.antipode_inv.column(t)), id_a),
-            a, tensor_space(h.space, a))
-        for t in range(h.space.dim))
-
-    def twisted_operator(n: int, with_product: bool, what: str) -> LinearMap:
-        k = n + 2 if with_product else n + 1
-        target = n + 1 if with_product else n
-        rot = _rotate_last_to_front(a, k)
-        pow_k = _pow(a, k)
-        stacked = None
-        for t in range(h.space.dim):
-            acted = relabel(tensor_map(s_inv_act[t], LinearMap.identity(_pow(a, k - 1))),
-                            pow_k, pow_k)
-            arg = acted @ rot
-            if with_product:
-                arg = _on_slots(algebra.mul, _MUL, k, 0) @ arg
-            slot = relabel(tensor_map(insert_vector(h.space, basis_vector(h.space, t)),
-                                      LinearMap.identity(m_space)),
-                           m_space, coefficients.alpha.source)
-            term = hom_postcompose(pow_k, slot) @ relabel(
-                hom_precompose(arg, m_space), ambients[n], None)
-            stacked = term if stacked is None else stacked + term
-        ambient_op = relabel(hom_postcompose(pow_k, coefficients.alpha) @ stacked,
-                             ambients[n], ambients[target])
-        return _induced(ambient_op, subspaces[n], subspaces[target], what)
-
-    faces = []
-    for n in range(cap):
-        row = [
-            _induced(relabel(hom_precompose(_on_slots(algebra.mul, _MUL, n + 2, i), m_space),
-                             ambients[n], ambients[n + 1]),
-                     subspaces[n], subspaces[n + 1], f"coface {i} at degree {n}")
-            for i in range(n + 1)
-        ]
-        row.append(twisted_operator(n, True, f"coface {n + 1} at degree {n}"))
-        faces.append(tuple(row))
-
-    degeneracies = [()]
-    for n in range(1, cap + 1):
-        degeneracies.append(tuple(
-            _induced(relabel(hom_precompose(_on_slots(algebra.unit, _UNIT, n, j + 1), m_space),
-                             ambients[n], ambients[n - 1]),
-                     subspaces[n], subspaces[n - 1], f"codegeneracy {j} at degree {n}")
-            for j in range(n)))
-
-    cyclic = tuple(
-        twisted_operator(n, False, f"cyclic operator at degree {n}")
-        for n in range(cap + 1))
-
-    spaces = tuple(sub.space for sub in subspaces)
-    module = CocyclicModule(cap, spaces, tuple(faces), tuple(degeneracies), cyclic)
-    return HomCochainComplex(module, subspaces, domains, m_space)
+    # degree 0: phi -> alpha(t (x) phi(S^{-1}(t) . a)), summed over the basis t of H
+    alpha = coefficients.alpha.fractions()  # rows w, columns (t, u)
+    tau0 = LinearMap.from_entries(ambients[0], ambients[0], [
+        (x * dm + w, y * dm + u, s[y][x] * alpha[w][t * dm + u])
+        for t, s in enumerate(_twisting_actions(algebra)) for y in range(da)
+        for x in range(da) if s[y][x] for u in range(dm) for w in range(dm)])
+    operators = _operators(ambients, da, 1, dm, algebra.mul.transpose(),
+                           algebra.unit.transpose(), tau0)
+    return _hom_tower(subspaces, domains, m_space, operators)
 
 
 # --------------------------------------------------------------------------
@@ -747,7 +619,7 @@ def check_dualization(iso: DualizationIsomorphism,
 
 def full_b(module: CocyclicModule, n: int) -> LinearMap:
     """Alternating sum of the cofaces out of degree n, built once per tower."""
-    cache = module._coboundaries
+    cache = module._memo
     if ("b", n) not in cache:
         out = module.faces[n][0]
         for i in range(1, n + 2):
@@ -759,7 +631,7 @@ def full_b(module: CocyclicModule, n: int) -> LinearMap:
 
 def full_B(module: CocyclicModule, n: int) -> LinearMap:
     """The Connes boundary C^n -> C^{n-1} (n >= 1), built once per tower."""
-    cache = module._coboundaries
+    cache = module._memo
     if ("B", n) not in cache:
         base = module.degeneracies[n][n - 1] @ module.cyclic[n]
         acc = base
@@ -885,9 +757,12 @@ def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
 
 
 def _cyclic_fixed(module: CocyclicModule, n: int) -> Subspace:
-    """The fixed vectors of the signed cyclic operator at degree n."""
-    return subspace_from_kernel(
-        LinearMap.identity(module.spaces[n]) - lambda_operator(module, n), prefix="l")
+    """The fixed vectors of the signed cyclic operator at degree n, built once per tower."""
+    memo = module._memo
+    if ("fixed", n) not in memo:
+        memo["fixed", n] = subspace_from_kernel(
+            LinearMap.identity(module.spaces[n]) - lambda_operator(module, n), prefix="l")
+    return memo["fixed", n]
 
 
 def cyclic_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:

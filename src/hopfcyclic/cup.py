@@ -50,7 +50,6 @@ from .cocyclic import (
     normalization_projector,
     plain_algebra_cocyclic,
     _induced,
-    _pow,
 )
 from .hopf import (
     Algebra,
@@ -81,6 +80,7 @@ from .linalg import (
     tensor_permutation,
     tensor_power_map,
     tensor_space,
+    tensor_spaces,
     vector_from,
     vectors_equal,
 )
@@ -707,7 +707,7 @@ def _psi_blocks(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
     x = setup.algebra_cochains
     y = setup.coalgebra_cochains
     id_n = LinearMap.identity(setup.module.space)
-    target = hom_space(_pow(setup.convolution.algebra.space, q + 1), values)
+    target = hom_space(tensor_spaces([setup.convolution.algebra.space] * (q + 1)), values)
     products = _convolution_products(setup, q)
     blocks = []
     for i in range(x.module.spaces[q].dim):
@@ -764,9 +764,9 @@ def _iterated_coactions(comodule_algebra: ComoduleAlgebra, count: int):
     b = comodule_algebra.space
     mats = [comodule_algebra.coaction]
     for k in range(1, count):
-        step = tensor_map(LinearMap.identity(_pow(h.space, k)),
+        step = tensor_map(LinearMap.identity(tensor_spaces([h.space] * k)),
                           comodule_algebra.coaction) @ mats[-1]
-        mats.append(relabel(step, b, tensor_space(_pow(h.space, k + 1), b)))
+        mats.append(relabel(step, b, tensor_space(tensor_spaces([h.space] * (k + 1)), b)))
     return mats
 
 
@@ -794,8 +794,9 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
     b_alg = setup.comodule_algebra
     h = a_alg.hopf
     da, db, dh = a_alg.space.dim, b_alg.space.dim, h.space.dim
-    source = _pow(setup.crossed.space, n + 1)
-    target = tensor_space(_pow(b_alg.space, n + 1), _pow(a_alg.space, n + 1))
+    source = tensor_spaces([setup.crossed.space] * (n + 1))
+    target = tensor_space(tensor_spaces([b_alg.space] * (n + 1)),
+                          tensor_spaces([a_alg.space] * (n + 1)))
 
     iter_mats = _iterated_coactions(b_alg, n + 1)
     expansions_by_basis = []
@@ -861,6 +862,12 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
     return LinearMap.from_entries(source, target, items)
 
 
+# The largest transformer `phi_matrix` builds, counted in dense cells
+# (dim A x B)^{2(n+1)}: its build walks every source column, so a larger one
+# is refused before anything is allocated rather than running out of memory.
+PHI_MAX_CELLS = 2 ** 24
+
+
 def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
                values: VectorSpace) -> LinearMap:
     """Diagonal degree-n space -> Hom((A x B)^{(n+1)}, V).
@@ -872,6 +879,11 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
     """
     transformers = setup._phi_transformers
     if n not in transformers:
+        cells = setup.crossed.space.dim ** (2 * (n + 1))
+        if cells > PHI_MAX_CELLS:
+            raise LinAlgError(
+                f"the comparison map at degree {n} needs a transformer of {cells} cells, "
+                f"more than the limit of {PHI_MAX_CELLS}")
         transformers[n] = _phi_transformer(setup, n)
     x = setup.comodule_cochains
     y = setup.algebra_cochains
@@ -883,7 +895,7 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
            @ hom_postcompose(domain, collapse)
            @ reorder @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis))
     return relabel(out, setup.diagonal_module.spaces[n],
-                   hom_space(_pow(setup.crossed.space, n + 1), values))
+                   hom_space(tensor_spaces([setup.crossed.space] * (n + 1)), values))
 
 
 def phi_scalar(setup: CrossedProductCupSetup, n: int) -> LinearMap:
@@ -986,7 +998,7 @@ def check_collapse_factorization(setup, name: str = "collapse factorization") ->
         base = setup.crossed.space
         scalar, tensor = phi_scalar, phi_tensor
     for q in range(cap + 1):
-        post = hom_postcompose(_pow(base, q + 1), setup.pair_collapse)
+        post = hom_postcompose(tensor_spaces([base] * (q + 1)), setup.pair_collapse)
         rep.check_equal(f"collapse of the tensor-valued map (degree {q})",
                         post @ tensor(setup, q), scalar(setup, q))
     return rep
@@ -1110,6 +1122,6 @@ def collapse_bb(cocycle: BBcocycle, base_space: VectorSpace,
     out = []
     for k, comp in enumerate(cocycle.components):
         d = cocycle.degree - 2 * k
-        post = hom_postcompose(_pow(base_space, d + 1), collapse)
+        post = hom_postcompose(tensor_spaces([base_space] * (d + 1)), collapse)
         out.append(tuple(post.apply(comp)))
     return BBcocycle(cocycle.degree, tuple(out))

@@ -373,6 +373,34 @@ def tensor_power_map(f: LinearMap, k: int) -> LinearMap:
     return tensor_maps([f] * k)
 
 
+def slot_map(k: LinearMap, left: int, middle: int, source: VectorSpace, target: VectorSpace,
+             tail: tuple[int, int] = (1, 1)) -> LinearMap:
+    """id_left (x) k (x) id_middle between `source` and `target`, in one pass,
+    with the last factor of k (tail[0] wide in, tail[1] wide out) moved
+    behind the middle.
+
+    Column (l, f, m, e) goes to rows (l, f', m, e') with entry
+    k[(f', e'), (f, e)], all indices row-major.  With the default tail this
+    is the Kronecker product id (x) k (x) id; a wider tail writes the
+    rotations of cyclic operators.
+    """
+    ls, lt = tail
+    fs, ft = k.source.dim // ls, k.target.dim // lt
+    if (fs * ls, ft * lt) != (k.source.dim, k.target.dim) or \
+            source.dim != left * fs * middle * ls or target.dim != left * ft * middle * lt:
+        raise LinAlgError(
+            f"slot map of a {k.target.dim}x{k.source.dim} map does not fit "
+            f"{target.dim}x{source.dim}")
+    stride = middle * lt
+    offsets = [[(i // lt * stride + i % lt, v) for i, v in col.items()] for col in k._cols]
+    cols = [{base + o: v for o, v in offsets[f * ls + e]}
+            for l in range(left) for f in range(fs)
+            for base in range(l * ft * stride, l * ft * stride + stride, lt)
+            for e in range(ls)]
+    # every column of k appears once left * middle > 0, so the map stays reduced
+    return LinearMap(source, target, tuple(cols), k._den if cols else 1)
+
+
 def tensor_permutation(spaces: Sequence[VectorSpace], perm: Sequence[int]) -> LinearMap:
     """Permutation of tensor factors: output factor i is input factor perm[i]."""
     if sorted(perm) != list(range(len(spaces))):
@@ -675,7 +703,7 @@ def from_blocks(
 # pre/post composition are Kronecker products.
 
 
-def hom_space(x: VectorSpace, y: VectorSpace, prefix: str = "f") -> VectorSpace:
+def hom_space(x: VectorSpace, y: VectorSpace) -> VectorSpace:
     if y.dim == 1:
         return VectorSpace(x.dim, tuple(f"{l}*" for l in x.labels))
     return VectorSpace(
@@ -721,16 +749,3 @@ def relabel(m: LinearMap, source: Optional[VectorSpace] = None,
             f"requested {tgt.dim}x{src.dim}"
         )
     return LinearMap(src, tgt, m._cols, m._den)
-
-
-def hom_tensor_left(factor: VectorSpace, x: VectorSpace, y: VectorSpace) -> LinearMap:
-    """Hom(X, Y) -> Hom(F (x) X, F (x) Y), phi -> id_F (x) phi."""
-    src = hom_space(x, y)
-    tgt = hom_space(tensor_space(factor, x), tensor_space(factor, y))
-    entries = []
-    for r in range(factor.dim):
-        for p in range(x.dim):
-            for u in range(y.dim):
-                row = (r * x.dim + p) * (factor.dim * y.dim) + (r * y.dim + u)
-                entries.append((row, p * y.dim + u, Fraction(1)))
-    return LinearMap.from_entries(src, tgt, entries)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcyclic import cocyclic
 from hopfcyclic.coefficients import (
     check_sayd_contramodule,
     check_sayd_module,
@@ -363,6 +364,27 @@ def test_cohomology_degree_guard(triv):
         hochschild_cohomology(module, 2)
     with pytest.raises(ValueError, match="out of range"):
         cyclic_cohomology(module, 5)
+
+
+def test_cyclic_fixed_subspaces_are_built_once_per_tower(z2, monkeypatch):
+    builds = []
+    signed = cocyclic.lambda_operator
+
+    def counted(module, n):
+        builds.append((id(module), n))
+        return signed(module, n)
+
+    monkeypatch.setattr(cocyclic, "lambda_operator", counted)
+    first = plain_algebra_cocyclic(z2.algebra, degree_cap=4)
+    dims = [cyclic_cohomology(first, n).dim for n in range(4)]
+    assert dims == [2, 0, 2, 0]
+    assert sorted(n for _, n in builds) == [0, 1, 2, 3]
+    assert [cyclic_cohomology(first, n).dim for n in range(4)] == dims
+    assert len(builds) == 4
+    second = plain_algebra_cocyclic(z2.algebra, degree_cap=4)
+    assert cyclic_cohomology(second, 1).dim == 0
+    assert builds[4:] == [(id(second), 1), (id(second), 0)]
+    assert cocyclic._cyclic_fixed(first, 2) is cocyclic._cyclic_fixed(first, 2)
 
 
 # ------------------------------------------------------------- realizations

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,6 +58,7 @@ from hopfcyclic.hopf import (
     ComoduleAlgebra,
     ModuleAlgebra,
     ModuleCoalgebra,
+    adjoint_action,
     cyclic_group_table,
     group_algebra,
     left_regular_action,
@@ -344,6 +346,22 @@ def test_comparison_parts_are_built_once_per_setup(monkeypatch):
     module = first.scalar_target
     assert full_b(module, 1) is full_b(module, 1)
     assert full_B(module, 2) is full_B(module, 2)
+
+
+def test_oversized_comparison_map_is_refused_up_front():
+    """The crossed product of sweedler4 with itself is 16-dimensional, so the
+    degree-3 transformer would have 16^8 cells; phi refuses it at once."""
+    h = sweedler_h4()
+    setup = aa_cup_setup(ModuleAlgebra(h, h.space, h.mul, h.unit, adjoint_action(h)),
+                         ComoduleAlgebra(h, h.space, h.mul, h.unit, regular_coaction(h)),
+                         grouplike_coefficients(h, 1), degree_cap=3)
+    start = time.perf_counter()
+    with pytest.raises(LinAlgError) as info:
+        phi_scalar(setup, 3)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == (
+        "the comparison map at degree 3 needs a transformer of 4294967296 cells, "
+        f"more than the limit of {cup.PHI_MAX_CELLS}")
 
 
 # ------------------------------------------------------------- cup pipelines

@@ -23,6 +23,7 @@ from hopfcyclic.linalg import (
     kernel_basis,
     map_to_hom_vector,
     rref,
+    slot_map,
     solve,
     solve_constrained_subspace,
     stack_vertical,
@@ -291,6 +292,29 @@ class TestTensor:
             c, d = rng.choice(small), rng.choice(small)
             g = rand_sparse_map(rng, c, d, huge=True) if rng.random() < 0.5 else rand_map(rng, c, d)
             assert to_sympy(tensor_map(f, g)) == sympy_kron(to_sympy(f), to_sympy(g))
+
+    def test_slot_map_is_a_permuted_kronecker_product(self):
+        """slot_map(k, L, M, tail=(ls, lt)) is id_L (x) k (x) id_M with the
+        last ls- and lt-wide factors of k moved past the middle."""
+        rng = random.Random(117)
+        for _ in range(60):
+            left, middle, fs, ls, ft, lt = (rng.choice((0, 1, 2, 3)) if rng.random() < 0.15
+                                            else rng.choice((1, 2, 3)) for _ in range(6))
+            ls, lt = max(ls, 1), max(lt, 1)
+            ks, kt = VectorSpace.make(fs * ls), VectorSpace.make(ft * lt)
+            k = rand_sparse_map(rng, ks, kt, huge=True) if rng.random() < 0.5 \
+                else rand_map(rng, ks, kt)
+            spaces = {d: VectorSpace.make(d) for d in {left, middle, fs, ls, ft, lt}}
+            into = tensor_permutation([spaces[d] for d in (left, fs, middle, ls)], [0, 1, 3, 2])
+            out = tensor_permutation([spaces[d] for d in (left, ft, lt, middle)], [0, 1, 3, 2])
+            expected = out @ tensor_maps([LinearMap.identity(spaces[left]), k,
+                                          LinearMap.identity(spaces[middle])]) @ into
+            source = VectorSpace.make(expected.source.dim, "s")
+            got = slot_map(k, left, middle, source, expected.target, (ls, lt))
+            assert got == expected and got.source is source
+        with pytest.raises(LinAlgError, match="does not fit"):
+            slot_map(LinearMap.identity(VectorSpace.make(2)), 2, 1, VectorSpace.make(4),
+                     VectorSpace.make(3))
 
     def test_tensor_respects_composition(self):
         rng = random.Random(106)
