@@ -202,7 +202,8 @@ def _powers(space: VectorSpace, k: int) -> list[VectorSpace]:
 
 
 def _diagonal_actions(hopf: HopfAlgebra, action: LinearMap, k: int) -> list[LinearMap]:
-    """H (x) X^{(m)} -> X^{(m)} for m = 1..k, each built from the one before."""
+    """H (x) X^{(m)} -> X^{(m)} for m = 1..k, each built from the one before:
+    factor i receives leg i of the iterated comultiplication."""
     x = action.target
     out = [action]
     for m in range(1, k):
@@ -214,7 +215,8 @@ def _diagonal_actions(hopf: HopfAlgebra, action: LinearMap, k: int) -> list[Line
 
 
 def _diagonal_coactions(hopf: HopfAlgebra, coaction: LinearMap, k: int) -> list[LinearMap]:
-    """X^{(m)} -> H (x) X^{(m)} for m = 1..k, each built from the one before."""
+    """X^{(m)} -> H (x) X^{(m)} for m = 1..k, each built from the one before:
+    the coaction legs of all factors are multiplied in order."""
     x = coaction.source
     out = [coaction]
     for m in range(1, k):
@@ -223,20 +225,6 @@ def _diagonal_coactions(hopf: HopfAlgebra, coaction: LinearMap, k: int) -> list[
         out.append(tensor_map(hopf.mul, LinearMap.identity(tensor_space(x, prev.source)))
                    @ perm @ tensor_map(coaction, prev))
     return out
-
-
-def diagonal_action(hopf: HopfAlgebra, action: LinearMap, k: int) -> LinearMap:
-    """H (x) X^{(k)} -> X^{(k)}: act through the iterated comultiplication.
-
-    `action` is a left action H (x) X -> X; factor i receives leg i of the
-    comultiplication.
-    """
-    return _diagonal_actions(hopf, action, k)[-1]
-
-
-def diagonal_coaction(hopf: HopfAlgebra, coaction: LinearMap, k: int) -> LinearMap:
-    """X^{(k)} -> H (x) X^{(k)}: multiply the coaction legs of all factors."""
-    return _diagonal_coactions(hopf, coaction, k)[-1]
 
 
 def _operators(ambients, width: int, lead: int, trail: int, coface: LinearMap,
@@ -261,7 +249,7 @@ def _operators(ambients, width: int, lead: int, trail: int, coface: LinearMap,
         row = [slot_map(coface, lead * dims[i], dims[n - i] * trail, ambients[n], ambients[n + 1])
                for i in range(n + 1)]
         if n == 0:
-            last0 = cyclic[1] @ row[0]
+            last0 = cyclic[1] @ row[0]  # t d_0 at degree 0
         row.append(slot_map(last0, 1, dims[n], ambients[n], ambients[n + 1], tail))
         faces.append(tuple(row))
     degeneracies = tuple(
@@ -468,7 +456,10 @@ def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule
     ambients = tuple(hom_space(domains[n], n_space) for n in range(cap + 1))
 
     # psi is colinear when N's coaction after psi equals (id (x) psi) after the
-    # diagonal coaction; both sides land in coordinates (t, x, u) for the leg t
+    # diagonal coaction; both sides land in coordinates (t, x, u) for the leg
+    # t.  The right side is a slot map of the diagonal coaction with its B
+    # factors transposed, which is built by the same recursion from the
+    # transposed coaction `flipped`: entry ((t, x), y) is entry ((t, y), x).
     co = algebra.coaction.fractions()  # rows (t, y), columns x
     flipped = LinearMap.from_entries(b, tensor_space(h.space, b), [
         (t * db + x, y, co[t * db + y][x])
