@@ -324,6 +324,61 @@ def test_comparison_maps_are_pinned(demo_setups, family, variant):
         PINNED_COMPARISON_DIGESTS[family]
 
 
+# sha256 of the bicomplex layer of the same cap-3 setups, recorded while the
+# diagonal, total complex and comparison map were still assembled from
+# bicomplex operator methods and each normalized block was found by
+# elimination: the diagonal tower's spaces and operators, each normalized
+# block N^{p,q} (space labels, ambient labels, supports, basis), the total
+# complex's b and B, aw_map for every p + q <= 3, and the names and verdicts
+# of check_bicocyclic's checks.
+PINNED_BICOMPLEX_DIGESTS = {
+    "ac": {"diagonal": "88276aeba5e2a699c5ffb8630fd21670d9f6ad6689807ad8b0b806fb862ab84c",
+           "blocks": "bccfd6e42237c46313a673bb59f6059f758d9ed5a93aee65dc604dd1b9e18a87",
+           "b": "236e9eac3d5983d3d7e9186953e81b8b1348bed2ed4417e5b0e863fe450332f5",
+           "B": "25b98971b0369bf483a0d8a58e276168b2bc987116c78d4c8a86df1ce3be7617",
+           "aw": "2d5fe8b8961fa049144c58f0bc34a385dc987af1d69ae4624303cad0061d222c",
+           "check": "36ab5f404e19f65f76bab3da1076c76fa6573faa79a30e97113bc121e6210036"},
+    "aa": {"diagonal": "2d8307dc468f56d6ddaa3b093d00b170ae7f518f69fed6f6e0aedec7e058ca30",
+           "blocks": "3e2f4f83463064cd42b8f8f6c164edbe5da85fd3083cc08b4f46760965b96ac1",
+           "b": "709a496e20f2e004c368b153744f990c680d7e1263282cc14868333eb9492454",
+           "B": "a596e53725fd1666c3789e8bdb33c71a4c5e2fa2276c7affb4bb1622e1bfb9f0",
+           "aw": "682acafe39d40eb16b4d5d580529352d90848c059e655856388cf9f9f6103b78",
+           "check": "36ab5f404e19f65f76bab3da1076c76fa6573faa79a30e97113bc121e6210036"},
+}
+
+
+def _record_digest(record):
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+def bicomplex_part(setup, part):
+    cap = setup.degree_cap
+    if part == "diagonal":
+        diag = diagonal(setup.bicomplex)
+        return _record_digest([[list(s.labels) for s in diag.spaces],
+                               [[map_digest(f) for f in row] for row in diag.faces],
+                               [[map_digest(s) for s in row] for row in diag.degeneracies],
+                               [map_digest(t) for t in diag.cyclic]])
+    if part == "check":
+        return _record_digest(check_bicocyclic(setup.bicomplex).as_dict())
+    if part == "aw":
+        return _record_digest([map_digest(aw_map(setup.bicomplex, p, q))
+                               for p in range(cap + 1) for q in range(cap + 1 - p)])
+    total = total_complex(setup.bicomplex)
+    if part == "blocks":
+        return _record_digest([[list(sub.space.labels), list(sub.ambient.labels),
+                                list(sub.supports), map_digest(sub.basis)]
+                               for row in total.block_subspaces for sub in row])
+    return _record_digest([map_digest(m) for m in getattr(total, part) if m is not None])
+
+
+@pytest.mark.parametrize("which", ["ac", "aa"])
+@pytest.mark.parametrize("part", ["diagonal", "blocks", "b", "B", "aw", "check"])
+def test_bicomplex_layer_is_pinned(demo_setups, which, part):
+    setup = demo_setups[0] if which == "ac" else demo_setups[1]
+    assert bicomplex_part(setup, part) == PINNED_BICOMPLEX_DIGESTS[which][part]
+
+
 def test_comparison_parts_are_built_once_per_setup(monkeypatch):
     builds = []
     build = cup._phi_transformer
