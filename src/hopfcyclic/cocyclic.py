@@ -64,7 +64,6 @@ from .linalg import (
     tensor_map,
     tensor_permutation,
     tensor_space,
-    vector_from,
 )
 from .reporting import Report
 
@@ -305,10 +304,6 @@ class HomCochainComplex:
     def basis_map(self, n: int, k: int) -> LinearMap:
         vec = self.subspaces[n].basis.column(k)
         return hom_vector_to_map(vec, self.domains[n], self.values)
-
-    def cochain_map(self, n: int, vec) -> LinearMap:
-        ambient = self.subspaces[n].basis.apply(vector_from(vec))
-        return hom_vector_to_map(ambient, self.domains[n], self.values)
 
     def coords_of_map(self, n: int, m: LinearMap) -> list[Fraction]:
         return self.subspaces[n].coords(map_to_hom_vector(m))

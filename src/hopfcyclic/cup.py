@@ -17,6 +17,11 @@ Ingredients, all realized as exact rational matrices:
   * `cup_ac`, `cup_aa`, `cup_ac_general`, `cup_aa_general`: the four product
     pipelines, with input validation, exact closure checks, and verified
     (b, B)-cocycle outputs.
+
+Every operator of the diagonal, the total complex and the comparison map is
+a Kronecker product of operators the two factor towers already hold, and the
+normalized blocks with their b and B come from the factors' mixed complexes,
+so nothing is rebuilt or eliminated on a bicomplex space.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ from .cocyclic import (
     comodule_algebra_cocyclic,
     full_B,
     full_b,
+    mixed_complex,
     normalization_projector,
     plain_algebra_cocyclic,
-    _induced,
+    verify_cocyclic,
 )
 from .hopf import (
     Algebra,
@@ -81,6 +87,7 @@ from .linalg import (
     tensor_power_map,
     tensor_space,
     tensor_spaces,
+    tensor_subspace,
     vector_from,
     vectors_equal,
 )
@@ -113,7 +120,11 @@ def _vector_entry(report: Report, name: str, vec, space: VectorSpace) -> None:
 
 @dataclass(frozen=True)
 class BicocyclicModule:
-    """C^{p,q} = X^p (x) Y^q with vertical ops from X and horizontal from Y."""
+    """C^{p,q} = X^p (x) Y^q for cocyclic modules X (vertical) and Y (horizontal).
+
+    It holds no operators of its own: a vertical operator is f (x) id for an
+    operator f of X, a horizontal one id (x) g for an operator g of Y.
+    """
 
     degree_cap: int
     vertical_factor: CocyclicModule
@@ -123,62 +134,6 @@ class BicocyclicModule:
         return tensor_space(self.vertical_factor.spaces[p],
                             self.horizontal_factor.spaces[q])
 
-    def vertical_face(self, p: int, q: int, i: int) -> LinearMap:
-        return tensor_map(self.vertical_factor.face(p, i),
-                          LinearMap.identity(self.horizontal_factor.spaces[q]))
-
-    def vertical_degeneracy(self, p: int, q: int, j: int) -> LinearMap:
-        return tensor_map(self.vertical_factor.degeneracy(p, j),
-                          LinearMap.identity(self.horizontal_factor.spaces[q]))
-
-    def vertical_tau(self, p: int, q: int) -> LinearMap:
-        return tensor_map(self.vertical_factor.tau(p),
-                          LinearMap.identity(self.horizontal_factor.spaces[q]))
-
-    def horizontal_face(self, p: int, q: int, i: int) -> LinearMap:
-        return tensor_map(LinearMap.identity(self.vertical_factor.spaces[p]),
-                          self.horizontal_factor.face(q, i))
-
-    def horizontal_degeneracy(self, p: int, q: int, j: int) -> LinearMap:
-        return tensor_map(LinearMap.identity(self.vertical_factor.spaces[p]),
-                          self.horizontal_factor.degeneracy(q, j))
-
-    def horizontal_tau(self, p: int, q: int) -> LinearMap:
-        return tensor_map(LinearMap.identity(self.vertical_factor.spaces[p]),
-                          self.horizontal_factor.tau(q))
-
-    def vertical_b(self, p: int, q: int) -> LinearMap:
-        out = self.vertical_face(p, q, 0)
-        for i in range(1, p + 2):
-            term = self.vertical_face(p, q, i)
-            out = out + term if i % 2 == 0 else out - term
-        return out
-
-    def horizontal_b(self, p: int, q: int) -> LinearMap:
-        out = self.horizontal_face(p, q, 0)
-        for i in range(1, q + 2):
-            term = self.horizontal_face(p, q, i)
-            out = out + term if i % 2 == 0 else out - term
-        return out
-
-    def vertical_connes(self, p: int, q: int) -> LinearMap:
-        base = self.vertical_degeneracy(p, q, p - 1) @ self.vertical_tau(p, q)
-        acc = base
-        power = base
-        for i in range(1, p):
-            power = self.vertical_tau(p - 1, q) @ power
-            acc = acc + power if ((p - 1) * i) % 2 == 0 else acc - power
-        return acc
-
-    def horizontal_connes(self, p: int, q: int) -> LinearMap:
-        base = self.horizontal_degeneracy(p, q, q - 1) @ self.horizontal_tau(p, q)
-        acc = base
-        power = base
-        for i in range(1, q):
-            power = self.horizontal_tau(p, q - 1) @ power
-            acc = acc + power if ((q - 1) * i) % 2 == 0 else acc - power
-        return acc
-
 
 def tensor_bicocyclic(x: CocyclicModule, y: CocyclicModule) -> BicocyclicModule:
     if x.degree_cap != y.degree_cap:
@@ -186,61 +141,53 @@ def tensor_bicocyclic(x: CocyclicModule, y: CocyclicModule) -> BicocyclicModule:
     return BicocyclicModule(x.degree_cap, x, y)
 
 
+def _operators_from(tower: CocyclicModule, n: int) -> dict[str, tuple[int, LinearMap]]:
+    """Name -> (degree shift, operator) for every operator out of degree n."""
+    ops = {}
+    if n < tower.degree_cap:
+        ops.update((f"d{i}", (1, f)) for i, f in enumerate(tower.faces[n]))
+    ops.update((f"s{j}", (-1, s)) for j, s in enumerate(tower.degeneracies[n]))
+    ops["t"] = (0, tower.cyclic[n])
+    return ops
+
+
 def check_bicocyclic(module: BicocyclicModule,
                      name: str = "bicocyclic module") -> Report:
     """Row/column cocyclic identities plus all cross-direction commutations."""
-    from .cocyclic import verify_cocyclic
-
     rep = Report(name)
+    x, y = module.vertical_factor, module.horizontal_factor
     cap = module.degree_cap
-    for q in range(cap + 1):
-        tower = CocyclicModule(
-            cap,
-            tuple(module.space(p, q) for p in range(cap + 1)),
-            tuple(tuple(module.vertical_face(p, q, i) for i in range(p + 2))
-                  for p in range(cap)),
-            tuple(tuple(module.vertical_degeneracy(p, q, j) for j in range(p))
-                  for p in range(cap + 1)),
-            tuple(module.vertical_tau(p, q) for p in range(cap + 1)))
-        rep.extend(verify_cocyclic(tower), f"vertical tower q={q}: ")
-    for p in range(cap + 1):
-        tower = CocyclicModule(
-            cap,
-            tuple(module.space(p, q) for q in range(cap + 1)),
-            tuple(tuple(module.horizontal_face(p, q, i) for i in range(q + 2))
-                  for q in range(cap)),
-            tuple(tuple(module.horizontal_degeneracy(p, q, j) for j in range(q))
-                  for q in range(cap + 1)),
-            tuple(module.horizontal_tau(p, q) for q in range(cap + 1)))
-        rep.extend(verify_cocyclic(tower), f"horizontal tower p={p}: ")
 
+    def lifted(tower, lift, spaces):
+        return CocyclicModule(
+            cap, tuple(spaces), tuple(tuple(map(lift, row)) for row in tower.faces),
+            tuple(tuple(map(lift, row)) for row in tower.degeneracies),
+            tuple(map(lift, tower.cyclic)))
+
+    columns, rows = [], []
+    for q in range(cap + 1):
+        id_y = LinearMap.identity(y.spaces[q])
+        columns.append(lifted(x, lambda f: tensor_map(f, id_y),
+                              (module.space(p, q) for p in range(cap + 1))))
+        rep.extend(verify_cocyclic(columns[q]), f"vertical tower q={q}: ")
+    for p in range(cap + 1):
+        id_x = LinearMap.identity(x.spaces[p])
+        rows.append(lifted(y, lambda g: tensor_map(id_x, g),
+                           (module.space(p, q) for q in range(cap + 1))))
+        rep.extend(verify_cocyclic(rows[p]), f"horizontal tower p={p}: ")
+
+    # vertical[q][p]: the operators out of bidegree (p, q) in direction X
+    vertical = [[_operators_from(c, p) for p in range(cap + 1)] for c in columns]
+    horizontal = [[_operators_from(r, q) for q in range(cap + 1)] for r in rows]
     for p in range(cap + 1):
         for q in range(cap + 1):
-            vertical = []
-            if p < cap:
-                vertical += [(f"d{i}", 1,
-                              lambda pp, qq, i=i: module.vertical_face(pp, qq, i))
-                             for i in range(p + 2)]
-            vertical += [(f"s{j}", -1,
-                          lambda pp, qq, j=j: module.vertical_degeneracy(pp, qq, j))
-                         for j in range(p)]
-            vertical.append(("t", 0, lambda pp, qq: module.vertical_tau(pp, qq)))
-            horizontal = []
-            if q < cap:
-                horizontal += [(f"d{i}", 1,
-                                lambda pp, qq, i=i: module.horizontal_face(pp, qq, i))
-                               for i in range(q + 2)]
-            horizontal += [(f"s{j}", -1,
-                            lambda pp, qq, j=j: module.horizontal_degeneracy(pp, qq, j))
-                           for j in range(q)]
-            horizontal.append(("t", 0, lambda pp, qq: module.horizontal_tau(pp, qq)))
-            for vname, dp, vop in vertical:
-                for hname, dq, hop in horizontal:
+            for vname, (dp, v) in vertical[q][p].items():
+                for hname, (dq, h) in horizontal[p][q].items():
                     rep.check_equal(
                         f"vertical {vname} commutes with horizontal {hname} "
                         f"(bidegree ({p},{q}))",
-                        vop(p, q + dq) @ hop(p, q),
-                        hop(p + dp, q) @ vop(p, q))
+                        vertical[q + dq][p][vname][1] @ h,
+                        horizontal[p + dp][q][hname][1] @ v)
     return rep
 
 
@@ -249,31 +196,30 @@ def check_bicocyclic(module: BicocyclicModule,
 
 
 def diagonal(module: BicocyclicModule) -> CocyclicModule:
-    """The cocyclic module with degree-n space C^{n,n} and coupled operators."""
-    cap = module.degree_cap
-    spaces = tuple(module.space(n, n) for n in range(cap + 1))
-    faces = tuple(
-        tuple(module.horizontal_face(n + 1, n, i) @ module.vertical_face(n, n, i)
-              for i in range(n + 2))
-        for n in range(cap))
-    degeneracies = tuple(
-        tuple(module.horizontal_degeneracy(n - 1, n, j) @ module.vertical_degeneracy(n, n, j)
-              for j in range(n))
-        for n in range(cap + 1))
-    cyclic = tuple(
-        module.horizontal_tau(n, n) @ module.vertical_tau(n, n)
-        for n in range(cap + 1))
-    return CocyclicModule(cap, spaces, faces, degeneracies, cyclic)
+    """The cocyclic module of the C^{n,n}: each coface, codegeneracy and
+    cyclic operator is the Kronecker product of the two factors' ones."""
+    x, y = module.vertical_factor, module.horizontal_factor
+
+    def paired(xs, ys):
+        return tuple(tensor_map(f, g) for f, g in zip(xs, ys))
+
+    return CocyclicModule(
+        module.degree_cap,
+        tuple(module.space(n, n) for n in range(module.degree_cap + 1)),
+        tuple(map(paired, x.faces, y.faces)),
+        tuple(map(paired, x.degeneracies, y.degeneracies)),
+        paired(x.cyclic, y.cyclic))
 
 
 @dataclass(frozen=True)
 class TotalMixedComplex:
     """Degreewise direct sum of the normalized bidegree blocks.
 
-    The degree-n space is the sum of N^{p,q} over p+q = n with p ascending,
-    where N^{p,q} is the joint kernel of all codegeneracies in both
-    directions.  The vertical summand of each differential is weighted by
-    (-1)^q so that the two directions anticommute.
+    The degree-n space is the sum of N^{p,q} over p+q = n with p ascending.
+    N^{p,q} is the joint kernel of all codegeneracies in both directions,
+    which is N_X^p (x) N_Y^q for the factors' normalized spaces.  The
+    vertical summand of each differential is weighted by (-1)^q so that the
+    two directions anticommute.
     """
 
     underlying: BicocyclicModule
@@ -287,55 +233,53 @@ class TotalMixedComplex:
 
 
 def total_complex(module: BicocyclicModule) -> TotalMixedComplex:
+    """The normalized total mixed complex, read off the factors' mixed complexes.
+
+    By the Kuenneth identity ker(A (x) 1) n ker(1 (x) B) = ker A (x) ker B, each
+    block N^{p,q} is the tensor product of the factors' normalized spaces, and
+    the vertical and horizontal parts of b and B are the factors' normalized
+    b and B tensored with an identity.  Nothing is eliminated on a bicomplex
+    space.
+    """
     cap = module.degree_cap
-    subs = tuple(
-        tuple(
-            solve_constrained_subspace(
-                module.space(p, q),
-                [module.vertical_degeneracy(p, q, j) for j in range(p)]
-                + [module.horizontal_degeneracy(p, q, j) for j in range(q)],
-                prefix="n")
-            for q in range(cap + 1))
-        for p in range(cap + 1))
+    mx = mixed_complex(module.vertical_factor)
+    my = mixed_complex(module.horizontal_factor)
+    subs = tuple(tuple(tensor_subspace(nx, ny, prefix="n") for ny in my.normalized)
+                 for nx in mx.normalized)
     spaces = tuple(
         direct_sum_space([subs[p][n - p].space for p in range(n + 1)])
         for n in range(cap + 1))
 
+    def vertical(f: LinearMap, q: int) -> LinearMap:
+        return tensor_map(f, LinearMap.identity(my.normalized[q].space)).scale((-1) ** q)
+
+    def horizontal(p: int, g: LinearMap) -> LinearMap:
+        return tensor_map(LinearMap.identity(mx.normalized[p].space), g)
+
+    def assemble(n: int, m: int, blocks: dict) -> LinearMap:
+        return from_blocks([subs[p][n - p].space for p in range(n + 1)],
+                           [subs[p][m - p].space for p in range(m + 1)], blocks,
+                           source_space=spaces[n], target_space=spaces[m])
+
     b_ops = []
     for n in range(cap):
-        sources = [subs[p][n - p].space for p in range(n + 1)]
-        targets = [subs[p][n + 1 - p].space for p in range(n + 2)]
         blocks = {}
         for p in range(n + 1):
             q = n - p
-            vertical = _induced(module.vertical_b(p, q), subs[p][q], subs[p + 1][q],
-                                f"the vertical coboundary at bidegree ({p},{q})")
-            horizontal = _induced(module.horizontal_b(p, q), subs[p][q], subs[p][q + 1],
-                                  f"the horizontal coboundary at bidegree ({p},{q})")
-            blocks[(p + 1, p)] = vertical.scale(Fraction((-1) ** q))
-            blocks[(p, p)] = horizontal
-        b_ops.append(from_blocks(sources, targets, blocks,
-                                 source_space=spaces[n], target_space=spaces[n + 1]))
+            blocks[(p + 1, p)] = vertical(mx.b[p], q)
+            blocks[(p, p)] = horizontal(p, my.b[q])
+        b_ops.append(assemble(n, n + 1, blocks))
 
     big_b: list[Optional[LinearMap]] = [None]
     for n in range(1, cap + 1):
-        sources = [subs[p][n - p].space for p in range(n + 1)]
-        targets = [subs[p][n - 1 - p].space for p in range(n)]
         blocks = {}
         for p in range(n + 1):
             q = n - p
             if p >= 1:
-                vertical = _induced(
-                    module.vertical_connes(p, q), subs[p][q], subs[p - 1][q],
-                    f"the vertical cyclic boundary at bidegree ({p},{q})")
-                blocks[(p - 1, p)] = vertical.scale(Fraction((-1) ** q))
+                blocks[(p - 1, p)] = vertical(mx.B[p], q)
             if q >= 1:
-                horizontal = _induced(
-                    module.horizontal_connes(p, q), subs[p][q], subs[p][q - 1],
-                    f"the horizontal cyclic boundary at bidegree ({p},{q})")
-                blocks[(p, p)] = horizontal
-        big_b.append(from_blocks(sources, targets, blocks,
-                                 source_space=spaces[n], target_space=spaces[n - 1]))
+                blocks[(p, p)] = horizontal(p, my.B[q])
+        big_b.append(assemble(n, n - 1, blocks))
 
     return TotalMixedComplex(module, subs, spaces, tuple(b_ops), tuple(big_b))
 
@@ -359,16 +303,18 @@ def check_total_mixed_complex(total: TotalMixedComplex,
 
 
 def aw_map(module: BicocyclicModule, p: int, q: int) -> LinearMap:
-    """C^{p,q} -> C^{p+q,p+q}: front horizontal cofaces, then vertical d0's."""
+    """C^{p,q} -> C^{p+q,p+q}: q front cofaces d0 on X, tensored with p last
+    cofaces on Y."""
     if p + q > module.degree_cap:
         raise LinAlgError(f"bidegree ({p},{q}) exceeds the cap {module.degree_cap}")
-    n = p + q
-    out = LinearMap.identity(module.space(p, q))
-    for k in range(p):
-        out = module.horizontal_face(p, q + k, q + 1 + k) @ out
-    for k in range(q):
-        out = module.vertical_face(p + k, n, 0) @ out
-    return out
+    x, y = module.vertical_factor, module.horizontal_factor
+    front = LinearMap.identity(x.spaces[p])
+    for k in range(p, p + q):
+        front = x.face(k, 0) @ front
+    back = LinearMap.identity(y.spaces[q])
+    for k in range(q, q + p):
+        back = y.face(k, k + 1) @ back
+    return tensor_map(front, back)
 
 
 def assembled_aw(total: TotalMixedComplex, diagonal_normalized: Subspace,
@@ -393,8 +339,6 @@ def assembled_aw(total: TotalMixedComplex, diagonal_normalized: Subspace,
 def check_aw_chain_map(total: TotalMixedComplex, diagonal_module: CocyclicModule,
                        name: str = "comparison chain map") -> Report:
     """b_D o AW = AW o b_T per total degree, on the normalized complexes."""
-    from .cocyclic import mixed_complex
-
     rep = Report(name)
     view = mixed_complex(diagonal_module)
     cap = total.underlying.degree_cap

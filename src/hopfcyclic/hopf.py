@@ -292,11 +292,6 @@ def left_regular_action(h: HopfAlgebra) -> LinearMap:
     return h.mul
 
 
-def right_regular_action(h: HopfAlgebra) -> LinearMap:
-    """The right multiplication action written as a map V (x) H -> V with V = H."""
-    return h.mul
-
-
 def adjoint_action(h: HopfAlgebra) -> LinearMap:
     """h . a = h_(1) a S(h_(2)) on the carrier of H itself."""
     space = h.space

@@ -572,28 +572,39 @@ class Subspace:
             raise MembershipError("operator does not preserve the subspace")
         return coords
 
-    def contains_map_image(self, op: LinearMap) -> bool:
-        coords = self.coords_matrix() @ op
-        return self.basis @ coords == op
-
 
 def subspace_from_kernel(mat: LinearMap, prefix: str = "k") -> Subspace:
     vecs = _kernel_vectors(_rows(mat), mat.source.dim, sign_normalize=False)
     return _subspace(mat.source, vecs, prefix)
 
 
-def _subspace(ambient: VectorSpace, vecs: list[dict[int, Fraction]], prefix: str) -> Subspace:
-    """Wrap sparse kernel-style vectors as a Subspace; the support of each is
-    its first entry equal to 1 where every other vector vanishes."""
-    space = VectorSpace.make(len(vecs), prefix)
-    used = Counter(i for v in vecs for i in v)
+def _with_supports(basis: LinearMap) -> Subspace:
+    """The Subspace of basis.target spanned by the columns of `basis`; the
+    support of each column is its first entry equal to 1 where every other
+    column vanishes."""
+    used = Counter(i for col in basis._cols for i in col)
     supports = []
-    for v in vecs:
-        sup = next((i for i in sorted(v) if v[i] == 1 and used[i] == 1), None)
+    for col in basis._cols:
+        sup = next((i for i in sorted(col) if col[i] == basis._den and used[i] == 1), None)
         if sup is None:
             raise LinAlgError("basis lacks an identity support row")
         supports.append(sup)
-    return Subspace(ambient, space, _from_columns(space, ambient, vecs), tuple(supports))
+    return Subspace(basis.target, basis.source, basis, tuple(supports))
+
+
+def _subspace(ambient: VectorSpace, vecs: list[dict[int, Fraction]], prefix: str) -> Subspace:
+    """Wrap sparse kernel-style vectors of Fractions as a Subspace."""
+    space = VectorSpace.make(len(vecs), prefix)
+    return _with_supports(_from_columns(space, ambient, vecs))
+
+
+def tensor_subspace(x: Subspace, y: Subspace, prefix: str = "k") -> Subspace:
+    """X (x) Y inside the tensor product of the ambients, spanned by the
+    Kronecker product of the two bases.  When both bases are read off RREF
+    kernels (as `solve_constrained_subspace` gives them), so is this one:
+    it equals the joint kernel of A (x) id and id (x) B found by elimination."""
+    basis = tensor_map(x.basis, y.basis)
+    return _with_supports(relabel(basis, VectorSpace.make(basis.source.dim, prefix)))
 
 
 def solve_constrained_subspace(

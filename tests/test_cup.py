@@ -379,6 +379,20 @@ def test_bicomplex_layer_is_pinned(demo_setups, which, part):
     assert bicomplex_part(setup, part) == PINNED_BICOMPLEX_DIGESTS[which][part]
 
 
+@pytest.mark.parametrize("which", ["ac", "aa"])
+def test_total_complex_eliminates_nothing_on_the_bicomplex(demo_setups, monkeypatch,
+                                                           which):
+    """The normalized blocks are tensor products of the factors' normalized
+    spaces, so no joint kernel is solved for on a bicomplex space."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("total_complex solved for a subspace")
+
+    monkeypatch.setattr(cup, "solve_constrained_subspace", refuse)
+    setup = demo_setups[0] if which == "ac" else demo_setups[1]
+    total = total_complex(setup.bicomplex)
+    assert check_total_mixed_complex(total).passed
+
+
 def test_comparison_parts_are_built_once_per_setup(monkeypatch):
     builds = []
     build = cup._phi_transformer

@@ -33,6 +33,7 @@ from hopfcyclic.linalg import (
     tensor_permutation,
     tensor_space,
     tensor_spaces,
+    tensor_subspace,
     vector_from,
     vectors_equal,
 )
@@ -444,6 +445,33 @@ class TestQuotientsAndSubspaces:
         a = VectorSpace.make(3)
         sub = solve_constrained_subspace(a, [])
         assert sub.dim == 3
+
+    def test_tensor_subspace_is_the_eliminated_joint_kernel(self):
+        """ker A (x) ker B, built as a Kronecker product, is the joint kernel
+        of A (x) id and id (x) B exactly as elimination finds it: the same
+        basis, supports and labels, including when one side is unconstrained."""
+        rng = random.Random(6)
+        for _ in range(40):
+            x = VectorSpace.make(rng.randint(1, 5), "x")
+            y = VectorSpace.make(rng.randint(1, 5), "y")
+            constraints = []
+            for space in (x, y):
+                rows = rng.randint(0, space.dim)
+                constraints.append([LinearMap.from_rows(
+                    space, VectorSpace.make(1),
+                    [[rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in range(space.dim)]])
+                    for _ in range(rows)])
+            cx, cy = constraints
+            kx = solve_constrained_subspace(x, cx, prefix="n")
+            ky = solve_constrained_subspace(y, cy, prefix="n")
+            both = tensor_space(x, y)
+            lifted = ([tensor_map(c, LinearMap.identity(y)) for c in cx]
+                      + [tensor_map(LinearMap.identity(x), c) for c in cy])
+            expected = solve_constrained_subspace(both, lifted, prefix="n")
+            got = tensor_subspace(kx, ky, prefix="n")
+            assert got.basis == expected.basis
+            assert got.supports == expected.supports
+            assert got.space == expected.space and got.ambient == expected.ambient
 
 
 class TestBlocksAndHom:
