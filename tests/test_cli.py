@@ -17,6 +17,7 @@ DEMO = Path(__file__).resolve().parent.parent / "demo"
 CATALOG = str(DEMO / "builtin_catalog.json")
 PLAIN = str(DEMO / "plain_rationals.json")
 Z2CUP = str(DEMO / "z2_cup.json")
+Z2CUP_GOLDEN = Path(__file__).resolve().parent / "data" / "z2_cup_report.json"
 
 
 def z2cup_data():
@@ -289,6 +290,12 @@ class TestDeterminism:
     def test_check_reports_byte_identical(self, capsys):
         out = self.run_twice(capsys, ["check", CATALOG, "--format", "json"])
         assert out.startswith("{")
+
+    def test_cup_demo_check_matches_golden_report(self, capsys):
+        """The comparison-map checks of the cup demo, names and details
+        included, are pinned by a committed report."""
+        out = self.run_twice(capsys, ["check", Z2CUP, "--format", "json"])
+        assert out == Z2CUP_GOLDEN.read_text(encoding="utf-8")
 
     def test_cohomology_reports_byte_identical(self, capsys):
         self.run_twice(capsys, ["cohomology", PLAIN, "point-algebra",

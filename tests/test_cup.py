@@ -1,5 +1,6 @@
 """Tests for bicocyclic towers, total complexes, comparison maps and cups."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -59,6 +60,7 @@ from hopfcyclic.hopf import (
     ModuleAlgebra,
     ModuleCoalgebra,
     adjoint_action,
+    check_coalgebra_action,
     cyclic_group_table,
     group_algebra,
     left_regular_action,
@@ -322,6 +324,68 @@ def test_comparison_maps_are_pinned(demo_setups, family, variant):
     setup = demo_setups[0] if family == "psi" else demo_setups[1]
     assert [map_digest(variant(setup, n)) for n in range(4)] == \
         PINNED_COMPARISON_DIGESTS[family]
+
+
+# sha256, as above, of psi where the coefficients are not those of the demo:
+# the contratensor-valued map of the `setup_ac_unpaired` fixture (a
+# two-dimensional module) in degrees 0..3, and both maps of the sweedler4
+# `ac` setup below in degrees 0..2 (its grouplike coefficients are
+# one-dimensional, so there the two maps coincide).  Recorded while psi was
+# assembled from one block per algebra-cochain basis map.
+PINNED_PSI_DIGESTS = {
+    "unpaired": ["3ae5f8928511cfe8a9be9c63f93ecb7d7e92b3c6c166b380a32f41721a49aadc",
+                 "3fcbfcaa813f8e04941eb5d42eb13f99cbc97af906ee42411b25c2bffd17fbcc",
+                 "f892b15cbebc01bee384a55e64282187595f13e9b3395aff2d4c56b314e2a875",
+                 "e725edfb70de640304bbef05599a9fbfd3a130b6f8b5fbc4d8403473f670e77d"],
+    "sweedler4": ["03542325c6b37fd46839f234fa89fac33f834681762585990aabe3a3d79ccfdc",
+                  "8a9c4cc0aaa7c34c2d16e713cac5350e84305a22695ec3273e73d8d0ed28f457",
+                  "d6601d2737e7c89ce96caeacbfd91fe2f7608cceb8d70b7e15e1c3bb58cb4203"],
+}
+
+
+@pytest.fixture(scope="module")
+def setup_ac_sweedler4():
+    """H acting on itself by the adjoint action as a module algebra, on
+    itself by left multiplication as a module coalgebra, with the adjoint
+    action of the coalgebra on the algebra and grouplike coefficients."""
+    h = sweedler_h4()
+    algebra = ModuleAlgebra(h, h.space, h.mul, h.unit, adjoint_action(h))
+    coalgebra = ModuleCoalgebra(h, h.space, h.comul, h.counit, left_regular_action(h))
+    action = CoalgebraAction(coalgebra, algebra, adjoint_action(h))
+    report = check_coalgebra_action(action)
+    assert report.passed, failures(report)
+    return ac_cup_setup(algebra, coalgebra, action, grouplike_coefficients(h, 1),
+                        degree_cap=3)
+
+
+def test_psi_on_wider_coefficients_is_pinned(setup_ac_unpaired):
+    assert [map_digest(psi_tensor(setup_ac_unpaired, n)) for n in range(4)] == \
+        PINNED_PSI_DIGESTS["unpaired"]
+
+
+@pytest.mark.parametrize("variant", [psi_scalar, psi_tensor])
+def test_psi_over_sweedler4_is_pinned(setup_ac_sweedler4, variant):
+    assert [map_digest(variant(setup_ac_sweedler4, n)) for n in range(3)] == \
+        PINNED_PSI_DIGESTS["sweedler4"]
+
+
+def test_psi_refuses_a_map_that_sees_the_relations(demo_setups):
+    """With every degree-2 coalgebra cochain declared a relation, each
+    algebra-cochain basis map gives a block that does not vanish on them."""
+    setup = demo_setups[0]
+    y = setup.coalgebra_cochains
+    relations = list(y.relations)
+    relations[2] = LinearMap.identity(y.ambients[2])
+    bad = dataclasses.replace(setup, coalgebra_cochains=dataclasses.replace(
+        y, relations=tuple(relations)))
+    with pytest.raises(LinAlgError) as info:
+        psi_scalar(bad, 2)
+    assert str(info.value) == (
+        "the comparison map is not well defined on the quotient at degree 2 (basis map 0)")
+    report = check_psi(bad)
+    assert [(e.name, e.detail) for e in report.entries if not e.passed] == [
+        ("well defined on the relation subspace (degree 2)",
+         "basis maps [0, 1, 2, 3] see the relations")]
 
 
 # sha256 of the bicomplex layer of the same cap-3 setups, recorded while the
