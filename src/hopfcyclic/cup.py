@@ -375,6 +375,24 @@ class BBcocycle:
         return [self.degree - 2 * k for k in range(len(self.components))]
 
 
+def _require_tower_degree(module: CocyclicModule, degree: int, label: str) -> None:
+    if not 0 <= degree <= module.degree_cap:
+        raise LinAlgError(f"{label} has degree {degree}, outside the tower's degrees "
+                          f"0..{module.degree_cap}")
+
+
+def _components(module: CocyclicModule, cocycle: BBcocycle, label: str) -> list[list[Fraction]]:
+    """The components as exact vectors, refused unless they run from the
+    cocycle's degree down to 0 or 1 and each fits its space of the tower."""
+    degrees = cocycle.component_degrees()
+    if not degrees or degrees[-1] not in (0, 1):
+        raise LinAlgError(f"{label} has components down to degree "
+                          f"{degrees[-1] if degrees else None}, not to 0 or 1")
+    _require_tower_degree(module, cocycle.degree, label)
+    return [_as_vector(comp, module.spaces[d].dim, f"the degree-{d} component of {label}")
+            for d, comp in zip(degrees, cocycle.components)]
+
+
 def check_bb_cocycle(module: CocyclicModule, cocycle: BBcocycle,
                      name: str = "(b, B) cocycle") -> Report:
     rep = Report(name)
@@ -418,6 +436,7 @@ def cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcocycle:
     `CompletionObstruction` carrying the first obstructed component degree and
     a residual witness.
     """
+    _require_tower_degree(module, degree, "the top component")
     y0 = _as_vector(top, module.spaces[degree].dim, "top component")
     if degree <= module.degree_cap - 1:
         residual = full_b(module, degree).apply(y0)
@@ -477,9 +496,9 @@ def bb_cohomologous(module: CocyclicModule, first: BBcocycle,
         raise LinAlgError("cannot compare cocycles of different degrees")
     n = first.degree
     degrees = first.component_degrees()
-    deltas = [Fraction(a) - Fraction(b)
-              for c1, c2 in zip(first.components, second.components)
-              for a, b in zip(c2, c1)]
+    deltas = [b - a for c1, c2 in zip(_components(module, first, "the first cocycle"),
+                                      _components(module, second, "the second cocycle"))
+              for a, b in zip(c1, c2)]
     hom_degrees = list(range(n - 1, -1, -2))[:len(degrees)]
     if not hom_degrees:
         return _vector_is_zero(deltas)

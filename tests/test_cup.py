@@ -678,6 +678,24 @@ def test_cohomologous_controls(triv):
     assert not bb_cohomologous(module, one, double)
 
 
+def test_cohomologous_refuses_malformed_cocycles(demo_setups):
+    """A short or missing component is refused, not padded with zeros."""
+    target = demo_setups[0].scalar_target
+    a = BBcocycle(2, ((0,) * 8, (0,) * 2))
+    assert bb_cohomologous(target, a, a)
+    for malformed in (BBcocycle(2, ((0,) * 8, (0,))), BBcocycle(2, ((0,) * 8,))):
+        for first, second in ((a, malformed), (malformed, a)):
+            with pytest.raises(LinAlgError):
+                bb_cohomologous(target, first, second)
+
+
+def test_completion_refuses_a_degree_outside_the_tower(triv):
+    module = plain_algebra_cocyclic(triv.algebra, degree_cap=3)
+    for degree in (4, -1):
+        with pytest.raises(LinAlgError, match="outside the tower's degrees 0..3"):
+            cyclic_complete(module, degree, [0])
+
+
 def test_cocycle_plus_coboundary_passes_the_check():
     # (b + B) of a normalized chain x0 in degree 1 shifts the components of a
     # degree-2 cocycle by b x0 and B x0; the check then sums two nonzero vectors
