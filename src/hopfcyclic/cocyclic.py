@@ -201,34 +201,32 @@ def _powers(space: VectorSpace, k: int) -> list[VectorSpace]:
 
 
 def _diagonal_actions(hopf: HopfAlgebra, action: LinearMap, powers) -> list[LinearMap]:
-    """H (x) X^{(m)} -> X^{(m)} for m = 1..k, given X^{(0)}, ..., X^{(k)}, each
+    """H (x) X^{(m)} -> X^{(m)} for m = 1..k, given X^{(1)}, ..., X^{(k)}, each
     built from the one before: h splits into h_(1) (x) h_(2), h_(2) acts on the
     last m - 1 factors and h_(1) on the first."""
     h, x = hopf.space.dim, action.target.dim
     out = [action]
-    for m in range(2, len(powers)):
-        rest = powers[m - 1].dim
-        source = tensor_space(hopf.space, powers[m])
+    for rest, power in zip(powers, powers[1:]):
+        source = tensor_space(hopf.space, power)
         split = tensor_space(hopf.space, source)
-        out.append(slot_map(action, 1, rest, source, powers[m])
-                   @ slot_map(out[-1], h, x, split, source, (rest, rest))
-                   @ slot_map(hopf.comul, 1, powers[m].dim, source, split))
+        out.append(slot_map(action, 1, rest.dim, source, power)
+                   @ slot_map(out[-1], h, x, split, source, (rest.dim, rest.dim))
+                   @ slot_map(hopf.comul, 1, power.dim, source, split))
     return out
 
 
 def _diagonal_coactions(hopf: HopfAlgebra, coaction: LinearMap, powers) -> list[LinearMap]:
-    """X^{(m)} -> H (x) X^{(m)} for m = 1..k, given X^{(0)}, ..., X^{(k)}, each
+    """X^{(m)} -> H (x) X^{(m)} for m = 1..k, given X^{(1)}, ..., X^{(k)}, each
     built from the one before: the coaction legs of the first factor and of
     the last m - 1 factors are multiplied in that order."""
     h, x = hopf.space.dim, coaction.source.dim
     out = [coaction]
-    for m in range(2, len(powers)):
-        rest = powers[m - 1].dim
-        target = tensor_space(hopf.space, powers[m])
+    for rest, power in zip(powers, powers[1:]):
+        target = tensor_space(hopf.space, power)
         legs = tensor_space(hopf.space, target)
-        out.append(slot_map(hopf.mul, 1, powers[m].dim, legs, target)
-                   @ slot_map(out[-1], h, x, target, legs, (rest, rest))
-                   @ slot_map(coaction, 1, rest, powers[m], target))
+        out.append(slot_map(hopf.mul, 1, power.dim, legs, target)
+                   @ slot_map(out[-1], h, x, target, legs, (rest.dim, rest.dim))
+                   @ slot_map(coaction, 1, rest.dim, power, target))
     return out
 
 
@@ -379,7 +377,7 @@ def coalgebra_cocyclic(coalgebra: ModuleCoalgebra, coefficients: SaydModule,
 
     powers = _powers(c, cap + 1)
     ambients = tuple(tensor_space(m, powers[n + 1]) for n in range(cap + 1))
-    diagonals = _diagonal_actions(h, coalgebra.action, powers)
+    diagonals = _diagonal_actions(h, coalgebra.action, powers[1:])
     m_h = tensor_space(m, h.space)
     relations = tuple(
         _balanced_relation(coefficients, diagonals[n], tensor_space(m_h, powers[n + 1]),
@@ -417,7 +415,7 @@ def algebra_module_cocyclic(algebra: ModuleAlgebra, coefficients: SaydModule,
     powers = _powers(a, cap + 1)
     domains = tuple(tensor_space(m, powers[n + 1]) for n in range(cap + 1))
     ambients = tuple(hom_space(domains[n], g) for n in range(cap + 1))
-    diagonals = _diagonal_actions(h, algebra.action, powers)
+    diagonals = _diagonal_actions(h, algebra.action, powers[1:])
     m_h = tensor_space(m, h.space)
     subspaces = tuple(
         solve_constrained_subspace(ambients[n], [_balanced_relation(
@@ -453,8 +451,7 @@ def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule
     cap = degree_cap
     db, dn, dh = b.dim, n_space.dim, h.space.dim
 
-    powers = _powers(b, cap + 1)
-    domains = powers[1:]
+    domains = _powers(b, cap + 1)[1:]
     ambients = tuple(hom_space(domains[n], n_space) for n in range(cap + 1))
 
     # psi is colinear when N's coaction after psi equals (id (x) psi) after the
@@ -467,7 +464,7 @@ def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule
         (t * db + x, y, co[t * db + y][x])
         for t in range(dh) for y in range(db) for x in range(db)])
     subspaces = []
-    for n, grad in enumerate(_diagonal_coactions(h, flipped, powers)):
+    for n, grad in enumerate(_diagonal_coactions(h, flipped, domains)):
         legs = VectorSpace.make(dh * ambients[n].dim, "c")
         constraint = (slot_map(coefficients.coaction, 1, domains[n].dim, ambients[n], legs,
                                (dn, dn))
@@ -500,15 +497,14 @@ def algebra_contra_cocyclic(algebra: ModuleAlgebra, coefficients: SaydContramodu
     cap = degree_cap
     da, dm = a.dim, m_space.dim
 
-    powers = _powers(a, cap + 1)
-    domains = powers[1:]
+    domains = _powers(a, cap + 1)[1:]
     ambients = tuple(hom_space(domains[n], m_space) for n in range(cap + 1))
 
     # phi is equivariant when phi(t . x) = t . phi(x) for every basis element
     # t of H; both sides land in coordinates (t, x, u)
     acts = contramodule_stability_map(coefficients)
     subspaces = []
-    for n, diag in enumerate(_diagonal_actions(h, algebra.action, powers)):
+    for n, diag in enumerate(_diagonal_actions(h, algebra.action, domains)):
         legs = VectorSpace.make(h.space.dim * ambients[n].dim, "c")
         constraint = (slot_map(diag.transpose(), 1, dm, ambients[n], legs)
                       - slot_map(acts, 1, domains[n].dim, ambients[n], legs, (dm, dm)))

@@ -21,7 +21,10 @@ Ingredients, all realized as exact rational matrices:
 Every operator of the diagonal, the total complex and the comparison map is
 a Kronecker product of operators the two factor towers already hold, and the
 normalized blocks with their b and B come from the factors' mixed complexes,
-so nothing is rebuilt or eliminated on a bicomplex space.
+so nothing is rebuilt or eliminated on a bicomplex space.  Likewise psi and
+phi are each one Kronecker product of the two factors' cochain bases, with
+its factors reordered, collapsed into the values and precomposed with one
+transformer out of the target algebra's tensor power.
 """
 
 from __future__ import annotations
@@ -81,7 +84,6 @@ from .linalg import (
     relabel,
     solve,
     solve_constrained_subspace,
-    stack_vertical,
     tensor_map,
     tensor_permutation,
     tensor_power_map,
@@ -561,11 +563,6 @@ class ConvolutionCupSetup:
     pair_collapse: Optional[LinearMap]
     scalar_target: CocyclicModule
     tensor_target: CocyclicModule
-    scalar_convolution_target: CocyclicModule
-    tensor_convolution_target: CocyclicModule
-    # q -> the products f_u of convolution basis maps, built on first use
-    _psi_products: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
 
 
 def ac_cup_setup(algebra: ModuleAlgebra, coalgebra: ModuleCoalgebra,
@@ -588,15 +585,11 @@ def ac_cup_setup(algebra: ModuleAlgebra, coalgebra: ModuleCoalgebra,
     if pair is not None:
         require(check_compatible_pair(pair), "coefficient pair")
         pair_collapse = collapse_map(pair, tensor_values)
-    plain_base = algebra.algebra
-    conv_base = conv.algebra
     return ConvolutionCupSetup(
         algebra, coalgebra, action, module, contra, pair, degree_cap,
         conv, embedding, x, y, bicomplex, diag, tensor_values, pair_collapse,
-        plain_algebra_cocyclic(plain_base, None, degree_cap),
-        plain_algebra_cocyclic(plain_base, tensor_values.space, degree_cap),
-        plain_algebra_cocyclic(conv_base, None, degree_cap),
-        plain_algebra_cocyclic(conv_base, tensor_values.space, degree_cap))
+        plain_algebra_cocyclic(algebra.algebra, None, degree_cap),
+        plain_algebra_cocyclic(algebra.algebra, tensor_values.space, degree_cap))
 
 
 @dataclass(frozen=True)
@@ -650,72 +643,92 @@ def aa_cup_setup(algebra: ModuleAlgebra, comodule_algebra: ComoduleAlgebra,
 
 
 # --------------------------------------------------------------------------
+# the comparison maps: shared parts
+
+
+def _values(setup, tensor_valued: bool) -> tuple[LinearMap, VectorSpace]:
+    """The collapse N (x) M -> V and the values V of a comparison map: the
+    contratensor projection onto L, or the pairing onto the ground field."""
+    if tensor_valued:
+        return setup.tensor_values.projection, setup.tensor_values.space
+    if setup.pair_collapse is None:
+        raise LinAlgError("no compatible pairing was provided; "
+                          "use the contratensor-valued variant")
+    return setup.pair.pairing, VectorSpace.ground()
+
+
+def _compare(cochains: LinearMap, factors, order, transformer: LinearMap,
+             collapse: LinearMap, values: VectorSpace,
+             source: Optional[VectorSpace] = None) -> LinearMap:
+    """Column j is collapse o k_j o transformer as a Hom vector on the
+    transformer's source, where k_j: D -> N (x) M is column j of `cochains`
+    once its tensor `factors` are put in `order` (D the transformer's target)."""
+    out = (hom_precompose(transformer, values)
+           @ hom_postcompose(transformer.target, collapse)
+           @ tensor_permutation(factors, order) @ cochains)
+    return relabel(out, source, hom_space(transformer.source, values))
+
+
+# --------------------------------------------------------------------------
 # the convolution-algebra comparison map
 
 
-def _convolution_products(setup: ConvolutionCupSetup, q: int) -> list[LinearMap]:
-    """f_u = f_{u_0} (x) ... (x) f_{u_q} over the convolution basis maps, for
-    every u in row-major order; built once per setup and degree."""
-    cache = setup._psi_products
-    if q not in cache:
-        basis = setup.convolution.basis_maps
-        cache[q] = list(basis) if q == 0 else [
-            tensor_map(f, g) for f in _convolution_products(setup, q - 1) for g in basis]
-    return cache[q]
+def _psi(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
+         values: VectorSpace) -> tuple[LinearMap, list[int]]:
+    """psi at degree q, and the algebra-cochain basis maps whose products
+    with the coalgebra-side relations do not vanish (psi is well defined
+    on the quotient when there are none).
 
+    Column (i, j) is collapse o (phi_i o f_u (x) id_N) on the representative
+    of quotient basis vector j, for every product f_u = f_{u_0} (x) ... (x)
+    f_{u_q} of convolution basis maps.  The transformer sends u to f_u as a
+    vector of Hom(C^{(q+1)}, A^{(q+1)}): the convolution basis tensored q + 1
+    times, its (C, A) factors regrouped.
+    """
+    x, y = setup.algebra_cochains, setup.coalgebra_cochains
+    c, a = setup.coalgebra.space, setup.algebra.space
+    regroup = tensor_permutation([c, a] * (q + 1),
+                                 [*range(0, 2 * q + 2, 2), *range(1, 2 * q + 2, 2)])
+    transformer = regroup @ tensor_power_map(setup.convolution.subspace.basis, q + 1)
+    # Hom(A^{(q+1)}, M) (x) N (x) C^{(q+1)} -> Hom(C^{(q+1)} (x) A^{(q+1)}, N (x) M)
+    factors = [x.domains[q], x.values, setup.module.space,
+               tensor_spaces([c] * (q + 1))]
 
-def _psi_blocks(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
-                values: VectorSpace):
-    """Per algebra-cochain basis map, the matrix N (x) C^{(q+1)} -> Hom(B^{(q+1)}, V)."""
-    x = setup.algebra_cochains
-    y = setup.coalgebra_cochains
-    id_n = LinearMap.identity(setup.module.space)
-    target = hom_space(tensor_spaces([setup.convolution.algebra.space] * (q + 1)), values)
-    products = _convolution_products(setup, q)
-    blocks = []
-    for i in range(x.module.spaces[q].dim):
-        phi = x.basis_map(q, i)
-        pieces = [collapse @ tensor_map(id_n, phi @ f_u) for f_u in products]
-        blocks.append(relabel(stack_vertical(pieces), y.ambients[q], target))
-    return blocks, target
+    def compare(representatives: LinearMap, source=None) -> LinearMap:
+        return _compare(tensor_map(x.subspaces[q].basis, representatives), factors,
+                        [3, 0, 2, 1], transformer, collapse, values, source)
 
-
-def _assemble_psi(setup: ConvolutionCupSetup, q: int, blocks, target) -> LinearMap:
-    """The blocks side by side, each read on the quotient's representatives."""
-    section = setup.coalgebra_cochains.quotients[q].section
-    return from_blocks([section.source] * len(blocks), [target],
-                       {(0, i): block @ section for i, block in enumerate(blocks)},
-                       source_space=setup.diagonal_module.spaces[q], target_space=target)
+    seen = compare(y.relations[q])
+    width = y.relations[q].source.dim
+    bad = sorted({j // width for j, col in enumerate(seen._cols) if col})
+    return compare(y.quotients[q].section, setup.diagonal_module.spaces[q]), bad
 
 
 def psi_matrix(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
                values: VectorSpace) -> LinearMap:
     """Diagonal degree-q space -> Hom(B^{(q+1)}, V), B the convolution algebra.
 
-    Well-definedness on the coalgebra-side quotient is verified: every block
-    must annihilate the balancing relation, else the map would depend on the
-    chosen representatives.
+    All columns come from one Kronecker product of the algebra-cochain basis
+    with the quotient's representatives, as in `phi_matrix`.
+    Well-definedness on the coalgebra-side quotient is verified by the same
+    product against the balancing relations: every algebra-cochain basis map
+    must annihilate them, else the map would depend on the chosen
+    representatives.
     """
-    y = setup.coalgebra_cochains
-    blocks, target = _psi_blocks(setup, q, collapse, values)
-    for i, block in enumerate(blocks):
-        if not (block @ y.relations[q]).is_zero():
-            raise LinAlgError(
-                f"the comparison map is not well defined on the quotient at "
-                f"degree {q} (basis map {i})")
-    return _assemble_psi(setup, q, blocks, target)
+    out, bad = _psi(setup, q, collapse, values)
+    if bad:
+        raise LinAlgError(
+            f"the comparison map is not well defined on the quotient at "
+            f"degree {q} (basis map {bad[0]})")
+    return out
 
 
 def psi_scalar(setup: ConvolutionCupSetup, q: int) -> LinearMap:
-    if setup.pair_collapse is None:
-        raise LinAlgError("no compatible pairing was provided; "
-                          "use the contratensor-valued variant")
-    return psi_matrix(setup, q, setup.pair.pairing, VectorSpace.ground())
+    return psi_matrix(setup, q, *_values(setup, False))
 
 
 def psi_tensor(setup: ConvolutionCupSetup, q: int) -> LinearMap:
-    return psi_matrix(setup, q, setup.tensor_values.projection,
-                      setup.tensor_values.space)
+    return psi_matrix(setup, q, *_values(setup, True))
 
 
 # --------------------------------------------------------------------------
@@ -850,27 +863,18 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
         transformers[n] = _phi_transformer(setup, n)
     x = setup.comodule_cochains
     y = setup.algebra_cochains
-    domain = tensor_space(x.domains[n], y.domains[n])
-    # Hom(D, V) (x) Hom(E, W) -> Hom(D (x) E, V (x) W) reorders the factors
-    reorder = tensor_permutation([x.domains[n], x.values, y.domains[n], y.values],
-                                 [0, 2, 1, 3])
-    out = (hom_precompose(transformers[n], values)
-           @ hom_postcompose(domain, collapse)
-           @ reorder @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis))
-    return relabel(out, setup.diagonal_module.spaces[n],
-                   hom_space(tensor_spaces([setup.crossed.space] * (n + 1)), values))
+    # Hom(D, N) (x) Hom(E, M) -> Hom(D (x) E, N (x) M) reorders the factors
+    return _compare(tensor_map(x.subspaces[n].basis, y.subspaces[n].basis),
+                    [x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3],
+                    transformers[n], collapse, values, setup.diagonal_module.spaces[n])
 
 
 def phi_scalar(setup: CrossedProductCupSetup, n: int) -> LinearMap:
-    if setup.pair_collapse is None:
-        raise LinAlgError("no compatible pairing was provided; "
-                          "use the contratensor-valued variant")
-    return phi_matrix(setup, n, setup.pair.pairing, VectorSpace.ground())
+    return phi_matrix(setup, n, *_values(setup, False))
 
 
 def phi_tensor(setup: CrossedProductCupSetup, n: int) -> LinearMap:
-    return phi_matrix(setup, n, setup.tensor_values.projection,
-                      setup.tensor_values.space)
+    return phi_matrix(setup, n, *_values(setup, True))
 
 
 # --------------------------------------------------------------------------
@@ -896,30 +900,15 @@ def _check_cyclic_map(rep: Report, source: CocyclicModule, target: CocyclicModul
 def check_psi(setup: ConvolutionCupSetup, tensor_valued: bool = False,
               name: Optional[str] = None) -> Report:
     """Well-definedness and generator commutation of the convolution comparison map."""
-    if tensor_valued:
-        collapse = setup.tensor_values.projection
-        values = setup.tensor_values.space
-        target = setup.tensor_convolution_target
-        title = name or "contratensor-valued convolution comparison map"
-    else:
-        if setup.pair_collapse is None:
-            raise LinAlgError("no compatible pairing was provided; "
-                              "use the contratensor-valued variant")
-        collapse = setup.pair.pairing
-        values = VectorSpace.ground()
-        target = setup.scalar_convolution_target
-        title = name or "convolution comparison map"
-    rep = Report(title)
-    y = setup.coalgebra_cochains
-    cap = setup.degree_cap
+    collapse, values = _values(setup, tensor_valued)
+    rep = Report(name or ("contratensor-valued convolution comparison map" if tensor_valued
+                          else "convolution comparison map"))
     maps = {}
-    for q in range(cap + 1):
-        blocks, target_space = _psi_blocks(setup, q, collapse, values)
-        bad = [i for i, block in enumerate(blocks)
-               if not (block @ y.relations[q]).is_zero()]
+    for q in range(setup.degree_cap + 1):
+        maps[q], bad = _psi(setup, q, collapse, values)
         rep.add(f"well defined on the relation subspace (degree {q})",
                 not bad, "" if not bad else f"basis maps {bad} see the relations")
-        maps[q] = _assemble_psi(setup, q, blocks, target_space)
+    target = plain_algebra_cocyclic(setup.convolution.algebra, values, setup.degree_cap)
     _check_cyclic_map(rep, setup.diagonal_module, target, maps)
     return rep
 
@@ -927,22 +916,11 @@ def check_psi(setup: ConvolutionCupSetup, tensor_valued: bool = False,
 def check_phi(setup: CrossedProductCupSetup, tensor_valued: bool = False,
               name: Optional[str] = None) -> Report:
     """Generator commutation of the crossed-product comparison map."""
-    if tensor_valued:
-        collapse = setup.tensor_values.projection
-        values = setup.tensor_values.space
-        target = setup.tensor_target
-        title = name or "contratensor-valued crossed-product comparison map"
-    else:
-        if setup.pair_collapse is None:
-            raise LinAlgError("no compatible pairing was provided; "
-                              "use the contratensor-valued variant")
-        collapse = setup.pair.pairing
-        values = VectorSpace.ground()
-        target = setup.scalar_target
-        title = name or "crossed-product comparison map"
-    rep = Report(title)
-    cap = setup.degree_cap
-    maps = {n: phi_matrix(setup, n, collapse, values) for n in range(cap + 1)}
+    collapse, values = _values(setup, tensor_valued)
+    rep = Report(name or ("contratensor-valued crossed-product comparison map"
+                          if tensor_valued else "crossed-product comparison map"))
+    maps = {n: phi_matrix(setup, n, collapse, values) for n in range(setup.degree_cap + 1)}
+    target = setup.tensor_target if tensor_valued else setup.scalar_target
     _check_cyclic_map(rep, setup.diagonal_module, target, maps)
     return rep
 
@@ -1013,8 +991,9 @@ def _require_total_degree(setup, p: int, q: int) -> None:
 
 
 def _cup_convolution(setup: ConvolutionCupSetup, p: int, q: int, left, right,
-                     collapse: LinearMap, values: VectorSpace,
-                     target: CocyclicModule) -> BBcocycle:
+                     tensor_valued: bool) -> BBcocycle:
+    collapse, values = _values(setup, tensor_valued)
+    target = setup.tensor_target if tensor_valued else setup.scalar_target
     _require_total_degree(setup, p, q)
     phi = _validated_cocycle(setup.algebra_cochains.module, p, left,
                              "the algebra-side cochain")
@@ -1034,20 +1013,18 @@ def cup_ac(setup: ConvolutionCupSetup, p: int, q: int, left, right) -> BBcocycle
     (b, B)-cocycle on plain cochains of the algebra (scalar values)."""
     if setup.pair_collapse is None:
         raise LinAlgError("no compatible pairing was provided; use cup_ac_general")
-    return _cup_convolution(setup, p, q, left, right, setup.pair.pairing,
-                            VectorSpace.ground(), setup.scalar_target)
+    return _cup_convolution(setup, p, q, left, right, False)
 
 
 def cup_ac_general(setup: ConvolutionCupSetup, p: int, q: int, left, right) -> BBcocycle:
     """The contratensor-valued variant: no pairing needed, values in L."""
-    return _cup_convolution(setup, p, q, left, right,
-                            setup.tensor_values.projection,
-                            setup.tensor_values.space, setup.tensor_target)
+    return _cup_convolution(setup, p, q, left, right, True)
 
 
 def _cup_crossed(setup: CrossedProductCupSetup, psi_degree: int, phi_degree: int,
-                 left, right, collapse: LinearMap, values: VectorSpace,
-                 target: CocyclicModule) -> BBcocycle:
+                 left, right, tensor_valued: bool) -> BBcocycle:
+    collapse, values = _values(setup, tensor_valued)
+    target = setup.tensor_target if tensor_valued else setup.scalar_target
     _require_total_degree(setup, psi_degree, phi_degree)
     psi_vec = _validated_cocycle(setup.comodule_cochains.module, psi_degree, left,
                                  "the comodule-side cochain")
@@ -1066,17 +1043,13 @@ def cup_aa(setup: CrossedProductCupSetup, psi_degree: int, phi_degree: int,
     (b, B)-cocycle on plain cochains of the crossed product (scalar values)."""
     if setup.pair_collapse is None:
         raise LinAlgError("no compatible pairing was provided; use cup_aa_general")
-    return _cup_crossed(setup, psi_degree, phi_degree, left, right,
-                        setup.pair.pairing, VectorSpace.ground(),
-                        setup.scalar_target)
+    return _cup_crossed(setup, psi_degree, phi_degree, left, right, False)
 
 
 def cup_aa_general(setup: CrossedProductCupSetup, psi_degree: int, phi_degree: int,
                    left, right) -> BBcocycle:
     """The contratensor-valued variant on the crossed product."""
-    return _cup_crossed(setup, psi_degree, phi_degree, left, right,
-                        setup.tensor_values.projection,
-                        setup.tensor_values.space, setup.tensor_target)
+    return _cup_crossed(setup, psi_degree, phi_degree, left, right, True)
 
 
 def collapse_bb(cocycle: BBcocycle, base_space: VectorSpace,
