@@ -369,6 +369,34 @@ def test_psi_over_sweedler4_is_pinned(setup_ac_sweedler4, variant):
         PINNED_PSI_DIGESTS["sweedler4"]
 
 
+# sha256, as above, of phi on the cap-2 sweedler4 `aa` setup in degrees 0..2,
+# where the order of the coaction legs and S^{-1} against S show (on the
+# demo's Z/2 they do not).  The coefficients are one-dimensional, so the
+# scalar and the contratensor-valued maps coincide.  Recorded while the
+# transformer was assembled column by column.
+PINNED_PHI_DIGESTS = [
+    "81d304fb1b30514726776d2acc8199d965f9ef57767d7f3d19e1b26a1b9d25a7",
+    "00d9b5b1f3a16e69a01bfb25add7cb9f12a6e9406d0dc0af8b24d1e5492bb82d",
+    "4c4c6930d97f0b21a07269e4cbdf6b219687a77a870f8cfad6fa4b05e7b7c947"]
+
+
+@pytest.fixture(scope="module")
+def setup_aa_sweedler4():
+    """sweedler4 acting on itself by the adjoint action and coacting on
+    itself by the regular coaction, with grouplike coefficients: S^{-1} is
+    not S and the crossed product is not commutative."""
+    h = sweedler_h4()
+    return aa_cup_setup(ModuleAlgebra(h, h.space, h.mul, h.unit, adjoint_action(h)),
+                        ComoduleAlgebra(h, h.space, h.mul, h.unit, regular_coaction(h)),
+                        grouplike_coefficients(h, 1), degree_cap=2)
+
+
+@pytest.mark.parametrize("variant", [phi_scalar, phi_tensor])
+def test_phi_over_sweedler4_is_pinned(setup_aa_sweedler4, variant):
+    assert [map_digest(variant(setup_aa_sweedler4, n)) for n in range(3)] == \
+        PINNED_PHI_DIGESTS
+
+
 def test_psi_refuses_a_map_that_sees_the_relations(demo_setups):
     """With every degree-2 coalgebra cochain declared a relation, each
     algebra-cochain basis map gives a block that does not vanish on them."""
