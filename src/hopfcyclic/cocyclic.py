@@ -53,7 +53,6 @@ from .linalg import (
     cokernel,
     hom_space,
     hom_vector_to_map,
-    insert_vector,
     map_to_hom_vector,
     relabel,
     rref,
@@ -113,9 +112,6 @@ class CocyclicModule:
             t = self.cyclic[n]
             if t.source.dim != self.spaces[n].dim or t.target.dim != self.spaces[n].dim:
                 raise LinAlgError(f"cyclic operator shape mismatch at degree {n}")
-
-    def space(self, n: int) -> VectorSpace:
-        return self.spaces[n]
 
     def face(self, n: int, i: int) -> LinearMap:
         return self.faces[n][i]
@@ -284,14 +280,6 @@ def _balanced_relation(coefficients: SaydModule, diag: LinearMap, source: Vector
             - slot_map(diag, coefficients.space.dim, 1, source, target))
 
 
-def _twisting_actions(algebra: ModuleAlgebra) -> list[list[list[Fraction]]]:
-    """Dense matrices of a -> S^{-1}(t) . a, one per basis element t of H."""
-    h = algebra.hopf
-    return [(algebra.action @ tensor_map(insert_vector(h.space, h.antipode_inv.column(t)),
-                                         LinearMap.identity(algebra.space))).fractions()
-            for t in range(h.space.dim)]
-
-
 # --------------------------------------------------------------------------
 # realized cochain complexes
 
@@ -425,11 +413,11 @@ def algebra_module_cocyclic(algebra: ModuleAlgebra, coefficients: SaydModule,
 
     # degree 0: phi -> phi(m_(0) (x) S^{-1}(m_(-1)) . a)
     co = coefficients.coaction.fractions()
-    twist = _twisting_actions(algebra)
+    twist = algebra.twisted_action().fractions()  # rows y, columns (t, x)
     dm, da = m.dim, a.dim
     tau0 = LinearMap.from_entries(ambients[0], ambients[0], [
-        (k * da + x, j * da + y, co[t * dm + j][k] * s[y][x])
-        for t, s in enumerate(twist) for j in range(dm) for k in range(dm)
+        (k * da + x, j * da + y, co[t * dm + j][k] * twist[y][t * da + x])
+        for t in range(h.dim) for j in range(dm) for k in range(dm)
         if co[t * dm + j][k] for y in range(da) for x in range(da)])
     operators = _operators(ambients, a.dim, m.dim, 1, algebra.mul.transpose(),
                            algebra.unit.transpose(), tau0)
@@ -512,10 +500,11 @@ def algebra_contra_cocyclic(algebra: ModuleAlgebra, coefficients: SaydContramodu
 
     # degree 0: phi -> alpha(t (x) phi(S^{-1}(t) . a)), summed over the basis t of H
     alpha = coefficients.alpha.fractions()  # rows w, columns (t, u)
+    twist = algebra.twisted_action().fractions()  # rows y, columns (t, x)
     tau0 = LinearMap.from_entries(ambients[0], ambients[0], [
-        (x * dm + w, y * dm + u, s[y][x] * alpha[w][t * dm + u])
-        for t, s in enumerate(_twisting_actions(algebra)) for y in range(da)
-        for x in range(da) if s[y][x] for u in range(dm) for w in range(dm)])
+        (x * dm + w, y * dm + u, twist[y][t * da + x] * alpha[w][t * dm + u])
+        for t in range(h.dim) for y in range(da) for x in range(da)
+        if twist[y][t * da + x] for u in range(dm) for w in range(dm)])
     operators = _operators(ambients, da, 1, dm, algebra.mul.transpose(),
                            algebra.unit.transpose(), tau0)
     return _hom_tower(subspaces, domains, m_space, operators)

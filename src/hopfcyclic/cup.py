@@ -50,6 +50,8 @@ from .cocyclic import (
     CocyclicModule,
     HomCochainComplex,
     QuotientCochainComplex,
+    _diagonal_coactions,
+    _powers,
     algebra_contra_cocyclic,
     coalgebra_cocyclic,
     comodule_algebra_cocyclic,
@@ -82,6 +84,7 @@ from .linalg import (
     hom_precompose,
     hom_space,
     relabel,
+    slot_map,
     solve,
     solve_constrained_subspace,
     tensor_map,
@@ -383,13 +386,15 @@ def _require_tower_degree(module: CocyclicModule, degree: int, label: str) -> No
                           f"0..{module.degree_cap}")
 
 
-def _components(module: CocyclicModule, cocycle: BBcocycle, label: str) -> list[list[Fraction]]:
+def _components(module: CocyclicModule, cocycle: BBcocycle, label: str,
+                stop_early: bool = False) -> list[list[Fraction]]:
     """The components as exact vectors, refused unless they run from the
-    cocycle's degree down to 0 or 1 and each fits its space of the tower."""
+    cocycle's degree down to 0 or 1 (with `stop_early`, down to any degree
+    of at least 0) and each fits its space of the tower."""
     degrees = cocycle.component_degrees()
-    if not degrees or degrees[-1] not in (0, 1):
-        raise LinAlgError(f"{label} has components down to degree "
-                          f"{degrees[-1] if degrees else None}, not to 0 or 1")
+    bottom = degrees[-1] if degrees else None
+    if bottom is None or not 0 <= bottom <= (cocycle.degree if stop_early else 1):
+        raise LinAlgError(f"{label} has components down to degree {bottom}, not to 0 or 1")
     _require_tower_degree(module, cocycle.degree, label)
     return [_as_vector(comp, module.spaces[d].dim, f"the degree-{d} component of {label}")
             for d, comp in zip(degrees, cocycle.components)]
@@ -397,11 +402,15 @@ def _components(module: CocyclicModule, cocycle: BBcocycle, label: str) -> list[
 
 def check_bb_cocycle(module: CocyclicModule, cocycle: BBcocycle,
                      name: str = "(b, B) cocycle") -> Report:
+    """The (b, B)-cocycle equations, each as a report entry.  A cocycle that
+    stops above degree 1 fails the first entry; one with no components,
+    with components below degree 0 or that does not fit the tower is
+    refused with LinAlgError."""
     rep = Report(name)
+    comps = _components(module, cocycle, "the cocycle", stop_early=True)
     degrees = cocycle.component_degrees()
     rep.add("components reach degree 0 or 1", degrees[-1] in (0, 1),
             "" if degrees[-1] in (0, 1) else f"bottom degree is {degrees[-1]}")
-    comps = cocycle.components
     n = cocycle.degree
     if n <= module.degree_cap - 1:
         _vector_entry(rep, "b y0 = 0", full_b(module, n).apply(comps[0]),
@@ -735,112 +744,41 @@ def psi_tensor(setup: ConvolutionCupSetup, q: int) -> LinearMap:
 # the crossed-product comparison map
 
 
-def _iterated_coactions(comodule_algebra: ComoduleAlgebra, count: int):
-    h = comodule_algebra.hopf
-    b = comodule_algebra.space
-    mats = [comodule_algebra.coaction]
-    for k in range(1, count):
-        step = tensor_map(LinearMap.identity(tensor_spaces([h.space] * k)),
-                          comodule_algebra.coaction) @ mats[-1]
-        mats.append(relabel(step, b, tensor_space(tensor_spaces([h.space] * (k + 1)), b)))
-    return mats
-
-
-def _digits(flat: int, dims) -> list[int]:
-    """The row-major multi-index of a flat index into a tensor product."""
-    out = []
-    for d in reversed(dims):
-        flat, r = divmod(flat, d)
-        out.append(r)
-    return out[::-1]
-
-
 def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
-    """(A x B)^{(n+1)} -> B^{(n+1)} (x) A^{(n+1)}.
+    """(A x B)^{(n+1)} -> B^{(n+1)} (x) A^{(n+1)}, as a product of slot maps.
 
-    Expands each crossed-product leg by iterated coactions, multiplies the
-    matching coaction legs into one Hopf element per slot, and lets its
-    inverse antipode act on the algebra leg.  Built sparsely column by
-    column, so the cost scales with the support of the coactions; each slot's
-    acted vector is computed once per distinct (coaction legs, algebra index).
-    The map depends on neither the collapse nor the values, so `phi_matrix`
-    builds it once per setup and degree.
+    One permutation sorts the factors into (b_0, ..., b_n, a_0, ..., a_n).
+    Then for j = n down to 0 two slot maps follow: the diagonal coaction of
+    B^{(n+1-j)} on b_j, ..., b_n, which multiplies one coaction leg of each,
+    in that order, into a Hopf element h; and the twisted action
+    h (x) a_j -> S^{-1}(h) . a_j.  So b_k gives its coaction legs to the
+    slots k, k - 1, ..., 0, outermost first, and the cost scales with the
+    support of the coaction and of the action.  The map depends on neither
+    the collapse nor the values, so `phi_matrix` builds it once per setup
+    and degree.
     """
-    a_alg = setup.algebra
-    b_alg = setup.comodule_algebra
-    h = a_alg.hopf
-    da, db, dh = a_alg.space.dim, b_alg.space.dim, h.space.dim
-    source = tensor_spaces([setup.crossed.space] * (n + 1))
-    target = tensor_space(tensor_spaces([b_alg.space] * (n + 1)),
-                          tensor_spaces([a_alg.space] * (n + 1)))
-
-    iter_mats = _iterated_coactions(b_alg, n + 1)
-    expansions_by_basis = []
-    for k in range(n + 1):
-        mat = iter_mats[k]
-        dims = [dh] * (k + 1) + [db]
-        per_basis = []
-        for u in range(db):
-            support = []
-            for flat, value in enumerate(mat.column(u)):
-                if value != 0:
-                    decoded = _digits(flat, dims)
-                    support.append((tuple(decoded[:-1]), decoded[-1], value))
-            per_basis.append(support)
-        expansions_by_basis.append(per_basis)
-
-    mul_fr = h.mul.fractions()
-    sinv_fr = h.antipode_inv.fractions()
-    act_fr = a_alg.action.fractions()
-
-    slot_memo: dict[tuple, list[tuple[int, Fraction]]] = {}
-    entries: dict[tuple[int, int], Fraction] = {}
-    source_dims = [da, db] * (n + 1)
-    a_strides = [da ** (n - j) for j in range(n + 1)]
-    b_strides = [db ** (n - j) for j in range(n + 1)]
-    for col in range(source.dim):
-        decoded = _digits(col, source_dims)
-        a_idx = decoded[0::2]
-        b_idx = decoded[1::2]
-        for combo in itertools.product(
-                *[expansions_by_basis[k][b_idx[k]] for k in range(n + 1)]):
-            coeff = Fraction(1)
-            for _, _, value in combo:
-                coeff *= value
-            legs = [c[0] for c in combo]
-            bodies_flat = sum(c[1] * b_strides[k] for k, c in enumerate(combo))
-            slot_vectors = []
-            for j in range(n + 1):
-                # slot j multiplies legs[j][0], legs[j+1][1], ..., legs[n][n-j]
-                key = (tuple(legs[k][k - j] for k in range(j, n + 1)), a_idx[j])
-                if key not in slot_memo:
-                    factors, a = key
-                    p = [Fraction(0)] * dh
-                    p[factors[0]] = Fraction(1)
-                    for m in factors[1:]:
-                        p = [sum(p[s] * mul_fr[t][s * dh + m] for s in range(dh))
-                             for t in range(dh)]
-                    s_vec = [sum(x * y for x, y in zip(row, p)) for row in sinv_fr]
-                    acted = [sum(s_vec[s] * act_fr[t][s * da + a] for s in range(dh))
-                             for t in range(da)]
-                    slot_memo[key] = [(t, v) for t, v in enumerate(acted) if v != 0]
-                slot_vectors.append(slot_memo[key])
-            for picks in itertools.product(*slot_vectors):
-                value = coeff
-                a_flat = 0
-                for j, (t, v) in enumerate(picks):
-                    value *= v
-                    a_flat += t * a_strides[j]
-                row = bodies_flat * (da ** (n + 1)) + a_flat
-                key = (row, col)
-                entries[key] = entries.get(key, Fraction(0)) + value
-    items = [(r, c, v) for (r, c), v in entries.items() if v != 0]
-    return LinearMap.from_entries(source, target, items)
+    a, b = setup.algebra.space, setup.comodule_algebra.space
+    h = setup.algebra.hopf
+    a_powers, b_powers = _powers(a, n + 1), _powers(b, n + 1)
+    coactions = _diagonal_coactions(h, setup.comodule_algebra.coaction, b_powers[1:])
+    twisted = setup.algebra.twisted_action()
+    out = tensor_permutation([a, b] * (n + 1),
+                             [*range(1, 2 * n + 2, 2), *range(0, 2 * n + 2, 2)])
+    ordered = out.target
+    legs = VectorSpace.make(h.dim * ordered.dim, "c")
+    for j in range(n, -1, -1):
+        left, tail = b_powers[j].dim, a_powers[n + 1 - j].dim
+        coact = slot_map(coactions[n - j], left, a_powers[n + 1].dim, ordered, legs)
+        act = slot_map(tensor_map(twisted, LinearMap.identity(a_powers[n - j])), left,
+                       b_powers[n + 1 - j].dim * a_powers[j].dim, legs, ordered, (tail, tail))
+        out = act @ (coact @ out)
+    return relabel(out, tensor_spaces([setup.crossed.space] * (n + 1)))
 
 
 # The largest transformer `phi_matrix` builds, counted in dense cells
-# (dim A x B)^{2(n+1)}: its build walks every source column, so a larger one
-# is refused before anything is allocated rather than running out of memory.
+# (dim A x B)^{2(n+1)}.  That overstates the sparse build, whose slot maps
+# hold dim H columns per basis tensor of (A x B)^{(n+1)}, but it refuses a
+# large one before anything is allocated rather than running out of memory.
 PHI_MAX_CELLS = 2 ** 24
 
 

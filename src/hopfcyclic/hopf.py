@@ -48,16 +48,6 @@ class Algebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def identity_vector(self):
-        return self.unit.column(0)
-
-    def left_mult(self, i: int) -> LinearMap:
-        """Multiplication by the i-th basis element on the left."""
-        return self.mul @ tensor_map(insert_vector(self.space, basis_vector(self.space, i)), LinearMap.identity(self.space))
-
-    def right_mult(self, i: int) -> LinearMap:
-        return self.mul @ tensor_map(LinearMap.identity(self.space), insert_vector(self.space, basis_vector(self.space, i)))
-
 
 def check_algebra(a: Algebra, title: str = "algebra") -> Report:
     rep = Report(title)
@@ -114,15 +104,6 @@ class HopfAlgebra:
     @property
     def coalgebra(self) -> Coalgebra:
         return Coalgebra(self.space, self.comul, self.counit)
-
-    def identity_vector(self):
-        return self.unit.column(0)
-
-    def left_mult(self, i: int) -> LinearMap:
-        return self.algebra.left_mult(i)
-
-    def right_mult(self, i: int) -> LinearMap:
-        return self.algebra.right_mult(i)
 
 
 def iterated_comultiplication(h: HopfAlgebra, k: int) -> LinearMap:
@@ -349,12 +330,9 @@ class ModuleAlgebra:
     def algebra(self) -> Algebra:
         return Algebra(self.space, self.mul, self.unit)
 
-    def act_by(self, i: int) -> LinearMap:
-        """The operator a -> (i-th basis element of H) . a."""
-        return self.action @ tensor_map(
-            insert_vector(self.hopf.space, basis_vector(self.hopf.space, i)),
-            LinearMap.identity(self.space),
-        )
+    def twisted_action(self) -> LinearMap:
+        """H (x) A -> A, h (x) a -> S^{-1}(h) . a."""
+        return self.action @ tensor_map(self.hopf.antipode_inv, LinearMap.identity(self.space))
 
 
 def check_module_algebra(a: ModuleAlgebra) -> Report:
@@ -388,12 +366,6 @@ class ModuleCoalgebra:
     @property
     def coalgebra(self) -> Coalgebra:
         return Coalgebra(self.space, self.comul, self.counit)
-
-    def act_by(self, i: int) -> LinearMap:
-        return self.action @ tensor_map(
-            insert_vector(self.hopf.space, basis_vector(self.hopf.space, i)),
-            LinearMap.identity(self.space),
-        )
 
 
 def check_module_coalgebra(c: ModuleCoalgebra) -> Report:

@@ -380,21 +380,38 @@ PINNED_PHI_DIGESTS = [
     "4c4c6930d97f0b21a07269e4cbdf6b219687a77a870f8cfad6fa4b05e7b7c947"]
 
 
-@pytest.fixture(scope="module")
-def setup_aa_sweedler4():
+def sweedler4_aa_setup():
     """sweedler4 acting on itself by the adjoint action and coacting on
-    itself by the regular coaction, with grouplike coefficients: S^{-1} is
-    not S and the crossed product is not commutative."""
+    itself by the regular coaction, with grouplike coefficients, at cap 2:
+    S^{-1} is not S and the crossed product is not commutative."""
     h = sweedler_h4()
     return aa_cup_setup(ModuleAlgebra(h, h.space, h.mul, h.unit, adjoint_action(h)),
                         ComoduleAlgebra(h, h.space, h.mul, h.unit, regular_coaction(h)),
                         grouplike_coefficients(h, 1), degree_cap=2)
 
 
+@pytest.fixture(scope="module")
+def setup_aa_sweedler4():
+    return sweedler4_aa_setup()
+
+
 @pytest.mark.parametrize("variant", [phi_scalar, phi_tensor])
 def test_phi_over_sweedler4_is_pinned(setup_aa_sweedler4, variant):
     assert [map_digest(variant(setup_aa_sweedler4, n)) for n in range(3)] == \
         PINNED_PHI_DIGESTS
+
+
+def test_phi_takes_no_dense_view(monkeypatch):
+    """The transformer is a product of slot maps over the diagonal
+    coactions, so no dense matrix of structure constants is read."""
+    setup = sweedler4_aa_setup()
+
+    def refuse(self):
+        raise AssertionError("phi took a dense view")
+
+    monkeypatch.setattr(LinearMap, "fractions", refuse)
+    for n in range(3):
+        phi_scalar(setup, n)
 
 
 def test_psi_refuses_a_map_that_sees_the_relations(demo_setups):
@@ -715,6 +732,19 @@ def test_cohomologous_refuses_malformed_cocycles(demo_setups):
         for first, second in ((a, malformed), (malformed, a)):
             with pytest.raises(LinAlgError):
                 bb_cohomologous(target, first, second)
+
+
+def test_cocycle_check_refuses_malformed_cocycles(demo_setups):
+    """No components, components below degree 0 and a degree above the cap
+    are refused; a cocycle that stops early fails its report entry."""
+    target = demo_setups[0].scalar_target
+    for malformed in (BBcocycle(2, ()), BBcocycle(2, ((0,) * 8, (0,) * 2, (0,))),
+                      BBcocycle(5, ((0,) * 64, (0,) * 16, (0,) * 4))):
+        with pytest.raises(LinAlgError):
+            check_bb_cocycle(target, malformed)
+    report = check_bb_cocycle(target, BBcocycle(2, ((0,) * 8,)))
+    assert failures(report) == ["components reach degree 0 or 1"]
+    assert check_bb_cocycle(target, BBcocycle(2, ((0,) * 8, (0,) * 2))).passed
 
 
 def test_completion_refuses_a_degree_outside_the_tower(triv):
