@@ -17,7 +17,11 @@ DEMO = Path(__file__).resolve().parent.parent / "demo"
 CATALOG = str(DEMO / "builtin_catalog.json")
 PLAIN = str(DEMO / "plain_rationals.json")
 Z2CUP = str(DEMO / "z2_cup.json")
-Z2CUP_GOLDEN = Path(__file__).resolve().parent / "data" / "z2_cup_report.json"
+DATA = Path(__file__).resolve().parent / "data"
+Z2CUP_GOLDEN = DATA / "z2_cup_report.json"
+# variant -> (p, q, left, right) of each pinned `hcc cup` demo run
+Z2CUP_RUNS = {"ac": (1, 1, "phi", "omega"), "ac-general": (1, 1, "phi", "omega"),
+              "aa": (0, 1, "psi0", "phi1"), "aa-general": (0, 1, "psi0", "phi1")}
 
 
 def z2cup_data():
@@ -296,6 +300,16 @@ class TestDeterminism:
         included, are pinned by a committed report."""
         out = self.run_twice(capsys, ["check", Z2CUP, "--format", "json"])
         assert out == Z2CUP_GOLDEN.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("variant", sorted(Z2CUP_RUNS))
+    def test_cup_demo_matches_golden_report(self, capsys, variant):
+        """Each product family, scalar and contratensor-valued, is pinned by
+        the committed report of one demo run."""
+        p, q, left, right = Z2CUP_RUNS[variant]
+        out = self.run_twice(capsys, ["cup", Z2CUP, "--variant", variant, "--p", str(p),
+                                      "--q", str(q), "--left", left, "--right", right,
+                                      "--format", "json"])
+        assert out == (DATA / f"z2_cup_{variant}_report.json").read_text(encoding="utf-8")
 
     def test_cohomology_reports_byte_identical(self, capsys):
         self.run_twice(capsys, ["cohomology", PLAIN, "point-algebra",
