@@ -29,11 +29,8 @@ from .coefficients import (
     check_sayd_module,
 )
 from .cup import (
-    ConvolutionCupSetup,
     check_bb_cocycle,
     check_collapse_factorization,
-    check_phi,
-    check_psi,
     collapse_bb,
     cup_aa,
     cup_aa_general,
@@ -109,11 +106,10 @@ def _check_object(obj) -> Report:
 
 def _check_cup_family(spec: SpecFile, family: str, cap: int) -> Report:
     setup = spec.build_cup_setup(family, cap)
-    comparison = check_psi if isinstance(setup, ConvolutionCupSetup) else check_phi
     rep = Report(f"cup {family}")
-    rep.extend(comparison(setup, tensor_valued=True), prefix="contratensor: ")
+    rep.extend(setup._check_comparison(tensor_valued=True), prefix="contratensor: ")
     if setup.pair_collapse is not None:
-        rep.extend(comparison(setup, tensor_valued=False), prefix="scalar: ")
+        rep.extend(setup._check_comparison(tensor_valued=False), prefix="scalar: ")
         rep.extend(check_collapse_factorization(setup))
     return rep
 
@@ -127,7 +123,7 @@ def cmd_check(args) -> int:
         if name not in known:
             raise SpecError(name, "the spec declares no such object; known: "
                                   + ", ".join(known))
-    by_name = {name: obj for name, _, obj in spec.objects()}
+    by_name = dict(spec.objects())
     master = Report("check")
     for name in names:
         if name in by_name:
@@ -210,8 +206,7 @@ def cmd_cup(args) -> int:
     rep.extend(check_bb_cocycle(target, result))
     if general and setup.pair_collapse is not None:
         scalar = scalar_product(setup, args.p, args.q, left, right)
-        base = (setup.algebra.space if family == "ac" else setup.crossed.space)
-        collapsed = collapse_bb(result, base, setup.pair_collapse)
+        collapsed = collapse_bb(result, setup._base.space, setup.pair_collapse)
         rep.add("pairing collapse matches the scalar product",
                 collapsed.components == scalar.components,
                 "componentwise equality" if collapsed.components == scalar.components

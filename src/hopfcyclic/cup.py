@@ -14,9 +14,14 @@ Ingredients, all realized as exact rational matrices:
     convolution algebra respectively a crossed product algebra;
   * `cyclic_complete`: upgrade a closed top cochain to a full (b, B)-cocycle
     by one exact linear solve, with an explicit obstruction on failure;
-  * `cup_ac`, `cup_aa`, `cup_ac_general`, `cup_aa_general`: the four product
-    pipelines, with input validation, exact closure checks, and verified
-    (b, B)-cocycle outputs.
+  * `cup_ac`, `cup_aa`, `cup_ac_general`, `cup_aa_general`: the four
+    products, through one pipeline: validate, AW image, the family's
+    comparison map into the target cochains, cyclic completion and check.
+
+Both families share one setup core.  A family supplies only the names of
+its two cochain sides, its target algebra and its comparison map from the
+diagonal into the target cochains: psi pulled back along the embedding of
+the algebra into the convolution algebra, or phi on the crossed product.
 
 Every operator of the diagonal, the total complex and the comparison map is
 a Kronecker product of operators the two factor towers already hold, and the
@@ -82,7 +87,6 @@ from .linalg import (
     from_blocks,
     hom_postcompose,
     hom_precompose,
-    hom_space,
     relabel,
     slot_map,
     solve,
@@ -313,6 +317,8 @@ def aw_map(module: BicocyclicModule, p: int, q: int) -> LinearMap:
     if p + q > module.degree_cap:
         raise LinAlgError(f"bidegree ({p},{q}) exceeds the cap {module.degree_cap}")
     x, y = module.vertical_factor, module.horizontal_factor
+    _require_tower_degree(x, p, f"the vertical part of bidegree ({p},{q})")
+    _require_tower_degree(y, q, f"the horizontal part of bidegree ({p},{q})")
     front = LinearMap.identity(x.spaces[p])
     for k in range(p, p + q):
         front = x.face(k, 0) @ front
@@ -529,6 +535,7 @@ def cyclic_cocycle_subspace(module: CocyclicModule, degree: int) -> Subspace:
     if degree > module.degree_cap - 1:
         raise LinAlgError(
             f"degree {degree} has no coboundary under cap {module.degree_cap}")
+    _require_tower_degree(module, degree, "the cocycle subspace")
     lam = module.tau(degree).scale(Fraction((-1) ** degree))
     constraints = [full_b(module, degree),
                    LinearMap.identity(module.spaces[degree]) - lam]
@@ -544,111 +551,136 @@ Coefficients = Union[CompatiblePair, tuple[SaydModule, SaydContramodule]]
 
 
 def _split_coefficients(coefficients: Coefficients):
+    """Checked module and contramodule, and the pair or None."""
     if isinstance(coefficients, CompatiblePair):
-        return coefficients.module, coefficients.contramodule, coefficients
-    module, contra = coefficients
-    return module, contra, None
+        module, contra, pair = coefficients.module, coefficients.contramodule, coefficients
+    else:
+        (module, contra), pair = coefficients, None
+    require(check_sayd_module(module), "module coefficients")
+    require(check_sayd_contramodule(contra), "contramodule coefficients")
+    return module, contra, pair
 
 
 @dataclass(frozen=True)
-class ConvolutionCupSetup:
-    """Everything needed to cup contramodule-valued algebra cochains with
-    module-coefficient coalgebra cochains through the convolution algebra."""
+class _CupSetup:
+    """The fields both families share.  The left cochains are the vertical
+    factor of the bicomplex, the right ones the horizontal factor.  A family
+    adds `_sides`, `_base` (the target algebra), `_comparison` and
+    `_check_comparison`."""
 
     algebra: ModuleAlgebra
-    coalgebra: ModuleCoalgebra
-    action: CoalgebraAction
     module: SaydModule
     contramodule: SaydContramodule
     pair: Optional[CompatiblePair]
     degree_cap: int
-    convolution: ConvolutionAlgebra
-    embedding: LinearMap
     algebra_cochains: HomCochainComplex
-    coalgebra_cochains: QuotientCochainComplex
     bicomplex: BicocyclicModule
     diagonal_module: CocyclicModule
     tensor_values: Contratensor
     pair_collapse: Optional[LinearMap]
     scalar_target: CocyclicModule
     tensor_target: CocyclicModule
+
+
+def _cup_setup(cls, algebra: ModuleAlgebra, coefficients, degree_cap: int,
+               target: Algebra, left, right, **parts):
+    """A `cls` setup on the cochain complexes `left` and `right`, with
+    products in the cochains of `target`."""
+    module, contra, pair = coefficients
+    bicomplex = tensor_bicocyclic(left.module, right.module)
+    tensor_values = contratensor(module, contra)
+    pair_collapse = None
+    if pair is not None:
+        require(check_compatible_pair(pair), "coefficient pair")
+        pair_collapse = collapse_map(pair, tensor_values)
+    return cls(
+        algebra=algebra, module=module, contramodule=contra, pair=pair,
+        degree_cap=degree_cap, bicomplex=bicomplex, diagonal_module=diagonal(bicomplex),
+        tensor_values=tensor_values, pair_collapse=pair_collapse,
+        scalar_target=plain_algebra_cocyclic(target, None, degree_cap),
+        tensor_target=plain_algebra_cocyclic(target, tensor_values.space, degree_cap),
+        **parts)
+
+
+@dataclass(frozen=True)
+class ConvolutionCupSetup(_CupSetup):
+    """Everything needed to cup contramodule-valued algebra cochains with
+    module-coefficient coalgebra cochains through the convolution algebra."""
+
+    coalgebra: ModuleCoalgebra
+    action: CoalgebraAction
+    convolution: ConvolutionAlgebra
+    embedding: LinearMap
+    coalgebra_cochains: QuotientCochainComplex
+
+    _sides = ("algebra-side", "coalgebra-side")
+
+    @property
+    def _base(self) -> Algebra:
+        return self.algebra.algebra
+
+    def _comparison(self, n: int, collapse: LinearMap, values: VectorSpace) -> LinearMap:
+        """psi, pulled back along the embedding of the algebra."""
+        pullback = hom_precompose(tensor_power_map(self.embedding, n + 1), values)
+        return pullback @ psi_matrix(self, n, collapse, values)
+
+    def _check_comparison(self, tensor_valued: bool) -> Report:
+        return check_psi(self, tensor_valued)
 
 
 def ac_cup_setup(algebra: ModuleAlgebra, coalgebra: ModuleCoalgebra,
                  action: CoalgebraAction, coefficients: Coefficients,
                  degree_cap: int = DEFAULT_DEGREE_CAP) -> ConvolutionCupSetup:
     module, contra, pair = _split_coefficients(coefficients)
-    require(check_sayd_module(module), "module coefficients")
-    require(check_sayd_contramodule(contra), "contramodule coefficients")
     if action.coalgebra.space != coalgebra.space or action.algebra.space != algebra.space:
         raise LinAlgError("the coalgebra action does not match the given algebra "
                           "and coalgebra")
     conv = convolution_algebra(action)
-    embedding = iota(action, conv)
     x = algebra_contra_cocyclic(algebra, contra, degree_cap)
     y = coalgebra_cocyclic(coalgebra, module, degree_cap)
-    bicomplex = tensor_bicocyclic(x.module, y.module)
-    diag = diagonal(bicomplex)
-    tensor_values = contratensor(module, contra)
-    pair_collapse = None
-    if pair is not None:
-        require(check_compatible_pair(pair), "coefficient pair")
-        pair_collapse = collapse_map(pair, tensor_values)
-    return ConvolutionCupSetup(
-        algebra, coalgebra, action, module, contra, pair, degree_cap,
-        conv, embedding, x, y, bicomplex, diag, tensor_values, pair_collapse,
-        plain_algebra_cocyclic(algebra.algebra, None, degree_cap),
-        plain_algebra_cocyclic(algebra.algebra, tensor_values.space, degree_cap))
+    return _cup_setup(ConvolutionCupSetup, algebra, (module, contra, pair), degree_cap,
+                      algebra.algebra, x, y, algebra_cochains=x, coalgebra=coalgebra,
+                      action=action, convolution=conv, embedding=iota(action, conv),
+                      coalgebra_cochains=y)
 
 
 @dataclass(frozen=True)
-class CrossedProductCupSetup:
+class CrossedProductCupSetup(_CupSetup):
     """Everything needed to cup colinear comodule-algebra cochains with
     contramodule-valued algebra cochains on the crossed product algebra."""
 
-    algebra: ModuleAlgebra
     comodule_algebra: ComoduleAlgebra
-    module: SaydModule
-    contramodule: SaydContramodule
-    pair: Optional[CompatiblePair]
-    degree_cap: int
     crossed: Algebra
     comodule_cochains: HomCochainComplex
-    algebra_cochains: HomCochainComplex
-    bicomplex: BicocyclicModule
-    diagonal_module: CocyclicModule
-    tensor_values: Contratensor
-    pair_collapse: Optional[LinearMap]
-    scalar_target: CocyclicModule
-    tensor_target: CocyclicModule
     # n -> _phi_transformer(self, n), built on first use
     _phi_transformers: dict = field(default_factory=dict, init=False, repr=False,
                                     compare=False)
+
+    _sides = ("comodule-side", "algebra-side")
+
+    @property
+    def _base(self) -> Algebra:
+        return self.crossed
+
+    def _comparison(self, n: int, collapse: LinearMap, values: VectorSpace) -> LinearMap:
+        return phi_matrix(self, n, collapse, values)
+
+    def _check_comparison(self, tensor_valued: bool) -> Report:
+        return check_phi(self, tensor_valued)
 
 
 def aa_cup_setup(algebra: ModuleAlgebra, comodule_algebra: ComoduleAlgebra,
                  coefficients: Coefficients,
                  degree_cap: int = DEFAULT_DEGREE_CAP) -> CrossedProductCupSetup:
     module, contra, pair = _split_coefficients(coefficients)
-    require(check_sayd_module(module), "module coefficients")
-    require(check_sayd_contramodule(contra), "contramodule coefficients")
     if algebra.hopf != comodule_algebra.hopf:
         raise LinAlgError("the two algebras live over different Hopf algebras")
     crossed = crossed_product(algebra, comodule_algebra)
     x = comodule_algebra_cocyclic(comodule_algebra, module, degree_cap)
     y = algebra_contra_cocyclic(algebra, contra, degree_cap)
-    bicomplex = tensor_bicocyclic(x.module, y.module)
-    diag = diagonal(bicomplex)
-    tensor_values = contratensor(module, contra)
-    pair_collapse = None
-    if pair is not None:
-        require(check_compatible_pair(pair), "coefficient pair")
-        pair_collapse = collapse_map(pair, tensor_values)
-    return CrossedProductCupSetup(
-        algebra, comodule_algebra, module, contra, pair, degree_cap,
-        crossed, x, y, bicomplex, diag, tensor_values, pair_collapse,
-        plain_algebra_cocyclic(crossed, None, degree_cap),
-        plain_algebra_cocyclic(crossed, tensor_values.space, degree_cap))
+    return _cup_setup(CrossedProductCupSetup, algebra, (module, contra, pair), degree_cap,
+                      crossed, x, y, algebra_cochains=y, comodule_algebra=comodule_algebra,
+                      crossed=crossed, comodule_cochains=x)
 
 
 # --------------------------------------------------------------------------
@@ -666,16 +698,15 @@ def _values(setup, tensor_valued: bool) -> tuple[LinearMap, VectorSpace]:
     return setup.pair.pairing, VectorSpace.ground()
 
 
-def _compare(cochains: LinearMap, factors, order, transformer: LinearMap,
-             collapse: LinearMap, values: VectorSpace,
-             source: Optional[VectorSpace] = None) -> LinearMap:
-    """Column j is collapse o k_j o transformer as a Hom vector on the
-    transformer's source, where k_j: D -> N (x) M is column j of `cochains`
-    once its tensor `factors` are put in `order` (D the transformer's target)."""
-    out = (hom_precompose(transformer, values)
-           @ hom_postcompose(transformer.target, collapse)
-           @ tensor_permutation(factors, order) @ cochains)
-    return relabel(out, source, hom_space(transformer.source, values))
+def _comparison_end(factors, order, transformer: LinearMap, collapse: LinearMap,
+                    values: VectorSpace) -> LinearMap:
+    """Column j of the end applied to a cochain product is collapse o k_j o
+    transformer as a Hom vector on the transformer's source, where
+    k_j: D -> N (x) M is column j of the product once its tensor `factors`
+    are put in `order` (D the transformer's target)."""
+    return (hom_precompose(transformer, values)
+            @ hom_postcompose(transformer.target, collapse)
+            @ tensor_permutation(factors, order))
 
 
 # --------------------------------------------------------------------------
@@ -702,15 +733,12 @@ def _psi(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
     # Hom(A^{(q+1)}, M) (x) N (x) C^{(q+1)} -> Hom(C^{(q+1)} (x) A^{(q+1)}, N (x) M)
     factors = [x.domains[q], x.values, setup.module.space,
                tensor_spaces([c] * (q + 1))]
-
-    def compare(representatives: LinearMap, source=None) -> LinearMap:
-        return _compare(tensor_map(x.subspaces[q].basis, representatives), factors,
-                        [3, 0, 2, 1], transformer, collapse, values, source)
-
-    seen = compare(y.relations[q])
+    end = _comparison_end(factors, [3, 0, 2, 1], transformer, collapse, values)
+    seen = end @ tensor_map(x.subspaces[q].basis, y.relations[q])
     width = y.relations[q].source.dim
     bad = sorted({j // width for j, col in enumerate(seen._cols) if col})
-    return compare(y.quotients[q].section, setup.diagonal_module.spaces[q]), bad
+    out = end @ tensor_map(x.subspaces[q].basis, y.quotients[q].section)
+    return relabel(out, setup.diagonal_module.spaces[q]), bad
 
 
 def psi_matrix(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
@@ -724,6 +752,7 @@ def psi_matrix(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
     must annihilate them, else the map would depend on the chosen
     representatives.
     """
+    _require_tower_degree(setup.diagonal_module, q, "the comparison map")
     out, bad = _psi(setup, q, collapse, values)
     if bad:
         raise LinAlgError(
@@ -791,6 +820,7 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
     one Kronecker product of the two cochain bases.  The transformer is built
     once per setup and degree and shared by every collapse.
     """
+    _require_tower_degree(setup.diagonal_module, n, "the comparison map")
     transformers = setup._phi_transformers
     if n not in transformers:
         cells = setup.crossed.space.dim ** (2 * (n + 1))
@@ -799,12 +829,12 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
                 f"the comparison map at degree {n} needs a transformer of {cells} cells, "
                 f"more than the limit of {PHI_MAX_CELLS}")
         transformers[n] = _phi_transformer(setup, n)
-    x = setup.comodule_cochains
-    y = setup.algebra_cochains
+    x, y = setup.comodule_cochains, setup.algebra_cochains
     # Hom(D, N) (x) Hom(E, M) -> Hom(D (x) E, N (x) M) reorders the factors
-    return _compare(tensor_map(x.subspaces[n].basis, y.subspaces[n].basis),
-                    [x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3],
-                    transformers[n], collapse, values, setup.diagonal_module.spaces[n])
+    end = _comparison_end([x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3],
+                          transformers[n], collapse, values)
+    return relabel(end @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis),
+                   setup.diagonal_module.spaces[n])
 
 
 def phi_scalar(setup: CrossedProductCupSetup, n: int) -> LinearMap:
@@ -864,22 +894,18 @@ def check_phi(setup: CrossedProductCupSetup, tensor_valued: bool = False,
 
 
 def check_collapse_factorization(setup, name: str = "collapse factorization") -> Report:
-    """Post-composing the contratensor-valued map with the pairing collapse
-    recovers the scalar map, degree by degree."""
+    """Post-composing the contratensor-valued comparison map into the target
+    cochains with the pairing collapse recovers the scalar one, degree by
+    degree."""
     if setup.pair_collapse is None:
         raise LinAlgError("no compatible pairing was provided")
     rep = Report(name)
-    cap = setup.degree_cap
-    if isinstance(setup, ConvolutionCupSetup):
-        base = setup.convolution.algebra.space
-        scalar, tensor = psi_scalar, psi_tensor
-    else:
-        base = setup.crossed.space
-        scalar, tensor = phi_scalar, phi_tensor
-    for q in range(cap + 1):
-        post = hom_postcompose(tensor_spaces([base] * (q + 1)), setup.pair_collapse)
+    for q in range(setup.degree_cap + 1):
+        post = hom_postcompose(tensor_spaces([setup._base.space] * (q + 1)),
+                               setup.pair_collapse)
         rep.check_equal(f"collapse of the tensor-valued map (degree {q})",
-                        post @ tensor(setup, q), scalar(setup, q))
+                        post @ setup._comparison(q, *_values(setup, True)),
+                        setup._comparison(q, *_values(setup, False)))
     return rep
 
 
@@ -919,31 +945,24 @@ def _finish(target: CocyclicModule, degree: int, top_vec: list[Fraction]) -> BBc
     return cocycle
 
 
-def _require_total_degree(setup, p: int, q: int) -> None:
+def _cup(setup, p: int, q: int, left, right, tensor_valued: bool) -> BBcocycle:
+    """The one product pipeline: validate both cochains, take the AW image of
+    their product, map it into the target cochains by the family's
+    comparison map and complete it to a (b, B)-cocycle."""
+    collapse, values = _values(setup, tensor_valued)
+    target = setup.tensor_target if tensor_valued else setup.scalar_target
     if p < 0 or q < 0:
         raise LinAlgError("degrees must be nonnegative")
     if p + q > setup.degree_cap - 1:
-        raise LinAlgError(
-            f"the product degree {p + q} must stay below the tower cap "
-            f"{setup.degree_cap}")
-
-
-def _cup_convolution(setup: ConvolutionCupSetup, p: int, q: int, left, right,
-                     tensor_valued: bool) -> BBcocycle:
-    collapse, values = _values(setup, tensor_valued)
-    target = setup.tensor_target if tensor_valued else setup.scalar_target
-    _require_total_degree(setup, p, q)
-    phi = _validated_cocycle(setup.algebra_cochains.module, p, left,
-                             "the algebra-side cochain")
-    omega = _validated_cocycle(setup.coalgebra_cochains.module, q, right,
-                               "the coalgebra-side cochain")
+        raise LinAlgError(f"the product degree {p + q} must stay below the tower cap "
+                          f"{setup.degree_cap}")
+    first, second = setup._sides
+    u = _validated_cocycle(setup.bicomplex.vertical_factor, p, left, f"the {first} cochain")
+    v = _validated_cocycle(setup.bicomplex.horizontal_factor, q, right,
+                           f"the {second} cochain")
     n = p + q
-    x_vec = [a * b for a in phi for b in omega]
-    y_vec = aw_map(setup.bicomplex, p, q).apply(x_vec)
-    z_conv = psi_matrix(setup, n, collapse, values).apply(y_vec)
-    pullback = hom_precompose(tensor_power_map(setup.embedding, n + 1), values)
-    z = relabel(pullback, None, target.spaces[n]).apply(z_conv)
-    return _finish(target, n, z)
+    y_vec = aw_map(setup.bicomplex, p, q).apply([a * b for a in u for b in v])
+    return _finish(target, n, setup._comparison(n, collapse, values).apply(y_vec))
 
 
 def cup_ac(setup: ConvolutionCupSetup, p: int, q: int, left, right) -> BBcocycle:
@@ -951,28 +970,12 @@ def cup_ac(setup: ConvolutionCupSetup, p: int, q: int, left, right) -> BBcocycle
     (b, B)-cocycle on plain cochains of the algebra (scalar values)."""
     if setup.pair_collapse is None:
         raise LinAlgError("no compatible pairing was provided; use cup_ac_general")
-    return _cup_convolution(setup, p, q, left, right, False)
+    return _cup(setup, p, q, left, right, False)
 
 
 def cup_ac_general(setup: ConvolutionCupSetup, p: int, q: int, left, right) -> BBcocycle:
     """The contratensor-valued variant: no pairing needed, values in L."""
-    return _cup_convolution(setup, p, q, left, right, True)
-
-
-def _cup_crossed(setup: CrossedProductCupSetup, psi_degree: int, phi_degree: int,
-                 left, right, tensor_valued: bool) -> BBcocycle:
-    collapse, values = _values(setup, tensor_valued)
-    target = setup.tensor_target if tensor_valued else setup.scalar_target
-    _require_total_degree(setup, psi_degree, phi_degree)
-    psi_vec = _validated_cocycle(setup.comodule_cochains.module, psi_degree, left,
-                                 "the comodule-side cochain")
-    phi_vec = _validated_cocycle(setup.algebra_cochains.module, phi_degree, right,
-                                 "the algebra-side cochain")
-    n = psi_degree + phi_degree
-    x_vec = [a * b for a in psi_vec for b in phi_vec]
-    y_vec = aw_map(setup.bicomplex, psi_degree, phi_degree).apply(x_vec)
-    z = phi_matrix(setup, n, collapse, values).apply(y_vec)
-    return _finish(target, n, z)
+    return _cup(setup, p, q, left, right, True)
 
 
 def cup_aa(setup: CrossedProductCupSetup, psi_degree: int, phi_degree: int,
@@ -981,13 +984,13 @@ def cup_aa(setup: CrossedProductCupSetup, psi_degree: int, phi_degree: int,
     (b, B)-cocycle on plain cochains of the crossed product (scalar values)."""
     if setup.pair_collapse is None:
         raise LinAlgError("no compatible pairing was provided; use cup_aa_general")
-    return _cup_crossed(setup, psi_degree, phi_degree, left, right, False)
+    return _cup(setup, psi_degree, phi_degree, left, right, False)
 
 
 def cup_aa_general(setup: CrossedProductCupSetup, psi_degree: int, phi_degree: int,
                    left, right) -> BBcocycle:
     """The contratensor-valued variant on the crossed product."""
-    return _cup_crossed(setup, psi_degree, phi_degree, left, right, True)
+    return _cup(setup, psi_degree, phi_degree, left, right, True)
 
 
 def collapse_bb(cocycle: BBcocycle, base_space: VectorSpace,

@@ -110,6 +110,13 @@ def _rational(value, where: str) -> Fraction:
     raise SpecError(where, f"not an exact rational: {value!r}")
 
 
+def _require_integer(value, least: int, where: str, message: str) -> int:
+    """An integer of at least `least`; JSON booleans are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise SpecError(where, message)
+    return value
+
+
 def _require_dict(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise SpecError(where, "expected an object")
@@ -178,6 +185,10 @@ def _coords(values, where: str) -> tuple[Fraction, ...]:
 # the parsed spec
 
 
+# The sections of checkable objects, in the order `hcc check` runs them.
+_OBJECT_SECTIONS = ("hopf_algebras", "algebras", "coalgebras", "comodule_algebras",
+                    "modules", "contramodules", "pairs", "coalgebra_actions")
+
 Checkable = Union[HopfAlgebra, Algebra, ModuleAlgebra, ModuleCoalgebra,
                   ComoduleAlgebra, SaydModule, SaydContramodule,
                   CompatiblePair, CoalgebraAction]
@@ -197,31 +208,13 @@ class SpecFile:
     cochains: dict[str, dict] = field(default_factory=dict)
     cup: dict[str, dict] = field(default_factory=dict)
 
-    def objects(self) -> list[tuple[str, str, Checkable]]:
-        """Every checkable object, in declaration order, as
-        (name, kind, object)."""
-        out = []
-        for name, obj in self.hopf_algebras.items():
-            out.append((name, "hopf algebra", obj))
-        for name, obj in self.algebras.items():
-            kind = "module algebra" if isinstance(obj, ModuleAlgebra) else "algebra"
-            out.append((name, kind, obj))
-        for name, obj in self.coalgebras.items():
-            out.append((name, "module coalgebra", obj))
-        for name, obj in self.comodule_algebras.items():
-            out.append((name, "comodule algebra", obj))
-        for name, obj in self.modules.items():
-            out.append((name, "coefficient module", obj))
-        for name, obj in self.contramodules.items():
-            out.append((name, "coefficient contramodule", obj))
-        for name, obj in self.pairs.items():
-            out.append((name, "compatible pair", obj))
-        for name, obj in self.coalgebra_actions.items():
-            out.append((name, "coalgebra action", obj))
-        return out
+    def objects(self) -> list[tuple[str, Checkable]]:
+        """Every checkable object, in declaration order, as (name, object)."""
+        return [(name, obj) for section in _OBJECT_SECTIONS
+                for name, obj in getattr(self, section).items()]
 
     def checkable_names(self) -> list[str]:
-        return ([name for name, _, _ in self.objects()]
+        return ([name for name, _ in self.objects()]
                 + list(self.constructions)
                 + [f"cup:{family}" for family in self.cup])
 
@@ -532,9 +525,8 @@ def _parse_construction(name: str, value, out: SpecFile) -> dict:
     if kind not in CONSTRUCTION_TYPES:
         raise SpecError(where, f"unknown construction type {kind!r}; known: "
                                f"{', '.join(CONSTRUCTION_TYPES)}")
-    cap = fields.get("degree_cap", DEFAULT_DEGREE_CAP)
-    if not isinstance(cap, int) or cap < 1:
-        raise SpecError(where, "'degree_cap' must be a positive integer")
+    _require_integer(fields.get("degree_cap", DEFAULT_DEGREE_CAP), 1, where,
+                   "'degree_cap' must be a positive integer")
     try:
         out.constructions[name] = fields
         out.build_construction(name, 1, exact=True)
@@ -550,9 +542,8 @@ def _parse_construction(name: str, value, out: SpecFile) -> dict:
 def _parse_cochain(name: str, value, out: SpecFile) -> dict:
     where = f"cochains.{name}"
     fields = _require_dict(value, where)
-    degree = fields.get("degree")
-    if not isinstance(degree, int) or degree < 0:
-        raise SpecError(where, "'degree' must be a nonnegative integer")
+    degree = _require_integer(fields.get("degree"), 0, where,
+                            "'degree' must be a nonnegative integer")
     return {"degree": degree,
             "coords": _coords(fields.get("coords"), f"{where}.coords")}
 
@@ -570,15 +561,24 @@ def _parse_cup(family: str, value, out: SpecFile) -> dict:
     else:
         out._module_algebra(fields.get("algebra"), where)
         SpecFile._ref(out.comodule_algebras, fields.get("comodule_algebra"), where)
-    cap = fields.get("degree_cap", DEFAULT_DEGREE_CAP)
-    if not isinstance(cap, int) or cap < 1:
-        raise SpecError(where, "'degree_cap' must be a positive integer")
+    _require_integer(fields.get("degree_cap", DEFAULT_DEGREE_CAP), 1, where,
+                   "'degree_cap' must be a positive integer")
     return fields
 
 
-_SECTIONS = ("hopf_algebras", "algebras", "coalgebras", "comodule_algebras",
-             "modules", "contramodules", "pairs", "coalgebra_actions",
-             "constructions", "cochains", "cup")
+_SECTIONS = _OBJECT_SECTIONS + ("constructions", "cochains", "cup")
+
+
+def _require_unique_names(spec: SpecFile) -> None:
+    """`hcc check` finds objects, constructions and cup families by name."""
+    seen = {}
+    for section in _OBJECT_SECTIONS + ("constructions", "cup"):
+        for name in getattr(spec, section):
+            key = f"cup:{name}" if section == "cup" else name
+            if key in seen:
+                raise SpecError(f"{section}.{name}",
+                                f"the name {key!r} is already declared in {seen[key]}")
+            seen[key] = section
 
 
 def parse_spec_data(data: dict) -> SpecFile:
@@ -616,6 +616,7 @@ def parse_spec_data(data: dict) -> SpecFile:
         out.cochains[name] = _parse_cochain(name, value, out)
     for family, value in _require_dict(data.get("cup", {}), "cup").items():
         out.cup[family] = _parse_cup(family, value, out)
+    _require_unique_names(out)
     return out
 
 

@@ -145,6 +145,37 @@ class TestParsing:
         with pytest.raises(SpecError, match="unknown construction type"):
             parse_spec_data(data)
 
+    def test_name_in_two_sections_rejected(self, tmp_path):
+        """`hcc check` finds objects by name, so a module coalgebra named like
+        the module algebra would hide the algebra from its checks."""
+        data = z2cup_data()
+        data["coalgebras"]["signed-line"] = data["coalgebras"].pop("regular-z2")
+        for fields in (data["coalgebra_actions"]["signed-eval"], data["cup"]["ac"],
+                       data["constructions"]["regular-cochains"]):
+            fields["coalgebra"] = "signed-line"
+        with pytest.raises(SpecError) as info:
+            parse_spec_data(data)
+        assert str(info.value) == ("coalgebras.signed-line: the name 'signed-line' "
+                                   "is already declared in algebras")
+        assert main(["check", write_spec(tmp_path, data)]) == 2
+
+    def test_construction_named_like_an_object_rejected(self):
+        data = z2cup_data()
+        data["constructions"]["z2"] = data["constructions"].pop("regular-cochains")
+        with pytest.raises(SpecError, match=r"^constructions\.z2: the name 'z2' is "
+                                            r"already declared in hopf_algebras$"):
+            parse_spec_data(data)
+
+    @pytest.mark.parametrize("section, name, key, message", [
+        ("constructions", "regular-cochains", "degree_cap", "'degree_cap' must be a positive"),
+        ("cup", "ac", "degree_cap", "'degree_cap' must be a positive"),
+        ("cochains", "phi", "degree", "'degree' must be a nonnegative")])
+    def test_boolean_is_not_an_integer(self, section, name, key, message):
+        data = z2cup_data()
+        data[section][name][key] = True
+        with pytest.raises(SpecError, match=message):
+            parse_spec_data(data)
+
     def test_malformed_json_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"hopf_algebras": {', encoding="utf-8")

@@ -224,6 +224,27 @@ def test_comparison_map_degree_guard(point_bicomplex):
         aw_map(point_bicomplex, 2, 2)
 
 
+def test_degrees_outside_the_tower_are_refused(demo_setups):
+    """No degree wraps around to the end of a tower."""
+    ac, aa = demo_setups
+    for p, q, side, degree in ((0, -1, "horizontal", -1), (-1, 2, "vertical", -1),
+                               (5, -2, "vertical", 5)):
+        with pytest.raises(LinAlgError, match=(
+                rf"^the {side} part of bidegree \({p},{q}\) has degree {degree}, "
+                r"outside the tower's degrees 0..3$")):
+            aw_map(ac.bicomplex, p, q)
+    with pytest.raises(LinAlgError, match=r"^bidegree \(4,0\) exceeds the cap 3$"):
+        aw_map(ac.bicomplex, 4, 0)
+    for comparison, setup in ((psi_scalar, ac), (psi_tensor, ac), (phi_scalar, aa),
+                              (phi_tensor, aa)):
+        for n in (-1, 4):
+            with pytest.raises(LinAlgError, match=(
+                    rf"^the comparison map has degree {n}, outside the tower's degrees 0..3$")):
+                comparison(setup, n)
+    with pytest.raises(LinAlgError, match="outside the tower's degrees 0..3"):
+        cyclic_cocycle_subspace(ac.scalar_target, -1)
+
+
 def test_tensor_bicocyclic_cap_mismatch(triv):
     three = plain_algebra_cocyclic(triv.algebra, degree_cap=3)
     two = plain_algebra_cocyclic(triv.algebra, degree_cap=2)
