@@ -550,7 +550,7 @@ def cyclic_cocycle_subspace(module: CocyclicModule, degree: int) -> Subspace:
 Coefficients = Union[CompatiblePair, tuple[SaydModule, SaydContramodule]]
 
 
-def _split_coefficients(coefficients: Coefficients):
+def _checked_coefficients(coefficients: Coefficients):
     """Checked module and contramodule, and the pair or None."""
     if isinstance(coefficients, CompatiblePair):
         module, contra, pair = coefficients.module, coefficients.contramodule, coefficients
@@ -631,7 +631,7 @@ class ConvolutionCupSetup(_CupSetup):
 def ac_cup_setup(algebra: ModuleAlgebra, coalgebra: ModuleCoalgebra,
                  action: CoalgebraAction, coefficients: Coefficients,
                  degree_cap: int = DEFAULT_DEGREE_CAP) -> ConvolutionCupSetup:
-    module, contra, pair = _split_coefficients(coefficients)
+    module, contra, pair = _checked_coefficients(coefficients)
     if action.coalgebra.space != coalgebra.space or action.algebra.space != algebra.space:
         raise LinAlgError("the coalgebra action does not match the given algebra "
                           "and coalgebra")
@@ -672,7 +672,7 @@ class CrossedProductCupSetup(_CupSetup):
 def aa_cup_setup(algebra: ModuleAlgebra, comodule_algebra: ComoduleAlgebra,
                  coefficients: Coefficients,
                  degree_cap: int = DEFAULT_DEGREE_CAP) -> CrossedProductCupSetup:
-    module, contra, pair = _split_coefficients(coefficients)
+    module, contra, pair = _checked_coefficients(coefficients)
     if algebra.hopf != comodule_algebra.hopf:
         raise LinAlgError("the two algebras live over different Hopf algebras")
     crossed = crossed_product(algebra, comodule_algebra)

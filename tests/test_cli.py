@@ -147,7 +147,8 @@ class TestParsing:
 
     def test_name_in_two_sections_rejected(self, tmp_path):
         """`hcc check` finds objects by name, so a module coalgebra named like
-        the module algebra would hide the algebra from its checks."""
+        the module algebra would hide the algebra from its checks, and a
+        construction named like the Hopf algebra would never be verified."""
         data = z2cup_data()
         data["coalgebras"]["signed-line"] = data["coalgebras"].pop("regular-z2")
         for fields in (data["coalgebra_actions"]["signed-eval"], data["cup"]["ac"],
@@ -158,8 +159,6 @@ class TestParsing:
         assert str(info.value) == ("coalgebras.signed-line: the name 'signed-line' "
                                    "is already declared in algebras")
         assert main(["check", write_spec(tmp_path, data)]) == 2
-
-    def test_construction_named_like_an_object_rejected(self):
         data = z2cup_data()
         data["constructions"]["z2"] = data["constructions"].pop("regular-cochains")
         with pytest.raises(SpecError, match=r"^constructions\.z2: the name 'z2' is "
