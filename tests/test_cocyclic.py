@@ -1,7 +1,9 @@
 """Structural checks for the cocyclic constructions and their cohomology."""
 
+import dataclasses
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -263,6 +265,56 @@ def test_perturbed_coface_fails_named_identities(z2):
     names = failures(report)
     assert "s0 d1 = id (degree 1)" in names
     assert "t d1 = d0 t (degree 1)" in names
+
+
+# ------------------------------------------------------------ pinned failure reports
+#
+# sha256 of the full JSON report of a check run on a structure with one entry
+# perturbed.  No golden report holds a failing entry, so these pin the names,
+# verdicts and witnesses ("first residual ... at row ..., column ...") that a
+# failing check must keep.
+
+WITNESS = re.compile(r"first residual -?\d+ at row '[^']+', column '[^']+'")
+
+PINNED_FAILURE_DIGESTS = {
+    "coface": "9ca5cc4dc7af27bd0382fc60370f8de857b80343961e2f55c5b5c950256b4ec9",
+    "mixed b": "e7ed41e20be1df3456e5d93761d167e8dbaee50052235b7b843306e6d94ea61c",
+}
+
+
+def perturbed(m, i, j):
+    """m with 1 added to entry (i, j)."""
+    return m + LinearMap.from_entries(m.source, m.target, [(i, j, 1)])
+
+
+def report_digest(report):
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+def failure_details(report):
+    return {e.name: e.detail for e in report.entries if not e.passed}
+
+
+def test_perturbed_coface_report_is_pinned():
+    good = plain_algebra_cocyclic(sweedler_h4().algebra, degree_cap=3)
+    faces = [list(row) for row in good.faces]
+    faces[1][1] = perturbed(faces[1][1], 21, 6)
+    bad = dataclasses.replace(good, faces=tuple(tuple(row) for row in faces))
+    report = verify_cocyclic(bad, "perturbed sweedler4")
+    details = failure_details(report)
+    assert len(details) == 9
+    assert WITNESS.fullmatch(details["d2 d1 = d1 d1 (degree 1)"])
+    assert report_digest(report) == PINNED_FAILURE_DIGESTS["coface"]
+
+
+def test_perturbed_b_report_is_pinned():
+    view = mixed_complex(plain_algebra_cocyclic(sweedler_h4().algebra, degree_cap=3))
+    bad = dataclasses.replace(view, b=(view.b[0], perturbed(view.b[1], 3, 2), *view.b[2:]))
+    report = check_mixed_complex(bad, "perturbed b")
+    details = failure_details(report)
+    assert sorted(details) == ["b B + B b = 0 (degree 1)", "b b = 0 (degree 1)"]
+    assert all(WITNESS.fullmatch(d) for d in details.values())
+    assert report_digest(report) == PINNED_FAILURE_DIGESTS["mixed b"]
 
 
 # ------------------------------------------------------------ mixed complex

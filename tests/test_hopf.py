@@ -1,5 +1,8 @@
 """Hopf algebra builders, axiom checkers, and derived algebras."""
 
+import dataclasses
+import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -99,6 +102,21 @@ class TestHopfAxioms:
         assert "left counit law" in bad_names
         entry = rep.first_failure()
         assert "residual" in entry.detail
+
+    def test_perturbed_antipode_report_is_pinned(self):
+        """The full report, witnesses included, on sweedler4 with one antipode
+        entry perturbed; sha256 recorded before identity checks compared
+        stored forms first."""
+        h = sweedler_h4()
+        bump = LinearMap.from_entries(h.space, h.space, [(1, 2, Fraction(1))])
+        rep = check_hopf_axioms(dataclasses.replace(h, antipode=h.antipode + bump))
+        details = {e.name: e.detail for e in rep.entries if not e.passed}
+        assert sorted(details) == ["antipode inverse left", "antipode inverse right",
+                                   "antipode left axiom", "antipode right axiom"]
+        assert all(re.fullmatch(r"first residual -?\d+ at row '[^']+', column '[^']+'", d)
+                   for d in details.values())
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == \
+            "89c966b4c406fb2804839b74594f1279b6340cd6d617c7625a4d0a75ccf0f0d4"
 
     def test_iterated_comultiplication(self):
         h = z2()
