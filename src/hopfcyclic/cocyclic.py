@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .coefficients import SaydContramodule, SaydModule, contramodule_stability_map, dualize
 from .hopf import Algebra, ComoduleAlgebra, HopfAlgebra, ModuleAlgebra, ModuleCoalgebra
@@ -114,13 +114,24 @@ class CocyclicModule:
                 raise LinAlgError(f"cyclic operator shape mismatch at degree {n}")
 
     def face(self, n: int, i: int) -> LinearMap:
+        if not (0 <= n < self.degree_cap and 0 <= i <= n + 1):
+            _refuse(self, f"coface d{i} out of degree {n}")
         return self.faces[n][i]
 
     def degeneracy(self, n: int, j: int) -> LinearMap:
+        if not 0 <= j < n <= self.degree_cap:
+            _refuse(self, f"codegeneracy s{j} out of degree {n}")
         return self.degeneracies[n][j]
 
     def tau(self, n: int) -> LinearMap:
+        if not 0 <= n <= self.degree_cap:
+            _refuse(self, f"cyclic operator at degree {n}")
         return self.cyclic[n]
+
+
+def _refuse(module: CocyclicModule, what: str) -> NoReturn:
+    raise LinAlgError(f"{what} is outside the tower, which is capped at degree "
+                      f"{module.degree_cap}")
 
 
 def verify_cocyclic(module: CocyclicModule, name: str = "cocyclic module") -> Report:
@@ -598,6 +609,8 @@ def check_dualization(iso: DualizationIsomorphism,
 
 def full_b(module: CocyclicModule, n: int) -> LinearMap:
     """Alternating sum of the cofaces out of degree n, built once per tower."""
+    if not 0 <= n < module.degree_cap:
+        _refuse(module, f"the Hochschild coboundary out of degree {n}")
     cache = module._memo
     if ("b", n) not in cache:
         out = module.faces[n][0]
@@ -610,6 +623,8 @@ def full_b(module: CocyclicModule, n: int) -> LinearMap:
 
 def full_B(module: CocyclicModule, n: int) -> LinearMap:
     """The Connes boundary C^n -> C^{n-1} (n >= 1), built once per tower."""
+    if not 1 <= n <= module.degree_cap:
+        _refuse(module, f"the Connes boundary out of degree {n}")
     cache = module._memo
     if ("B", n) not in cache:
         base = module.degeneracies[n][n - 1] @ module.cyclic[n]
@@ -683,8 +698,8 @@ def check_mixed_complex(view: MixedComplexView, name: str = "mixed complex") -> 
     for n in range(2, cap + 1):
         rep.check_zero(f"B B = 0 (degree {n})", view.B[n - 1] @ view.B[n])
     for n in range(1, cap):
-        rep.check_zero(f"b B + B b = 0 (degree {n})",
-                       view.b[n - 1] @ view.B[n] + view.B[n + 1] @ view.b[n])
+        rep.check_equal(f"b B + B b = 0 (degree {n})",
+                        view.b[n - 1] @ view.B[n], -(view.B[n + 1] @ view.b[n]))
     return rep
 
 

@@ -302,8 +302,8 @@ def check_total_mixed_complex(total: TotalMixedComplex,
     for n in range(2, cap + 1):
         rep.check_zero(f"B B = 0 (degree {n})", total.B[n - 1] @ total.B[n])
     for n in range(1, cap):
-        rep.check_zero(f"b B + B b = 0 (degree {n})",
-                       total.b[n - 1] @ total.B[n] + total.B[n + 1] @ total.b[n])
+        rep.check_equal(f"b B + B b = 0 (degree {n})",
+                        total.b[n - 1] @ total.B[n], -(total.B[n + 1] @ total.b[n]))
     return rep
 
 

@@ -223,10 +223,18 @@ class LinearMap:
         a = self._cols
         cols = []
         for col in other._cols:
+            if len(col) == 1:
+                # one entry b in row k: column k of self times b, never zero
+                (k, b), = col.items()
+                cols.append(dict(a[k]) if b == 1 else {i: v * b for i, v in a[k].items()})
+                continue
             acc = {}
             for k, b in col.items():
                 for i, v in a[k].items():
-                    acc[i] = acc.get(i, 0) + v * b
+                    if i in acc:
+                        acc[i] += v * b
+                    else:
+                        acc[i] = v * b
             cols.append({i: v for i, v in acc.items() if v})
         return _canonical(other.source, self.target, cols, self._den * other._den)
 

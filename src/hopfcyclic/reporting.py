@@ -4,6 +4,11 @@ Every checker in this package returns a Report: a named, ordered list of
 entries, each recording one exact matrix identity together with, on failure,
 the first offending matrix entry (row/column basis labels and the exact
 rational residual).  Rendering is deterministic byte for byte.
+
+An identity lhs = rhs passes as soon as the two maps are stored alike, which
+costs one comparison.  Only otherwise is the residual lhs - rhs computed: it
+is zero for maps that are equal but stored differently, and its first nonzero
+entry is the witness of a failure.
 """
 
 from __future__ import annotations
@@ -58,7 +63,10 @@ class Report:
         if lhs.shape != rhs.shape:
             self.add(name, False, f"shape mismatch {lhs.shape} vs {rhs.shape}")
             return
-        self.check_zero(name, lhs - rhs)
+        if lhs == rhs:
+            self.add(name, True)
+        else:
+            self.check_zero(name, lhs - rhs)
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for e in other.entries:

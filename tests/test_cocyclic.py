@@ -267,6 +267,34 @@ def test_perturbed_coface_fails_named_identities(z2):
     assert "t d1 = d0 t (degree 1)" in names
 
 
+OUT_OF_TOWER_CALLS = {
+    "tau(-1)": lambda m: m.tau(-1),
+    "tau(4)": lambda m: m.tau(4),
+    "face(-1, 0)": lambda m: m.face(-1, 0),
+    "face(3, 0)": lambda m: m.face(3, 0),
+    "face(1, -1)": lambda m: m.face(1, -1),
+    "face(1, 3)": lambda m: m.face(1, 3),
+    "degeneracy(0, 0)": lambda m: m.degeneracy(0, 0),
+    "degeneracy(4, 0)": lambda m: m.degeneracy(4, 0),
+    "degeneracy(2, -1)": lambda m: m.degeneracy(2, -1),
+    "degeneracy(2, 2)": lambda m: m.degeneracy(2, 2),
+    "full_b(-1)": lambda m: full_b(m, -1),
+    "full_b(3)": lambda m: full_b(m, 3),
+    "full_B(-1)": lambda m: full_B(m, -1),
+    "full_B(0)": lambda m: full_B(m, 0),
+    "full_B(4)": lambda m: full_B(m, 4),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_TOWER_CALLS)
+def test_operators_outside_the_tower_are_refused(call):
+    """Negative degrees and indices used to wrap around to the top of the
+    tower (tau(-1) was the degree-3 operator); every one is refused."""
+    module = plain_algebra_cocyclic(sweedler_h4().algebra, degree_cap=3)
+    with pytest.raises(LinAlgError, match="outside the tower, which is capped at degree 3"):
+        OUT_OF_TOWER_CALLS[call](module)
+
+
 # ------------------------------------------------------------ pinned failure reports
 #
 # sha256 of the full JSON report of a check run on a structure with one entry

@@ -101,6 +101,32 @@ def from_sympy(sm: sympy.Matrix, src, tgt) -> LinearMap:
     return LinearMap.from_rows(src, tgt, rows)
 
 
+# entries of single-entry columns: units, a negative fraction, and both sides of 2**64
+MONOMIAL_VALUES = (Fraction(1), Fraction(-1), Fraction(-7, 3), Fraction(2**64 + 13),
+                   Fraction(-(2**70), 2**65 + 1))
+
+
+def rand_mixed_map(rng, src, tgt):
+    """Columns that are empty, hold one entry or hold several, at random."""
+    entries = []
+    for j in range(src.dim):
+        rows = rng.sample(range(tgt.dim), min(tgt.dim, rng.choice((0, 1, 1, 3))))
+        entries += [(i, j, rng.choice(MONOMIAL_VALUES)) for i in rows]
+    return LinearMap.from_entries(src, tgt, entries)
+
+
+def compose_factors(rng, src, tgt):
+    """Maps src -> tgt of every column shape the compose kernel tells apart."""
+    rows = [rng.randrange(tgt.dim) for _ in range(src.dim)] if tgt.dim else []
+    out = [LinearMap.from_entries(src, tgt, [(i, j, rng.choice(MONOMIAL_VALUES))
+                                             for j, i in enumerate(rows)]),
+           rand_mixed_map(rng, src, tgt), rand_map(rng, src, tgt)]
+    if src.dim == tgt.dim:
+        perm = rng.sample(range(src.dim), src.dim)
+        out.append(LinearMap.from_entries(src, tgt, [(i, j, 1) for j, i in enumerate(perm)]))
+    return out
+
+
 class TestArithmetic:
     def test_matmul_matches_sympy(self):
         rng = random.Random(101)
@@ -113,6 +139,21 @@ class TestArithmetic:
             for c in (VectorSpace.make(0), VectorSpace.make(9)):
                 g = rand_sparse_map(rng, b, c, huge=rng.random() < 0.5)
                 assert to_sympy(g @ f) == to_sympy(g) * to_sympy(f)
+
+    def test_matmul_with_single_entry_columns_matches_sympy(self):
+        """Permutation, monomial and mixed factors, zero-dimensional spaces
+        included; no product shares a column dict with a factor."""
+        rng = random.Random(117)
+        for a, b, c in itertools.product((0, 1, 6), repeat=3):
+            a, b, c = VectorSpace.make(a), VectorSpace.make(b), VectorSpace.make(c)
+            for f, g in itertools.product(compose_factors(rng, a, b), compose_factors(rng, b, c)):
+                product = g @ f
+                assert to_sympy(product) == to_sympy(g) * to_sympy(f)
+                before = f.fractions(), g.fractions()
+                for col in product._cols:
+                    col.clear()
+                    col[0] = 99
+                assert (f.fractions(), g.fractions()) == before
 
     def test_add_sub_scale_match_sympy(self):
         rng = random.Random(102)
