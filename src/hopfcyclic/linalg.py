@@ -231,10 +231,7 @@ class LinearMap:
             acc = {}
             for k, b in col.items():
                 for i, v in a[k].items():
-                    if i in acc:
-                        acc[i] += v * b
-                    else:
-                        acc[i] = v * b
+                    acc[i] = acc.get(i, 0) + v * b
             cols.append({i: v for i, v in acc.items() if v})
         return _canonical(other.source, self.target, cols, self._den * other._den)
 
