@@ -105,8 +105,7 @@ class TestHopfAxioms:
 
     def test_perturbed_antipode_report_is_pinned(self):
         """The full report, witnesses included, on sweedler4 with one antipode
-        entry perturbed; sha256 recorded before identity checks compared
-        stored forms first."""
+        entry perturbed."""
         h = sweedler_h4()
         bump = LinearMap.from_entries(h.space, h.space, [(1, 2, Fraction(1))])
         rep = check_hopf_axioms(dataclasses.replace(h, antipode=h.antipode + bump))
