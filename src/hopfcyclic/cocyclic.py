@@ -52,8 +52,6 @@ from .linalg import (
     VectorSpace,
     cokernel,
     hom_space,
-    hom_vector_to_map,
-    map_to_hom_vector,
     relabel,
     rref,
     slot_map,
@@ -304,13 +302,6 @@ class HomCochainComplex:
     domains: tuple[VectorSpace, ...]
     values: VectorSpace
 
-    def basis_map(self, n: int, k: int) -> LinearMap:
-        vec = self.subspaces[n].basis.column(k)
-        return hom_vector_to_map(vec, self.domains[n], self.values)
-
-    def coords_of_map(self, n: int, m: LinearMap) -> list[Fraction]:
-        return self.subspaces[n].coords(map_to_hom_vector(m))
-
 
 @dataclass(frozen=True)
 class QuotientCochainComplex:
@@ -322,11 +313,13 @@ class QuotientCochainComplex:
     relations: tuple[LinearMap, ...]
 
 
-def _induced(op: LinearMap, source: Subspace, target: Subspace, what: str) -> LinearMap:
+def _induced(op: LinearMap, source: Subspace, target: Subspace, message: str) -> LinearMap:
+    """The map source -> target induced by `op`, refused with `message`
+    when `op` does not carry source into target."""
     try:
         return target.restrict_from(op, source)
     except MembershipError as exc:
-        raise LinAlgError(f"{what} does not preserve the cochain space") from exc
+        raise LinAlgError(message) from exc
 
 
 def _descend(op: LinearMap, relation: LinearMap, source: Quotient, target: Quotient,
@@ -338,7 +331,8 @@ def _descend(op: LinearMap, relation: LinearMap, source: Quotient, target: Quoti
 
 def _hom_tower(subspaces, domains, values, operators) -> HomCochainComplex:
     def induce(op, s, t, what):
-        return _induced(op, subspaces[s], subspaces[t], what)
+        return _induced(op, subspaces[s], subspaces[t],
+                        f"{what} does not preserve the cochain space")
     module = _realize([sub.space for sub in subspaces], operators, induce)
     return HomCochainComplex(module, tuple(subspaces), tuple(domains), values)
 
@@ -553,18 +547,11 @@ def dualization_isomorphism(algebra: ModuleAlgebra, coefficients: SaydModule,
                           module_side.subspaces[n].ambient, contra_side.subspaces[n].ambient)
         amb_bwd = relabel(tensor_permutation([power, contra_side.values], [1, 0]),
                           contra_side.subspaces[n].ambient, module_side.subspaces[n].ambient)
-        try:
-            fwd = contra_side.subspaces[n].restrict_from(amb_fwd, module_side.subspaces[n])
-        except MembershipError as exc:
-            raise LinAlgError(
-                f"transposition does not land in the equivariant cochains at degree {n}"
-            ) from exc
-        try:
-            bwd = module_side.subspaces[n].restrict_from(amb_bwd, contra_side.subspaces[n])
-        except MembershipError as exc:
-            raise LinAlgError(
-                f"inverse transposition does not land in the balanced functionals at degree {n}"
-            ) from exc
+        fwd = _induced(amb_fwd, module_side.subspaces[n], contra_side.subspaces[n],
+                       f"transposition does not land in the equivariant cochains at degree {n}")
+        bwd = _induced(
+            amb_bwd, contra_side.subspaces[n], module_side.subspaces[n],
+            f"inverse transposition does not land in the balanced functionals at degree {n}")
         if bwd @ fwd != LinearMap.identity(module_side.module.spaces[n]):
             raise LinAlgError(f"transposition round trip fails at degree {n}")
         if fwd @ bwd != LinearMap.identity(contra_side.module.spaces[n]):
@@ -671,23 +658,15 @@ def mixed_complex(module: CocyclicModule) -> MixedComplexView:
     normalized = tuple(
         solve_constrained_subspace(module.spaces[n], list(module.degeneracies[n]), prefix="n")
         for n in range(cap + 1))
-    b = []
-    for n in range(cap):
-        try:
-            b.append(normalized[n + 1].restrict_from(full_b(module, n), normalized[n]))
-        except MembershipError as exc:
-            raise LinAlgError(
-                f"the Hochschild coboundary leaves the normalized complex at degree {n}"
-            ) from exc
-    big_b: list[Optional[LinearMap]] = [None]
-    for n in range(1, cap + 1):
-        try:
-            big_b.append(normalized[n - 1].restrict_from(full_B(module, n), normalized[n]))
-        except MembershipError as exc:
-            raise LinAlgError(
-                f"the Connes boundary leaves the normalized complex at degree {n}"
-            ) from exc
-    return MixedComplexView(module, normalized, tuple(b), tuple(big_b))
+    b = tuple(
+        _induced(full_b(module, n), normalized[n], normalized[n + 1],
+                 f"the Hochschild coboundary leaves the normalized complex at degree {n}")
+        for n in range(cap))
+    big_b = (None, *(
+        _induced(full_B(module, n), normalized[n], normalized[n - 1],
+                 f"the Connes boundary leaves the normalized complex at degree {n}")
+        for n in range(1, cap + 1)))
+    return MixedComplexView(module, normalized, b, big_b)
 
 
 def check_mixed_complex(view: MixedComplexView, name: str = "mixed complex") -> Report:
@@ -770,12 +749,8 @@ def cyclic_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     fixed = _cyclic_fixed(module, n)
     image = LinearMap.zero(VectorSpace.make(0), fixed.space)
     if n >= 1:
-        try:
-            image = fixed.restrict_from(full_b(module, n - 1), _cyclic_fixed(module, n - 1))
-        except MembershipError as exc:
-            raise LinAlgError(
-                f"the coboundary does not preserve the cyclic eigenspace at degree {n}"
-            ) from exc
+        image = _induced(full_b(module, n - 1), _cyclic_fixed(module, n - 1), fixed,
+                         f"the coboundary does not preserve the cyclic eigenspace at degree {n}")
     reps = _quotient_representatives(full_b(module, n) @ fixed.basis, image)
     ambient_reps = tuple(tuple(fixed.basis.apply(r)) for r in reps)
     return CohomologyResult(n, len(reps), ambient_reps, module.spaces[n])

@@ -30,6 +30,11 @@ so nothing is rebuilt or eliminated on a bicomplex space.  Likewise psi and
 phi are each one Kronecker product of the two factors' cochain bases, with
 its factors reordered, collapsed into the values and precomposed with one
 transformer out of the target algebra's tensor power.
+
+Each fact is checked once: `check_bicocyclic` reads its row and column
+entries off one `verify_cocyclic` of each factor, its cross entries hold by
+the interchange law of the Kronecker product, and psi decides its
+well-definedness once per setup, degree and collapse.
 """
 
 from __future__ import annotations
@@ -56,8 +61,10 @@ from .cocyclic import (
     HomCochainComplex,
     QuotientCochainComplex,
     _diagonal_coactions,
+    _induced,
     _powers,
     algebra_contra_cocyclic,
+    check_mixed_complex,
     coalgebra_cocyclic,
     comodule_algebra_cocyclic,
     full_B,
@@ -150,53 +157,41 @@ def tensor_bicocyclic(x: CocyclicModule, y: CocyclicModule) -> BicocyclicModule:
     return BicocyclicModule(x.degree_cap, x, y)
 
 
-def _operators_from(tower: CocyclicModule, n: int) -> dict[str, tuple[int, LinearMap]]:
-    """Name -> (degree shift, operator) for every operator out of degree n."""
-    ops = {}
-    if n < tower.degree_cap:
-        ops.update((f"d{i}", (1, f)) for i, f in enumerate(tower.faces[n]))
-    ops.update((f"s{j}", (-1, s)) for j, s in enumerate(tower.degeneracies[n]))
-    ops["t"] = (0, tower.cyclic[n])
-    return ops
+def _operator_names(cap: int, n: int) -> list[str]:
+    """The names of the operators out of degree n of a tower capped at `cap`."""
+    faces = [f"d{i}" for i in range(n + 2)] if n < cap else []
+    return faces + [f"s{j}" for j in range(n)] + ["t"]
 
 
 def check_bicocyclic(module: BicocyclicModule,
                      name: str = "bicocyclic module") -> Report:
-    """Row/column cocyclic identities plus all cross-direction commutations."""
+    """Row and column cocyclic identities plus all cross-direction commutations.
+
+    Every operator of X (x) Y is f (x) id or id (x) g for an operator of a
+    factor.  Entry `vertical tower q=<q>: <name>` is X's identity <name>
+    tensored with id on Y^q, which holds iff it holds in X or Y^q is zero: it
+    takes the verdict and witness of one `verify_cocyclic` of X, and passes
+    when Y^q is zero.  The `horizontal tower p=<p>` entries are read off Y
+    the same way.  Each `vertical v commutes with horizontal h` entry is the
+    interchange law (v (x) 1)(1 (x) h) = v (x) h = (1 (x) h)(v (x) 1), which
+    holds by construction and is recorded as holding.  No map is built on a
+    bicomplex space.
+    """
     rep = Report(name)
     x, y = module.vertical_factor, module.horizontal_factor
     cap = module.degree_cap
-
-    def lifted(tower, lift, spaces):
-        return CocyclicModule(
-            cap, tuple(spaces), tuple(tuple(map(lift, row)) for row in tower.faces),
-            tuple(tuple(map(lift, row)) for row in tower.degeneracies),
-            tuple(map(lift, tower.cyclic)))
-
-    columns, rows = [], []
-    for q in range(cap + 1):
-        id_y = LinearMap.identity(y.spaces[q])
-        columns.append(lifted(x, lambda f: tensor_map(f, id_y),
-                              (module.space(p, q) for p in range(cap + 1))))
-        rep.extend(verify_cocyclic(columns[q]), f"vertical tower q={q}: ")
-    for p in range(cap + 1):
-        id_x = LinearMap.identity(x.spaces[p])
-        rows.append(lifted(y, lambda g: tensor_map(id_x, g),
-                           (module.space(p, q) for q in range(cap + 1))))
-        rep.extend(verify_cocyclic(rows[p]), f"horizontal tower p={p}: ")
-
-    # vertical[q][p]: the operators out of bidegree (p, q) in direction X
-    vertical = [[_operators_from(c, p) for p in range(cap + 1)] for c in columns]
-    horizontal = [[_operators_from(r, q) for q in range(cap + 1)] for r in rows]
+    for factor, other, label in ((x, y, "vertical tower q"), (y, x, "horizontal tower p")):
+        entries = verify_cocyclic(factor).entries
+        for k, space in enumerate(other.spaces):
+            for e in entries:
+                held = e.passed or space.dim == 0
+                rep.add(f"{label}={k}: {e.name}", held, "" if held else e.detail)
     for p in range(cap + 1):
         for q in range(cap + 1):
-            for vname, (dp, v) in vertical[q][p].items():
-                for hname, (dq, h) in horizontal[p][q].items():
-                    rep.check_equal(
-                        f"vertical {vname} commutes with horizontal {hname} "
-                        f"(bidegree ({p},{q}))",
-                        vertical[q + dq][p][vname][1] @ h,
-                        horizontal[p + dp][q][hname][1] @ v)
+            for v in _operator_names(cap, p):
+                for h in _operator_names(cap, q):
+                    rep.add(f"vertical {v} commutes with horizontal {h} "
+                            f"(bidegree ({p},{q}))", True)
     return rep
 
 
@@ -295,16 +290,8 @@ def total_complex(module: BicocyclicModule) -> TotalMixedComplex:
 
 def check_total_mixed_complex(total: TotalMixedComplex,
                               name: str = "total mixed complex") -> Report:
-    rep = Report(name)
-    cap = total.underlying.degree_cap
-    for n in range(cap - 1):
-        rep.check_zero(f"b b = 0 (degree {n})", total.b[n + 1] @ total.b[n])
-    for n in range(2, cap + 1):
-        rep.check_zero(f"B B = 0 (degree {n})", total.B[n - 1] @ total.B[n])
-    for n in range(1, cap):
-        rep.check_equal(f"b B + B b = 0 (degree {n})",
-                        total.b[n - 1] @ total.B[n], -(total.B[n + 1] @ total.b[n]))
-    return rep
+    """The mixed-complex laws of the total complex, as `check_mixed_complex`."""
+    return check_mixed_complex(total, name)
 
 
 # --------------------------------------------------------------------------
@@ -336,12 +323,9 @@ def assembled_aw(total: TotalMixedComplex, diagonal_normalized: Subspace,
     blocks = {}
     for p in range(n + 1):
         q = n - p
-        ambient = aw_map(module, p, q) @ total.block_subspaces[p][q].basis
-        coords = diagonal_normalized.coords_matrix() @ ambient
-        if diagonal_normalized.basis @ coords != ambient:
-            raise LinAlgError(
-                f"the comparison map does not preserve normalization at bidegree ({p},{q})")
-        blocks[(0, p)] = coords
+        blocks[(0, p)] = _induced(
+            aw_map(module, p, q), total.block_subspaces[p][q], diagonal_normalized,
+            f"the comparison map does not preserve normalization at bidegree ({p},{q})")
     return from_blocks(sources, [diagonal_normalized.space], blocks,
                        source_space=total.spaces[n],
                        target_space=diagonal_normalized.space)
@@ -580,6 +564,9 @@ class _CupSetup:
     pair_collapse: Optional[LinearMap]
     scalar_target: CocyclicModule
     tensor_target: CocyclicModule
+    # ("phi", n) -> _phi_transformer(self, n); ("psi", q, id(collapse)) ->
+    # (collapse, _psi_relation_witnesses); each built on first use
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _cup_setup(cls, algebra: ModuleAlgebra, coefficients, degree_cap: int,
@@ -652,9 +639,6 @@ class CrossedProductCupSetup(_CupSetup):
     comodule_algebra: ComoduleAlgebra
     crossed: Algebra
     comodule_cochains: HomCochainComplex
-    # n -> _phi_transformer(self, n), built on first use
-    _phi_transformers: dict = field(default_factory=dict, init=False, repr=False,
-                                    compare=False)
 
     _sides = ("comodule-side", "algebra-side")
 
@@ -715,9 +699,8 @@ def _comparison_end(factors, order, transformer: LinearMap, collapse: LinearMap,
 
 def _psi(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
          values: VectorSpace) -> tuple[LinearMap, list[int]]:
-    """psi at degree q, and the algebra-cochain basis maps whose products
-    with the coalgebra-side relations do not vanish (psi is well defined
-    on the quotient when there are none).
+    """psi at degree q, and the algebra-cochain basis maps that see the
+    coalgebra-side relations (`_psi_relation_witnesses`).
 
     Column (i, j) is collapse o (phi_i o f_u (x) id_N) on the representative
     of quotient basis vector j, for every product f_u = f_{u_0} (x) ... (x)
@@ -734,11 +717,28 @@ def _psi(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
     factors = [x.domains[q], x.values, setup.module.space,
                tensor_spaces([c] * (q + 1))]
     end = _comparison_end(factors, [3, 0, 2, 1], transformer, collapse, values)
-    seen = end @ tensor_map(x.subspaces[q].basis, y.relations[q])
-    width = y.relations[q].source.dim
-    bad = sorted({j // width for j, col in enumerate(seen._cols) if col})
     out = end @ tensor_map(x.subspaces[q].basis, y.quotients[q].section)
-    return relabel(out, setup.diagonal_module.spaces[q]), bad
+    return (relabel(out, setup.diagonal_module.spaces[q]),
+            _psi_relation_witnesses(setup, q, collapse, end))
+
+
+def _psi_relation_witnesses(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
+                            end: LinearMap) -> list[int]:
+    """The algebra-cochain basis maps whose products with the coalgebra-side
+    relations do not vanish under `end`, the Hom-vector builder of psi for
+    this collapse.  psi is well defined on the quotient when there are none.
+
+    The relation product is the widest map psi needs, and it depends only on
+    the setup, the degree and the collapse, so it is built once for each.
+    The entry holds the collapse, so that its id is never reused by another.
+    """
+    memo, key = setup._memo, ("psi", q, id(collapse))
+    if key not in memo:
+        x, y = setup.algebra_cochains, setup.coalgebra_cochains
+        seen = end @ tensor_map(x.subspaces[q].basis, y.relations[q])
+        width = y.relations[q].source.dim
+        memo[key] = collapse, sorted({j // width for j, col in enumerate(seen._cols) if col})
+    return memo[key][1]
 
 
 def psi_matrix(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
@@ -750,7 +750,8 @@ def psi_matrix(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
     Well-definedness on the coalgebra-side quotient is verified by the same
     product against the balancing relations: every algebra-cochain basis map
     must annihilate them, else the map would depend on the chosen
-    representatives.
+    representatives.  That product is built once per setup, degree and
+    collapse; a map that sees the relations is refused on every call.
     """
     _require_tower_degree(setup.diagonal_module, q, "the comparison map")
     out, bad = _psi(setup, q, collapse, values)
@@ -821,18 +822,18 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
     once per setup and degree and shared by every collapse.
     """
     _require_tower_degree(setup.diagonal_module, n, "the comparison map")
-    transformers = setup._phi_transformers
-    if n not in transformers:
+    memo = setup._memo
+    if ("phi", n) not in memo:
         cells = setup.crossed.space.dim ** (2 * (n + 1))
         if cells > PHI_MAX_CELLS:
             raise LinAlgError(
                 f"the comparison map at degree {n} needs a transformer of {cells} cells, "
                 f"more than the limit of {PHI_MAX_CELLS}")
-        transformers[n] = _phi_transformer(setup, n)
+        memo["phi", n] = _phi_transformer(setup, n)
     x, y = setup.comodule_cochains, setup.algebra_cochains
     # Hom(D, N) (x) Hom(E, M) -> Hom(D (x) E, N (x) M) reorders the factors
     end = _comparison_end([x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3],
-                          transformers[n], collapse, values)
+                          memo["phi", n], collapse, values)
     return relabel(end @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis),
                    setup.diagonal_module.spaces[n])
 

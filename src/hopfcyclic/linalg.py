@@ -390,12 +390,15 @@ def slot_map(k: LinearMap, left: int, middle: int, source: VectorSpace, target: 
     rotations of cyclic operators.
     """
     ls, lt = tail
-    fs, ft = k.source.dim // ls, k.target.dim // lt
+    # a zero-width tail fits only a zero-dimensional side of k
+    fs, ft = k.source.dim // (ls or 1), k.target.dim // (lt or 1)
     if (fs * ls, ft * lt) != (k.source.dim, k.target.dim) or \
             source.dim != left * fs * middle * ls or target.dim != left * ft * middle * lt:
         raise LinAlgError(
             f"slot map of a {k.target.dim}x{k.source.dim} map does not fit "
             f"{target.dim}x{source.dim}")
+    if not lt:
+        return LinearMap.zero(source, target)
     stride = middle * lt
     offsets = [[(i // lt * stride + i % lt, v) for i, v in col.items()] for col in k._cols]
     cols = [{base + o: v for o, v in offsets[f * ls + e]}

@@ -226,6 +226,28 @@ class TestCheckCommand:
         assert any(n.startswith("[regular-cochains]") for n in names)
         assert any(n.startswith("[cup:ac]") for n in names)
 
+    def test_coefficients_with_a_zero_contratensor_product(self, tmp_path, capsys):
+        """The sign character against the counit contramodule: both pass
+        their checks, their contratensor product is zero, and the
+        contratensor-valued comparison maps pass into zero cochains."""
+        data = z2cup_data()
+        data["modules"]["sign"] = {
+            "hopf": "z2", "basis": ["n"], "coaction": "trivial",
+            "action": [[["n"], ["n", "1"], 1], [["n"], ["n", "g"], -1]]}
+        data["contramodules"] = {"counit": {
+            "hopf": "z2", "basis": ["m"], "action": "trivial",
+            "alpha": [[["m"], ["1", "m"], 1]]}}
+        for family in data["cup"].values():
+            family["coefficients"] = ["sign", "counit"]
+        assert main(["check", write_spec(tmp_path, data), "sign", "counit", "cup:ac",
+                     "cup:aa", "--format", "json"]) == 0
+        report = report_of(capsys)
+        assert report["passed"]
+        names = [c["name"] for c in report["checks"]]
+        for prefix in ("[sign] ", "[counit] ", "[cup:ac] contratensor: ",
+                       "[cup:aa] contratensor: "):
+            assert any(n.startswith(prefix) for n in names), prefix
+
 
 class TestCohomologyCommand:
     def test_plain_rationals_dimensions(self, capsys):

@@ -53,6 +53,8 @@ from hopfcyclic.linalg import (
     LinAlgError,
     LinearMap,
     VectorSpace,
+    hom_vector_to_map,
+    map_to_hom_vector,
     subspace_from_kernel,
     tensor_map,
     tensor_permutation,
@@ -474,11 +476,11 @@ def test_hom_complex_basis_roundtrip(z2, z2_sign_algebra):
     complex_ = algebra_module_cocyclic(z2_sign_algebra,
                                        trivial_coefficients(z2).module, 2)
     for n in range(3):
-        for k in range(complex_.module.spaces[n].dim):
-            m = complex_.basis_map(n, k)
-            coords = complex_.coords_of_map(n, m)
-            expected = [Fraction(1) if i == k else Fraction(0)
-                        for i in range(complex_.module.spaces[n].dim)]
+        sub = complex_.subspaces[n]
+        for k in range(sub.dim):
+            m = hom_vector_to_map(sub.basis.column(k), complex_.domains[n], complex_.values)
+            coords = sub.coords(map_to_hom_vector(m))
+            expected = [Fraction(1) if i == k else Fraction(0) for i in range(sub.dim)]
             assert list(coords) == expected
 
 

@@ -13,6 +13,8 @@ import pytest
 from hopfcyclic import cup
 from hopfcyclic.coefficients import (
     SaydModule,
+    check_sayd_contramodule,
+    check_sayd_module,
     grouplike_coefficients,
     trivial_coefficients,
 )
@@ -74,8 +76,10 @@ from hopfcyclic.linalg import (
     LinAlgError,
     LinearMap,
     VectorSpace,
+    tensor_map,
     tensor_space,
 )
+from hopfcyclic.reporting import Report
 from hopfcyclic.specfile import parse_spec
 
 Z2CUP = str(Path(__file__).resolve().parent.parent / "demo" / "z2_cup.json")
@@ -169,6 +173,21 @@ def setup_ac_unpaired(z2, z2_convolution_data):
 
 
 @pytest.fixture(scope="module")
+def setup_ac_zero_values(z2):
+    """The sign character N (coaction n -> 1 (x) n) against the trivial
+    contramodule M: both pass their checks, but their contratensor product
+    L is zero, so the contratensor-valued target cochains are too."""
+    n = VectorSpace(1, ("n",))
+    module = SaydModule(z2, n, LinearMap.from_rows(tensor_space(n, z2.space), n, [[1, -1]]),
+                        LinearMap.from_rows(n, tensor_space(z2.space, n), [[1], [0]]))
+    algebra = ModuleAlgebra(z2, z2.space, z2.mul, z2.unit, adjoint_action(z2))
+    coalgebra = ModuleCoalgebra(z2, z2.space, z2.comul, z2.counit, left_regular_action(z2))
+    action = CoalgebraAction(coalgebra, algebra, adjoint_action(z2))
+    return ac_cup_setup(algebra, coalgebra, action,
+                        (module, trivial_coefficients(z2).contramodule), degree_cap=3)
+
+
+@pytest.fixture(scope="module")
 def s3_setups(triv):
     """Cup setups over the trivial Hopf algebra with the group algebra of S3
     as the only interesting factor; used for unit-class transport tests."""
@@ -250,6 +269,101 @@ def test_tensor_bicocyclic_cap_mismatch(triv):
     two = plain_algebra_cocyclic(triv.algebra, degree_cap=2)
     with pytest.raises(LinAlgError, match="share one degree cap"):
         tensor_bicocyclic(three, two)
+
+
+def lifted_bicocyclic_checks(module):
+    """The (name, passed) list of `check_bicocyclic` computed on the
+    bicomplex itself: `verify_cocyclic` on every column and row tower lifted
+    from the factors, and every cross commutation compared as matrices."""
+    rep = Report("lifted")
+    x, y = module.vertical_factor, module.horizontal_factor
+    cap = module.degree_cap
+
+    def lifted(tower, lift, spaces):
+        return CocyclicModule(
+            cap, tuple(spaces), tuple(tuple(map(lift, row)) for row in tower.faces),
+            tuple(tuple(map(lift, row)) for row in tower.degeneracies),
+            tuple(map(lift, tower.cyclic)))
+
+    def operators(tower, n):
+        ops = {}
+        if n < cap:
+            ops.update((f"d{i}", (1, f)) for i, f in enumerate(tower.faces[n]))
+        ops.update((f"s{j}", (-1, s)) for j, s in enumerate(tower.degeneracies[n]))
+        ops["t"] = (0, tower.cyclic[n])
+        return ops
+
+    columns, rows = [], []
+    for q in range(cap + 1):
+        id_y = LinearMap.identity(y.spaces[q])
+        columns.append(lifted(x, lambda f: tensor_map(f, id_y),
+                              (module.space(p, q) for p in range(cap + 1))))
+        rep.extend(verify_cocyclic(columns[q]), f"vertical tower q={q}: ")
+    for p in range(cap + 1):
+        id_x = LinearMap.identity(x.spaces[p])
+        rows.append(lifted(y, lambda g: tensor_map(id_x, g),
+                           (module.space(p, q) for q in range(cap + 1))))
+        rep.extend(verify_cocyclic(rows[p]), f"horizontal tower p={p}: ")
+    vertical = [[operators(c, p) for p in range(cap + 1)] for c in columns]
+    horizontal = [[operators(r, q) for q in range(cap + 1)] for r in rows]
+    for p in range(cap + 1):
+        for q in range(cap + 1):
+            for vname, (dp, v) in vertical[q][p].items():
+                for hname, (dq, h) in horizontal[p][q].items():
+                    rep.check_equal(
+                        f"vertical {vname} commutes with horizontal {hname} "
+                        f"(bidegree ({p},{q}))",
+                        vertical[q + dq][p][vname][1] @ h,
+                        horizontal[p + dp][q][hname][1] @ v)
+    return [(e.name, e.passed) for e in rep.entries]
+
+
+def with_perturbed_coface(tower):
+    """The tower with entry (0, 0) of its coface d0 out of degree 1 raised by one."""
+    faces = [list(row) for row in tower.faces]
+    f = faces[1][0]
+    faces[1][0] = f + LinearMap.from_entries(f.source, f.target, [(0, 0, 1)])
+    return dataclasses.replace(tower, faces=tuple(map(tuple, faces)))
+
+
+def test_bicocyclic_report_is_read_off_the_factors(demo_setups, monkeypatch):
+    """Each factor is verified once and no map is built on the bicomplex,
+    yet every verdict is the one the lifted towers give: on the demo
+    setups, with a perturbed vertical factor, and against a zero tower."""
+    ac, aa = demo_setups
+    broken = with_perturbed_coface(ac.bicomplex.vertical_factor)
+    zero = plain_algebra_cocyclic(ac.algebra.algebra, VectorSpace.make(0), ac.degree_cap)
+    modules = [ac.bicomplex, aa.bicomplex,
+               tensor_bicocyclic(broken, ac.bicomplex.horizontal_factor),
+               tensor_bicocyclic(broken, zero)]
+    expected = [lifted_bicocyclic_checks(m) for m in modules]
+
+    verified = []
+    verify = cup.verify_cocyclic
+
+    def counted(tower, *args):
+        verified.append(tower)
+        return verify(tower, *args)
+
+    def refuse(*args):
+        raise AssertionError("check_bicocyclic built a map on the bicomplex")
+
+    monkeypatch.setattr(cup, "verify_cocyclic", counted)
+    monkeypatch.setattr(cup, "tensor_map", refuse)
+    reports = []
+    for module, reference in zip(modules, expected):
+        verified.clear()
+        reports.append(check_bicocyclic(module))
+        assert [(e.name, e.passed) for e in reports[-1].entries] == reference
+        assert verified == [module.vertical_factor, module.horizontal_factor]
+
+    assert len(reports[0].entries) == 777
+    assert reports[0].passed and reports[1].passed and reports[3].passed
+    # a failing entry carries the witness of the vertical factor's own check
+    own = {e.name: e.detail for e in verify_cocyclic(broken).entries if not e.passed}
+    failed = [e for e in reports[2].entries if not e.passed]
+    assert failed and all(e.name.startswith("vertical tower q=") for e in failed)
+    assert {e.name.split(": ", 1)[1]: e.detail for e in failed} == own
 
 
 @pytest.mark.parametrize("which", ["ac", "aa"])
@@ -444,14 +558,43 @@ def test_psi_refuses_a_map_that_sees_the_relations(demo_setups):
     relations[2] = LinearMap.identity(y.ambients[2])
     bad = dataclasses.replace(setup, coalgebra_cochains=dataclasses.replace(
         y, relations=tuple(relations)))
+    refusal = "the comparison map is not well defined on the quotient at degree 2 (basis map 0)"
     with pytest.raises(LinAlgError) as info:
         psi_scalar(bad, 2)
-    assert str(info.value) == (
-        "the comparison map is not well defined on the quotient at degree 2 (basis map 0)")
+    assert str(info.value) == refusal
     report = check_psi(bad)
     assert [(e.name, e.detail) for e in report.entries if not e.passed] == [
         ("well defined on the relation subspace (degree 2)",
          "basis maps [0, 1, 2, 3] see the relations")]
+    with pytest.raises(LinAlgError) as info:
+        psi_scalar(bad, 2)
+    assert str(info.value) == refusal
+
+
+def test_psi_decides_well_definedness_once_per_degree_and_collapse(monkeypatch):
+    """The relation product, psi's widest map, is built once per setup,
+    degree and collapse, and shared by `check_psi` and `psi_matrix`."""
+    setup = parse_spec(Z2CUP).build_cup_setup("ac", 3)
+    degree_of = {id(r): q for q, r in enumerate(setup.coalgebra_cochains.relations)}
+    built = []
+    kron = cup.tensor_map
+
+    def counted(f, g):
+        if id(g) in degree_of:
+            built.append(degree_of[id(g)])
+        return kron(f, g)
+
+    monkeypatch.setattr(cup, "tensor_map", counted)
+    assert check_psi(setup).passed
+    assert built == [0, 1, 2, 3]
+    for q in range(4):
+        psi_scalar(setup, q)
+    assert check_psi(setup).passed
+    assert built == [0, 1, 2, 3]
+    # the contratensor-valued map has another collapse, so its own products
+    psi_tensor(setup, 2)
+    psi_tensor(setup, 2)
+    assert built == [0, 1, 2, 3, 2]
 
 
 # sha256 of the bicomplex layer of the same cap-3 setups, recorded while the
@@ -500,6 +643,27 @@ def bicomplex_part(setup, part):
                                 list(sub.supports), map_digest(sub.basis)]
                                for row in total.block_subspaces for sub in row])
     return _record_digest([map_digest(m) for m in getattr(total, part) if m is not None])
+
+
+def test_zero_dimensional_values(z2, setup_ac_zero_values):
+    """Checked coefficients whose contratensor product is zero give a zero
+    target tower, which passes its checks and receives the zero product."""
+    setup = setup_ac_zero_values
+    assert check_sayd_module(setup.module).passed
+    assert check_sayd_contramodule(setup.contramodule).passed
+    assert setup.tensor_values.space.dim == 0
+    zero = plain_algebra_cocyclic(z2.algebra, VectorSpace.make(0), 3)
+    for tower in (zero, setup.tensor_target):
+        assert [s.dim for s in tower.spaces] == [0, 0, 0, 0]
+        report = verify_cocyclic(tower)
+        assert report.passed, failures(report)
+    report = check_psi(setup, tensor_valued=True)
+    assert report.passed, failures(report)
+    for p, q in ((0, 2), (2, 0)):
+        phi = basis_cocycle(setup.algebra_cochains.module, p)
+        omega = basis_cocycle(setup.coalgebra_cochains.module, q)
+        assert any(phi) and any(omega)
+        assert cup_ac_general(setup, p, q, phi, omega) == BBcocycle(2, ((), ()))
 
 
 @pytest.mark.parametrize("which", ["ac", "aa"])

@@ -336,10 +336,15 @@ class TestTensor:
         """slot_map(k, L, M, tail=(ls, lt)) is id_L (x) k (x) id_M with the
         last ls- and lt-wide factors of k moved past the middle."""
         rng = random.Random(117)
-        for _ in range(60):
-            left, middle, fs, ls, ft, lt = (rng.choice((0, 1, 2, 3)) if rng.random() < 0.15
-                                            else rng.choice((1, 2, 3)) for _ in range(6))
-            ls, lt = max(ls, 1), max(lt, 1)
+
+        def shapes():
+            for _ in range(60):
+                yield tuple(rng.choice((0, 1, 2, 3)) if rng.random() < 0.15
+                            else rng.choice((1, 2, 3)) for _ in range(6))
+            # each kind of zero-width tail, which the draws may miss
+            yield from ((2, 3, 2, 0, 3, 0), (2, 3, 2, 0, 3, 2), (2, 3, 2, 2, 3, 0))
+
+        for left, middle, fs, ls, ft, lt in shapes():
             ks, kt = VectorSpace.make(fs * ls), VectorSpace.make(ft * lt)
             k = rand_sparse_map(rng, ks, kt, huge=True) if rng.random() < 0.5 \
                 else rand_map(rng, ks, kt)
@@ -363,6 +368,16 @@ class TestTensor:
         lhs = tensor_map(f2 @ f1, g2 @ g1)
         rhs = tensor_map(f2, g2) @ tensor_map(f1, g1)
         assert lhs == rhs
+        # the interchange law (f (x) 1)(1 (x) g) = f (x) g = (1 (x) g)(f (x) 1),
+        # on which the cross entries of a bicocyclic report rest
+        for src, tgt, f in sparse_cases(rng, 1):
+            c, d = (VectorSpace.make(rng.choice(SPARSE_DIMS)) for _ in range(2))
+            g = rand_sparse_map(rng, c, d, huge=True)
+            both = tensor_map(f, g)
+            assert tensor_map(f, LinearMap.identity(d)) @ tensor_map(LinearMap.identity(src), g) \
+                == both
+            assert tensor_map(LinearMap.identity(tgt), g) @ tensor_map(f, LinearMap.identity(c)) \
+                == both
 
     def test_row_major_flattening(self):
         a, b = VectorSpace.make(2, "a"), VectorSpace.make(3, "b")
