@@ -397,7 +397,7 @@ def slot_map(k: LinearMap, left: int, middle: int, source: VectorSpace, target: 
         raise LinAlgError(
             f"slot map of a {k.target.dim}x{k.source.dim} map does not fit "
             f"{target.dim}x{source.dim}")
-    if not lt:
+    if not lt:  # a zero-dimensional target, where the row stride below would be 0
         return LinearMap.zero(source, target)
     stride = middle * lt
     offsets = [[(i // lt * stride + i % lt, v) for i, v in col.items()] for col in k._cols]
