@@ -10,7 +10,17 @@ from pathlib import Path
 import pytest
 
 from hopfcyclic.cli import main
-from hopfcyclic.hopf import cyclic_group_table, group_algebra
+from hopfcyclic.hopf import (
+    adjoint_action,
+    cyclic_group_table,
+    group_algebra,
+    left_regular_action,
+    regular_coaction,
+    sweedler_h4,
+    trivial_action,
+    trivial_coaction,
+)
+from hopfcyclic.linalg import LinearMap, tensor_map
 from hopfcyclic.specfile import SpecError, parse_spec, parse_spec_data
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -180,6 +190,136 @@ class TestParsing:
         path.write_text('{"hopf_algebras": {', encoding="utf-8")
         with pytest.raises(SpecError, match=r"broken\.json:1:"):
             parse_spec(str(path))
+
+
+# Objects over z2 on the one-dimensional carrier "x", for the keyword cases.
+LINE_ALGEBRA = {"hopf": "z2", "basis": ["x"], "mul": [[["x"], ["x", "x"], 1]], "unit": [1]}
+LINE_COALGEBRA = {"hopf": "z2", "basis": ["x"], "comul": [[["x", "x"], ["x"], 1]],
+                  "counit": [[[], ["x"], 1]]}
+LINE_MODULE = {"hopf": "z2", "basis": ["x"], "action": "counit"}
+LINE_CONTRAMODULE = {"hopf": "z2", "basis": ["x"], "alpha": [[["x"], ["1", "x"], 1]]}
+
+
+def declared(section, fields):
+    """The cup demo with one more object, named "extra", in `section`."""
+    def change(data):
+        data.setdefault(section, {})["extra"] = fields
+    return change
+
+
+def cup_fields(**fields):
+    def change(data):
+        data["cup"]["ac"].update(fields)
+    return change
+
+
+def construction_fields(**fields):
+    def change(data):
+        target = data["constructions"]["regular-cochains"]
+        target.update(fields)
+        for key in [k for k, v in target.items() if v is None]:
+            del target[key]
+    return change
+
+
+# The exact text of each refusal, at the position it names.
+REFUSALS = [
+    ("left-regular on a line", declared("algebras", dict(LINE_ALGEBRA, action="left-regular")),
+     "algebras.extra.action: the left-regular action needs the Hopf algebra "
+     "itself as carrier"),
+    ("adjoint on a line", declared("coalgebras", dict(LINE_COALGEBRA, action="adjoint")),
+     "coalgebras.extra.action: the adjoint action needs the Hopf algebra itself "
+     "as carrier"),
+    ("regular on a line", declared("comodule_algebras",
+                                   dict(LINE_ALGEBRA, coaction="regular")),
+     "comodule_algebras.extra.coaction: the regular coaction needs the Hopf algebra "
+     "itself as carrier"),
+    ("comultiplication on a line", declared("modules",
+                                            dict(LINE_MODULE, coaction="comultiplication")),
+     "modules.extra.coaction: the comultiplication coaction needs the Hopf algebra "
+     "itself as carrier"),
+    ("module regular on a line", declared("modules", dict(LINE_MODULE, coaction="regular")),
+     "modules.extra.coaction: the regular coaction needs the Hopf algebra itself "
+     "as carrier"),
+    ("unknown left action", declared("contramodules", dict(LINE_CONTRAMODULE, action="spin")),
+     "contramodules.extra.action: unknown action keyword 'spin'"),
+    ("trivial as a right action", declared("modules", dict(LINE_MODULE, action="trivial",
+                                                           coaction="trivial")),
+     "modules.extra.action: unknown action keyword 'trivial'"),
+    ("unknown coaction", declared("comodule_algebras",
+                                  dict(LINE_ALGEBRA, coaction="left-regular")),
+     "comodule_algebras.extra.coaction: unknown coaction keyword 'left-regular'"),
+    ("unknown module coaction", declared("modules", dict(LINE_MODULE, coaction="adjoint")),
+     "modules.extra.coaction: unknown coaction keyword 'adjoint'"),
+    ("unknown builtin pair", declared("pairs", {"hopf": "z2", "builtin": "odd"}),
+     "pairs.extra: unknown builtin pair 'odd'"),
+    ("grouplike off the basis", declared("pairs", {"hopf": "z2", "builtin": "grouplike",
+                                                   "sigma": "h"}),
+     "pairs.extra.sigma: unknown basis label 'h'"),
+    ("unknown cup family", declared("cup", {"algebra": "signed-line"}),
+     "cup.extra: cup families are 'ac' and 'aa'"),
+    ("cup coefficients before algebra", cup_fields(coefficients="no-pair", algebra="no-alg"),
+     "cup.ac: unresolved name 'no-pair'"),
+    ("cup algebra before action", cup_fields(algebra="no-alg", action="no-act"),
+     "cup.ac: unresolved name 'no-alg'"),
+    ("cup coefficients of another shape", cup_fields(coefficients=["counit-twist"]),
+     "cup.ac: 'coefficients' must name a pair or be a [module, contramodule] list"),
+    ("cup algebra without an action", lambda data: (
+        declared("algebras", {"carrier": "z2"})(data), cup_fields(algebra="extra")(data)),
+     "cup.ac: algebra 'extra' carries no Hopf action"),
+    ("construction missing a field", construction_fields(module=None),
+     "constructions.regular-cochains: missing field 'module'"),
+    ("construction with an unresolved name", construction_fields(module="nope"),
+     "constructions.regular-cochains: unresolved name 'nope'"),
+    ("unknown construction type", construction_fields(type="mystery"),
+     "constructions.regular-cochains: unknown construction type 'mystery'; known: "
+     "plain, coalgebra, algebra_module, comodule_algebra, algebra_contra"),
+    ("builtin pair given as a list", declared("pairs", {"hopf": "z2",
+                                                        "builtin": ["trivial"]}),
+     "pairs.extra: unknown builtin pair ['trivial']"),
+    ("construction type given as a list", construction_fields(type=["plain"]),
+     "constructions.regular-cochains: unknown construction type ['plain']; known: "
+     "plain, coalgebra, algebra_module, comodule_algebra, algebra_contra"),
+    ("unknown section", lambda data: data.update(gadgets={}),
+     "gadgets: unknown section; known sections: hopf_algebras, algebras, coalgebras, "
+     "comodule_algebras, modules, contramodules, pairs, coalgebra_actions, "
+     "constructions, cochains, cup"),
+]
+
+
+@pytest.mark.parametrize("change, text", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_refusal_text(change, text):
+    data = z2cup_data()
+    change(data)
+    with pytest.raises(SpecError) as info:
+        parse_spec_data(data)
+    assert str(info.value) == text
+
+
+def test_keywords_build_their_library_maps():
+    """Each action and coaction keyword gives the map of its library function,
+    here over sweedler4 on its own carrier."""
+    h = sweedler_h4()
+    on_h = {"hopf": "h", "carrier": "h"}
+    data = {"hopf_algebras": {"h": "sweedler4"},
+            "algebras": {k: dict(on_h, action=k) for k in ("trivial", "left-regular",
+                                                            "adjoint")},
+            "comodule_algebras": {f"co-{k}": dict(on_h, coaction=k)
+                                  for k in ("trivial", "regular")},
+            "modules": {f"m-{k}": dict(on_h, action="counit", coaction=k)
+                        for k in ("trivial", "regular", "comultiplication")}}
+    spec = parse_spec_data(data)
+    assert spec.algebras["trivial"].action == trivial_action(h, h.space)
+    assert spec.algebras["left-regular"].action == left_regular_action(h)
+    assert spec.algebras["adjoint"].action == adjoint_action(h)
+    assert spec.comodule_algebras["co-trivial"].coaction == trivial_coaction(h, h.space)
+    assert spec.comodule_algebras["co-regular"].coaction == regular_coaction(h)
+    assert spec.modules["m-trivial"].coaction == trivial_coaction(h, h.space)
+    assert spec.modules["m-regular"].coaction == regular_coaction(h)
+    assert spec.modules["m-comultiplication"].coaction == h.comul
+    counit = tensor_map(LinearMap.identity(h.space), h.counit)
+    assert all(m.action == counit for m in spec.modules.values())
 
 
 class TestCheckCommand:
