@@ -174,13 +174,24 @@ def _cochain(spec: SpecFile, name: str, degree: int, side: str):
     return entry["coords"]
 
 
+# variant -> (cup family, product); a family's scalar variant is named after it
+_VARIANTS = {"ac": ("ac", cup_ac), "aa": ("aa", cup_aa),
+             "ac-general": ("ac", cup_ac_general), "aa-general": ("aa", cup_aa_general)}
+
+
 def cmd_cup(args) -> int:
     spec = parse_spec(args.spec)
     cap = _degree_cap()
-    family = "ac" if args.variant.startswith("ac") else "aa"
+    family, product = _VARIANTS[args.variant]
+    general = args.variant != family
     if args.p < 0 or args.q < 0:
         raise SpecError("--p/--q", "cochain degrees must be nonnegative")
     setup = spec.build_cup_setup(family, cap)
+    if not general and setup.pair_collapse is None:
+        raise SpecError(
+            "--variant",
+            f"the coefficients of cup.{family} are not a compatible pair, so the "
+            f"scalar product is not defined; use --variant {family}-general")
     if args.p + args.q >= setup.degree_cap:
         raise SpecError(
             "--p/--q",
@@ -189,10 +200,6 @@ def cmd_cup(args) -> int:
             f"degree_cap to raise it")
     left = _cochain(spec, args.left, args.p, "left")
     right = _cochain(spec, args.right, args.q, "right")
-    scalar_product, general_product = \
-        (cup_ac, cup_ac_general) if family == "ac" else (cup_aa, cup_aa_general)
-    general = args.variant.endswith("-general")
-    product = general_product if general else scalar_product
     try:
         result = product(setup, args.p, args.q, left, right)
     except LinAlgError as exc:
@@ -205,7 +212,7 @@ def cmd_cup(args) -> int:
     target = setup.tensor_target if general else setup.scalar_target
     rep.extend(check_bb_cocycle(target, result))
     if general and setup.pair_collapse is not None:
-        scalar = scalar_product(setup, args.p, args.q, left, right)
+        scalar = _VARIANTS[family][1](setup, args.p, args.q, left, right)
         collapsed = collapse_bb(result, setup._base.space, setup.pair_collapse)
         rep.add("pairing collapse matches the scalar product",
                 collapsed.components == scalar.components,
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cup", help="evaluate a cup product of two declared cochains")
     cup.add_argument("spec", help="path to the JSON spec file")
     cup.add_argument("--variant", required=True,
-                     choices=("ac", "aa", "ac-general", "aa-general"),
+                     choices=tuple(_VARIANTS),
                      help="product family, scalar or contratensor-valued")
     cup.add_argument("--p", type=int, required=True,
                      help="degree of the left cochain")

@@ -8,12 +8,23 @@ exact rational written as ``"p/q"``.  Decimal literals are rejected.  Vectors
 (units, counits applied backwards, cochain coordinates) are dense lists of
 rationals in basis order.
 
-Sections: ``hopf_algebras`` (explicit or one of the reserved builtin names),
-``algebras``, ``coalgebras``, ``comodule_algebras``, ``modules``,
-``contramodules``, ``pairs``, ``coalgebra_actions``, ``constructions``,
-``cochains`` and ``cup``.  Structure carriers can be copied from a declared
-Hopf algebra with ``"carrier"``, and common actions and coactions are
-available as keywords instead of triples.
+Structure carriers can be copied from a declared Hopf algebra with
+``"carrier"``, and common actions and coactions are available as keywords
+instead of triples.  Each decision of the format is stated once, in a table
+that parsing and building both read, so a new section, construction type,
+cup family or keyword is one more row:
+
+- ``_PARSERS``: each section with its parser, in dependency order.
+- ``_CONSTRUCTIONS`` and ``_CUP_FAMILIES``: each construction type or cup
+  family with its builder and the (field, resolver) pairs of its arguments.
+  Parsing resolves them, and builds a construction at cap 1; ``SpecFile``
+  builds from the same rows.
+- ``_LEFT_ACTIONS``, ``_RIGHT_ACTIONS``, ``_COACTIONS``,
+  ``_MODULE_COACTIONS`` and ``_PAIRS``: the keywords accepted in place of
+  triples, and the builtin compatible pairs.
+
+A missing field is refused by ``_field`` alone, an undeclared name by
+``SpecFile._ref``.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from .coefficients import (
     grouplike_coefficients,
     trivial_coefficients,
 )
+from .cup import aa_cup_setup, ac_cup_setup
 from .hopf import (
     Algebra,
     CoalgebraAction,
@@ -84,9 +96,6 @@ BUILTIN_HOPF = {
     "group:S3": lambda: group_algebra(symmetric_group_table(3)),
     "sweedler4": sweedler_h4,
 }
-
-CONSTRUCTION_TYPES = ("plain", "coalgebra", "algebra_module",
-                      "comodule_algebra", "algebra_contra")
 
 
 # --------------------------------------------------------------------------
@@ -222,37 +231,13 @@ class SpecFile:
                            exact: bool = False) -> CocyclicModule:
         """Build the named cocyclic module.  The spec's own ``degree_cap``
         field wins unless ``exact`` forces the requested cap."""
-        if name not in self.constructions:
-            raise SpecError(f"constructions.{name}", "no such construction")
-        fields = self.constructions[name]
         where = f"constructions.{name}"
+        if name not in self.constructions:
+            raise SpecError(where, "no such construction")
+        fields = self.constructions[name]
         if not exact:
             degree_cap = fields.get("degree_cap", degree_cap)
-        kind = fields["type"]
-        if kind == "plain":
-            algebra = self._plain_algebra(fields["algebra"], where)
-            return plain_algebra_cocyclic(algebra, degree_cap=degree_cap)
-        if kind == "coalgebra":
-            return coalgebra_cocyclic(
-                self._ref(self.coalgebras, fields["coalgebra"], where),
-                self._ref(self.modules, fields["module"], where),
-                degree_cap).module
-        if kind == "algebra_module":
-            return algebra_module_cocyclic(
-                self._module_algebra(fields["algebra"], where),
-                self._ref(self.modules, fields["module"], where),
-                degree_cap).module
-        if kind == "comodule_algebra":
-            return comodule_algebra_cocyclic(
-                self._ref(self.comodule_algebras, fields["comodule_algebra"], where),
-                self._ref(self.modules, fields["module"], where),
-                degree_cap).module
-        if kind == "algebra_contra":
-            return algebra_contra_cocyclic(
-                self._module_algebra(fields["algebra"], where),
-                self._ref(self.contramodules, fields["contramodule"], where),
-                degree_cap).module
-        raise SpecError(where, f"unknown construction type {kind!r}")
+        return _construct(self, fields, where, degree_cap)
 
     def cup_coefficients(self, fields: dict, where: str):
         ref = fields.get("coefficients")
@@ -265,23 +250,14 @@ class SpecFile:
                                "[module, contramodule] list")
 
     def build_cup_setup(self, family: str, degree_cap: int):
-        from .cup import aa_cup_setup, ac_cup_setup
-        if family not in self.cup:
-            raise SpecError(f"cup.{family}", "the spec declares no such cup family")
-        fields = self.cup[family]
         where = f"cup.{family}"
+        if family not in self.cup:
+            raise SpecError(where, "the spec declares no such cup family")
+        fields = self.cup[family]
         cap = fields.get("degree_cap", degree_cap)
         coefficients = self.cup_coefficients(fields, where)
-        if family == "ac":
-            return ac_cup_setup(
-                self._module_algebra(fields["algebra"], where),
-                self._ref(self.coalgebras, fields["coalgebra"], where),
-                self._ref(self.coalgebra_actions, fields["action"], where),
-                coefficients, degree_cap=cap)
-        return aa_cup_setup(
-            self._module_algebra(fields["algebra"], where),
-            self._ref(self.comodule_algebras, fields["comodule_algebra"], where),
-            coefficients, degree_cap=cap)
+        setup, refs = _CUP_FAMILIES[family]
+        return setup(*_resolved(self, refs, fields, where), coefficients, degree_cap=cap)
 
     # -- reference helpers -------------------------------------------------
 
@@ -304,12 +280,102 @@ class SpecFile:
         return obj.algebra if isinstance(obj, ModuleAlgebra) else obj
 
 
+def _named(section: str):
+    """The resolver of a name declared in `section`."""
+    return lambda spec, name, where: SpecFile._ref(getattr(spec, section), name, where)
+
+
+def _field(fields: dict, key: str, where: str):
+    if key not in fields:
+        raise SpecError(where, f"missing field {key!r}")
+    return fields[key]
+
+
+def _resolved(spec: SpecFile, refs, fields: dict, where: str) -> list:
+    """The objects named by the (field, resolver) pairs `refs`, in order; a
+    resolver takes the spec, the name and the position."""
+    return [resolve(spec, _field(fields, key, where), where) for key, resolve in refs]
+
+
+# construction type -> (builder, the (field, resolver) pairs of its arguments)
+_CONSTRUCTIONS = {
+    "plain": (plain_algebra_cocyclic, (("algebra", SpecFile._plain_algebra),)),
+    "coalgebra": (coalgebra_cocyclic, (("coalgebra", _named("coalgebras")),
+                                       ("module", _named("modules")))),
+    "algebra_module": (algebra_module_cocyclic, (("algebra", SpecFile._module_algebra),
+                                                 ("module", _named("modules")))),
+    "comodule_algebra": (comodule_algebra_cocyclic,
+                         (("comodule_algebra", _named("comodule_algebras")),
+                          ("module", _named("modules")))),
+    "algebra_contra": (algebra_contra_cocyclic, (("algebra", SpecFile._module_algebra),
+                                                 ("contramodule", _named("contramodules")))),
+}
+CONSTRUCTION_TYPES = tuple(_CONSTRUCTIONS)
+
+# cup family -> (setup function, the pairs of its arguments before the coefficients)
+_CUP_FAMILIES = {
+    "ac": (ac_cup_setup, (("algebra", SpecFile._module_algebra),
+                          ("coalgebra", _named("coalgebras")),
+                          ("action", _named("coalgebra_actions")))),
+    "aa": (aa_cup_setup, (("algebra", SpecFile._module_algebra),
+                          ("comodule_algebra", _named("comodule_algebras")))),
+}
+
+
+def _construct(spec: SpecFile, fields: dict, where: str, degree_cap: int) -> CocyclicModule:
+    build, refs = _CONSTRUCTIONS[fields["type"]]
+    tower = build(*_resolved(spec, refs, fields, where), degree_cap=degree_cap)
+    return tower if isinstance(tower, CocyclicModule) else tower.module
+
+
+# --------------------------------------------------------------------------
+# keywords in place of triples
+
+
+# keyword -> (builder, whether the map needs the Hopf algebra itself as
+# carrier); such a builder takes H alone, the others H and the carrier space
+_LEFT_ACTIONS = {"trivial": (trivial_action, False),
+                 "left-regular": (left_regular_action, True),
+                 "adjoint": (adjoint_action, True)}
+_RIGHT_ACTIONS = {"counit": (lambda h, v: relabel(  # v (x) t -> counit(t) v
+    tensor_map(LinearMap.identity(v), h.counit), target=v), False)}
+_COACTIONS = {"trivial": (trivial_coaction, False), "regular": (regular_coaction, True)}
+_MODULE_COACTIONS = {**_COACTIONS, "comultiplication": (lambda h: h.comul, True)}
+
+
+def _keyword_map(value, keywords: dict, kind: str, h: HopfAlgebra, space: VectorSpace,
+                 where: str, target: list, source: list) -> LinearMap:
+    """A structure map on `space` over `h`: one of the `keywords`, or triples
+    between the tensor factors `source` and `target`."""
+    if not isinstance(value, str):
+        return _linear_map(value, target, source, where)
+    if value not in keywords:
+        raise SpecError(where, f"unknown {kind} keyword {value!r}")
+    build, on_carrier = keywords[value]
+    if not on_carrier:
+        return build(h, space)
+    if space.dim != h.dim:
+        raise SpecError(where, f"the {value} {kind} needs the Hopf algebra itself as carrier")
+    return build(h)
+
+
+def _grouplike_pair(h: HopfAlgebra, fields: dict, where: str) -> CompatiblePair:
+    label = fields.get("sigma")
+    if label not in h.space.labels:
+        raise SpecError(f"{where}.sigma", f"unknown basis label {label!r}")
+    return grouplike_coefficients(h, h.space.labels.index(label))
+
+
+# builtin pair -> its builder from the Hopf algebra and the pair's fields
+_PAIRS = {"trivial": lambda h, fields, where: trivial_coefficients(h),
+          "grouplike": _grouplike_pair}
+
+
 # --------------------------------------------------------------------------
 # section parsers
 
 
-def _parse_hopf(name: str, value, out: SpecFile) -> HopfAlgebra:
-    where = f"hopf_algebras.{name}"
+def _parse_hopf(name: str, value, out: SpecFile, where: str) -> HopfAlgebra:
     if isinstance(value, str):
         if value not in BUILTIN_HOPF:
             raise SpecError(where, f"unknown builtin Hopf algebra {value!r}; "
@@ -318,9 +384,7 @@ def _parse_hopf(name: str, value, out: SpecFile) -> HopfAlgebra:
     fields = _require_dict(value, where)
     space = _basis(fields, where)
     def need(key):
-        if key not in fields:
-            raise SpecError(where, f"missing field {key!r}")
-        return fields[key]
+        return _field(fields, key, where)
     mul = _linear_map(need("mul"), [space], [space, space], f"{where}.mul")
     unit = _vector_map(need("unit"), space, f"{where}.unit")
     comul = _linear_map(need("comul"), [space, space], [space], f"{where}.comul")
@@ -362,56 +426,10 @@ def _coalgebra_structure(fields: dict, space: VectorSpace, out: SpecFile,
 
 
 def _hopf_of(fields: dict, out: SpecFile, where: str) -> HopfAlgebra:
-    if "hopf" not in fields:
-        raise SpecError(where, "missing field 'hopf'")
-    return SpecFile._ref(out.hopf_algebras, fields["hopf"], where)
+    return SpecFile._ref(out.hopf_algebras, _field(fields, "hopf", where), where)
 
 
-def _left_action(value, h: HopfAlgebra, space: VectorSpace, where: str) -> LinearMap:
-    """An action H (x) V -> V given as triples or a keyword."""
-    if value == "trivial":
-        return trivial_action(h, space)
-    if value == "left-regular":
-        if space.dim != h.dim:
-            raise SpecError(where, "the left-regular action needs the Hopf "
-                                   "algebra itself as carrier")
-        return left_regular_action(h)
-    if value == "adjoint":
-        if space.dim != h.dim:
-            raise SpecError(where, "the adjoint action needs the Hopf algebra "
-                                   "itself as carrier")
-        return adjoint_action(h)
-    if isinstance(value, str):
-        raise SpecError(where, f"unknown action keyword {value!r}")
-    return _linear_map(value, [space], [h.space, space], where)
-
-
-def _right_action(value, h: HopfAlgebra, space: VectorSpace, where: str) -> LinearMap:
-    """An action V (x) H -> V given as triples or the 'counit' keyword."""
-    if value == "counit":
-        return relabel(tensor_map(LinearMap.identity(space), h.counit),
-                       tensor_space(space, h.space), space)
-    if isinstance(value, str):
-        raise SpecError(where, f"unknown action keyword {value!r}")
-    return _linear_map(value, [space], [space, h.space], where)
-
-
-def _coaction(value, h: HopfAlgebra, space: VectorSpace, where: str) -> LinearMap:
-    """A coaction V -> H (x) V given as triples or a keyword."""
-    if value == "trivial":
-        return trivial_coaction(h, space)
-    if value == "regular":
-        if space.dim != h.dim:
-            raise SpecError(where, "the regular coaction needs the Hopf "
-                                   "algebra itself as carrier")
-        return regular_coaction(h)
-    if isinstance(value, str):
-        raise SpecError(where, f"unknown coaction keyword {value!r}")
-    return _linear_map(value, [h.space, space], [space], where)
-
-
-def _parse_algebra(name: str, value, out: SpecFile):
-    where = f"algebras.{name}"
+def _parse_algebra(name: str, value, out: SpecFile, where: str):
     fields = _require_dict(value, where)
     space = _carrier_space(fields, out, where)
     mul, unit = _algebra_structure(fields, space, out, where)
@@ -420,83 +438,70 @@ def _parse_algebra(name: str, value, out: SpecFile):
     h = _hopf_of(fields, out, where)
     if "action" not in fields:
         raise SpecError(where, "a module algebra needs an 'action'")
-    action = _left_action(fields["action"], h, space, f"{where}.action")
+    action = _keyword_map(fields["action"], _LEFT_ACTIONS, "action", h, space,
+                          f"{where}.action", [space], [h.space, space])
     return ModuleAlgebra(h, space, mul, unit, action)
 
 
-def _parse_coalgebra(name: str, value, out: SpecFile) -> ModuleCoalgebra:
-    where = f"coalgebras.{name}"
+def _parse_coalgebra(name: str, value, out: SpecFile, where: str) -> ModuleCoalgebra:
     fields = _require_dict(value, where)
     space = _carrier_space(fields, out, where)
     comul, counit = _coalgebra_structure(fields, space, out, where)
     h = _hopf_of(fields, out, where)
     if "action" not in fields:
         raise SpecError(where, "a module coalgebra needs an 'action'")
-    action = _left_action(fields["action"], h, space, f"{where}.action")
+    action = _keyword_map(fields["action"], _LEFT_ACTIONS, "action", h, space,
+                          f"{where}.action", [space], [h.space, space])
     return ModuleCoalgebra(h, space, comul, counit, action)
 
 
-def _parse_comodule_algebra(name: str, value, out: SpecFile) -> ComoduleAlgebra:
-    where = f"comodule_algebras.{name}"
+def _parse_comodule_algebra(name: str, value, out: SpecFile, where: str) -> ComoduleAlgebra:
     fields = _require_dict(value, where)
     space = _carrier_space(fields, out, where)
     mul, unit = _algebra_structure(fields, space, out, where)
     h = _hopf_of(fields, out, where)
     if "coaction" not in fields:
         raise SpecError(where, "a comodule algebra needs a 'coaction'")
-    coaction = _coaction(fields["coaction"], h, space, f"{where}.coaction")
+    coaction = _keyword_map(fields["coaction"], _COACTIONS, "coaction", h, space,
+                            f"{where}.coaction", [h.space, space], [space])
     return ComoduleAlgebra(h, space, mul, unit, coaction)
 
 
-def _parse_module(name: str, value, out: SpecFile) -> SaydModule:
-    where = f"modules.{name}"
+def _parse_module(name: str, value, out: SpecFile, where: str) -> SaydModule:
     fields = _require_dict(value, where)
     h = _hopf_of(fields, out, where)
     space = _carrier_space(fields, out, where)
     if "action" not in fields or "coaction" not in fields:
         raise SpecError(where, "a coefficient module needs 'action' and 'coaction'")
-    action = _right_action(fields["action"], h, space, f"{where}.action")
-    raw = fields["coaction"]
-    if raw == "comultiplication":
-        if space.dim != h.dim:
-            raise SpecError(f"{where}.coaction",
-                            "the comultiplication coaction needs the Hopf "
-                            "algebra itself as carrier")
-        coaction = h.comul
-    else:
-        coaction = _coaction(raw, h, space, f"{where}.coaction")
+    action = _keyword_map(fields["action"], _RIGHT_ACTIONS, "action", h, space,
+                          f"{where}.action", [space], [space, h.space])
+    coaction = _keyword_map(fields["coaction"], _MODULE_COACTIONS, "coaction", h, space,
+                            f"{where}.coaction", [h.space, space], [space])
     return SaydModule(h, space, action, coaction)
 
 
-def _parse_contramodule(name: str, value, out: SpecFile) -> SaydContramodule:
-    where = f"contramodules.{name}"
+def _parse_contramodule(name: str, value, out: SpecFile, where: str) -> SaydContramodule:
     fields = _require_dict(value, where)
     h = _hopf_of(fields, out, where)
     space = _carrier_space(fields, out, where)
     if "action" not in fields or "alpha" not in fields:
         raise SpecError(where, "a coefficient contramodule needs 'action' and 'alpha'")
-    action = _left_action(fields["action"], h, space, f"{where}.action")
+    action = _keyword_map(fields["action"], _LEFT_ACTIONS, "action", h, space,
+                          f"{where}.action", [space], [h.space, space])
     alpha = relabel(
         _linear_map(fields["alpha"], [space], [h.space, space], f"{where}.alpha"),
         tensor_space(dual_space(h.space), space), space)
     return SaydContramodule(h, space, action, alpha)
 
 
-def _parse_pair(name: str, value, out: SpecFile) -> CompatiblePair:
-    where = f"pairs.{name}"
+def _parse_pair(name: str, value, out: SpecFile, where: str) -> CompatiblePair:
     fields = _require_dict(value, where)
     if "builtin" in fields:
         h = _hopf_of(fields, out, where)
         kind = fields["builtin"]
-        if kind == "trivial":
-            return trivial_coefficients(h)
-        if kind == "grouplike":
-            label = fields.get("sigma")
-            if label not in h.space.labels:
-                raise SpecError(f"{where}.sigma",
-                                f"unknown basis label {label!r}")
-            return grouplike_coefficients(h, h.space.labels.index(label))
-        raise SpecError(where, f"unknown builtin pair {kind!r}")
+        if not isinstance(kind, str) or kind not in _PAIRS:
+            raise SpecError(where, f"unknown builtin pair {kind!r}")
+        return _PAIRS[kind](h, fields, where)
     module = SpecFile._ref(out.modules, fields.get("module"), where)
     contramodule = SpecFile._ref(out.contramodules, fields.get("contramodule"), where)
     if "pairing" not in fields:
@@ -506,8 +511,7 @@ def _parse_pair(name: str, value, out: SpecFile) -> CompatiblePair:
     return CompatiblePair(module, contramodule, pairing)
 
 
-def _parse_coalgebra_action(name: str, value, out: SpecFile) -> CoalgebraAction:
-    where = f"coalgebra_actions.{name}"
+def _parse_coalgebra_action(name: str, value, out: SpecFile, where: str) -> CoalgebraAction:
     fields = _require_dict(value, where)
     coalgebra = SpecFile._ref(out.coalgebras, fields.get("coalgebra"), where)
     algebra = out._module_algebra(fields.get("algebra"), where)
@@ -518,8 +522,7 @@ def _parse_coalgebra_action(name: str, value, out: SpecFile) -> CoalgebraAction:
     return CoalgebraAction(coalgebra, algebra, act)
 
 
-def _parse_construction(name: str, value, out: SpecFile) -> dict:
-    where = f"constructions.{name}"
+def _parse_construction(name: str, value, out: SpecFile, where: str) -> dict:
     fields = _require_dict(value, where)
     kind = fields.get("type")
     if kind not in CONSTRUCTION_TYPES:
@@ -528,19 +531,13 @@ def _parse_construction(name: str, value, out: SpecFile) -> dict:
     _require_integer(fields.get("degree_cap", DEFAULT_DEGREE_CAP), 1, where,
                    "'degree_cap' must be a positive integer")
     try:
-        out.constructions[name] = fields
-        out.build_construction(name, 1, exact=True)
-    except KeyError as exc:
-        raise SpecError(where, f"missing field {exc.args[0]!r}") from exc
+        _construct(out, fields, where, 1)
     except LinAlgError as exc:
         raise SpecError(where, str(exc)) from exc
-    finally:
-        out.constructions.pop(name, None)
     return fields
 
 
-def _parse_cochain(name: str, value, out: SpecFile) -> dict:
-    where = f"cochains.{name}"
+def _parse_cochain(name: str, value, out: SpecFile, where: str) -> dict:
     fields = _require_dict(value, where)
     degree = _require_integer(fields.get("degree"), 0, where,
                             "'degree' must be a nonnegative integer")
@@ -548,25 +545,24 @@ def _parse_cochain(name: str, value, out: SpecFile) -> dict:
             "coords": _coords(fields.get("coords"), f"{where}.coords")}
 
 
-def _parse_cup(family: str, value, out: SpecFile) -> dict:
-    where = f"cup.{family}"
-    if family not in ("ac", "aa"):
-        raise SpecError(where, "cup families are 'ac' and 'aa'")
+def _parse_cup(name: str, value, out: SpecFile, where: str) -> dict:
+    if name not in _CUP_FAMILIES:
+        raise SpecError(where, "cup families are " + " and ".join(map(repr, _CUP_FAMILIES)))
     fields = _require_dict(value, where)
     out.cup_coefficients(fields, where)
-    if family == "ac":
-        out._module_algebra(fields.get("algebra"), where)
-        SpecFile._ref(out.coalgebras, fields.get("coalgebra"), where)
-        SpecFile._ref(out.coalgebra_actions, fields.get("action"), where)
-    else:
-        out._module_algebra(fields.get("algebra"), where)
-        SpecFile._ref(out.comodule_algebras, fields.get("comodule_algebra"), where)
+    _resolved(out, _CUP_FAMILIES[name][1], fields, where)
     _require_integer(fields.get("degree_cap", DEFAULT_DEGREE_CAP), 1, where,
                    "'degree_cap' must be a positive integer")
     return fields
 
 
-_SECTIONS = _OBJECT_SECTIONS + ("constructions", "cochains", "cup")
+_PARSERS = (("hopf_algebras", _parse_hopf), ("algebras", _parse_algebra),
+            ("coalgebras", _parse_coalgebra), ("comodule_algebras", _parse_comodule_algebra),
+            ("modules", _parse_module), ("contramodules", _parse_contramodule),
+            ("pairs", _parse_pair), ("coalgebra_actions", _parse_coalgebra_action),
+            ("constructions", _parse_construction), ("cochains", _parse_cochain),
+            ("cup", _parse_cup))
+_SECTIONS = tuple(section for section, _ in _PARSERS)
 
 
 def _require_unique_names(spec: SpecFile) -> None:
@@ -589,33 +585,10 @@ def parse_spec_data(data: dict) -> SpecFile:
             raise SpecError(key, f"unknown section; known sections: "
                                  f"{', '.join(_SECTIONS)}")
     out = SpecFile()
-    for name, value in _require_dict(data.get("hopf_algebras", {}),
-                                     "hopf_algebras").items():
-        out.hopf_algebras[name] = _parse_hopf(name, value, out)
-    for name, value in _require_dict(data.get("algebras", {}), "algebras").items():
-        out.algebras[name] = _parse_algebra(name, value, out)
-    for name, value in _require_dict(data.get("coalgebras", {}), "coalgebras").items():
-        out.coalgebras[name] = _parse_coalgebra(name, value, out)
-    for name, value in _require_dict(data.get("comodule_algebras", {}),
-                                     "comodule_algebras").items():
-        out.comodule_algebras[name] = _parse_comodule_algebra(name, value, out)
-    for name, value in _require_dict(data.get("modules", {}), "modules").items():
-        out.modules[name] = _parse_module(name, value, out)
-    for name, value in _require_dict(data.get("contramodules", {}),
-                                     "contramodules").items():
-        out.contramodules[name] = _parse_contramodule(name, value, out)
-    for name, value in _require_dict(data.get("pairs", {}), "pairs").items():
-        out.pairs[name] = _parse_pair(name, value, out)
-    for name, value in _require_dict(data.get("coalgebra_actions", {}),
-                                     "coalgebra_actions").items():
-        out.coalgebra_actions[name] = _parse_coalgebra_action(name, value, out)
-    for name, value in _require_dict(data.get("constructions", {}),
-                                     "constructions").items():
-        out.constructions[name] = _parse_construction(name, value, out)
-    for name, value in _require_dict(data.get("cochains", {}), "cochains").items():
-        out.cochains[name] = _parse_cochain(name, value, out)
-    for family, value in _require_dict(data.get("cup", {}), "cup").items():
-        out.cup[family] = _parse_cup(family, value, out)
+    for section, parse in _PARSERS:
+        parsed = getattr(out, section)
+        for name, value in _require_dict(data.get(section, {}), section).items():
+            parsed[name] = parse(name, value, out, f"{section}.{name}")
     _require_unique_names(out)
     return out
 

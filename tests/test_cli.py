@@ -45,6 +45,22 @@ def write_spec(tmp_path, data, name="spec.json"):
     return str(path)
 
 
+def unpaired_z2cup_data():
+    """The cup demo with the sign character against the counit contramodule,
+    which pass their checks but form no compatible pair, as the coefficients
+    of both cup families; their contratensor product is zero."""
+    data = z2cup_data()
+    data["modules"]["sign"] = {
+        "hopf": "z2", "basis": ["n"], "coaction": "trivial",
+        "action": [[["n"], ["n", "1"], 1], [["n"], ["n", "g"], -1]]}
+    data["contramodules"] = {"counit": {
+        "hopf": "z2", "basis": ["m"], "action": "trivial",
+        "alpha": [[["m"], ["1", "m"], 1]]}}
+    for family in data["cup"].values():
+        family["coefficients"] = ["sign", "counit"]
+    return data
+
+
 def report_of(capsys):
     return json.loads(capsys.readouterr().out)
 
@@ -280,6 +296,8 @@ REFUSALS = [
     ("construction type given as a list", construction_fields(type=["plain"]),
      "constructions.regular-cochains: unknown construction type ['plain']; known: "
      "plain, coalgebra, algebra_module, comodule_algebra, algebra_contra"),
+    ("cup missing a field", lambda data: data["cup"]["ac"].pop("coalgebra"),
+     "cup.ac: missing field 'coalgebra'"),
     ("unknown section", lambda data: data.update(gadgets={}),
      "gadgets: unknown section; known sections: hopf_algebras, algebras, coalgebras, "
      "comodule_algebras, modules, contramodules, pairs, coalgebra_actions, "
@@ -370,16 +388,7 @@ class TestCheckCommand:
         """The sign character against the counit contramodule: both pass
         their checks, their contratensor product is zero, and the
         contratensor-valued comparison maps pass into zero cochains."""
-        data = z2cup_data()
-        data["modules"]["sign"] = {
-            "hopf": "z2", "basis": ["n"], "coaction": "trivial",
-            "action": [[["n"], ["n", "1"], 1], [["n"], ["n", "g"], -1]]}
-        data["contramodules"] = {"counit": {
-            "hopf": "z2", "basis": ["m"], "action": "trivial",
-            "alpha": [[["m"], ["1", "m"], 1]]}}
-        for family in data["cup"].values():
-            family["coefficients"] = ["sign", "counit"]
-        assert main(["check", write_spec(tmp_path, data), "sign", "counit", "cup:ac",
+        assert main(["check", write_spec(tmp_path, unpaired_z2cup_data()), "sign", "counit", "cup:ac",
                      "cup:aa", "--format", "json"]) == 0
         report = report_of(capsys)
         assert report["passed"]
@@ -468,6 +477,19 @@ class TestCupCommand:
     def test_degree_mismatch_exit_2(self):
         assert main(["cup", Z2CUP, "--variant", "ac", "--p", "0", "--q", "1",
                      "--left", "phi", "--right", "omega"]) == 2
+
+    @pytest.mark.parametrize("family", ["ac", "aa"])
+    def test_scalar_variant_without_a_pair_exit_2(self, tmp_path, capsys, family):
+        """A scalar product needs a compatible pair; without one the variant is
+        a usage error, and the refusal names the contratensor-valued flag."""
+        p, q, left, right = Z2CUP_RUNS[family]
+        assert main(["cup", write_spec(tmp_path, unpaired_z2cup_data()), "--variant",
+                     family, "--p", str(p), "--q", str(q), "--left", left,
+                     "--right", right]) == 2
+        assert capsys.readouterr().err == (
+            f"hcc: --variant: the coefficients of cup.{family} are not a compatible "
+            f"pair, so the scalar product is not defined; use --variant "
+            f"{family}-general\n")
 
     def test_product_degree_beyond_tower_exit_2(self):
         assert main(["cup", Z2CUP, "--variant", "ac", "--p", "1", "--q", "2",
