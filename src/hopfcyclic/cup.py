@@ -564,8 +564,9 @@ class _CupSetup:
     pair_collapse: Optional[LinearMap]
     scalar_target: CocyclicModule
     tensor_target: CocyclicModule
-    # ("phi", n) -> _phi_transformer(self, n); ("psi", q, id(collapse)) ->
-    # (collapse, _psi_relation_witnesses); each built on first use
+    # ("transformer", n) -> the family's transformer (`_transformer`);
+    # ("psi", q, id(collapse)) -> (collapse, _psi_relation_witnesses); each
+    # built on first use
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -682,6 +683,16 @@ def _values(setup, tensor_valued: bool) -> tuple[LinearMap, VectorSpace]:
     return setup.pair.pairing, VectorSpace.ground()
 
 
+def _transformer(setup, n: int, build) -> LinearMap:
+    """`build(setup, n)`, the comparison map's transformer at degree n.  It
+    depends on neither the collapse nor the values, so it is built once per
+    setup and degree and shared by every collapse."""
+    memo = setup._memo
+    if ("transformer", n) not in memo:
+        memo["transformer", n] = build(setup, n)
+    return memo["transformer", n]
+
+
 def _comparison_end(factors, order, transformer: LinearMap, collapse: LinearMap,
                     values: VectorSpace) -> LinearMap:
     """Column j of the end applied to a cochain product is collapse o k_j o
@@ -704,22 +715,26 @@ def _psi(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
 
     Column (i, j) is collapse o (phi_i o f_u (x) id_N) on the representative
     of quotient basis vector j, for every product f_u = f_{u_0} (x) ... (x)
-    f_{u_q} of convolution basis maps.  The transformer sends u to f_u as a
-    vector of Hom(C^{(q+1)}, A^{(q+1)}): the convolution basis tensored q + 1
-    times, its (C, A) factors regrouped.
+    f_{u_q} of convolution basis maps (`_psi_transformer`).
     """
     x, y = setup.algebra_cochains, setup.coalgebra_cochains
-    c, a = setup.coalgebra.space, setup.algebra.space
-    regroup = tensor_permutation([c, a] * (q + 1),
-                                 [*range(0, 2 * q + 2, 2), *range(1, 2 * q + 2, 2)])
-    transformer = regroup @ tensor_power_map(setup.convolution.subspace.basis, q + 1)
     # Hom(A^{(q+1)}, M) (x) N (x) C^{(q+1)} -> Hom(C^{(q+1)} (x) A^{(q+1)}, N (x) M)
     factors = [x.domains[q], x.values, setup.module.space,
-               tensor_spaces([c] * (q + 1))]
-    end = _comparison_end(factors, [3, 0, 2, 1], transformer, collapse, values)
+               tensor_spaces([setup.coalgebra.space] * (q + 1))]
+    end = _comparison_end(factors, [3, 0, 2, 1], _transformer(setup, q, _psi_transformer),
+                          collapse, values)
     out = end @ tensor_map(x.subspaces[q].basis, y.quotients[q].section)
     return (relabel(out, setup.diagonal_module.spaces[q]),
             _psi_relation_witnesses(setup, q, collapse, end))
+
+
+def _psi_transformer(setup: ConvolutionCupSetup, q: int) -> LinearMap:
+    """u -> f_u as a vector of Hom(C^{(q+1)}, A^{(q+1)}): the convolution basis
+    tensored q + 1 times, its (C, A) factors regrouped."""
+    c, a = setup.coalgebra.space, setup.algebra.space
+    regroup = tensor_permutation([c, a] * (q + 1),
+                                 [*range(0, 2 * q + 2, 2), *range(1, 2 * q + 2, 2)])
+    return regroup @ tensor_power_map(setup.convolution.subspace.basis, q + 1)
 
 
 def _psi_relation_witnesses(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
@@ -774,6 +789,13 @@ def psi_tensor(setup: ConvolutionCupSetup, q: int) -> LinearMap:
 # the crossed-product comparison map
 
 
+# The largest transformer `_phi_transformer` builds, counted in dense cells
+# (dim A x B)^{2(n+1)}.  That overstates the sparse build, whose slot maps
+# hold dim H columns per basis tensor of (A x B)^{(n+1)}, but it refuses a
+# large one before anything is allocated rather than running out of memory.
+PHI_MAX_CELLS = 2 ** 24
+
+
 def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
     """(A x B)^{(n+1)} -> B^{(n+1)} (x) A^{(n+1)}, as a product of slot maps.
 
@@ -783,10 +805,14 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
     in that order, into a Hopf element h; and the twisted action
     h (x) a_j -> S^{-1}(h) . a_j.  So b_k gives its coaction legs to the
     slots k, k - 1, ..., 0, outermost first, and the cost scales with the
-    support of the coaction and of the action.  The map depends on neither
-    the collapse nor the values, so `phi_matrix` builds it once per setup
-    and degree.
+    support of the coaction and of the action.  A transformer above
+    `PHI_MAX_CELLS` is refused before anything is built.
     """
+    cells = setup.crossed.space.dim ** (2 * (n + 1))
+    if cells > PHI_MAX_CELLS:
+        raise LinAlgError(
+            f"the comparison map at degree {n} needs a transformer of {cells} cells, "
+            f"more than the limit of {PHI_MAX_CELLS}")
     a, b = setup.algebra.space, setup.comodule_algebra.space
     h = setup.algebra.hopf
     a_powers, b_powers = _powers(a, n + 1), _powers(b, n + 1)
@@ -805,35 +831,19 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
     return relabel(out, tensor_spaces([setup.crossed.space] * (n + 1)))
 
 
-# The largest transformer `phi_matrix` builds, counted in dense cells
-# (dim A x B)^{2(n+1)}.  That overstates the sparse build, whose slot maps
-# hold dim H columns per basis tensor of (A x B)^{(n+1)}, but it refuses a
-# large one before anything is allocated rather than running out of memory.
-PHI_MAX_CELLS = 2 ** 24
-
-
 def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
                values: VectorSpace) -> LinearMap:
     """Diagonal degree-n space -> Hom((A x B)^{(n+1)}, V).
 
     Column (r, i) is collapse o (psi_r (x) phi_i) o transformer for the basis
     cochains psi_r and phi_i, read as a Hom vector.  All columns come from
-    one Kronecker product of the two cochain bases.  The transformer is built
-    once per setup and degree and shared by every collapse.
+    one Kronecker product of the two cochain bases (`_phi_transformer`).
     """
     _require_tower_degree(setup.diagonal_module, n, "the comparison map")
-    memo = setup._memo
-    if ("phi", n) not in memo:
-        cells = setup.crossed.space.dim ** (2 * (n + 1))
-        if cells > PHI_MAX_CELLS:
-            raise LinAlgError(
-                f"the comparison map at degree {n} needs a transformer of {cells} cells, "
-                f"more than the limit of {PHI_MAX_CELLS}")
-        memo["phi", n] = _phi_transformer(setup, n)
     x, y = setup.comodule_cochains, setup.algebra_cochains
     # Hom(D, N) (x) Hom(E, M) -> Hom(D (x) E, N (x) M) reorders the factors
     end = _comparison_end([x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3],
-                          memo["phi", n], collapse, values)
+                          _transformer(setup, n, _phi_transformer), collapse, values)
     return relabel(end @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis),
                    setup.diagonal_module.spaces[n])
 

@@ -687,23 +687,31 @@ def test_total_complex_eliminates_nothing_on_the_bicomplex(demo_setups, monkeypa
     assert check_total_mixed_complex(total).passed
 
 
-def test_comparison_parts_are_built_once_per_setup(monkeypatch):
+@pytest.mark.parametrize("family, builder, check, comparison", [
+    ("aa", "_phi_transformer", check_phi, phi_scalar),
+    ("ac", "_psi_transformer", check_psi, psi_scalar)])
+def test_comparison_parts_are_built_once_per_setup(monkeypatch, family, builder, check,
+                                                    comparison):
+    """Each family's transformer is built once per setup and degree, and
+    shared by both collapses and every later call."""
     builds = []
-    build = cup._phi_transformer
+    build = getattr(cup, builder)
 
     def counted(setup, n):
         builds.append((id(setup), n))
         return build(setup, n)
 
-    monkeypatch.setattr(cup, "_phi_transformer", counted)
+    monkeypatch.setattr(cup, builder, counted)
     spec = parse_spec(Z2CUP)
-    first = spec.build_cup_setup("aa", 3)
-    for report in (check_phi(first), check_phi(first, tensor_valued=True),
+    first = spec.build_cup_setup(family, 3)
+    for report in (check(first), check(first, tensor_valued=True),
                    check_collapse_factorization(first)):
         assert report.passed, failures(report)
     assert sorted(n for _, n in builds) == [0, 1, 2, 3]
-    second = spec.build_cup_setup("aa", 3)
-    assert check_phi(second).passed
+    comparison(first, 3)
+    assert len(builds) == 4
+    second = spec.build_cup_setup(family, 3)
+    assert check(second).passed
     assert len(builds) == 8
     assert set(builds[4:]) == {(id(second), n) for n in range(4)}
     module = first.scalar_target
