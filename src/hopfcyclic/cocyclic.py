@@ -337,6 +337,16 @@ def _hom_tower(subspaces, domains, values, operators) -> HomCochainComplex:
     return HomCochainComplex(module, tuple(subspaces), tuple(domains), values)
 
 
+def _coact_then_act(coefficients: SaydModule, action: LinearMap,
+                    x: VectorSpace) -> LinearMap:
+    """M (x) X -> M (x) X, m (x) x -> m_(0) (x) m_(-1) . x, for the coaction of
+    the coefficients and an action H (x) X -> X."""
+    h, m = coefficients.hopf.space, coefficients.space
+    return (tensor_map(LinearMap.identity(m), action)
+            @ tensor_permutation([h, m, x], [1, 0, 2])
+            @ tensor_map(coefficients.coaction, LinearMap.identity(x)))
+
+
 # --------------------------------------------------------------------------
 # construction 1: plain algebra cochains
 
@@ -379,8 +389,7 @@ def coalgebra_cocyclic(coalgebra: ModuleCoalgebra, coefficients: SaydModule,
     quotients = tuple(cokernel(r) for r in relations)
 
     # degree 0: m (x) c -> m_(0) (x) m_(-1) . c
-    tau0 = tensor_map(LinearMap.identity(m), coalgebra.action) @ tensor_permutation(
-        [h.space, m, c], [1, 0, 2]) @ tensor_map(coefficients.coaction, LinearMap.identity(c))
+    tau0 = _coact_then_act(coefficients, coalgebra.action, c)
     operators = _operators(ambients, c.dim, m.dim, 1, coalgebra.comul, coalgebra.counit, tau0)
 
     def induce(op, s, t, what):
@@ -417,13 +426,8 @@ def algebra_module_cocyclic(algebra: ModuleAlgebra, coefficients: SaydModule,
         for n in range(cap + 1))
 
     # degree 0: phi -> phi(m_(0) (x) S^{-1}(m_(-1)) . a)
-    co = coefficients.coaction.fractions()
-    twist = algebra.twisted_action().fractions()  # rows y, columns (t, x)
-    dm, da = m.dim, a.dim
-    tau0 = LinearMap.from_entries(ambients[0], ambients[0], [
-        (k * da + x, j * da + y, co[t * dm + j][k] * twist[y][t * da + x])
-        for t in range(h.dim) for j in range(dm) for k in range(dm)
-        if co[t * dm + j][k] for y in range(da) for x in range(da)])
+    tau0 = relabel(_coact_then_act(coefficients, algebra.twisted_action(), a).transpose(),
+                   ambients[0], ambients[0])
     operators = _operators(ambients, a.dim, m.dim, 1, algebra.mul.transpose(),
                            algebra.unit.transpose(), tau0)
     return _hom_tower(subspaces, domains, g, operators)
@@ -464,12 +468,10 @@ def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule
                       - slot_map(grad, 1, dn, ambients[n], legs))
         subspaces.append(solve_constrained_subspace(ambients[n], [constraint], prefix="p"))
 
-    # degree 0: psi -> psi(b_(0)) . b_(-1)
-    act = coefficients.action.fractions()  # rows w, columns (u, t)
-    tau0 = LinearMap.from_entries(ambients[0], ambients[0], [
-        (x * dn + w, y * dn + u, co[t * db + y][x] * act[w][u * dh + t])
-        for t in range(dh) for y in range(db) for x in range(db)
-        if co[t * db + y][x] for u in range(dn) for w in range(dn)])
+    # degree 0: psi -> psi(b_(0)) . b_(-1), on Hom(B, N) read as B (x) N
+    tau0 = relabel(tensor_map(LinearMap.identity(b), coefficients.action)
+                   @ tensor_permutation([h.space, b, n_space], [1, 2, 0])
+                   @ tensor_map(flipped, LinearMap.identity(n_space)), ambients[0], ambients[0])
     operators = _operators(ambients, db, 1, dn, algebra.mul.transpose(),
                            algebra.unit.transpose(), tau0)
     return _hom_tower(subspaces, domains, n_space, operators)
@@ -503,13 +505,13 @@ def algebra_contra_cocyclic(algebra: ModuleAlgebra, coefficients: SaydContramodu
                       - slot_map(acts, 1, domains[n].dim, ambients[n], legs, (dm, dm)))
         subspaces.append(solve_constrained_subspace(ambients[n], [constraint], prefix="p"))
 
-    # degree 0: phi -> alpha(t (x) phi(S^{-1}(t) . a)), summed over the basis t of H
-    alpha = coefficients.alpha.fractions()  # rows w, columns (t, u)
-    twist = algebra.twisted_action().fractions()  # rows y, columns (t, x)
-    tau0 = LinearMap.from_entries(ambients[0], ambients[0], [
-        (x * dm + w, y * dm + u, twist[y][t * da + x] * alpha[w][t * dm + u])
-        for t in range(h.dim) for y in range(da) for x in range(da)
-        if twist[y][t * da + x] for u in range(dm) for w in range(dm)])
+    # degree 0: phi -> alpha(t (x) phi(S^{-1}(t) . a)), summed over the basis t of
+    # H; on Hom(A, Mc) read as A* (x) Mc, the twisted action's transpose makes
+    # the t* (x) a* legs
+    tau0 = relabel(tensor_map(LinearMap.identity(a), coefficients.alpha)
+                   @ tensor_permutation([h.space, a, m_space], [1, 0, 2])
+                   @ tensor_map(algebra.twisted_action().transpose(),
+                                LinearMap.identity(m_space)), ambients[0], ambients[0])
     operators = _operators(ambients, da, 1, dm, algebra.mul.transpose(),
                            algebra.unit.transpose(), tau0)
     return _hom_tower(subspaces, domains, m_space, operators)
