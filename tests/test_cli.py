@@ -525,6 +525,14 @@ class TestDeterminism:
                                       "--format", "json"])
         assert out == (DATA / f"z2_cup_{variant}_report.json").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("argv, golden", [
+        (["check", PLAIN], "plain_rationals_report.json"),
+        (["cohomology", PLAIN, "z2-algebra", "--max-degree", "3"],
+         "plain_rationals_z2_cohomology_report.json")])
+    def test_plain_demo_matches_golden_report(self, capsys, argv, golden):
+        out = self.run_twice(capsys, argv + ["--format", "json"])
+        assert out == (DATA / golden).read_text(encoding="utf-8")
+
     def test_cohomology_reports_byte_identical(self, capsys):
         self.run_twice(capsys, ["cohomology", PLAIN, "point-algebra",
                                 "--max-degree", "3", "--format", "json"])
