@@ -789,13 +789,6 @@ def psi_tensor(setup: ConvolutionCupSetup, q: int) -> LinearMap:
 # the crossed-product comparison map
 
 
-# The largest transformer `_phi_transformer` builds, counted in dense cells
-# (dim A x B)^{2(n+1)}.  That overstates the sparse build, whose slot maps
-# hold dim H columns per basis tensor of (A x B)^{(n+1)}, but it refuses a
-# large one before anything is allocated rather than running out of memory.
-PHI_MAX_CELLS = 2 ** 24
-
-
 def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
     """(A x B)^{(n+1)} -> B^{(n+1)} (x) A^{(n+1)}, as a product of slot maps.
 
@@ -829,6 +822,13 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
                        b_powers[n + 1 - j].dim * a_powers[j].dim, legs, ordered, (tail, tail))
         out = act @ (coact @ out)
     return relabel(out, tensor_spaces([setup.crossed.space] * (n + 1)))
+
+
+# The largest transformer `phi_matrix` builds, counted in dense cells
+# (dim A x B)^{2(n+1)}.  That overstates the sparse build, whose slot maps
+# hold dim H columns per basis tensor of (A x B)^{(n+1)}, but it refuses a
+# large one before anything is allocated rather than running out of memory.
+PHI_MAX_CELLS = 2 ** 24
 
 
 def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,

@@ -687,33 +687,34 @@ def test_total_complex_eliminates_nothing_on_the_bicomplex(demo_setups, monkeypa
     assert check_total_mixed_complex(total).passed
 
 
-@pytest.mark.parametrize("family, builder, check, comparison", [
-    ("aa", "_phi_transformer", check_phi, phi_scalar),
-    ("ac", "_psi_transformer", check_psi, psi_scalar)])
-def test_comparison_parts_are_built_once_per_setup(monkeypatch, family, builder, check,
-                                                    comparison):
+def test_comparison_parts_are_built_once_per_setup(monkeypatch):
     """Each family's transformer is built once per setup and degree, and
     shared by both collapses and every later call."""
     builds = []
-    build = getattr(cup, builder)
 
-    def counted(setup, n):
-        builds.append((id(setup), n))
-        return build(setup, n)
+    def counted(build):
+        def count(setup, n):
+            builds.append((id(setup), n))
+            return build(setup, n)
+        return count
 
-    monkeypatch.setattr(cup, builder, counted)
+    for builder in ("_phi_transformer", "_psi_transformer"):
+        monkeypatch.setattr(cup, builder, counted(getattr(cup, builder)))
     spec = parse_spec(Z2CUP)
-    first = spec.build_cup_setup(family, 3)
-    for report in (check(first), check(first, tensor_valued=True),
-                   check_collapse_factorization(first)):
-        assert report.passed, failures(report)
-    assert sorted(n for _, n in builds) == [0, 1, 2, 3]
-    comparison(first, 3)
-    assert len(builds) == 4
-    second = spec.build_cup_setup(family, 3)
-    assert check(second).passed
-    assert len(builds) == 8
-    assert set(builds[4:]) == {(id(second), n) for n in range(4)}
+    for family, check, comparison in (("aa", check_phi, phi_scalar),
+                                      ("ac", check_psi, psi_scalar)):
+        builds.clear()
+        first = spec.build_cup_setup(family, 3)
+        for report in (check(first), check(first, tensor_valued=True),
+                       check_collapse_factorization(first)):
+            assert report.passed, failures(report)
+        assert sorted(n for _, n in builds) == [0, 1, 2, 3]
+        comparison(first, 3)
+        assert len(builds) == 4
+        second = spec.build_cup_setup(family, 3)
+        assert check(second).passed
+        assert len(builds) == 8
+        assert set(builds[4:]) == {(id(second), n) for n in range(4)}
     module = first.scalar_target
     assert full_b(module, 1) is full_b(module, 1)
     assert full_B(module, 2) is full_B(module, 2)
