@@ -1,5 +1,6 @@
 """Coefficient modules, contramodules, pairs, and the contratensor."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from hopfcyclic.coefficients import (
 from hopfcyclic.hopf import (
     cyclic_group_table,
     group_algebra,
+    iterated_comultiplication,
     sweedler_h4,
     symmetric_group_table,
     trivial_hopf,
@@ -30,7 +32,13 @@ from hopfcyclic.hopf import (
 from hopfcyclic.linalg import (
     LinearMap,
     VectorSpace,
+    basis_vector,
     dual_space,
+    evaluation_pairing,
+    insert_vector,
+    relabel,
+    stack_vertical,
+    tensor_map,
     tensor_space,
     vector_from,
     vectors_equal,
@@ -140,11 +148,12 @@ class TestContramoduleChecker:
         assert dualize(m).dim == m.dim
 
     def test_dual_action_transposes_the_action(self):
-        h = z2()
-        m = block_module(h)
+        # <x.h, f> = <x, h.f> on M (x) H (x) M*
+        m = block_module(z2())
         d = dualize(m)
-        for i in range(h.dim):
-            assert d.act_by(i) == m.act_by(i).transpose()
+        ev = evaluation_pairing(m.space)
+        assert ev @ tensor_map(m.action, LinearMap.identity(d.space)) \
+            == ev @ tensor_map(LinearMap.identity(m.space), d.action)
 
     def test_alpha_of_dual_is_coaction_transpose(self):
         m = block_module(z2())
@@ -173,8 +182,8 @@ class TestContramoduleChecker:
         r = contramodule_stability_map(m)
         # column for basis vector t stacks the actions of each Hopf basis element
         col = r.column(0)
-        a0 = m.act_by(0).column(0)
-        a1 = m.act_by(1).column(0)
+        a0 = m.action.column(0 * m.dim + 0)  # 1 acting on t
+        a1 = m.action.column(1 * m.dim + 0)  # g acting on t
         assert vectors_equal(col, list(a0) + list(a1))
 
 
@@ -271,3 +280,155 @@ class TestContratensor:
 
         rho = tm(n.action, LinearMap.identity(m.space)) - tm(LinearMap.identity(n.space), m.action)
         assert (ct.projection @ rho).is_zero()
+
+
+# -- the per-basis-element formulation, kept as a reference -----------------
+
+
+def hopf_ladder():
+    return [("trivial", trivial_hopf()), ("z2", z2()),
+            ("z3", group_algebra(cyclic_group_table(3))),
+            ("s3", group_algebra(symmetric_group_table(3))), ("sweedler4", sweedler_h4())]
+
+
+def grouplikes(h):
+    """The basis elements g with comultiplication g (x) g and counit 1."""
+    n = h.dim
+    return [i for i in range(n)
+            if h.comul.column(i) == basis_vector(tensor_space(h.space, h.space), i * n + i)
+            and h.counit.entry(0, i) == 1]
+
+
+def element(space, i):
+    return insert_vector(space, basis_vector(space, i))
+
+
+def right_act_by(m, i):
+    """The right action of the i-th basis element of H on a module."""
+    return m.action @ tensor_map(LinearMap.identity(m.space), element(m.hopf.space, i))
+
+
+def left_act_by(m, i):
+    """The left action of the i-th basis element of H on a contramodule."""
+    return m.action @ tensor_map(element(m.hopf.space, i), LinearMap.identity(m.space))
+
+
+def alpha_at(m, i):
+    """alpha of the i-th dual basis function of H, as a map on the carrier."""
+    return m.alpha @ tensor_map(element(dual_space(m.hopf.space), i), LinearMap.identity(m.space))
+
+
+def combination(coeffs, maps, space):
+    out = LinearMap.zero(space, space)
+    for c, f in zip(coeffs, maps):
+        if c:
+            out = out + f.scale(c)
+    return out
+
+
+def reference_dualize(m):
+    h, dual = m.hopf, dual_space(m.space)
+    acts = stack_vertical([right_act_by(m, i) for i in range(h.dim)])
+    action = relabel(acts.transpose(), tensor_space(h.space, dual), dual)
+    alpha = relabel(m.coaction.transpose(), tensor_space(dual_space(h.space), dual), dual)
+    return SaydContramodule(h, dual, action, alpha)
+
+
+def reference_stability_map(m):
+    acts = stack_vertical([left_act_by(m, i) for i in range(m.hopf.dim)])
+    return relabel(acts, m.space, tensor_space(dual_space(m.hopf.space), m.space))
+
+
+def reference_contramodule_checks(m):
+    """(name, passed) of every contramodule axiom, one Hopf basis element at a time."""
+    h, n, space = m.hopf, m.hopf.dim, m.space
+    i_m = LinearMap.identity(space)
+    acts = [left_act_by(m, i) for i in range(n)]
+    alphas = [alpha_at(m, i) for i in range(n)]
+    mul = [[h.mul.entry(k, ij) for k in range(n)] for ij in range(n * n)]
+    comul = [[h.comul.entry(fg, k) for k in range(n)] for fg in range(n * n)]
+    out = [
+        ("left action associative", all(
+            acts[i] @ acts[j] == combination(mul[i * n + j], acts, space)
+            for i in range(n) for j in range(n))),
+        ("left action unital", combination(h.unit.column(0), acts, space) == i_m),
+        ("contra-associativity", all(
+            alphas[f] @ alphas[g] == combination(comul[f * n + g], alphas, space)
+            for f in range(n) for g in range(n))),
+        ("contra-counit", combination([h.counit.entry(0, k) for k in range(n)], alphas,
+                                      space) == i_m),
+    ]
+    # AYD: h.alpha(f) = alpha( h2 . f( S(h3) (-) h1 ) ) for each basis h
+    i_h = LinearMap.identity(h.space)
+    d2 = iterated_comultiplication(h, 2)
+    left_s = [h.mul @ tensor_map(insert_vector(h.space, h.antipode.column(w)), i_h)
+              for w in range(n)]
+    right_by = [h.mul @ tensor_map(i_h, element(h.space, w)) for w in range(n)]
+    src = tensor_space(dual_space(h.space), space)
+    ayd = True
+    for t in range(n):
+        twist = LinearMap.zero(src, src)
+        for flat, c in enumerate(d2.column(t)):
+            if c:
+                u, rest = divmod(flat, n * n)
+                v, w = divmod(rest, n)
+                inner = left_s[w] @ right_by[u]
+                twist = twist + tensor_map(inner.transpose(), acts[v]).scale(c)
+        ayd = ayd and acts[t] @ m.alpha == m.alpha @ twist
+    out.append(("anti-Yetter-Drinfeld identity", ayd))
+    out.append(("stability", combination([1] * n, [a @ s for a, s in zip(alphas, acts)],
+                                         space) == i_m))
+    return out
+
+
+def perturbed(m, rng, count):
+    """`count` copies of the contramodule, each with one entry of alpha moved."""
+    for _ in range(count):
+        j = rng.randrange(m.alpha.source.dim)
+        i = rng.randrange(m.dim)
+        bump = LinearMap.from_entries(m.alpha.source, m.alpha.target,
+                                      [(i, j, rng.choice((1, -1, 2, Fraction(1, 2))))])
+        yield SaydContramodule(m.hopf, m.space, m.action, m.alpha + bump)
+
+
+def random_module(h, rng, dim=2):
+    """A module-shaped object with arbitrary sparse action and coaction matrices."""
+    space = VectorSpace(dim, tuple(f"m{i}" for i in range(dim)))
+
+    def sparse(src, tgt):
+        return LinearMap.from_entries(src, tgt, [
+            (i, j, rng.choice((1, -1, 3, Fraction(-2, 3))))
+            for i in range(tgt.dim) for j in range(src.dim) if rng.random() < 0.4])
+    return SaydModule(h, space, sparse(tensor_space(space, h.space), space),
+                      sparse(space, tensor_space(h.space, space)))
+
+
+class TestPerElementReference:
+    """Whole-map structure maps and checks agree with their per-basis-element
+    forms over trivial, Z/2, Z/3, S3 and sweedler4."""
+
+    def test_contramodule_checks_match_the_reference(self):
+        rng = random.Random(131)
+        seen_failure = False
+        for _, h in hopf_ladder():
+            for sigma in grouplikes(h):
+                base = grouplike_coefficients(h, sigma).contramodule
+                for m in [base, *perturbed(base, rng, 3)]:
+                    got = [(e.name, e.passed) for e in check_sayd_contramodule(m).entries]
+                    assert got == reference_contramodule_checks(m)
+                    seen_failure = seen_failure or not all(p for _, p in got)
+            m = dualize(random_module(h, rng))
+            got = [(e.name, e.passed) for e in check_sayd_contramodule(m).entries]
+            assert got == reference_contramodule_checks(m)
+        assert seen_failure
+
+    def test_dualize_and_stability_match_the_reference(self):
+        rng = random.Random(132)
+        for _, h in hopf_ladder():
+            modules = [grouplike_coefficients(h, s).module for s in grouplikes(h)]
+            modules += [random_module(h, rng, dim) for dim in (1, 2, 3)]
+            for mod in modules:
+                d = dualize(mod)
+                assert d == reference_dualize(mod)
+                assert d.action.source.labels == reference_dualize(mod).action.source.labels
+                assert contramodule_stability_map(d) == reference_stability_map(d)

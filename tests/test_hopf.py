@@ -24,6 +24,7 @@ from hopfcyclic.hopf import (
     check_module_coalgebra,
     convolution_algebra,
     crossed_product,
+    equivariant_map_space,
     cyclic_group_table,
     group_algebra,
     iota,
@@ -40,7 +41,13 @@ from hopfcyclic.linalg import (
     LinearMap,
     VectorSpace,
     basis_vector,
+    hom_postcompose,
+    hom_precompose,
+    hom_space,
+    hom_vector_to_map,
     insert_vector,
+    map_to_hom_vector,
+    solve_constrained_subspace,
     tensor_map,
     tensor_permutation,
     tensor_space,
@@ -277,7 +284,7 @@ class TestConvolutionAlgebra:
         conv = convolution_algebra(ca)
         assert conv.dim == 1
         # the surviving map is a multiple of the counit
-        f = conv.basis_maps[0]
+        f = hom_vector_to_map(conv.subspace.basis.column(0), c.space, a.space)
         assert f.entry(0, 0) == f.entry(0, 1) != 0
 
     def test_sign_configuration_convolution(self):
@@ -299,6 +306,18 @@ class TestConvolutionAlgebra:
                 rhs = conv.algebra.mul @ tensor_map(emb @ insert_vector(a.space, basis_vector(a.space, i)),
                                                     emb @ insert_vector(a.space, basis_vector(a.space, j)))
                 assert lhs == rhs
+
+    def test_iota_refuses_an_action_that_is_not_h_linear(self):
+        # the counit action of the regular coalgebra on the sign-twisted
+        # algebra: c -> counit(c) g is not H-linear, as g.g = -g
+        h = z2()
+        a = ModuleAlgebra(h, h.space, h.mul, h.unit, sign_action_z2(h))
+        c = ModuleCoalgebra(h, h.space, h.comul, h.counit, left_regular_action(h))
+        ca = CoalgebraAction(c, a, trivial_action(h, a.space))
+        conv = convolution_algebra(ca)
+        with pytest.raises(ValueError, match=r"^image of basis element 'g' is not H-linear; "
+                                             r"the coalgebra action violates equivariance$"):
+            iota(ca, conv)
 
     def test_unit_law_on_basis_maps(self):
         ca = sign_configuration()
@@ -361,3 +380,83 @@ class TestCrossedProduct:
         )
         out = (alg.mul @ x).column(0)
         assert vectors_equal(out, [0, -1, 0, 0])
+
+
+# -- the per-basis-element formulation, kept as a reference -----------------
+
+
+def hopf_ladder():
+    return [trivial_hopf(), z2(), group_algebra(cyclic_group_table(3)),
+            group_algebra(symmetric_group_table(3)), sweedler_h4()]
+
+
+def element(space, i):
+    return insert_vector(space, basis_vector(space, i))
+
+
+def reference_equivariant_map_space(h, c_space, c_action, a_space, a_action):
+    """H-linear maps C -> A: one constraint per basis element of H, stacked."""
+    i_c, i_a = LinearMap.identity(c_space), LinearMap.identity(a_space)
+    constraints = []
+    for i in range(h.dim):
+        act_c = c_action @ tensor_map(element(h.space, i), i_c)
+        act_a = a_action @ tensor_map(element(h.space, i), i_a)
+        constraints.append(hom_precompose(act_c, a_space) - hom_postcompose(c_space, act_a))
+    return solve_constrained_subspace(hom_space(c_space, a_space), constraints, prefix="f")
+
+
+def reference_convolution_product(ca, sub):
+    """The convolution product, one pair of basis maps at a time."""
+    c, a = ca.coalgebra, ca.algebra
+    maps = [hom_vector_to_map(sub.basis.column(j), c.space, a.space) for j in range(sub.dim)]
+    entries = []
+    for i, f in enumerate(maps):
+        for j, g in enumerate(maps):
+            coords = sub.coords(map_to_hom_vector(a.mul @ tensor_map(f, g) @ c.comul))
+            entries += [(k, i * sub.dim + j, x) for k, x in enumerate(coords) if x]
+    return LinearMap.from_entries(tensor_space(sub.space, sub.space), sub.space, entries)
+
+
+def reference_iota(ca, sub):
+    """a -> (c -> c.a), one basis element of A at a time."""
+    c, a = ca.coalgebra, ca.algebra
+    cols = [sub.coords(map_to_hom_vector(
+        ca.act @ tensor_map(LinearMap.identity(c.space), element(a.space, j))))
+        for j in range(a.space.dim)]
+    return LinearMap.from_rows(a.space, sub.space,
+                               [[col[i] for col in cols] for i in range(sub.dim)])
+
+
+def actions(h):
+    return {"trivial": trivial_action(h, h.space), "left-regular": left_regular_action(h),
+            "adjoint": adjoint_action(h)}
+
+
+class TestPerElementReference:
+    """Equivariant map spaces, convolution products and iota agree with their
+    per-basis-element forms over trivial, Z/2, Z/3, S3 and sweedler4."""
+
+    def test_equivariant_map_space_matches_the_reference(self):
+        for h in hopf_ladder():
+            for c_action in actions(h).values():
+                for a_action in actions(h).values():
+                    got = equivariant_map_space(h, h.space, c_action, h.space, a_action)
+                    assert got == reference_equivariant_map_space(h, h.space, c_action,
+                                                                  h.space, a_action)
+
+    def test_convolution_and_iota_match_the_reference(self):
+        for h in hopf_ladder():
+            c = ModuleCoalgebra(h, h.space, h.comul, h.counit, left_regular_action(h))
+            for kind in ("trivial", "adjoint"):
+                action = actions(h)[kind]
+                a = ModuleAlgebra(h, h.space, h.mul, h.unit, action)
+                ca = CoalgebraAction(c, a, action)
+                assert check_coalgebra_action(ca).passed
+                conv = convolution_algebra(ca)
+                sub = conv.subspace
+                assert sub == reference_equivariant_map_space(h, c.space, c.action,
+                                                              a.space, a.action)
+                assert conv.algebra.mul == reference_convolution_product(ca, sub)
+                assert conv.algebra.mul.source.labels == \
+                    tensor_space(sub.space, sub.space).labels
+                assert iota(ca, conv) == reference_iota(ca, sub)
