@@ -5,7 +5,7 @@ with coface, codegeneracy and cyclic operators.  This module provides
 
   * a generic carrier (`CocyclicModule`) plus `verify_cocyclic`, which checks
     every cosimplicial and cyclic identity by exact matrix equality;
-  * four equivariant cochain constructions over a Hopf algebra H:
+  * five cochain constructions, four of them equivariant over a Hopf algebra H:
       - `plain_algebra_cocyclic`: cochains of an algebra with values in a
         fixed space (no equivariance);
       - `coalgebra_cocyclic`: M (x)_H C^{(n+1)} for an H-module coalgebra C
@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NoReturn, Optional
 
-from .coefficients import SaydContramodule, SaydModule, contramodule_stability_map, dualize
-from .hopf import Algebra, ComoduleAlgebra, HopfAlgebra, ModuleAlgebra, ModuleCoalgebra
+from .coefficients import SaydContramodule, SaydModule, dualize
+from .hopf import (Algebra, ComoduleAlgebra, HopfAlgebra, ModuleAlgebra, ModuleCoalgebra,
+                   equivariance_constraint)
 from .linalg import (
     LinAlgError,
     LinearMap,
@@ -51,7 +52,9 @@ from .linalg import (
     Subspace,
     VectorSpace,
     cokernel,
+    dual_space,
     hom_space,
+    partial_transpose,
     relabel,
     rref,
     slot_map,
@@ -456,10 +459,8 @@ def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule
     # t.  The right side is a slot map of the diagonal coaction with its B
     # factors transposed, which is built by the same recursion from the
     # transposed coaction `flipped`: entry ((t, x), y) is entry ((t, y), x).
-    co = algebra.coaction.fractions()  # rows (t, y), columns x
-    flipped = LinearMap.from_entries(b, tensor_space(h.space, b), [
-        (t * db + x, y, co[t * db + y][x])
-        for t in range(dh) for y in range(db) for x in range(db)])
+    flipped = relabel(partial_transpose(algebra.coaction.transpose(), dual_space(h.space),
+                                        dual_space(b)).transpose(), b, tensor_space(h.space, b))
     subspaces = []
     for n, grad in enumerate(_diagonal_coactions(h, flipped, domains)):
         legs = VectorSpace.make(dh * ambients[n].dim, "c")
@@ -495,15 +496,11 @@ def algebra_contra_cocyclic(algebra: ModuleAlgebra, coefficients: SaydContramodu
     domains = _powers(a, cap + 1)[1:]
     ambients = tuple(hom_space(domains[n], m_space) for n in range(cap + 1))
 
-    # phi is equivariant when phi(t . x) = t . phi(x) for every basis element
-    # t of H; both sides land in coordinates (t, x, u)
-    acts = contramodule_stability_map(coefficients)
-    subspaces = []
-    for n, diag in enumerate(_diagonal_actions(h, algebra.action, domains)):
-        legs = VectorSpace.make(h.space.dim * ambients[n].dim, "c")
-        constraint = (slot_map(diag.transpose(), 1, dm, ambients[n], legs)
-                      - slot_map(acts, 1, domains[n].dim, ambients[n], legs, (dm, dm)))
-        subspaces.append(solve_constrained_subspace(ambients[n], [constraint], prefix="p"))
+    # phi is equivariant when phi(t . x) = t . phi(x) for every basis element t of H
+    subspaces = [
+        solve_constrained_subspace(ambients[n], [equivariance_constraint(
+            h, diag, coefficients.action, ambients[n])], prefix="p")
+        for n, diag in enumerate(_diagonal_actions(h, algebra.action, domains))]
 
     # degree 0: phi -> alpha(t (x) phi(S^{-1}(t) . a)), summed over the basis t of
     # H; on Hom(A, Mc) read as A* (x) Mc, the twisted action's transpose makes

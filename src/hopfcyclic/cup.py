@@ -752,7 +752,7 @@ def _psi_relation_witnesses(setup: ConvolutionCupSetup, q: int, collapse: Linear
         x, y = setup.algebra_cochains, setup.coalgebra_cochains
         seen = end @ tensor_map(x.subspaces[q].basis, y.relations[q])
         width = y.relations[q].source.dim
-        memo[key] = collapse, sorted({j // width for j, col in enumerate(seen._cols) if col})
+        memo[key] = collapse, sorted({j // width for j in seen.nonzero_columns()})
     return memo[key][1]
 
 

@@ -6,6 +6,12 @@ axiom is checkable as an exact matrix identity and checkers return structured
 reports rather than raising.  On top sit module algebras, module coalgebras,
 comodule algebras, coalgebra actions, and the two derived algebras those
 produce: the convolution algebra of equivariant maps and the crossed product.
+
+H-linearity of maps X -> Y is one constraint on Hom(X, Y),
+phi -> phi o act_X - act_Y o (id (x) phi), shared with the contramodule-valued
+cochains.  The convolution product is one composite of Hom-space maps
+restricted to the equivariant subspace, and the embedding of the algebra is
+the coalgebra action curried.
 """
 
 from __future__ import annotations
@@ -18,18 +24,21 @@ from .linalg import (
     LinearMap,
     Subspace,
     VectorSpace,
-    basis_vector,
+    dual_space,
     hom_postcompose,
     hom_precompose,
     hom_space,
-    hom_vector_to_map,
     insert_vector,
     map_to_hom_vector,
+    partial_transpose,
+    relabel,
+    slot_map,
     solve_constrained_subspace,
     tensor_map,
     tensor_maps,
     tensor_permutation,
     tensor_space,
+    tensor_subspace,
 )
 from .reporting import Report
 
@@ -185,7 +194,7 @@ def group_algebra(table: Sequence[Sequence[int]], labels: Optional[Sequence[str]
         tensor_space(space, space), space,
         [(table[i][j], i * n + j, Fraction(1)) for i in range(n) for j in range(n)],
     )
-    unit = insert_vector(space, basis_vector(space, identity))
+    unit = LinearMap.from_entries(_Q, space, [(identity, 0, Fraction(1))])
     comul = LinearMap.from_entries(
         space, tensor_space(space, space), [(i * n + i, i, Fraction(1)) for i in range(n)]
     )
@@ -240,7 +249,7 @@ def sweedler_h4() -> HopfAlgebra:
             sign = Fraction(-1 if (b * c) % 2 else 1)
             entries.append((idx[((a + c) % 2, b + d)], i * 4 + j, sign))
     mul = LinearMap.from_entries(tensor_space(space, space), space, entries)
-    unit = insert_vector(space, basis_vector(space, 0))
+    unit = LinearMap.from_entries(_Q, space, [(0, 0, Fraction(1))])
     t = tensor_space(space, space)
     one = Fraction(1)
     comul = LinearMap.from_entries(
@@ -458,12 +467,11 @@ class ConvolutionAlgebra:
     """The algebra of H-linear maps C -> A under convolution.
 
     The carrier is the joint kernel of the equivariance constraints inside
-    the full map space; `basis_maps` are the corresponding concrete maps.
+    the full map space; column j of `subspace.basis` is the j-th basis map.
     """
 
     algebra: Algebra
     subspace: Subspace
-    basis_maps: tuple[LinearMap, ...]
     source: CoalgebraAction
 
     @property
@@ -475,6 +483,23 @@ class ConvolutionAlgebra:
         return self.algebra.space.dim
 
 
+def equivariance_constraint(h: HopfAlgebra, x_action: LinearMap, y_action: LinearMap,
+                            maps: VectorSpace) -> LinearMap:
+    """Hom(X, Y) -> Hom(H (x) X, Y), phi -> phi o act_X - act_Y o (id (x) phi), for
+    left actions H (x) X -> X and H (x) Y -> Y, on `maps` = Hom(X, Y).
+
+    Its kernel is the H-linear maps.  Row (t, x, y) is the constraint at the
+    basis element t of H, so the matrix is the per-element constraints
+    stacked.  Both terms are slot maps: the transposed action of X, and the
+    action of Y curried to Y -> H* (x) Y with its H* leg carried past X.
+    """
+    x, y = x_action.target, y_action.target
+    legs = VectorSpace.make(h.dim * maps.dim, "c")
+    curried = partial_transpose(y_action, h.space, y).transpose()
+    return (slot_map(x_action.transpose(), 1, y.dim, maps, legs)
+            - slot_map(curried, 1, x.dim, maps, legs, (y.dim, y.dim)))
+
+
 def equivariant_map_space(
     h: HopfAlgebra,
     c_space: VectorSpace,
@@ -483,60 +508,43 @@ def equivariant_map_space(
     a_action: LinearMap,
 ) -> Subspace:
     """H-linear maps C -> A as a subspace of the full map space."""
-    i_c = LinearMap.identity(c_space)
-    i_a = LinearMap.identity(a_space)
-    constraints = []
-    for i in range(h.dim):
-        ins = insert_vector(h.space, basis_vector(h.space, i))
-        act_c = c_action @ tensor_map(ins, i_c)
-        act_a = a_action @ tensor_map(ins, i_a)
-        constraints.append(hom_precompose(act_c, a_space) - hom_postcompose(c_space, act_a))
-    return solve_constrained_subspace(hom_space(c_space, a_space), constraints, prefix="f")
+    maps = hom_space(c_space, a_space)
+    return solve_constrained_subspace(
+        maps, [equivariance_constraint(h, c_action, a_action, maps)], prefix="f")
 
 
 def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:
     c, a = ca.coalgebra, ca.algebra
-    sub = equivariant_map_space(ca.coalgebra.hopf, c.space, c.action, a.space, a.action)
-    maps = tuple(
-        hom_vector_to_map(sub.basis.column(j), c.space, a.space) for j in range(sub.dim)
-    )
-    b_space = VectorSpace.make(sub.dim, "f")
-    entries = []
-    for i, f in enumerate(maps):
-        for j, g in enumerate(maps):
-            prod = a.mul @ tensor_map(f, g) @ c.comul
-            coords = sub.coords(map_to_hom_vector(prod))
-            for k in range(sub.dim):
-                if coords[k]:
-                    entries.append((k, i * sub.dim + j, coords[k]))
-    mul = LinearMap.from_entries(tensor_space(b_space, b_space), b_space, entries)
-    unit_map = a.unit @ c.counit
-    unit = insert_vector(b_space, sub.coords(map_to_hom_vector(unit_map)))
+    sub = equivariant_map_space(c.hopf, c.space, c.action, a.space, a.action)
+    b_space = sub.space
+    # f (x) g -> mul o (f (x) g) o comul, with Hom(C, A) (x) Hom(C, A) regrouped
+    # as Hom(C (x) C, A (x) A)
+    product = (hom_precompose(c.comul, a.space)
+               @ hom_postcompose(tensor_space(c.space, c.space), a.mul)
+               @ tensor_permutation([dual_space(c.space), a.space] * 2, [0, 2, 1, 3]))
+    mul = relabel(sub.restrict_from(product, tensor_subspace(sub, sub)),
+                  tensor_space(b_space, b_space))
+    unit = insert_vector(b_space, sub.coords(map_to_hom_vector(a.unit @ c.counit)))
     alg = Algebra(b_space, mul, unit)
     rep = check_algebra(alg, "convolution algebra")
     if not rep.passed:
         bad = rep.first_failure()
         raise ValueError(f"convolution product is not an algebra: {bad.name} ({bad.detail})")
-    return ConvolutionAlgebra(alg, sub, maps, ca)
+    return ConvolutionAlgebra(alg, sub, ca)
 
 
 def iota(ca: CoalgebraAction, conv: ConvolutionAlgebra) -> LinearMap:
     """The algebra map A -> B sending a to the H-linear map c -> c.a."""
     c, a = ca.coalgebra, ca.algebra
     sub = conv.subspace
-    cols = []
-    for j in range(a.space.dim):
-        as_map = ca.act @ tensor_map(
-            LinearMap.identity(c.space), insert_vector(a.space, basis_vector(a.space, j))
-        )
-        try:
-            cols.append(sub.coords(map_to_hom_vector(as_map)))
-        except Exception as exc:
-            raise ValueError(
-                f"image of basis element {a.space.labels[j]!r} is not H-linear; "
-                "the coalgebra action violates equivariance"
-            ) from exc
-    m = LinearMap.from_rows(a.space, conv.space, [[col[i] for col in cols] for i in range(conv.dim)])
+    curried = partial_transpose(ca.act, c.space, a.space).transpose()  # A -> Hom(C, A)
+    coords = sub.coords_matrix() @ curried
+    stray = (sub.basis @ coords - curried).nonzero_columns()
+    if stray:
+        raise ValueError(
+            f"image of basis element {a.space.labels[stray[0]]!r} is not H-linear; "
+            "the coalgebra action violates equivariance")
+    m = relabel(coords, a.space, conv.space)
     if conv.algebra.mul @ tensor_map(m, m) != m @ a.mul:
         raise ValueError("embedding into the convolution algebra is not multiplicative")
     if m @ a.unit != conv.algebra.unit:

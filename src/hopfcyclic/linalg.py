@@ -12,7 +12,13 @@ Conventions, used everywhere downstream:
     coordinate vectors;
   * the basis of V (x) W is row-major: index of (i, j) is i*dim(W) + j;
   * eliminations scan columns left to right and pick the first nonzero row,
-    so kernels, cokernels and solutions are deterministic.
+    so kernels, cokernels and solutions are deterministic;
+  * `partial_transpose` moves the last source factor of a map across to the
+    target, and its transpose is currying, so a structure map is read whole
+    rather than one basis element at a time.
+
+Only this module reads the storage of a LinearMap; the others use its
+accessors.
 """
 
 from __future__ import annotations
@@ -204,6 +210,10 @@ class LinearMap:
 
     def is_zero(self) -> bool:
         return not any(self._cols)
+
+    def nonzero_columns(self) -> list[int]:
+        """Ascending indices of the columns holding a nonzero entry."""
+        return [j for j, col in enumerate(self._cols) if col]
 
     def first_nonzero(self) -> Optional[tuple[int, int, Fraction]]:
         """Row-major first nonzero entry, for deterministic failure reports."""
@@ -407,6 +417,27 @@ def slot_map(k: LinearMap, left: int, middle: int, source: VectorSpace, target: 
             for e in range(ls)]
     # every column of k appears once left * middle > 0, so the map stays reduced
     return LinearMap(source, target, tuple(cols), k._den if cols else 1)
+
+
+def partial_transpose(f: LinearMap, x: VectorSpace, y: VectorSpace) -> LinearMap:
+    """f: X (x) Y -> Z with its last source factor moved across, X (x) Z* -> Y*.
+
+    Entry (y, (x, z)) is entry (z, (x, y)) of f, in one pass over its
+    nonzeros.  The transpose Y -> X* (x) Z = Hom(X, Z) is the currying
+    y -> (x -> f(x (x) y)).
+    """
+    if x.dim * y.dim != f.source.dim:
+        raise LinAlgError(
+            f"partial transpose of a {f.target.dim}x{f.source.dim} map does not fit "
+            f"factors of dims {x.dim} and {y.dim}")
+    dz = f.target.dim
+    cols = [{} for _ in range(x.dim * dz)]
+    for k, col in enumerate(f._cols):
+        i, j = divmod(k, y.dim)
+        for z, v in col.items():
+            cols[i * dz + z][j] = v
+    # the same entries over the same denominator, so the map stays reduced
+    return LinearMap(tensor_space(x, dual_space(f.target)), dual_space(y), tuple(cols), f._den)
 
 
 def tensor_permutation(spaces: Sequence[VectorSpace], perm: Sequence[int]) -> LinearMap:

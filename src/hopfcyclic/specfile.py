@@ -502,8 +502,9 @@ def _parse_pair(name: str, value, out: SpecFile, where: str) -> CompatiblePair:
         if not isinstance(kind, str) or kind not in _PAIRS:
             raise SpecError(where, f"unknown builtin pair {kind!r}")
         return _PAIRS[kind](h, fields, where)
-    module = SpecFile._ref(out.modules, fields.get("module"), where)
-    contramodule = SpecFile._ref(out.contramodules, fields.get("contramodule"), where)
+    module, contramodule = _resolved(out, (("module", _named("modules")),
+                                           ("contramodule", _named("contramodules"))),
+                                     fields, where)
     if "pairing" not in fields:
         raise SpecError(where, "an explicit pair needs a 'pairing'")
     pairing = _linear_map(fields["pairing"], [],
@@ -513,8 +514,8 @@ def _parse_pair(name: str, value, out: SpecFile, where: str) -> CompatiblePair:
 
 def _parse_coalgebra_action(name: str, value, out: SpecFile, where: str) -> CoalgebraAction:
     fields = _require_dict(value, where)
-    coalgebra = SpecFile._ref(out.coalgebras, fields.get("coalgebra"), where)
-    algebra = out._module_algebra(fields.get("algebra"), where)
+    coalgebra, algebra = _resolved(out, (("coalgebra", _named("coalgebras")),
+                                         ("algebra", SpecFile._module_algebra)), fields, where)
     if "map" not in fields:
         raise SpecError(where, "a coalgebra action needs a 'map'")
     act = _linear_map(fields["map"], [algebra.space],

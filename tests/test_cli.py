@@ -298,6 +298,11 @@ REFUSALS = [
      "plain, coalgebra, algebra_module, comodule_algebra, algebra_contra"),
     ("cup missing a field", lambda data: data["cup"]["ac"].pop("coalgebra"),
      "cup.ac: missing field 'coalgebra'"),
+    ("pair missing a field", declared("pairs", {"module": "counit-twist"}),
+     "pairs.extra: missing field 'contramodule'"),
+    ("coalgebra action missing a field",
+     lambda data: data["coalgebra_actions"]["signed-eval"].pop("algebra"),
+     "coalgebra_actions.signed-eval: missing field 'algebra'"),
     ("unknown section", lambda data: data.update(gadgets={}),
      "gadgets: unknown section; known sections: hopf_algebras, algebras, coalgebras, "
      "comodule_algebras, modules, contramodules, pairs, coalgebra_actions, "

@@ -177,6 +177,13 @@ class TestContramoduleChecker:
         alpha = LinearMap.from_rows(tensor_space(dual_space(h.space), space), space, [[0, 1]])
         assert check_sayd_contramodule(SaydContramodule(h, space, action, alpha)).passed
 
+    def test_trivial_contramodule_over_sweedler_witness_is_pinned(self):
+        # the anti-Yetter-Drinfeld residual names the Hopf element first: x
+        rep = check_sayd_contramodule(trivial_coefficients(sweedler_h4()).contramodule)
+        assert [(e.name, e.detail) for e in rep.entries if not e.passed] == [
+            ("anti-Yetter-Drinfeld identity",
+             "first residual -2 at row 'n*', column 'x⊗x*⊗n*'")]
+
     def test_stability_map_matches_actions(self):
         m = dualize(block_module(z2()))
         r = contramodule_stability_map(m)

@@ -427,6 +427,12 @@ def reference_iota(ca, sub):
                                [[col[i] for col in cols] for i in range(sub.dim)])
 
 
+def same_subspace(got, ref):
+    """Equal bases, supports and carriers; the ambient labels may differ."""
+    return (got.basis, got.supports, got.space, got.ambient.dim) \
+        == (ref.basis, ref.supports, ref.space, ref.ambient.dim)
+
+
 def actions(h):
     return {"trivial": trivial_action(h, h.space), "left-regular": left_regular_action(h),
             "adjoint": adjoint_action(h)}
@@ -441,8 +447,9 @@ class TestPerElementReference:
             for c_action in actions(h).values():
                 for a_action in actions(h).values():
                     got = equivariant_map_space(h, h.space, c_action, h.space, a_action)
-                    assert got == reference_equivariant_map_space(h, h.space, c_action,
-                                                                  h.space, a_action)
+                    ref = reference_equivariant_map_space(h, h.space, c_action,
+                                                          h.space, a_action)
+                    assert same_subspace(got, ref)
 
     def test_convolution_and_iota_match_the_reference(self):
         for h in hopf_ladder():
@@ -454,8 +461,8 @@ class TestPerElementReference:
                 assert check_coalgebra_action(ca).passed
                 conv = convolution_algebra(ca)
                 sub = conv.subspace
-                assert sub == reference_equivariant_map_space(h, c.space, c.action,
-                                                              a.space, a.action)
+                assert same_subspace(sub, reference_equivariant_map_space(
+                    h, c.space, c.action, a.space, a.action))
                 assert conv.algebra.mul == reference_convolution_product(ca, sub)
                 assert conv.algebra.mul.source.labels == \
                     tensor_space(sub.space, sub.space).labels

@@ -20,8 +20,11 @@ from hopfcyclic.linalg import (
     hom_precompose,
     hom_space,
     hom_vector_to_map,
+    insert_vector,
     kernel_basis,
     map_to_hom_vector,
+    partial_transpose,
+    relabel,
     rref,
     slot_map,
     solve,
@@ -565,6 +568,38 @@ class TestBlocksAndHom:
         assert hom_vector_to_map(pre.apply(map_to_hom_vector(phi)), x2, y) == phi @ p
         post = hom_postcompose(x, q)
         assert hom_vector_to_map(post.apply(map_to_hom_vector(phi)), x, y2) == q @ phi
+
+    def test_partial_transpose_is_currying(self):
+        """The transpose of partial_transpose(f, X, Y) sends y to the Hom vector
+        of x -> f(x (x) y); moving the factor back across gives f again."""
+        rng = random.Random(118)
+        for dx, dy, dz in itertools.product((0, 1, 2, 3), repeat=3):
+            x, y, z = VectorSpace.make(dx, "x"), VectorSpace.make(dy, "y"), VectorSpace.make(dz, "z")
+            src = tensor_space(x, y)
+            huge = LinearMap.from_entries(src, z, [
+                (i, j, rand_huge_fraction(rng))
+                for i in range(dz) for j in range(src.dim) if rng.random() < 0.5])
+            for f in (rand_map(rng, src, z), huge):
+                p = partial_transpose(f, x, y)
+                assert p.source.labels == tensor_space(x, dual_space(z)).labels
+                assert p.target.labels == dual_space(y).labels
+                curried = p.transpose()
+                for j in range(dy):
+                    at_y = f @ tensor_map(LinearMap.identity(x), insert_vector(y, basis_vector(y, j)))
+                    assert curried.column(j) == map_to_hom_vector(at_y)
+                    assert hom_vector_to_map(curried.column(j), x, z) == at_y
+                assert relabel(partial_transpose(p, x, dual_space(z)), src, z) == f
+
+    def test_partial_transpose_refuses_a_non_dividing_factor(self):
+        f = LinearMap.identity(VectorSpace.make(6))
+        with pytest.raises(LinAlgError, match="does not fit factors of dims 2 and 4"):
+            partial_transpose(f, VectorSpace.make(2), VectorSpace.make(4))
+
+    def test_nonzero_columns(self):
+        f = LinearMap.from_entries(VectorSpace.make(4), VectorSpace.make(2),
+                                   [(1, 3, 2), (0, 1, Fraction(-1, 2**70))])
+        assert f.nonzero_columns() == [1, 3]
+        assert LinearMap.zero(VectorSpace.make(3), VectorSpace.make(0)).nonzero_columns() == []
 
     def test_transpose_is_dual(self):
         x, y = VectorSpace.make(2, "x"), VectorSpace.make(3, "y")
