@@ -10,9 +10,10 @@ descends to the contratensor coequalizer, yielding the collapse map used by
 the general cup products.
 
 Every structure map is read whole: the dual action, the stability map and
-the anti-Yetter-Drinfeld twist are partial transposes (curryings) of the
-actions and of the multiplication, so each axiom is one matrix identity
-whose failure witness names the Hopf basis element in its first factor.
+the anti-Yetter-Drinfeld twist are built from partial transposes
+(curryings) of the actions and of the multiplication, so each axiom is one
+matrix identity; the anti-Yetter-Drinfeld witness names the Hopf basis
+element as the first factor of its column.
 """
 
 from __future__ import annotations

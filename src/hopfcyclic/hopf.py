@@ -7,11 +7,9 @@ reports rather than raising.  On top sit module algebras, module coalgebras,
 comodule algebras, coalgebra actions, and the two derived algebras those
 produce: the convolution algebra of equivariant maps and the crossed product.
 
-H-linearity of maps X -> Y is one constraint on Hom(X, Y),
-phi -> phi o act_X - act_Y o (id (x) phi), shared with the contramodule-valued
-cochains.  The convolution product is one composite of Hom-space maps
-restricted to the equivariant subspace, and the embedding of the algebra is
-the coalgebra action curried.
+H-linearity is one constraint on the map space (`equivariance_constraint`),
+the convolution product one composite of Hom-space maps, and the embedding
+of the algebra the coalgebra action curried.
 """
 
 from __future__ import annotations
@@ -490,8 +488,8 @@ def equivariance_constraint(h: HopfAlgebra, x_action: LinearMap, y_action: Linea
 
     Its kernel is the H-linear maps.  Row (t, x, y) is the constraint at the
     basis element t of H, so the matrix is the per-element constraints
-    stacked.  Both terms are slot maps: the transposed action of X, and the
-    action of Y curried to Y -> H* (x) Y with its H* leg carried past X.
+    stacked.  The second term is the action of Y curried to Y -> H* (x) Y,
+    its H* leg carried past X.
     """
     x, y = x_action.target, y_action.target
     legs = VectorSpace.make(h.dim * maps.dim, "c")
