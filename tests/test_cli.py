@@ -303,6 +303,42 @@ REFUSALS = [
     ("coalgebra action missing a field",
      lambda data: data["coalgebra_actions"]["signed-eval"].pop("algebra"),
      "coalgebra_actions.signed-eval: missing field 'algebra'"),
+    ("explicit algebra missing a field", declared("algebras", {"basis": ["x"], "unit": [1]}),
+     "algebras.extra: an explicit algebra needs 'mul' and 'unit'"),
+    ("carrier missing its basis", declared("algebras", {"mul": [], "unit": [1]}),
+     "algebras.extra: 'basis' must be a non-empty list of labels"),
+    ("explicit coalgebra missing a field",
+     declared("coalgebras", {"hopf": "z2", "basis": ["x"], "counit": [[[], ["x"], 1]],
+                             "action": "trivial"}),
+     "coalgebras.extra: an explicit coalgebra needs 'comul' and 'counit'"),
+    ("module algebra missing its action", declared("algebras", LINE_ALGEBRA),
+     "algebras.extra: a module algebra needs an 'action'"),
+    ("module coalgebra missing its action", declared("coalgebras", LINE_COALGEBRA),
+     "coalgebras.extra: a module coalgebra needs an 'action'"),
+    ("comodule algebra missing its coaction", declared("comodule_algebras", LINE_ALGEBRA),
+     "comodule_algebras.extra: a comodule algebra needs a 'coaction'"),
+    ("module missing its coaction", declared("modules", LINE_MODULE),
+     "modules.extra: a coefficient module needs 'action' and 'coaction'"),
+    ("contramodule missing its action", declared("contramodules", LINE_CONTRAMODULE),
+     "contramodules.extra: a coefficient contramodule needs 'action' and 'alpha'"),
+    ("explicit pair missing its pairing", lambda data: (
+        declared("contramodules", dict(LINE_CONTRAMODULE, action="trivial"))(data),
+        declared("pairs", {"module": "counit-twist", "contramodule": "extra"})(data)),
+     "pairs.extra: an explicit pair needs a 'pairing'"),
+    ("coalgebra action missing its map",
+     lambda data: data["coalgebra_actions"]["signed-eval"].pop("map"),
+     "coalgebra_actions.signed-eval: a coalgebra action needs a 'map'"),
+    ("grouplike pair missing sigma", declared("pairs", {"hopf": "z2", "builtin": "grouplike"}),
+     "pairs.extra.sigma: unknown basis label None"),
+    ("construction missing its type", construction_fields(type=None),
+     "constructions.regular-cochains: unknown construction type None; known: "
+     "plain, coalgebra, algebra_module, comodule_algebra, algebra_contra"),
+    ("cochain missing its degree", declared("cochains", {"coords": [0]}),
+     "cochains.extra: 'degree' must be a nonnegative integer"),
+    ("cochain missing its coords", declared("cochains", {"degree": 1}),
+     "cochains.extra.coords: expected a dense list of rationals"),
+    ("cup missing its coefficients", lambda data: data["cup"]["ac"].pop("coefficients"),
+     "cup.ac: 'coefficients' must name a pair or be a [module, contramodule] list"),
     ("unknown section", lambda data: data.update(gadgets={}),
      "gadgets: unknown section; known sections: hopf_algebras, algebras, coalgebras, "
      "comodule_algebras, modules, contramodules, pairs, coalgebra_actions, "
@@ -401,6 +437,44 @@ class TestCheckCommand:
         for prefix in ("[sign] ", "[counit] ", "[cup:ac] contratensor: ",
                        "[cup:aa] contratensor: "):
             assert any(n.startswith(prefix) for n in names), prefix
+
+
+class TestSpecEntries:
+    """Spec entries the README documents, each parsed and passing `hcc check`."""
+
+    def test_explicit_pair_with_a_pairing(self, tmp_path, capsys):
+        """The trivial pair over z2 written out: counit module, evaluation
+        contramodule and the pairing n (x) m -> 1."""
+        data = z2cup_data()
+        data["modules"]["n-line"] = {"hopf": "z2", "basis": ["n"], "action": "counit",
+                                     "coaction": "trivial"}
+        data["contramodules"] = {"m-line": {"hopf": "z2", "basis": ["m"], "action": "trivial",
+                                            "alpha": [[["m"], ["1", "m"], 1]]}}
+        data["pairs"]["explicit"] = {"module": "n-line", "contramodule": "m-line",
+                                     "pairing": [[[], ["n", "m"], 1]]}
+        pair = parse_spec_data(data).pairs["explicit"]
+        assert pair.pairing == LinearMap.from_entries(
+            pair.pairing.source, pair.pairing.target, [(0, 0, 1)])
+        assert main(["check", write_spec(tmp_path, data), "explicit", "--format", "json"]) == 0
+        report = report_of(capsys)
+        assert report["passed"] and report["checks"]
+
+    def test_plain_construction_on_an_algebra_without_hopf(self, tmp_path, capsys):
+        """Q x Q, a commutative separable algebra: HH = [2, 0, 0] and
+        HC = [2, 0, 2]."""
+        data = {"algebras": {"q-plus-q": {
+                    "basis": ["e", "f"], "unit": [1, 1],
+                    "mul": [[["e"], ["e", "e"], 1], [["f"], ["f", "f"], 1]]}},
+                "constructions": {"split": {"type": "plain", "algebra": "q-plus-q",
+                                            "degree_cap": 3}}}
+        path = write_spec(tmp_path, data)
+        assert main(["check", path, "--format", "json"]) == 0
+        assert report_of(capsys)["passed"]
+        assert main(["cohomology", path, "split", "--max-degree", "2", "--format", "json"]) == 0
+        report = report_of(capsys)
+        dims = {c["name"]: c["detail"].split(";")[0] for c in report["checks"]}
+        assert dims == {"HH^0": "dim 2", "HH^1": "dim 0", "HH^2": "dim 0",
+                        "HC^0": "dim 2", "HC^1": "dim 0", "HC^2": "dim 2"}
 
 
 class TestCohomologyCommand:
@@ -537,6 +611,14 @@ class TestDeterminism:
     def test_plain_demo_matches_golden_report(self, capsys, argv, golden):
         out = self.run_twice(capsys, argv + ["--format", "json"])
         assert out == (DATA / golden).read_text(encoding="utf-8")
+
+    def test_equivariant_cohomology_matches_golden_report(self, capsys):
+        """The HH and HC bases of an equivariant tower, the coalgebra cochains
+        of the cup demo, are pinned by a committed report."""
+        out = self.run_twice(capsys, ["cohomology", Z2CUP, "regular-cochains",
+                                      "--max-degree", "3", "--format", "json"])
+        golden = DATA / "z2_cup_regular-cochains_cohomology_report.json"
+        assert out == golden.read_text(encoding="utf-8")
 
     def test_cohomology_reports_byte_identical(self, capsys):
         self.run_twice(capsys, ["cohomology", PLAIN, "point-algebra",

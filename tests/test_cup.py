@@ -76,6 +76,7 @@ from hopfcyclic.linalg import (
     LinAlgError,
     LinearMap,
     VectorSpace,
+    solve_constrained_subspace,
     tensor_map,
     tensor_space,
 )
@@ -895,6 +896,121 @@ def test_completion_obstruction_in_tail():
         cyclic_complete(module, 2, [1])
     assert err.value.degree == 0
     assert err.value.residual == (Fraction(2),)
+
+
+def _rigged_matrices(dims, faces=(), degeneracies=(), cyclic=()):
+    """A cocyclic module on spaces of the given dimensions (degree cap
+    len(dims) - 1) whose maps are zero except the listed ones: faces and
+    degeneracies as ((n, i), rows), cyclic operators as (n, rows)."""
+    spaces = tuple(VectorSpace.make(d) for d in dims)
+    cap = len(dims) - 1
+
+    def built(source, target, rows):
+        return LinearMap.from_rows(spaces[source], spaces[target], rows)
+    face, degeneracy, tau = dict(faces), dict(degeneracies), dict(cyclic)
+    return CocyclicModule(
+        cap, spaces,
+        tuple(tuple(built(n, n + 1, face[n, i]) if (n, i) in face
+                    else LinearMap.zero(spaces[n], spaces[n + 1]) for i in range(n + 2))
+              for n in range(cap)),
+        tuple(tuple(built(n, n - 1, degeneracy[n, j]) if (n, j) in degeneracy
+                    else LinearMap.zero(spaces[n], spaces[n - 1]) for j in range(n))
+              for n in range(cap + 1)),
+        tuple(built(n, n, tau[n]) if n in tau else LinearMap.zero(spaces[n], spaces[n])
+              for n in range(cap + 1)))
+
+
+SWAP = [[0, 1], [1, 0]]
+
+
+def test_completion_obstruction_after_a_solved_prefix():
+    """Degree 4: the degree-2 component u0 = (-1, 0) solves its rows, but
+    B u0 = -1 meets b = 0 on the degree-0 component, so the second prefix is
+    infeasible and its witness is B u0."""
+    module = _rigged_matrices([1, 1, 2, 1, 1], faces=[((2, 0), [[1, 0]])],
+                              degeneracies=[((2, 1), [[0, 1]]), ((4, 3), [[1]])],
+                              cyclic=[(2, SWAP), (4, [[1]])])
+    with pytest.raises(CompletionObstruction) as err:
+        cyclic_complete(module, 4, [1])
+    assert err.value.degree == 0
+    assert err.value.residual == (Fraction(-1),)
+
+
+def test_completion_obstruction_below_every_solved_prefix():
+    """Degree 3: the degree-1 component u0 = (-1, 0) solves every prefix,
+    and the bottom row B u0 = -1 into degree 0 is the obstruction."""
+    module = _rigged_matrices([1, 2, 1, 1], faces=[((1, 0), [[1, 0]])],
+                              degeneracies=[((1, 0), [[0, 1]]), ((3, 2), [[1]])],
+                              cyclic=[(1, SWAP), (3, [[1]])])
+    with pytest.raises(CompletionObstruction) as err:
+        cyclic_complete(module, 3, [1])
+    assert err.value.degree == 0
+    assert err.value.residual == (Fraction(-1),)
+
+
+def bb_digest(cocycle):
+    blob = json.dumps([cocycle.degree, [[str(x) for x in comp] for comp in cocycle.components]])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_completion_with_a_two_component_tail():
+    """A normalized Hochschild cocycle of sweedler4 in degree 4 whose
+    completion has a nonzero degree-2 component; the components are pinned."""
+    module = plain_algebra_cocyclic(sweedler_h4().algebra, degree_cap=5)
+    cocycles = solve_constrained_subspace(
+        module.spaces[4], [full_b(module, 4)] + list(module.degeneracies[4]))
+    cocycle = cyclic_complete(module, 4, cocycles.basis.column(2))
+    assert cocycle.component_degrees() == [4, 2, 0]
+    assert any(cocycle.components[1])
+    report = check_bb_cocycle(module, cocycle)
+    assert report.passed, failures(report)
+    assert bb_digest(cocycle) == \
+        "9be08256cdf849dafad2e07d72b173c041abd103fc75108698f75c50e38ccaa5"
+
+
+def test_completion_with_an_odd_bottom_row():
+    """Degree 3 over sweedler4 at cap 4: the tail ends in degree 1, so the
+    system carries the row B u = 0 into degree 0."""
+    module = plain_algebra_cocyclic(sweedler_h4().algebra, degree_cap=4)
+    cocycle = cyclic_complete(module, 3, cyclic_cocycle_subspace(module, 3).basis.column(0))
+    assert cocycle.component_degrees() == [3, 1]
+    report = check_bb_cocycle(module, cocycle)
+    assert report.passed, failures(report)
+    assert [e.name for e in report.entries][-1] == "B of the bottom component = 0"
+    assert bb_digest(cocycle) == \
+        "aaedcca73a83c6b96cf3de1db3b9cf45ee326974a729ee4da4420a8f63229659"
+
+
+def test_cocycle_check_names_its_first_residual(demo_setups):
+    """A failing entry names the first nonzero coordinate of its residual."""
+    target = demo_setups[0].scalar_target
+    report = check_bb_cocycle(target, BBcocycle(1, ((1, 0, 0, 0),)))
+    assert [(e.name, e.passed, e.detail) for e in report.entries] == [
+        ("components reach degree 0 or 1", True, ""),
+        ("b y0 = 0", False, "first residual 1 at coordinate '1⊗1⊗1*'"),
+        ("B of the bottom component = 0", False, "first residual 1 at coordinate '1*'")]
+    report = check_bb_cocycle(target, BBcocycle(2, ((1,) + (0,) * 7, (0, 0))))
+    assert [(e.name, e.passed, e.detail) for e in report.entries] == [
+        ("components reach degree 0 or 1", True, ""),
+        ("b y0 = 0", False, "first residual 1 at coordinate '1⊗1⊗g⊗g*'"),
+        ("B y0 + b y1 = 0 (into degree 1)", True, "")]
+
+
+def test_cup_normalizes_a_degenerate_cyclic_input():
+    """The comodule-side cocycle (1, 1, 1, 0) of the demo's aa family is
+    closed and cyclic in degree 2 but not normalized; the product is that of
+    its normalization (0, 0, 0, -1)."""
+    spec = parse_spec(Z2CUP)
+    setup = aa_cup_setup(spec.algebras["signed-line"], spec.comodule_algebras["crossed-z2"],
+                         spec.pairs["grouplike"], degree_cap=4)
+    side = setup.bicomplex.vertical_factor
+    degenerate, normalized = [1, 1, 1, 0], [0, 0, 0, -1]
+    assert any(any(side.degeneracy(2, j).apply(degenerate)) for j in range(2))
+    assert normalization_projector(side, 2).apply(degenerate) == normalized
+    for product in (cup_aa, cup_aa_general):
+        result = product(setup, 2, 1, degenerate, [0, 1])
+        assert any(result.components[0])
+        assert result == product(setup, 2, 1, normalized, [0, 1])
 
 
 def test_completion_of_generator(triv):
