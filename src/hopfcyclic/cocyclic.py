@@ -59,7 +59,6 @@ from .linalg import (
     rref,
     slot_map,
     solve_constrained_subspace,
-    stack_vertical,
     subspace_from_kernel,
     tensor_map,
     tensor_permutation,
@@ -327,9 +326,10 @@ def _induced(op: LinearMap, source: Subspace, target: Subspace, message: str) ->
 
 def _descend(op: LinearMap, relation: LinearMap, source: Quotient, target: Quotient,
              what: str) -> LinearMap:
-    if not (target.projection @ op @ relation).is_zero():
+    projected = target.projection @ op
+    if not (projected @ relation).is_zero():
         raise LinAlgError(f"{what} is not well defined on the quotient")
-    return target.projection @ op @ source.section
+    return projected @ source.section
 
 
 def _hom_tower(subspaces, domains, values, operators) -> HomCochainComplex:
@@ -693,18 +693,18 @@ class CohomologyResult:
     space: VectorSpace
 
 
-def _quotient_representatives(b: LinearMap, b_prev: LinearMap):
-    """Deterministic representatives of ker b / im b_prev.
+def _quotient_representatives(b: LinearMap, b_prev: LinearMap, n: int):
+    """Deterministic representatives of ker b / im b_prev at degree n.
 
-    The image must lie in the kernel.  The representatives are the RREF rows
-    of the kernel whose pivots are not pivots of the image.
+    The image lies in the kernel exactly when b o b_prev = 0, one product.
+    The representatives are the RREF rows of the kernel whose pivots are not
+    pivots of the image.  Past the kernel of b, the image rows and the kernel
+    rows are each eliminated once, apart.
     """
-    kernel = subspace_from_kernel(b).basis.transpose()
-    image = b_prev.transpose()
-    image_pivots = set(rref(image)[1])
-    rows, pivots = rref(stack_vertical([image, kernel]))
-    if len(pivots) != kernel.target.dim:
-        raise LinAlgError("image is not contained in the kernel")
+    if not (b @ b_prev).is_zero():
+        raise LinAlgError(f"coboundary square is nonzero entering degree {n}")
+    image_pivots = set(rref(b_prev.transpose())[1])
+    rows, pivots = rref(subspace_from_kernel(b).basis.transpose())
     return [tuple(row) for row, p in zip(rows, pivots) if p not in image_pivots]
 
 
@@ -722,9 +722,7 @@ def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     b_prev = LinearMap.zero(VectorSpace.make(0), module.spaces[n])
     if n >= 1:
         b_prev = full_b(module, n - 1)
-        if not (b_n @ b_prev).is_zero():
-            raise LinAlgError(f"coboundary square is nonzero entering degree {n}")
-    reps = _quotient_representatives(b_n, b_prev)
+    reps = _quotient_representatives(b_n, b_prev, n)
     return CohomologyResult(n, len(reps), tuple(reps), module.spaces[n])
 
 
@@ -750,6 +748,6 @@ def cyclic_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     if n >= 1:
         image = _induced(full_b(module, n - 1), _cyclic_fixed(module, n - 1), fixed,
                          f"the coboundary does not preserve the cyclic eigenspace at degree {n}")
-    reps = _quotient_representatives(full_b(module, n) @ fixed.basis, image)
+    reps = _quotient_representatives(full_b(module, n) @ fixed.basis, image, n)
     ambient_reps = tuple(tuple(fixed.basis.apply(r)) for r in reps)
     return CohomologyResult(n, len(reps), ambient_reps, module.spaces[n])

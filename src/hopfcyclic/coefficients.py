@@ -19,7 +19,6 @@ element as the first factor of its column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .hopf import HopfAlgebra, check_comodule, iterated_comultiplication
 from .linalg import (
@@ -239,16 +238,15 @@ def collapse_map(p: CompatiblePair, ct: Contratensor) -> LinearMap:
 # -- builtin coefficient pairs --------------------------------------
 
 
-def grouplike_coefficients(h: HopfAlgebra, sigma: Optional[int] = None) -> CompatiblePair:
-    """One-dimensional coefficients from a grouplike basis element.
+def grouplike_coefficients(h: HopfAlgebra, sigma: int) -> CompatiblePair:
+    """One-dimensional coefficients from the grouplike basis element of index
+    `sigma`.
 
     The module side has trivial right action and coaction n -> sigma (x) n;
     the contramodule side is its dual (alpha evaluates at sigma).  Whether
     the result passes the coefficient checkers depends on sigma (it does
     whenever sigma is appropriately central; run the checkers to find out).
     """
-    if sigma is None:
-        sigma = _identity_index(h)
     n_space = VectorSpace(1, ("n",))
     action = relabel(h.counit, tensor_space(n_space, h.space), n_space)
     coaction = LinearMap.from_entries(n_space, tensor_space(h.space, n_space), [(sigma, 0, 1)])

@@ -232,9 +232,6 @@ class TotalMixedComplex:
     b: tuple[LinearMap, ...]
     B: tuple[Optional[LinearMap], ...]
 
-    def blocks(self, n: int) -> list[tuple[int, int]]:
-        return [(p, n - p) for p in range(n + 1)]
-
 
 def total_complex(module: BicocyclicModule) -> TotalMixedComplex:
     """The normalized total mixed complex, read off the factors' mixed complexes.
@@ -390,6 +387,22 @@ def _components(module: CocyclicModule, cocycle: BBcocycle, label: str,
             for d, comp in zip(degrees, cocycle.components)]
 
 
+def _bb_rows(module: CocyclicModule, degrees: list[int]) -> list[tuple[int, dict]]:
+    """The block rows (target degree, {component: block}) of b + B on
+    components of degrees n, n-2, ...: b on component 0 while it stays in the
+    tower, then B on component k-1 plus b on component k, and B into degree 0
+    of a bottom component of degree 1."""
+    rows = []
+    if degrees[0] < module.degree_cap:
+        rows.append((degrees[0] + 1, {0: full_b(module, degrees[0])}))
+    for k in range(1, len(degrees)):
+        rows.append((degrees[k] + 1, {k - 1: full_B(module, degrees[k - 1]),
+                                      k: full_b(module, degrees[k])}))
+    if degrees[-1] == 1:
+        rows.append((0, {len(degrees) - 1: full_B(module, 1)}))
+    return rows
+
+
 def check_bb_cocycle(module: CocyclicModule, cocycle: BBcocycle,
                      name: str = "(b, B) cocycle") -> Report:
     """The (b, B)-cocycle equations, each as a report entry.  A cocycle that
@@ -401,19 +414,15 @@ def check_bb_cocycle(module: CocyclicModule, cocycle: BBcocycle,
     degrees = cocycle.component_degrees()
     rep.add("components reach degree 0 or 1", degrees[-1] in (0, 1),
             "" if degrees[-1] in (0, 1) else f"bottom degree is {degrees[-1]}")
-    n = cocycle.degree
-    if n <= module.degree_cap - 1:
-        _vector_entry(rep, "b y0 = 0", full_b(module, n).apply(comps[0]),
-                      module.spaces[n + 1])
-    for k in range(len(comps) - 1):
-        d = degrees[k]
-        vec = [x + y for x, y in zip(full_B(module, d).apply(comps[k]),
-                                     full_b(module, d - 2).apply(comps[k + 1]))]
-        _vector_entry(rep, f"B y{k} + b y{k + 1} = 0 (into degree {d - 1})",
-                      vec, module.spaces[d - 1])
-    if degrees[-1] == 1:
-        _vector_entry(rep, "B of the bottom component = 0",
-                      full_B(module, 1).apply(comps[-1]), module.spaces[0])
+    for target, blocks in _bb_rows(module, degrees):
+        k = min(blocks)
+        vec = blocks[k].apply(comps[k])
+        if len(blocks) == 2:  # B on component k meets b on component k + 1
+            vec = [x + y for x, y in zip(vec, blocks[k + 1].apply(comps[k + 1]))]
+            entry = f"B y{k} + b y{k + 1} = 0 (into degree {target})"
+        else:
+            entry = "b y0 = 0" if target else "B of the bottom component = 0"
+        _vector_entry(rep, entry, vec, module.spaces[target])
     return rep
 
 
@@ -439,36 +448,37 @@ def cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcocycle:
     """
     _require_tower_degree(module, degree, "the top component")
     y0 = _as_vector(top, module.spaces[degree].dim, "top component")
+    degrees = list(range(degree, -1, -2))
+    rows = _bb_rows(module, degrees)
     if degree <= module.degree_cap - 1:
-        residual = full_b(module, degree).apply(y0)
-        if not _vector_is_zero(residual):
+        (_, closed), *rows = rows
+        if not _vector_is_zero(closed[0].apply(y0)):
             raise LinAlgError(
                 "the top component is not closed under the Hochschild coboundary")
 
-    tail_degrees = list(range(degree - 2, -1, -2))
+    tail_degrees = degrees[1:]
     if not tail_degrees:
-        if degree == 1:
-            residual = full_B(module, 1).apply(y0)
+        for _, bottom in rows:  # B y0 into degree 0, when the degree is 1
+            residual = bottom[0].apply(y0)
             if not _vector_is_zero(residual):
                 raise CompletionObstruction(0, residual)
         return BBcocycle(degree, (tuple(y0),))
 
-    # unknown k is the component of degree tail_degrees[k]; the equations on
+    # unknown k is component k + 1, of degree tail_degrees[k]; each b + B row
+    # precedes the codegeneracy rows of its new unknown, so the equations on
     # unknowns 0..t-1 alone come first, as equations[:ends[t]]
     unknowns = [module.spaces[d] for d in tail_degrees]
     offsets = list(itertools.accumulate((u.dim for u in unknowns), initial=0))
+    shifted = [(module.spaces[target], {k - 1: m for k, m in blocks.items() if k})
+               for target, blocks in rows]
     equations, ends = [], [0]
     for k, d in enumerate(tail_degrees):
-        closed = {k: full_b(module, d)}
-        if k:
-            closed[k - 1] = full_B(module, d + 2)
-        equations.append((module.spaces[d + 1], closed))
+        equations.append(shifted[k])
         equations += [(module.spaces[d - 1], {k: module.degeneracy(d, j)}) for j in range(d)]
         ends.append(len(equations))
-    if tail_degrees[-1] == 1:
-        equations.append((module.spaces[0], {len(tail_degrees) - 1: full_B(module, 1)}))
+    equations += shifted[len(tail_degrees):]
     # the first equation, b u0 = -B y0, carries the only nonzero right-hand side
-    top_boundary = full_B(module, degree).apply(y0)
+    top_boundary = rows[0][1][0].apply(y0)
     rhs = [-x for x in top_boundary]
 
     sol = _solve_blocks(unknowns, equations, rhs)
@@ -496,20 +506,16 @@ def bb_cohomologous(module: CocyclicModule, first: BBcocycle,
     if first.degree != second.degree:
         raise LinAlgError("cannot compare cocycles of different degrees")
     n = first.degree
-    degrees = first.component_degrees()
     deltas = [b - a for c1, c2 in zip(_components(module, first, "the first cocycle"),
                                       _components(module, second, "the second cocycle"))
               for a, b in zip(c1, c2)]
-    hom_degrees = list(range(n - 1, -1, -2))[:len(degrees)]
+    hom_degrees = list(range(n - 1, -1, -2))
     if not hom_degrees:
         return _vector_is_zero(deltas)
-    # component k of the difference is b of chain k plus B of chain k - 1
-    equations = []
-    for k, dk in enumerate(degrees):
-        eq = {k: full_b(module, dk - 1)} if k < len(hom_degrees) else {}
-        if k:
-            eq[k - 1] = full_B(module, dk + 1)
-        equations.append((module.spaces[dk], eq))
+    # the rows of b + B on chains of degrees n-1, n-3, ... land in the
+    # difference's degrees n, n-2, ..., in order
+    equations = [(module.spaces[target], blocks)
+                 for target, blocks in _bb_rows(module, hom_degrees)]
     unknowns = [module.spaces[d] for d in hom_degrees]
     return _solve_blocks(unknowns, equations, deltas) is not None
 
@@ -927,9 +933,6 @@ def check_collapse_factorization(setup, name: str = "collapse factorization") ->
 def _validated_cocycle(module: CocyclicModule, degree: int, vec,
                        label: str) -> list[Fraction]:
     v = _as_vector(vec, module.spaces[degree].dim, label)
-    if degree > module.degree_cap - 1:
-        raise LinAlgError(f"{label} sits at degree {degree}, too high to validate "
-                          f"under cap {module.degree_cap}")
     if not _vector_is_zero(full_b(module, degree).apply(v)):
         raise LinAlgError(f"{label} is not closed under the Hochschild coboundary")
     sign = Fraction((-1) ** degree)
@@ -947,19 +950,10 @@ def _validated_cocycle(module: CocyclicModule, degree: int, vec,
     return v
 
 
-def _finish(target: CocyclicModule, degree: int, top_vec: list[Fraction]) -> BBcocycle:
-    if not _vector_is_zero(full_b(target, degree).apply(top_vec)):
-        raise LinAlgError("the product cochain is not closed under the "
-                          "Hochschild coboundary")
-    cocycle = cyclic_complete(target, degree, top_vec)
-    require(check_bb_cocycle(target, cocycle), "cup product output")
-    return cocycle
-
-
 def _cup(setup, p: int, q: int, left, right, tensor_valued: bool) -> BBcocycle:
     """The one product pipeline: validate both cochains, take the AW image of
     their product, map it into the target cochains by the family's
-    comparison map and complete it to a (b, B)-cocycle."""
+    comparison map, complete it to a (b, B)-cocycle and check that."""
     collapse, values = _values(setup, tensor_valued)
     target = setup.tensor_target if tensor_valued else setup.scalar_target
     if p < 0 or q < 0:
@@ -973,7 +967,9 @@ def _cup(setup, p: int, q: int, left, right, tensor_valued: bool) -> BBcocycle:
                            f"the {second} cochain")
     n = p + q
     y_vec = aw_map(setup.bicomplex, p, q).apply([a * b for a in u for b in v])
-    return _finish(target, n, setup._comparison(n, collapse, values).apply(y_vec))
+    cocycle = cyclic_complete(target, n, setup._comparison(n, collapse, values).apply(y_vec))
+    require(check_bb_cocycle(target, cocycle), "cup product output")
+    return cocycle
 
 
 def cup_ac(setup: ConvolutionCupSetup, p: int, q: int, left, right) -> BBcocycle:

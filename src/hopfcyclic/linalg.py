@@ -539,10 +539,10 @@ def rref(mat: LinearMap) -> tuple[list[list[Fraction]], list[int]]:
     return [_dense(row, mat.source.dim) for row in rows + zero_rows], pivots
 
 
-def kernel_basis(mat: LinearMap, sign_normalize: bool = True) -> list[list[Fraction]]:
+def kernel_basis(mat: LinearMap) -> list[list[Fraction]]:
     """One kernel vector per non-pivot column, read off the RREF."""
     n = mat.source.dim
-    return [_dense(v, n) for v in _kernel_vectors(_rows(mat), n, sign_normalize)]
+    return [_dense(v, n) for v in _kernel_vectors(_rows(mat), n, sign_normalize=True)]
 
 
 def solve(mat: LinearMap, rhs: Sequence) -> Optional[list[Fraction]]:
@@ -668,7 +668,7 @@ class Quotient:
     section: LinearMap
 
 
-def cokernel(f: LinearMap, prefix: Optional[str] = None) -> Quotient:
+def cokernel(f: LinearMap) -> Quotient:
     """Quotient of f.target by im(f).
 
     The quotient basis is the complement of the image's pivot coordinates,
@@ -679,10 +679,7 @@ def cokernel(f: LinearMap, prefix: Optional[str] = None) -> Quotient:
     rows, piv = _eliminate(f._cols, W.dim)
     pivot_set = set(piv)
     non_piv = [j for j in range(W.dim) if j not in pivot_set]
-    if prefix is not None:
-        q_space = VectorSpace.make(len(non_piv), prefix)
-    else:
-        q_space = VectorSpace(len(non_piv), tuple(f"[{W.labels[j]}]" for j in non_piv))
+    q_space = VectorSpace(len(non_piv), tuple(f"[{W.labels[j]}]" for j in non_piv))
     pos = {j: a for a, j in enumerate(non_piv)}
     proj_cols = [{pos[j]: Fraction(1)} if j in pos else {} for j in range(W.dim)]
     for row, p in zip(rows, piv):
@@ -714,10 +711,10 @@ def stack_vertical(maps: Sequence[LinearMap]) -> LinearMap:
     return _canonical(src, VectorSpace.make(offset, "s"), cols, den)
 
 
-def direct_sum_space(spaces: Sequence[VectorSpace], tag: str = "c") -> VectorSpace:
+def direct_sum_space(spaces: Sequence[VectorSpace]) -> VectorSpace:
     labels = []
     for k, s in enumerate(spaces):
-        labels.extend(f"{tag}{k}:{l}" for l in s.labels)
+        labels.extend(f"c{k}:{l}" for l in s.labels)
     return VectorSpace(sum(s.dim for s in spaces), tuple(labels))
 
 

@@ -22,8 +22,11 @@ cup family or keyword is one more row:
 - ``_LEFT_ACTIONS``, ``_RIGHT_ACTIONS``, ``_COACTIONS``,
   ``_MODULE_COACTIONS`` and ``_PAIRS``: the keywords accepted in place of
   triples, and the builtin compatible pairs.
+- ``_STRUCTURE_MAPS``: the reader of each (co)algebra and Hopf structure
+  map written out in a spec; a carrier copies the same maps by name.
 
-A missing field is refused by ``_field`` alone, an undeclared name by
+Every required field is read through ``_field``, so a missing one is
+refused as ``missing field '<key>'``; an undeclared name is refused by
 ``SpecFile._ref``.
 """
 
@@ -133,7 +136,7 @@ def _require_dict(value, where: str) -> dict:
 
 
 def _basis(fields: dict, where: str) -> VectorSpace:
-    labels = fields.get("basis")
+    labels = _field(fields, "basis", where)
     if not isinstance(labels, list) or not labels or \
             not all(isinstance(x, str) for x in labels):
         raise SpecError(where, "'basis' must be a non-empty list of labels")
@@ -240,7 +243,7 @@ class SpecFile:
         return _construct(self, fields, where, degree_cap)
 
     def cup_coefficients(self, fields: dict, where: str):
-        ref = fields.get("coefficients")
+        ref = _field(fields, "coefficients", where)
         if isinstance(ref, str):
             return self._ref(self.pairs, ref, where)
         if isinstance(ref, list) and len(ref) == 2:
@@ -343,24 +346,26 @@ _COACTIONS = {"trivial": (trivial_coaction, False), "regular": (regular_coaction
 _MODULE_COACTIONS = {**_COACTIONS, "comultiplication": (lambda h: h.comul, True)}
 
 
-def _keyword_map(value, keywords: dict, kind: str, h: HopfAlgebra, space: VectorSpace,
+def _keyword_map(fields: dict, key: str, keywords: dict, h: HopfAlgebra, space: VectorSpace,
                  where: str, target: list, source: list) -> LinearMap:
-    """A structure map on `space` over `h`: one of the `keywords`, or triples
-    between the tensor factors `source` and `target`."""
+    """The structure map `key` on `space` over `h`: one of the `keywords`, or
+    triples between the tensor factors `source` and `target`."""
+    value = _field(fields, key, where)
+    where = f"{where}.{key}"
     if not isinstance(value, str):
         return _linear_map(value, target, source, where)
     if value not in keywords:
-        raise SpecError(where, f"unknown {kind} keyword {value!r}")
+        raise SpecError(where, f"unknown {key} keyword {value!r}")
     build, on_carrier = keywords[value]
     if not on_carrier:
         return build(h, space)
-    if space.dim != h.dim:
-        raise SpecError(where, f"the {value} {kind} needs the Hopf algebra itself as carrier")
+    if space != h.space:
+        raise SpecError(where, f"the {value} {key} needs the Hopf algebra itself as carrier")
     return build(h)
 
 
 def _grouplike_pair(h: HopfAlgebra, fields: dict, where: str) -> CompatiblePair:
-    label = fields.get("sigma")
+    label = _field(fields, "sigma", where)
     if label not in h.space.labels:
         raise SpecError(f"{where}.sigma", f"unknown basis label {label!r}")
     return grouplike_coefficients(h, h.space.labels.index(label))
@@ -375,6 +380,23 @@ _PAIRS = {"trivial": lambda h, fields, where: trivial_coefficients(h),
 # section parsers
 
 
+# structure field -> the reader of its value on a carrier space; a Hopf
+# algebra holds each of these maps under the field's name
+_STRUCTURE_MAPS = {
+    "mul": lambda value, v, where: _linear_map(value, [v], [v, v], where),
+    "unit": _vector_map,
+    "comul": lambda value, v, where: _linear_map(value, [v, v], [v], where),
+    "counit": lambda value, v, where: _linear_map(value, [], [v], where),
+    "antipode": lambda value, v, where: _linear_map(value, [v], [v], where),
+}
+
+
+def _structure(fields: dict, space: VectorSpace, where: str, keys) -> list[LinearMap]:
+    """The structure maps named by `keys`, read from the fields."""
+    return [_STRUCTURE_MAPS[key](_field(fields, key, where), space, f"{where}.{key}")
+            for key in keys]
+
+
 def _parse_hopf(name: str, value, out: SpecFile, where: str) -> HopfAlgebra:
     if isinstance(value, str):
         if value not in BUILTIN_HOPF:
@@ -383,13 +405,7 @@ def _parse_hopf(name: str, value, out: SpecFile, where: str) -> HopfAlgebra:
         return BUILTIN_HOPF[value]()
     fields = _require_dict(value, where)
     space = _basis(fields, where)
-    def need(key):
-        return _field(fields, key, where)
-    mul = _linear_map(need("mul"), [space], [space, space], f"{where}.mul")
-    unit = _vector_map(need("unit"), space, f"{where}.unit")
-    comul = _linear_map(need("comul"), [space, space], [space], f"{where}.comul")
-    counit = _linear_map(need("counit"), [], [space], f"{where}.counit")
-    antipode = _linear_map(need("antipode"), [space], [space], f"{where}.antipode")
+    mul, unit, comul, counit, antipode = _structure(fields, space, where, _STRUCTURE_MAPS)
     try:
         antipode_inv = antipode.inverse()
     except LinAlgError as exc:
@@ -397,100 +413,74 @@ def _parse_hopf(name: str, value, out: SpecFile, where: str) -> HopfAlgebra:
     return HopfAlgebra(space, mul, unit, comul, counit, antipode, antipode_inv)
 
 
-def _carrier_space(fields: dict, out: SpecFile, where: str) -> VectorSpace:
-    if "carrier" in fields:
-        return SpecFile._ref(out.hopf_algebras, fields["carrier"], where).space
-    return _basis(fields, where)
-
-
-def _algebra_structure(fields: dict, space: VectorSpace, out: SpecFile,
-                       where: str) -> tuple[LinearMap, LinearMap]:
+def _carrier(fields: dict, out: SpecFile, where: str,
+             keys=()) -> tuple[VectorSpace, list[LinearMap]]:
+    """A carrier space with the structure maps named by `keys`: those of the
+    Hopf algebra named as "carrier", or a basis with maps read from the fields."""
     if "carrier" in fields:
         h = SpecFile._ref(out.hopf_algebras, fields["carrier"], where)
-        return h.mul, h.unit
-    if "mul" not in fields or "unit" not in fields:
-        raise SpecError(where, "an explicit algebra needs 'mul' and 'unit'")
-    return (_linear_map(fields["mul"], [space], [space, space], f"{where}.mul"),
-            _vector_map(fields["unit"], space, f"{where}.unit"))
-
-
-def _coalgebra_structure(fields: dict, space: VectorSpace, out: SpecFile,
-                         where: str) -> tuple[LinearMap, LinearMap]:
-    if "carrier" in fields:
-        h = SpecFile._ref(out.hopf_algebras, fields["carrier"], where)
-        return h.comul, h.counit
-    if "comul" not in fields or "counit" not in fields:
-        raise SpecError(where, "an explicit coalgebra needs 'comul' and 'counit'")
-    return (_linear_map(fields["comul"], [space, space], [space], f"{where}.comul"),
-            _linear_map(fields["counit"], [], [space], f"{where}.counit"))
+        return h.space, [getattr(h, key) for key in keys]
+    space = _basis(fields, where)
+    return space, _structure(fields, space, where, keys)
 
 
 def _hopf_of(fields: dict, out: SpecFile, where: str) -> HopfAlgebra:
     return SpecFile._ref(out.hopf_algebras, _field(fields, "hopf", where), where)
 
 
+def _triples(fields: dict, key: str, target: list, source: list, where: str) -> LinearMap:
+    """The map in field `key`, as triples between the tensor factors."""
+    return _linear_map(_field(fields, key, where), target, source, f"{where}.{key}")
+
+
 def _parse_algebra(name: str, value, out: SpecFile, where: str):
     fields = _require_dict(value, where)
-    space = _carrier_space(fields, out, where)
-    mul, unit = _algebra_structure(fields, space, out, where)
+    space, (mul, unit) = _carrier(fields, out, where, ("mul", "unit"))
     if "hopf" not in fields:
         return Algebra(space, mul, unit)
     h = _hopf_of(fields, out, where)
-    if "action" not in fields:
-        raise SpecError(where, "a module algebra needs an 'action'")
-    action = _keyword_map(fields["action"], _LEFT_ACTIONS, "action", h, space,
-                          f"{where}.action", [space], [h.space, space])
+    action = _keyword_map(fields, "action", _LEFT_ACTIONS, h, space, where,
+                          [space], [h.space, space])
     return ModuleAlgebra(h, space, mul, unit, action)
 
 
 def _parse_coalgebra(name: str, value, out: SpecFile, where: str) -> ModuleCoalgebra:
     fields = _require_dict(value, where)
-    space = _carrier_space(fields, out, where)
-    comul, counit = _coalgebra_structure(fields, space, out, where)
+    space, (comul, counit) = _carrier(fields, out, where, ("comul", "counit"))
     h = _hopf_of(fields, out, where)
-    if "action" not in fields:
-        raise SpecError(where, "a module coalgebra needs an 'action'")
-    action = _keyword_map(fields["action"], _LEFT_ACTIONS, "action", h, space,
-                          f"{where}.action", [space], [h.space, space])
+    action = _keyword_map(fields, "action", _LEFT_ACTIONS, h, space, where,
+                          [space], [h.space, space])
     return ModuleCoalgebra(h, space, comul, counit, action)
 
 
 def _parse_comodule_algebra(name: str, value, out: SpecFile, where: str) -> ComoduleAlgebra:
     fields = _require_dict(value, where)
-    space = _carrier_space(fields, out, where)
-    mul, unit = _algebra_structure(fields, space, out, where)
+    space, (mul, unit) = _carrier(fields, out, where, ("mul", "unit"))
     h = _hopf_of(fields, out, where)
-    if "coaction" not in fields:
-        raise SpecError(where, "a comodule algebra needs a 'coaction'")
-    coaction = _keyword_map(fields["coaction"], _COACTIONS, "coaction", h, space,
-                            f"{where}.coaction", [h.space, space], [space])
+    coaction = _keyword_map(fields, "coaction", _COACTIONS, h, space, where,
+                            [h.space, space], [space])
     return ComoduleAlgebra(h, space, mul, unit, coaction)
 
 
 def _parse_module(name: str, value, out: SpecFile, where: str) -> SaydModule:
     fields = _require_dict(value, where)
     h = _hopf_of(fields, out, where)
-    space = _carrier_space(fields, out, where)
-    if "action" not in fields or "coaction" not in fields:
-        raise SpecError(where, "a coefficient module needs 'action' and 'coaction'")
-    action = _keyword_map(fields["action"], _RIGHT_ACTIONS, "action", h, space,
-                          f"{where}.action", [space], [space, h.space])
-    coaction = _keyword_map(fields["coaction"], _MODULE_COACTIONS, "coaction", h, space,
-                            f"{where}.coaction", [h.space, space], [space])
+    space = _carrier(fields, out, where)[0]
+    action = _keyword_map(fields, "action", _RIGHT_ACTIONS, h, space, where,
+                          [space], [space, h.space])
+    coaction = _keyword_map(fields, "coaction", _MODULE_COACTIONS, h, space, where,
+                            [h.space, space], [space])
     return SaydModule(h, space, action, coaction)
 
 
 def _parse_contramodule(name: str, value, out: SpecFile, where: str) -> SaydContramodule:
     fields = _require_dict(value, where)
     h = _hopf_of(fields, out, where)
-    space = _carrier_space(fields, out, where)
-    if "action" not in fields or "alpha" not in fields:
-        raise SpecError(where, "a coefficient contramodule needs 'action' and 'alpha'")
-    action = _keyword_map(fields["action"], _LEFT_ACTIONS, "action", h, space,
-                          f"{where}.action", [space], [h.space, space])
-    alpha = relabel(
-        _linear_map(fields["alpha"], [space], [h.space, space], f"{where}.alpha"),
-        tensor_space(dual_space(h.space), space), space)
+    space = _carrier(fields, out, where)[0]
+    action = _keyword_map(fields, "action", _LEFT_ACTIONS, h, space, where,
+                          [space], [h.space, space])
+    alpha = relabel(_triples(fields, "alpha", [space], [h.space, space], where),
+                    tensor_space(dual_space(h.space), space), space)
     return SaydContramodule(h, space, action, alpha)
 
 
@@ -505,10 +495,7 @@ def _parse_pair(name: str, value, out: SpecFile, where: str) -> CompatiblePair:
     module, contramodule = _resolved(out, (("module", _named("modules")),
                                            ("contramodule", _named("contramodules"))),
                                      fields, where)
-    if "pairing" not in fields:
-        raise SpecError(where, "an explicit pair needs a 'pairing'")
-    pairing = _linear_map(fields["pairing"], [],
-                          [module.space, contramodule.space], f"{where}.pairing")
+    pairing = _triples(fields, "pairing", [], [module.space, contramodule.space], where)
     return CompatiblePair(module, contramodule, pairing)
 
 
@@ -516,16 +503,13 @@ def _parse_coalgebra_action(name: str, value, out: SpecFile, where: str) -> Coal
     fields = _require_dict(value, where)
     coalgebra, algebra = _resolved(out, (("coalgebra", _named("coalgebras")),
                                          ("algebra", SpecFile._module_algebra)), fields, where)
-    if "map" not in fields:
-        raise SpecError(where, "a coalgebra action needs a 'map'")
-    act = _linear_map(fields["map"], [algebra.space],
-                      [coalgebra.space, algebra.space], f"{where}.map")
+    act = _triples(fields, "map", [algebra.space], [coalgebra.space, algebra.space], where)
     return CoalgebraAction(coalgebra, algebra, act)
 
 
 def _parse_construction(name: str, value, out: SpecFile, where: str) -> dict:
     fields = _require_dict(value, where)
-    kind = fields.get("type")
+    kind = _field(fields, "type", where)
     if kind not in CONSTRUCTION_TYPES:
         raise SpecError(where, f"unknown construction type {kind!r}; known: "
                                f"{', '.join(CONSTRUCTION_TYPES)}")
@@ -540,10 +524,10 @@ def _parse_construction(name: str, value, out: SpecFile, where: str) -> dict:
 
 def _parse_cochain(name: str, value, out: SpecFile, where: str) -> dict:
     fields = _require_dict(value, where)
-    degree = _require_integer(fields.get("degree"), 0, where,
+    degree = _require_integer(_field(fields, "degree", where), 0, where,
                             "'degree' must be a nonnegative integer")
     return {"degree": degree,
-            "coords": _coords(fields.get("coords"), f"{where}.coords")}
+            "coords": _coords(_field(fields, "coords", where), f"{where}.coords")}
 
 
 def _parse_cup(name: str, value, out: SpecFile, where: str) -> dict:

@@ -257,6 +257,11 @@ REFUSALS = [
     ("module regular on a line", declared("modules", dict(LINE_MODULE, coaction="regular")),
      "modules.extra.coaction: the regular coaction needs the Hopf algebra itself "
      "as carrier"),
+    ("adjoint on a relabelled carrier", declared("algebras", {
+        "hopf": "z2", "basis": ["a", "b"], "unit": [1, 0], "action": "adjoint",
+        "mul": [[["a"], ["a", "a"], 1], [["b"], ["a", "b"], 1], [["b"], ["b", "a"], 1],
+                [["a"], ["b", "b"], 1]]}),
+     "algebras.extra.action: the adjoint action needs the Hopf algebra itself as carrier"),
     ("unknown left action", declared("contramodules", dict(LINE_CONTRAMODULE, action="spin")),
      "contramodules.extra.action: unknown action keyword 'spin'"),
     ("trivial as a right action", declared("modules", dict(LINE_MODULE, action="trivial",
@@ -304,41 +309,40 @@ REFUSALS = [
      lambda data: data["coalgebra_actions"]["signed-eval"].pop("algebra"),
      "coalgebra_actions.signed-eval: missing field 'algebra'"),
     ("explicit algebra missing a field", declared("algebras", {"basis": ["x"], "unit": [1]}),
-     "algebras.extra: an explicit algebra needs 'mul' and 'unit'"),
+     "algebras.extra: missing field 'mul'"),
     ("carrier missing its basis", declared("algebras", {"mul": [], "unit": [1]}),
-     "algebras.extra: 'basis' must be a non-empty list of labels"),
+     "algebras.extra: missing field 'basis'"),
     ("explicit coalgebra missing a field",
      declared("coalgebras", {"hopf": "z2", "basis": ["x"], "counit": [[[], ["x"], 1]],
                              "action": "trivial"}),
-     "coalgebras.extra: an explicit coalgebra needs 'comul' and 'counit'"),
+     "coalgebras.extra: missing field 'comul'"),
     ("module algebra missing its action", declared("algebras", LINE_ALGEBRA),
-     "algebras.extra: a module algebra needs an 'action'"),
+     "algebras.extra: missing field 'action'"),
     ("module coalgebra missing its action", declared("coalgebras", LINE_COALGEBRA),
-     "coalgebras.extra: a module coalgebra needs an 'action'"),
+     "coalgebras.extra: missing field 'action'"),
     ("comodule algebra missing its coaction", declared("comodule_algebras", LINE_ALGEBRA),
-     "comodule_algebras.extra: a comodule algebra needs a 'coaction'"),
+     "comodule_algebras.extra: missing field 'coaction'"),
     ("module missing its coaction", declared("modules", LINE_MODULE),
-     "modules.extra: a coefficient module needs 'action' and 'coaction'"),
+     "modules.extra: missing field 'coaction'"),
     ("contramodule missing its action", declared("contramodules", LINE_CONTRAMODULE),
-     "contramodules.extra: a coefficient contramodule needs 'action' and 'alpha'"),
+     "contramodules.extra: missing field 'action'"),
     ("explicit pair missing its pairing", lambda data: (
         declared("contramodules", dict(LINE_CONTRAMODULE, action="trivial"))(data),
         declared("pairs", {"module": "counit-twist", "contramodule": "extra"})(data)),
-     "pairs.extra: an explicit pair needs a 'pairing'"),
+     "pairs.extra: missing field 'pairing'"),
     ("coalgebra action missing its map",
      lambda data: data["coalgebra_actions"]["signed-eval"].pop("map"),
-     "coalgebra_actions.signed-eval: a coalgebra action needs a 'map'"),
+     "coalgebra_actions.signed-eval: missing field 'map'"),
     ("grouplike pair missing sigma", declared("pairs", {"hopf": "z2", "builtin": "grouplike"}),
-     "pairs.extra.sigma: unknown basis label None"),
+     "pairs.extra: missing field 'sigma'"),
     ("construction missing its type", construction_fields(type=None),
-     "constructions.regular-cochains: unknown construction type None; known: "
-     "plain, coalgebra, algebra_module, comodule_algebra, algebra_contra"),
+     "constructions.regular-cochains: missing field 'type'"),
     ("cochain missing its degree", declared("cochains", {"coords": [0]}),
-     "cochains.extra: 'degree' must be a nonnegative integer"),
+     "cochains.extra: missing field 'degree'"),
     ("cochain missing its coords", declared("cochains", {"degree": 1}),
-     "cochains.extra.coords: expected a dense list of rationals"),
+     "cochains.extra: missing field 'coords'"),
     ("cup missing its coefficients", lambda data: data["cup"]["ac"].pop("coefficients"),
-     "cup.ac: 'coefficients' must name a pair or be a [module, contramodule] list"),
+     "cup.ac: missing field 'coefficients'"),
     ("unknown section", lambda data: data.update(gadgets={}),
      "gadgets: unknown section; known sections: hopf_algebras, algebras, coalgebras, "
      "comodule_algebras, modules, contramodules, pairs, coalgebra_actions, "

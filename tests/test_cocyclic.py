@@ -448,6 +448,21 @@ def test_cohomology_degree_guard(triv):
         cyclic_cohomology(module, 5)
 
 
+def test_cohomology_refuses_a_nonzero_coboundary_square():
+    """On lines with the cofaces d0 = 1 out of degrees 0 and 1, the other
+    cofaces and the codegeneracies zero, b1 b0 = 1; the cyclic operators
+    (-1)^n fix every cochain.  Both cohomologies refuse degree 1 by that
+    product."""
+    line = VectorSpace.ground()
+    one, zero = LinearMap.identity(line), LinearMap.zero(line, line)
+    module = CocyclicModule(2, (line,) * 3, ((one, zero), (one, zero, zero)),
+                            ((), (zero,), (zero, zero)), (one, -one, one))
+    for cohomology in (hochschild_cohomology, cyclic_cohomology):
+        with pytest.raises(LinAlgError, match="^coboundary square is nonzero entering "
+                                              "degree 1$"):
+            cohomology(module, 1)
+
+
 def test_cyclic_fixed_subspaces_are_built_once_per_tower(z2, monkeypatch):
     builds = []
     signed = cocyclic.lambda_operator
