@@ -450,7 +450,7 @@ def cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcocycle:
     y0 = _as_vector(top, module.spaces[degree].dim, "top component")
     degrees = list(range(degree, -1, -2))
     rows = _bb_rows(module, degrees)
-    if degree <= module.degree_cap - 1:
+    if degree < module.degree_cap:
         (_, closed), *rows = rows
         if not _vector_is_zero(closed[0].apply(y0)):
             raise LinAlgError(
