@@ -27,6 +27,7 @@ DEMO = Path(__file__).resolve().parent.parent / "demo"
 CATALOG = str(DEMO / "builtin_catalog.json")
 PLAIN = str(DEMO / "plain_rationals.json")
 Z2CUP = str(DEMO / "z2_cup.json")
+SWEEDLER = str(DEMO / "sweedler_plain.json")
 DATA = Path(__file__).resolve().parent / "data"
 Z2CUP_GOLDEN = DATA / "z2_cup_report.json"
 # variant -> (p, q, left, right) of each pinned `hcc cup` demo run
@@ -622,6 +623,14 @@ class TestDeterminism:
         out = self.run_twice(capsys, ["cohomology", Z2CUP, "regular-cochains",
                                       "--max-degree", "3", "--format", "json"])
         golden = DATA / "z2_cup_regular-cochains_cohomology_report.json"
+        assert out == golden.read_text(encoding="utf-8")
+
+    def test_non_group_cohomology_matches_golden_report(self, capsys):
+        """The HH and HC bases of the plain tower of sweedler4, a carrier that
+        is not a group algebra, are pinned by a committed report."""
+        out = self.run_twice(capsys, ["cohomology", SWEEDLER, "sweedler-algebra",
+                                      "--max-degree", "4", "--format", "json"])
+        golden = DATA / "sweedler_plain_cohomology_report.json"
         assert out == golden.read_text(encoding="utf-8")
 
     def test_cohomology_reports_byte_identical(self, capsys):

@@ -1,5 +1,6 @@
 """Exact linear algebra core, cross-checked against sympy."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -40,6 +41,7 @@ from hopfcyclic.linalg import (
     vector_from,
     vectors_equal,
 )
+from hopfcyclic.linalg import _eliminate
 
 
 def rand_fraction(rng, span=9, den=5):
@@ -102,6 +104,49 @@ def to_sympy(m: LinearMap) -> sympy.Matrix:
 def from_sympy(sm: sympy.Matrix, src, tgt) -> LinearMap:
     rows = [[Fraction(int(sm[i, j].p), int(sm[i, j].q)) for j in range(sm.cols)] for i in range(sm.rows)]
     return LinearMap.from_rows(src, tgt, rows)
+
+
+def check_elimination_against_sympy(f: LinearMap):
+    """Every elimination-based result on f equals the one read off sympy's RREF:
+    rref, kernel_basis, a free-variables-zero solution, an inconsistent system,
+    rank, inverse and cokernel; f itself is left as it was."""
+    before = f.fractions()
+    m, n = f.target.dim, f.source.dim
+    sm = to_sympy(f)
+    sr, spiv = sm.rref()
+    ours, piv = rref(f)
+    assert piv == list(spiv)
+    assert [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in ours] == sr.tolist()
+    expected = []
+    for v in sm.nullspace():
+        first = next(x for x in v if x != 0)
+        expected.append([Fraction(int(x.p), int(x.q)) * (1 if first > 0 else -1) for x in v])
+    assert kernel_basis(f) == expected
+    assert f.rank() == sm.rank() == len(piv)
+    rhs = f.apply([Fraction(j % 3 - 1, j % 4 + 1) * (2**70 + j) for j in range(n)])
+    aug_r, aug_piv = sm.row_join(sympy_vector(rhs)).rref()
+    x = [Fraction(0)] * n
+    for k, c in enumerate(aug_piv):
+        x[c] = Fraction(int(aug_r[k, n].p), int(aug_r[k, n].q))
+    assert solve(f, rhs) == x
+    # a nonzero y with y^T f = 0 is orthogonal to the image, so not in it
+    for y in sm.T.nullspace()[:2]:
+        assert solve(f, [Fraction(int(t.p), int(t.q)) for t in y]) is None
+    if m == n:
+        if sm.rank() == n:
+            inv = f.inverse()
+            assert inv @ f == LinearMap.identity(f.source)
+            assert n == 0 or to_sympy(inv) == sm.inv()
+        else:
+            with pytest.raises(LinAlgError):
+                f.inverse()
+    q = cokernel(f)
+    image_piv = set(sm.T.rref()[1])
+    non_piv = [j for j in range(m) if j not in image_piv]
+    assert q.section == LinearMap.from_entries(q.space, f.target, [(j, k, 1) for k, j in enumerate(non_piv)])
+    assert (q.projection @ f).is_zero()
+    assert q.projection @ q.section == LinearMap.identity(q.space)
+    assert f.fractions() == before
 
 
 # entries of single-entry columns: units, a negative fraction, and both sides of 2**64
@@ -320,6 +365,66 @@ class TestElimination:
             if n:
                 with pytest.raises(LinAlgError):
                     rand_sparse_map(rng, v, v, huge).inverse()  # row 0 is zero
+
+    def test_dense_first_row_with_sparse_later_rows(self):
+        """Column 0 is held by a dense first row and by sparser later rows."""
+        a, b = VectorSpace.make(5), VectorSpace.make(4)
+        rows = [[3, 1, 4, 1, 5], [2, 0, 0, 0, 0], [0, 7, 0, 0, 0], [5, 0, 0, -2, 0]]
+        check_elimination_against_sympy(LinearMap.from_rows(a, b, rows))
+        check_elimination_against_sympy(LinearMap.from_rows(b, a, [list(r) for r in zip(*rows)]))
+        square = [[3, 1, 4, 1], [2, 0, 0, 0], [0, 7, 0, 0], [5, 0, 0, -2]]
+        check_elimination_against_sympy(LinearMap.from_rows(b, b, square))
+
+    def test_earlier_pivot_row_picks_up_a_later_pivot_column(self):
+        """Reducing the column-0 pivot row by the column-1 pivot row fills in
+        column 3, whose pivot comes last and must clear it again."""
+        a = VectorSpace.make(4)
+        rows = [[1, 1, 0, 0], [0, 1, 0, 1], [1, 1, 1, 1], [0, 0, 0, 5]]
+        check_elimination_against_sympy(LinearMap.from_rows(a, a, rows))
+        check_elimination_against_sympy(LinearMap.from_rows(a, VectorSpace.make(3), rows[:3]))
+        check_elimination_against_sympy(LinearMap.from_rows(a, a, rows[::-1]))
+
+    def test_duplicate_and_zero_rows(self):
+        a = VectorSpace.make(3)
+        rows = [[0, 0, 0], [1, 2, 3], [1, 2, 3], [0, 0, 0], [2, 4, 6], [0, 1, 1], [0, 1, 1]]
+        check_elimination_against_sympy(LinearMap.from_rows(a, VectorSpace.make(7), rows))
+        check_elimination_against_sympy(LinearMap.from_rows(a, a, [[0, 0, 0]] * 3))
+        check_elimination_against_sympy(LinearMap.from_rows(a, a, [[1, 0, 2]] * 3))
+        rng = random.Random(119)
+        for _ in range(10):
+            pool = [[rng.choice((0, 0, 1, -2, Fraction(3, 4))) for _ in range(4)] for _ in range(3)]
+            rows = [rng.choice(pool + [[0] * 4]) for _ in range(rng.randint(1, 6))]
+            check_elimination_against_sympy(
+                LinearMap.from_rows(VectorSpace.make(4), VectorSpace.make(len(rows)), rows))
+
+    def test_no_rows_and_no_columns(self):
+        empty, three = VectorSpace.make(0), VectorSpace.make(3)
+        for src, tgt in [(three, empty), (empty, three), (empty, empty)]:
+            check_elimination_against_sympy(LinearMap.zero(src, tgt))
+        assert _eliminate([], 3) == ([], [])
+        assert _eliminate([{}, {}], 0) == ([], [])
+
+    def test_entries_above_2_64(self):
+        rng = random.Random(117)
+        a = VectorSpace.make(5)
+        for _ in range(3):
+            big = [[rand_huge_fraction(rng) for _ in range(5)]]
+            sparse = [[rand_huge_fraction(rng) if j in (0, i) else 0 for j in range(5)] for i in range(1, 5)]
+            check_elimination_against_sympy(LinearMap.from_rows(a, a, big + sparse))
+            check_elimination_against_sympy(LinearMap.from_rows(a, a, sparse + big))
+            check_elimination_against_sympy(LinearMap.from_rows(a, VectorSpace.make(6), big + sparse + big))
+
+    def test_inputs_are_not_modified(self):
+        rng = random.Random(118)
+        cases = [[{0: 3, 1: 1, 2: 4}, {0: 2}, {1: 7, 2: 1}, {0: 5, 2: -2}],
+                 [{0: 1, 1: 1}, {1: 1, 3: 1}, {0: 1, 1: 1, 2: 1, 3: 1}, {3: 5}],
+                 [{}, {0: 2**70, 2: -(2**65)}, {0: 2**70, 2: -(2**65)}, {}]]
+        cases += [[{j: rng.randint(-5, 5) or 1 for j in rng.sample(range(6), rng.randint(0, 4))}
+                   for _ in range(7)] for _ in range(20)]
+        for rows in cases:
+            snapshot = copy.deepcopy(rows)
+            _eliminate(rows, 6)
+            assert rows == snapshot
 
 
 class TestTensor:
