@@ -11,8 +11,8 @@ Conventions, used everywhere downstream:
   * a LinearMap stores a (target.dim x source.dim) matrix acting on column
     coordinate vectors;
   * the basis of V (x) W is row-major: index of (i, j) is i*dim(W) + j;
-  * eliminations scan columns left to right and pick the first nonzero row,
-    so kernels, cokernels and solutions are deterministic;
+  * the RREF of a row space is unique, so kernels, cokernels and solutions
+    read off it are deterministic, whatever rows an elimination pivots on;
   * `partial_transpose` moves the last source factor of a map across to the
     target, and its transpose is currying, so a structure map is read whole
     rather than one basis element at a time.
@@ -462,31 +462,50 @@ def tensor_permutation(spaces: Sequence[VectorSpace], perm: Sequence[int]) -> Li
 def _eliminate(rows: Sequence[dict[int, int]], ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced row echelon form of sparse integer rows (the inputs are not modified).
 
-    Pivot choice is the first nonzero row in column order, so the result is
-    the same on every run.  Rows stay integral: eliminating column c from a
+    An index lists, for each column, the rows that may hold it, so a column
+    is only ever looked up in its holders.  Reducing a row changes it only
+    at the pivot row's columns, so a row is listed there when it gains one;
+    a row that loses a column stays listed until the column is visited and
+    is dropped then, because plain lists take a fraction of the memory of
+    sets kept exact.  Columns are taken left to right.  The pivot of column
+    c is the holder of c, not yet a pivot, with the fewest entries (lowest
+    index on a tie: the Markowitz rule, against fill-in), and every other
+    holder of c, pivot rows included, is reduced by it.  Rows stay in place
+    and are never swapped.  Rows stay integral: eliminating column c from a
     row replaces it by p*row - a*pivot_row divided by its content.  Returns
     the nonzero RREF rows as {column: Fraction}, each 1 at its pivot, and
     the pivot columns.
     """
     rows = list(rows)
-    n = len(rows)
+    holders: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, []).append(i)
+    # fill-in at j comes from a pivot row holding j, so no column gains a first
+    # holder and the columns can be listed once, here
+    pivot_rows: list[int] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == n:
-            break
-        pr = next((i for i in range(r, n) if c in rows[i]), None)
+    taken: set[int] = set()
+    for c in sorted(j for j in holders if j < ncols):
+        held = {i for i in holders.pop(c) if c in rows[i]}
+        pr = min((i for i in held if i not in taken), key=lambda i: (len(rows[i]), i), default=None)
         if pr is None:
             continue
-        rows[pr], rows[r] = rows[r], rows[pr]
-        prow = rows[r]
-        for i in range(n):
-            a = rows[i].get(c) if i != r else None
-            if a:
-                rows[i] = _reduce_row(rows[i], a, prow, prow[c])
+        held.discard(pr)
+        prow = rows[pr]
+        p = prow[c]
+        later = [j for j in prow if j != c]
+        for i in held:
+            old = rows[i]
+            new = rows[i] = _reduce_row(old, old[c], prow, p)
+            for j in later:
+                if j in new and j not in old:
+                    holders[j].append(i)
+        taken.add(pr)
+        pivot_rows.append(pr)
         pivots.append(c)
-        r += 1
-    return [{j: Fraction(v, row[c]) for j, v in row.items()} for row, c in zip(rows, pivots)], pivots
+    return [{j: Fraction(v, rows[i][c]) for j, v in rows[i].items()}
+            for i, c in zip(pivot_rows, pivots)], pivots
 
 
 def _reduce_row(row: dict[int, int], a: int, prow: dict[int, int], p: int) -> dict[int, int]:
@@ -533,7 +552,8 @@ def _rows(mat: LinearMap) -> list[dict[int, int]]:
 
 def rref(mat: LinearMap) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form as dense rows, zero rows last, and the pivot
-    columns; pivots are chosen as in `_eliminate`."""
+    columns; it is unique, so it does not depend on the rows `_eliminate`
+    pivots on."""
     rows, pivots = _eliminate(_rows(mat), mat.source.dim)
     zero_rows = [{}] * (mat.target.dim - len(rows))
     return [_dense(row, mat.source.dim) for row in rows + zero_rows], pivots
