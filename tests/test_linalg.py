@@ -384,6 +384,15 @@ class TestElimination:
         check_elimination_against_sympy(LinearMap.from_rows(a, VectorSpace.make(3), rows[:3]))
         check_elimination_against_sympy(LinearMap.from_rows(a, a, rows[::-1]))
 
+    def test_row_that_loses_a_column_and_regains_it(self):
+        """Row 2 loses column 2 when column 0 is cleared and gains it back
+        when column 1 is; column 2 must reduce it exactly once, also when
+        another row pivots there."""
+        a = VectorSpace.make(4)
+        rows = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 1, 1]]
+        check_elimination_against_sympy(LinearMap.from_rows(a, VectorSpace.make(3), rows))
+        check_elimination_against_sympy(LinearMap.from_rows(a, a, rows + [[0, 0, 5, 0]]))
+
     def test_duplicate_and_zero_rows(self):
         a = VectorSpace.make(3)
         rows = [[0, 0, 0], [1, 2, 3], [1, 2, 3], [0, 0, 0], [2, 4, 6], [0, 1, 1], [0, 1, 1]]
