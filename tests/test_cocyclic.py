@@ -256,6 +256,74 @@ def test_mismatched_hopf_algebras_are_rejected(triv, z2):
         coalgebra_cocyclic(coalgebra, trivial_coefficients(triv).module, 2)
 
 
+def _malformed_tower(z2, **change):
+    """Plain cochains of Q[Z/2] at cap 2 (spaces of dimension 2, 4, 8) with
+    the given fields rebuilt from the good ones."""
+    good = plain_algebra_cocyclic(z2.algebra, degree_cap=2)
+    return dataclasses.replace(good, **{k: f(getattr(good, k)) for k, f in change.items()})
+
+
+POINT = LinearMap.zero(VectorSpace.make(1), VectorSpace.make(1))
+
+
+def _adjoint_algebra(z2):
+    return ModuleAlgebra(z2, z2.space, z2.mul, z2.unit, adjoint_action(z2))
+
+
+REFUSED_TOWERS = {
+    "one space short": (
+        lambda triv, z2: _malformed_tower(z2, spaces=lambda s: s[:-1]),
+        "cocyclic tower has the wrong length"),
+    "one coface degree short": (
+        lambda triv, z2: _malformed_tower(z2, faces=lambda f: f[:-1]),
+        "cocyclic tower has the wrong length"),
+    "one codegeneracy degree short": (
+        lambda triv, z2: _malformed_tower(z2, degeneracies=lambda s: s[:-1]),
+        "cocyclic tower has the wrong length"),
+    "one cyclic operator short": (
+        lambda triv, z2: _malformed_tower(z2, cyclic=lambda t: t[:-1]),
+        "cocyclic tower has the wrong length"),
+    "a coface missing": (
+        lambda triv, z2: _malformed_tower(z2, faces=lambda f: (f[0], f[1][:-1])),
+        "expected 3 cofaces at degree 1"),
+    "a coface of the wrong shape": (
+        lambda triv, z2: _malformed_tower(z2, faces=lambda f: ((f[0][0], POINT), f[1])),
+        "coface shape mismatch at degree 0"),
+    "a codegeneracy missing": (
+        lambda triv, z2: _malformed_tower(z2, degeneracies=lambda s: (s[0], s[1], s[2][:1])),
+        "expected 2 codegeneracies at degree 2"),
+    "a codegeneracy of the wrong shape": (
+        lambda triv, z2: _malformed_tower(z2, degeneracies=lambda s: (s[0], (POINT,), s[2])),
+        "codegeneracy shape mismatch at degree 1"),
+    "a cyclic operator of the wrong shape": (
+        lambda triv, z2: _malformed_tower(z2, cyclic=lambda t: (t[0], t[1], POINT)),
+        "cyclic operator shape mismatch at degree 2"),
+    "module functionals over another Hopf algebra": (
+        lambda triv, z2: algebra_module_cocyclic(
+            _adjoint_algebra(z2), trivial_coefficients(triv).module, 2),
+        "coefficients and algebra live over different Hopf algebras"),
+    "comodule maps over another Hopf algebra": (
+        lambda triv, z2: comodule_algebra_cocyclic(
+            ComoduleAlgebra(z2, z2.space, z2.mul, z2.unit, regular_coaction(z2)),
+            trivial_coefficients(triv).module, 2),
+        "coefficients and algebra live over different Hopf algebras"),
+    "contramodule maps over another Hopf algebra": (
+        lambda triv, z2: algebra_contra_cocyclic(
+            _adjoint_algebra(z2), trivial_coefficients(triv).contramodule, 2),
+        "coefficients and algebra live over different Hopf algebras"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_TOWERS)
+def test_malformed_towers_and_mismatched_coefficients_are_refused(triv, z2, case):
+    """Each length and shape refusal of `CocyclicModule`, and each equivariant
+    construction given coefficients over the trivial Hopf algebra for an
+    algebra over Q[Z/2]."""
+    build, message = REFUSED_TOWERS[case]
+    with pytest.raises(LinAlgError, match=f"^{message}$"):
+        build(triv, z2)
+
+
 def test_perturbed_coface_fails_named_identities(z2):
     good = plain_algebra_cocyclic(z2.algebra, degree_cap=2)
     faces = [list(row) for row in good.faces]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -29,6 +30,11 @@ from hopfcyclic.cocyclic import (
 )
 from hopfcyclic.cup import (
     BBcocycle,
+    _as_vector,
+    _bb_rows,
+    _require_tower_degree,
+    _solve_blocks,
+    _vector_is_zero,
     CompletionObstruction,
     aa_cup_setup,
     ac_cup_setup,
@@ -77,6 +83,7 @@ from hopfcyclic.linalg import (
     LinearMap,
     VectorSpace,
     solve_constrained_subspace,
+    subspace_from_kernel,
     tensor_map,
     tensor_space,
 )
@@ -1096,6 +1103,159 @@ def test_cocycle_subspace_dimensions(setup_ac_grouplike, setup_aa_grouplike):
         cyclic_cocycle_subspace(xmod, 3)
 
 
+
+# ------------------------------------------- constraint-row completion reference
+
+
+def reference_cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcocycle:
+    """Extend a b-closed top cochain to a full (b, B)-cocycle.
+
+    All lower components are solved for in one exact linear system (they are
+    constrained to the normalized subspaces, which pins the solution), so the
+    result is deterministic.  An infeasible system raises
+    `CompletionObstruction` carrying the first obstructed component degree and
+    a residual witness.
+    """
+    _require_tower_degree(module, degree, "the top component")
+    y0 = _as_vector(top, module.spaces[degree].dim, "top component")
+    degrees = list(range(degree, -1, -2))
+    rows = _bb_rows(module, degrees)
+    if degree < module.degree_cap:
+        (_, closed), *rows = rows
+        if not _vector_is_zero(closed[0].apply(y0)):
+            raise LinAlgError(
+                "the top component is not closed under the Hochschild coboundary")
+
+    tail_degrees = degrees[1:]
+    if not tail_degrees:
+        for _, bottom in rows:  # B y0 into degree 0, when the degree is 1
+            residual = bottom[0].apply(y0)
+            if not _vector_is_zero(residual):
+                raise CompletionObstruction(0, residual)
+        return BBcocycle(degree, (tuple(y0),))
+
+    # unknown k is component k + 1, of degree tail_degrees[k]; each b + B row
+    # precedes the codegeneracy rows of its new unknown, so the equations on
+    # unknowns 0..t-1 alone come first, as equations[:ends[t]]
+    unknowns = [module.spaces[d] for d in tail_degrees]
+    offsets = list(itertools.accumulate((u.dim for u in unknowns), initial=0))
+    shifted = [(module.spaces[target], {k - 1: m for k, m in blocks.items() if k})
+               for target, blocks in rows]
+    equations, ends = [], [0]
+    for k, d in enumerate(tail_degrees):
+        equations.append(shifted[k])
+        equations += [(module.spaces[d - 1], {k: module.degeneracy(d, j)}) for j in range(d)]
+        ends.append(len(equations))
+    equations += shifted[len(tail_degrees):]
+    # the first equation, b u0 = -B y0, carries the only nonzero right-hand side
+    top_boundary = rows[0][1][0].apply(y0)
+    rhs = [-x for x in top_boundary]
+
+    sol = _solve_blocks(unknowns, equations, rhs)
+    if sol is None:
+        for t in range(1, len(tail_degrees) + 1):
+            if _solve_blocks(unknowns, equations[:ends[t]], rhs) is None:
+                if t == 1:
+                    witness = top_boundary
+                else:
+                    prev = _solve_blocks(unknowns, equations[:ends[t - 1]], rhs)
+                    witness = full_B(module, tail_degrees[t - 2]).apply(
+                        prev[offsets[t - 2]:offsets[t - 1]])
+                raise CompletionObstruction(tail_degrees[t - 1], witness)
+        last = _solve_blocks(unknowns, equations[:ends[-1]], rhs)
+        raise CompletionObstruction(0, full_B(module, 1).apply(last[offsets[-2]:]))
+
+    components = [tuple(y0)]
+    components += [tuple(sol[offsets[k]:offsets[k + 1]]) for k in range(len(tail_degrees))]
+    return BBcocycle(degree, tuple(components))
+
+
+def completion_outcome(complete, module, degree, top):
+    """What a completion function makes of one input: its components, its
+    obstruction's degree and residual, or its refusal's type and message."""
+    try:
+        return ("cocycle", complete(module, degree, top).components)
+    except CompletionObstruction as err:
+        return ("obstruction", err.degree, err.residual, str(err))
+    except LinAlgError as err:
+        return (type(err).__name__, str(err))
+
+
+def sparse_vector(rng, dim, density):
+    return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density else 0
+            for _ in range(dim)]
+
+
+def random_rigged_case(rng):
+    """A `_rigged_matrices` module at cap 2 to 5 on spaces of dimension 1 or 2
+    with random sparse cofaces (none at all out of about half the degrees),
+    codegeneracies (mostly the last one) and cyclic operators, a degree from 1
+    to the cap, and a top there: mostly a random b-closed vector, else a
+    random one.  Seed 1602 reaches every obstruction path of the reference."""
+    dims = [rng.randint(1, 2) for _ in range(rng.randint(3, 6))]
+    cap = len(dims) - 1
+    face_density = [rng.choice((0, 0.7)) for _ in range(cap)]
+
+    def rows(source, target):
+        return [[rng.choice((0, 0, 1, -1, 2)) for _ in range(dims[source])]
+                for _ in range(dims[target])]
+    module = _rigged_matrices(
+        dims,
+        faces=[((n, i), rows(n, n + 1)) for n in range(cap) for i in range(n + 2)
+               if rng.random() < face_density[n]],
+        degeneracies=[((n, j), rows(n, n - 1)) for n in range(1, cap + 1) for j in range(n)
+                      if rng.random() < (0.9 if j == n - 1 else 0.3)],
+        cyclic=[(n, rows(n, n)) for n in range(cap + 1) if rng.random() < 0.9])
+    degree = rng.randint(1, cap)
+    top = sparse_vector(rng, dims[degree], 0.7)
+    if degree < cap and rng.random() < 0.8:
+        closed = subspace_from_kernel(full_b(module, degree)).basis
+        top = closed.apply([rng.choice((1, -1, 2)) for _ in range(closed.source.dim)])
+    return module, degree, top
+
+
+class TestConstraintRowReference:
+    """`cyclic_complete` agrees exactly with the constraint-row system above:
+    the same components, the same obstruction degree and residual, or the
+    same refusal."""
+
+    def test_plain_towers_match_the_reference(self):
+        rng = random.Random(1601)
+        seen = set()
+        for algebra, cap in ((group_algebra(cyclic_group_table(2)).algebra, 5),
+                             (group_algebra(cyclic_group_table(3)).algebra, 5),
+                             (sweedler_h4().algebra, 5),
+                             (group_algebra(symmetric_group_table(3)).algebra, 4)):
+            module = plain_algebra_cocyclic(algebra, degree_cap=cap)
+            for degree in range(cap + 1):
+                dim = module.spaces[degree].dim
+                tops = [sparse_vector(rng, dim, 3 / dim) for _ in range(3)]
+                if degree < cap:
+                    cocycles = cyclic_cocycle_subspace(module, degree).basis
+                    classes = list(cyclic_cohomology(module, degree).representatives)
+                    closed = [cocycles.column(j) for j in range(cocycles.source.dim)] + classes
+                    tops += closed
+                    tops += [[sum(rng.randint(-2, 2) * v[i] for v in closed) for i in range(dim)]
+                             for _ in range(2)]
+                for top in tops:
+                    got = completion_outcome(cyclic_complete, module, degree, top)
+                    assert got == completion_outcome(reference_cyclic_complete,
+                                                     module, degree, top), (degree, top)
+                    seen.add(got[0])
+        assert seen == {"cocycle", "obstruction", "LinAlgError"}
+
+    def test_rigged_modules_match_the_reference(self):
+        rng = random.Random(1602)
+        seen = set()
+        for _ in range(1200):
+            module, degree, top = random_rigged_case(rng)
+            got = completion_outcome(cyclic_complete, module, degree, top)
+            assert got == completion_outcome(reference_cyclic_complete, module, degree, top)
+            seen.add(got[0] if got[0] != "cocycle" else
+                     "cocycle with a tail" if any(map(any, got[1][1:])) else "cocycle")
+        assert seen == {"cocycle", "cocycle with a tail", "obstruction", "LinAlgError"}
+
+
 # ----------------------------------------------------------- input validation
 
 
@@ -1126,3 +1286,49 @@ def test_cup_rejects_excessive_degree(setup_ac_grouplike):
     top_dim = setup_ac_grouplike.algebra_cochains.module.spaces[2].dim
     with pytest.raises(LinAlgError, match="must stay below the tower cap"):
         cup_ac(setup_ac_grouplike, 2, 1, [0] * top_dim, [-1, 1])
+
+
+def test_completion_refuses_a_top_that_is_not_closed(triv):
+    """Over Q the degree-1 coboundary is d0 - d1 + d2 = 1, so no nonzero
+    degree-1 top is closed."""
+    module = plain_algebra_cocyclic(triv.algebra, degree_cap=3)
+    with pytest.raises(LinAlgError, match="^the top component is not closed under the "
+                                          "Hochschild coboundary$"):
+        cyclic_complete(module, 1, [1])
+
+
+def test_cohomologous_compares_equal_degrees_only(triv):
+    module = plain_algebra_cocyclic(triv.algebra, degree_cap=3)
+    one, two = BBcocycle(0, ((1,),)), BBcocycle(0, ((2,),))
+    assert bb_cohomologous(module, one, one)
+    assert bb_cohomologous(module, one, BBcocycle(0, ((Fraction(1),),)))
+    assert not bb_cohomologous(module, one, two)
+    with pytest.raises(LinAlgError, match="^cannot compare cocycles of different degrees$"):
+        bb_cohomologous(module, BBcocycle(1, ((0,),)), BBcocycle(2, ((0,), (0,))))
+
+
+def test_cup_rejects_a_closed_cochain_that_is_not_cyclic(setup_ac_grouplike):
+    """(1, -1, -1, 1) is closed in degree 2 of the algebra-side tower, but
+    the cyclic operator sends it to (1, 1, -1, -1)."""
+    right = [0] * setup_ac_grouplike.bicomplex.horizontal_factor.spaces[0].dim
+    with pytest.raises(LinAlgError, match="^the algebra-side cochain is not cyclic: the cyclic "
+                                          "operator does not act on it by 1$"):
+        cup_ac(setup_ac_grouplike, 2, 0, [1, -1, -1, 1], right)
+
+
+def test_cup_rejects_negative_degrees(setup_ac_grouplike):
+    for p, q in ((-1, 1), (1, -1)):
+        with pytest.raises(LinAlgError, match="^degrees must be nonnegative$"):
+            cup_ac(setup_ac_grouplike, p, q, [0, 1], [-1, 1])
+
+
+def test_unpaired_crossed_setup_refuses_the_scalar_product(z2, sign_action):
+    algebra = ModuleAlgebra(z2, z2.space, z2.mul, z2.unit, sign_action)
+    comodule = ComoduleAlgebra(z2, z2.space, z2.mul, z2.unit, regular_coaction(z2))
+    pair = grouplike_coefficients(z2, 1)
+    setup = aa_cup_setup(algebra, comodule, (pair.module, pair.contramodule), degree_cap=3)
+    with pytest.raises(LinAlgError, match="^no compatible pairing was provided; "
+                                          "use cup_aa_general$"):
+        cup_aa(setup, 0, 1, [0] * setup.bicomplex.vertical_factor.spaces[0].dim, [0, 1])
+    with pytest.raises(LinAlgError, match="^no compatible pairing was provided$"):
+        check_collapse_factorization(setup)
