@@ -18,8 +18,8 @@ with coface, codegeneracy and cyclic operators.  This module provides
         stable anti-Yetter-Drinfeld contramodule Mc;
   * the degreewise isomorphism between balanced functionals on
     M (x) A^{(n+1)} and equivariant maps into the dual contramodule;
-  * mixed-complex structure (normalized subcomplexes, b and B) and the
-    normalization projector;
+  * mixed-complex structure (the normalized cochains `normalized_cochains`,
+    b and B restricted to them) and the normalization projector;
   * Hochschild and cyclic cohomology in degrees below the tower cap, with
     deterministic representatives.
 
@@ -87,8 +87,8 @@ class CocyclicModule:
     faces: tuple[tuple[LinearMap, ...], ...]
     degeneracies: tuple[tuple[LinearMap, ...], ...]
     cyclic: tuple[LinearMap, ...]
-    # ("b", n) / ("B", n) / ("fixed", n) -> full_b / full_B / _cyclic_fixed of
-    # this tower, built on first use
+    # ("b", n) / ("B", n) / ("N", n) / ("fixed", n) -> full_b / full_B /
+    # normalized_cochains / _cyclic_fixed of this tower, built on first use
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -627,6 +627,18 @@ def lambda_operator(module: CocyclicModule, n: int) -> LinearMap:
     return module.cyclic[n].scale(Fraction((-1) ** n))
 
 
+def normalized_cochains(module: CocyclicModule, n: int) -> Subspace:
+    """The normalized cochains N^n, the joint kernel of the codegeneracies out
+    of degree n, built once per tower; its basis is read off the RREF."""
+    if not 0 <= n <= module.degree_cap:
+        _refuse(module, f"the normalized cochains of degree {n}")
+    memo = module._memo
+    if ("N", n) not in memo:
+        memo["N", n] = solve_constrained_subspace(module.spaces[n],
+                                                  list(module.degeneracies[n]), prefix="n")
+    return memo["N", n]
+
+
 def normalization_projector(module: CocyclicModule, n: int) -> LinearMap:
     """Idempotent onto the joint kernel of the codegeneracies at degree n."""
     out = LinearMap.identity(module.spaces[n])
@@ -654,9 +666,7 @@ class MixedComplexView:
 
 def mixed_complex(module: CocyclicModule) -> MixedComplexView:
     cap = module.degree_cap
-    normalized = tuple(
-        solve_constrained_subspace(module.spaces[n], list(module.degeneracies[n]), prefix="n")
-        for n in range(cap + 1))
+    normalized = tuple(normalized_cochains(module, n) for n in range(cap + 1))
     b = tuple(
         _induced(full_b(module, n), normalized[n], normalized[n + 1],
                  f"the Hochschild coboundary leaves the normalized complex at degree {n}")

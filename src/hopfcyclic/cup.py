@@ -71,6 +71,7 @@ from .cocyclic import (
     full_b,
     mixed_complex,
     normalization_projector,
+    normalized_cochains,
     plain_algebra_cocyclic,
     verify_cocyclic,
 )
@@ -440,11 +441,14 @@ def _solve_blocks(unknowns: list[VectorSpace],
 def cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcocycle:
     """Extend a b-closed top cochain to a full (b, B)-cocycle.
 
-    All lower components are solved for in one exact linear system (they are
-    constrained to the normalized subspaces, which pins the solution), so the
-    result is deterministic.  An infeasible system raises
-    `CompletionObstruction` carrying the first obstructed component degree and
-    a residual witness.
+    Each lower component is a coordinate vector on the normalized cochains of
+    its degree, which pins the solution.  Row r of b + B is B on component r
+    plus b on component r + 1, or B alone into degree 0; the rows are solved
+    as growing prefixes, and the first infeasible row raises
+    `CompletionObstruction` at its target degree less one (at least 0), with
+    B of component r from the previous prefix as witness.  Only the tail is
+    normalized, so a top with a nonzero codegeneracy image may be obstructed
+    although its class lifts; `_validated_cocycle` normalizes cup inputs.
     """
     _require_tower_degree(module, degree, "the top component")
     y0 = _as_vector(top, module.spaces[degree].dim, "top component")
@@ -456,48 +460,23 @@ def cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcocycle:
             raise LinAlgError(
                 "the top component is not closed under the Hochschild coboundary")
 
-    tail_degrees = degrees[1:]
-    if not tail_degrees:
-        for _, bottom in rows:  # B y0 into degree 0, when the degree is 1
-            residual = bottom[0].apply(y0)
-            if not _vector_is_zero(residual):
-                raise CompletionObstruction(0, residual)
-        return BBcocycle(degree, (tuple(y0),))
-
-    # unknown k is component k + 1, of degree tail_degrees[k]; each b + B row
-    # precedes the codegeneracy rows of its new unknown, so the equations on
-    # unknowns 0..t-1 alone come first, as equations[:ends[t]]
-    unknowns = [module.spaces[d] for d in tail_degrees]
+    # unknown k is the coordinate vector of component k + 1 on its N^d; only
+    # the first row, b u0 = -B y0, meets y0 and carries a right-hand side
+    normalized = [normalized_cochains(module, d) for d in degrees[1:]]
+    unknowns = [sub.space for sub in normalized]
     offsets = list(itertools.accumulate((u.dim for u in unknowns), initial=0))
-    shifted = [(module.spaces[target], {k - 1: m for k, m in blocks.items() if k})
-               for target, blocks in rows]
-    equations, ends = [], [0]
-    for k, d in enumerate(tail_degrees):
-        equations.append(shifted[k])
-        equations += [(module.spaces[d - 1], {k: module.degeneracy(d, j)}) for j in range(d)]
-        ends.append(len(equations))
-    equations += shifted[len(tail_degrees):]
-    # the first equation, b u0 = -B y0, carries the only nonzero right-hand side
-    top_boundary = rows[0][1][0].apply(y0)
-    rhs = [-x for x in top_boundary]
-
-    sol = _solve_blocks(unknowns, equations, rhs)
-    if sol is None:
-        for t in range(1, len(tail_degrees) + 1):
-            if _solve_blocks(unknowns, equations[:ends[t]], rhs) is None:
-                if t == 1:
-                    witness = top_boundary
-                else:
-                    prev = _solve_blocks(unknowns, equations[:ends[t - 1]], rhs)
-                    witness = full_B(module, tail_degrees[t - 2]).apply(
-                        prev[offsets[t - 2]:offsets[t - 1]])
-                raise CompletionObstruction(tail_degrees[t - 1], witness)
-        last = _solve_blocks(unknowns, equations[:ends[-1]], rhs)
-        raise CompletionObstruction(0, full_B(module, 1).apply(last[offsets[-2]:]))
-
-    components = [tuple(y0)]
-    components += [tuple(sol[offsets[k]:offsets[k + 1]]) for k in range(len(tail_degrees))]
-    return BBcocycle(degree, tuple(components))
+    equations = [(module.spaces[target],
+                  {k - 1: m @ normalized[k - 1].basis for k, m in blocks.items() if k})
+                 for target, blocks in rows]
+    rhs = [-x for x in rows[0][1][0].apply(y0)] if rows else []
+    components = [y0]
+    for r, (target, blocks) in enumerate(rows):
+        sol = _solve_blocks(unknowns, equations[:r + 1], rhs)
+        if sol is None:
+            raise CompletionObstruction(max(target - 1, 0), blocks[r].apply(components[r]))
+        components = [y0] + [sub.basis.apply(sol[start:end])
+                             for sub, start, end in zip(normalized, offsets, offsets[1:])]
+    return BBcocycle(degree, tuple(map(tuple, components)))
 
 
 def bb_cohomologous(module: CocyclicModule, first: BBcocycle,

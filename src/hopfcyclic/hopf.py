@@ -51,10 +51,6 @@ class Algebra:
     mul: LinearMap
     unit: LinearMap
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
 
 def check_algebra(a: Algebra, title: str = "algebra") -> Report:
     rep = Report(title)
@@ -126,8 +122,8 @@ def check_hopf_axioms(h: HopfAlgebra) -> Report:
     rep = Report("hopf axioms")
     space = h.space
     i_h = LinearMap.identity(space)
-    rep.extend(check_algebra(Algebra(space, h.mul, h.unit)))
-    rep.extend(check_coalgebra(Coalgebra(space, h.comul, h.counit)))
+    rep.extend(check_algebra(h.algebra))
+    rep.extend(check_coalgebra(h.coalgebra))
     mid_swap = tensor_permutation([space] * 4, [0, 2, 1, 3])
     rep.check_equal(
         "comultiplication is an algebra map",

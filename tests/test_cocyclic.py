@@ -32,6 +32,7 @@ from hopfcyclic.cocyclic import (
     lambda_operator,
     mixed_complex,
     normalization_projector,
+    normalized_cochains,
     plain_algebra_cocyclic,
     verify_cocyclic,
 )
@@ -353,6 +354,8 @@ OUT_OF_TOWER_CALLS = {
     "full_B(-1)": lambda m: full_B(m, -1),
     "full_B(0)": lambda m: full_B(m, 0),
     "full_B(4)": lambda m: full_B(m, 4),
+    "normalized_cochains(-1)": lambda m: normalized_cochains(m, -1),
+    "normalized_cochains(4)": lambda m: normalized_cochains(m, 4),
 }
 
 
@@ -437,6 +440,21 @@ def test_normalization_projector_properties(z2):
         assert p @ p == p
         fixed = p @ view.normalized[n].basis
         assert fixed == view.normalized[n].basis
+
+
+def test_normalized_cochains_are_built_once_per_tower(z2):
+    """`mixed_complex` reads the memoised N^n, the joint kernel of the
+    codegeneracies, whose basis is the identity on its support rows."""
+    module = plain_algebra_cocyclic(z2.algebra, degree_cap=3)
+    view = mixed_complex(module)
+    for n in range(4):
+        sub = normalized_cochains(module, n)
+        assert view.normalized[n] is sub is normalized_cochains(module, n)
+        assert sub.dim == 2  # dual to A (x) (A/Q)^n, and dim A = 2
+        for j in range(n):
+            assert (module.degeneracy(n, j) @ sub.basis).is_zero()
+        assert sub.coords_matrix() @ sub.basis == LinearMap.identity(sub.space)
+    assert mixed_complex(module).normalized == view.normalized
 
 
 def test_connes_boundary_squares_to_zero_only_after_normalization(z2):
