@@ -23,6 +23,8 @@ with coface, codegeneracy and cyclic operators.  This module provides
   * Hochschild and cyclic cohomology in degrees below the tower cap, with
     deterministic representatives.
 
+Every quantity outside its degree range is refused by one rule, `_require_degree`.
+
 Operator assembly.  Each construction builds its tensor powers and Hom
 spaces once, then writes every operator in one sparse pass (`slot_map`)
 straight between the tower's own spaces.  A degree-n ambient space has
@@ -129,9 +131,18 @@ class CocyclicModule:
         return self.cyclic[n]
 
 
-def _refuse(module: CocyclicModule, what: str) -> NoReturn:
+def _refuse(module, what: str) -> NoReturn:
     raise LinAlgError(f"{what} is outside the tower, which is capped at degree "
                       f"{module.degree_cap}")
+
+
+def _require_degree(module, n: int, what: str, low: int = 0,
+                    high: Optional[int] = None) -> None:
+    """Refuse degree n of `what` unless low <= n <= high (by default the
+    cap), for a tower, bicomplex or cup setup `module` with a `degree_cap`."""
+    high = module.degree_cap if high is None else high
+    if not low <= n <= high:
+        _refuse(module, f"{what} in degree {n} (defined in degrees {low}..{high})")
 
 
 def verify_cocyclic(module: CocyclicModule, name: str = "cocyclic module") -> Report:
@@ -595,8 +606,7 @@ def check_dualization(iso: DualizationIsomorphism,
 
 def full_b(module: CocyclicModule, n: int) -> LinearMap:
     """Alternating sum of the cofaces out of degree n, built once per tower."""
-    if not 0 <= n < module.degree_cap:
-        _refuse(module, f"the Hochschild coboundary out of degree {n}")
+    _require_degree(module, n, "the Hochschild coboundary", high=module.degree_cap - 1)
     cache = module._memo
     if ("b", n) not in cache:
         out = module.faces[n][0]
@@ -609,8 +619,7 @@ def full_b(module: CocyclicModule, n: int) -> LinearMap:
 
 def full_B(module: CocyclicModule, n: int) -> LinearMap:
     """The Connes boundary C^n -> C^{n-1} (n >= 1), built once per tower."""
-    if not 1 <= n <= module.degree_cap:
-        _refuse(module, f"the Connes boundary out of degree {n}")
+    _require_degree(module, n, "the Connes boundary", low=1)
     cache = module._memo
     if ("B", n) not in cache:
         base = module.degeneracies[n][n - 1] @ module.cyclic[n]
@@ -624,14 +633,13 @@ def full_B(module: CocyclicModule, n: int) -> LinearMap:
 
 
 def lambda_operator(module: CocyclicModule, n: int) -> LinearMap:
-    return module.cyclic[n].scale(Fraction((-1) ** n))
+    return module.tau(n).scale(Fraction((-1) ** n))
 
 
 def normalized_cochains(module: CocyclicModule, n: int) -> Subspace:
     """The normalized cochains N^n, the joint kernel of the codegeneracies out
     of degree n, built once per tower; its basis is read off the RREF."""
-    if not 0 <= n <= module.degree_cap:
-        _refuse(module, f"the normalized cochains of degree {n}")
+    _require_degree(module, n, "the normalized cochains")
     memo = module._memo
     if ("N", n) not in memo:
         memo["N", n] = solve_constrained_subspace(module.spaces[n],
@@ -641,6 +649,7 @@ def normalized_cochains(module: CocyclicModule, n: int) -> Subspace:
 
 def normalization_projector(module: CocyclicModule, n: int) -> LinearMap:
     """Idempotent onto the joint kernel of the codegeneracies at degree n."""
+    _require_degree(module, n, "the normalization projector")
     out = LinearMap.identity(module.spaces[n])
     for j in range(n):
         factor = LinearMap.identity(module.spaces[n]) - (
@@ -718,16 +727,9 @@ def _quotient_representatives(b: LinearMap, b_prev: LinearMap, n: int):
     return [tuple(row) for row, p in zip(rows, pivots) if p not in image_pivots]
 
 
-def _require_degree(module: CocyclicModule, n: int) -> None:
-    if not 0 <= n <= module.degree_cap - 1:
-        raise ValueError(
-            f"degree {n} is out of range: the tower is capped at {module.degree_cap}, "
-            f"so cohomology is available in degrees 0..{module.degree_cap - 1}")
-
-
 def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     """ker b / im b at degree n on the full (unnormalized) complex."""
-    _require_degree(module, n)
+    _require_degree(module, n, "Hochschild cohomology", high=module.degree_cap - 1)
     b_n = full_b(module, n)
     b_prev = LinearMap.zero(VectorSpace.make(0), module.spaces[n])
     if n >= 1:
@@ -752,7 +754,7 @@ def cyclic_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     the coboundary is the restriction of b, which is verified to preserve the
     eigenspaces.
     """
-    _require_degree(module, n)
+    _require_degree(module, n, "cyclic cohomology", high=module.degree_cap - 1)
     fixed = _cyclic_fixed(module, n)
     image = LinearMap.zero(VectorSpace.make(0), fixed.space)
     if n >= 1:

@@ -63,6 +63,7 @@ from .cocyclic import (
     _diagonal_coactions,
     _induced,
     _powers,
+    _require_degree,
     algebra_contra_cocyclic,
     check_mixed_complex,
     coalgebra_cocyclic,
@@ -148,6 +149,8 @@ class BicocyclicModule:
     horizontal_factor: CocyclicModule
 
     def space(self, p: int, q: int) -> VectorSpace:
+        _require_degree(self, p, f"the vertical part of bidegree ({p},{q})")
+        _require_degree(self, q, f"the horizontal part of bidegree ({p},{q})")
         return tensor_space(self.vertical_factor.spaces[p],
                             self.horizontal_factor.spaces[q])
 
@@ -299,11 +302,10 @@ def check_total_mixed_complex(total: TotalMixedComplex,
 def aw_map(module: BicocyclicModule, p: int, q: int) -> LinearMap:
     """C^{p,q} -> C^{p+q,p+q}: q front cofaces d0 on X, tensored with p last
     cofaces on Y."""
-    if p + q > module.degree_cap:
-        raise LinAlgError(f"bidegree ({p},{q}) exceeds the cap {module.degree_cap}")
+    _require_degree(module, p, f"the vertical part of bidegree ({p},{q})")
+    _require_degree(module, q, f"the horizontal part of bidegree ({p},{q})",
+                    high=module.degree_cap - p)
     x, y = module.vertical_factor, module.horizontal_factor
-    _require_tower_degree(x, p, f"the vertical part of bidegree ({p},{q})")
-    _require_tower_degree(y, q, f"the horizontal part of bidegree ({p},{q})")
     front = LinearMap.identity(x.spaces[p])
     for k in range(p, p + q):
         front = x.face(k, 0) @ front
@@ -317,6 +319,7 @@ def assembled_aw(total: TotalMixedComplex, diagonal_normalized: Subspace,
                  n: int) -> LinearMap:
     """Tot^n -> normalized Diag^n, blockwise; verified to preserve normalization."""
     module = total.underlying
+    _require_degree(module, n, "the assembled comparison map")
     sources = [total.block_subspaces[p][n - p].space for p in range(n + 1)]
     blocks = {}
     for p in range(n + 1):
@@ -368,12 +371,6 @@ class BBcocycle:
         return [self.degree - 2 * k for k in range(len(self.components))]
 
 
-def _require_tower_degree(module: CocyclicModule, degree: int, label: str) -> None:
-    if not 0 <= degree <= module.degree_cap:
-        raise LinAlgError(f"{label} has degree {degree}, outside the tower's degrees "
-                          f"0..{module.degree_cap}")
-
-
 def _components(module: CocyclicModule, cocycle: BBcocycle, label: str,
                 stop_early: bool = False) -> list[list[Fraction]]:
     """The components as exact vectors, refused unless they run from the
@@ -383,7 +380,7 @@ def _components(module: CocyclicModule, cocycle: BBcocycle, label: str,
     bottom = degrees[-1] if degrees else None
     if bottom is None or not 0 <= bottom <= (cocycle.degree if stop_early else 1):
         raise LinAlgError(f"{label} has components down to degree {bottom}, not to 0 or 1")
-    _require_tower_degree(module, cocycle.degree, label)
+    _require_degree(module, cocycle.degree, label)
     return [_as_vector(comp, module.spaces[d].dim, f"the degree-{d} component of {label}")
             for d, comp in zip(degrees, cocycle.components)]
 
@@ -450,7 +447,7 @@ def cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcocycle:
     normalized, so a top with a nonzero codegeneracy image may be obstructed
     although its class lifts; `_validated_cocycle` normalizes cup inputs.
     """
-    _require_tower_degree(module, degree, "the top component")
+    _require_degree(module, degree, "the top component")
     y0 = _as_vector(top, module.spaces[degree].dim, "top component")
     degrees = list(range(degree, -1, -2))
     rows = _bb_rows(module, degrees)
@@ -501,10 +498,7 @@ def bb_cohomologous(module: CocyclicModule, first: BBcocycle,
 
 def cyclic_cocycle_subspace(module: CocyclicModule, degree: int) -> Subspace:
     """Normalized cochains killed by b with cyclic eigenvalue (-1)^degree."""
-    if degree > module.degree_cap - 1:
-        raise LinAlgError(
-            f"degree {degree} has no coboundary under cap {module.degree_cap}")
-    _require_tower_degree(module, degree, "the cocycle subspace")
+    _require_degree(module, degree, "the cocycle subspace", high=module.degree_cap - 1)
     lam = module.tau(degree).scale(Fraction((-1) ** degree))
     constraints = [full_b(module, degree),
                    LinearMap.identity(module.spaces[degree]) - lam]
@@ -663,8 +657,8 @@ def _values(setup, tensor_valued: bool) -> tuple[LinearMap, VectorSpace]:
     if tensor_valued:
         return setup.tensor_values.projection, setup.tensor_values.space
     if setup.pair_collapse is None:
-        raise LinAlgError("no compatible pairing was provided; "
-                          "use the contratensor-valued variant")
+        raise LinAlgError("no compatible pairing was provided; use the contratensor-valued "
+                          "product cup_ac_general or cup_aa_general")
     return setup.pair.pairing, VectorSpace.ground()
 
 
@@ -753,7 +747,7 @@ def psi_matrix(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
     representatives.  That product is built once per setup, degree and
     collapse; a map that sees the relations is refused on every call.
     """
-    _require_tower_degree(setup.diagonal_module, q, "the comparison map")
+    _require_degree(setup.diagonal_module, q, "the comparison map")
     out, bad = _psi(setup, q, collapse, values)
     if bad:
         raise LinAlgError(
@@ -824,7 +818,7 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
     cochains psi_r and phi_i, read as a Hom vector.  All columns come from
     one Kronecker product of the two cochain bases (`_phi_transformer`).
     """
-    _require_tower_degree(setup.diagonal_module, n, "the comparison map")
+    _require_degree(setup.diagonal_module, n, "the comparison map")
     x, y = setup.comodule_cochains, setup.algebra_cochains
     # Hom(D, N) (x) Hom(E, M) -> Hom(D (x) E, N (x) M) reorders the factors
     end = _comparison_end([x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3],
@@ -893,15 +887,14 @@ def check_collapse_factorization(setup, name: str = "collapse factorization") ->
     """Post-composing the contratensor-valued comparison map into the target
     cochains with the pairing collapse recovers the scalar one, degree by
     degree."""
-    if setup.pair_collapse is None:
-        raise LinAlgError("no compatible pairing was provided")
+    scalar = _values(setup, False)  # refuses a setup without a pairing first
     rep = Report(name)
     for q in range(setup.degree_cap + 1):
         post = hom_postcompose(tensor_spaces([setup._base.space] * (q + 1)),
                                setup.pair_collapse)
         rep.check_equal(f"collapse of the tensor-valued map (degree {q})",
                         post @ setup._comparison(q, *_values(setup, True)),
-                        setup._comparison(q, *_values(setup, False)))
+                        setup._comparison(q, *scalar))
     return rep
 
 
@@ -935,12 +928,9 @@ def _cup(setup, p: int, q: int, left, right, tensor_valued: bool) -> BBcocycle:
     comparison map, complete it to a (b, B)-cocycle and check that."""
     collapse, values = _values(setup, tensor_valued)
     target = setup.tensor_target if tensor_valued else setup.scalar_target
-    if p < 0 or q < 0:
-        raise LinAlgError("degrees must be nonnegative")
-    if p + q > setup.degree_cap - 1:
-        raise LinAlgError(f"the product degree {p + q} must stay below the tower cap "
-                          f"{setup.degree_cap}")
     first, second = setup._sides
+    _require_degree(setup, p, f"the {first} cochain", high=setup.degree_cap - 1)
+    _require_degree(setup, q, f"the {second} cochain", high=setup.degree_cap - 1 - p)
     u = _validated_cocycle(setup.bicomplex.vertical_factor, p, left, f"the {first} cochain")
     v = _validated_cocycle(setup.bicomplex.horizontal_factor, q, right,
                            f"the {second} cochain")
@@ -954,8 +944,6 @@ def _cup(setup, p: int, q: int, left, right, tensor_valued: bool) -> BBcocycle:
 def cup_ac(setup: ConvolutionCupSetup, p: int, q: int, left, right) -> BBcocycle:
     """Cup a degree-p algebra cochain with a degree-q coalgebra cochain into a
     (b, B)-cocycle on plain cochains of the algebra (scalar values)."""
-    if setup.pair_collapse is None:
-        raise LinAlgError("no compatible pairing was provided; use cup_ac_general")
     return _cup(setup, p, q, left, right, False)
 
 
@@ -968,8 +956,6 @@ def cup_aa(setup: CrossedProductCupSetup, psi_degree: int, phi_degree: int,
            left, right) -> BBcocycle:
     """Cup a comodule-algebra cochain with an algebra cochain into a
     (b, B)-cocycle on plain cochains of the crossed product (scalar values)."""
-    if setup.pair_collapse is None:
-        raise LinAlgError("no compatible pairing was provided; use cup_aa_general")
     return _cup(setup, psi_degree, phi_degree, left, right, False)
 
 

@@ -528,9 +528,10 @@ def _reduce_row(row: dict[int, int], a: int, prow: dict[int, int], p: int) -> di
 
 
 def _kernel_vectors(rows: Sequence[dict[int, int]], ncols: int,
-                    sign_normalize: bool) -> list[dict[int, Fraction]]:
+                    sign_normalize: bool) -> dict[int, dict[int, Fraction]]:
     """Kernel basis of sparse integer rows read off their RREF, one sparse
-    vector per free column: 1 there, minus that RREF column at the pivots."""
+    vector per free column: 1 there, minus that RREF column at the pivots.
+    The vectors are keyed by their free column, ascending."""
     rows, pivots = _eliminate(rows, ncols)
     pivot_set = set(pivots)
     vecs = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
@@ -542,7 +543,7 @@ def _kernel_vectors(rows: Sequence[dict[int, int]], ncols: int,
         for f, v in vecs.items():
             if v[min(v)] < 0:
                 vecs[f] = {i: -x for i, x in v.items()}
-    return list(vecs.values())
+    return vecs
 
 
 def _rows(mat: LinearMap) -> list[dict[int, int]]:
@@ -562,7 +563,7 @@ def rref(mat: LinearMap) -> tuple[list[list[Fraction]], list[int]]:
 def kernel_basis(mat: LinearMap) -> list[list[Fraction]]:
     """One kernel vector per non-pivot column, read off the RREF."""
     n = mat.source.dim
-    return [_dense(v, n) for v in _kernel_vectors(_rows(mat), n, sign_normalize=True)]
+    return [_dense(v, n) for v in _kernel_vectors(_rows(mat), n, sign_normalize=True).values()]
 
 
 def solve(mat: LinearMap, rhs: Sequence) -> Optional[list[Fraction]]:
@@ -634,7 +635,7 @@ class Subspace:
 
 def subspace_from_kernel(mat: LinearMap, prefix: str = "k") -> Subspace:
     vecs = _kernel_vectors(_rows(mat), mat.source.dim, sign_normalize=False)
-    return _subspace(mat.source, vecs, prefix)
+    return _subspace(mat.source, list(vecs.values()), prefix)
 
 
 def _with_supports(basis: LinearMap) -> Subspace:
@@ -695,17 +696,12 @@ def cokernel(f: LinearMap) -> Quotient:
     ascending; representatives are those basis vectors themselves.
     """
     W = f.target
-    # the columns of f are the rows of its transpose
-    rows, piv = _eliminate(f._cols, W.dim)
-    pivot_set = set(piv)
-    non_piv = [j for j in range(W.dim) if j not in pivot_set]
-    q_space = VectorSpace(len(non_piv), tuple(f"[{W.labels[j]}]" for j in non_piv))
-    pos = {j: a for a, j in enumerate(non_piv)}
-    proj_cols = [{pos[j]: Fraction(1)} if j in pos else {} for j in range(W.dim)]
-    for row, p in zip(rows, piv):
-        proj_cols[p] = {pos[j]: -x for j, x in row.items() if j != p}
-    projection = _from_columns(W, q_space, proj_cols)
-    section = LinearMap(q_space, W, tuple({j: 1} for j in non_piv), 1)
+    # the columns of f are the rows of its transpose; row k of the projection
+    # is their kernel vector at the k-th free column
+    vecs = _kernel_vectors(f._cols, W.dim, sign_normalize=False)
+    q_space = VectorSpace(len(vecs), tuple(f"[{W.labels[j]}]" for j in vecs))
+    projection = _from_columns(W, q_space, _transposed(vecs.values(), W.dim))
+    section = LinearMap(q_space, W, tuple({j: 1} for j in vecs), 1)
     return Quotient(W, q_space, projection, section)
 
 
@@ -719,16 +715,8 @@ def stack_vertical(maps: Sequence[LinearMap]) -> LinearMap:
     src = maps[0].source
     if any(m.source.dim != src.dim for m in maps):
         raise LinAlgError("stacked maps must share their source")
-    den = math.lcm(*(m._den for m in maps))
-    cols = [{} for _ in range(src.dim)]
-    offset = 0
-    for m in maps:
-        scale = den // m._den
-        for col, mc in zip(cols, m._cols):
-            for i, v in mc.items():
-                col[offset + i] = v * scale
-        offset += m.target.dim
-    return _canonical(src, VectorSpace.make(offset, "s"), cols, den)
+    return from_blocks([src], [m.target for m in maps], {(k, 0): m for k, m in enumerate(maps)},
+                       src, VectorSpace.make(sum(m.target.dim for m in maps), "s"))
 
 
 def direct_sum_space(spaces: Sequence[VectorSpace]) -> VectorSpace:

@@ -356,6 +356,10 @@ OUT_OF_TOWER_CALLS = {
     "full_B(4)": lambda m: full_B(m, 4),
     "normalized_cochains(-1)": lambda m: normalized_cochains(m, -1),
     "normalized_cochains(4)": lambda m: normalized_cochains(m, 4),
+    "lambda_operator(-1)": lambda m: lambda_operator(m, -1),
+    "lambda_operator(4)": lambda m: lambda_operator(m, 4),
+    "normalization_projector(-1)": lambda m: normalization_projector(m, -1),
+    "normalization_projector(4)": lambda m: normalization_projector(m, 4),
 }
 
 
@@ -528,9 +532,12 @@ def test_cohomology_is_deterministic(z2):
 
 def test_cohomology_degree_guard(triv):
     module = plain_algebra_cocyclic(triv.algebra, degree_cap=2)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(LinAlgError, match=r"^Hochschild cohomology in degree 2 \(defined in "
+                                          r"degrees 0..1\) is outside the tower, which is "
+                                          r"capped at degree 2$"):
         hochschild_cohomology(module, 2)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(LinAlgError, match=r"^cyclic cohomology in degree 5 \(defined in "
+                                          r"degrees 0..1\) is outside the tower"):
         cyclic_cohomology(module, 5)
 
 

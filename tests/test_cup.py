@@ -23,8 +23,10 @@ from hopfcyclic.cocyclic import (
     CocyclicModule,
     cyclic_cohomology,
     full_B,
+    _require_degree,
     full_b,
     normalization_projector,
+    normalized_cochains,
     plain_algebra_cocyclic,
     verify_cocyclic,
 )
@@ -32,12 +34,12 @@ from hopfcyclic.cup import (
     BBcocycle,
     _as_vector,
     _bb_rows,
-    _require_tower_degree,
     _solve_blocks,
     _vector_is_zero,
     CompletionObstruction,
     aa_cup_setup,
     ac_cup_setup,
+    assembled_aw,
     aw_map,
     bb_cohomologous,
     check_aw_chain_map,
@@ -257,19 +259,35 @@ def test_degrees_outside_the_tower_are_refused(demo_setups):
     for p, q, side, degree in ((0, -1, "horizontal", -1), (-1, 2, "vertical", -1),
                                (5, -2, "vertical", 5)):
         with pytest.raises(LinAlgError, match=(
-                rf"^the {side} part of bidegree \({p},{q}\) has degree {degree}, "
-                r"outside the tower's degrees 0..3$")):
+                rf"^the {side} part of bidegree \({p},{q}\) in degree {degree} \(defined "
+                r"in degrees 0..3\) is outside the tower, which is capped at degree 3$")):
             aw_map(ac.bicomplex, p, q)
-    with pytest.raises(LinAlgError, match=r"^bidegree \(4,0\) exceeds the cap 3$"):
+    with pytest.raises(LinAlgError, match=r"^the vertical part of bidegree \(4,0\) in degree 4 "
+                                          r"\(defined in degrees 0..3\) is outside the tower"):
         aw_map(ac.bicomplex, 4, 0)
     for comparison, setup in ((psi_scalar, ac), (psi_tensor, ac), (phi_scalar, aa),
                               (phi_tensor, aa)):
         for n in (-1, 4):
             with pytest.raises(LinAlgError, match=(
-                    rf"^the comparison map has degree {n}, outside the tower's degrees 0..3$")):
+                    rf"^the comparison map in degree {n} \(defined in degrees 0..3\) is "
+                    r"outside the tower, which is capped at degree 3$")):
                 comparison(setup, n)
-    with pytest.raises(LinAlgError, match="outside the tower's degrees 0..3"):
+    with pytest.raises(LinAlgError, match=r"in degree -1 \(defined in degrees 0..2\) is "
+                                          r"outside the tower"):
         cyclic_cocycle_subspace(ac.scalar_target, -1)
+    total = total_complex(ac.bicomplex)
+    normalized = normalized_cochains(ac.diagonal_module, 0)
+    for n in (-1, 4):
+        with pytest.raises(LinAlgError, match=(
+                rf"^the assembled comparison map in degree {n} \(defined in degrees 0..3\) "
+                r"is outside the tower, which is capped at degree 3$")):
+            assembled_aw(total, normalized, n)
+    for p, q, side, degree in ((-1, 0, "vertical", -1), (4, 0, "vertical", 4),
+                               (0, -1, "horizontal", -1), (0, 4, "horizontal", 4)):
+        with pytest.raises(LinAlgError, match=(
+                rf"^the {side} part of bidegree \({p},{q}\) in degree {degree} \(defined "
+                r"in degrees 0..3\) is outside the tower, which is capped at degree 3$")):
+            ac.bicomplex.space(p, q)
 
 
 def test_tensor_bicocyclic_cap_mismatch(triv):
@@ -1067,7 +1085,9 @@ def test_cocycle_check_refuses_malformed_cocycles(demo_setups):
 def test_completion_refuses_a_degree_outside_the_tower(triv):
     module = plain_algebra_cocyclic(triv.algebra, degree_cap=3)
     for degree in (4, -1):
-        with pytest.raises(LinAlgError, match="outside the tower's degrees 0..3"):
+        with pytest.raises(LinAlgError, match=rf"^the top component in degree {degree} "
+                                              r"\(defined in degrees 0..3\) is outside the "
+                                              r"tower, which is capped at degree 3$"):
             cyclic_complete(module, degree, [0])
 
 
@@ -1116,7 +1136,7 @@ def reference_cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcoc
     `CompletionObstruction` carrying the first obstructed component degree and
     a residual witness.
     """
-    _require_tower_degree(module, degree, "the top component")
+    _require_degree(module, degree, "the top component")
     y0 = _as_vector(top, module.spaces[degree].dim, "top component")
     degrees = list(range(degree, -1, -2))
     rows = _bb_rows(module, degrees)
@@ -1284,7 +1304,9 @@ def test_cup_rejects_wrong_length(setup_ac_grouplike):
 
 def test_cup_rejects_excessive_degree(setup_ac_grouplike):
     top_dim = setup_ac_grouplike.algebra_cochains.module.spaces[2].dim
-    with pytest.raises(LinAlgError, match="must stay below the tower cap"):
+    with pytest.raises(LinAlgError, match=r"^the coalgebra-side cochain in degree 1 \(defined "
+                                          r"in degrees 0..0\) is outside the tower, which is "
+                                          r"capped at degree 3$"):
         cup_ac(setup_ac_grouplike, 2, 1, [0] * top_dim, [-1, 1])
 
 
@@ -1317,8 +1339,10 @@ def test_cup_rejects_a_closed_cochain_that_is_not_cyclic(setup_ac_grouplike):
 
 
 def test_cup_rejects_negative_degrees(setup_ac_grouplike):
-    for p, q in ((-1, 1), (1, -1)):
-        with pytest.raises(LinAlgError, match="^degrees must be nonnegative$"):
+    for p, q, side, high in ((-1, 1, "algebra", 2), (1, -1, "coalgebra", 1)):
+        with pytest.raises(LinAlgError, match=rf"^the {side}-side cochain in degree -1 \(defined "
+                                              rf"in degrees 0..{high}\) is outside the tower, "
+                                              r"which is capped at degree 3$"):
             cup_ac(setup_ac_grouplike, p, q, [0, 1], [-1, 1])
 
 
@@ -1327,8 +1351,9 @@ def test_unpaired_crossed_setup_refuses_the_scalar_product(z2, sign_action):
     comodule = ComoduleAlgebra(z2, z2.space, z2.mul, z2.unit, regular_coaction(z2))
     pair = grouplike_coefficients(z2, 1)
     setup = aa_cup_setup(algebra, comodule, (pair.module, pair.contramodule), degree_cap=3)
-    with pytest.raises(LinAlgError, match="^no compatible pairing was provided; "
-                                          "use cup_aa_general$"):
+    refusal = ("^no compatible pairing was provided; use the contratensor-valued product "
+               "cup_ac_general or cup_aa_general$")
+    with pytest.raises(LinAlgError, match=refusal):
         cup_aa(setup, 0, 1, [0] * setup.bicomplex.vertical_factor.spaces[0].dim, [0, 1])
-    with pytest.raises(LinAlgError, match="^no compatible pairing was provided$"):
+    with pytest.raises(LinAlgError, match=refusal):
         check_collapse_factorization(setup)
