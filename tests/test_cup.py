@@ -822,8 +822,11 @@ def test_cup_unpaired_general(setup_ac_unpaired):
 
 
 def test_cup_unpaired_scalar_refused(setup_ac_unpaired):
-    with pytest.raises(LinAlgError, match="no compatible pairing"):
-        cup_ac(setup_ac_unpaired, 1, 1, [0, 1], [0, 0, -1, 1])
+    setup = setup_ac_unpaired
+    for scalar in (lambda: cup_ac(setup, 1, 1, [0, 1], [0, 0, -1, 1]),
+                   lambda: psi_scalar(setup, 1), lambda: check_psi(setup)):
+        with pytest.raises(LinAlgError, match="no compatible pairing"):
+            scalar()
 
 
 def test_unit_class_transport_convolution(s3_setups):
@@ -1355,5 +1358,7 @@ def test_unpaired_crossed_setup_refuses_the_scalar_product(z2, sign_action):
                "cup_ac_general or cup_aa_general$")
     with pytest.raises(LinAlgError, match=refusal):
         cup_aa(setup, 0, 1, [0] * setup.bicomplex.vertical_factor.spaces[0].dim, [0, 1])
-    with pytest.raises(LinAlgError, match=refusal):
-        check_collapse_factorization(setup)
+    for scalar in (lambda: check_collapse_factorization(setup),
+                   lambda: phi_scalar(setup, 1), lambda: check_phi(setup)):
+        with pytest.raises(LinAlgError, match=refusal):
+            scalar()
