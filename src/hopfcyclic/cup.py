@@ -9,9 +9,9 @@ Ingredients, all realized as exact rational matrices:
     normalized total mixed complex of a bicocyclic module;
   * `aw_map`: the comparison chain map from the total complex to the
     diagonal, assembled blockwise per total degree;
-  * `psi_matrix` / `phi_matrix` (and their contratensor-valued variants):
-    the cyclic comparison maps from the diagonal into plain cochains of a
-    convolution algebra respectively a crossed product algebra;
+  * `psi_matrix` / `phi_matrix`, each in its scalar or contratensor-valued
+    variant: the cyclic comparison maps from the diagonal into plain cochains
+    of a convolution algebra respectively a crossed product algebra;
   * `cyclic_complete`: upgrade a closed top cochain to a full (b, B)-cocycle
     by one exact linear solve, with an explicit obstruction on failure;
   * `cup_ac`, `cup_aa`, `cup_ac_general`, `cup_aa_general`: the four
@@ -34,7 +34,7 @@ transformer out of the target algebra's tensor power.
 Each fact is checked once: `check_bicocyclic` reads its row and column
 entries off one `verify_cocyclic` of each factor, its cross entries hold by
 the interchange law of the Kronecker product, and psi decides its
-well-definedness once per setup, degree and collapse.
+well-definedness once per setup, degree and variant.
 """
 
 from __future__ import annotations
@@ -544,8 +544,8 @@ class _CupSetup:
     scalar_target: CocyclicModule
     tensor_target: CocyclicModule
     # ("transformer", n) -> the family's transformer (`_transformer`);
-    # ("psi", q, id(collapse)) -> (collapse, _psi_relation_witnesses); each
-    # built on first use
+    # ("psi", q, tensor_valued) -> that variant's `_psi_relation_witnesses`;
+    # each built on first use
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -586,10 +586,11 @@ class ConvolutionCupSetup(_CupSetup):
     def _base(self) -> Algebra:
         return self.algebra.algebra
 
-    def _comparison(self, n: int, collapse: LinearMap, values: VectorSpace) -> LinearMap:
+    def _comparison(self, n: int, tensor_valued: bool) -> LinearMap:
         """psi, pulled back along the embedding of the algebra."""
+        _, values, _ = _variant(self, tensor_valued)
         pullback = hom_precompose(tensor_power_map(self.embedding, n + 1), values)
-        return pullback @ psi_matrix(self, n, collapse, values)
+        return pullback @ psi_matrix(self, n, tensor_valued)
 
     def _check_comparison(self, tensor_valued: bool) -> Report:
         return check_psi(self, tensor_valued)
@@ -626,8 +627,8 @@ class CrossedProductCupSetup(_CupSetup):
     def _base(self) -> Algebra:
         return self.crossed
 
-    def _comparison(self, n: int, collapse: LinearMap, values: VectorSpace) -> LinearMap:
-        return phi_matrix(self, n, collapse, values)
+    def _comparison(self, n: int, tensor_valued: bool) -> LinearMap:
+        return phi_matrix(self, n, tensor_valued)
 
     def _check_comparison(self, tensor_valued: bool) -> Report:
         return check_phi(self, tensor_valued)
@@ -651,33 +652,37 @@ def aa_cup_setup(algebra: ModuleAlgebra, comodule_algebra: ComoduleAlgebra,
 # the comparison maps: shared parts
 
 
-def _values(setup, tensor_valued: bool) -> tuple[LinearMap, VectorSpace]:
-    """The collapse N (x) M -> V and the values V of a comparison map: the
-    contratensor projection onto L, or the pairing onto the ground field."""
+def _variant(setup, tensor_valued: bool) -> tuple[LinearMap, VectorSpace, CocyclicModule]:
+    """The collapse N (x) M -> V, the values V and the target cochains of a
+    product variant: the contratensor projection onto L, or the pairing onto
+    the ground field."""
     if tensor_valued:
-        return setup.tensor_values.projection, setup.tensor_values.space
+        return setup.tensor_values.projection, setup.tensor_values.space, setup.tensor_target
     if setup.pair_collapse is None:
         raise LinAlgError("no compatible pairing was provided; use the contratensor-valued "
                           "product cup_ac_general or cup_aa_general")
-    return setup.pair.pairing, VectorSpace.ground()
+    return setup.pair.pairing, VectorSpace.ground(), setup.scalar_target
 
 
 def _transformer(setup, n: int, build) -> LinearMap:
     """`build(setup, n)`, the comparison map's transformer at degree n.  It
     depends on neither the collapse nor the values, so it is built once per
-    setup and degree and shared by every collapse."""
+    setup and degree and shared by both variants."""
     memo = setup._memo
     if ("transformer", n) not in memo:
         memo["transformer", n] = build(setup, n)
     return memo["transformer", n]
 
 
-def _comparison_end(factors, order, transformer: LinearMap, collapse: LinearMap,
-                    values: VectorSpace) -> LinearMap:
+def _comparison_end(setup, n: int, tensor_valued: bool, build, factors,
+                    order) -> LinearMap:
     """Column j of the end applied to a cochain product is collapse o k_j o
     transformer as a Hom vector on the transformer's source, where
     k_j: D -> N (x) M is column j of the product once its tensor `factors`
-    are put in `order` (D the transformer's target)."""
+    are put in `order` (D the transformer's target).  The collapse is the
+    variant's, and the transformer is `_transformer(setup, n, build)`."""
+    collapse, values, _ = _variant(setup, tensor_valued)
+    transformer = _transformer(setup, n, build)
     return (hom_precompose(transformer, values)
             @ hom_postcompose(transformer.target, collapse)
             @ tensor_permutation(factors, order))
@@ -687,8 +692,8 @@ def _comparison_end(factors, order, transformer: LinearMap, collapse: LinearMap,
 # the convolution-algebra comparison map
 
 
-def _psi(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
-         values: VectorSpace) -> tuple[LinearMap, list[int]]:
+def _psi(setup: ConvolutionCupSetup, q: int,
+         tensor_valued: bool) -> tuple[LinearMap, list[int]]:
     """psi at degree q, and the algebra-cochain basis maps that see the
     coalgebra-side relations (`_psi_relation_witnesses`).
 
@@ -700,11 +705,10 @@ def _psi(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
     # Hom(A^{(q+1)}, M) (x) N (x) C^{(q+1)} -> Hom(C^{(q+1)} (x) A^{(q+1)}, N (x) M)
     factors = [x.domains[q], x.values, setup.module.space,
                tensor_spaces([setup.coalgebra.space] * (q + 1))]
-    end = _comparison_end(factors, [3, 0, 2, 1], _transformer(setup, q, _psi_transformer),
-                          collapse, values)
+    end = _comparison_end(setup, q, tensor_valued, _psi_transformer, factors, [3, 0, 2, 1])
     out = end @ tensor_map(x.subspaces[q].basis, y.quotients[q].section)
     return (relabel(out, setup.diagonal_module.spaces[q]),
-            _psi_relation_witnesses(setup, q, collapse, end))
+            _psi_relation_witnesses(setup, q, tensor_valued, end))
 
 
 def _psi_transformer(setup: ConvolutionCupSetup, q: int) -> LinearMap:
@@ -716,27 +720,25 @@ def _psi_transformer(setup: ConvolutionCupSetup, q: int) -> LinearMap:
     return regroup @ tensor_power_map(setup.convolution.subspace.basis, q + 1)
 
 
-def _psi_relation_witnesses(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
+def _psi_relation_witnesses(setup: ConvolutionCupSetup, q: int, tensor_valued: bool,
                             end: LinearMap) -> list[int]:
     """The algebra-cochain basis maps whose products with the coalgebra-side
     relations do not vanish under `end`, the Hom-vector builder of psi for
-    this collapse.  psi is well defined on the quotient when there are none.
+    this variant.  psi is well defined on the quotient when there are none.
 
     The relation product is the widest map psi needs, and it depends only on
-    the setup, the degree and the collapse, so it is built once for each.
-    The entry holds the collapse, so that its id is never reused by another.
+    the setup, the degree and the variant, so it is built once for each.
     """
-    memo, key = setup._memo, ("psi", q, id(collapse))
+    memo, key = setup._memo, ("psi", q, tensor_valued)
     if key not in memo:
         x, y = setup.algebra_cochains, setup.coalgebra_cochains
         seen = end @ tensor_map(x.subspaces[q].basis, y.relations[q])
         width = y.relations[q].source.dim
-        memo[key] = collapse, sorted({j // width for j in seen.nonzero_columns()})
-    return memo[key][1]
+        memo[key] = sorted({j // width for j in seen.nonzero_columns()})
+    return memo[key]
 
 
-def psi_matrix(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
-               values: VectorSpace) -> LinearMap:
+def psi_matrix(setup: ConvolutionCupSetup, q: int, tensor_valued: bool) -> LinearMap:
     """Diagonal degree-q space -> Hom(B^{(q+1)}, V), B the convolution algebra.
 
     All columns come from one Kronecker product of the algebra-cochain basis
@@ -745,23 +747,15 @@ def psi_matrix(setup: ConvolutionCupSetup, q: int, collapse: LinearMap,
     product against the balancing relations: every algebra-cochain basis map
     must annihilate them, else the map would depend on the chosen
     representatives.  That product is built once per setup, degree and
-    collapse; a map that sees the relations is refused on every call.
+    variant; a map that sees the relations is refused on every call.
     """
     _require_degree(setup.diagonal_module, q, "the comparison map")
-    out, bad = _psi(setup, q, collapse, values)
+    out, bad = _psi(setup, q, tensor_valued)
     if bad:
         raise LinAlgError(
             f"the comparison map is not well defined on the quotient at "
             f"degree {q} (basis map {bad[0]})")
     return out
-
-
-def psi_scalar(setup: ConvolutionCupSetup, q: int) -> LinearMap:
-    return psi_matrix(setup, q, *_values(setup, False))
-
-
-def psi_tensor(setup: ConvolutionCupSetup, q: int) -> LinearMap:
-    return psi_matrix(setup, q, *_values(setup, True))
 
 
 # --------------------------------------------------------------------------
@@ -810,8 +804,7 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
 PHI_MAX_CELLS = 2 ** 24
 
 
-def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
-               values: VectorSpace) -> LinearMap:
+def phi_matrix(setup: CrossedProductCupSetup, n: int, tensor_valued: bool) -> LinearMap:
     """Diagonal degree-n space -> Hom((A x B)^{(n+1)}, V).
 
     Column (r, i) is collapse o (psi_r (x) phi_i) o transformer for the basis
@@ -821,18 +814,10 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, collapse: LinearMap,
     _require_degree(setup.diagonal_module, n, "the comparison map")
     x, y = setup.comodule_cochains, setup.algebra_cochains
     # Hom(D, N) (x) Hom(E, M) -> Hom(D (x) E, N (x) M) reorders the factors
-    end = _comparison_end([x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3],
-                          _transformer(setup, n, _phi_transformer), collapse, values)
+    end = _comparison_end(setup, n, tensor_valued, _phi_transformer,
+                          [x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3])
     return relabel(end @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis),
                    setup.diagonal_module.spaces[n])
-
-
-def phi_scalar(setup: CrossedProductCupSetup, n: int) -> LinearMap:
-    return phi_matrix(setup, n, *_values(setup, False))
-
-
-def phi_tensor(setup: CrossedProductCupSetup, n: int) -> LinearMap:
-    return phi_matrix(setup, n, *_values(setup, True))
 
 
 # --------------------------------------------------------------------------
@@ -855,15 +840,14 @@ def _check_cyclic_map(rep: Report, source: CocyclicModule, target: CocyclicModul
                         maps[q] @ source.tau(q), target.tau(q) @ maps[q])
 
 
-def check_psi(setup: ConvolutionCupSetup, tensor_valued: bool = False,
-              name: Optional[str] = None) -> Report:
+def check_psi(setup: ConvolutionCupSetup, tensor_valued: bool = False) -> Report:
     """Well-definedness and generator commutation of the convolution comparison map."""
-    collapse, values = _values(setup, tensor_valued)
-    rep = Report(name or ("contratensor-valued convolution comparison map" if tensor_valued
-                          else "convolution comparison map"))
+    _, values, _ = _variant(setup, tensor_valued)
+    rep = Report("contratensor-valued convolution comparison map" if tensor_valued
+                 else "convolution comparison map")
     maps = {}
     for q in range(setup.degree_cap + 1):
-        maps[q], bad = _psi(setup, q, collapse, values)
+        maps[q], bad = _psi(setup, q, tensor_valued)
         rep.add(f"well defined on the relation subspace (degree {q})",
                 not bad, "" if not bad else f"basis maps {bad} see the relations")
     target = plain_algebra_cocyclic(setup.convolution.algebra, values, setup.degree_cap)
@@ -871,14 +855,12 @@ def check_psi(setup: ConvolutionCupSetup, tensor_valued: bool = False,
     return rep
 
 
-def check_phi(setup: CrossedProductCupSetup, tensor_valued: bool = False,
-              name: Optional[str] = None) -> Report:
+def check_phi(setup: CrossedProductCupSetup, tensor_valued: bool = False) -> Report:
     """Generator commutation of the crossed-product comparison map."""
-    collapse, values = _values(setup, tensor_valued)
-    rep = Report(name or ("contratensor-valued crossed-product comparison map"
-                          if tensor_valued else "crossed-product comparison map"))
-    maps = {n: phi_matrix(setup, n, collapse, values) for n in range(setup.degree_cap + 1)}
-    target = setup.tensor_target if tensor_valued else setup.scalar_target
+    _, _, target = _variant(setup, tensor_valued)
+    rep = Report("contratensor-valued crossed-product comparison map"
+                 if tensor_valued else "crossed-product comparison map")
+    maps = {n: phi_matrix(setup, n, tensor_valued) for n in range(setup.degree_cap + 1)}
     _check_cyclic_map(rep, setup.diagonal_module, target, maps)
     return rep
 
@@ -887,14 +869,13 @@ def check_collapse_factorization(setup, name: str = "collapse factorization") ->
     """Post-composing the contratensor-valued comparison map into the target
     cochains with the pairing collapse recovers the scalar one, degree by
     degree."""
-    scalar = _values(setup, False)  # refuses a setup without a pairing first
+    _variant(setup, False)  # refuses a setup without a pairing first
     rep = Report(name)
     for q in range(setup.degree_cap + 1):
         post = hom_postcompose(tensor_spaces([setup._base.space] * (q + 1)),
                                setup.pair_collapse)
         rep.check_equal(f"collapse of the tensor-valued map (degree {q})",
-                        post @ setup._comparison(q, *_values(setup, True)),
-                        setup._comparison(q, *scalar))
+                        post @ setup._comparison(q, True), setup._comparison(q, False))
     return rep
 
 
@@ -926,8 +907,7 @@ def _cup(setup, p: int, q: int, left, right, tensor_valued: bool) -> BBcocycle:
     """The one product pipeline: validate both cochains, take the AW image of
     their product, map it into the target cochains by the family's
     comparison map, complete it to a (b, B)-cocycle and check that."""
-    collapse, values = _values(setup, tensor_valued)
-    target = setup.tensor_target if tensor_valued else setup.scalar_target
+    _, _, target = _variant(setup, tensor_valued)
     first, second = setup._sides
     _require_degree(setup, p, f"the {first} cochain", high=setup.degree_cap - 1)
     _require_degree(setup, q, f"the {second} cochain", high=setup.degree_cap - 1 - p)
@@ -936,7 +916,7 @@ def _cup(setup, p: int, q: int, left, right, tensor_valued: bool) -> BBcocycle:
                            f"the {second} cochain")
     n = p + q
     y_vec = aw_map(setup.bicomplex, p, q).apply([a * b for a in u for b in v])
-    cocycle = cyclic_complete(target, n, setup._comparison(n, collapse, values).apply(y_vec))
+    cocycle = cyclic_complete(target, n, setup._comparison(n, tensor_valued).apply(y_vec))
     require(check_bb_cocycle(target, cocycle), "cup product output")
     return cocycle
 
@@ -966,11 +946,12 @@ def cup_aa_general(setup: CrossedProductCupSetup, psi_degree: int, phi_degree: i
 
 
 def collapse_bb(cocycle: BBcocycle, base_space: VectorSpace,
-                collapse: LinearMap) -> BBcocycle:
-    """Push an L-valued (b, B)-cocycle to scalars along a collapse map L -> Q."""
+                pair_collapse: LinearMap) -> BBcocycle:
+    """Push an L-valued (b, B)-cocycle to scalars along the pairing's collapse
+    L -> Q, a setup's `pair_collapse`."""
     out = []
     for k, comp in enumerate(cocycle.components):
         d = cocycle.degree - 2 * k
-        post = hom_postcompose(tensor_spaces([base_space] * (d + 1)), collapse)
+        post = hom_postcompose(tensor_spaces([base_space] * (d + 1)), pair_collapse)
         out.append(tuple(post.apply(comp)))
     return BBcocycle(cocycle.degree, tuple(out))

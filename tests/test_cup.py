@@ -57,10 +57,8 @@ from hopfcyclic.cup import (
     cyclic_cocycle_subspace,
     cyclic_complete,
     diagonal,
-    phi_scalar,
-    phi_tensor,
-    psi_scalar,
-    psi_tensor,
+    phi_matrix,
+    psi_matrix,
     tensor_bicocyclic,
     total_complex,
 )
@@ -265,13 +263,12 @@ def test_degrees_outside_the_tower_are_refused(demo_setups):
     with pytest.raises(LinAlgError, match=r"^the vertical part of bidegree \(4,0\) in degree 4 "
                                           r"\(defined in degrees 0..3\) is outside the tower"):
         aw_map(ac.bicomplex, 4, 0)
-    for comparison, setup in ((psi_scalar, ac), (psi_tensor, ac), (phi_scalar, aa),
-                              (phi_tensor, aa)):
-        for n in (-1, 4):
+    for comparison, setup in ((psi_matrix, ac), (phi_matrix, aa)):
+        for tensor_valued, n in itertools.product((False, True), (-1, 4)):
             with pytest.raises(LinAlgError, match=(
                     rf"^the comparison map in degree {n} \(defined in degrees 0..3\) is "
                     r"outside the tower, which is capped at degree 3$")):
-                comparison(setup, n)
+                comparison(setup, n, tensor_valued)
     with pytest.raises(LinAlgError, match=r"in degree -1 \(defined in degrees 0..2\) is "
                                           r"outside the tower"):
         cyclic_cocycle_subspace(ac.scalar_target, -1)
@@ -479,11 +476,14 @@ def demo_setups():
     return spec.build_cup_setup("ac", 3), spec.build_cup_setup("aa", 3)
 
 
-@pytest.mark.parametrize("family,variant", [("psi", psi_scalar), ("psi", psi_tensor),
-                                            ("phi", phi_scalar), ("phi", phi_tensor)])
-def test_comparison_maps_are_pinned(demo_setups, family, variant):
-    setup = demo_setups[0] if family == "psi" else demo_setups[1]
-    assert [map_digest(variant(setup, n)) for n in range(4)] == \
+@pytest.mark.parametrize("family,tensor_valued",
+                         [("psi", False), ("psi", True), ("phi", False), ("phi", True)],
+                         ids=["psi-psi_scalar", "psi-psi_tensor", "phi-phi_scalar",
+                              "phi-phi_tensor"])
+def test_comparison_maps_are_pinned(demo_setups, family, tensor_valued):
+    setup, comparison = ((demo_setups[0], psi_matrix) if family == "psi"
+                         else (demo_setups[1], phi_matrix))
+    assert [map_digest(comparison(setup, n, tensor_valued)) for n in range(4)] == \
         PINNED_COMPARISON_DIGESTS[family]
 
 
@@ -520,13 +520,14 @@ def setup_ac_sweedler4():
 
 
 def test_psi_on_wider_coefficients_is_pinned(setup_ac_unpaired):
-    assert [map_digest(psi_tensor(setup_ac_unpaired, n)) for n in range(4)] == \
+    assert [map_digest(psi_matrix(setup_ac_unpaired, n, True)) for n in range(4)] == \
         PINNED_PSI_DIGESTS["unpaired"]
 
 
-@pytest.mark.parametrize("variant", [psi_scalar, psi_tensor])
-def test_psi_over_sweedler4_is_pinned(setup_ac_sweedler4, variant):
-    assert [map_digest(variant(setup_ac_sweedler4, n)) for n in range(3)] == \
+@pytest.mark.parametrize("tensor_valued", [False, True], ids=["psi_scalar", "psi_tensor"])
+def test_psi_over_sweedler4_is_pinned(setup_ac_sweedler4, tensor_valued):
+    assert [map_digest(psi_matrix(setup_ac_sweedler4, n, tensor_valued))
+            for n in range(3)] == \
         PINNED_PSI_DIGESTS["sweedler4"]
 
 
@@ -556,9 +557,10 @@ def setup_aa_sweedler4():
     return sweedler4_aa_setup()
 
 
-@pytest.mark.parametrize("variant", [phi_scalar, phi_tensor])
-def test_phi_over_sweedler4_is_pinned(setup_aa_sweedler4, variant):
-    assert [map_digest(variant(setup_aa_sweedler4, n)) for n in range(3)] == \
+@pytest.mark.parametrize("tensor_valued", [False, True], ids=["phi_scalar", "phi_tensor"])
+def test_phi_over_sweedler4_is_pinned(setup_aa_sweedler4, tensor_valued):
+    assert [map_digest(phi_matrix(setup_aa_sweedler4, n, tensor_valued))
+            for n in range(3)] == \
         PINNED_PHI_DIGESTS
 
 
@@ -572,7 +574,7 @@ def test_phi_takes_no_dense_view(monkeypatch):
 
     monkeypatch.setattr(LinearMap, "fractions", refuse)
     for n in range(3):
-        phi_scalar(setup, n)
+        phi_matrix(setup, n, False)
 
 
 def test_psi_refuses_a_map_that_sees_the_relations(demo_setups):
@@ -586,20 +588,20 @@ def test_psi_refuses_a_map_that_sees_the_relations(demo_setups):
         y, relations=tuple(relations)))
     refusal = "the comparison map is not well defined on the quotient at degree 2 (basis map 0)"
     with pytest.raises(LinAlgError) as info:
-        psi_scalar(bad, 2)
+        psi_matrix(bad, 2, False)
     assert str(info.value) == refusal
     report = check_psi(bad)
     assert [(e.name, e.detail) for e in report.entries if not e.passed] == [
         ("well defined on the relation subspace (degree 2)",
          "basis maps [0, 1, 2, 3] see the relations")]
     with pytest.raises(LinAlgError) as info:
-        psi_scalar(bad, 2)
+        psi_matrix(bad, 2, False)
     assert str(info.value) == refusal
 
 
-def test_psi_decides_well_definedness_once_per_degree_and_collapse(monkeypatch):
+def test_psi_decides_well_definedness_once_per_degree_and_variant(monkeypatch):
     """The relation product, psi's widest map, is built once per setup,
-    degree and collapse, and shared by `check_psi` and `psi_matrix`."""
+    degree and variant, and shared by `check_psi` and `psi_matrix`."""
     setup = parse_spec(Z2CUP).build_cup_setup("ac", 3)
     degree_of = {id(r): q for q, r in enumerate(setup.coalgebra_cochains.relations)}
     built = []
@@ -614,12 +616,12 @@ def test_psi_decides_well_definedness_once_per_degree_and_collapse(monkeypatch):
     assert check_psi(setup).passed
     assert built == [0, 1, 2, 3]
     for q in range(4):
-        psi_scalar(setup, q)
+        psi_matrix(setup, q, False)
     assert check_psi(setup).passed
     assert built == [0, 1, 2, 3]
-    # the contratensor-valued map has another collapse, so its own products
-    psi_tensor(setup, 2)
-    psi_tensor(setup, 2)
+    # the contratensor-valued map is the other variant, so its own products
+    psi_matrix(setup, 2, True)
+    psi_matrix(setup, 2, True)
     assert built == [0, 1, 2, 3, 2]
 
 
@@ -727,15 +729,15 @@ def test_comparison_parts_are_built_once_per_setup(monkeypatch):
     for builder in ("_phi_transformer", "_psi_transformer"):
         monkeypatch.setattr(cup, builder, counted(getattr(cup, builder)))
     spec = parse_spec(Z2CUP)
-    for family, check, comparison in (("aa", check_phi, phi_scalar),
-                                      ("ac", check_psi, psi_scalar)):
+    for family, check, comparison in (("aa", check_phi, phi_matrix),
+                                      ("ac", check_psi, psi_matrix)):
         builds.clear()
         first = spec.build_cup_setup(family, 3)
         for report in (check(first), check(first, tensor_valued=True),
                        check_collapse_factorization(first)):
             assert report.passed, failures(report)
         assert sorted(n for _, n in builds) == [0, 1, 2, 3]
-        comparison(first, 3)
+        comparison(first, 3, False)
         assert len(builds) == 4
         second = spec.build_cup_setup(family, 3)
         assert check(second).passed
@@ -755,7 +757,7 @@ def test_oversized_comparison_map_is_refused_up_front():
                          grouplike_coefficients(h, 1), degree_cap=3)
     start = time.perf_counter()
     with pytest.raises(LinAlgError) as info:
-        phi_scalar(setup, 3)
+        phi_matrix(setup, 3, False)
     assert time.perf_counter() - start < 1
     assert str(info.value) == (
         "the comparison map at degree 3 needs a transformer of 4294967296 cells, "
@@ -824,7 +826,7 @@ def test_cup_unpaired_general(setup_ac_unpaired):
 def test_cup_unpaired_scalar_refused(setup_ac_unpaired):
     setup = setup_ac_unpaired
     for scalar in (lambda: cup_ac(setup, 1, 1, [0, 1], [0, 0, -1, 1]),
-                   lambda: psi_scalar(setup, 1), lambda: check_psi(setup)):
+                   lambda: psi_matrix(setup, 1, False), lambda: check_psi(setup)):
         with pytest.raises(LinAlgError, match="no compatible pairing"):
             scalar()
 
@@ -1359,6 +1361,6 @@ def test_unpaired_crossed_setup_refuses_the_scalar_product(z2, sign_action):
     with pytest.raises(LinAlgError, match=refusal):
         cup_aa(setup, 0, 1, [0] * setup.bicomplex.vertical_factor.spaces[0].dim, [0, 1])
     for scalar in (lambda: check_collapse_factorization(setup),
-                   lambda: phi_scalar(setup, 1), lambda: check_phi(setup)):
+                   lambda: phi_matrix(setup, 1, False), lambda: check_phi(setup)):
         with pytest.raises(LinAlgError, match=refusal):
             scalar()
