@@ -115,6 +115,12 @@ def _from_columns(source: VectorSpace, target: VectorSpace, cols) -> "LinearMap"
         {i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in cols), den)
 
 
+def _require_index(index: int, size: int, what: str) -> None:
+    """Refuse an index outside 0..size-1 rather than wrap it from the end."""
+    if not 0 <= index < size:
+        raise LinAlgError(f"{what} {index} is outside range({size})")
+
+
 def _dense(entries: dict, n: int) -> list[Fraction]:
     """A length-n Fraction vector with the given nonzero entries."""
     out = [_ZERO] * n
@@ -206,6 +212,8 @@ class LinearMap:
         return out
 
     def entry(self, i: int, j: int) -> Fraction:
+        _require_index(i, self.target.dim, "row")
+        _require_index(j, self.source.dim, "column")
         return Fraction(self._cols[j].get(i, 0), self._den)
 
     def is_zero(self) -> bool:
@@ -299,6 +307,7 @@ class LinearMap:
         return [Fraction(v, d) if v else _ZERO for v in out]
 
     def column(self, j: int) -> list[Fraction]:
+        _require_index(j, self.source.dim, "column")
         return _dense({i: Fraction(v, self._den) for i, v in self._cols[j].items()},
                       self.target.dim)
 
@@ -353,6 +362,7 @@ def zero_vector(space: VectorSpace) -> list[Fraction]:
 
 
 def basis_vector(space: VectorSpace, i: int) -> list[Fraction]:
+    _require_index(i, space.dim, "basis index")
     v = zero_vector(space)
     v[i] = Fraction(1)
     return v
@@ -788,6 +798,8 @@ def map_to_hom_vector(m: LinearMap) -> list[Fraction]:
 
 
 def hom_vector_to_map(vec: Sequence, x: VectorSpace, y: VectorSpace) -> LinearMap:
+    if len(vec) != x.dim * y.dim:
+        raise LinAlgError(f"Hom vector has length {len(vec)}, expected {x.dim * y.dim}")
     cols = [{u: f for u in range(y.dim) if (f := Fraction(vec[i * y.dim + u]))}
             for i in range(x.dim)]
     return _from_columns(x, y, cols)

@@ -262,6 +262,28 @@ class TestArithmetic:
             with pytest.raises(LinAlgError):
                 LinearMap.from_entries(a, b, [(i, j, Fraction(1))])
 
+    @pytest.mark.parametrize("access,refusal", [
+        (lambda f: f.entry(-1, 0), r"^row -1 is outside range\(3\)$"),
+        (lambda f: f.entry(3, 0), r"^row 3 is outside range\(3\)$"),
+        (lambda f: f.entry(0, -1), r"^column -1 is outside range\(2\)$"),
+        (lambda f: f.column(-1), r"^column -1 is outside range\(2\)$"),
+        (lambda f: f.column(2), r"^column 2 is outside range\(2\)$"),
+        (lambda f: basis_vector(f.target, -1), r"^basis index -1 is outside range\(3\)$"),
+        (lambda f: basis_vector(f.target, 3), r"^basis index 3 is outside range\(3\)$"),
+        (lambda f: hom_vector_to_map([1] * 7, f.source, f.target),
+         r"^Hom vector has length 7, expected 6$"),
+        (lambda f: hom_vector_to_map([1], f.source, f.target),
+         r"^Hom vector has length 1, expected 6$"),
+    ], ids=["entry(-1, 0)", "entry(3, 0)", "entry(0, -1)", "column(-1)", "column(2)",
+            "basis_vector(-1)", "basis_vector(3)", "hom_vector_to_map(7)",
+            "hom_vector_to_map(1)"])
+    def test_accessors_refuse_out_of_range_indices(self, access, refusal):
+        """No index wraps around from the end, and no entry is dropped."""
+        f = LinearMap.from_rows(VectorSpace.make(2), VectorSpace.make(3),
+                                [[1, 2], [3, 4], [5, 6]])
+        with pytest.raises(LinAlgError, match=refusal):
+            access(f)
+
 
 class TestElimination:
     def test_rref_matches_sympy(self):
