@@ -70,6 +70,7 @@ from .cocyclic import (
     comodule_algebra_cocyclic,
     full_B,
     full_b,
+    lambda_operator,
     mixed_complex,
     normalization_projector,
     normalized_cochains,
@@ -99,7 +100,6 @@ from .linalg import (
     relabel,
     slot_map,
     solve,
-    solve_constrained_subspace,
     tensor_map,
     tensor_permutation,
     tensor_power_map,
@@ -499,11 +499,9 @@ def bb_cohomologous(module: CocyclicModule, first: BBcocycle,
 def cyclic_cocycle_subspace(module: CocyclicModule, degree: int) -> Subspace:
     """Normalized cochains killed by b with cyclic eigenvalue (-1)^degree."""
     _require_degree(module, degree, "the cocycle subspace", high=module.degree_cap - 1)
-    lam = module.tau(degree).scale(Fraction((-1) ** degree))
-    constraints = [full_b(module, degree),
-                   LinearMap.identity(module.spaces[degree]) - lam]
-    constraints += list(module.degeneracies[degree])
-    return solve_constrained_subspace(module.spaces[degree], constraints, prefix="z")
+    one = LinearMap.identity(module.spaces[degree])
+    return normalized_cochains(module, degree).constrained(
+        [full_b(module, degree), one - lambda_operator(module, degree)], prefix="z")
 
 
 # --------------------------------------------------------------------------

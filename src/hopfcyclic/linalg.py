@@ -642,6 +642,14 @@ class Subspace:
             raise MembershipError("operator does not preserve the subspace")
         return coords
 
+    def constrained(self, constraints: Sequence[LinearMap], prefix: str = "k") -> "Subspace":
+        """The joint kernel of ambient operators on this subspace, solved on its
+        coordinates.  On an RREF kernel basis this gives the RREF kernel basis
+        of those operators stacked with the ones that cut out this subspace."""
+        inner = solve_constrained_subspace(self.space, [c @ self.basis for c in constraints])
+        return _with_supports(relabel(self.basis @ inner.basis,
+                                      VectorSpace.make(inner.dim, prefix)))
+
 
 def subspace_from_kernel(mat: LinearMap, prefix: str = "k") -> Subspace:
     vecs = _kernel_vectors(_rows(mat), mat.source.dim, sign_normalize=False)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfcyclic import cup
+from hopfcyclic import cup, linalg
 from hopfcyclic.coefficients import (
     SaydModule,
     check_sayd_contramodule,
@@ -25,6 +25,7 @@ from hopfcyclic.cocyclic import (
     full_B,
     _require_degree,
     full_b,
+    mixed_complex,
     normalization_projector,
     normalized_cochains,
     plain_algebra_cocyclic,
@@ -705,12 +706,14 @@ def test_bicomplex_layer_is_pinned(demo_setups, which, part):
 def test_total_complex_eliminates_nothing_on_the_bicomplex(demo_setups, monkeypatch,
                                                            which):
     """The normalized blocks are tensor products of the factors' normalized
-    spaces, so no joint kernel is solved for on a bicomplex space."""
+    spaces, so once those are known no kernel is eliminated at all."""
     def refuse(*args, **kwargs):
-        raise AssertionError("total_complex solved for a subspace")
+        raise AssertionError("total_complex eliminated a kernel")
 
-    monkeypatch.setattr(cup, "solve_constrained_subspace", refuse)
     setup = demo_setups[0] if which == "ac" else demo_setups[1]
+    for factor in (setup.bicomplex.vertical_factor, setup.bicomplex.horizontal_factor):
+        mixed_complex(factor)
+    monkeypatch.setattr(linalg, "_kernel_vectors", refuse)
     total = total_complex(setup.bicomplex)
     assert check_total_mixed_complex(total).passed
 
@@ -1279,6 +1282,49 @@ class TestConstraintRowReference:
             seen.add(got[0] if got[0] != "cocycle" else
                      "cocycle with a tail" if any(map(any, got[1][1:])) else "cocycle")
         assert seen == {"cocycle", "cocycle with a tail", "obstruction", "LinAlgError"}
+
+
+def reference_cyclic_cocycle_subspace(module: CocyclicModule, degree: int):
+    """Normalized cochains killed by b with cyclic eigenvalue (-1)^degree,
+    as one joint kernel of b, 1 - lambda and every codegeneracy."""
+    _require_degree(module, degree, "the cocycle subspace", high=module.degree_cap - 1)
+    lam = module.tau(degree).scale(Fraction((-1) ** degree))
+    constraints = [full_b(module, degree),
+                   LinearMap.identity(module.spaces[degree]) - lam]
+    constraints += list(module.degeneracies[degree])
+    return solve_constrained_subspace(module.spaces[degree], constraints, prefix="z")
+
+
+def cocycle_subspace_towers():
+    """Plain towers of Z/2, Z/3 and sweedler4 at cap 4 and of S3 at cap 3,
+    the equivariant construction of demo/z2_cup.json, and the factor and
+    both target towers of its two cup setups, at the spec's cap 3."""
+    yield from (plain_algebra_cocyclic(algebra, degree_cap=cap) for algebra, cap in (
+        (group_algebra(cyclic_group_table(2)).algebra, 4),
+        (group_algebra(cyclic_group_table(3)).algebra, 4),
+        (sweedler_h4().algebra, 4),
+        (group_algebra(symmetric_group_table(3)).algebra, 3)))
+    spec = parse_spec(Z2CUP)
+    yield spec.build_construction("regular-cochains", 3)
+    for family in ("ac", "aa"):
+        setup = spec.build_cup_setup(family, 3)
+        yield from (setup.bicomplex.vertical_factor, setup.bicomplex.horizontal_factor,
+                    setup.scalar_target, setup.tensor_target)
+
+
+def test_cyclic_cocycle_subspace_matches_the_constraint_stack():
+    """Solving b and 1 - lambda on the normalized coordinates gives the same
+    RREF basis, supports and labels as stacking the codegeneracies beside them."""
+    cases = 0
+    for module in cocycle_subspace_towers():
+        for degree in range(module.degree_cap):
+            got = cyclic_cocycle_subspace(module, degree)
+            want = reference_cyclic_cocycle_subspace(module, degree)
+            assert got.basis == want.basis, degree
+            assert got.supports == want.supports, degree
+            assert (got.space, got.ambient) == (want.space, want.ambient), degree
+            cases += 1
+    assert cases == 42
 
 
 # ----------------------------------------------------------- input validation
