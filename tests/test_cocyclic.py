@@ -62,6 +62,7 @@ from hopfcyclic.linalg import (
     tensor_space,
     tensor_spaces,
 )
+from test_coefficients import block_module
 
 CAP = 4
 
@@ -656,16 +657,22 @@ def _passing_sigmas(h):
 
 def _equivariant_tower(kind, h, sigma, cap):
     pair = grouplike_coefficients(h, sigma)
+    return _coefficient_tower(kind, h, pair.module, pair.contramodule, cap)
+
+
+def _coefficient_tower(kind, h, module, contramodule, cap):
+    """The `kind` tower over the regular structures of h: the module
+    coefficients for the first three kinds, the contramodule for the last."""
     if kind == "coalgebra":
         c = ModuleCoalgebra(h, h.space, h.comul, h.counit, left_regular_action(h))
-        return coalgebra_cocyclic(c, pair.module, cap)
+        return coalgebra_cocyclic(c, module, cap)
     if kind == "comodule_algebra":
         b = ComoduleAlgebra(h, h.space, h.mul, h.unit, regular_coaction(h))
-        return comodule_algebra_cocyclic(b, pair.module, cap)
+        return comodule_algebra_cocyclic(b, module, cap)
     a = ModuleAlgebra(h, h.space, h.mul, h.unit, adjoint_action(h))
     if kind == "algebra_module":
-        return algebra_module_cocyclic(a, pair.module, cap)
-    return algebra_contra_cocyclic(a, pair.contramodule, cap)
+        return algebra_module_cocyclic(a, module, cap)
+    return algebra_contra_cocyclic(a, contramodule, cap)
 
 
 PLAIN_PIN_CASES = [(hopf, v, cap) for hopf in ("Z/2", "Z/3", "sweedler4")
@@ -797,6 +804,31 @@ def test_equivariant_towers_are_pinned(kind, hopf, sigma, cap):
     tower = _equivariant_tower(kind, _pin_hopf(hopf), sigma, cap)
     assert tower_digest(tower) == \
         PINNED_TOWER_DIGESTS[f"{kind} {hopf} sigma {sigma} cap {cap}"]
+
+
+# Two-dimensional coefficients: every tower above has a one-dimensional lead
+# or trail, so only these pins tell the two strides of the operators apart.
+PINNED_BLOCK_TOWER_DIGESTS = {
+    ("coalgebra", 1): "2dfbc843b1d92a26ff3912d039ca0519a0e88426da39c57ec27c5163187ba290",
+    ("coalgebra", 2): "4633506968036f083bcf4f2827fd59fd4e2c73c0185a2e1574bd50aec3317834",
+    ("algebra_module", 1): "b423c46271a3f374cd19410b6509ca6342af1e98ca21d8f6e92e07d8c4b0b8d1",
+    ("algebra_module", 2): "68663181fec006963e307a839e759ece6cb235a4d1385a84152d8fbd7ff12d8d",
+    ("comodule_algebra", 1): "3f88933687cf6e693588a9ac3082bf336080c8d82928cd170827c8c8635507dc",
+    ("comodule_algebra", 2): "56394ffff619a3292859c09c15eb2af65979f5b79fcbce45b647150034ccd52f",
+    ("algebra_contra", 1): "ce30907f04006a383321bc04abef649a75f3dad00f56411f7a2b9baf6d2e25fb",
+    ("algebra_contra", 2): "bbfa6c26b64c3ea6e87e969e5092bc122d7e6ad9af20a4cfcab9624b6c89d0ef",
+}
+
+
+@pytest.mark.parametrize("kind,cap", sorted(PINNED_BLOCK_TOWER_DIGESTS))
+def test_towers_with_block_coefficients_are_pinned(kind, cap):
+    """The towers over Z/2 with the 2-dimensional `block_module` (its dual
+    for the contramodule tower) are cocyclic and pinned."""
+    h = _pin_hopf("Z/2")
+    module = block_module(h)
+    tower = _coefficient_tower(kind, h, module, dualize(module), cap)
+    assert verify_cocyclic(tower.module).passed
+    assert tower_digest(tower) == PINNED_BLOCK_TOWER_DIGESTS[kind, cap]
 
 
 @pytest.mark.parametrize("kind,message", [
