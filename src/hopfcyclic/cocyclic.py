@@ -25,16 +25,19 @@ with coface, codegeneracy and cyclic operators.  This module provides
 
 Every quantity outside its degree range is refused by one rule, `_require_degree`.
 
-Operator assembly.  Each construction builds its tensor powers and Hom
-spaces once, then writes every operator in one sparse pass (`slot_map`)
-straight between the tower's own spaces.  A degree-n ambient space has
-coordinates (lead, x_0, ..., x_n, trail): coface i and codegeneracy j are
-id (x) f (x) id with f the (transposed, for Hom spaces) structure map on
-their slots.  The cyclic operator is its degree-0 kernel with x_1..x_n
-carried through and the first slot moved to the end, and the last coface is
-t d_0, written the same way from its degree-0 kernel.  The equivariant
-constructions restrict these ambient operators to their cochain spaces
-(`_induced`, `_descend`), verifying membership and well-definedness.
+Operator assembly.  Four constructions are cochains Hom([lead (x)] A^{(n+1)}, V)
+on an algebra A, cut down in each degree to the kernel of a constraint; one
+recipe, `_algebra_cochains`, builds them all, and each construction supplies
+only its constraint (none for plain cochains) and its degree-0 cyclic
+operator.  `_operators` writes every operator in one sparse pass
+(`slot_map`) on coordinates (lead, x_0, ..., x_n, trail): coface i and
+codegeneracy j are id (x) f (x) id with f the (transposed, for Hom spaces)
+structure map on their slots, and t and the last coface t d_0 are their
+degree-0 kernels with x_1..x_n carried through.  The coalgebra construction
+writes its operators the same way and descends them to its quotients by the
+balanced relations, which it shares with the balanced functionals.  The
+recipe restricts its operators to the kernels (`_induced`); both verify that
+each operator is well defined on the cut-down tower.
 """
 
 from __future__ import annotations
@@ -95,9 +98,8 @@ class CocyclicModule:
 
     def __post_init__(self):
         cap = self.degree_cap
-        if len(self.spaces) != cap + 1 or len(self.faces) != cap:
-            raise LinAlgError("cocyclic tower has the wrong length")
-        if len(self.degeneracies) != cap + 1 or len(self.cyclic) != cap + 1:
+        lengths = (len(self.spaces), len(self.faces), len(self.degeneracies), len(self.cyclic))
+        if lengths != (cap + 1, cap, cap + 1, cap + 1):
             raise LinAlgError("cocyclic tower has the wrong length")
         for n in range(cap):
             if len(self.faces[n]) != n + 2:
@@ -295,13 +297,6 @@ def _realize(spaces, operators, induce) -> CocyclicModule:
         tuple(induce(t, n, n, f"cyclic operator at degree {n}") for n, t in enumerate(cyclic)))
 
 
-def _balanced_relation(coefficients: SaydModule, diag: LinearMap, source: VectorSpace,
-                       target: VectorSpace) -> LinearMap:
-    """M (x) H (x) X^{(k)} -> M (x) X^{(k)}: right action minus the diagonal action `diag`."""
-    return (slot_map(coefficients.action, 1, diag.target.dim, source, target)
-            - slot_map(diag, coefficients.space.dim, 1, source, target))
-
-
 # --------------------------------------------------------------------------
 # realized cochain complexes
 
@@ -335,22 +330,6 @@ def _induced(op: LinearMap, source: Subspace, target: Subspace, message: str) ->
         raise LinAlgError(message) from exc
 
 
-def _descend(op: LinearMap, relation: LinearMap, source: Quotient, target: Quotient,
-             what: str) -> LinearMap:
-    projected = target.projection @ op
-    if not (projected @ relation).is_zero():
-        raise LinAlgError(f"{what} is not well defined on the quotient")
-    return projected @ source.section
-
-
-def _hom_tower(subspaces, domains, values, operators) -> HomCochainComplex:
-    def induce(op, s, t, what):
-        return _induced(op, subspaces[s], subspaces[t],
-                        f"{what} does not preserve the cochain space")
-    module = _realize([sub.space for sub in subspaces], operators, induce)
-    return HomCochainComplex(module, tuple(subspaces), tuple(domains), values)
-
-
 def _coact_then_act(coefficients: SaydModule, action: LinearMap,
                     x: VectorSpace) -> LinearMap:
     """M (x) X -> M (x) X, m (x) x -> m_(0) (x) m_(-1) . x, for the coaction of
@@ -361,6 +340,48 @@ def _coact_then_act(coefficients: SaydModule, action: LinearMap,
             @ tensor_map(coefficients.coaction, LinearMap.identity(x)))
 
 
+def _same_hopf(structure, coefficients, name: str) -> HopfAlgebra:
+    """The Hopf algebra of `structure`, refused unless the coefficients live over it."""
+    if coefficients.hopf != structure.hopf:
+        raise LinAlgError(f"coefficients and {name} live over different Hopf algebras")
+    return structure.hopf
+
+
+def _balanced_relations(coefficients: SaydModule, action: LinearMap, powers) -> list[LinearMap]:
+    """M (x) H (x) X^{(m)} -> M (x) X^{(m)} for each given power X^{(m)}, m = 1..k:
+    the right action of the coefficients minus the diagonal action of `action`."""
+    h, m = coefficients.hopf, coefficients.space
+    m_h = tensor_space(m, h.space)
+    out = []
+    for power, diag in zip(powers, _diagonal_actions(h, action, powers)):
+        source, target = tensor_space(m_h, power), tensor_space(m, power)
+        out.append(slot_map(coefficients.action, 1, power.dim, source, target)
+                   - slot_map(diag, m.dim, 1, source, target))
+    return out
+
+
+def _algebra_cochains(algebra: Algebra, values: VectorSpace, tau0: LinearMap,
+                      degree_cap: int, lead: Optional[VectorSpace] = None,
+                      constraints=None):
+    """The cochains Hom([lead (x)] A^{(n+1)}, values), n = 0..cap, of an algebra A,
+    with phi -> phi o m_i, phi -> phi o u_j and the degree-0 cyclic operator
+    `tau0`; cut down, if given, to the kernels of constraints(powers, ambients),
+    one per degree, for the powers A^{(1)}..A^{(cap+1)} and the Hom spaces."""
+    powers = _powers(algebra.space, degree_cap + 1)[1:]
+    domains = powers if lead is None else [tensor_space(lead, p) for p in powers]
+    ambients = [hom_space(d, values) for d in domains]
+    operators = _operators(ambients, algebra.space.dim, 1 if lead is None else lead.dim,
+                           values.dim, algebra.mul.transpose(), algebra.unit.transpose(),
+                           relabel(tau0, ambients[0], ambients[0]))
+    if constraints is None:
+        return CocyclicModule(degree_cap, tuple(ambients), *operators)
+    subspaces = tuple(solve_constrained_subspace(ambient, [c], prefix="p")
+                      for ambient, c in zip(ambients, constraints(powers, ambients)))
+    module = _realize([sub.space for sub in subspaces], operators, lambda op, s, t, what: _induced(
+        op, subspaces[s], subspaces[t], f"{what} does not preserve the cochain space"))
+    return HomCochainComplex(module, subspaces, tuple(domains), values)
+
+
 # --------------------------------------------------------------------------
 # construction 1: plain algebra cochains
 
@@ -369,13 +390,9 @@ def plain_algebra_cocyclic(algebra: Algebra, values: Optional[VectorSpace] = Non
                            degree_cap: int = DEFAULT_DEGREE_CAP) -> CocyclicModule:
     """Cochains Hom(A^{(n+1)}, V) with the standard cyclic structure."""
     v = VectorSpace.ground() if values is None else values
-    powers = _powers(algebra.space, degree_cap + 1)
-    spaces = [hom_space(powers[n + 1], v) for n in range(degree_cap + 1)]
-    # phi -> phi o m_i, phi -> phi o u_j, and the rotation phi(a_n, a_0, ...)
-    faces, degeneracies, cyclic = _operators(
-        spaces, algebra.space.dim, 1, v.dim, algebra.mul.transpose(),
-        algebra.unit.transpose(), LinearMap.identity(spaces[0]))
-    return CocyclicModule(degree_cap, tuple(spaces), faces, degeneracies, cyclic)
+    # the rotation phi(a_n, a_0, ...) is trivial in degree 0
+    return _algebra_cochains(algebra, v, LinearMap.identity(hom_space(algebra.space, v)),
+                             degree_cap)
 
 
 # --------------------------------------------------------------------------
@@ -385,29 +402,23 @@ def plain_algebra_cocyclic(algebra: Algebra, values: Optional[VectorSpace] = Non
 def coalgebra_cocyclic(coalgebra: ModuleCoalgebra, coefficients: SaydModule,
                        degree_cap: int = DEFAULT_DEGREE_CAP) -> QuotientCochainComplex:
     """M (x)_H C^{(n+1)} for an H-module coalgebra C and SAYD module M."""
-    h = coalgebra.hopf
-    if coefficients.hopf != h:
-        raise LinAlgError("coefficients and coalgebra live over different Hopf algebras")
+    _same_hopf(coalgebra, coefficients, "coalgebra")
     c = coalgebra.space
-    m = coefficients.space
-    cap = degree_cap
-
-    powers = _powers(c, cap + 1)
-    ambients = tuple(tensor_space(m, powers[n + 1]) for n in range(cap + 1))
-    diagonals = _diagonal_actions(h, coalgebra.action, powers[1:])
-    m_h = tensor_space(m, h.space)
-    relations = tuple(
-        _balanced_relation(coefficients, diagonals[n], tensor_space(m_h, powers[n + 1]),
-                           ambients[n])
-        for n in range(cap + 1))
+    relations = tuple(_balanced_relations(coefficients, coalgebra.action,
+                                          _powers(c, degree_cap + 1)[1:]))
+    ambients = tuple(r.target for r in relations)
     quotients = tuple(cokernel(r) for r in relations)
 
     # degree 0: m (x) c -> m_(0) (x) m_(-1) . c
     tau0 = _coact_then_act(coefficients, coalgebra.action, c)
-    operators = _operators(ambients, c.dim, m.dim, 1, coalgebra.comul, coalgebra.counit, tau0)
+    operators = _operators(ambients, c.dim, coefficients.space.dim, 1, coalgebra.comul,
+                           coalgebra.counit, tau0)
 
     def induce(op, s, t, what):
-        return _descend(op, relations[s], quotients[s], quotients[t], what)
+        projected = quotients[t].projection @ op
+        if not (projected @ relations[s]).is_zero():
+            raise LinAlgError(f"{what} is not well defined on the quotient")
+        return projected @ quotients[s].section
 
     module = _realize([q.space for q in quotients], operators, induce)
     return QuotientCochainComplex(module, quotients, ambients, relations)
@@ -420,31 +431,15 @@ def coalgebra_cocyclic(coalgebra: ModuleCoalgebra, coefficients: SaydModule,
 def algebra_module_cocyclic(algebra: ModuleAlgebra, coefficients: SaydModule,
                             degree_cap: int = DEFAULT_DEGREE_CAP) -> HomCochainComplex:
     """Functionals on M (x) A^{(n+1)} balanced over H, with the cyclic structure."""
-    h = algebra.hopf
-    if coefficients.hopf != h:
-        raise LinAlgError("coefficients and algebra live over different Hopf algebras")
-    a = algebra.space
-    m = coefficients.space
-    g = VectorSpace.ground()
-    cap = degree_cap
+    _same_hopf(algebra, coefficients, "algebra")
 
-    powers = _powers(a, cap + 1)
-    domains = tuple(tensor_space(m, powers[n + 1]) for n in range(cap + 1))
-    ambients = tuple(hom_space(domains[n], g) for n in range(cap + 1))
-    diagonals = _diagonal_actions(h, algebra.action, powers[1:])
-    m_h = tensor_space(m, h.space)
-    subspaces = tuple(
-        solve_constrained_subspace(ambients[n], [_balanced_relation(
-            coefficients, diagonals[n], tensor_space(m_h, powers[n + 1]), domains[n]
-        ).transpose()], prefix="p")
-        for n in range(cap + 1))
+    def balanced(powers, ambients):
+        return [r.transpose() for r in _balanced_relations(coefficients, algebra.action, powers)]
 
     # degree 0: phi -> phi(m_(0) (x) S^{-1}(m_(-1)) . a)
-    tau0 = relabel(_coact_then_act(coefficients, algebra.twisted_action(), a).transpose(),
-                   ambients[0], ambients[0])
-    operators = _operators(ambients, a.dim, m.dim, 1, algebra.mul.transpose(),
-                           algebra.unit.transpose(), tau0)
-    return _hom_tower(subspaces, domains, g, operators)
+    tau0 = _coact_then_act(coefficients, algebra.twisted_action(), algebra.space).transpose()
+    return _algebra_cochains(algebra.algebra, VectorSpace.ground(), tau0, degree_cap,
+                             coefficients.space, balanced)
 
 
 # --------------------------------------------------------------------------
@@ -454,16 +449,9 @@ def algebra_module_cocyclic(algebra: ModuleAlgebra, coefficients: SaydModule,
 def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule,
                               degree_cap: int = DEFAULT_DEGREE_CAP) -> HomCochainComplex:
     """H-colinear maps B^{(n+1)} -> N with the cyclic structure twisted by N."""
-    h = algebra.hopf
-    if coefficients.hopf != h:
-        raise LinAlgError("coefficients and algebra live over different Hopf algebras")
-    b = algebra.space
-    n_space = coefficients.space
-    cap = degree_cap
-    db, dn, dh = b.dim, n_space.dim, h.space.dim
-
-    domains = _powers(b, cap + 1)[1:]
-    ambients = tuple(hom_space(domains[n], n_space) for n in range(cap + 1))
+    h = _same_hopf(algebra, coefficients, "algebra")
+    b, n_space = algebra.space, coefficients.space
+    dn = n_space.dim
 
     # psi is colinear when N's coaction after psi equals (id (x) psi) after the
     # diagonal coaction; both sides land in coordinates (t, x, u) for the leg
@@ -472,21 +460,21 @@ def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule
     # transposed coaction `flipped`: entry ((t, x), y) is entry ((t, y), x).
     flipped = relabel(partial_transpose(algebra.coaction.transpose(), dual_space(h.space),
                                         dual_space(b)).transpose(), b, tensor_space(h.space, b))
-    subspaces = []
-    for n, grad in enumerate(_diagonal_coactions(h, flipped, domains)):
-        legs = VectorSpace.make(dh * ambients[n].dim, "c")
-        constraint = (slot_map(coefficients.coaction, 1, domains[n].dim, ambients[n], legs,
-                               (dn, dn))
-                      - slot_map(grad, 1, dn, ambients[n], legs))
-        subspaces.append(solve_constrained_subspace(ambients[n], [constraint], prefix="p"))
+
+    def colinear(powers, ambients):
+        out = []
+        for power, ambient, grad in zip(powers, ambients,
+                                        _diagonal_coactions(h, flipped, powers)):
+            legs = VectorSpace.make(h.space.dim * ambient.dim, "c")
+            out.append(slot_map(coefficients.coaction, 1, power.dim, ambient, legs, (dn, dn))
+                       - slot_map(grad, 1, dn, ambient, legs))
+        return out
 
     # degree 0: psi -> psi(b_(0)) . b_(-1), on Hom(B, N) read as B (x) N
-    tau0 = relabel(tensor_map(LinearMap.identity(b), coefficients.action)
-                   @ tensor_permutation([h.space, b, n_space], [1, 2, 0])
-                   @ tensor_map(flipped, LinearMap.identity(n_space)), ambients[0], ambients[0])
-    operators = _operators(ambients, db, 1, dn, algebra.mul.transpose(),
-                           algebra.unit.transpose(), tau0)
-    return _hom_tower(subspaces, domains, n_space, operators)
+    tau0 = (tensor_map(LinearMap.identity(b), coefficients.action)
+            @ tensor_permutation([h.space, b, n_space], [1, 2, 0])
+            @ tensor_map(flipped, LinearMap.identity(n_space)))
+    return _algebra_cochains(algebra.algebra, n_space, tau0, degree_cap, constraints=colinear)
 
 
 # --------------------------------------------------------------------------
@@ -496,33 +484,22 @@ def comodule_algebra_cocyclic(algebra: ComoduleAlgebra, coefficients: SaydModule
 def algebra_contra_cocyclic(algebra: ModuleAlgebra, coefficients: SaydContramodule,
                             degree_cap: int = DEFAULT_DEGREE_CAP) -> HomCochainComplex:
     """H-equivariant maps A^{(n+1)} -> Mc with the contramodule cyclic structure."""
-    h = algebra.hopf
-    if coefficients.hopf != h:
-        raise LinAlgError("coefficients and algebra live over different Hopf algebras")
-    a = algebra.space
-    m_space = coefficients.space
-    cap = degree_cap
-    da, dm = a.dim, m_space.dim
-
-    domains = _powers(a, cap + 1)[1:]
-    ambients = tuple(hom_space(domains[n], m_space) for n in range(cap + 1))
+    h = _same_hopf(algebra, coefficients, "algebra")
+    a, m_space = algebra.space, coefficients.space
 
     # phi is equivariant when phi(t . x) = t . phi(x) for every basis element t of H
-    subspaces = [
-        solve_constrained_subspace(ambients[n], [equivariance_constraint(
-            h, diag, coefficients.action, ambients[n])], prefix="p")
-        for n, diag in enumerate(_diagonal_actions(h, algebra.action, domains))]
+    def equivariant(powers, ambients):
+        return [equivariance_constraint(h, diag, coefficients.action, ambient)
+                for diag, ambient in zip(_diagonal_actions(h, algebra.action, powers), ambients)]
 
     # degree 0: phi -> alpha(t (x) phi(S^{-1}(t) . a)), summed over the basis t of
     # H; on Hom(A, Mc) read as A* (x) Mc, the twisted action's transpose makes
     # the t* (x) a* legs
-    tau0 = relabel(tensor_map(LinearMap.identity(a), coefficients.alpha)
-                   @ tensor_permutation([h.space, a, m_space], [1, 0, 2])
-                   @ tensor_map(algebra.twisted_action().transpose(),
-                                LinearMap.identity(m_space)), ambients[0], ambients[0])
-    operators = _operators(ambients, da, 1, dm, algebra.mul.transpose(),
-                           algebra.unit.transpose(), tau0)
-    return _hom_tower(subspaces, domains, m_space, operators)
+    tau0 = (tensor_map(LinearMap.identity(a), coefficients.alpha)
+            @ tensor_permutation([h.space, a, m_space], [1, 0, 2])
+            @ tensor_map(algebra.twisted_action().transpose(), LinearMap.identity(m_space)))
+    return _algebra_cochains(algebra.algebra, m_space, tau0, degree_cap,
+                             constraints=equivariant)
 
 
 # --------------------------------------------------------------------------
@@ -562,9 +539,8 @@ def dualization_isomorphism(algebra: ModuleAlgebra, coefficients: SaydModule,
         bwd = _induced(
             amb_bwd, contra_side.subspaces[n], module_side.subspaces[n],
             f"inverse transposition does not land in the balanced functionals at degree {n}")
-        if bwd @ fwd != LinearMap.identity(module_side.module.spaces[n]):
-            raise LinAlgError(f"transposition round trip fails at degree {n}")
-        if fwd @ bwd != LinearMap.identity(contra_side.module.spaces[n]):
+        if (bwd @ fwd != LinearMap.identity(module_side.module.spaces[n])
+                or fwd @ bwd != LinearMap.identity(contra_side.module.spaces[n])):
             raise LinAlgError(f"transposition round trip fails at degree {n}")
         forward.append(fwd)
         backward.append(bwd)
@@ -731,9 +707,7 @@ def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     """ker b / im b at degree n on the full (unnormalized) complex."""
     _require_degree(module, n, "Hochschild cohomology", high=module.degree_cap - 1)
     b_n = full_b(module, n)
-    b_prev = LinearMap.zero(VectorSpace.make(0), module.spaces[n])
-    if n >= 1:
-        b_prev = full_b(module, n - 1)
+    b_prev = full_b(module, n - 1) if n else LinearMap.zero(VectorSpace.make(0), module.spaces[n])
     reps = _quotient_representatives(b_n, b_prev, n)
     return CohomologyResult(n, len(reps), tuple(reps), module.spaces[n])
 
