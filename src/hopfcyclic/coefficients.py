@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .hopf import HopfAlgebra, check_comodule, iterated_comultiplication
 from .linalg import (
+    LinAlgError,
     LinearMap,
     VectorSpace,
     cokernel,
@@ -220,7 +221,7 @@ def contratensor(n_mod: SaydModule, m_con: SaydContramodule) -> Contratensor:
     projection = final.projection @ over_h.projection
     section = over_h.section @ final.section
     if not (projection @ delta).is_zero() or not (projection @ rho).is_zero():
-        raise ValueError("contratensor projection fails to coequalize its relations")
+        raise LinAlgError("contratensor projection fails to coequalize its relations")
     return Contratensor(n_mod, m_con, final.space, projection, section)
 
 
@@ -228,7 +229,7 @@ def collapse_map(p: CompatiblePair, ct: Contratensor) -> LinearMap:
     """The map L -> Q induced by the pairing; faults if it does not descend."""
     e = p.pairing @ ct.section
     if e @ ct.projection != p.pairing:
-        raise ValueError(
+        raise LinAlgError(
             "pairing does not vanish on the coequalized relations; "
             "the pair is not compatible with this contratensor"
         )
@@ -263,4 +264,4 @@ def _identity_index(h: HopfAlgebra) -> int:
     for i in range(h.dim):
         if col[i] == 1 and all(col[j] == 0 for j in range(h.dim) if j != i):
             return i
-    raise ValueError("the unit of this Hopf algebra is not a basis element")
+    raise LinAlgError("the unit of this Hopf algebra is not a basis element")

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import (
+    LinAlgError,
     LinearMap,
     Subspace,
     VectorSpace,
@@ -38,7 +39,7 @@ from .linalg import (
     tensor_space,
     tensor_subspace,
 )
-from .reporting import Report
+from .reporting import Report, require
 
 _Q = VectorSpace.ground()
 
@@ -520,10 +521,7 @@ def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:
                   tensor_space(b_space, b_space))
     unit = insert_vector(b_space, sub.coords(map_to_hom_vector(a.unit @ c.counit)))
     alg = Algebra(b_space, mul, unit)
-    rep = check_algebra(alg, "convolution algebra")
-    if not rep.passed:
-        bad = rep.first_failure()
-        raise ValueError(f"convolution product is not an algebra: {bad.name} ({bad.detail})")
+    require(check_algebra(alg, "convolution algebra"))
     return ConvolutionAlgebra(alg, sub, ca)
 
 
@@ -535,21 +533,21 @@ def iota(ca: CoalgebraAction, conv: ConvolutionAlgebra) -> LinearMap:
     coords = sub.coords_matrix() @ curried
     stray = (sub.basis @ coords - curried).nonzero_columns()
     if stray:
-        raise ValueError(
+        raise LinAlgError(
             f"image of basis element {a.space.labels[stray[0]]!r} is not H-linear; "
             "the coalgebra action violates equivariance")
     m = relabel(coords, a.space, conv.space)
     if conv.algebra.mul @ tensor_map(m, m) != m @ a.mul:
-        raise ValueError("embedding into the convolution algebra is not multiplicative")
+        raise LinAlgError("embedding into the convolution algebra is not multiplicative")
     if m @ a.unit != conv.algebra.unit:
-        raise ValueError("embedding into the convolution algebra is not unital")
+        raise LinAlgError("embedding into the convolution algebra is not unital")
     return m
 
 
 def crossed_product(a: ModuleAlgebra, b: ComoduleAlgebra) -> Algebra:
     """The crossed product on A (x) B: (a >< b)(a' >< b') = a(b_(-1).a') >< b_(0)b'."""
-    if a.hopf.space.dim != b.hopf.space.dim or a.hopf.mul != b.hopf.mul:
-        raise ValueError("crossed product requires one common Hopf algebra")
+    if a.hopf != b.hopf:
+        raise LinAlgError("crossed product requires one common Hopf algebra")
     h = a.hopf
     sa, sb = a.space, b.space
     i_a = LinearMap.identity(sa)
@@ -561,8 +559,5 @@ def crossed_product(a: ModuleAlgebra, b: ComoduleAlgebra) -> Algebra:
     mul = act_then_mul @ reorder @ expand
     unit = tensor_map(a.unit, b.unit)
     alg = Algebra(space, mul, unit)
-    rep = check_algebra(alg, "crossed product")
-    if not rep.passed:
-        bad = rep.first_failure()
-        raise ValueError(f"crossed product failed: {bad.name} ({bad.detail})")
+    require(check_algebra(alg, "crossed product"))
     return alg

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg import LinearMap
+from .linalg import LinAlgError, LinearMap
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,11 @@ class Report:
 
 
 def require(report: Report, context: str = "") -> Report:
-    """Raise if a report failed; used where a failure is a usage error."""
+    """Raise LinAlgError if a report failed; used where a failure is a usage error."""
     if not report.passed:
         bad = report.first_failure()
         where = f" [{context}]" if context else ""
-        raise ValueError(
+        raise LinAlgError(
             f"{report.title}{where}: check {bad.name!r} failed"
             + (f" ({bad.detail})" if bad.detail else "")
         )

@@ -444,6 +444,39 @@ class TestCheckCommand:
             assert any(n.startswith(prefix) for n in names), prefix
 
 
+def untwisted_signed_eval(data):
+    """The cup demo's coalgebra action with g . g = g, which is not H-linear."""
+    data["coalgebra_actions"]["signed-eval"]["map"][-1][2] = 1
+
+
+def contramodule_failing_its_counit(data):
+    """cup.ac against a contramodule whose alpha is zero, so alpha(counit) != id."""
+    data["contramodules"] = {"zero": {"hopf": "z2", "basis": ["m"], "action": "trivial",
+                                      "alpha": []}}
+    data["cup"]["ac"]["coefficients"] = ["counit-twist", "zero"]
+
+
+@pytest.mark.parametrize("change, text", [
+    (untwisted_signed_eval, "image of basis element 'g' is not H-linear; the coalgebra "
+                            "action violates equivariance"),
+    (contramodule_failing_its_counit,
+     "coefficient contramodule [contramodule coefficients]: check 'contra-counit' failed "
+     "(first residual -1 at row 'm', column '1*⊗m')"),
+], ids=["untwisted action", "contramodule counit"])
+@pytest.mark.parametrize("command", [
+    ["check", "cup:ac"],
+    ["cup", "--variant", "ac-general", "--p", "1", "--q", "1", "--left", "phi",
+     "--right", "omega"],
+], ids=["check", "cup"])
+def test_engine_refusal_exit_2(tmp_path, capsys, change, text, command):
+    """A cup setup the engine refuses is an input error: exit 2 with the
+    refusal on stderr, not a traceback."""
+    data = z2cup_data()
+    change(data)
+    assert main([command[0], write_spec(tmp_path, data), *command[1:]]) == 2
+    assert capsys.readouterr().err == f"hcc: {text}\n"
+
+
 class TestSpecEntries:
     """Spec entries the README documents, each parsed and passing `hcc check`."""
 

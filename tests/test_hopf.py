@@ -38,6 +38,7 @@ from hopfcyclic.hopf import (
     trivial_hopf,
 )
 from hopfcyclic.linalg import (
+    LinAlgError,
     LinearMap,
     VectorSpace,
     basis_vector,
@@ -380,6 +381,29 @@ class TestCrossedProduct:
         )
         out = (alg.mul @ x).column(0)
         assert vectors_equal(out, [0, -1, 0, 0])
+
+    def test_refuses_a_product_that_is_not_associative(self):
+        # g . g = 2g does not respect the multiplication of A
+        h = z2()
+        doubling = LinearMap.from_rows(tensor_space(h.space, h.space), h.space,
+                                       [[1, 0, 1, 0], [0, 1, 0, 2]])
+        a = ModuleAlgebra(h, h.space, h.mul, h.unit, doubling)
+        b = ComoduleAlgebra(h, h.space, h.mul, h.unit, regular_coaction(h))
+        with pytest.raises(LinAlgError) as info:
+            crossed_product(a, b)
+        assert str(info.value) == ("crossed product: check 'multiplication associative' failed "
+                                   "(first residual 3 at row '1⊗1', column '1⊗g⊗g⊗1⊗g⊗g')")
+
+    def test_refuses_a_relabelled_hopf_algebra(self):
+        """Equal multiplication tables are not enough: the two sides must live
+        over one Hopf algebra, labels included, as for every other refusal."""
+        h, relabelled = z2(), group_algebra(cyclic_group_table(2), labels=("a", "b"))
+        a = ModuleAlgebra(h, h.space, h.mul, h.unit, adjoint_action(h))
+        b = ComoduleAlgebra(relabelled, relabelled.space, relabelled.mul, relabelled.unit,
+                            regular_coaction(relabelled))
+        with pytest.raises(LinAlgError, match=r"^crossed product requires one common Hopf "
+                                              r"algebra$"):
+            crossed_product(a, b)
 
 
 # -- the per-basis-element formulation, kept as a reference -----------------
