@@ -26,18 +26,15 @@ with coface, codegeneracy and cyclic operators.  This module provides
 Every quantity outside its degree range is refused by one rule, `_require_degree`.
 
 Operator assembly.  Four constructions are cochains Hom([lead (x)] A^{(n+1)}, V)
-on an algebra A, cut down in each degree to the kernel of a constraint; one
-recipe, `_algebra_cochains`, builds them all, and each construction supplies
-only its constraint (none for plain cochains) and its degree-0 cyclic
-operator.  `_operators` writes every operator in one sparse pass
-(`slot_map`) on coordinates (lead, x_0, ..., x_n, trail): coface i and
-codegeneracy j are id (x) f (x) id with f the (transposed, for Hom spaces)
-structure map on their slots, and t and the last coface t d_0 are their
-degree-0 kernels with x_1..x_n carried through.  The coalgebra construction
-writes its operators the same way and descends them to its quotients by the
-balanced relations, which it shares with the balanced functionals.  The
-recipe restricts its operators to the kernels (`_induced`); both verify that
-each operator is well defined on the cut-down tower.
+of an algebra A, built by one recipe, `_algebra_cochains`: each supplies only
+its degree-0 cyclic operator and the constraint whose kernels are its cochains
+(none for plain cochains).  `_operators` writes every operator in one sparse
+pass on coordinates (lead, x_0, ..., x_n, trail): coface i and codegeneracy j
+are id (x) f (x) id with f the (transposed, for Hom spaces) structure map on
+their slots; t and the last coface t d_0 carry their degree-0 kernels through
+x_1..x_n.  The recipe restricts them to the kernels (`_induced`), the
+coalgebra construction descends them to quotients by the balanced relations
+it shares with the balanced functionals, and both verify every operator.
 """
 
 from __future__ import annotations
@@ -98,8 +95,9 @@ class CocyclicModule:
 
     def __post_init__(self):
         cap = self.degree_cap
-        lengths = (len(self.spaces), len(self.faces), len(self.degeneracies), len(self.cyclic))
-        if lengths != (cap + 1, cap, cap + 1, cap + 1):
+        if len(self.spaces) != cap + 1 or len(self.faces) != cap:
+            raise LinAlgError("cocyclic tower has the wrong length")
+        if len(self.degeneracies) != cap + 1 or len(self.cyclic) != cap + 1:
             raise LinAlgError("cocyclic tower has the wrong length")
         for n in range(cap):
             if len(self.faces[n]) != n + 2:
@@ -433,7 +431,7 @@ def algebra_module_cocyclic(algebra: ModuleAlgebra, coefficients: SaydModule,
     """Functionals on M (x) A^{(n+1)} balanced over H, with the cyclic structure."""
     _same_hopf(algebra, coefficients, "algebra")
 
-    def balanced(powers, ambients):
+    def balanced(powers, _ambients):
         return [r.transpose() for r in _balanced_relations(coefficients, algebra.action, powers)]
 
     # degree 0: phi -> phi(m_(0) (x) S^{-1}(m_(-1)) . a)
@@ -539,8 +537,9 @@ def dualization_isomorphism(algebra: ModuleAlgebra, coefficients: SaydModule,
         bwd = _induced(
             amb_bwd, contra_side.subspaces[n], module_side.subspaces[n],
             f"inverse transposition does not land in the balanced functionals at degree {n}")
-        if (bwd @ fwd != LinearMap.identity(module_side.module.spaces[n])
-                or fwd @ bwd != LinearMap.identity(contra_side.module.spaces[n])):
+        if bwd @ fwd != LinearMap.identity(module_side.module.spaces[n]):
+            raise LinAlgError(f"transposition round trip fails at degree {n}")
+        if fwd @ bwd != LinearMap.identity(contra_side.module.spaces[n]):
             raise LinAlgError(f"transposition round trip fails at degree {n}")
         forward.append(fwd)
         backward.append(bwd)
@@ -707,7 +706,9 @@ def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     """ker b / im b at degree n on the full (unnormalized) complex."""
     _require_degree(module, n, "Hochschild cohomology", high=module.degree_cap - 1)
     b_n = full_b(module, n)
-    b_prev = full_b(module, n - 1) if n else LinearMap.zero(VectorSpace.make(0), module.spaces[n])
+    b_prev = LinearMap.zero(VectorSpace.make(0), module.spaces[n])
+    if n >= 1:
+        b_prev = full_b(module, n - 1)
     reps = _quotient_representatives(b_n, b_prev, n)
     return CohomologyResult(n, len(reps), tuple(reps), module.spaces[n])
 
