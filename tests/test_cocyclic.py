@@ -806,8 +806,9 @@ def test_equivariant_towers_are_pinned(kind, hopf, sigma, cap):
         PINNED_TOWER_DIGESTS[f"{kind} {hopf} sigma {sigma} cap {cap}"]
 
 
-# Two-dimensional coefficients: every tower above has a one-dimensional lead
-# or trail, so only these pins tell the two strides of the operators apart.
+# Two-dimensional coefficients: the equivariant towers above have
+# one-dimensional coefficients, so they read the same when the lead and trail
+# strides of the operators are swapped; these pins tell the two apart.
 PINNED_BLOCK_TOWER_DIGESTS = {
     ("coalgebra", 1): "2dfbc843b1d92a26ff3912d039ca0519a0e88426da39c57ec27c5163187ba290",
     ("coalgebra", 2): "4633506968036f083bcf4f2827fd59fd4e2c73c0185a2e1574bd50aec3317834",
