@@ -16,6 +16,7 @@ from hopfcyclic.coefficients import (
     SaydModule,
     check_sayd_contramodule,
     check_sayd_module,
+    dualize,
     grouplike_coefficients,
     trivial_coefficients,
 )
@@ -90,6 +91,7 @@ from hopfcyclic.linalg import (
 )
 from hopfcyclic.reporting import Report
 from hopfcyclic.specfile import parse_spec
+from test_coefficients import block_module
 
 Z2CUP = str(Path(__file__).resolve().parent.parent / "demo" / "z2_cup.json")
 
@@ -194,6 +196,16 @@ def setup_ac_zero_values(z2):
     action = CoalgebraAction(coalgebra, algebra, adjoint_action(z2))
     return ac_cup_setup(algebra, coalgebra, action,
                         (module, trivial_coefficients(z2).contramodule), degree_cap=3)
+
+
+@pytest.fixture(scope="module")
+def setup_ac_block(z2, z2_convolution_data):
+    """The two-dimensional block module against its dual contramodule, with
+    no pairing: the contratensor product L is two-dimensional, so the
+    contratensor-valued target cochains are wider than the scalar ones."""
+    algebra, coalgebra, action = z2_convolution_data
+    module = block_module(z2)
+    return ac_cup_setup(algebra, coalgebra, action, (module, dualize(module)), degree_cap=3)
 
 
 @pytest.fixture(scope="module")
@@ -693,6 +705,43 @@ def test_zero_dimensional_values(z2, setup_ac_zero_values):
         omega = basis_cocycle(setup.coalgebra_cochains.module, q)
         assert any(phi) and any(omega)
         assert cup_ac_general(setup, p, q, phi, omega) == BBcocycle(2, ((), ()))
+
+
+# sha256 of psi (as `map_digest`) in degrees 0..3 and of the cups (as
+# `bb_digest`) at (0, 0), (1, 1), (0, 2) and (2, 0) of the `setup_ac_block`
+# fixture, whose values L are two-dimensional; recorded while every setup
+# built its own contratensor-valued target tower.
+PINNED_BLOCK_PSI_DIGESTS = [
+    "b2aed26e5d8e7f619ca618aaf3884c7c3adb5a505f77fb74b7d06c5591b0ae36",
+    "476da633555c9b58e69e7b3f3001f862b32fca46f09fabac5b559cca333f973e",
+    "dde8737bd3e5168094acbcd0a07e965ce7eb3e6169d58b3c88eb6995e134c3f4",
+    "95bd07dd8004eb8f67a5c16fa50979c909f0092585f5bdf8a329c165e7a3a16f"]
+PINNED_BLOCK_CUP_DIGESTS = {
+    (0, 0): "6c948f6352d9095c7e33bb0e5beba065c21ef2f29349432832731603d7be7655",
+    (1, 1): "743b133c8e563832ae7efeaeae843964ddacabd96dcd5630e5f0b4c828a282fd",
+    (0, 2): "722b47b202d8fea866bc322f379b412c20c05659a8b60277962db69e21747e9e",
+    (2, 0): "56ede7c0366b3922565ff23e2c716888d075237cd9cb1bc362d93fb7e2448c96",
+}
+
+
+def test_two_dimensional_values(setup_ac_block):
+    """A contratensor product of dimension 2 gives a target tower of its own,
+    into which psi passes its checks and every cup is a nonzero cocycle."""
+    setup = setup_ac_block
+    assert setup.tensor_values.space.dim == 2
+    assert [s.dim for s in setup.tensor_target.spaces] == [4, 8, 16, 32]
+    report = check_psi(setup, tensor_valued=True)
+    assert report.passed, failures(report)
+    assert [map_digest(psi_matrix(setup, n, True)) for n in range(4)] == \
+        PINNED_BLOCK_PSI_DIGESTS
+    for (p, q), digest in PINNED_BLOCK_CUP_DIGESTS.items():
+        left = basis_cocycle(setup.algebra_cochains.module, p)
+        right = basis_cocycle(setup.coalgebra_cochains.module, q)
+        out = cup_ac_general(setup, p, q, left, right)
+        assert any(any(c) for c in out.components), (p, q)
+        report = check_bb_cocycle(setup.tensor_target, out)
+        assert report.passed, failures(report)
+        assert bb_digest(out) == digest, (p, q)
 
 
 @pytest.mark.parametrize("which", ["ac", "aa"])

@@ -15,6 +15,7 @@ from hopfcyclic.linalg import (
     VectorSpace,
     basis_vector,
     cokernel,
+    direct_sum_space,
     dual_space,
     from_blocks,
     hom_postcompose,
@@ -766,3 +767,53 @@ class TestDeterminism:
             first = next(((i, j, fr[i][j]) for i in range(f.target.dim)
                           for j in range(f.source.dim) if fr[i][j]), None)
             assert f.first_nonzero() == first
+
+
+class TestLabels:
+    """Derived spaces spell their labels from their factors, and spaces are
+    equal when their dimensions and labels are."""
+
+    ab, xy = VectorSpace(2, ("a", "b")), VectorSpace(2, ("x", "y"))
+
+    def test_tensor_labels(self):
+        assert tensor_space(self.ab, self.xy).labels == ("a⊗x", "a⊗y", "b⊗x", "b⊗y")
+        assert tensor_spaces([self.ab, VectorSpace.ground(), self.xy]).labels == (
+            "a⊗1⊗x", "a⊗1⊗y", "b⊗1⊗x", "b⊗1⊗y")
+        assert tensor_spaces([self.ab]).labels == ("a", "b")
+        assert tensor_spaces([]).labels == ("1",)
+
+    def test_dual_and_hom_labels(self):
+        assert dual_space(self.ab).labels == ("a*", "b*")
+        assert hom_space(self.ab, VectorSpace(1, ("n",))).labels == ("a*", "b*")
+        assert hom_space(self.ab, self.xy).labels == ("a↦x", "a↦y", "b↦x", "b↦y")
+
+    def test_made_and_summed_labels(self):
+        assert VectorSpace.make(3, "p").labels == ("p0", "p1", "p2")
+        assert VectorSpace.make(0).labels == ()
+        assert direct_sum_space([self.ab, VectorSpace.make(0), self.xy]).labels == (
+            "c0:a", "c0:b", "c2:x", "c2:y")
+
+    def test_transpose_labels(self):
+        xyz = VectorSpace(3, ("x", "y", "z"))
+        ft = LinearMap.zero(self.ab, xyz).transpose()
+        assert ft.source.labels == ("x*", "y*", "z*")
+        assert ft.target.labels == ("a*", "b*")
+
+    def test_cokernel_labels(self):
+        pqr = VectorSpace(3, ("p", "q", "r"))
+        f = LinearMap.from_rows(VectorSpace(1, ("u",)), pqr, [[1], [1], [0]])
+        assert cokernel(f).space.labels == ("[q]", "[r]")
+
+    def test_equality_reads_dimension_and_labels(self):
+        given = VectorSpace(4, ("a⊗x", "a⊗y", "b⊗x", "b⊗y"))
+        derived = tensor_space(self.ab, self.xy)
+        assert derived == given and given == derived
+        assert hash(derived) == hash(given)
+        assert derived != VectorSpace(4, ("a⊗x", "a⊗y", "b⊗x", "b⊗z"))
+        assert derived != VectorSpace.make(4)
+
+    def test_carrier_labels_must_be_unique(self):
+        with pytest.raises(LinAlgError, match="basis labels must be unique"):
+            VectorSpace(2, ("a", "a"))
+        with pytest.raises(LinAlgError, match="dim does not match"):
+            VectorSpace(3, ("a", "b"))
