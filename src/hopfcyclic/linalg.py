@@ -17,16 +17,22 @@ Conventions, used everywhere downstream:
     target, and its transpose is currying, so a structure map is read whole
     rather than one basis element at a time.
 
-Only this module reads the storage of a LinearMap; the others use its
-accessors.
+Basis labels serve only failure witnesses and reports, so a derived space
+spells its labels on their first read and keeps them; uniqueness is checked
+on the label tuples that carriers are given, not on derived ones, where a
+carrier label holding "⊗" may spell the same label twice.
+
+Only this module reads the storage of a LinearMap or the label fields of a
+VectorSpace; the others use their accessors.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -43,48 +49,95 @@ class MembershipError(LinAlgError):
     """A vector claimed to lie in a subspace (or image) does not."""
 
 
-@dataclass(frozen=True)
 class VectorSpace:
-    """A finite-dimensional Q-vector space with a fixed ordered basis."""
+    """A finite-dimensional Q-vector space with a fixed ordered basis.
 
-    dim: int
-    labels: tuple[str, ...]
+    A carrier is given its labels, which must be unique.  A derived space (a
+    tensor product, dual, Hom space, direct sum, quotient or `make`) holds
+    only the rule that spells its labels from its parts, and spells them on
+    the first read of `labels`.  Spaces are equal when their dimensions and
+    labels are; they are immutable.
+    """
 
-    def __post_init__(self):
-        if self.dim != len(self.labels):
+    __slots__ = ("dim", "_labels", "_spell")
+
+    def __init__(self, dim: int, labels: Sequence[str]):
+        labels = tuple(labels)
+        if dim != len(labels):
             raise LinAlgError("dim does not match number of labels")
-        if len(set(self.labels)) != self.dim:
+        if len(set(labels)) != dim:
             raise LinAlgError("basis labels must be unique")
+        for name, value in (("dim", dim), ("_labels", labels), ("_spell", None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _derived(cls, dim: int, spell) -> "VectorSpace":
+        """The space of dimension `dim` whose labels are spell()."""
+        space = object.__new__(cls)
+        for name, value in (("dim", dim), ("_labels", None), ("_spell", spell)):
+            object.__setattr__(space, name, value)
+        return space
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            object.__setattr__(self, "_labels", tuple(self._spell()))
+            object.__setattr__(self, "_spell", None)
+        return self._labels
 
     @staticmethod
     def make(dim: int, prefix: str = "e") -> "VectorSpace":
-        return VectorSpace(dim, tuple(f"{prefix}{i}" for i in range(dim)))
+        return VectorSpace._derived(dim, lambda: (f"{prefix}{i}" for i in range(dim)))
 
     @staticmethod
     def ground() -> "VectorSpace":
         """The ground field Q as a one-dimensional based space."""
-        return VectorSpace(1, ("1",))
+        return _GROUND
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, VectorSpace):
+            return NotImplemented
+        return self.dim == other.dim and self.labels == other.labels
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.labels))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return VectorSpace._derived, (self.dim, functools.partial(tuple, self.labels))
 
     def __repr__(self):
         return f"VectorSpace(dim={self.dim})"
 
 
+_GROUND = VectorSpace(1, ("1",))
+
+
 def dual_space(v: VectorSpace) -> VectorSpace:
-    return VectorSpace(v.dim, tuple(f"{l}*" for l in v.labels))
+    return VectorSpace._derived(v.dim, lambda: (f"{l}*" for l in v.labels))
 
 
 def tensor_space(v: VectorSpace, w: VectorSpace) -> VectorSpace:
-    labels = tuple(f"{a}⊗{b}" for a in v.labels for b in w.labels)
-    return VectorSpace(v.dim * w.dim, labels)
+    return VectorSpace._derived(v.dim * w.dim,
+                                lambda: (f"{a}⊗{b}" for a in v.labels for b in w.labels))
 
 
 def tensor_spaces(spaces: Sequence[VectorSpace]) -> VectorSpace:
-    if not spaces:
-        return VectorSpace.ground()
-    out = spaces[0]
-    for s in spaces[1:]:
-        out = tensor_space(out, s)
-    return out
+    """The tensor product of the spaces in order, Q for none; its labels are
+    those of the nested `tensor_space`s."""
+    if len(spaces) <= 1:
+        return spaces[0] if spaces else VectorSpace.ground()
+    spaces = tuple(spaces)
+    return VectorSpace._derived(
+        math.prod(s.dim for s in spaces),
+        lambda: map("⊗".join, itertools.product(*(s.labels for s in spaces))))
 
 
 def _coerce_fraction(x) -> Fraction:
@@ -717,7 +770,8 @@ def cokernel(f: LinearMap) -> Quotient:
     # the columns of f are the rows of its transpose; row k of the projection
     # is their kernel vector at the k-th free column
     vecs = _kernel_vectors(f._cols, W.dim, sign_normalize=False)
-    q_space = VectorSpace(len(vecs), tuple(f"[{W.labels[j]}]" for j in vecs))
+    free = tuple(vecs)
+    q_space = VectorSpace._derived(len(free), lambda: (f"[{W.labels[j]}]" for j in free))
     projection = _from_columns(W, q_space, _transposed(vecs.values(), W.dim))
     section = LinearMap(q_space, W, tuple({j: 1} for j in vecs), 1)
     return Quotient(W, q_space, projection, section)
@@ -738,10 +792,9 @@ def stack_vertical(maps: Sequence[LinearMap]) -> LinearMap:
 
 
 def direct_sum_space(spaces: Sequence[VectorSpace]) -> VectorSpace:
-    labels = []
-    for k, s in enumerate(spaces):
-        labels.extend(f"c{k}:{l}" for l in s.labels)
-    return VectorSpace(sum(s.dim for s in spaces), tuple(labels))
+    spaces = tuple(spaces)
+    return VectorSpace._derived(sum(s.dim for s in spaces), lambda: (
+        f"c{k}:{l}" for k, s in enumerate(spaces) for l in s.labels))
 
 
 def from_blocks(
@@ -778,11 +831,9 @@ def from_blocks(
 
 def hom_space(x: VectorSpace, y: VectorSpace) -> VectorSpace:
     if y.dim == 1:
-        return VectorSpace(x.dim, tuple(f"{l}*" for l in x.labels))
-    return VectorSpace(
-        x.dim * y.dim,
-        tuple(f"{lx}↦{ly}" for lx in x.labels for ly in y.labels),
-    )
+        return dual_space(x)
+    return VectorSpace._derived(x.dim * y.dim,
+                                lambda: (f"{lx}↦{ly}" for lx in x.labels for ly in y.labels))
 
 
 def hom_precompose(p: LinearMap, y: VectorSpace) -> LinearMap:

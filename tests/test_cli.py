@@ -430,6 +430,20 @@ class TestCheckCommand:
         assert any(n.startswith("[regular-cochains]") for n in names)
         assert any(n.startswith("[cup:ac]") for n in names)
 
+    def test_carrier_labels_holding_a_tensor_sign(self, tmp_path, capsys):
+        """Z/2 on the basis ["a", "a⊗a"]: the labels are unique, although
+        "a⊗a⊗a" spells two basis tensors of H (x) H, so the spec is checked."""
+        data = json.loads(json.dumps(z2cup_data()["hopf_algebras"]["z2"])
+                          .replace('"1"', '"a"').replace('"g"', '"a⊗a"'))
+        assert data["basis"] == ["a", "a⊗a"]
+        spec = {"hopf_algebras": {"z2": data},
+                "constructions": {"z2-algebra": {"type": "plain", "algebra": "z2",
+                                                 "degree_cap": 2}}}
+        assert main(["check", write_spec(tmp_path, spec), "--format", "json"]) == 0
+        report = report_of(capsys)
+        assert report["passed"]
+        assert any(c["name"].startswith("[z2-algebra]") for c in report["checks"])
+
     def test_coefficients_with_a_zero_contratensor_product(self, tmp_path, capsys):
         """The sign character against the counit contramodule: both pass
         their checks, their contratensor product is zero, and the

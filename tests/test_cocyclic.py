@@ -137,6 +137,16 @@ def test_plain_z2_all_identities(z2):
     assert [s.dim for s in module.spaces] == [2 ** (n + 1) for n in range(CAP + 1)]
 
 
+def test_carrier_labels_may_hold_a_tensor_sign():
+    """Only a carrier's own labels must be unique: with "a" and "a⊗a", the
+    derived label "a⊗a⊗a" names two basis tensors of the degree-1 domain."""
+    h = group_algebra(cyclic_group_table(2), labels=["a", "a⊗a"])
+    module = plain_algebra_cocyclic(h.algebra, degree_cap=2)
+    report = verify_cocyclic(module, "plain cochains of Q[Z/2]")
+    assert report.passed, failures(report)
+    assert module.spaces[1].labels.count("a⊗a⊗a*") == 2
+
+
 def test_equivariant_constructions_all_identities(construction_suite):
     for name, module in construction_suite.items():
         report = verify_cocyclic(module, name)

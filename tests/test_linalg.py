@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -817,3 +818,22 @@ class TestLabels:
             VectorSpace(2, ("a", "a"))
         with pytest.raises(LinAlgError, match="dim does not match"):
             VectorSpace(3, ("a", "b"))
+
+    def test_spaces_stay_immutable_and_copyable(self):
+        derived = tensor_space(self.ab, self.xy)
+        for space in (self.ab, derived):
+            with pytest.raises(AttributeError):
+                space.dim = 5
+        assert derived.dim == 4
+        for copied in (copy.copy(derived), copy.deepcopy(derived),
+                       pickle.loads(pickle.dumps(derived))):
+            assert copied == derived and copied.labels == derived.labels
+
+    def test_labels_are_spelled_only_when_read(self):
+        """A space of 10**8 basis vectors is built at once; its labels are
+        only spelled on a read."""
+        ten = VectorSpace.make(10, "t")
+        big = tensor_spaces([ten] * 8)
+        assert big.dim == 10 ** 8
+        assert tensor_space(big, big).dim == 10 ** 16
+        assert hom_space(big, ten).dim == dual_space(big).dim * 10
