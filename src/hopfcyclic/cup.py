@@ -34,7 +34,9 @@ transformer out of the target algebra's tensor power.
 Each fact is checked once: `check_bicocyclic` reads its row and column
 entries off one `verify_cocyclic` of each factor, its cross entries hold by
 the interchange law of the Kronecker product, and psi decides its
-well-definedness once per setup, degree and variant.
+well-definedness once per setup, degree and variant.  Each comparison map is
+built once per setup, degree and variant, and the contratensor-valued
+products share the scalar target tower when L is one-dimensional.
 """
 
 from __future__ import annotations
@@ -540,17 +542,23 @@ class _CupSetup:
     tensor_values: Contratensor
     pair_collapse: Optional[LinearMap]
     scalar_target: CocyclicModule
+    # the scalar target itself when L is one-dimensional (`_cup_setup`)
     tensor_target: CocyclicModule
     # ("transformer", n) -> the family's transformer (`_transformer`);
-    # ("psi", q, tensor_valued) -> that variant's `_psi_relation_witnesses`;
-    # each built on first use
+    # ("psi", q, tensor_valued) -> that variant's psi and the basis maps that
+    # see the relations (`_psi`); ("phi", n, tensor_valued) -> that variant's
+    # `phi_matrix`; ("convolution target", one_dimensional) -> the target
+    # tower of `check_psi`, shared by the variants whose values have
+    # dimension 1; each built on first use
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _cup_setup(cls, algebra: ModuleAlgebra, coefficients, degree_cap: int,
                target: Algebra, left, right, **parts):
     """A `cls` setup on the cochain complexes `left` and `right`, with
-    products in the cochains of `target`."""
+    products in the cochains of `target`.  Cochains with values in a
+    one-dimensional L have the labels and operators of scalar cochains, so
+    then both variants share the scalar target tower."""
     module, contra, pair = coefficients
     bicomplex = tensor_bicocyclic(left.module, right.module)
     tensor_values = contratensor(module, contra)
@@ -558,12 +566,14 @@ def _cup_setup(cls, algebra: ModuleAlgebra, coefficients, degree_cap: int,
     if pair is not None:
         require(check_compatible_pair(pair), "coefficient pair")
         pair_collapse = collapse_map(pair, tensor_values)
+    scalar_target = plain_algebra_cocyclic(target, None, degree_cap)
     return cls(
         algebra=algebra, module=module, contramodule=contra, pair=pair,
         degree_cap=degree_cap, bicomplex=bicomplex, diagonal_module=diagonal(bicomplex),
         tensor_values=tensor_values, pair_collapse=pair_collapse,
-        scalar_target=plain_algebra_cocyclic(target, None, degree_cap),
-        tensor_target=plain_algebra_cocyclic(target, tensor_values.space, degree_cap),
+        scalar_target=scalar_target,
+        tensor_target=(scalar_target if tensor_values.space.dim == 1 else
+                       plain_algebra_cocyclic(target, tensor_values.space, degree_cap)),
         **parts)
 
 
@@ -693,20 +703,30 @@ def _comparison_end(setup, n: int, tensor_valued: bool, build, factors,
 def _psi(setup: ConvolutionCupSetup, q: int,
          tensor_valued: bool) -> tuple[LinearMap, list[int]]:
     """psi at degree q, and the algebra-cochain basis maps that see the
-    coalgebra-side relations (`_psi_relation_witnesses`).
+    coalgebra-side relations, built once per setup, degree and variant.
 
     Column (i, j) is collapse o (phi_i o f_u (x) id_N) on the representative
     of quotient basis vector j, for every product f_u = f_{u_0} (x) ... (x)
-    f_{u_q} of convolution basis maps (`_psi_transformer`).
+    f_{u_q} of convolution basis maps (`_psi_transformer`).  The same end
+    applied to the product with the balancing relations gives the basis maps
+    whose products with them do not vanish; psi is well defined on the
+    quotient when there are none.  That relation product is the widest map
+    psi needs.
     """
-    x, y = setup.algebra_cochains, setup.coalgebra_cochains
-    # Hom(A^{(q+1)}, M) (x) N (x) C^{(q+1)} -> Hom(C^{(q+1)} (x) A^{(q+1)}, N (x) M)
-    factors = [x.domains[q], x.values, setup.module.space,
-               tensor_spaces([setup.coalgebra.space] * (q + 1))]
-    end = _comparison_end(setup, q, tensor_valued, _psi_transformer, factors, [3, 0, 2, 1])
-    out = end @ tensor_map(x.subspaces[q].basis, y.quotients[q].section)
-    return (relabel(out, setup.diagonal_module.spaces[q]),
-            _psi_relation_witnesses(setup, q, tensor_valued, end))
+    memo, key = setup._memo, ("psi", q, tensor_valued)
+    if key not in memo:
+        x, y = setup.algebra_cochains, setup.coalgebra_cochains
+        # Hom(A^{(q+1)}, M) (x) N (x) C^{(q+1)} -> Hom(C^{(q+1)} (x) A^{(q+1)}, N (x) M)
+        factors = [x.domains[q], x.values, setup.module.space,
+                   tensor_spaces([setup.coalgebra.space] * (q + 1))]
+        end = _comparison_end(setup, q, tensor_valued, _psi_transformer, factors,
+                              [3, 0, 2, 1])
+        out = end @ tensor_map(x.subspaces[q].basis, y.quotients[q].section)
+        seen = end @ tensor_map(x.subspaces[q].basis, y.relations[q])
+        width = y.relations[q].source.dim
+        memo[key] = (relabel(out, setup.diagonal_module.spaces[q]),
+                     sorted({j // width for j in seen.nonzero_columns()}))
+    return memo[key]
 
 
 def _psi_transformer(setup: ConvolutionCupSetup, q: int) -> LinearMap:
@@ -718,24 +738,6 @@ def _psi_transformer(setup: ConvolutionCupSetup, q: int) -> LinearMap:
     return regroup @ tensor_power_map(setup.convolution.subspace.basis, q + 1)
 
 
-def _psi_relation_witnesses(setup: ConvolutionCupSetup, q: int, tensor_valued: bool,
-                            end: LinearMap) -> list[int]:
-    """The algebra-cochain basis maps whose products with the coalgebra-side
-    relations do not vanish under `end`, the Hom-vector builder of psi for
-    this variant.  psi is well defined on the quotient when there are none.
-
-    The relation product is the widest map psi needs, and it depends only on
-    the setup, the degree and the variant, so it is built once for each.
-    """
-    memo, key = setup._memo, ("psi", q, tensor_valued)
-    if key not in memo:
-        x, y = setup.algebra_cochains, setup.coalgebra_cochains
-        seen = end @ tensor_map(x.subspaces[q].basis, y.relations[q])
-        width = y.relations[q].source.dim
-        memo[key] = sorted({j // width for j in seen.nonzero_columns()})
-    return memo[key]
-
-
 def psi_matrix(setup: ConvolutionCupSetup, q: int, tensor_valued: bool) -> LinearMap:
     """Diagonal degree-q space -> Hom(B^{(q+1)}, V), B the convolution algebra.
 
@@ -744,8 +746,8 @@ def psi_matrix(setup: ConvolutionCupSetup, q: int, tensor_valued: bool) -> Linea
     Well-definedness on the coalgebra-side quotient is verified by the same
     product against the balancing relations: every algebra-cochain basis map
     must annihilate them, else the map would depend on the chosen
-    representatives.  That product is built once per setup, degree and
-    variant; a map that sees the relations is refused on every call.
+    representatives.  Map and verdict are built once per setup, degree and
+    variant (`_psi`); a map that sees the relations is refused on every call.
     """
     _require_degree(setup.diagonal_module, q, "the comparison map")
     out, bad = _psi(setup, q, tensor_valued)
@@ -808,14 +810,18 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, tensor_valued: bool) -> Li
     Column (r, i) is collapse o (psi_r (x) phi_i) o transformer for the basis
     cochains psi_r and phi_i, read as a Hom vector.  All columns come from
     one Kronecker product of the two cochain bases (`_phi_transformer`).
+    The map is built once per setup, degree and variant.
     """
     _require_degree(setup.diagonal_module, n, "the comparison map")
-    x, y = setup.comodule_cochains, setup.algebra_cochains
-    # Hom(D, N) (x) Hom(E, M) -> Hom(D (x) E, N (x) M) reorders the factors
-    end = _comparison_end(setup, n, tensor_valued, _phi_transformer,
-                          [x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3])
-    return relabel(end @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis),
-                   setup.diagonal_module.spaces[n])
+    memo, key = setup._memo, ("phi", n, tensor_valued)
+    if key not in memo:
+        x, y = setup.comodule_cochains, setup.algebra_cochains
+        # Hom(D, N) (x) Hom(E, M) -> Hom(D (x) E, N (x) M) reorders the factors
+        end = _comparison_end(setup, n, tensor_valued, _phi_transformer,
+                              [x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3])
+        memo[key] = relabel(end @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis),
+                            setup.diagonal_module.spaces[n])
+    return memo[key]
 
 
 # --------------------------------------------------------------------------
@@ -848,8 +854,13 @@ def check_psi(setup: ConvolutionCupSetup, tensor_valued: bool = False) -> Report
         maps[q], bad = _psi(setup, q, tensor_valued)
         rep.add(f"well defined on the relation subspace (degree {q})",
                 not bad, "" if not bad else f"basis maps {bad} see the relations")
-    target = plain_algebra_cocyclic(setup.convolution.algebra, values, setup.degree_cap)
-    _check_cyclic_map(rep, setup.diagonal_module, target, maps)
+    # as in `_cup_setup`, values of dimension 1 give the scalar cochains
+    memo, key = setup._memo, ("convolution target", values.dim == 1)
+    if key not in memo:
+        memo[key] = plain_algebra_cocyclic(setup.convolution.algebra,
+                                           None if values.dim == 1 else values,
+                                           setup.degree_cap)
+    _check_cyclic_map(rep, setup.diagonal_module, memo[key], maps)
     return rep
 
 

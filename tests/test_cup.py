@@ -744,6 +744,38 @@ def test_two_dimensional_values(setup_ac_block):
         assert bb_digest(out) == digest, (p, q)
 
 
+def test_one_dimensional_values_share_the_scalar_target(demo_setups, setup_ac_grouplike,
+                                                       setup_ac_block):
+    """Cochains with values in a one-dimensional L have the labels and
+    operators of scalar cochains, so both variants read one target tower
+    (and one set of b, B and N); a two-dimensional L gets a tower of its own."""
+    for setup in (*demo_setups, setup_ac_grouplike):
+        assert setup.tensor_values.space.dim == 1
+        assert setup.tensor_target is setup.scalar_target
+        fresh = plain_algebra_cocyclic(setup._base, setup.tensor_values.space, 3)
+        assert setup.tensor_target == fresh
+    assert setup_ac_block.tensor_target is not setup_ac_block.scalar_target
+    for tensor_valued in (False, True):
+        assert check_psi(setup_ac_grouplike, tensor_valued).passed
+    assert [k for k in setup_ac_grouplike._memo if k[0] == "convolution target"] == \
+        [("convolution target", True)]
+
+
+def test_comparison_maps_are_built_once_per_variant(demo_setups, setup_ac_unpaired):
+    """Repeated calls return the map built by the first, one per variant, and
+    a variant that is refused stays refused."""
+    for setup, comparison in zip(demo_setups, (psi_matrix, phi_matrix)):
+        for n in range(4):
+            scalar, general = comparison(setup, n, False), comparison(setup, n, True)
+            assert comparison(setup, n, False) is scalar
+            assert comparison(setup, n, True) is general
+            assert general is not scalar and general == scalar
+    assert psi_matrix(setup_ac_unpaired, 1, True) is psi_matrix(setup_ac_unpaired, 1, True)
+    for _ in range(2):
+        with pytest.raises(LinAlgError, match="no compatible pairing"):
+            psi_matrix(setup_ac_unpaired, 1, False)
+
+
 @pytest.mark.parametrize("which", ["ac", "aa"])
 @pytest.mark.parametrize("part", ["diagonal", "blocks", "b", "B", "aw", "check"])
 def test_bicomplex_layer_is_pinned(demo_setups, which, part):
