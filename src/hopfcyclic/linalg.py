@@ -87,6 +87,8 @@ class VectorSpace:
 
     @staticmethod
     def make(dim: int, prefix: str = "e") -> "VectorSpace":
+        if dim < 0:
+            raise LinAlgError("dim does not match number of labels")
         return VectorSpace._derived(dim, lambda: (f"{prefix}{i}" for i in range(dim)))
 
     @staticmethod

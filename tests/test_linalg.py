@@ -791,6 +791,8 @@ class TestLabels:
     def test_made_and_summed_labels(self):
         assert VectorSpace.make(3, "p").labels == ("p0", "p1", "p2")
         assert VectorSpace.make(0).labels == ()
+        with pytest.raises(LinAlgError, match="dim does not match"):
+            VectorSpace.make(-1)
         assert direct_sum_space([self.ab, VectorSpace.make(0), self.xy]).labels == (
             "c0:a", "c0:b", "c2:x", "c2:y")
 
