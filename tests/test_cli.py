@@ -28,6 +28,7 @@ CATALOG = str(DEMO / "builtin_catalog.json")
 PLAIN = str(DEMO / "plain_rationals.json")
 Z2CUP = str(DEMO / "z2_cup.json")
 SWEEDLER = str(DEMO / "sweedler_plain.json")
+S3PLAIN = str(DEMO / "s3_plain.json")
 DATA = Path(__file__).resolve().parent / "data"
 Z2CUP_GOLDEN = DATA / "z2_cup_report.json"
 # variant -> (p, q, left, right) of each pinned `hcc cup` demo run
@@ -678,6 +679,14 @@ class TestDeterminism:
         out = self.run_twice(capsys, ["cohomology", SWEEDLER, "sweedler-algebra",
                                       "--max-degree", "4", "--format", "json"])
         golden = DATA / "sweedler_plain_cohomology_report.json"
+        assert out == golden.read_text(encoding="utf-8")
+
+    def test_s3_cohomology_matches_golden_report(self, capsys):
+        """The HH and HC bases of the plain tower of Q[S3] up to degree 3, the
+        largest catalog carrier, are pinned by a committed report."""
+        out = self.run_twice(capsys, ["cohomology", S3PLAIN, "s3-algebra",
+                                      "--max-degree", "3", "--format", "json"])
+        golden = DATA / "s3_plain_cohomology_report.json"
         assert out == golden.read_text(encoding="utf-8")
 
     def test_cohomology_reports_byte_identical(self, capsys):
