@@ -105,8 +105,14 @@ def _check_object(obj) -> Report:
 
 
 def _check_cup_family(spec: SpecFile, family: str, cap: int) -> Report:
-    setup = spec.build_cup_setup(family, cap)
+    """The comparison-map checks of a cup family; a setup the engine refuses
+    is one failed entry, so the other objects' checks are still reported."""
     rep = Report(f"cup {family}")
+    try:
+        setup = spec.build_cup_setup(family, cap)
+    except LinAlgError as exc:
+        rep.add("setup refused", False, str(exc))
+        return rep
     rep.extend(setup._check_comparison(tensor_valued=True), prefix="contratensor: ")
     if setup.pair_collapse is not None:
         rep.extend(setup._check_comparison(tensor_valued=False), prefix="scalar: ")

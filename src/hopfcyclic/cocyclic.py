@@ -23,6 +23,17 @@ with coface, codegeneracy and cyclic operators.  This module provides
   * Hochschild and cyclic cohomology in degrees below the tower cap, with
     deterministic representatives.
 
+Normalized cochains.  N^n is the joint kernel of the codegeneracies out of
+degree n.  When every row of every one of them holds at most one nonzero,
+which is checked on the maps, never assumed, N^n is the coordinate subspace
+of the columns no codegeneracy touches and is read off without elimination.
+The plain tower and the balanced-functional, colinear and contramodule-valued
+towers pass that check; the coalgebra tower, a quotient, does not and falls
+back to elimination.  Hochschild cohomology is solved on N where N^{n-1} and
+N^n are coordinate: by the normalization theorem the classes R found there,
+lifted, span ker b_n together with I = im b_{n-1}, and the RREF of I + span(R)
+is unique, so the representatives are those of the full complex.
+
 Every quantity outside its degree range is refused by one rule, `_require_degree`.
 
 Operator assembly.  Four constructions are cochains Hom([lead (x)] A^{(n+1)}, V)
@@ -54,13 +65,16 @@ from .linalg import (
     Subspace,
     VectorSpace,
     cokernel,
+    coordinate_kernel,
     dual_space,
     hom_space,
     partial_transpose,
     relabel,
+    row_echelon,
     rref,
     slot_map,
     solve_constrained_subspace,
+    stack_vertical,
     subspace_from_kernel,
     tensor_map,
     tensor_permutation,
@@ -89,8 +103,10 @@ class CocyclicModule:
     faces: tuple[tuple[LinearMap, ...], ...]
     degeneracies: tuple[tuple[LinearMap, ...], ...]
     cyclic: tuple[LinearMap, ...]
-    # ("b", n) / ("B", n) / ("N", n) / ("fixed", n) -> full_b / full_B /
-    # normalized_cochains / _cyclic_fixed of this tower, built on first use
+    # ("b", n) / ("B", n) / ("N", n) / ("N coordinate", n) / ("bN", n) / ("P", n) /
+    # ("fixed", n) -> full_b / full_B / normalized_cochains / _coordinate_cochains /
+    # _normalized_b / normalization_projector / _cyclic_fixed of this tower,
+    # built on first use
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -613,18 +629,51 @@ def lambda_operator(module: CocyclicModule, n: int) -> LinearMap:
 
 def normalized_cochains(module: CocyclicModule, n: int) -> Subspace:
     """The normalized cochains N^n, the joint kernel of the codegeneracies out
-    of degree n, built once per tower; its basis is read off the RREF."""
+    of degree n, built once per tower.  Its basis is the RREF kernel basis,
+    the identity on its support rows.  When every row of every codegeneracy
+    holds at most one nonzero, which is checked, N^n is the coordinate
+    subspace of the columns no codegeneracy touches and is read off them
+    (`_coordinate_cochains`); otherwise the stacked codegeneracies are
+    eliminated."""
     _require_degree(module, n, "the normalized cochains")
     memo = module._memo
     if ("N", n) not in memo:
-        memo["N", n] = solve_constrained_subspace(module.spaces[n],
-                                                  list(module.degeneracies[n]), prefix="n")
+        coordinate = _coordinate_cochains(module, n)
+        memo["N", n] = coordinate if coordinate is not None else solve_constrained_subspace(
+            module.spaces[n], list(module.degeneracies[n]), prefix="n")
     return memo["N", n]
 
 
+def _coordinate_cochains(module: CocyclicModule, n: int) -> Optional[Subspace]:
+    """N^n as a coordinate subspace when the codegeneracies out of degree n
+    allow it, else None; checked once per tower."""
+    memo = module._memo
+    if ("N coordinate", n) not in memo:
+        memo["N coordinate", n] = coordinate_kernel(module.spaces[n], module.degeneracies[n],
+                                                    prefix="n")
+    return memo["N coordinate", n]
+
+
+def _normalized_b(module: CocyclicModule, n: int) -> LinearMap:
+    """The Hochschild coboundary N^n -> N^{n+1}, verified, built once per tower."""
+    memo = module._memo
+    if ("bN", n) not in memo:
+        memo["bN", n] = _induced(
+            full_b(module, n), normalized_cochains(module, n), normalized_cochains(module, n + 1),
+            f"the Hochschild coboundary leaves the normalized complex at degree {n}")
+    return memo["bN", n]
+
+
 def normalization_projector(module: CocyclicModule, n: int) -> LinearMap:
-    """Idempotent onto the joint kernel of the codegeneracies at degree n."""
+    """Idempotent onto N^n, the joint kernel of the codegeneracies at degree n,
+    along the images of the cofaces d_1, ..., d_n into degree n: the product
+    of the factors id - d_{j+1} s_j, j = 0..n-1, each of which kills the image
+    of d_{j+1}.  Built and checked (every s_j misses it, it is idempotent)
+    once per tower."""
     _require_degree(module, n, "the normalization projector")
+    memo = module._memo
+    if ("P", n) in memo:
+        return memo["P", n]
     out = LinearMap.identity(module.spaces[n])
     for j in range(n):
         factor = LinearMap.identity(module.spaces[n]) - (
@@ -635,6 +684,7 @@ def normalization_projector(module: CocyclicModule, n: int) -> LinearMap:
             raise LinAlgError(f"normalization projector misses s{j} at degree {n}")
     if out @ out != out:
         raise LinAlgError(f"normalization projector is not idempotent at degree {n}")
+    memo["P", n] = out
     return out
 
 
@@ -651,10 +701,7 @@ class MixedComplexView:
 def mixed_complex(module: CocyclicModule) -> MixedComplexView:
     cap = module.degree_cap
     normalized = tuple(normalized_cochains(module, n) for n in range(cap + 1))
-    b = tuple(
-        _induced(full_b(module, n), normalized[n], normalized[n + 1],
-                 f"the Hochschild coboundary leaves the normalized complex at degree {n}")
-        for n in range(cap))
+    b = tuple(_normalized_b(module, n) for n in range(cap))
     big_b = (None, *(
         _induced(full_B(module, n), normalized[n], normalized[n - 1],
                  f"the Connes boundary leaves the normalized complex at degree {n}")
@@ -687,30 +734,68 @@ class CohomologyResult:
     space: VectorSpace
 
 
-def _quotient_representatives(b: LinearMap, b_prev: LinearMap, n: int):
-    """Deterministic representatives of ker b / im b_prev at degree n.
-
-    The image lies in the kernel exactly when b o b_prev = 0, one product.
-    The representatives are the RREF rows of the kernel whose pivots are not
-    pivots of the image.  Past the kernel of b, the image rows and the kernel
-    rows are each eliminated once, apart.
-    """
+def _require_square_zero(b: LinearMap, b_prev: LinearMap, n: int) -> None:
+    """The image of b_prev lies in the kernel of b exactly when b o b_prev = 0,
+    one product."""
     if not (b @ b_prev).is_zero():
         raise LinAlgError(f"coboundary square is nonzero entering degree {n}")
-    image_pivots = set(rref(b_prev.transpose())[1])
+
+
+def _quotient_representatives(b: LinearMap, b_prev: LinearMap) -> list[tuple[Fraction, ...]]:
+    """Deterministic representatives of ker b / im b_prev, for b o b_prev = 0:
+    the RREF rows of the kernel whose pivots are not pivots of the image.
+    Past the kernel of b, the image rows and the kernel rows are each
+    eliminated once, apart."""
+    image_pivots = set(row_echelon(b_prev.transpose())[1])
     rows, pivots = rref(subspace_from_kernel(b).basis.transpose())
     return [tuple(row) for row, p in zip(rows, pivots) if p not in image_pivots]
 
 
 def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
-    """ker b / im b at degree n on the full (unnormalized) complex."""
+    """ker b / im b at degree n, with the representatives of the full complex:
+    the RREF rows of K = ker b_n whose pivots are not pivots of I = im b_{n-1}.
+
+    The check b_n o b_{n-1} = 0 runs on the full complex.  When N^{n-1} and
+    N^n are coordinate subspaces (`normalized_cochains`), the classes are
+    solved on the normalized complex, which has the same cohomology (the
+    normalization theorem for cosimplicial modules): R, the representatives
+    of ker(b|N^n) / im(b|N^{n-1}), lifted to C^n, gives K = I + span(R).  The
+    RREF of K is unique, so eliminating the RREF rows of I together with R
+    gives it, and its rows whose pivots are not pivots of I are the
+    representatives.  Where N^n must be eliminated (the coalgebra tower, a
+    quotient), K is eliminated on the full complex instead.
+    """
     _require_degree(module, n, "Hochschild cohomology", high=module.degree_cap - 1)
     b_n = full_b(module, n)
     b_prev = LinearMap.zero(VectorSpace.make(0), module.spaces[n])
     if n >= 1:
         b_prev = full_b(module, n - 1)
-    reps = _quotient_representatives(b_n, b_prev, n)
+    _require_square_zero(b_n, b_prev, n)
+    if any(_coordinate_cochains(module, d) is None for d in range(max(n - 1, 0), n + 1)):
+        reps = _quotient_representatives(b_n, b_prev)
+    else:
+        reps = _normalized_representatives(module, n, b_n, b_prev)
     return CohomologyResult(n, len(reps), tuple(reps), module.spaces[n])
+
+
+def _normalized_representatives(module: CocyclicModule, n: int, b_n: LinearMap,
+                                b_prev: LinearMap) -> list[tuple[Fraction, ...]]:
+    """The representatives of `hochschild_cohomology` at degree n, from the
+    classes R solved on N and the RREF rows of I = im b_{n-1}."""
+    normalized = normalized_cochains(module, n)
+    into = LinearMap.zero(VectorSpace.make(0), normalized.space)
+    if n >= 1:
+        into = _normalized_b(module, n - 1)
+    classes = _quotient_representatives(b_n @ normalized.basis, into)
+    if not classes:
+        return []
+    image, image_pivots = row_echelon(b_prev.transpose())
+    lifted = LinearMap.from_rows(module.spaces[n], VectorSpace.make(len(classes)),
+                                 [normalized.basis.apply(c) for c in classes])
+    rows, pivots = row_echelon(stack_vertical([image, lifted]))
+    dense = rows.transpose()
+    image_pivots = set(image_pivots)
+    return [tuple(dense.column(k)) for k, p in enumerate(pivots) if p not in image_pivots]
 
 
 def _cyclic_fixed(module: CocyclicModule, n: int) -> Subspace:
@@ -735,6 +820,8 @@ def cyclic_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     if n >= 1:
         image = _induced(full_b(module, n - 1), _cyclic_fixed(module, n - 1), fixed,
                          f"the coboundary does not preserve the cyclic eigenspace at degree {n}")
-    reps = _quotient_representatives(full_b(module, n) @ fixed.basis, image, n)
+    b_n = full_b(module, n) @ fixed.basis
+    _require_square_zero(b_n, image, n)
+    reps = _quotient_representatives(b_n, image)
     ambient_reps = tuple(tuple(fixed.basis.apply(r)) for r in reps)
     return CohomologyResult(n, len(reps), ambient_reps, module.spaces[n])

@@ -616,10 +616,18 @@ def _rows(mat: LinearMap) -> list[dict[int, int]]:
     return _transposed(mat._cols, mat.target.dim)
 
 
+def row_echelon(mat: LinearMap) -> tuple[LinearMap, list[int]]:
+    """The nonzero rows of the reduced row echelon form, as the rows of a map
+    on mat.source in pivot order, and their pivot columns.  The RREF is
+    unique, so it does not depend on the rows `_eliminate` pivots on."""
+    rows, pivots = _eliminate(_rows(mat), mat.source.dim)
+    return _from_columns(mat.source, VectorSpace.make(len(rows), "r"),
+                         _transposed(rows, mat.source.dim)), pivots
+
+
 def rref(mat: LinearMap) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form as dense rows, zero rows last, and the pivot
-    columns; it is unique, so it does not depend on the rows `_eliminate`
-    pivots on."""
+    """The RREF of `row_echelon` as dense rows, zero rows last, and the pivot
+    columns."""
     rows, pivots = _eliminate(_rows(mat), mat.source.dim)
     zero_rows = [{}] * (mat.target.dim - len(rows))
     return [_dense(row, mat.source.dim) for row in rows + zero_rows], pivots
@@ -750,6 +758,30 @@ def solve_constrained_subspace(
     if not mats:
         return _subspace(space, [{i: Fraction(1)} for i in range(space.dim)], prefix)
     return subspace_from_kernel(stack_vertical(mats), prefix)
+
+
+def coordinate_kernel(space: VectorSpace, constraints: Sequence[LinearMap],
+                      prefix: str = "k") -> Optional[Subspace]:
+    """The joint kernel of the constraints when every row of every one holds
+    at most one nonzero, None otherwise.  A row a e_c vanishes on x exactly
+    when x_c = 0, so the kernel is the coordinate subspace of the columns no
+    constraint touches: the subspace `solve_constrained_subspace` finds by
+    elimination, the same basis, supports and labels, read off the nonzeros."""
+    touched = set()
+    for c in constraints:
+        if c.source.dim != space.dim:
+            raise LinAlgError("constraint source does not match the common space")
+        rows = set()
+        for j, col in enumerate(c._cols):
+            if col:
+                if not rows.isdisjoint(col):
+                    return None
+                rows.update(col)
+                touched.add(j)
+    free = [j for j in range(space.dim) if j not in touched]
+    sub = VectorSpace.make(len(free), prefix)
+    return Subspace(space, sub, LinearMap(sub, space, tuple({j: 1} for j in free), 1),
+                    tuple(free))
 
 
 @dataclass(frozen=True)

@@ -484,12 +484,35 @@ def contramodule_failing_its_counit(data):
      "--right", "omega"],
 ], ids=["check", "cup"])
 def test_engine_refusal_exit_2(tmp_path, capsys, change, text, command):
-    """A cup setup the engine refuses is an input error: exit 2 with the
-    refusal on stderr, not a traceback."""
+    """A cup setup the engine refuses is an input error of `hcc cup`: exit 2
+    with the refusal on stderr, not a traceback.  `hcc check` reports it as
+    the family's one failed entry and exits 1."""
     data = z2cup_data()
     change(data)
-    assert main([command[0], write_spec(tmp_path, data), *command[1:]]) == 2
-    assert capsys.readouterr().err == f"hcc: {text}\n"
+    status = main([command[0], write_spec(tmp_path, data), *command[1:]])
+    out, err = capsys.readouterr()
+    if command[0] == "check":
+        assert (status, err) == (1, "")
+        assert out == f"check: FAIL\n  [FAIL] [cup:ac] setup refused -- {text}\n"
+    else:
+        assert (status, out, err) == (2, "", f"hcc: {text}\n")
+
+
+def test_refused_cup_family_leaves_every_other_check_reported(tmp_path, capsys):
+    """`hcc check SPEC` with a refused cup.ac setup still reports the failing
+    contramodule's entries and every other object's checks, and exits 1."""
+    data = z2cup_data()
+    contramodule_failing_its_counit(data)
+    path = write_spec(tmp_path, data)
+    assert main(["check", path, "--format", "json"]) == 1
+    checks = report_of(capsys)["checks"]
+    failed = [c["name"] for c in checks if not c["passed"]]
+    assert failed == ["[zero] contra-counit", "[zero] stability", "[cup:ac] setup refused"]
+    assert main(["check", path, "zero", "--format", "json"]) == 1
+    zero = report_of(capsys)["checks"]
+    assert [c for c in checks if c["name"].startswith("[zero] ")] == zero
+    names = {c["name"].split("] ")[0] + "]" for c in checks}
+    assert {"[z2]", "[regular-cochains]", "[cup:aa]", "[grouplike]"} <= names
 
 
 class TestSpecEntries:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcyclic import cocyclic
+from hopfcyclic import cocyclic, linalg
 from hopfcyclic.coefficients import (
     check_sayd_contramodule,
     check_sayd_module,
@@ -56,13 +56,15 @@ from hopfcyclic.linalg import (
     VectorSpace,
     hom_vector_to_map,
     map_to_hom_vector,
+    rref,
+    solve_constrained_subspace,
     subspace_from_kernel,
     tensor_map,
     tensor_permutation,
     tensor_space,
     tensor_spaces,
 )
-from test_coefficients import block_module
+from test_coefficients import block_module, hopf_ladder
 
 CAP = 4
 
@@ -470,6 +472,122 @@ def test_normalized_cochains_are_built_once_per_tower(z2):
             assert (module.degeneracy(n, j) @ sub.basis).is_zero()
         assert sub.coords_matrix() @ sub.basis == LinearMap.identity(sub.space)
     assert mixed_complex(module).normalized == view.normalized
+
+
+def test_normalization_projector_is_built_once_per_tower(z2, monkeypatch):
+    """The projector and its two checks are built once per tower and degree."""
+    module = plain_algebra_cocyclic(z2.algebra, degree_cap=3)
+    products = []
+    compose = LinearMap.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(LinearMap, "__matmul__", counted)
+    first = normalization_projector(module, 2)
+    built = len(products)
+    assert built and normalization_projector(module, 2) is first
+    assert len(products) == built
+
+
+def reference_normalized(module, n):
+    """N^n by eliminating the stacked codegeneracies out of degree n."""
+    return solve_constrained_subspace(module.spaces[n], list(module.degeneracies[n]), prefix="n")
+
+
+def reference_hochschild(module, n):
+    """HH^n representatives solved on the full complex: the RREF rows of
+    ker b_n whose pivots are not pivots of im b_{n-1}."""
+    prev = full_b(module, n - 1) if n else LinearMap.zero(VectorSpace.make(0), module.spaces[n])
+    image_pivots = set(rref(prev.transpose())[1])
+    rows, pivots = rref(subspace_from_kernel(full_b(module, n)).basis.transpose())
+    return tuple(tuple(row) for row, p in zip(rows, pivots) if p not in image_pivots)
+
+
+class TestFullComplexReference:
+    """N^n read off the codegeneracies equals N^n eliminated from them, and HH
+    solved through the normalized complex has the representatives of the full
+    complex, on every builtin plain tower and the four equivariant towers."""
+
+    @staticmethod
+    def assert_matches_reference(module):
+        cap = module.degree_cap
+        for n in range(cap + 1):
+            assert normalized_cochains(module, n) == reference_normalized(module, n), n
+        for n in range(cap):
+            assert hochschild_cohomology(module, n).representatives == \
+                reference_hochschild(module, n), n
+
+    @pytest.mark.parametrize("name, cap", [(name, cap) for name, _ in hopf_ladder()
+                                           for cap in (3, 4)] + [("sweedler4", 5)])
+    def test_plain_towers(self, name, cap):
+        module = plain_algebra_cocyclic(dict(hopf_ladder())[name].algebra, degree_cap=cap)
+        assert all(cocyclic._coordinate_cochains(module, n) is not None for n in range(cap + 1))
+        self.assert_matches_reference(module)
+
+    @pytest.mark.parametrize("kind", ["coalgebra", "algebra_module", "comodule_algebra",
+                                      "algebra_contra"])
+    @pytest.mark.parametrize("hopf", ["Z/3", "sweedler4"])
+    @pytest.mark.parametrize("cap", [3, 4])
+    def test_equivariant_towers(self, kind, hopf, cap):
+        h = _pin_hopf(hopf)
+        for sigma in _passing_sigmas(h):
+            module = _equivariant_tower(kind, h, sigma, cap).module
+            coordinate = [cocyclic._coordinate_cochains(module, n) is not None
+                          for n in range(cap + 1)]
+            # the coalgebra tower is a quotient: its codegeneracies mix coordinates
+            assert coordinate == [True] + [kind != "coalgebra"] * cap
+            self.assert_matches_reference(module)
+
+
+def test_normalized_cochains_of_a_plain_tower_eliminate_nothing(monkeypatch):
+    """Every row of every codegeneracy of a plain tower holds one nonzero at
+    most, so N^n is read off them with no elimination."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("normalized_cochains eliminated")
+
+    module = plain_algebra_cocyclic(sweedler_h4().algebra, degree_cap=4)
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    for n in range(5):
+        assert normalized_cochains(module, n).dim == 4 * 3 ** n
+
+
+def test_a_codegeneracy_row_with_two_nonzeros_is_eliminated(monkeypatch):
+    """One extra nonzero in one row of one codegeneracy fails the coordinate
+    check, so N^n is eliminated and still equals the elimination reference."""
+    good = plain_algebra_cocyclic(sweedler_h4().algebra, degree_cap=3)
+    degeneracies = [list(row) for row in good.degeneracies]
+    # the extra nonzero sits in a column no codegeneracy touched, so N^2 changes
+    i, _, _ = degeneracies[2][0].first_nonzero()
+    free = normalized_cochains(good, 2).supports[0]
+    degeneracies[2][0] = perturbed(degeneracies[2][0], i, free)
+    bad = dataclasses.replace(good, degeneracies=tuple(tuple(row) for row in degeneracies))
+    eliminations = []
+    eliminate = linalg._eliminate
+
+    def counted(*args):
+        eliminations.append(1)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert cocyclic._coordinate_cochains(bad, 2) is None
+    assert cocyclic._coordinate_cochains(bad, 1) is not None
+    assert normalized_cochains(bad, 2) == reference_normalized(bad, 2)
+    assert normalized_cochains(bad, 2) != normalized_cochains(good, 2)
+    assert eliminations
+
+
+def test_hochschild_cohomology_checks_the_full_coboundary_square():
+    """A plain tower with one coface entry perturbed takes the normalized route
+    and is still refused by the product b_1 b_0 on the full complex."""
+    good = plain_algebra_cocyclic(sweedler_h4().algebra, degree_cap=3)
+    faces = [list(row) for row in good.faces]
+    faces[1][1] = perturbed(faces[1][1], 21, 6)
+    bad = dataclasses.replace(good, faces=tuple(tuple(row) for row in faces))
+    assert all(cocyclic._coordinate_cochains(bad, n) is not None for n in range(4))
+    with pytest.raises(LinAlgError, match="^coboundary square is nonzero entering degree 1$"):
+        hochschild_cohomology(bad, 1)
 
 
 def test_connes_boundary_squares_to_zero_only_after_normalization(z2):
