@@ -745,9 +745,13 @@ def _quotient_representatives(b: LinearMap, b_prev: LinearMap) -> list[tuple[Fra
     """Deterministic representatives of ker b / im b_prev, for b o b_prev = 0:
     the RREF rows of the kernel whose pivots are not pivots of the image.
     Past the kernel of b, the image rows and the kernel rows are each
-    eliminated once, apart."""
+    eliminated once, apart; a kernel no larger than the image is the image,
+    and its rows are not eliminated."""
     image_pivots = set(row_echelon(b_prev.transpose())[1])
-    rows, pivots = rref(subspace_from_kernel(b).basis.transpose())
+    kernel = subspace_from_kernel(b)
+    if kernel.dim == len(image_pivots):
+        return []
+    rows, pivots = rref(kernel.basis.transpose())
     return [tuple(row) for row, p in zip(rows, pivots) if p not in image_pivots]
 
 
