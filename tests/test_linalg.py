@@ -27,7 +27,9 @@ from hopfcyclic.linalg import (
     kernel_basis,
     map_to_hom_vector,
     partial_transpose,
+    coordinate_kernel,
     relabel,
+    row_echelon,
     rref,
     slot_map,
     solve,
@@ -288,6 +290,14 @@ class TestArithmetic:
 
 
 class TestElimination:
+    def test_row_echelon_is_the_nonzero_rref_rows(self):
+        rng = random.Random(104)
+        for _, _, f in sparse_cases(rng, 6):
+            rows, pivots = row_echelon(f)
+            dense, dense_pivots = rref(f)
+            assert pivots == dense_pivots and rows.source == f.source
+            assert rows.fractions() == dense[:len(pivots)]
+
     def test_rref_matches_sympy(self):
         rng = random.Random(103)
         for _ in range(8):
@@ -639,6 +649,27 @@ class TestQuotientsAndSubspaces:
         a = VectorSpace.make(3)
         sub = solve_constrained_subspace(a, [])
         assert sub.dim == 3
+
+    def test_coordinate_kernel_is_the_eliminated_joint_kernel(self):
+        """Constraints whose rows hold at most one nonzero each: their joint
+        kernel read off the untouched columns is the one elimination finds,
+        basis, supports and labels alike; one row with two nonzeros refuses
+        the shortcut."""
+        rng = random.Random(8)
+        for _ in range(40):
+            space = VectorSpace.make(rng.randint(0, 6), "x")
+            constraints = []
+            for _ in range(rng.randint(0, 3)):
+                target = VectorSpace.make(rng.randint(0, 4))
+                entries = [(i, rng.randrange(space.dim), rng.choice([1, -1, 2, Fraction(1, 3)]))
+                           for i in range(target.dim) if space.dim and rng.random() < 0.7]
+                constraints.append(LinearMap.from_entries(space, target, entries))
+            got = coordinate_kernel(space, constraints, prefix="n")
+            assert got == solve_constrained_subspace(space, constraints, prefix="n")
+        a = VectorSpace.make(3)
+        two = LinearMap.from_rows(a, VectorSpace.make(2), [[1, 0, 0], [0, 1, -1]])
+        assert coordinate_kernel(a, [two]) is None
+        assert solve_constrained_subspace(a, [two]).dim == 1
 
     def test_tensor_subspace_is_the_eliminated_joint_kernel(self):
         """ker A (x) ker B, built as a Kronecker product, is the joint kernel
