@@ -29,6 +29,7 @@ PLAIN = str(DEMO / "plain_rationals.json")
 Z2CUP = str(DEMO / "z2_cup.json")
 SWEEDLER = str(DEMO / "sweedler_plain.json")
 S3PLAIN = str(DEMO / "s3_plain.json")
+S3EQUIVARIANT = str(DEMO / "s3_equivariant.json")
 DATA = Path(__file__).resolve().parent / "data"
 Z2CUP_GOLDEN = DATA / "z2_cup_report.json"
 # variant -> (p, q, left, right) of each pinned `hcc cup` demo run
@@ -710,6 +711,16 @@ class TestDeterminism:
         out = self.run_twice(capsys, ["cohomology", S3PLAIN, "s3-algebra",
                                       "--max-degree", "3", "--format", "json"])
         golden = DATA / "s3_plain_cohomology_report.json"
+        assert out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("construction", ["s3-coalgebra", "s3-balanced"])
+    def test_s3_equivariant_cohomology_matches_golden_report(self, capsys, construction):
+        """The HH and HC bases of the coalgebra and balanced-functional towers
+        over Q[S3], a group with two generators, are pinned by committed
+        reports up to degree 3."""
+        out = self.run_twice(capsys, ["cohomology", S3EQUIVARIANT, construction,
+                                      "--max-degree", "3", "--format", "json"])
+        golden = DATA / f"s3_equivariant_{construction}_cohomology_report.json"
         assert out == golden.read_text(encoding="utf-8")
 
     def test_cohomology_reports_byte_identical(self, capsys):
