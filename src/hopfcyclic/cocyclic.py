@@ -56,7 +56,8 @@ from typing import NoReturn, Optional
 
 from .coefficients import SaydContramodule, SaydModule, dualize
 from .hopf import (Algebra, ComoduleAlgebra, HopfAlgebra, ModuleAlgebra, ModuleCoalgebra,
-                   equivariance_constraint)
+                   algebra_generators, comultiplication_closure, element_inclusion,
+                   equivariance_constraint, generator_action, restricted_comultiplication)
 from .linalg import (
     LinAlgError,
     LinearMap,
@@ -68,10 +69,12 @@ from .linalg import (
     coordinate_kernel,
     dual_space,
     hom_space,
+    monomial_fixed_subspace,
     partial_transpose,
     relabel,
     row_echelon,
     rref,
+    signed_sum,
     slot_map,
     solve_constrained_subspace,
     stack_vertical,
@@ -235,18 +238,32 @@ def _powers(space: VectorSpace, k: int) -> list[VectorSpace]:
 
 
 def _diagonal_actions(hopf: HopfAlgebra, action: LinearMap, powers) -> list[LinearMap]:
-    """H (x) X^{(m)} -> X^{(m)} for m = 1..k, given X^{(1)}, ..., X^{(k)}, each
-    built from the one before: h splits into h_(1) (x) h_(2), h_(2) acts on the
-    last m - 1 factors and h_(1) on the first."""
-    h, x = hopf.space.dim, action.target.dim
-    out = [action]
+    """G (x) X^{(m)} -> X^{(m)} for m = 1..k and the algebra generators G of H,
+    given X^{(1)}, ..., X^{(k)}.  Each is built from the one before on the
+    span E of the fewest basis elements that hold G and the legs of their
+    comultiplication (for a group algebra E = G, for sweedler4 E = {1, g, x}):
+    e splits into e_(1) (x) e_(2), e_(2) acts on the last m - 1 factors and
+    e_(1) on the first.  The generators' blocks are kept."""
+    generators = algebra_generators(hopf)
+    elements = comultiplication_closure(hopf, generators)
+    into = element_inclusion(hopf, elements)
+    span, comul = into.source, restricted_comultiplication(hopf, elements)
+    first = action @ tensor_map(into, LinearMap.identity(action.target))
+    out = [first]
     for rest, power in zip(powers, powers[1:]):
-        source = tensor_space(hopf.space, power)
-        split = tensor_space(hopf.space, source)
-        out.append(slot_map(action, 1, rest.dim, source, power)
-                   @ slot_map(out[-1], h, x, split, source, (rest.dim, rest.dim))
-                   @ slot_map(hopf.comul, 1, power.dim, source, split))
-    return out
+        source = tensor_space(span, power)
+        split = tensor_space(span, source)
+        out.append(slot_map(first, 1, rest.dim, source, power)
+                   @ slot_map(out[-1], span.dim, action.target.dim, split, source,
+                              (rest.dim, rest.dim))
+                   @ slot_map(comul, 1, power.dim, source, split))
+    if elements == generators:
+        return out
+    pick = LinearMap.from_entries(VectorSpace.make(len(generators)), span,
+                                  [(elements.index(g), k, 1) for k, g in enumerate(generators)])
+    return [d @ slot_map(pick, 1, power.dim, VectorSpace.make(pick.source.dim * power.dim),
+                         d.source)
+            for d, power in zip(out, powers)]
 
 
 def _diagonal_coactions(hopf: HopfAlgebra, coaction: LinearMap, powers) -> list[LinearMap]:
@@ -362,14 +379,21 @@ def _same_hopf(structure, coefficients, name: str) -> HopfAlgebra:
 
 
 def _balanced_relations(coefficients: SaydModule, action: LinearMap, powers) -> list[LinearMap]:
-    """M (x) H (x) X^{(m)} -> M (x) X^{(m)} for each given power X^{(m)}, m = 1..k:
-    the right action of the coefficients minus the diagonal action of `action`."""
+    """M (x) G (x) X^{(m)} -> M (x) X^{(m)} for each given power X^{(m)}, m = 1..k,
+    and the algebra generators G of H: the right action of the coefficients
+    minus the diagonal action of `action`, the generators' column blocks of
+    the relations on all of H.  They have the same image, since the relation
+    of a product splits into relations of its factors,
+    m.(hk) (x) x - m (x) (hk).x = [(m.h).k (x) x - m.h (x) k.x] + [m.h (x) k.x - m (x) h.(k.x)],
+    so the quotients and kernels read off the RREF of that image are unchanged."""
     h, m = coefficients.hopf, coefficients.space
-    m_h = tensor_space(m, h.space)
+    into = element_inclusion(h, algebra_generators(h))
+    right = coefficients.action @ tensor_map(LinearMap.identity(m), into)
+    m_g = tensor_space(m, into.source)
     out = []
     for power, diag in zip(powers, _diagonal_actions(h, action, powers)):
-        source, target = tensor_space(m_h, power), tensor_space(m, power)
-        out.append(slot_map(coefficients.action, 1, power.dim, source, target)
+        source, target = tensor_space(m_g, power), tensor_space(m, power)
+        out.append(slot_map(right, 1, power.dim, source, target)
                    - slot_map(diag, m.dim, 1, source, target))
     return out
 
@@ -501,9 +525,10 @@ def algebra_contra_cocyclic(algebra: ModuleAlgebra, coefficients: SaydContramodu
     h = _same_hopf(algebra, coefficients, "algebra")
     a, m_space = algebra.space, coefficients.space
 
-    # phi is equivariant when phi(t . x) = t . phi(x) for every basis element t of H
+    # phi is equivariant when phi(t . x) = t . phi(x) for every algebra generator t of H
     def equivariant(powers, ambients):
-        return [equivariance_constraint(h, diag, coefficients.action, ambient)
+        values = generator_action(h, coefficients.action)
+        return [equivariance_constraint(h, diag, values, ambient)
                 for diag, ambient in zip(_diagonal_actions(h, algebra.action, powers), ambients)]
 
     # degree 0: phi -> alpha(t (x) phi(S^{-1}(t) . a)), summed over the basis t of
@@ -600,11 +625,7 @@ def full_b(module: CocyclicModule, n: int) -> LinearMap:
     _require_degree(module, n, "the Hochschild coboundary", high=module.degree_cap - 1)
     cache = module._memo
     if ("b", n) not in cache:
-        out = module.faces[n][0]
-        for i in range(1, n + 2):
-            term = module.faces[n][i]
-            out = out + term if i % 2 == 0 else out - term
-        cache["b", n] = out
+        cache["b", n] = signed_sum([((-1) ** i, f) for i, f in enumerate(module.faces[n])])
     return cache["b", n]
 
 
@@ -613,13 +634,11 @@ def full_B(module: CocyclicModule, n: int) -> LinearMap:
     _require_degree(module, n, "the Connes boundary", low=1)
     cache = module._memo
     if ("B", n) not in cache:
-        base = module.degeneracies[n][n - 1] @ module.cyclic[n]
-        acc = base
-        power = base
+        # the sum over i of (-1)^{(n-1) i} t^i s_{n-1} t, t^i taken in degree n - 1
+        terms = [(1, module.degeneracies[n][n - 1] @ module.cyclic[n])]
         for i in range(1, n):
-            power = module.cyclic[n - 1] @ power
-            acc = acc + power if ((n - 1) * i) % 2 == 0 else acc - power
-        cache["B", n] = acc
+            terms.append(((-1) ** ((n - 1) * i), module.cyclic[n - 1] @ terms[-1][1]))
+        cache["B", n] = signed_sum(terms)
     return cache["B", n]
 
 
@@ -803,11 +822,17 @@ def _normalized_representatives(module: CocyclicModule, n: int, b_n: LinearMap,
 
 
 def _cyclic_fixed(module: CocyclicModule, n: int) -> Subspace:
-    """The fixed vectors of the signed cyclic operator at degree n, built once per tower."""
+    """The fixed vectors of the signed cyclic operator lambda at degree n,
+    built once per tower.  When lambda is monomial (one nonzero per column,
+    on distinct rows, as on every tower built here), they are read off its
+    cycles (`monomial_fixed_subspace`); otherwise ker(1 - lambda) is
+    eliminated.  Both give the same RREF kernel basis."""
     memo = module._memo
     if ("fixed", n) not in memo:
-        memo["fixed", n] = subspace_from_kernel(
-            LinearMap.identity(module.spaces[n]) - lambda_operator(module, n), prefix="l")
+        signed = lambda_operator(module, n)
+        fixed = monomial_fixed_subspace(signed, prefix="l")
+        memo["fixed", n] = fixed if fixed is not None else subspace_from_kernel(
+            LinearMap.identity(module.spaces[n]) - signed, prefix="l")
     return memo["fixed", n]
 
 

@@ -8,13 +8,14 @@ comodule algebras, coalgebra actions, and the two derived algebras those
 produce: the convolution algebra of equivariant maps and the crossed product.
 
 H-linearity is one constraint on the map space (`equivariance_constraint`),
-the convolution product one composite of Hom-space maps, and the embedding
-of the algebra the coalgebra action curried.
+read on algebra generators of H (`algebra_generators`), the convolution
+product one composite of Hom-space maps, and the embedding of the algebra
+the coalgebra action curried.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -23,6 +24,7 @@ from .linalg import (
     LinearMap,
     Subspace,
     VectorSpace,
+    basis_vector,
     dual_space,
     hom_postcompose,
     hom_precompose,
@@ -31,6 +33,7 @@ from .linalg import (
     map_to_hom_vector,
     partial_transpose,
     relabel,
+    row_echelon,
     slot_map,
     solve_constrained_subspace,
     tensor_map,
@@ -96,6 +99,8 @@ class HopfAlgebra:
     counit: LinearMap
     antipode: LinearMap
     antipode_inv: LinearMap
+    # "generators" -> algebra_generators of this Hopf algebra, built on first use
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -140,6 +145,112 @@ def check_hopf_axioms(h: HopfAlgebra) -> Report:
     rep.check_equal("antipode inverse left", h.antipode_inv @ h.antipode, i_h)
     rep.check_equal("antipode inverse right", h.antipode @ h.antipode_inv, i_h)
     return rep
+
+
+# -- algebra generators ----------------------------------------------
+#
+# Equivariance is read on algebra generators of H.  For a right action on M
+# and a left action on X, the relation of a product hk splits into relations
+# of its factors,
+#
+#   m.(hk) (x) x - m (x) (hk).x = [(m.h).k (x) x - m.h (x) k.x]
+#                                 + [m.h (x) k.x - m (x) h.(k.x)],
+#
+# and a map commuting with the actions of h and k commutes with that of hk,
+#
+#   phi((hk).x) - (hk).phi(x) = [phi(h.(k.x)) - h.phi(k.x)] + h.[phi(k.x) - k.phi(x)],
+#
+# so the relations, or the constraints, of a set of generators span those of
+# all of H.  The structure checkers still test every basis element.
+
+
+def _generated_span(h: HopfAlgebra, elements: Sequence[int]) -> int:
+    """The dimension of the subalgebra generated by the basis elements
+    `elements`: the span of the unit, multiplied on the left by them until it
+    stops growing."""
+    space = VectorSpace.make(h.dim)
+    left = [h.mul @ tensor_map(insert_vector(h.space, basis_vector(h.space, g)),
+                               LinearMap.identity(h.space)) for g in elements]
+    rows, rank = [h.unit.column(0)], 0
+    while True:
+        echelon, pivots = row_echelon(LinearMap.from_rows(space, VectorSpace.make(len(rows)),
+                                                          rows))
+        if len(pivots) == rank:
+            return rank
+        rank = len(pivots)
+        span = [echelon.transpose().column(k) for k in range(rank)]
+        rows = span + [m.apply(v) for m in left for v in span]
+
+
+def require_generators(h: HopfAlgebra, elements: Sequence[int]) -> None:
+    """Refuse basis elements of H that do not generate it as an algebra."""
+    reached = _generated_span(h, elements)
+    if reached != h.dim:
+        labels = [h.space.labels[g] for g in elements]
+        raise LinAlgError(f"the elements {labels} generate a subalgebra of dimension "
+                          f"{reached}, not all {h.dim} dimensions of the Hopf algebra")
+
+
+def algebra_generators(h: HopfAlgebra) -> tuple[int, ...]:
+    """Basis indices of a set of algebra generators of H, built once per Hopf
+    algebra: the basis is walked in order and an element is kept when it is
+    not in the subalgebra generated by those kept so far, and the kept set is
+    checked to generate H.  A group algebra gives a set of group generators
+    and sweedler4 gives {g, x}."""
+    if "generators" not in h._memo:
+        kept: list[int] = []
+        reached = _generated_span(h, kept)
+        for i in range(h.dim):
+            if reached == h.dim:
+                break
+            grown = _generated_span(h, kept + [i])
+            if grown > reached:
+                kept, reached = kept + [i], grown
+        require_generators(h, kept)
+        h._memo["generators"] = tuple(kept)
+    return h._memo["generators"]
+
+
+def element_inclusion(h: HopfAlgebra, elements: Sequence[int]) -> LinearMap:
+    """The coordinate inclusion into H of the span of the given basis
+    elements, labelled as they are in H."""
+    space = VectorSpace(len(elements), [h.space.labels[i] for i in elements])
+    return LinearMap.from_entries(space, h.space, [(i, k, 1) for k, i in enumerate(elements)])
+
+
+def generator_action(h: HopfAlgebra, action: LinearMap) -> LinearMap:
+    """G (x) X -> X, the left action H (x) X -> X on the algebra generators G."""
+    x = LinearMap.identity(action.target)
+    return action @ tensor_map(element_inclusion(h, algebra_generators(h)), x)
+
+
+def comultiplication_closure(h: HopfAlgebra, elements: Sequence[int]) -> tuple[int, ...]:
+    """The smallest set of basis indices that holds `elements` and every leg
+    of the comultiplication of its members, ascending."""
+    d = h.dim
+    closed, todo = set(elements), list(elements)
+    while todo:
+        column = h.comul.column(todo.pop())
+        for index, value in enumerate(column):
+            if value:
+                for leg in divmod(index, d):
+                    if leg not in closed:
+                        closed.add(leg)
+                        todo.append(leg)
+    return tuple(sorted(closed))
+
+
+def restricted_comultiplication(h: HopfAlgebra, elements: Sequence[int]) -> LinearMap:
+    """The comultiplication of H on the span E of basis elements closed under
+    its legs (`comultiplication_closure`), E -> E (x) E, checked exactly: it
+    is Delta on E followed by the coordinate projection, and included back
+    into H (x) H it must be Delta on E."""
+    into = element_inclusion(h, elements)
+    pair = tensor_map(into, into)
+    out = pair.transpose() @ h.comul @ into  # coordinate projection onto E (x) E
+    if pair @ out != h.comul @ into:
+        raise LinAlgError("the comultiplication has a leg outside the given elements")
+    return relabel(out, into.source, tensor_space(into.source, into.source))
 
 
 # -- builtin constructors -------------------------------------------
@@ -480,17 +591,24 @@ class ConvolutionAlgebra:
 
 def equivariance_constraint(h: HopfAlgebra, x_action: LinearMap, y_action: LinearMap,
                             maps: VectorSpace) -> LinearMap:
-    """Hom(X, Y) -> Hom(H (x) X, Y), phi -> phi o act_X - act_Y o (id (x) phi), for
-    left actions H (x) X -> X and H (x) Y -> Y, on `maps` = Hom(X, Y).
+    """Hom(X, Y) -> Hom(G (x) X, Y), phi -> phi o act_X - act_Y o (id (x) phi), for
+    the left actions G (x) X -> X and G (x) Y -> Y of the algebra generators G
+    of H (`generator_action`), on `maps` = Hom(X, Y).
 
-    Its kernel is the H-linear maps.  Row (t, x, y) is the constraint at the
-    basis element t of H, so the matrix is the per-element constraints
-    stacked.  The second term is the action of Y curried to Y -> H* (x) Y,
-    its H* leg carried past X.
+    Its kernel is the H-linear maps: a map that commutes with the actions of
+    h and k commutes with that of hk, since
+    phi((hk).x) - (hk).phi(x) = [phi(h.(k.x)) - h.phi(k.x)] + h.[phi(k.x) - k.phi(x)].
+    Row (t, x, y) is the constraint at the generator t, so the matrix is the
+    per-generator constraints stacked, the generators' row blocks of the
+    constraint on all of H.  The second term is the action of Y curried to
+    Y -> G* (x) Y, its G* leg carried past X.
     """
+    g = len(algebra_generators(h))
     x, y = x_action.target, y_action.target
-    legs = VectorSpace.make(h.dim * maps.dim, "c")
-    curried = partial_transpose(y_action, h.space, y).transpose()
+    if x_action.source.dim != g * x.dim or y_action.source.dim != g * y.dim:
+        raise LinAlgError("equivariance is constrained on the actions of the algebra generators")
+    legs = VectorSpace.make(g * maps.dim, "c")
+    curried = partial_transpose(y_action, VectorSpace.make(g), y).transpose()
     return (slot_map(x_action.transpose(), 1, y.dim, maps, legs)
             - slot_map(curried, 1, x.dim, maps, legs, (y.dim, y.dim)))
 
@@ -502,10 +620,11 @@ def equivariant_map_space(
     a_space: VectorSpace,
     a_action: LinearMap,
 ) -> Subspace:
-    """H-linear maps C -> A as a subspace of the full map space."""
+    """H-linear maps C -> A as a subspace of the full map space, cut out on
+    the algebra generators of H."""
     maps = hom_space(c_space, a_space)
-    return solve_constrained_subspace(
-        maps, [equivariance_constraint(h, c_action, a_action, maps)], prefix="f")
+    return solve_constrained_subspace(maps, [equivariance_constraint(
+        h, generator_action(h, c_action), generator_action(h, a_action), maps)], prefix="f")
 
 
 def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:

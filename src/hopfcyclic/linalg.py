@@ -399,6 +399,29 @@ class LinearMap:
         return _from_columns(self.target, self.source, cols)
 
 
+def signed_sum(terms: Sequence[tuple[int, LinearMap]]) -> LinearMap:
+    """The sum of sign * map over (sign, map) terms of one shape, each sign
+    1 or -1, in one pass over their nonzeros: the map that adding and
+    subtracting them in turn gives, with no accumulator copied per term."""
+    if not terms:
+        raise LinAlgError("nothing to sum")
+    first = terms[0][1]
+    if any(m.shape != first.shape for _, m in terms):
+        raise LinAlgError("cannot add maps of different shapes")
+    if any(sign not in (1, -1) for sign, _ in terms):
+        raise LinAlgError("a signed sum takes the signs 1 and -1")
+    den = math.lcm(*(m._den for _, m in terms))
+    factors = [sign * (den // m._den) for sign, m in terms]
+    cols = []
+    for group in zip(*(m._cols for _, m in terms)):
+        acc = {}
+        for f, col in zip(factors, group):
+            for i, v in col.items():
+                acc[i] = acc.get(i, 0) + v * f
+        cols.append({i: v for i, v in acc.items() if v})
+    return _canonical(first.source, first.target, cols, den)
+
+
 def insert_vector(space: VectorSpace, vec) -> LinearMap:
     """The map Q -> space sending 1 to the given vector."""
     return LinearMap.from_rows(VectorSpace.ground(), space, [[x] for x in vec])
@@ -782,6 +805,48 @@ def coordinate_kernel(space: VectorSpace, constraints: Sequence[LinearMap],
     sub = VectorSpace.make(len(free), prefix)
     return Subspace(space, sub, LinearMap(sub, space, tuple({j: 1} for j in free), 1),
                     tuple(free))
+
+
+def monomial_fixed_subspace(op: LinearMap, prefix: str = "k") -> Optional[Subspace]:
+    """The fixed vectors of a square map with one nonzero per column, on
+    distinct rows (checked on the nonzeros), None for any other map.
+
+    Such a map sends e_j to c_j e_p(j) for a permutation p, so a fixed vector
+    is determined on each cycle of p by its value at one index: a cycle whose
+    coefficients multiply to 1 gives one fixed vector, and any other cycle
+    none.  The vector is 1 at the cycle's largest index, the free column of
+    the cycle in the RREF of 1 - op, so the result is the subspace
+    `subspace_from_kernel(1 - op)` finds by elimination, with the same basis,
+    supports and labels, read off the cycles.
+    """
+    n = op.source.dim
+    if op.target.dim != n:
+        return None
+    image = []
+    for col in op._cols:
+        if len(col) != 1:
+            return None
+        image.extend(col.items())
+    if len({i for i, _ in image}) != n:
+        return None
+    vecs = {}
+    done = [False] * n
+    for start in range(n):
+        cycle, j = [], start
+        while not done[j]:
+            done[j] = True
+            cycle.append(j)
+            j = image[j][0]
+        if not cycle or math.prod(image[j][1] for j in cycle) != op._den ** len(cycle):
+            continue
+        top = j = max(cycle)
+        vec = {top: Fraction(1)}
+        for _ in cycle[1:]:
+            i, v = image[j]
+            vec[i] = vec[j] * Fraction(v, op._den)
+            j = i
+        vecs[top] = vec
+    return _subspace(op.source, [vecs[f] for f in sorted(vecs)], prefix)
 
 
 @dataclass(frozen=True)

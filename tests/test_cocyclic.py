@@ -41,10 +41,12 @@ from hopfcyclic.hopf import (
     ModuleAlgebra,
     ModuleCoalgebra,
     adjoint_action,
+    algebra_generators,
     cyclic_group_table,
     group_algebra,
     left_regular_action,
     regular_coaction,
+    require_generators,
     sweedler_h4,
     trivial_action,
     trivial_coaction,
@@ -56,7 +58,9 @@ from hopfcyclic.linalg import (
     VectorSpace,
     hom_vector_to_map,
     map_to_hom_vector,
+    partial_transpose,
     rref,
+    slot_map,
     solve_constrained_subspace,
     subspace_from_kernel,
     tensor_map,
@@ -849,21 +853,21 @@ PINNED_TOWER_DIGESTS = {
     "plain sweedler4 V2 cap 3":
         "a4926353bc9e5d2872ba7463ac43b7908870060d7fa645af26df97a4707ffd8c",
     "coalgebra Z/3 sigma 0 cap 1":
-        "800108ccf5bd1c33e515ed9452d43b79122da0f5d97ee67fe5637aacee1fb56a",
+        "6d2628d2ae1ae6e4aad93d5aa227de18742623c1d44d6be73b0837259779e5f2",
     "coalgebra Z/3 sigma 0 cap 2":
-        "e39ca5e4be93b94063887be6c5082b294c75a5522aaf06b634cfe15da41db071",
+        "ef08527ef0abb85568f16c0b525fb501bbb593b15006017aa4c3ed97cd2e897d",
     "coalgebra Z/3 sigma 1 cap 1":
-        "dfad94d0c07b1e50784227d54e3ba5b45ea77b2afe67c447c19db50ced96c36f",
+        "c0566a3838857a2d64bbf74186013a3ee1bc121a7dbbb41c7c65c1549f8a0b5d",
     "coalgebra Z/3 sigma 1 cap 2":
-        "0fa0ba59e7ab3bbe1239bbe93fe4611fde207413cca3ea0b559a14cfa133e554",
+        "a296695a395307b60dadf43e6892ebed50f318103e4f643e61630a56fcab855e",
     "coalgebra Z/3 sigma 2 cap 1":
-        "5b53017f3a233ea7082ea21e193e795f548e1758771f8b291388371a8e7292d6",
+        "fd4eddbfc3f55c833608d9fe50fae5c7a9b1aef1b9bd5251e482b3e33ea444ab",
     "coalgebra Z/3 sigma 2 cap 2":
-        "cab764486c183552b95ecec62486e4644bacdd961f7362822e5f41eed06ef9c7",
+        "dae1e8bd96b56999c4cd1ebe2da9ed6b8c47c282b164d3424d614ba6dfad07a9",
     "coalgebra sweedler4 sigma 1 cap 1":
-        "9a75c8ba3202dfa841f90a49c2c1cb91d44717700ed742b8577ba82825b565d8",
+        "cc81ac2a8ac10bbf6e5ad6643518135387ddd43e47a754d4c95068b453958c1a",
     "coalgebra sweedler4 sigma 1 cap 2":
-        "eecc2e586ae23e68f950c8ec1d0e6fcfeffc28b64d6de3d6f9c2147f2e99dd4f",
+        "15275274593269e40bdd7ef4761ee3ad682fe8689429cfe614e56ba9cb1a4bbd",
     "algebra_module Z/3 sigma 0 cap 1":
         "7a2883948f779d7248549526e91faee865e27d162754338c8d24f2c4282435d5",
     "algebra_module Z/3 sigma 0 cap 2":
@@ -938,8 +942,8 @@ def test_equivariant_towers_are_pinned(kind, hopf, sigma, cap):
 # one-dimensional coefficients, so they read the same when the lead and trail
 # strides of the operators are swapped; these pins tell the two apart.
 PINNED_BLOCK_TOWER_DIGESTS = {
-    ("coalgebra", 1): "2dfbc843b1d92a26ff3912d039ca0519a0e88426da39c57ec27c5163187ba290",
-    ("coalgebra", 2): "4633506968036f083bcf4f2827fd59fd4e2c73c0185a2e1574bd50aec3317834",
+    ("coalgebra", 1): "9f1e2736f547e36bfb27fb410d97eb8dffb1fafe30e5373d4bccc262b211515b",
+    ("coalgebra", 2): "ce5d1462d45892b6be115c0853fdee1bee7119c4eebfc7264ff2d10152edeccb",
     ("algebra_module", 1): "b423c46271a3f374cd19410b6509ca6342af1e98ca21d8f6e92e07d8c4b0b8d1",
     ("algebra_module", 2): "68663181fec006963e307a839e759ece6cb235a4d1385a84152d8fbd7ff12d8d",
     ("comodule_algebra", 1): "3f88933687cf6e693588a9ac3082bf336080c8d82928cd170827c8c8635507dc",
@@ -972,3 +976,192 @@ def test_unstable_sweedler_coefficients_are_refused(kind, message):
     with pytest.raises(LinAlgError) as info:
         _equivariant_tower(kind, sweedler_h4(), 0, 2)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", ["coalgebra", "algebra_module", "comodule_algebra",
+                                  "algebra_contra"])
+def test_cyclic_fixed_spaces_are_read_off_the_cycles(kind):
+    """Over Z/3, lambda is monomial in every degree and its fixed space, read
+    off the cycles, is the eliminated kernel of 1 - lambda; over sweedler4
+    it is not monomial from degree 3 on, and the fallback gives that kernel."""
+    for hopf in ("Z/3", "sweedler4"):
+        tower = _equivariant_tower(kind, _pin_hopf(hopf), 1, 3).module
+        for n in range(4):
+            signed = lambda_operator(tower, n)
+            read = linalg.monomial_fixed_subspace(signed, prefix="l")
+            if hopf == "Z/3":
+                assert read is not None
+            elif n == 3:
+                assert read is None
+            assert cocyclic._cyclic_fixed(tower, n) == subspace_from_kernel(
+                LinearMap.identity(tower.spaces[n]) - signed, prefix="l")
+            if read is not None:
+                assert read == cocyclic._cyclic_fixed(tower, n)
+
+
+# ----------------------------------------------- relations on algebra generators
+#
+# The balanced relations and the equivariance constraints are built on the
+# algebra generators of H.  The references below are the per-basis-element
+# forms they replaced, kept verbatim; the towers built on them must agree with
+# the towers built on generators in everything but the stored relations.
+
+
+def reference_diagonal_actions(hopf, action, powers):
+    """H (x) X^{(m)} -> X^{(m)} for m = 1..k, given X^{(1)}, ..., X^{(k)}, each
+    built from the one before: h splits into h_(1) (x) h_(2), h_(2) acts on the
+    last m - 1 factors and h_(1) on the first."""
+    h, x = hopf.space.dim, action.target.dim
+    out = [action]
+    for rest, power in zip(powers, powers[1:]):
+        source = tensor_space(hopf.space, power)
+        split = tensor_space(hopf.space, source)
+        out.append(slot_map(action, 1, rest.dim, source, power)
+                   @ slot_map(out[-1], h, x, split, source, (rest.dim, rest.dim))
+                   @ slot_map(hopf.comul, 1, power.dim, source, split))
+    return out
+
+
+def reference_balanced_relations(coefficients, action, powers):
+    """M (x) H (x) X^{(m)} -> M (x) X^{(m)} for each given power X^{(m)}, m = 1..k:
+    the right action of the coefficients minus the diagonal action of `action`."""
+    h, m = coefficients.hopf, coefficients.space
+    m_h = tensor_space(m, h.space)
+    out = []
+    for power, diag in zip(powers, reference_diagonal_actions(h, action, powers)):
+        source, target = tensor_space(m_h, power), tensor_space(m, power)
+        out.append(slot_map(coefficients.action, 1, power.dim, source, target)
+                   - slot_map(diag, m.dim, 1, source, target))
+    return out
+
+
+def reference_equivariance_constraint(h, x_action, y_action, maps):
+    """Hom(X, Y) -> Hom(H (x) X, Y), phi -> phi o act_X - act_Y o (id (x) phi), for
+    left actions H (x) X -> X and H (x) Y -> Y, on `maps` = Hom(X, Y)."""
+    x, y = x_action.target, y_action.target
+    legs = VectorSpace.make(h.dim * maps.dim, "c")
+    curried = partial_transpose(y_action, h.space, y).transpose()
+    return (slot_map(x_action.transpose(), 1, y.dim, maps, legs)
+            - slot_map(curried, 1, x.dim, maps, legs, (y.dim, y.dim)))
+
+
+def reference_tower(kind, h, module, contramodule, cap, monkeypatch):
+    """The `kind` tower built on every basis element of H."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cocyclic, "_balanced_relations", reference_balanced_relations)
+        patch.setattr(cocyclic, "_diagonal_actions", reference_diagonal_actions)
+        patch.setattr(cocyclic, "generator_action", lambda hopf, action: action)
+        patch.setattr(cocyclic, "equivariance_constraint", reference_equivariance_constraint)
+        return _coefficient_tower(kind, h, module, contramodule, cap)
+
+
+def restricted_to_generators(h, relation, m_dim):
+    """The columns (m, g, p) of a relation on M (x) H (x) P, g a generator."""
+    gens = algebra_generators(h)
+    p_dim = relation.source.dim // (m_dim * h.dim)
+    keep = [(mi * h.dim + g) * p_dim + pi for mi in range(m_dim) for g in gens
+            for pi in range(p_dim)]
+    pick = LinearMap.from_entries(VectorSpace.make(len(keep)), relation.source,
+                                  [(j, k, 1) for k, j in enumerate(keep)])
+    return relation @ pick
+
+
+def first_sayd_sigma(h):
+    return next(sigma for sigma in range(h.dim)
+                if check_sayd_module(grouplike_coefficients(h, sigma).module).passed
+                and check_sayd_contramodule(grouplike_coefficients(h, sigma).contramodule).passed)
+
+
+GENERATOR_CASES = [(name, kind, cap) for name, _ in hopf_ladder()
+                   for kind in ("coalgebra", "algebra_module", "comodule_algebra",
+                                "algebra_contra")
+                   for cap in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,kind,cap", GENERATOR_CASES)
+def test_towers_on_generators_equal_the_towers_on_all_of_h(name, kind, cap, monkeypatch):
+    """Relations on generators span the relations on all of H, so their
+    cokernels (space, projection, section) are equal, as are the kernels of
+    the constraints; the operators follow.  The stored relations are the
+    generators' column blocks of the full ones."""
+    h = dict(hopf_ladder())[name]
+    pair = grouplike_coefficients(h, first_sayd_sigma(h))
+    got = _coefficient_tower(kind, h, pair.module, pair.contramodule, cap)
+    ref = reference_tower(kind, h, pair.module, pair.contramodule, cap, monkeypatch)
+    assert got.module == ref.module  # spaces compare by their labels too
+    if kind == "coalgebra":
+        assert got.ambients == ref.ambients
+        for q, r in zip(got.quotients, ref.quotients):
+            assert (q.space.labels, q.projection, q.section) == \
+                (r.space.labels, r.projection, r.section)
+        for new, full in zip(got.relations, ref.relations):
+            assert new == restricted_to_generators(h, full, pair.module.dim)
+    else:
+        assert got.subspaces == ref.subspaces
+
+
+def test_block_coefficient_towers_on_generators_equal_the_towers_on_all_of_h(monkeypatch):
+    h = _pin_hopf("Z/2")
+    module = block_module(h)
+    for kind in ("coalgebra", "algebra_module", "algebra_contra"):
+        got = _coefficient_tower(kind, h, module, dualize(module), 3)
+        ref = reference_tower(kind, h, module, dualize(module), 3, monkeypatch)
+        assert got.module == ref.module
+
+
+# The coalgebra pins before the relations were cut to the generators' columns:
+# the digests of the towers with the relations on all of H.
+FULL_RELATION_DIGESTS = {
+    "coalgebra Z/3 sigma 0 cap 1":
+        "800108ccf5bd1c33e515ed9452d43b79122da0f5d97ee67fe5637aacee1fb56a",
+    "coalgebra Z/3 sigma 0 cap 2":
+        "e39ca5e4be93b94063887be6c5082b294c75a5522aaf06b634cfe15da41db071",
+    "coalgebra Z/3 sigma 1 cap 1":
+        "dfad94d0c07b1e50784227d54e3ba5b45ea77b2afe67c447c19db50ced96c36f",
+    "coalgebra Z/3 sigma 1 cap 2":
+        "0fa0ba59e7ab3bbe1239bbe93fe4611fde207413cca3ea0b559a14cfa133e554",
+    "coalgebra Z/3 sigma 2 cap 1":
+        "5b53017f3a233ea7082ea21e193e795f548e1758771f8b291388371a8e7292d6",
+    "coalgebra Z/3 sigma 2 cap 2":
+        "cab764486c183552b95ecec62486e4644bacdd961f7362822e5f41eed06ef9c7",
+    "coalgebra sweedler4 sigma 1 cap 1":
+        "9a75c8ba3202dfa841f90a49c2c1cb91d44717700ed742b8577ba82825b565d8",
+    "coalgebra sweedler4 sigma 1 cap 2":
+        "eecc2e586ae23e68f950c8ec1d0e6fcfeffc28b64d6de3d6f9c2147f2e99dd4f",
+    "coalgebra Z/2 block cap 1":
+        "2dfbc843b1d92a26ff3912d039ca0519a0e88426da39c57ec27c5163187ba290",
+    "coalgebra Z/2 block cap 2":
+        "4633506968036f083bcf4f2827fd59fd4e2c73c0185a2e1574bd50aec3317834",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_RELATION_DIGESTS))
+def test_coalgebra_pins_change_only_by_the_stored_relations(case, monkeypatch):
+    """The full relations swapped back into a coalgebra tower built on
+    generators give the digest it had when built on all of H, so every other
+    digested field (spaces, operators, projections, sections) is unchanged."""
+    words = case.split()
+    cap = int(words[-1])
+    if words[2] == "block":
+        h = _pin_hopf("Z/2")
+        module = block_module(h)
+        contramodule = dualize(module)
+    else:
+        h = _pin_hopf(words[1])
+        pair = grouplike_coefficients(h, int(words[3]))
+        module, contramodule = pair.module, pair.contramodule
+    tower = _coefficient_tower("coalgebra", h, module, contramodule, cap)
+    full = reference_tower("coalgebra", h, module, contramodule, cap, monkeypatch)
+    assert tower_digest(tower) != FULL_RELATION_DIGESTS[case]
+    swapped = dataclasses.replace(tower, relations=full.relations)
+    assert tower_digest(swapped) == FULL_RELATION_DIGESTS[case]
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "s3", "sweedler4"])
+def test_a_generating_set_missing_a_generator_is_refused(name):
+    h = dict(hopf_ladder())[name]
+    generators = algebra_generators(h)
+    require_generators(h, generators)
+    for dropped in range(len(generators)):
+        with pytest.raises(LinAlgError, match="generate a subalgebra of dimension"):
+            require_generators(h, generators[:dropped] + generators[dropped + 1:])

@@ -16,15 +16,19 @@ from hopfcyclic.hopf import (
     ModuleAlgebra,
     ModuleCoalgebra,
     adjoint_action,
+    algebra_generators,
     check_algebra,
     check_coalgebra_action,
     check_comodule_algebra,
     check_hopf_axioms,
     check_module_algebra,
+    check_module,
     check_module_coalgebra,
     convolution_algebra,
     crossed_product,
+    equivariance_constraint,
     equivariant_map_space,
+    generator_action,
     cyclic_group_table,
     group_algebra,
     iota,
@@ -48,6 +52,8 @@ from hopfcyclic.linalg import (
     hom_vector_to_map,
     insert_vector,
     map_to_hom_vector,
+    partial_transpose,
+    slot_map,
     solve_constrained_subspace,
     tensor_map,
     tensor_permutation,
@@ -491,3 +497,73 @@ class TestPerElementReference:
                 assert conv.algebra.mul.source.labels == \
                     tensor_space(sub.space, sub.space).labels
                 assert iota(ca, conv) == reference_iota(ca, sub)
+
+
+# -- equivariance on algebra generators ---------------------------------------
+
+
+def full_equivariance_constraint(h, x_action, y_action, maps):
+    """The constraint with one row block per basis element of H, as it was
+    before it was cut to the generators' blocks."""
+    x, y = x_action.target, y_action.target
+    legs = VectorSpace.make(h.dim * maps.dim, "c")
+    curried = partial_transpose(y_action, h.space, y).transpose()
+    return (slot_map(x_action.transpose(), 1, y.dim, maps, legs)
+            - slot_map(curried, 1, x.dim, maps, legs, (y.dim, y.dim)))
+
+
+def test_generators_of_the_builtin_hopf_algebras():
+    labels = [[h.space.labels[g] for g in algebra_generators(h)] for h in hopf_ladder()]
+    assert labels == [[], ["g"], ["g1"], ["g1", "g2"], ["g", "x"]]
+    h = sweedler_h4()
+    assert algebra_generators(h) is algebra_generators(h)
+
+
+def test_equivariance_constraint_keeps_the_generators_row_blocks():
+    """The convolution algebra's constraint is the generators' row blocks of
+    the constraint on all of H, and cuts out the same subspace."""
+    for h in hopf_ladder():
+        maps = hom_space(h.space, h.space)
+        for c_action in actions(h).values():
+            for a_action in actions(h).values():
+                full = full_equivariance_constraint(h, c_action, a_action, maps)
+                cut = equivariance_constraint(h, generator_action(h, c_action),
+                                              generator_action(h, a_action), maps)
+                block = maps.dim
+                rows = [g * block + r for g in algebra_generators(h) for r in range(block)]
+                pick = LinearMap.from_entries(full.target, VectorSpace.make(len(rows)),
+                                              [(k, i, 1) for k, i in enumerate(rows)])
+                assert cut == pick @ full
+                assert same_subspace(
+                    equivariant_map_space(h, h.space, c_action, h.space, a_action),
+                    solve_constrained_subspace(maps, [full], prefix="f"))
+
+
+def test_equivariance_constraint_refuses_actions_of_all_of_h():
+    h = group_algebra(symmetric_group_table(3))
+    maps = hom_space(h.space, h.space)
+    with pytest.raises(LinAlgError, match="actions of the algebra generators"):
+        equivariance_constraint(h, h.mul, h.mul, maps)
+
+
+def test_checkers_still_test_every_basis_element():
+    """An action wrong only at a basis element that is not a generator fails
+    check_module and check_sayd_module: the checkers do not use generators."""
+    from hopfcyclic.coefficients import SaydModule, check_sayd_module, trivial_coefficients
+
+    h = group_algebra(symmetric_group_table(3))
+    generators = algebra_generators(h)
+    other = next(t for t in range(1, h.dim) if t not in generators)
+    regular = left_regular_action(h)
+    shifted = LinearMap.from_entries(tensor_space(h.space, h.space), h.space, [
+        (i, t * h.dim + x, 2 if t == other else 1)
+        for t in range(h.dim) for x in range(h.dim)
+        for i, v in enumerate(regular.column(t * h.dim + x)) if v])
+    assert generator_action(h, shifted) == generator_action(h, regular)
+    assert check_module(h, h.space, regular).passed
+    assert not check_module(h, h.space, shifted).passed
+    module = trivial_coefficients(h).module
+    twice = LinearMap.from_entries(module.action.source, module.space, [
+        (0, t, 2 if t == other else 1) for t in range(h.dim)])
+    assert check_sayd_module(module).passed
+    assert not check_sayd_module(SaydModule(h, module.space, twice, module.coaction)).passed

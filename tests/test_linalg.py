@@ -26,11 +26,13 @@ from hopfcyclic.linalg import (
     insert_vector,
     kernel_basis,
     map_to_hom_vector,
+    monomial_fixed_subspace,
     partial_transpose,
     coordinate_kernel,
     relabel,
     row_echelon,
     rref,
+    signed_sum,
     slot_map,
     solve,
     solve_constrained_subspace,
@@ -180,6 +182,36 @@ def compose_factors(rng, src, tgt):
 
 
 class TestArithmetic:
+    def test_signed_sum_is_the_pairwise_sum(self):
+        """One pass over the terms gives what adding and subtracting them in
+        turn gives: mixed denominators, a sum that cancels to zero, and a
+        column empty in every term."""
+        rng = random.Random(4)
+        a, b = VectorSpace.make(4), VectorSpace.make(3)
+        for _ in range(30):
+            terms = [(rng.choice([1, -1]), rand_map(rng, a, b, den=rng.randint(1, 7)))
+                     for _ in range(rng.randint(1, 5))]
+            expected = terms[0][1] if terms[0][0] == 1 else -terms[0][1]
+            for sign, m in terms[1:]:
+                expected = expected + m if sign == 1 else expected - m
+            assert signed_sum(terms) == expected
+        f = LinearMap.from_rows(a, b, [[Fraction(1, 2), 0, 3, 0], [0, 0, Fraction(2, 3), 1],
+                                       [1, 0, 0, 0]])
+        g = LinearMap.from_rows(a, b, [[Fraction(1, 3), 0, 0, 0], [0, 0, 0, 0],
+                                       [Fraction(5, 6), 0, 1, 0]])
+        total = signed_sum([(1, f), (-1, g), (-1, f), (1, g)])
+        assert total == LinearMap.zero(a, b) and total.is_zero()
+        mixed = signed_sum([(1, f), (-1, g)])
+        assert mixed == f - g and mixed.column(1) == [0, 0, 0]
+        assert to_sympy(mixed) == to_sympy(f) - to_sympy(g)
+        assert signed_sum([(-1, f)]) == -f
+        with pytest.raises(LinAlgError, match="different shapes"):
+            signed_sum([(1, f), (1, LinearMap.identity(a))])
+        with pytest.raises(LinAlgError, match="signs 1 and -1"):
+            signed_sum([(2, f)])
+        with pytest.raises(LinAlgError, match="nothing to sum"):
+            signed_sum([])
+
     def test_matmul_matches_sympy(self):
         rng = random.Random(101)
         for _ in range(10):
@@ -670,6 +702,45 @@ class TestQuotientsAndSubspaces:
         two = LinearMap.from_rows(a, VectorSpace.make(2), [[1, 0, 0], [0, 1, -1]])
         assert coordinate_kernel(a, [two]) is None
         assert solve_constrained_subspace(a, [two]).dim == 1
+
+    def test_monomial_fixed_subspace_is_the_eliminated_kernel(self):
+        """On signed permutations with rational scalars, the fixed space read
+        off the cycles is ker(1 - op) as elimination finds it, basis, supports
+        and labels alike; cycles whose scalars multiply to something other
+        than 1, and fixed points scaled by something other than 1, give no
+        vector."""
+        rng = random.Random(12)
+        scalars = [1, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 3)]
+        for _ in range(60):
+            space = VectorSpace.make(rng.randint(0, 9), "x")
+            n = space.dim
+            perm = list(range(n))
+            rng.shuffle(perm)
+            entries = [(perm[j], j, rng.choice(scalars)) for j in range(n)]
+            op = LinearMap.from_entries(space, space, entries)
+            got = monomial_fixed_subspace(op, prefix="l")
+            expected = subspace_from_kernel(LinearMap.identity(space) - op, prefix="l")
+            assert got == expected
+            assert got.space.labels == expected.space.labels
+        # a 3-cycle with product 1, a 2-cycle with product -1, a fixed point
+        # scaled by 2 and one fixed outright
+        space = VectorSpace.make(7)
+        op = LinearMap.from_entries(space, space, [
+            (1, 0, Fraction(2, 3)), (2, 1, -3), (0, 2, Fraction(-1, 2)),
+            (4, 3, 1), (3, 4, -1), (5, 5, 2), (6, 6, 1)])
+        got = monomial_fixed_subspace(op)
+        assert got.dim == 2 and got.supports == (2, 6)
+        assert got.basis.column(0)[:3] == [Fraction(-1, 2), Fraction(-1, 3), 1]
+        assert got == subspace_from_kernel(LinearMap.identity(space) - op)
+
+    def test_monomial_fixed_subspace_refuses_other_maps(self):
+        space = VectorSpace.make(3)
+        two_entries = LinearMap.from_rows(space, space, [[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+        repeated_row = LinearMap.from_rows(space, space, [[1, 1, 0], [0, 0, 0], [0, 0, 1]])
+        empty_column = LinearMap.from_rows(space, space, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        wide = LinearMap.zero(space, VectorSpace.make(2))
+        for op in (two_entries, repeated_row, empty_column, wide):
+            assert monomial_fixed_subspace(op) is None
 
     def test_tensor_subspace_is_the_eliminated_joint_kernel(self):
         """ker A (x) ker B, built as a Kronecker product, is the joint kernel
