@@ -34,7 +34,25 @@ N^n are coordinate: by the normalization theorem the classes R found there,
 lifted, span ker b_n together with I = im b_{n-1}, and the RREF of I + span(R)
 is unique, so the representatives are those of the full complex.
 
-Every quantity outside its degree range is refused by one rule, `_require_degree`.
+The cyclic cochains ker(1 - lambda) are read off the cycles of lambda when it
+is monomial (`_cyclic_fixed`), and b and B are each one signed sum of their
+terms.  Every quantity outside its degree range is refused by one rule,
+`_require_degree`.
+
+Equivariance on generators.  The balanced relations of the coalgebra and
+balanced-functional towers and the equivariance constraints of the
+contramodule-valued tower are built on a set G of algebra generators of H
+(`hopf.algebra_generators`), not on every basis element.  The relation of a
+product splits into relations of its factors,
+
+    m.(hk) (x) x - m (x) (hk).x = [(m.h).k (x) x - m.h (x) k.x] + [m.h (x) k.x - m (x) h.(k.x)],
+
+and phi((hk).x) - (hk).phi(x) = [phi(h.(k.x)) - h.phi(k.x)] + h.[phi(k.x) - k.phi(x)],
+so the relations on G span those on all of H and the constraints on G cut
+out the same kernel.  The RREF is unique, so the quotients, kernels,
+sections and labels are those built on all of H.  The colinear tower's
+coaction constraint is built whole: the dual argument would need coalgebra
+cogenerators.
 
 Operator assembly.  Four constructions are cochains Hom([lead (x)] A^{(n+1)}, V)
 of an algebra A, built by one recipe, `_algebra_cochains`: each supplies only
@@ -824,9 +842,10 @@ def _normalized_representatives(module: CocyclicModule, n: int, b_n: LinearMap,
 def _cyclic_fixed(module: CocyclicModule, n: int) -> Subspace:
     """The fixed vectors of the signed cyclic operator lambda at degree n,
     built once per tower.  When lambda is monomial (one nonzero per column,
-    on distinct rows, as on every tower built here), they are read off its
-    cycles (`monomial_fixed_subspace`); otherwise ker(1 - lambda) is
-    eliminated.  Both give the same RREF kernel basis."""
+    on distinct rows: a signed permutation on the plain towers), they are
+    read off its cycles (`monomial_fixed_subspace`); otherwise, as on the
+    equivariant towers over sweedler4 from degree 2 or 3 on, ker(1 - lambda)
+    is eliminated.  Both give the same RREF kernel basis."""
     memo = module._memo
     if ("fixed", n) not in memo:
         signed = lambda_operator(module, n)

@@ -149,19 +149,11 @@ def check_hopf_axioms(h: HopfAlgebra) -> Report:
 
 # -- algebra generators ----------------------------------------------
 #
-# Equivariance is read on algebra generators of H.  For a right action on M
-# and a left action on X, the relation of a product hk splits into relations
-# of its factors,
-#
-#   m.(hk) (x) x - m (x) (hk).x = [(m.h).k (x) x - m.h (x) k.x]
-#                                 + [m.h (x) k.x - m (x) h.(k.x)],
-#
-# and a map commuting with the actions of h and k commutes with that of hk,
-#
-#   phi((hk).x) - (hk).phi(x) = [phi(h.(k.x)) - h.phi(k.x)] + h.[phi(k.x) - k.phi(x)],
-#
-# so the relations, or the constraints, of a set of generators span those of
-# all of H.  The structure checkers still test every basis element.
+# Tower construction reads equivariance on algebra generators of H: the
+# relation, or the equivariance constraint, of a product hk is a sum of those
+# of h and k (see `equivariance_constraint`), so those of a generating set
+# span those of all of H.  The structure checkers still test every basis
+# element.
 
 
 def _generated_span(h: HopfAlgebra, elements: Sequence[int]) -> int:

@@ -837,7 +837,7 @@ def monomial_fixed_subspace(op: LinearMap, prefix: str = "k") -> Optional[Subspa
             done[j] = True
             cycle.append(j)
             j = image[j][0]
-        if not cycle or math.prod(image[j][1] for j in cycle) != op._den ** len(cycle):
+        if not cycle or math.prod(image[k][1] for k in cycle) != op._den ** len(cycle):
             continue
         top = j = max(cycle)
         vec = {top: Fraction(1)}
