@@ -439,6 +439,63 @@ def test_perturbed_b_report_is_pinned():
     assert report_digest(report) == PINNED_FAILURE_DIGESTS["mixed b"]
 
 
+def _z2_fault_towers(z2):
+    """Plain Q[Z/2] at cap 4 with one fault put into an operator, by name:
+    an entry in an empty codegeneracy column (s1 at degree 3, column 2), a
+    single-entry column of tau emptied (degree 2, column 1), and one tau
+    entry doubled (degree 3, column 2)."""
+    good = plain_algebra_cocyclic(z2.algebra, degree_cap=4)
+
+    def entry_changed(m, j, change):
+        """m with `change` times its one nonzero entry in column j added."""
+        (i, x), = ((i, x) for i, x in enumerate(m.column(j)) if x)
+        return m + LinearMap.from_entries(m.source, m.target, [(i, j, change * x)])
+
+    s = good.degeneracies[3][1]
+    assert not any(s.column(2))
+    degeneracies = [list(row) for row in good.degeneracies]
+    degeneracies[3][1] = perturbed(s, 0, 2)
+    emptied, doubled = list(good.cyclic), list(good.cyclic)
+    emptied[2] = entry_changed(good.cyclic[2], 1, -1)
+    doubled[3] = entry_changed(good.cyclic[3], 2, 1)
+    return {
+        "codegeneracy": dataclasses.replace(
+            good, degeneracies=tuple(tuple(row) for row in degeneracies)),
+        "emptied tau": dataclasses.replace(good, cyclic=tuple(emptied)),
+        "doubled tau": dataclasses.replace(good, cyclic=tuple(doubled)),
+    }
+
+
+# fault -> (number of failing identities, first failing name and its witness,
+# sha256 of the full report)
+PINNED_FAULT_REPORTS = {
+    "codegeneracy": (15, ("s0 s0 = s0 s1 (degree 3)",
+                          "first residual -1 at row '1⊗1*', column '1⊗1⊗g⊗1*'"),
+                     "34c2f760006166e2cfba942f52aba05081f08800fe93f0f49322f22c2391549b"),
+    "doubled tau": (15, ("t d0 = d3 (degree 2)",
+                         "first residual 1 at row '1⊗g⊗1⊗1*', column '1⊗g⊗1*'"),
+                    "d85cea25acc8bc7a897977096fc8f92c60aa488375b2684120298f2f7ece01e9"),
+    "emptied tau": (11, ("t d0 = d2 (degree 1)",
+                         "first residual -1 at row '1⊗g⊗1*', column '1⊗g*'"),
+                    "4527eade7fae2c2ec96c51eb2cd74f29fc1450b23b22c9a3b5053520aa4c8db5"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PINNED_FAULT_REPORTS))
+def test_fault_through_each_product_path_is_pinned(z2, fault):
+    """Each fault moves a column between the compose kernel's paths: the
+    codegeneracy column from empty to one entry, the tau column from one
+    entry to empty, and the doubled entry off the unit copy.  The failing
+    names, witnesses and verdicts of each report are pinned."""
+    count, first, digest = PINNED_FAULT_REPORTS[fault]
+    report = verify_cocyclic(_z2_fault_towers(z2)[fault], f"{fault} Z/2")
+    details = failure_details(report)
+    assert len(details) == count
+    assert next(iter(details.items())) == first
+    assert WITNESS.fullmatch(first[1])
+    assert report_digest(report) == digest
+
+
 # ------------------------------------------------------------ mixed complex
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -47,7 +48,7 @@ from hopfcyclic.linalg import (
     vector_from,
     vectors_equal,
 )
-from hopfcyclic.linalg import _eliminate
+from hopfcyclic.linalg import _canonical, _eliminate
 
 
 def rand_fraction(rng, span=9, den=5):
@@ -941,3 +942,285 @@ class TestLabels:
         assert big.dim == 10 ** 8
         assert tensor_space(big, big).dim == 10 ** 16
         assert hom_space(big, ten).dim == dual_space(big).dim * 10
+
+
+# ------------------------------------------------------------ product kernel references
+#
+# Verbatim copies of the five exact product kernels as they stood before their
+# per-column fast paths (`self` and `other` kept as parameter names).  Every
+# kernel must give what its reference gives: the same denominator, the same
+# column dicts in the same insertion order, and the value sympy gives.
+
+
+def reference_matmul(self, other):
+    if self.source.dim != other.target.dim:
+        raise LinAlgError(
+            f"cannot compose: inner dims {self.source.dim} != {other.target.dim}"
+        )
+    a = self._cols
+    cols = []
+    for col in other._cols:
+        if len(col) == 1:
+            # one entry b in row k: column k of self times b, never zero
+            (k, b), = col.items()
+            cols.append(dict(a[k]) if b == 1 else {i: v * b for i, v in a[k].items()})
+            continue
+        acc = {}
+        for k, b in col.items():
+            for i, v in a[k].items():
+                acc[i] = acc.get(i, 0) + v * b
+        cols.append({i: v for i, v in acc.items() if v})
+    return _canonical(other.source, self.target, cols, self._den * other._den)
+
+
+def reference_add_sub(self, other, sign):
+    if self.shape != other.shape:
+        raise LinAlgError("cannot add maps of different shapes")
+    den = math.lcm(self._den, other._den)
+    fa, fb = den // self._den, sign * (den // other._den)
+    cols = []
+    for ca, cb in zip(self._cols, other._cols):
+        acc = {i: v * fa for i, v in ca.items()}
+        for i, v in cb.items():
+            acc[i] = acc.get(i, 0) + v * fb
+        cols.append({i: v for i, v in acc.items() if v})
+    return _canonical(self.source, self.target, cols, den)
+
+
+def reference_signed_sum(terms):
+    if not terms:
+        raise LinAlgError("nothing to sum")
+    first = terms[0][1]
+    if any(m.shape != first.shape for _, m in terms):
+        raise LinAlgError("cannot add maps of different shapes")
+    if any(sign not in (1, -1) for sign, _ in terms):
+        raise LinAlgError("a signed sum takes the signs 1 and -1")
+    den = math.lcm(*(m._den for _, m in terms))
+    factors = [sign * (den // m._den) for sign, m in terms]
+    cols = []
+    for group in zip(*(m._cols for _, m in terms)):
+        acc = {}
+        for f, col in zip(factors, group):
+            for i, v in col.items():
+                acc[i] = acc.get(i, 0) + v * f
+        cols.append({i: v for i, v in acc.items() if v})
+    return _canonical(first.source, first.target, cols, den)
+
+
+def reference_tensor_map(f, g):
+    m = g.target.dim
+    cols = [{i * m + k: a * b for i, a in fc.items() for k, b in gc.items()}
+            for fc in f._cols for gc in g._cols]
+    return _canonical(tensor_space(f.source, g.source), tensor_space(f.target, g.target),
+                      cols, f._den * g._den)
+
+
+def reference_slot_map(k, left, middle, source, target, tail=(1, 1)):
+    ls, lt = tail
+    # a zero-width tail fits only a zero-dimensional side of k
+    fs, ft = k.source.dim // (ls or 1), k.target.dim // (lt or 1)
+    if (fs * ls, ft * lt) != (k.source.dim, k.target.dim) or \
+            source.dim != left * fs * middle * ls or target.dim != left * ft * middle * lt:
+        raise LinAlgError(
+            f"slot map of a {k.target.dim}x{k.source.dim} map does not fit "
+            f"{target.dim}x{source.dim}")
+    if not lt:  # a zero-dimensional target, where the row stride below would be 0
+        return LinearMap.zero(source, target)
+    stride = middle * lt
+    offsets = [[(i // lt * stride + i % lt, v) for i, v in col.items()] for col in k._cols]
+    cols = [{base + o: v for o, v in offsets[f * ls + e]}
+            for l in range(left) for f in range(fs)
+            for base in range(l * ft * stride, l * ft * stride + stride, lt)
+            for e in range(ls)]
+    # every column of k appears once left * middle > 0, so the map stays reduced
+    return LinearMap(source, target, tuple(cols), k._den if cols else 1)
+
+
+# dimensions of every space the kernel comparisons draw: empty, a line, and
+# room for permutations, several entries per column and wide tails
+KERNEL_DIMS = (0, 1, 6)
+
+
+def kernel_factors(rng, src, tgt):
+    """Maps src -> tgt, by name, of every column shape the product kernels
+    tell apart: (signed) monomial, with empty columns, mixed, dense, entries
+    above 2**64, even integers and halves (whose products reduce by a gcd),
+    zero, and a permutation when the dimensions agree."""
+    def monomial(values, empty=0.0):
+        return LinearMap.from_entries(src, tgt, [
+            (rng.randrange(tgt.dim), j, rng.choice(values)) for j in range(src.dim)
+            if tgt.dim and rng.random() >= empty])
+
+    out = {
+        "signed monomial": monomial((1, -1)),
+        "monomial": monomial(MONOMIAL_VALUES),
+        "empty columns": monomial(MONOMIAL_VALUES, empty=0.5),
+        "mixed": rand_mixed_map(rng, src, tgt),
+        "dense": rand_map(rng, src, tgt),
+        "huge": LinearMap.from_rows(src, tgt, [
+            [rand_huge_fraction(rng) if rng.random() < 0.6 else 0 for _ in range(src.dim)]
+            for _ in range(tgt.dim)]),
+        "evens": rand_map(rng, src, tgt, den=1).scale(2),
+        "halves": monomial((Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2)), empty=0.2),
+        "zero": LinearMap.zero(src, tgt),
+    }
+    if src.dim == tgt.dim:
+        perm = rng.sample(range(src.dim), src.dim)
+        out["permutation"] = LinearMap.from_entries(src, tgt, [(i, j, 1) for j, i in enumerate(perm)])
+    return out
+
+
+def cancelling_cases():
+    """(f, g, g2, f2) on spaces of dims 3 -> 3 -> 2: g kills columns 0 and 2
+    of f, the second in rows above 2**64, and keeps one row of column 1;
+    g2 kills every column of f; f - f2 cancels column 0 exactly and columns
+    1 and 2 in all but one row."""
+    h = 2**70 + 3
+    a, b, c = VectorSpace.make(3), VectorSpace.make(3), VectorSpace.make(2)
+    f = LinearMap.from_rows(a, b, [[1, 1, h], [-1, 0, -h], [0, -1, 0]])
+    g = LinearMap.from_rows(b, c, [[1, 1, 1], [2, 2, 3]])
+    g2 = LinearMap.from_rows(b, c, [[h, h, h], [Fraction(1, 3)] * 3])
+    f2 = LinearMap.from_rows(a, b, [[1, 1, h], [-1, 5, Fraction(1, 2)], [0, -1, 0]])
+    return a, b, c, f, g, g2, f2
+
+
+def assert_same_result(got, ref):
+    """The same spaces, denominator, column dicts and column insertion order."""
+    assert (got.source, got.target) == (ref.source, ref.target)
+    assert got._den == ref._den
+    assert [list(col.items()) for col in got._cols] == [list(col.items()) for col in ref._cols]
+
+
+def assert_shares_no_column(result, *inputs):
+    """Mutating every column of the result leaves every input as it was."""
+    before = [m.fractions() for m in inputs]
+    for col in result._cols:
+        col.clear()
+        col[0] = 99
+    assert [m.fractions() for m in inputs] == before
+
+
+def sympy_slot_map(k, left, middle, tail):
+    """sympy's id_left (x) k (x) id_middle with k's tail factors moved behind
+    the middle, read entry by entry off the index rule."""
+    (ls, lt), sk = tail, to_sympy(k)
+    fs, ft = k.source.dim // (ls or 1), k.target.dim // (lt or 1)
+
+    def entry(r, c):
+        (l, fp, m, ep), (l2, f, m2, e) = (
+            (x // (n * middle * w), x // (middle * w) % n, x // w % middle, x % w)
+            for x, n, w in ((r, ft, lt), (c, fs, ls)))
+        return sk[fp * lt + ep, f * ls + e] if (l, m) == (l2, m2) else 0
+
+    return sympy.Matrix(left * ft * middle * lt, left * fs * middle * ls, entry)
+
+
+class TestProductKernelReferences:
+    def test_matmul_matches_the_reference(self):
+        rng = random.Random(2301)
+        for a, b, c in itertools.product(KERNEL_DIMS, repeat=3):
+            a, b, c = VectorSpace.make(a), VectorSpace.make(b), VectorSpace.make(c)
+            fs, gs = kernel_factors(rng, a, b), kernel_factors(rng, b, c)
+            for f, g in itertools.product(fs.values(), gs.values()):
+                product = g @ f
+                assert_same_result(product, reference_matmul(g, f))
+                assert to_sympy(product) == to_sympy(g) * to_sympy(f)
+        a, b, c, f, g, g2, f2 = cancelling_cases()
+        for right, left in ((f, g), (f, g2), (f2, g), (f2, g2)):
+            product = left @ right
+            assert_same_result(product, reference_matmul(left, right))
+            assert to_sympy(product) == to_sympy(left) * to_sympy(right)
+        assert (g @ f).column(0) == [0, 0] and (g @ f).column(1) == [0, -1]
+        assert (g @ f).column(2) == [0, 0] and (g2 @ f).is_zero()
+        assert (g2 @ f)._den == 1
+        halves = LinearMap.identity(a).scale(Fraction(1, 2))
+        assert (LinearMap.identity(a).scale(2) @ halves)._den == 1
+
+    def test_add_sub_and_signed_sum_match_the_reference(self):
+        rng = random.Random(2302)
+        for a, b in itertools.product(KERNEL_DIMS, repeat=2):
+            a, b = VectorSpace.make(a), VectorSpace.make(b)
+            maps = list(kernel_factors(rng, a, b).values())
+            for f, g in itertools.product(maps, repeat=2):
+                for sign, got in ((1, f + g), (-1, f - g)):
+                    assert_same_result(got, reference_add_sub(f, g, sign))
+                    assert to_sympy(got) == to_sympy(f) + sign * to_sympy(g)
+            for _ in range(20):
+                terms = [(rng.choice((1, -1)), rng.choice(maps))
+                         for _ in range(rng.randint(1, 5))]
+                got = signed_sum(terms)
+                assert_same_result(got, reference_signed_sum(terms))
+                assert to_sympy(got) == sum((sign * to_sympy(m) for sign, m in terms),
+                                            sympy.zeros(b.dim, a.dim))
+        _, _, _, f, _, _, f2 = cancelling_cases()
+        h = 2**70 + 3
+        cases = [(f, f, -1), (f, -f, 1), (f, f2, -1), (f2, f.scale(Fraction(-1, 2)), 1)]
+        for x, y, sign in cases:
+            got = x + y if sign == 1 else x - y
+            assert_same_result(got, reference_add_sub(x, y, sign))
+            assert to_sympy(got) == to_sympy(x) + sign * to_sympy(y)
+            terms = [(1, x), (sign, y), (1, f2), (-1, f2)]
+            assert_same_result(signed_sum(terms), reference_signed_sum(terms))
+            assert signed_sum(terms) == got
+        assert (f - f).is_zero() and (f - f)._den == 1
+        assert (f - f2).column(0) == [0, 0, 0] and (f - f2).column(1) == [0, -5, 0]
+        assert (f - f2).column(2) == [0, -h - Fraction(1, 2), 0]
+        twice = f2.scale(Fraction(1, 2)) + f2.scale(Fraction(1, 2))
+        assert twice == f2 and twice._den == 2
+
+    def test_tensor_map_matches_the_reference(self):
+        rng = random.Random(2303)
+        for a, b, c, d in itertools.product(KERNEL_DIMS, repeat=4):
+            a, b, c, d = (VectorSpace.make(n) for n in (a, b, c, d))
+            fs, gs = kernel_factors(rng, a, b), kernel_factors(rng, c, d)
+            # every pair of shapes once all four spaces are six-dimensional,
+            # ten of them against sympy
+            pairs = list(itertools.product(fs.values(), gs.values()))
+            sampled = rng.sample(pairs, 6 if min(a.dim, b.dim, c.dim, d.dim) < 6 else 10)
+            if min(a.dim, b.dim, c.dim, d.dim) < 6:
+                pairs = sampled
+            for f, g in pairs:
+                assert_same_result(tensor_map(f, g), reference_tensor_map(f, g))
+            for f, g in sampled:
+                assert to_sympy(tensor_map(f, g)) == sympy_kron(to_sympy(f), to_sympy(g))
+        a = VectorSpace.make(6)
+        evens, halves = kernel_factors(rng, a, a)["evens"], kernel_factors(rng, a, a)["halves"]
+        assert halves._den == 2 and not evens.is_zero()
+        assert tensor_map(halves, evens)._den == 1
+
+    def test_slot_map_matches_the_reference(self):
+        """Every split of a 0-, 1- and 6-dimensional side of k into a factor
+        and a tail, the wide tails among them, between 0, 1 and 2 identity
+        factors on each side."""
+        rng = random.Random(2304)
+        splits = {0: [(0, 3), (3, 0)], 1: [(1, 1)], 6: [(6, 1), (3, 2), (2, 3), (1, 6)]}
+        for ks, kt in itertools.product(KERNEL_DIMS, repeat=2):
+            maps = kernel_factors(rng, VectorSpace.make(ks), VectorSpace.make(kt))
+            for (fs, ls), (ft, lt) in itertools.product(splits[ks], splits[kt]):
+                for name, k in maps.items():
+                    left, middle = rng.choice((0, 1, 1, 2, 2)), rng.choice((0, 1, 1, 2, 2))
+                    source = VectorSpace.make(left * fs * middle * ls, "s")
+                    target = VectorSpace.make(left * ft * middle * lt, "t")
+                    got = slot_map(k, left, middle, source, target, (ls, lt))
+                    ref = reference_slot_map(k, left, middle, source, target, (ls, lt))
+                    assert_same_result(got, ref)
+                    assert to_sympy(got) == sympy_slot_map(k, left, middle, (ls, lt)), \
+                        (name, left, middle, (fs, ls), (ft, lt))
+
+    def test_no_kernel_result_shares_a_column_with_an_input(self):
+        """The pattern of `test_matmul_matches_sympy`, for sums, signed sums,
+        slot maps and tensor products."""
+        rng = random.Random(2305)
+        for a, b in itertools.product(KERNEL_DIMS, repeat=2):
+            a, b = VectorSpace.make(a), VectorSpace.make(b)
+            fs, gs = kernel_factors(rng, a, b), kernel_factors(rng, a, b)
+            for f, g in zip(fs.values(), gs.values()):
+                for make in (lambda: f + g, lambda: f - g, lambda: signed_sum([(1, f)]),
+                             lambda: signed_sum([(1, f), (-1, g), (1, f)]),
+                             lambda: slot_map(f, 2, 1, tensor_space(VectorSpace.make(2), a),
+                                              tensor_space(VectorSpace.make(2), b)),
+                             lambda: slot_map(f, 1, 2, tensor_space(a, VectorSpace.make(2)),
+                                              tensor_space(b, VectorSpace.make(2))),
+                             lambda: tensor_map(f, g), lambda: tensor_map(g, f),
+                             lambda: tensor_map(f, LinearMap.identity(VectorSpace.make(2)))):
+                    assert_shares_no_column(make(), f, g)
