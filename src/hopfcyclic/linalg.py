@@ -17,6 +17,17 @@ Conventions, used everywhere downstream:
     target, and its transpose is currying, so a structure map is read whole
     rather than one basis element at a time.
 
+The product kernels (`@`, `+`, `-`, `signed_sum`, `tensor_map`, `slot_map`)
+cost Python work per column, so each takes the cheapest path a column allows
+and keeps one contract on every path:
+  * no result shares a column dict with an input, so mutating one leaves
+    the other as it was;
+  * a column holds its entries in one fixed insertion order, whichever path
+    wrote it;
+  * zeros are filtered out of a column only after a sum in it cancelled;
+  * a monomial factor (at most one entry per column) is written as one
+    literal per output column, or {} for an empty one.
+
 Basis labels serve only failure witnesses and reports, so a derived space
 spells its labels on their first read and keeps them; uniqueness is checked
 on the label tuples that carriers are given, not on derived ones, where a
@@ -289,23 +300,31 @@ class LinearMap:
     # -- exact arithmetic ---------------------------------------------
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
+        """The composite self after other, column by column of other: an
+        empty column gives {}, a one-entry column b in row k a copy of
+        column k of self scaled by b, and a longer one the sum of the columns
+        it picks, with zeros filtered only when a sum cancelled."""
         if self.source.dim != other.target.dim:
             raise LinAlgError(
                 f"cannot compose: inner dims {self.source.dim} != {other.target.dim}"
             )
         a = self._cols
         cols = []
+        append = cols.append
         for col in other._cols:
             if len(col) == 1:
                 # one entry b in row k: column k of self times b, never zero
                 (k, b), = col.items()
-                cols.append(dict(a[k]) if b == 1 else {i: v * b for i, v in a[k].items()})
-                continue
-            acc = {}
-            for k, b in col.items():
-                for i, v in a[k].items():
-                    acc[i] = acc.get(i, 0) + v * b
-            cols.append({i: v for i, v in acc.items() if v})
+                append(a[k].copy() if b == 1 else {i: v * b for i, v in a[k].items()})
+            elif not col:
+                append({})
+            else:
+                acc = {}
+                get = acc.get
+                for k, b in col.items():
+                    for i, v in a[k].items():
+                        acc[i] = get(i, 0) + v * b
+                append({i: v for i, v in acc.items() if v} if 0 in acc.values() else acc)
         return _canonical(other.source, self.target, cols, self._den * other._den)
 
     def _add_sub(self, other: "LinearMap", sign: int) -> "LinearMap":
@@ -315,10 +334,11 @@ class LinearMap:
         fa, fb = den // self._den, sign * (den // other._den)
         cols = []
         for ca, cb in zip(self._cols, other._cols):
-            acc = {i: v * fa for i, v in ca.items()}
+            acc = ca.copy() if fa == 1 else {i: v * fa for i, v in ca.items()}
+            get = acc.get
             for i, v in cb.items():
-                acc[i] = acc.get(i, 0) + v * fb
-            cols.append({i: v for i, v in acc.items() if v})
+                acc[i] = get(i, 0) + v * fb
+            cols.append({i: v for i, v in acc.items() if v} if 0 in acc.values() else acc)
         return _canonical(self.source, self.target, cols, den)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
@@ -415,10 +435,11 @@ def signed_sum(terms: Sequence[tuple[int, LinearMap]]) -> LinearMap:
     cols = []
     for group in zip(*(m._cols for _, m in terms)):
         acc = {}
+        get = acc.get
         for f, col in zip(factors, group):
             for i, v in col.items():
-                acc[i] = acc.get(i, 0) + v * f
-        cols.append({i: v for i, v in acc.items() if v})
+                acc[i] = get(i, 0) + v * f
+        cols.append({i: v for i, v in acc.items() if v} if 0 in acc.values() else acc)
     return _canonical(first.source, first.target, cols, den)
 
 
@@ -454,11 +475,31 @@ def vectors_equal(a: Sequence, b: Sequence) -> bool:
     return len(a) == len(b) and all(Fraction(x) == Fraction(y) for x, y in zip(a, b))
 
 
+def _monomial_entries(f: LinearMap) -> Optional[list[tuple[int, int]]]:
+    """(row, entry) of each column of f, (0, 0) for an empty one; None, before
+    anything is copied, when some column holds two entries or more."""
+    if any(len(col) > 1 for col in f._cols):
+        return None
+    return [next(iter(col.items()), (0, 0)) for col in f._cols]
+
+
 def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Kronecker product matching the row-major tensor basis convention."""
+    """Kronecker product matching the row-major tensor basis convention.
+
+    Column (j, l) holds a * b at row i * dim(g.target) + k for each entry a
+    of column j of f in row i and b of column l of g in row k.  When both
+    factors are monomial (at most one entry per column), each column is
+    written as one literal, or {} where a factor's column is empty.
+    """
     m = g.target.dim
-    cols = [{i * m + k: a * b for i, a in fc.items() for k, b in gc.items()}
-            for fc in f._cols for gc in g._cols]
+    fm = _monomial_entries(f)
+    gm = None if fm is None else _monomial_entries(g)
+    if gm is not None:
+        fm = [(i * m, a) for i, a in fm]
+        cols = [{i + k: a * b} if a and b else {} for i, a in fm for k, b in gm]
+    else:
+        cols = [{i * m + k: a * b for i, a in fc.items() for k, b in gc.items()}
+                for fc in f._cols for gc in g._cols]
     return _canonical(tensor_space(f.source, g.source), tensor_space(f.target, g.target),
                       cols, f._den * g._den)
 
@@ -485,7 +526,10 @@ def slot_map(k: LinearMap, left: int, middle: int, source: VectorSpace, target: 
     Column (l, f, m, e) goes to rows (l, f', m, e') with entry
     k[(f', e'), (f, e)], all indices row-major.  With the default tail this
     is the Kronecker product id (x) k (x) id; a wider tail writes the
-    rotations of cyclic operators.
+    rotations of cyclic operators.  When k is monomial (at most one entry
+    per column: cyclic operators, codegeneracies, permutations), each column
+    is written as one literal, or {} where k's column is empty; otherwise
+    each is built from its column of k.
     """
     ls, lt = tail
     # a zero-width tail fits only a zero-dimensional side of k
@@ -498,11 +542,18 @@ def slot_map(k: LinearMap, left: int, middle: int, source: VectorSpace, target: 
     if not lt:  # a zero-dimensional target, where the row stride below would be 0
         return LinearMap.zero(source, target)
     stride = middle * lt
+    # the columns (f, e) of k, as (row offset, entry) lists, for each f
     offsets = [[(i // lt * stride + i % lt, v) for i, v in col.items()] for col in k._cols]
-    cols = [{base + o: v for o, v in offsets[f * ls + e]}
-            for l in range(left) for f in range(fs)
-            for base in range(l * ft * stride, l * ft * stride + stride, lt)
-            for e in range(ls)]
+    blocks = [offsets[f * ls:f * ls + ls] for f in range(fs)]
+    bases = [range(l * ft * stride, l * ft * stride + stride, lt) for l in range(left)]
+    if all(len(col) < 2 for col in offsets):
+        # k is monomial: one literal per column, entry 0 standing for an empty one
+        blocks = [[col[0] if col else (0, 0) for col in block] for block in blocks]
+        cols = [{base + o: v} if v else {}
+                for rows in bases for block in blocks for base in rows for o, v in block]
+    else:
+        cols = [{base + o: v for o, v in col}
+                for rows in bases for block in blocks for base in rows for col in block]
     # every column of k appears once left * middle > 0, so the map stays reduced
     return LinearMap(source, target, tuple(cols), k._den if cols else 1)
 
