@@ -541,8 +541,9 @@ class _CupSetup:
     diagonal_module: CocyclicModule
     tensor_values: Contratensor
     pair_collapse: Optional[LinearMap]
-    scalar_target: CocyclicModule
-    # the scalar target itself when L is one-dimensional (`_cup_setup`)
+    # None without a pairing unless L is one-dimensional (`_cup_setup`)
+    scalar_target: Optional[CocyclicModule]
+    # the scalar target itself when L is one-dimensional
     tensor_target: CocyclicModule
     # ("transformer", n) -> the family's transformer (`_transformer`);
     # ("psi", q, tensor_valued) -> that variant's psi and the basis maps that
@@ -558,7 +559,8 @@ def _cup_setup(cls, algebra: ModuleAlgebra, coefficients, degree_cap: int,
     """A `cls` setup on the cochain complexes `left` and `right`, with
     products in the cochains of `target`.  Cochains with values in a
     one-dimensional L have the labels and operators of scalar cochains, so
-    then both variants share the scalar target tower."""
+    then both variants share the scalar target tower.  Otherwise the scalar
+    tower is built only with a pairing, as every scalar product needs one."""
     module, contra, pair = coefficients
     bicomplex = tensor_bicocyclic(left.module, right.module)
     tensor_values = contratensor(module, contra)
@@ -566,13 +568,15 @@ def _cup_setup(cls, algebra: ModuleAlgebra, coefficients, degree_cap: int,
     if pair is not None:
         require(check_compatible_pair(pair), "coefficient pair")
         pair_collapse = collapse_map(pair, tensor_values)
-    scalar_target = plain_algebra_cocyclic(target, None, degree_cap)
+    one_dimensional = tensor_values.space.dim == 1
+    scalar_target = (plain_algebra_cocyclic(target, None, degree_cap)
+                     if pair is not None or one_dimensional else None)
     return cls(
         algebra=algebra, module=module, contramodule=contra, pair=pair,
         degree_cap=degree_cap, bicomplex=bicomplex, diagonal_module=diagonal(bicomplex),
         tensor_values=tensor_values, pair_collapse=pair_collapse,
         scalar_target=scalar_target,
-        tensor_target=(scalar_target if tensor_values.space.dim == 1 else
+        tensor_target=(scalar_target if one_dimensional else
                        plain_algebra_cocyclic(target, tensor_values.space, degree_cap)),
         **parts)
 

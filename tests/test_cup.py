@@ -761,6 +761,31 @@ def test_one_dimensional_values_share_the_scalar_target(demo_setups, setup_ac_gr
         [("convolution target", True)]
 
 
+def test_an_unpaired_setup_builds_no_scalar_target(z2, z2_convolution_data, setup_ac_block,
+                                                   monkeypatch):
+    """With no pairing and a two-dimensional L no scalar product can be taken,
+    so the setup builds one plain target tower, the contratensor-valued one;
+    the scalar product keeps its refusal."""
+    built = []
+
+    def counted(algebra, values=None, degree_cap=None):
+        built.append(None if values is None else values.dim)
+        return plain_algebra_cocyclic(algebra, values, degree_cap)
+
+    monkeypatch.setattr(cup, "plain_algebra_cocyclic", counted)
+    algebra, coalgebra, action = z2_convolution_data
+    module = block_module(z2)
+    setup = ac_cup_setup(algebra, coalgebra, action, (module, dualize(module)), degree_cap=3)
+    assert built == [2]
+    assert setup.scalar_target is None and setup_ac_block.scalar_target is None
+    assert setup.tensor_target == setup_ac_block.tensor_target
+    left = basis_cocycle(setup_ac_block.algebra_cochains.module, 1)
+    right = basis_cocycle(setup_ac_block.coalgebra_cochains.module, 1)
+    with pytest.raises(LinAlgError, match="^no compatible pairing was provided"):
+        cup_ac(setup_ac_block, 1, 1, left, right)
+    assert built == [2]
+
+
 def test_comparison_maps_are_built_once_per_variant(demo_setups, setup_ac_unpaired):
     """Repeated calls return the map built by the first, one per variant, and
     a variant that is refused stays refused."""
