@@ -68,7 +68,6 @@ it shares with the balanced functionals, and both verify every operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NoReturn, Optional
 
@@ -102,6 +101,7 @@ from .linalg import (
     tensor_space,
 )
 from .reporting import Report
+from .valueclass import field, valueclass
 
 DEFAULT_DEGREE_CAP = 4
 
@@ -110,7 +110,7 @@ DEFAULT_DEGREE_CAP = 4
 # generic carrier
 
 
-@dataclass(frozen=True)
+@valueclass
 class CocyclicModule:
     """Spaces C^0..C^cap with cofaces, codegeneracies and cyclic operators.
 
@@ -187,6 +187,7 @@ def verify_cocyclic(module: CocyclicModule, name: str = "cocyclic module") -> Re
     rep = Report(name)
     cap = module.degree_cap
     d, s, t = module.face, module.degeneracy, module.tau
+    identities = [LinearMap.identity(space) for space in module.spaces]
 
     for n in range(cap - 1):
         for j in range(n + 3):
@@ -211,8 +212,7 @@ def verify_cocyclic(module: CocyclicModule, name: str = "cocyclic module") -> Re
             for i in range(n + 2):
                 lhs = s(n + 1, j) @ d(n, i)
                 if i in (j, j + 1):
-                    rep.check_equal(f"s{j} d{i} = id (degree {n})",
-                                    lhs, LinearMap.identity(module.spaces[n]))
+                    rep.check_equal(f"s{j} d{i} = id (degree {n})", lhs, identities[n])
                 elif i < j:
                     rep.check_equal(f"s{j} d{i} = d{i} s{j - 1} (degree {n})",
                                     lhs, d(n - 1, i) @ s(n, j - 1))
@@ -234,11 +234,10 @@ def verify_cocyclic(module: CocyclicModule, name: str = "cocyclic module") -> Re
                             t(n - 1) @ s(n, j), s(n, j - 1) @ t(n))
 
     for n in range(cap + 1):
-        power = LinearMap.identity(module.spaces[n])
-        for _ in range(n + 1):
+        power = t(n)
+        for _ in range(n):
             power = t(n) @ power
-        rep.check_equal(f"t^{n + 1} = id (degree {n})",
-                        power, LinearMap.identity(module.spaces[n]))
+        rep.check_equal(f"t^{n + 1} = id (degree {n})", power, identities[n])
 
     return rep
 
@@ -350,7 +349,7 @@ def _realize(spaces, operators, induce) -> CocyclicModule:
 # realized cochain complexes
 
 
-@dataclass(frozen=True)
+@valueclass
 class HomCochainComplex:
     """A cocyclic module whose degree-n space is a subspace of Hom(D_n, V)."""
 
@@ -360,7 +359,7 @@ class HomCochainComplex:
     values: VectorSpace
 
 
-@dataclass(frozen=True)
+@valueclass
 class QuotientCochainComplex:
     """A cocyclic module whose degree-n space is a quotient of a tensor space."""
 
@@ -563,7 +562,7 @@ def algebra_contra_cocyclic(algebra: ModuleAlgebra, coefficients: SaydContramodu
 # duality between balanced functionals and contramodule-valued cochains
 
 
-@dataclass(frozen=True)
+@valueclass
 class DualizationIsomorphism:
     module_side: HomCochainComplex
     contra_side: HomCochainComplex
@@ -725,7 +724,7 @@ def normalization_projector(module: CocyclicModule, n: int) -> LinearMap:
     return out
 
 
-@dataclass(frozen=True)
+@valueclass
 class MixedComplexView:
     """Normalized subcomplex with restricted b and B operators."""
 
@@ -763,7 +762,7 @@ def check_mixed_complex(view: MixedComplexView, name: str = "mixed complex") -> 
 # cohomology in low degrees
 
 
-@dataclass(frozen=True)
+@valueclass
 class CohomologyResult:
     degree: int
     dim: int

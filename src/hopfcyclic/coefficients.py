@@ -18,7 +18,6 @@ element as the first factor of its column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .hopf import HopfAlgebra, check_comodule, iterated_comultiplication
 from .linalg import (
@@ -36,9 +35,10 @@ from .linalg import (
     tensor_space,
 )
 from .reporting import Report
+from .valueclass import valueclass
 
 
-@dataclass(frozen=True)
+@valueclass
 class SaydModule:
     """A right module, left comodule coefficient object."""
 
@@ -52,7 +52,7 @@ class SaydModule:
         return self.space.dim
 
 
-@dataclass(frozen=True)
+@valueclass
 class SaydContramodule:
     """A left module whose co-structure is a map on Hom(H, carrier)."""
 
@@ -66,14 +66,14 @@ class SaydContramodule:
         return self.space.dim
 
 
-@dataclass(frozen=True)
+@valueclass
 class CompatiblePair:
     module: SaydModule
     contramodule: SaydContramodule
     pairing: LinearMap  # N (x) M -> Q
 
 
-@dataclass(frozen=True)
+@valueclass
 class Contratensor:
     """The coequalizer L of the two lifts of N (x) Hom(H,M) into N (x)_H M."""
 

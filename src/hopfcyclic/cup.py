@@ -42,7 +42,6 @@ products share the scalar target tower when L is one-dimensional.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -112,6 +111,7 @@ from .linalg import (
     vectors_equal,
 )
 from .reporting import Report, require
+from .valueclass import field, valueclass
 
 
 def _as_vector(vec, dim: int, label: str) -> list[Fraction]:
@@ -138,7 +138,7 @@ def _vector_entry(report: Report, name: str, vec, space: VectorSpace) -> None:
 # bicocyclic tensor products
 
 
-@dataclass(frozen=True)
+@valueclass
 class BicocyclicModule:
     """C^{p,q} = X^p (x) Y^q for cocyclic modules X (vertical) and Y (horizontal).
 
@@ -221,7 +221,7 @@ def diagonal(module: BicocyclicModule) -> CocyclicModule:
         paired(x.cyclic, y.cyclic))
 
 
-@dataclass(frozen=True)
+@valueclass
 class TotalMixedComplex:
     """Degreewise direct sum of the normalized bidegree blocks.
 
@@ -362,7 +362,7 @@ class CompletionObstruction(LinAlgError):
             f"{degree}, residual {[str(x) for x in residual]}")
 
 
-@dataclass(frozen=True)
+@valueclass
 class BBcocycle:
     """Components in degrees n, n-2, ... down to 1 or 0."""
 
@@ -524,7 +524,7 @@ def _checked_coefficients(coefficients: Coefficients):
     return module, contra, pair
 
 
-@dataclass(frozen=True)
+@valueclass
 class _CupSetup:
     """The fields both families share.  The left cochains are the vertical
     factor of the bicomplex, the right ones the horizontal factor.  A family
@@ -581,7 +581,7 @@ def _cup_setup(cls, algebra: ModuleAlgebra, coefficients, degree_cap: int,
         **parts)
 
 
-@dataclass(frozen=True)
+@valueclass
 class ConvolutionCupSetup(_CupSetup):
     """Everything needed to cup contramodule-valued algebra cochains with
     module-coefficient coalgebra cochains through the convolution algebra."""
@@ -624,7 +624,7 @@ def ac_cup_setup(algebra: ModuleAlgebra, coalgebra: ModuleCoalgebra,
                       coalgebra_cochains=y)
 
 
-@dataclass(frozen=True)
+@valueclass
 class CrossedProductCupSetup(_CupSetup):
     """Everything needed to cup colinear comodule-algebra cochains with
     contramodule-valued algebra cochains on the crossed product algebra."""

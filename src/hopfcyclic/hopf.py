@@ -15,7 +15,6 @@ the coalgebra action curried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -43,11 +42,12 @@ from .linalg import (
     tensor_subspace,
 )
 from .reporting import Report, require
+from .valueclass import field, valueclass
 
 _Q = VectorSpace.ground()
 
 
-@dataclass(frozen=True)
+@valueclass
 class Algebra:
     """An associative unital algebra: carrier, multiplication, unit."""
 
@@ -70,7 +70,7 @@ def check_algebra(a: Algebra, title: str = "algebra") -> Report:
     return rep
 
 
-@dataclass(frozen=True)
+@valueclass
 class Coalgebra:
     space: VectorSpace
     comul: LinearMap
@@ -90,7 +90,7 @@ def check_coalgebra(c: Coalgebra, title: str = "coalgebra") -> Report:
     return rep
 
 
-@dataclass(frozen=True)
+@valueclass
 class HopfAlgebra:
     space: VectorSpace
     mul: LinearMap
@@ -425,7 +425,7 @@ def check_comodule(h: HopfAlgebra, space: VectorSpace, coaction: LinearMap, titl
     return rep
 
 
-@dataclass(frozen=True)
+@valueclass
 class ModuleAlgebra:
     hopf: HopfAlgebra
     space: VectorSpace
@@ -462,7 +462,7 @@ def check_module_algebra(a: ModuleAlgebra) -> Report:
     return rep
 
 
-@dataclass(frozen=True)
+@valueclass
 class ModuleCoalgebra:
     hopf: HopfAlgebra
     space: VectorSpace
@@ -494,7 +494,7 @@ def check_module_coalgebra(c: ModuleCoalgebra) -> Report:
     return rep
 
 
-@dataclass(frozen=True)
+@valueclass
 class ComoduleAlgebra:
     hopf: HopfAlgebra
     space: VectorSpace
@@ -522,7 +522,7 @@ def check_comodule_algebra(b: ComoduleAlgebra) -> Report:
     return rep
 
 
-@dataclass(frozen=True)
+@valueclass
 class CoalgebraAction:
     """An action of a module coalgebra C on a module algebra A over one H."""
 
@@ -560,7 +560,7 @@ def check_coalgebra_action(ca: CoalgebraAction) -> Report:
 # -- derived algebras ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@valueclass
 class ConvolutionAlgebra:
     """The algebra of H-linear maps C -> A under convolution.
 
@@ -641,7 +641,7 @@ def iota(ca: CoalgebraAction, conv: ConvolutionAlgebra) -> LinearMap:
     c, a = ca.coalgebra, ca.algebra
     sub = conv.subspace
     curried = partial_transpose(ca.act, c.space, a.space).transpose()  # A -> Hom(C, A)
-    coords = sub.coords_matrix() @ curried
+    coords = sub.support_rows(curried)
     stray = (sub.basis @ coords - curried).nonzero_columns()
     if stray:
         raise LinAlgError(

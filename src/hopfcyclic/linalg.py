@@ -43,9 +43,10 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+from .valueclass import FrozenInstanceError, field, slot_setters, valueclass
 
 Rational = Fraction
 
@@ -204,7 +205,7 @@ def _transposed(cols, nrows: int) -> list[dict[int, int]]:
     return rows
 
 
-@dataclass(frozen=True)
+@valueclass
 class LinearMap:
     """An exact linear map between based spaces, stored as sparse scaled integers.
 
@@ -217,6 +218,13 @@ class LinearMap:
     target: VectorSpace
     _cols: tuple[dict[int, int], ...] = field(repr=False)
     _den: int = field(repr=False)
+
+    def __init__(self, source, target, _cols, _den):
+        set_source, set_target, set_cols, set_den = _LINEAR_MAP_SLOTS
+        set_source(self, source)
+        set_target(self, target)
+        set_cols(self, _cols)
+        set_den(self, _den)
 
     # -- constructors -------------------------------------------------
 
@@ -364,6 +372,10 @@ class LinearMap:
         return (self.shape == other.shape and self._den == other._den
                 and self._cols == other._cols)
 
+    def __hash__(self) -> int:
+        # __eq__ reads no labels, and the columns are dicts
+        return hash((self.shape, self._den))
+
     # -- vectors ------------------------------------------------------
 
     def apply(self, vec: Sequence) -> list[Fraction]:
@@ -417,6 +429,9 @@ class LinearMap:
                 if j >= n:
                     cols[j - n][k] = x
         return _from_columns(self.target, self.source, cols)
+
+
+_LINEAR_MAP_SLOTS = slot_setters(LinearMap)
 
 
 def signed_sum(terms: Sequence[tuple[int, LinearMap]]) -> LinearMap:
@@ -739,7 +754,7 @@ def solve(mat: LinearMap, rhs: Sequence) -> Optional[list[Fraction]]:
 # -- subspaces and quotients ----------------------------------------
 
 
-@dataclass(frozen=True)
+@valueclass
 class Subspace:
     """A subspace with a basis whose support rows form an identity block.
 
@@ -753,16 +768,25 @@ class Subspace:
     basis: LinearMap
     supports: tuple[int, ...]
 
+    def __init__(self, ambient, space, basis, supports):
+        set_ambient, set_space, set_basis, set_supports = _SUBSPACE_SLOTS
+        set_ambient(self, ambient)
+        set_space(self, space)
+        set_basis(self, basis)
+        set_supports(self, supports)
+
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    def coords_matrix(self) -> LinearMap:
-        """The left inverse of `basis` given by slicing the support rows."""
-        cols = [{} for _ in range(self.ambient.dim)]
-        for k, s in enumerate(self.supports):
-            cols[s] = {k: 1}
-        return LinearMap(self.ambient, self.space, tuple(cols), 1)
+    def support_rows(self, image: LinearMap) -> LinearMap:
+        """The support rows of `image` as a map into this subspace: its
+        coordinates when it lies in the subspace, which this does not check."""
+        if image.target.dim != self.ambient.dim:
+            raise LinAlgError(f"cannot compose: inner dims {self.ambient.dim} != {image.target.dim}")
+        at = {s: k for k, s in enumerate(self.supports)}
+        cols = [{at[i]: v for i, v in col.items() if i in at} for col in image._cols]
+        return _canonical(image.source, self.space, cols, image._den)
 
     def coords(self, vec: Sequence) -> list[Fraction]:
         vec = vector_from(vec)
@@ -774,7 +798,7 @@ class Subspace:
     def restrict_from(self, op: LinearMap, source: "Subspace") -> LinearMap:
         """The induced map source -> self of an ambient operator, verified."""
         image = op @ source.basis
-        coords = self.coords_matrix() @ image
+        coords = self.support_rows(image)
         if self.basis @ coords != image:
             raise MembershipError("operator does not preserve the subspace")
         return coords
@@ -786,6 +810,9 @@ class Subspace:
         inner = solve_constrained_subspace(self.space, [c @ self.basis for c in constraints])
         return _with_supports(relabel(self.basis @ inner.basis,
                                       VectorSpace.make(inner.dim, prefix)))
+
+
+_SUBSPACE_SLOTS = slot_setters(Subspace)
 
 
 def subspace_from_kernel(mat: LinearMap, prefix: str = "k") -> Subspace:
@@ -900,7 +927,7 @@ def monomial_fixed_subspace(op: LinearMap, prefix: str = "k") -> Optional[Subspa
     return _subspace(op.source, [vecs[f] for f in sorted(vecs)], prefix)
 
 
-@dataclass(frozen=True)
+@valueclass
 class Quotient:
     """ambient / im(relation), with deterministic representative section."""
 

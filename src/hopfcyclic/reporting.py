@@ -14,17 +14,23 @@ entry is the witness of a failure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .linalg import LinAlgError, LinearMap
+from .valueclass import field, slot_setters, valueclass
 
 
-@dataclass(frozen=True)
+@valueclass
 class ReportEntry:
     name: str
     passed: bool
     detail: str = ""
+
+    def __init__(self, name, passed, detail=""):
+        set_name, set_passed, set_detail = _ENTRY_SLOTS
+        set_name(self, name)
+        set_passed(self, passed)
+        set_detail(self, detail)
 
     def as_dict(self) -> dict:
         d = {"name": self.name, "passed": self.passed}
@@ -33,7 +39,10 @@ class ReportEntry:
         return d
 
 
-@dataclass
+_ENTRY_SLOTS = slot_setters(ReportEntry)
+
+
+@valueclass(frozen=False)
 class Report:
     title: str
     entries: list[ReportEntry] = field(default_factory=list)

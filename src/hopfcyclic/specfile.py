@@ -33,7 +33,6 @@ refused as ``missing field '<key>'``; an undeclared name is refused by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -82,6 +81,7 @@ from .linalg import (
     tensor_space,
     tensor_spaces,
 )
+from .valueclass import field, valueclass
 
 
 class SpecError(ValueError):
@@ -206,7 +206,7 @@ Checkable = Union[HopfAlgebra, Algebra, ModuleAlgebra, ModuleCoalgebra,
                   CompatiblePair, CoalgebraAction]
 
 
-@dataclass
+@valueclass(frozen=False)
 class SpecFile:
     hopf_algebras: dict[str, HopfAlgebra] = field(default_factory=dict)
     algebras: dict[str, Union[Algebra, ModuleAlgebra]] = field(default_factory=dict)

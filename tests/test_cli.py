@@ -733,6 +733,21 @@ class TestDeterminism:
                                 "--format", "json"])
 
 
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    """A fresh interpreter that compiles every module from source builds the
+    engine's classes without the code generation of `dataclasses`.  With -S,
+    no site hook of the host imports either module first."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, hopfcyclic.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 class TestStandardLibraryOnly:
     """The package and hcc run with numpy unimportable."""
 

@@ -1,6 +1,5 @@
 """Tests for bicocyclic towers, total complexes, comparison maps and cups."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -91,6 +90,7 @@ from hopfcyclic.linalg import (
 )
 from hopfcyclic.reporting import Report
 from hopfcyclic.specfile import parse_spec
+from hopfcyclic.valueclass import replace
 from test_coefficients import block_module
 
 Z2CUP = str(Path(__file__).resolve().parent.parent / "demo" / "z2_cup.json")
@@ -359,7 +359,7 @@ def with_perturbed_coface(tower):
     faces = [list(row) for row in tower.faces]
     f = faces[1][0]
     faces[1][0] = f + LinearMap.from_entries(f.source, f.target, [(0, 0, 1)])
-    return dataclasses.replace(tower, faces=tuple(map(tuple, faces)))
+    return replace(tower, faces=tuple(map(tuple, faces)))
 
 
 def test_bicocyclic_report_is_read_off_the_factors(demo_setups, monkeypatch):
@@ -597,7 +597,7 @@ def test_psi_refuses_a_map_that_sees_the_relations(demo_setups):
     y = setup.coalgebra_cochains
     relations = list(y.relations)
     relations[2] = LinearMap.identity(y.ambients[2])
-    bad = dataclasses.replace(setup, coalgebra_cochains=dataclasses.replace(
+    bad = replace(setup, coalgebra_cochains=replace(
         y, relations=tuple(relations)))
     refusal = "the comparison map is not well defined on the quotient at degree 2 (basis map 0)"
     with pytest.raises(LinAlgError) as info:

@@ -1,0 +1,201 @@
+"""The value classes: dataclass semantics from closures, with nothing compiled."""
+
+import ast
+import copy
+import pickle
+from pathlib import Path
+
+import pytest
+
+from hopfcyclic import valueclass as valueclass_module
+from hopfcyclic.cocyclic import CocyclicModule, plain_algebra_cocyclic
+from hopfcyclic.cup import ConvolutionCupSetup, _CupSetup
+from hopfcyclic.hopf import algebra_generators, cyclic_group_table, group_algebra
+from hopfcyclic.linalg import LinAlgError, LinearMap, Subspace, VectorSpace
+from hopfcyclic.reporting import Report, ReportEntry
+from hopfcyclic.valueclass import FrozenInstanceError, field, replace, valueclass
+
+
+@valueclass
+class Point:
+    x: int
+    y: int = 0
+    tags: list = field(default_factory=list, compare=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.x < 0:
+            raise ValueError("negative x")
+
+
+@valueclass
+class LabelledPoint(Point):
+    label: str = "p"
+
+
+@valueclass(frozen=False)
+class Tally:
+    name: str
+    counts: list = field(default_factory=list)
+
+
+def test_helper_module_generates_no_code():
+    tree = ast.parse(Path(valueclass_module.__file__).read_text(encoding="utf-8"))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not called & {"exec", "eval", "compile"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"dataclasses", "inspect"}
+
+
+def test_construction_by_position_keyword_and_default():
+    assert Point(1, 2) == Point(x=1, y=2) == Point(1, y=2)
+    assert Point(1).y == 0
+    a, b = Point(1), Point(1)
+    assert a.tags == [] and a.tags is not b.tags and a.cache is not b.cache
+    with pytest.raises(ValueError, match="negative x"):
+        Point(-1)
+
+
+@pytest.mark.parametrize("args, kwargs, text", [
+    ((), {}, "missing required argument 'x'"),
+    ((1, 2, [], 4), {}, "takes 3 positional arguments but 4 were given"),
+    ((1,), {"x": 2}, "multiple values for argument 'x'"),
+    ((1,), {"z": 2}, "unexpected keyword argument 'z'"),
+    ((1,), {"cache": {}}, "unexpected keyword argument 'cache'"),
+])
+def test_bad_arguments_are_refused(args, kwargs, text):
+    with pytest.raises(TypeError, match=text):
+        Point(*args, **kwargs)
+
+
+def test_equality_hash_and_repr_follow_the_field_flags():
+    a, b = Point(1, 2, ["a"]), Point(1, 2, ["b"])
+    a.cache["k"] = 1
+    assert a == b and hash(a) == hash(b)
+    assert a != Point(1, 3) and a != LabelledPoint(1, 2)
+    assert repr(a) == "Point(x=1, y=2, tags=['a'])"
+
+
+def test_frozen_fields_refuse_assignment_and_deletion():
+    p = Point(1)
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'x'"):
+        p.x = 2
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'y'"):
+        del p.y
+    assert issubclass(FrozenInstanceError, AttributeError)
+
+
+def test_a_subclass_adds_its_fields_after_the_base():
+    p = LabelledPoint(1, 2, label="q")
+    assert [f.name for f in LabelledPoint._value_fields] == ["x", "y", "tags", "cache", "label"]
+    assert repr(p) == "LabelledPoint(x=1, y=2, tags=[], label='q')"
+    with pytest.raises(ValueError, match="negative x"):
+        LabelledPoint(-1)
+
+
+def test_replace_reruns_the_constructor():
+    p = LabelledPoint(1, 2, label="q")
+    p.cache["k"] = 1
+    moved = replace(p, y=5)
+    assert moved == LabelledPoint(1, 5, label="q") and moved.cache == {}
+    with pytest.raises(ValueError, match="negative x"):
+        replace(p, x=-1)
+    with pytest.raises(ValueError, match="'cache' is not set by the constructor"):
+        replace(p, cache={})
+
+
+def test_mutable_records_assign_and_do_not_hash():
+    t = Tally("t")
+    t.counts.append(1)
+    t.name = "u"
+    assert t == Tally("u", [1]) and repr(t) == "Tally(name='u', counts=[1])"
+    with pytest.raises(TypeError):
+        hash(t)
+
+
+def test_copy_and_pickle_rebuild_through_the_constructor():
+    p = LabelledPoint(1, 2, ["a"], label="q")
+    for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert other == p and type(other) is LabelledPoint and other.cache == {}
+
+
+# -- the engine's classes --------------------------------------------
+
+
+def z2_hopf():
+    return group_algebra(cyclic_group_table(2))
+
+
+def test_hopf_algebras_built_alike_are_equal_and_hash_alike():
+    h, k = z2_hopf(), z2_hopf()
+    assert h is not k and h == k and hash(h) == hash(k)
+    assert h != group_algebra(cyclic_group_table(3))
+
+
+def test_memo_is_left_out_of_equality_and_repr():
+    h, k = z2_hopf(), z2_hopf()
+    algebra_generators(h)
+    assert h._memo and not k._memo
+    assert h == k and hash(h) == hash(k)
+    assert "_memo" not in repr(h) and repr(h) == repr(k)
+
+
+def test_assigning_an_engine_field_raises_attribute_error():
+    h = z2_hopf()
+    m = LinearMap.identity(VectorSpace.make(2))
+    for obj, name in ((h, "mul"), (m, "_den"), (ReportEntry("e", True), "passed")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, None)
+
+
+def test_linear_map_repr_text_is_unchanged():
+    space = VectorSpace.make(2)
+    assert repr(LinearMap.identity(space)) == (
+        "LinearMap(source=VectorSpace(dim=2), target=VectorSpace(dim=2))")
+    sub = Subspace(space, space, LinearMap.identity(space), (0, 1))
+    assert repr(sub) == (
+        "Subspace(ambient=VectorSpace(dim=2), space=VectorSpace(dim=2), "
+        "basis=LinearMap(source=VectorSpace(dim=2), target=VectorSpace(dim=2)), "
+        "supports=(0, 1))")
+    assert repr(ReportEntry("e", False, "why")) == "ReportEntry(name='e', passed=False, detail='why')"
+    assert repr(Report("r", [ReportEntry("e", True)])) == (
+        "Report(title='r', entries=[ReportEntry(name='e', passed=True, detail='')])")
+
+
+def test_hand_written_constructors_take_keywords():
+    space = VectorSpace.make(1)
+    m = LinearMap(source=space, target=space, _cols=({0: 1},), _den=1)
+    assert m == LinearMap.identity(space) and hash(m) == hash(LinearMap.identity(space))
+    assert ReportEntry(name="e", passed=True) == ReportEntry("e", True, "")
+    assert replace(ReportEntry("e", True), detail="d") == ReportEntry("e", True, "d")
+
+
+@pytest.mark.parametrize("change, text", [
+    (lambda t: {"faces": t.faces[:-1]}, "cocyclic tower has the wrong length"),
+    (lambda t: {"cyclic": t.cyclic[:-1]}, "cocyclic tower has the wrong length"),
+    (lambda t: {"faces": (t.faces[1][:2], *t.faces[1:])}, "coface shape mismatch at degree 0"),
+    (lambda t: {"degeneracies": (t.degeneracies[0], t.degeneracies[2][:1],
+                                 *t.degeneracies[2:])},
+     "codegeneracy shape mismatch at degree 1"),
+    (lambda t: {"degeneracies": ((), (), *t.degeneracies[2:])},
+     "expected 1 codegeneracies at degree 1"),
+    (lambda t: {"cyclic": (t.cyclic[1], *t.cyclic[1:])},
+     "cyclic operator shape mismatch at degree 0"),
+])
+def test_replace_keeps_the_malformed_tower_refusals(change, text):
+    tower = plain_algebra_cocyclic(z2_hopf().algebra, degree_cap=2)
+    with pytest.raises(LinAlgError, match=text):
+        replace(tower, **change(tower))
+    again = replace(tower)
+    assert again == tower and again._memo == {} and isinstance(again, CocyclicModule)
+
+
+def test_cup_setups_extend_the_shared_fields():
+    shared = [f.name for f in _CupSetup._value_fields]
+    names = [f.name for f in ConvolutionCupSetup._value_fields]
+    assert names[:len(shared)] == shared and "_memo" in shared
+    assert names[len(shared):] == ["coalgebra", "action", "convolution", "embedding",
+                                   "coalgebra_cochains"]
