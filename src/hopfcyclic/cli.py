@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .cocyclic import cyclic_cohomology, hochschild_cohomology, verify_cocyclic
 from .coefficients import (
@@ -27,15 +27,6 @@ from .coefficients import (
     check_compatible_pair,
     check_sayd_contramodule,
     check_sayd_module,
-)
-from .cup import (
-    check_bb_cocycle,
-    check_collapse_factorization,
-    collapse_bb,
-    cup_aa,
-    cup_aa_general,
-    cup_ac,
-    cup_ac_general,
 )
 from .hopf import (
     Algebra,
@@ -107,6 +98,8 @@ def _check_object(obj) -> Report:
 def _check_cup_family(spec: SpecFile, family: str, cap: int) -> Report:
     """The comparison-map checks of a cup family; a setup the engine refuses
     is one failed entry, so the other objects' checks are still reported."""
+    from .cup import check_collapse_factorization
+
     rep = Report(f"cup {family}")
     try:
         setup = spec.build_cup_setup(family, cap)
@@ -180,12 +173,15 @@ def _cochain(spec: SpecFile, name: str, degree: int, side: str):
     return entry["coords"]
 
 
-# variant -> (cup family, product); a family's scalar variant is named after it
-_VARIANTS = {"ac": ("ac", cup_ac), "aa": ("aa", cup_aa),
-             "ac-general": ("ac", cup_ac_general), "aa-general": ("aa", cup_aa_general)}
+# variant -> (cup family, product in `cup`); a family's scalar variant is
+# named after it
+_VARIANTS = {"ac": ("ac", "cup_ac"), "aa": ("aa", "cup_aa"),
+             "ac-general": ("ac", "cup_ac_general"), "aa-general": ("aa", "cup_aa_general")}
 
 
 def cmd_cup(args) -> int:
+    from . import cup
+
     spec = parse_spec(args.spec)
     cap = _degree_cap()
     family, product = _VARIANTS[args.variant]
@@ -207,7 +203,7 @@ def cmd_cup(args) -> int:
     left = _cochain(spec, args.left, args.p, "left")
     right = _cochain(spec, args.right, args.q, "right")
     try:
-        result = product(setup, args.p, args.q, left, right)
+        result = getattr(cup, product)(setup, args.p, args.q, left, right)
     except LinAlgError as exc:
         sys.stderr.write(f"hcc cup: {exc}\n")
         return 1
@@ -216,10 +212,10 @@ def cmd_cup(args) -> int:
         rep.add(f"component degree {result.degree - 2 * k}", True,
                 _vector_text(component))
     target = setup.tensor_target if general else setup.scalar_target
-    rep.extend(check_bb_cocycle(target, result))
+    rep.extend(cup.check_bb_cocycle(target, result))
     if general and setup.pair_collapse is not None:
-        scalar = _VARIANTS[family][1](setup, args.p, args.q, left, right)
-        collapsed = collapse_bb(result, setup._base.space, setup.pair_collapse)
+        scalar = getattr(cup, _VARIANTS[family][1])(setup, args.p, args.q, left, right)
+        collapsed = cup.collapse_bb(result, setup._base.space, setup.pair_collapse)
         rep.add("pairing collapse matches the scalar product",
                 collapsed.components == scalar.components,
                 "componentwise equality" if collapsed.components == scalar.components
@@ -274,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -69,7 +69,6 @@ it shares with the balanced functionals, and both verify every operator.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NoReturn, Optional
 
 from .coefficients import SaydContramodule, SaydModule, dualize
 from .hopf import (Algebra, ComoduleAlgebra, HopfAlgebra, ModuleAlgebra, ModuleCoalgebra,
@@ -168,13 +167,13 @@ class CocyclicModule:
         return self.cyclic[n]
 
 
-def _refuse(module, what: str) -> NoReturn:
+def _refuse(module, what: str):
     raise LinAlgError(f"{what} is outside the tower, which is capped at degree "
                       f"{module.degree_cap}")
 
 
 def _require_degree(module, n: int, what: str, low: int = 0,
-                    high: Optional[int] = None) -> None:
+                    high: int | None = None) -> None:
     """Refuse degree n of `what` unless low <= n <= high (by default the
     cap), for a tower, bicomplex or cup setup `module` with a `degree_cap`."""
     high = module.degree_cap if high is None else high
@@ -416,7 +415,7 @@ def _balanced_relations(coefficients: SaydModule, action: LinearMap, powers) -> 
 
 
 def _algebra_cochains(algebra: Algebra, values: VectorSpace, tau0: LinearMap,
-                      degree_cap: int, lead: Optional[VectorSpace] = None,
+                      degree_cap: int, lead: VectorSpace | None = None,
                       constraints=None):
     """The cochains Hom([lead (x)] A^{(n+1)}, values), n = 0..cap, of an algebra A,
     with phi -> phi o m_i, phi -> phi o u_j and the degree-0 cyclic operator
@@ -441,7 +440,7 @@ def _algebra_cochains(algebra: Algebra, values: VectorSpace, tau0: LinearMap,
 # construction 1: plain algebra cochains
 
 
-def plain_algebra_cocyclic(algebra: Algebra, values: Optional[VectorSpace] = None,
+def plain_algebra_cocyclic(algebra: Algebra, values: VectorSpace | None = None,
                            degree_cap: int = DEFAULT_DEGREE_CAP) -> CocyclicModule:
     """Cochains Hom(A^{(n+1)}, V) with the standard cyclic structure."""
     v = VectorSpace.ground() if values is None else values
@@ -680,7 +679,7 @@ def normalized_cochains(module: CocyclicModule, n: int) -> Subspace:
     return memo["N", n]
 
 
-def _coordinate_cochains(module: CocyclicModule, n: int) -> Optional[Subspace]:
+def _coordinate_cochains(module: CocyclicModule, n: int) -> Subspace | None:
     """N^n as a coordinate subspace when the codegeneracies out of degree n
     allow it, else None; checked once per tower."""
     memo = module._memo
@@ -731,7 +730,7 @@ class MixedComplexView:
     underlying: CocyclicModule
     normalized: tuple[Subspace, ...]
     b: tuple[LinearMap, ...]
-    B: tuple[Optional[LinearMap], ...]
+    B: tuple[LinearMap | None, ...]
 
 
 def mixed_complex(module: CocyclicModule) -> MixedComplexView:

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional, Union
 
 from .coefficients import (
     CompatiblePair,
@@ -236,7 +235,7 @@ class TotalMixedComplex:
     block_subspaces: tuple[tuple[Subspace, ...], ...]
     spaces: tuple[VectorSpace, ...]
     b: tuple[LinearMap, ...]
-    B: tuple[Optional[LinearMap], ...]
+    B: tuple[LinearMap | None, ...]
 
 
 def total_complex(module: BicocyclicModule) -> TotalMixedComplex:
@@ -277,7 +276,7 @@ def total_complex(module: BicocyclicModule) -> TotalMixedComplex:
             blocks[(p, p)] = horizontal(p, my.b[q])
         b_ops.append(assemble(n, n + 1, blocks))
 
-    big_b: list[Optional[LinearMap]] = [None]
+    big_b: list[LinearMap | None] = [None]
     for n in range(1, cap + 1):
         blocks = {}
         for p in range(n + 1):
@@ -428,7 +427,7 @@ def check_bb_cocycle(module: CocyclicModule, cocycle: BBcocycle,
 
 def _solve_blocks(unknowns: list[VectorSpace],
                   equations: list[tuple[VectorSpace, dict[int, LinearMap]]],
-                  rhs: list[Fraction]) -> Optional[list[Fraction]]:
+                  rhs: list[Fraction]) -> list[Fraction] | None:
     """One solution of a block system, or None.  Unknown k is a vector in
     unknowns[k]; equation r is (space, {k: block}) and sums block @ unknown k
     into that space.  `rhs` gives the leading right-hand entries, the rest are 0."""
@@ -510,7 +509,7 @@ def cyclic_cocycle_subspace(module: CocyclicModule, degree: int) -> Subspace:
 # cup-product setups
 
 
-Coefficients = Union[CompatiblePair, tuple[SaydModule, SaydContramodule]]
+Coefficients = CompatiblePair | tuple[SaydModule, SaydContramodule]
 
 
 def _checked_coefficients(coefficients: Coefficients):
@@ -534,15 +533,15 @@ class _CupSetup:
     algebra: ModuleAlgebra
     module: SaydModule
     contramodule: SaydContramodule
-    pair: Optional[CompatiblePair]
+    pair: CompatiblePair | None
     degree_cap: int
     algebra_cochains: HomCochainComplex
     bicomplex: BicocyclicModule
     diagonal_module: CocyclicModule
     tensor_values: Contratensor
-    pair_collapse: Optional[LinearMap]
+    pair_collapse: LinearMap | None
     # None without a pairing unless L is one-dimensional (`_cup_setup`)
-    scalar_target: Optional[CocyclicModule]
+    scalar_target: CocyclicModule | None
     # the scalar target itself when L is one-dimensional
     tensor_target: CocyclicModule
     # ("transformer", n) -> the family's transformer (`_transformer`);

@@ -15,8 +15,8 @@ the coalgebra action curried.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .linalg import (
     LinAlgError,
@@ -277,7 +277,7 @@ def _validate_group(table: Sequence[Sequence[int]]) -> int:
     return identity
 
 
-def group_algebra(table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> HopfAlgebra:
+def group_algebra(table: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> HopfAlgebra:
     """The group algebra of a finite group given by its multiplication table.
 
     Basis = group elements; every basis element is grouplike and the antipode

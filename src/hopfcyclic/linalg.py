@@ -43,8 +43,8 @@ import functools
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
 from .valueclass import FrozenInstanceError, field, slot_setters, valueclass
 
@@ -297,7 +297,7 @@ class LinearMap:
         """Ascending indices of the columns holding a nonzero entry."""
         return [j for j, col in enumerate(self._cols) if col]
 
-    def first_nonzero(self) -> Optional[tuple[int, int, Fraction]]:
+    def first_nonzero(self) -> tuple[int, int, Fraction] | None:
         """Row-major first nonzero entry, for deterministic failure reports."""
         first = min(((i, j) for j, col in enumerate(self._cols) for i in col), default=None)
         if first is None:
@@ -490,7 +490,7 @@ def vectors_equal(a: Sequence, b: Sequence) -> bool:
     return len(a) == len(b) and all(Fraction(x) == Fraction(y) for x, y in zip(a, b))
 
 
-def _monomial_entries(f: LinearMap) -> Optional[list[tuple[int, int]]]:
+def _monomial_entries(f: LinearMap) -> list[tuple[int, int]] | None:
     """(row, entry) of each column of f, (0, 0) for an empty one; None, before
     anything is copied, when some column holds two entries or more."""
     if any(len(col) > 1 for col in f._cols):
@@ -602,12 +602,16 @@ def tensor_permutation(spaces: Sequence[VectorSpace], perm: Sequence[int]) -> Li
     # weight[p]: stride in the output of the slot that input factor p moves to
     weight = [0] * len(perm)
     stride = 1
-    for i in reversed(range(len(perm))):
-        weight[perm[i]] = stride
-        stride *= dims[perm[i]]
-    cols = tuple({sum(x * w for x, w in zip(multi, weight)): 1}
-                 for multi in itertools.product(*(range(d) for d in dims)))
-    return LinearMap(tensor_spaces(spaces), tensor_spaces([spaces[p] for p in perm]), cols, 1)
+    for p in reversed(perm):
+        weight[p] = stride
+        stride *= dims[p]
+    # output rows of the columns in input order, one factor's strides at a time
+    rows = [0]
+    for d, w in zip(dims, weight):
+        steps = [x * w for x in range(d)]
+        rows = [r + o for r in rows for o in steps]
+    return LinearMap(tensor_spaces(spaces), tensor_spaces([spaces[p] for p in perm]),
+                     tuple({r: 1} for r in rows), 1)
 
 
 # -- elimination -----------------------------------------------------
@@ -728,7 +732,7 @@ def kernel_basis(mat: LinearMap) -> list[list[Fraction]]:
     return [_dense(v, n) for v in _kernel_vectors(_rows(mat), n, sign_normalize=True).values()]
 
 
-def solve(mat: LinearMap, rhs: Sequence) -> Optional[list[Fraction]]:
+def solve(mat: LinearMap, rhs: Sequence) -> list[Fraction] | None:
     """One deterministic solution of mat x = rhs, or None if inconsistent.
 
     Free variables are set to zero.
@@ -862,7 +866,7 @@ def solve_constrained_subspace(
 
 
 def coordinate_kernel(space: VectorSpace, constraints: Sequence[LinearMap],
-                      prefix: str = "k") -> Optional[Subspace]:
+                      prefix: str = "k") -> Subspace | None:
     """The joint kernel of the constraints when every row of every one holds
     at most one nonzero, None otherwise.  A row a e_c vanishes on x exactly
     when x_c = 0, so the kernel is the coordinate subspace of the columns no
@@ -885,7 +889,7 @@ def coordinate_kernel(space: VectorSpace, constraints: Sequence[LinearMap],
                     tuple(free))
 
 
-def monomial_fixed_subspace(op: LinearMap, prefix: str = "k") -> Optional[Subspace]:
+def monomial_fixed_subspace(op: LinearMap, prefix: str = "k") -> Subspace | None:
     """The fixed vectors of a square map with one nonzero per column, on
     distinct rows (checked on the nonzeros), None for any other map.
 
@@ -978,8 +982,8 @@ def from_blocks(
     sources: Sequence[VectorSpace],
     targets: Sequence[VectorSpace],
     blocks: dict[tuple[int, int], LinearMap],
-    source_space: Optional[VectorSpace] = None,
-    target_space: Optional[VectorSpace] = None,
+    source_space: VectorSpace | None = None,
+    target_space: VectorSpace | None = None,
 ) -> LinearMap:
     """Assemble a map between direct sums from sparse blocks (ti, sj) -> map."""
     src = source_space or direct_sum_space(sources)
@@ -1041,8 +1045,8 @@ def hom_vector_to_map(vec: Sequence, x: VectorSpace, y: VectorSpace) -> LinearMa
     return _from_columns(x, y, cols)
 
 
-def relabel(m: LinearMap, source: Optional[VectorSpace] = None,
-            target: Optional[VectorSpace] = None) -> LinearMap:
+def relabel(m: LinearMap, source: VectorSpace | None = None,
+            target: VectorSpace | None = None) -> LinearMap:
     """The same matrix viewed between differently labelled spaces of equal dims."""
     src = m.source if source is None else source
     tgt = m.target if target is None else target

@@ -14,7 +14,6 @@ entry is the witness of a failure.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .linalg import LinAlgError, LinearMap
 from .valueclass import field, slot_setters, valueclass
@@ -81,7 +80,7 @@ class Report:
         for e in other.entries:
             self.entries.append(ReportEntry(prefix + e.name, e.passed, e.detail))
 
-    def first_failure(self) -> Optional[ReportEntry]:
+    def first_failure(self) -> ReportEntry | None:
         for e in self.entries:
             if not e.passed:
                 return e

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Union
 
 from .cocyclic import (
     DEFAULT_DEGREE_CAP,
@@ -52,7 +51,6 @@ from .coefficients import (
     grouplike_coefficients,
     trivial_coefficients,
 )
-from .cup import aa_cup_setup, ac_cup_setup
 from .hopf import (
     Algebra,
     CoalgebraAction,
@@ -201,15 +199,15 @@ def _coords(values, where: str) -> tuple[Fraction, ...]:
 _OBJECT_SECTIONS = ("hopf_algebras", "algebras", "coalgebras", "comodule_algebras",
                     "modules", "contramodules", "pairs", "coalgebra_actions")
 
-Checkable = Union[HopfAlgebra, Algebra, ModuleAlgebra, ModuleCoalgebra,
-                  ComoduleAlgebra, SaydModule, SaydContramodule,
-                  CompatiblePair, CoalgebraAction]
+Checkable = (HopfAlgebra | Algebra | ModuleAlgebra | ModuleCoalgebra
+             | ComoduleAlgebra | SaydModule | SaydContramodule
+             | CompatiblePair | CoalgebraAction)
 
 
 @valueclass(frozen=False)
 class SpecFile:
     hopf_algebras: dict[str, HopfAlgebra] = field(default_factory=dict)
-    algebras: dict[str, Union[Algebra, ModuleAlgebra]] = field(default_factory=dict)
+    algebras: dict[str, Algebra | ModuleAlgebra] = field(default_factory=dict)
     coalgebras: dict[str, ModuleCoalgebra] = field(default_factory=dict)
     comodule_algebras: dict[str, ComoduleAlgebra] = field(default_factory=dict)
     modules: dict[str, SaydModule] = field(default_factory=dict)
@@ -253,6 +251,8 @@ class SpecFile:
                                "[module, contramodule] list")
 
     def build_cup_setup(self, family: str, degree_cap: int):
+        from . import cup
+
         where = f"cup.{family}"
         if family not in self.cup:
             raise SpecError(where, "the spec declares no such cup family")
@@ -260,7 +260,8 @@ class SpecFile:
         cap = fields.get("degree_cap", degree_cap)
         coefficients = self.cup_coefficients(fields, where)
         setup, refs = _CUP_FAMILIES[family]
-        return setup(*_resolved(self, refs, fields, where), coefficients, degree_cap=cap)
+        return getattr(cup, setup)(*_resolved(self, refs, fields, where), coefficients,
+                                   degree_cap=cap)
 
     # -- reference helpers -------------------------------------------------
 
@@ -315,13 +316,14 @@ _CONSTRUCTIONS = {
 }
 CONSTRUCTION_TYPES = tuple(_CONSTRUCTIONS)
 
-# cup family -> (setup function, the pairs of its arguments before the coefficients)
+# cup family -> (setup function in `cup`, the pairs of its arguments before the
+# coefficients); `cup` is imported only when a setup is built
 _CUP_FAMILIES = {
-    "ac": (ac_cup_setup, (("algebra", SpecFile._module_algebra),
-                          ("coalgebra", _named("coalgebras")),
-                          ("action", _named("coalgebra_actions")))),
-    "aa": (aa_cup_setup, (("algebra", SpecFile._module_algebra),
-                          ("comodule_algebra", _named("comodule_algebras")))),
+    "ac": ("ac_cup_setup", (("algebra", SpecFile._module_algebra),
+                            ("coalgebra", _named("coalgebras")),
+                            ("action", _named("coalgebra_actions")))),
+    "aa": ("aa_cup_setup", (("algebra", SpecFile._module_algebra),
+                            ("comodule_algebra", _named("comodule_algebras")))),
 }
 
 

@@ -735,13 +735,14 @@ class TestDeterminism:
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():
     """A fresh interpreter that compiles every module from source builds the
-    engine's classes without the code generation of `dataclasses`.  With -S,
-    no site hook of the host imports either module first."""
+    engine's classes without the code generation of `dataclasses`, and reads
+    no annotation at run time, so it needs no `typing` either.  With -S, no
+    site hook of the host imports any of these modules first."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, hopfcyclic.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -1036,6 +1036,21 @@ def reference_slot_map(k, left, middle, source, target, tail=(1, 1)):
     return LinearMap(source, target, tuple(cols), k._den if cols else 1)
 
 
+def reference_tensor_permutation(spaces, perm):
+    if sorted(perm) != list(range(len(spaces))):
+        raise LinAlgError("perm must be a permutation of the factor indices")
+    dims = [s.dim for s in spaces]
+    # weight[p]: stride in the output of the slot that input factor p moves to
+    weight = [0] * len(perm)
+    stride = 1
+    for i in reversed(range(len(perm))):
+        weight[perm[i]] = stride
+        stride *= dims[perm[i]]
+    cols = tuple({sum(x * w for x, w in zip(multi, weight)): 1}
+                 for multi in itertools.product(*(range(d) for d in dims)))
+    return LinearMap(tensor_spaces(spaces), tensor_spaces([spaces[p] for p in perm]), cols, 1)
+
+
 # dimensions of every space the kernel comparisons draw: empty, a line, and
 # room for permutations, several entries per column and wide tails
 KERNEL_DIMS = (0, 1, 6)
@@ -1206,6 +1221,22 @@ class TestProductKernelReferences:
                     assert_same_result(got, ref)
                     assert to_sympy(got) == sympy_slot_map(k, left, middle, (ls, lt)), \
                         (name, left, middle, (fs, ls), (ft, lt))
+
+    def test_tensor_permutation_matches_the_reference(self):
+        """Seeded permutations of up to four factors of dims 0-3, the identity
+        permutation, one factor, and factors of dims 0 and 1 among others."""
+        rng = random.Random(2306)
+        cases = [([d], [0]) for d in (0, 1, 3)]
+        cases += [(dims, list(range(len(dims)))) for dims in ([2, 3], [3, 1, 2], [2, 0, 3])]
+        cases += [([1, 1, 1], [2, 0, 1]), ([0, 2], [1, 0]), ([2, 1, 3], [1, 2, 0]),
+                  ([3, 2, 0, 2], [3, 2, 1, 0])]
+        for _ in range(40):
+            dims = [rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(1, 4))]
+            cases.append((dims, rng.sample(range(len(dims)), len(dims))))
+        for dims, perm in cases:
+            spaces = [VectorSpace.make(d, f"x{i}_") for i, d in enumerate(dims)]
+            assert_same_result(tensor_permutation(spaces, perm),
+                               reference_tensor_permutation(spaces, perm))
 
     def test_no_kernel_result_shares_a_column_with_an_input(self):
         """The pattern of `test_matmul_matches_sympy`, for sums, signed sums,
