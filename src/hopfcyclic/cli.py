@@ -98,7 +98,7 @@ def _check_object(obj) -> Report:
 def _check_cup_family(spec: SpecFile, family: str, cap: int) -> Report:
     """The comparison-map checks of a cup family; a setup the engine refuses
     is one failed entry, so the other objects' checks are still reported."""
-    from .cup import check_collapse_factorization
+    from . import cup
 
     rep = Report(f"cup {family}")
     try:
@@ -109,7 +109,7 @@ def _check_cup_family(spec: SpecFile, family: str, cap: int) -> Report:
     rep.extend(setup._check_comparison(tensor_valued=True), prefix="contratensor: ")
     if setup.pair_collapse is not None:
         rep.extend(setup._check_comparison(tensor_valued=False), prefix="scalar: ")
-        rep.extend(check_collapse_factorization(setup))
+        rep.extend(cup.check_collapse_factorization(setup))
     return rep
 
 
