@@ -598,20 +598,20 @@ def tensor_permutation(spaces: Sequence[VectorSpace], perm: Sequence[int]) -> Li
     """Permutation of tensor factors: output factor i is input factor perm[i]."""
     if sorted(perm) != list(range(len(spaces))):
         raise LinAlgError("perm must be a permutation of the factor indices")
-    dims = [s.dim for s in spaces]
     # weight[p]: stride in the output of the slot that input factor p moves to
     weight = [0] * len(perm)
     stride = 1
     for p in reversed(perm):
         weight[p] = stride
-        stride *= dims[p]
-    # output rows of the columns in input order, one factor's strides at a time
-    rows = [0]
-    for d, w in zip(dims, weight):
-        steps = [x * w for x in range(d)]
+        stride *= spaces[p].dim
+    # output rows of the columns in input order, one factor's strides at a
+    # time; the last factor's are added as each column is written
+    rows, steps = [0], [0]
+    for s, w in zip(spaces, weight):
         rows = [r + o for r in rows for o in steps]
+        steps = [x * w for x in range(s.dim)]
     return LinearMap(tensor_spaces(spaces), tensor_spaces([spaces[p] for p in perm]),
-                     tuple({r: 1} for r in rows), 1)
+                     tuple({r + o: 1} for r in rows for o in steps), 1)
 
 
 # -- elimination -----------------------------------------------------
