@@ -1224,9 +1224,10 @@ class TestProductKernelReferences:
 
     def test_tensor_permutation_matches_the_reference(self):
         """Seeded permutations of up to four factors of dims 0-3, the identity
-        permutation, one factor, and factors of dims 0 and 1 among others."""
+        permutation, no factor, one factor, and factors of dims 0 and 1 among
+        others."""
         rng = random.Random(2306)
-        cases = [([d], [0]) for d in (0, 1, 3)]
+        cases = [([], [])] + [([d], [0]) for d in (0, 1, 3)]
         cases += [(dims, list(range(len(dims)))) for dims in ([2, 3], [3, 1, 2], [2, 0, 3])]
         cases += [([1, 1, 1], [2, 0, 1]), ([0, 2], [1, 0]), ([2, 1, 3], [1, 2, 0]),
                   ([3, 2, 0, 2], [3, 2, 1, 0])]
