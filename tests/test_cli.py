@@ -713,11 +713,12 @@ class TestDeterminism:
         golden = DATA / "s3_plain_cohomology_report.json"
         assert out == golden.read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("construction", ["s3-coalgebra", "s3-balanced"])
+    @pytest.mark.parametrize("construction", ["s3-coalgebra", "s3-balanced", "s3-colinear",
+                                              "s3-contra"])
     def test_s3_equivariant_cohomology_matches_golden_report(self, capsys, construction):
-        """The HH and HC bases of the coalgebra and balanced-functional towers
-        over Q[S3], a group with two generators, are pinned by committed
-        reports up to degree 3."""
+        """The HH and HC bases of the coalgebra, balanced-functional, colinear
+        and contramodule-valued towers over Q[S3], a group with two
+        generators, are pinned by committed reports up to degree 3."""
         out = self.run_twice(capsys, ["cohomology", S3EQUIVARIANT, construction,
                                       "--max-degree", "3", "--format", "json"])
         golden = DATA / f"s3_equivariant_{construction}_cohomology_report.json"
