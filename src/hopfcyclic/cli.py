@@ -46,6 +46,7 @@ from .linalg import LinAlgError
 from .reporting import Report
 from .specfile import DEFAULT_DEGREE_CAP, SpecError, SpecFile, parse_spec
 
+
 def _check_pair(pair: CompatiblePair) -> Report:
     rep = Report("compatible pair")
     rep.extend(check_sayd_module(pair.module), prefix="module: ")
@@ -274,10 +275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SpecError as exc:
-        sys.stderr.write(f"hcc: {exc}\n")
-        return 2
-    except LinAlgError as exc:
+    except (SpecError, LinAlgError) as exc:
         sys.stderr.write(f"hcc: {exc}\n")
         return 2
 

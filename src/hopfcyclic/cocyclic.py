@@ -24,20 +24,14 @@ with coface, codegeneracy and cyclic operators.  This module provides
     deterministic representatives.
 
 Normalized cochains.  N^n is the joint kernel of the codegeneracies out of
-degree n.  When every row of every one of them holds at most one nonzero,
-which is checked on the maps, never assumed, N^n is the coordinate subspace
-of the columns no codegeneracy touches and is read off without elimination.
-The plain tower and the balanced-functional, colinear and contramodule-valued
-towers pass that check; the coalgebra tower, a quotient, does not and falls
-back to elimination.  Hochschild cohomology is solved on N where N^{n-1} and
-N^n are coordinate: by the normalization theorem the classes R found there,
-lifted, span ker b_n together with I = im b_{n-1}, and the RREF of I + span(R)
-is unique, so the representatives are those of the full complex.
+degree n, and Hochschild cohomology is solved on N: by the normalization
+theorem the classes R found there, lifted, span ker b_n together with
+I = im b_{n-1}, and the RREF of I + span(R) is unique, so the representatives
+are those of the full complex.
 
-The cyclic cochains ker(1 - lambda) are read off the cycles of lambda when it
-is monomial (`_cyclic_fixed`), and b and B are each one signed sum of their
-terms.  Every quantity outside its degree range is refused by one rule,
-`_require_degree`.
+The cyclic cochains are ker(1 - lambda) (`_cyclic_fixed`), and b and B are
+each one signed sum of their terms.  Every quantity outside its degree range
+is refused by one rule, `_require_degree`.
 
 Equivariance on generators.  The balanced relations of the coalgebra and
 balanced-functional towers and the equivariance constraints of the
@@ -82,10 +76,9 @@ from .linalg import (
     Subspace,
     VectorSpace,
     cokernel,
-    coordinate_kernel,
     dual_space,
+    fixed_subspace,
     hom_space,
-    monomial_fixed_subspace,
     partial_transpose,
     relabel,
     row_echelon,
@@ -123,10 +116,9 @@ class CocyclicModule:
     faces: tuple[tuple[LinearMap, ...], ...]
     degeneracies: tuple[tuple[LinearMap, ...], ...]
     cyclic: tuple[LinearMap, ...]
-    # ("b", n) / ("B", n) / ("N", n) / ("N coordinate", n) / ("bN", n) / ("P", n) /
-    # ("fixed", n) -> full_b / full_B / normalized_cochains / _coordinate_cochains /
-    # _normalized_b / normalization_projector / _cyclic_fixed of this tower,
-    # built on first use
+    # ("b", n) / ("B", n) / ("N", n) / ("bN", n) / ("P", n) / ("fixed", n) ->
+    # full_b / full_B / normalized_cochains / _normalized_b /
+    # normalization_projector / _cyclic_fixed of this tower, built on first use
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -665,28 +657,13 @@ def lambda_operator(module: CocyclicModule, n: int) -> LinearMap:
 def normalized_cochains(module: CocyclicModule, n: int) -> Subspace:
     """The normalized cochains N^n, the joint kernel of the codegeneracies out
     of degree n, built once per tower.  Its basis is the RREF kernel basis,
-    the identity on its support rows.  When every row of every codegeneracy
-    holds at most one nonzero, which is checked, N^n is the coordinate
-    subspace of the columns no codegeneracy touches and is read off them
-    (`_coordinate_cochains`); otherwise the stacked codegeneracies are
-    eliminated."""
+    the identity on its support rows."""
     _require_degree(module, n, "the normalized cochains")
     memo = module._memo
     if ("N", n) not in memo:
-        coordinate = _coordinate_cochains(module, n)
-        memo["N", n] = coordinate if coordinate is not None else solve_constrained_subspace(
-            module.spaces[n], list(module.degeneracies[n]), prefix="n")
+        memo["N", n] = solve_constrained_subspace(module.spaces[n], module.degeneracies[n],
+                                                  prefix="n")
     return memo["N", n]
-
-
-def _coordinate_cochains(module: CocyclicModule, n: int) -> Subspace | None:
-    """N^n as a coordinate subspace when the codegeneracies out of degree n
-    allow it, else None; checked once per tower."""
-    memo = module._memo
-    if ("N coordinate", n) not in memo:
-        memo["N coordinate", n] = coordinate_kernel(module.spaces[n], module.degeneracies[n],
-                                                    prefix="n")
-    return memo["N coordinate", n]
 
 
 def _normalized_b(module: CocyclicModule, n: int) -> LinearMap:
@@ -794,15 +771,13 @@ def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     """ker b / im b at degree n, with the representatives of the full complex:
     the RREF rows of K = ker b_n whose pivots are not pivots of I = im b_{n-1}.
 
-    The check b_n o b_{n-1} = 0 runs on the full complex.  When N^{n-1} and
-    N^n are coordinate subspaces (`normalized_cochains`), the classes are
+    The check b_n o b_{n-1} = 0 runs on the full complex.  The classes are
     solved on the normalized complex, which has the same cohomology (the
     normalization theorem for cosimplicial modules): R, the representatives
     of ker(b|N^n) / im(b|N^{n-1}), lifted to C^n, gives K = I + span(R).  The
     RREF of K is unique, so eliminating the RREF rows of I together with R
     gives it, and its rows whose pivots are not pivots of I are the
-    representatives.  Where N^n must be eliminated (the coalgebra tower, a
-    quotient), K is eliminated on the full complex instead.
+    representatives.
     """
     _require_degree(module, n, "Hochschild cohomology", high=module.degree_cap - 1)
     b_n = full_b(module, n)
@@ -810,46 +785,29 @@ def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     if n >= 1:
         b_prev = full_b(module, n - 1)
     _require_square_zero(b_n, b_prev, n)
-    if any(_coordinate_cochains(module, d) is None for d in range(max(n - 1, 0), n + 1)):
-        reps = _quotient_representatives(b_n, b_prev)
-    else:
-        reps = _normalized_representatives(module, n, b_n, b_prev)
-    return CohomologyResult(n, len(reps), tuple(reps), module.spaces[n])
-
-
-def _normalized_representatives(module: CocyclicModule, n: int, b_n: LinearMap,
-                                b_prev: LinearMap) -> list[tuple[Fraction, ...]]:
-    """The representatives of `hochschild_cohomology` at degree n, from the
-    classes R solved on N and the RREF rows of I = im b_{n-1}."""
     normalized = normalized_cochains(module, n)
     into = LinearMap.zero(VectorSpace.make(0), normalized.space)
     if n >= 1:
         into = _normalized_b(module, n - 1)
     classes = _quotient_representatives(b_n @ normalized.basis, into)
-    if not classes:
-        return []
-    image, image_pivots = row_echelon(b_prev.transpose())
-    lifted = LinearMap.from_rows(module.spaces[n], VectorSpace.make(len(classes)),
-                                 [normalized.basis.apply(c) for c in classes])
-    rows, pivots = row_echelon(stack_vertical([image, lifted]))
-    dense = rows.transpose()
-    image_pivots = set(image_pivots)
-    return [tuple(dense.column(k)) for k, p in enumerate(pivots) if p not in image_pivots]
+    reps = []
+    if classes:
+        image, image_pivots = row_echelon(b_prev.transpose())
+        lifted = LinearMap.from_rows(module.spaces[n], VectorSpace.make(len(classes)),
+                                     [normalized.basis.apply(c) for c in classes])
+        rows, pivots = row_echelon(stack_vertical([image, lifted]))
+        dense = rows.transpose()
+        image_pivots = set(image_pivots)
+        reps = [tuple(dense.column(k)) for k, p in enumerate(pivots) if p not in image_pivots]
+    return CohomologyResult(n, len(reps), tuple(reps), module.spaces[n])
 
 
 def _cyclic_fixed(module: CocyclicModule, n: int) -> Subspace:
     """The fixed vectors of the signed cyclic operator lambda at degree n,
-    built once per tower.  When lambda is monomial (one nonzero per column,
-    on distinct rows: a signed permutation on the plain towers), they are
-    read off its cycles (`monomial_fixed_subspace`); otherwise, as on the
-    equivariant towers over sweedler4 from degree 2 or 3 on, ker(1 - lambda)
-    is eliminated.  Both give the same RREF kernel basis."""
+    ker(1 - lambda) as its RREF kernel basis, built once per tower."""
     memo = module._memo
     if ("fixed", n) not in memo:
-        signed = lambda_operator(module, n)
-        fixed = monomial_fixed_subspace(signed, prefix="l")
-        memo["fixed", n] = fixed if fixed is not None else subspace_from_kernel(
-            LinearMap.identity(module.spaces[n]) - signed, prefix="l")
+        memo["fixed", n] = fixed_subspace(lambda_operator(module, n), prefix="l")
     return memo["fixed", n]
 
 

@@ -101,8 +101,8 @@ from .linalg import (
     slot_map,
     solve,
     tensor_map,
+    tensor_maps,
     tensor_permutation,
-    tensor_power_map,
     tensor_space,
     tensor_spaces,
     tensor_subspace,
@@ -600,7 +600,7 @@ class ConvolutionCupSetup(_CupSetup):
     def _comparison(self, n: int, tensor_valued: bool) -> LinearMap:
         """psi, pulled back along the embedding of the algebra."""
         _, values, _ = _variant(self, tensor_valued)
-        pullback = hom_precompose(tensor_power_map(self.embedding, n + 1), values)
+        pullback = hom_precompose(tensor_maps([self.embedding] * (n + 1)), values)
         return pullback @ psi_matrix(self, n, tensor_valued)
 
     def _check_comparison(self, tensor_valued: bool) -> Report:
@@ -738,7 +738,7 @@ def _psi_transformer(setup: ConvolutionCupSetup, q: int) -> LinearMap:
     c, a = setup.coalgebra.space, setup.algebra.space
     regroup = tensor_permutation([c, a] * (q + 1),
                                  [*range(0, 2 * q + 2, 2), *range(1, 2 * q + 2, 2)])
-    return regroup @ tensor_power_map(setup.convolution.subspace.basis, q + 1)
+    return regroup @ tensor_maps([setup.convolution.subspace.basis] * (q + 1))
 
 
 def psi_matrix(setup: ConvolutionCupSetup, q: int, tensor_valued: bool) -> LinearMap:

@@ -28,6 +28,11 @@ and keeps one contract on every path:
   * a monomial factor (at most one entry per column) is written as one
     literal per output column, or {} for an empty one.
 
+A joint kernel (`solve_constrained_subspace`) or a fixed space
+(`fixed_subspace`) is read off the nonzeros when the input allows it and
+eliminated otherwise, with the same basis, supports and labels either way;
+this module alone makes that choice, so callers never branch on it.
+
 Basis labels serve only failure witnesses and reports, so a derived space
 spells its labels on their first read and keeps them; uniqueness is checked
 on the label tuples that carriers are given, not on derived ones, where a
@@ -471,13 +476,9 @@ def evaluation_pairing(v: VectorSpace) -> LinearMap:
     )
 
 
-def zero_vector(space: VectorSpace) -> list[Fraction]:
-    return [_ZERO] * space.dim
-
-
 def basis_vector(space: VectorSpace, i: int) -> list[Fraction]:
     _require_index(i, space.dim, "basis index")
-    v = zero_vector(space)
+    v = [_ZERO] * space.dim
     v[i] = Fraction(1)
     return v
 
@@ -526,10 +527,6 @@ def tensor_maps(maps: Sequence[LinearMap]) -> LinearMap:
     for m in maps[1:]:
         out = tensor_map(out, m)
     return out
-
-
-def tensor_power_map(f: LinearMap, k: int) -> LinearMap:
-    return tensor_maps([f] * k)
 
 
 def slot_map(k: LinearMap, left: int, middle: int, source: VectorSpace, target: VectorSpace,
@@ -772,13 +769,6 @@ class Subspace:
     basis: LinearMap
     supports: tuple[int, ...]
 
-    def __init__(self, ambient, space, basis, supports):
-        set_ambient, set_space, set_basis, set_supports = _SUBSPACE_SLOTS
-        set_ambient(self, ambient)
-        set_space(self, space)
-        set_basis(self, basis)
-        set_supports(self, supports)
-
     @property
     def dim(self) -> int:
         return self.space.dim
@@ -814,9 +804,6 @@ class Subspace:
         inner = solve_constrained_subspace(self.space, [c @ self.basis for c in constraints])
         return _with_supports(relabel(self.basis @ inner.basis,
                                       VectorSpace.make(inner.dim, prefix)))
-
-
-_SUBSPACE_SLOTS = slot_setters(Subspace)
 
 
 def subspace_from_kernel(mat: LinearMap, prefix: str = "k") -> Subspace:
@@ -856,26 +843,29 @@ def tensor_subspace(x: Subspace, y: Subspace, prefix: str = "k") -> Subspace:
 def solve_constrained_subspace(
     space: VectorSpace, constraints: Sequence[LinearMap], prefix: str = "k"
 ) -> Subspace:
-    """Joint kernel of a family of operators defined on one space."""
-    mats = [c for c in constraints if c.source.dim == space.dim]
-    if len(mats) != len(constraints):
+    """Joint kernel of a family of operators defined on one space, as its RREF
+    kernel basis.  When every row of every operator holds at most one
+    nonzero, it is the coordinate subspace of the columns none of them
+    touches, read off before any elimination starts; otherwise the stacked
+    operators are eliminated."""
+    if any(c.source.dim != space.dim for c in constraints):
         raise LinAlgError("constraint source does not match the common space")
-    if not mats:
-        return _subspace(space, [{i: Fraction(1)} for i in range(space.dim)], prefix)
-    return subspace_from_kernel(stack_vertical(mats), prefix)
+    free = _coordinate_kernel(constraints, space.dim)
+    if free is None:
+        return subspace_from_kernel(stack_vertical(constraints), prefix)
+    sub = VectorSpace.make(len(free), prefix)
+    return Subspace(space, sub, LinearMap(sub, space, tuple({j: 1} for j in free), 1),
+                    tuple(free))
 
 
-def coordinate_kernel(space: VectorSpace, constraints: Sequence[LinearMap],
-                      prefix: str = "k") -> Subspace | None:
-    """The joint kernel of the constraints when every row of every one holds
-    at most one nonzero, None otherwise.  A row a e_c vanishes on x exactly
-    when x_c = 0, so the kernel is the coordinate subspace of the columns no
-    constraint touches: the subspace `solve_constrained_subspace` finds by
-    elimination, the same basis, supports and labels, read off the nonzeros."""
+def _coordinate_kernel(constraints: Sequence[LinearMap], dim: int) -> list[int] | None:
+    """The columns out of range(dim) that no constraint touches, when every
+    row of every constraint holds at most one nonzero; None as soon as one
+    row holds two.  A row a e_c vanishes on x exactly when x_c = 0, so the
+    joint kernel is then spanned by the unit vectors at these columns, which
+    are its free columns in the RREF."""
     touched = set()
     for c in constraints:
-        if c.source.dim != space.dim:
-            raise LinAlgError("constraint source does not match the common space")
         rows = set()
         for j, col in enumerate(c._cols):
             if col:
@@ -883,27 +873,34 @@ def coordinate_kernel(space: VectorSpace, constraints: Sequence[LinearMap],
                     return None
                 rows.update(col)
                 touched.add(j)
-    free = [j for j in range(space.dim) if j not in touched]
-    sub = VectorSpace.make(len(free), prefix)
-    return Subspace(space, sub, LinearMap(sub, space, tuple({j: 1} for j in free), 1),
-                    tuple(free))
+    return [j for j in range(dim) if j not in touched]
 
 
-def monomial_fixed_subspace(op: LinearMap, prefix: str = "k") -> Subspace | None:
+def fixed_subspace(op: LinearMap, prefix: str = "k") -> Subspace:
+    """The fixed vectors of a square map, ker(1 - op) as its RREF kernel
+    basis: read off the cycles of a map with one nonzero per column on
+    distinct rows (`_cycle_vectors`), and eliminated for any other map."""
+    if op.source.dim != op.target.dim:
+        raise LinAlgError("only a square map has fixed vectors")
+    vecs = _cycle_vectors(op)
+    if vecs is None:
+        return subspace_from_kernel(LinearMap.identity(op.source) - op, prefix)
+    return _subspace(op.source, vecs, prefix)
+
+
+def _cycle_vectors(op: LinearMap) -> list[dict[int, Fraction]] | None:
     """The fixed vectors of a square map with one nonzero per column, on
-    distinct rows (checked on the nonzeros), None for any other map.
+    distinct rows (checked on the nonzeros), in the order of their free
+    columns; None, before any cycle is walked, for any other map.
 
     Such a map sends e_j to c_j e_p(j) for a permutation p, so a fixed vector
     is determined on each cycle of p by its value at one index: a cycle whose
     coefficients multiply to 1 gives one fixed vector, and any other cycle
     none.  The vector is 1 at the cycle's largest index, the free column of
-    the cycle in the RREF of 1 - op, so the result is the subspace
-    `subspace_from_kernel(1 - op)` finds by elimination, with the same basis,
-    supports and labels, read off the cycles.
+    the cycle in the RREF of 1 - op, so these are the kernel vectors
+    elimination finds.
     """
     n = op.source.dim
-    if op.target.dim != n:
-        return None
     image = []
     for col in op._cols:
         if len(col) != 1:
@@ -928,7 +925,7 @@ def monomial_fixed_subspace(op: LinearMap, prefix: str = "k") -> Subspace | None
             vec[i] = vec[j] * Fraction(v, op._den)
             j = i
         vecs[top] = vec
-    return _subspace(op.source, [vecs[f] for f in sorted(vecs)], prefix)
+    return [vecs[f] for f in sorted(vecs)]
 
 
 @valueclass

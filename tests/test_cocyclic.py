@@ -60,7 +60,7 @@ from hopfcyclic.linalg import (
     partial_transpose,
     rref,
     slot_map,
-    solve_constrained_subspace,
+    stack_vertical,
     subspace_from_kernel,
     tensor_map,
     tensor_permutation,
@@ -553,8 +553,16 @@ def test_normalization_projector_is_built_once_per_tower(z2, monkeypatch):
 
 
 def reference_normalized(module, n):
-    """N^n by eliminating the stacked codegeneracies out of degree n."""
-    return solve_constrained_subspace(module.spaces[n], list(module.degeneracies[n]), prefix="n")
+    """N^n by eliminating the stacked codegeneracies out of degree n, all of
+    C^0 when there are none."""
+    stacked = (stack_vertical(module.degeneracies[n]) if n
+               else LinearMap.zero(module.spaces[0], VectorSpace.make(0)))
+    return subspace_from_kernel(stacked, prefix="n")
+
+
+def one_entry_per_column(sub):
+    """Whether each basis column of `sub` holds one entry: a coordinate subspace."""
+    return all(sum(1 for x in sub.basis.column(k) if x) == 1 for k in range(sub.dim))
 
 
 def reference_hochschild(module, n):
@@ -567,7 +575,7 @@ def reference_hochschild(module, n):
 
 
 class TestFullComplexReference:
-    """N^n read off the codegeneracies equals N^n eliminated from them, and HH
+    """N^n equals N^n eliminated from the stacked codegeneracies, and HH
     solved through the normalized complex has the representatives of the full
     complex, on every builtin plain tower and the four equivariant towers."""
 
@@ -584,7 +592,7 @@ class TestFullComplexReference:
                                            for cap in (3, 4)] + [("sweedler4", 5)])
     def test_plain_towers(self, name, cap):
         module = plain_algebra_cocyclic(dict(hopf_ladder())[name].algebra, degree_cap=cap)
-        assert all(cocyclic._coordinate_cochains(module, n) is not None for n in range(cap + 1))
+        assert all(one_entry_per_column(normalized_cochains(module, n)) for n in range(cap + 1))
         self.assert_matches_reference(module)
 
     @pytest.mark.parametrize("kind", ["coalgebra", "algebra_module", "comodule_algebra",
@@ -595,7 +603,7 @@ class TestFullComplexReference:
         h = _pin_hopf(hopf)
         for sigma in _passing_sigmas(h):
             module = _equivariant_tower(kind, h, sigma, cap).module
-            coordinate = [cocyclic._coordinate_cochains(module, n) is not None
+            coordinate = [one_entry_per_column(normalized_cochains(module, n))
                           for n in range(cap + 1)]
             # the coalgebra tower is a quotient: its codegeneracies mix coordinates
             assert coordinate == [True] + [kind != "coalgebra"] * cap
@@ -632,21 +640,46 @@ def test_a_codegeneracy_row_with_two_nonzeros_is_eliminated(monkeypatch):
         return eliminate(*args)
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
-    assert cocyclic._coordinate_cochains(bad, 2) is None
-    assert cocyclic._coordinate_cochains(bad, 1) is not None
-    assert normalized_cochains(bad, 2) == reference_normalized(bad, 2)
-    assert normalized_cochains(bad, 2) != normalized_cochains(good, 2)
+    normalized_cochains(bad, 1)
+    assert not eliminations
+    got = normalized_cochains(bad, 2)
     assert eliminations
+    assert got == reference_normalized(bad, 2)
+    assert got != normalized_cochains(good, 2)
+
+
+def test_the_s3_colinear_tower_reads_its_cochains_off_the_constraints(monkeypatch):
+    """Every row of the colinearity constraints of the regular comodule
+    algebra of Q[S3] with the trivial line holds one nonzero at most, so
+    `solve_constrained_subspace` builds its cochains with no elimination."""
+    solving = []
+    solve, eliminate = linalg.solve_constrained_subspace, linalg._eliminate
+
+    def watched(*args, **kwargs):
+        solving.append(1)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    def refuse_inside(*args):
+        assert not solving, "solve_constrained_subspace eliminated"
+        return eliminate(*args)
+
+    monkeypatch.setattr(cocyclic, "solve_constrained_subspace", watched)
+    monkeypatch.setattr(linalg, "_eliminate", refuse_inside)
+    s3 = dict(hopf_ladder())["s3"]
+    tower = _equivariant_tower("comodule_algebra", s3, 0, 3)
+    assert [sub.dim for sub in tower.subspaces] == [1, 6, 36, 216]
 
 
 def test_hochschild_cohomology_checks_the_full_coboundary_square():
-    """A plain tower with one coface entry perturbed takes the normalized route
-    and is still refused by the product b_1 b_0 on the full complex."""
+    """A plain tower with one coface entry perturbed is refused by the product
+    b_1 b_0 on the full complex before any class is solved on N."""
     good = plain_algebra_cocyclic(sweedler_h4().algebra, degree_cap=3)
     faces = [list(row) for row in good.faces]
     faces[1][1] = perturbed(faces[1][1], 21, 6)
     bad = replace(good, faces=tuple(tuple(row) for row in faces))
-    assert all(cocyclic._coordinate_cochains(bad, n) is not None for n in range(4))
     with pytest.raises(LinAlgError, match="^coboundary square is nonzero entering degree 1$"):
         hochschild_cohomology(bad, 1)
 
@@ -1037,23 +1070,33 @@ def test_unstable_sweedler_coefficients_are_refused(kind, message):
 
 @pytest.mark.parametrize("kind", ["coalgebra", "algebra_module", "comodule_algebra",
                                   "algebra_contra"])
-def test_cyclic_fixed_spaces_are_read_off_the_cycles(kind):
-    """Over Z/3, lambda is monomial in every degree and its fixed space, read
-    off the cycles, is the eliminated kernel of 1 - lambda; over sweedler4
-    it is not monomial from degree 3 on, and the fallback gives that kernel."""
+def test_cyclic_fixed_spaces_are_read_off_the_cycles(kind, monkeypatch):
+    """Over Z/3, lambda is monomial in every degree and its fixed space is read
+    off the cycles with no elimination; over sweedler4 it is not monomial in
+    degree 3, where 1 - lambda is eliminated.  Both give the eliminated
+    kernel of 1 - lambda."""
+    eliminations = []
+    eliminate = linalg._eliminate
+
+    def counted(*args):
+        eliminations.append(1)
+        return eliminate(*args)
+
     for hopf in ("Z/3", "sweedler4"):
         tower = _equivariant_tower(kind, _pin_hopf(hopf), 1, 3).module
         for n in range(4):
             signed = lambda_operator(tower, n)
-            read = linalg.monomial_fixed_subspace(signed, prefix="l")
+            expected = subspace_from_kernel(LinearMap.identity(tower.spaces[n]) - signed,
+                                            prefix="l")
+            eliminations.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_eliminate", counted)
+                fixed = cocyclic._cyclic_fixed(tower, n)
             if hopf == "Z/3":
-                assert read is not None
+                assert not eliminations, n
             elif n == 3:
-                assert read is None
-            assert cocyclic._cyclic_fixed(tower, n) == subspace_from_kernel(
-                LinearMap.identity(tower.spaces[n]) - signed, prefix="l")
-            if read is not None:
-                assert read == cocyclic._cyclic_fixed(tower, n)
+                assert eliminations
+            assert fixed == expected
 
 
 # ----------------------------------------------- relations on algebra generators

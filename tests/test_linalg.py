@@ -19,6 +19,7 @@ from hopfcyclic.linalg import (
     cokernel,
     direct_sum_space,
     dual_space,
+    fixed_subspace,
     from_blocks,
     hom_postcompose,
     hom_precompose,
@@ -27,9 +28,7 @@ from hopfcyclic.linalg import (
     insert_vector,
     kernel_basis,
     map_to_hom_vector,
-    monomial_fixed_subspace,
     partial_transpose,
-    coordinate_kernel,
     relabel,
     row_echelon,
     rref,
@@ -48,6 +47,7 @@ from hopfcyclic.linalg import (
     vector_from,
     vectors_equal,
 )
+from hopfcyclic import linalg
 from hopfcyclic.linalg import _canonical, _eliminate
 
 
@@ -683,35 +683,49 @@ class TestQuotientsAndSubspaces:
         sub = solve_constrained_subspace(a, [])
         assert sub.dim == 3
 
-    def test_coordinate_kernel_is_the_eliminated_joint_kernel(self):
+    def test_one_nonzero_per_row_joint_kernel_is_read_off(self, monkeypatch):
         """Constraints whose rows hold at most one nonzero each: their joint
-        kernel read off the untouched columns is the one elimination finds,
-        basis, supports and labels alike; one row with two nonzeros refuses
-        the shortcut."""
+        kernel is read off the untouched columns with no elimination, and it
+        is the one elimination finds, basis, supports and labels alike; one
+        row with two nonzeros is eliminated."""
         rng = random.Random(8)
+        cases = []
         for _ in range(40):
             space = VectorSpace.make(rng.randint(0, 6), "x")
             constraints = []
-            for _ in range(rng.randint(0, 3)):
+            for _ in range(rng.randint(1, 3)):
                 target = VectorSpace.make(rng.randint(0, 4))
                 entries = [(i, rng.randrange(space.dim), rng.choice([1, -1, 2, Fraction(1, 3)]))
                            for i in range(target.dim) if space.dim and rng.random() < 0.7]
                 constraints.append(LinearMap.from_entries(space, target, entries))
-            got = coordinate_kernel(space, constraints, prefix="n")
-            assert got == solve_constrained_subspace(space, constraints, prefix="n")
+            expected = subspace_from_kernel(stack_vertical(constraints), prefix="n")
+            cases.append((space, constraints, expected))
         a = VectorSpace.make(3)
         two = LinearMap.from_rows(a, VectorSpace.make(2), [[1, 0, 0], [0, 1, -1]])
-        assert coordinate_kernel(a, [two]) is None
-        assert solve_constrained_subspace(a, [two]).dim == 1
+        eliminations = []
 
-    def test_monomial_fixed_subspace_is_the_eliminated_kernel(self):
+        def counted(*args):
+            eliminations.append(1)
+            return _eliminate(*args)
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        for space, constraints, expected in cases:
+            got = solve_constrained_subspace(space, constraints, prefix="n")
+            assert got == expected
+            assert got.space.labels == expected.space.labels
+        assert not eliminations
+        assert solve_constrained_subspace(a, [two]).dim == 1
+        assert eliminations
+
+    def test_fixed_subspace_of_a_monomial_map_is_read_off_its_cycles(self, monkeypatch):
         """On signed permutations with rational scalars, the fixed space read
-        off the cycles is ker(1 - op) as elimination finds it, basis, supports
-        and labels alike; cycles whose scalars multiply to something other
-        than 1, and fixed points scaled by something other than 1, give no
-        vector."""
+        off the cycles, with no elimination, is ker(1 - op) as elimination
+        finds it, basis, supports and labels alike; cycles whose scalars
+        multiply to something other than 1, and fixed points scaled by
+        something other than 1, give no vector."""
         rng = random.Random(12)
         scalars = [1, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 3)]
+        cases = []
         for _ in range(60):
             space = VectorSpace.make(rng.randint(0, 9), "x")
             n = space.dim
@@ -719,29 +733,38 @@ class TestQuotientsAndSubspaces:
             rng.shuffle(perm)
             entries = [(perm[j], j, rng.choice(scalars)) for j in range(n)]
             op = LinearMap.from_entries(space, space, entries)
-            got = monomial_fixed_subspace(op, prefix="l")
-            expected = subspace_from_kernel(LinearMap.identity(space) - op, prefix="l")
-            assert got == expected
-            assert got.space.labels == expected.space.labels
+            cases.append((op, subspace_from_kernel(LinearMap.identity(space) - op, prefix="l")))
         # a 3-cycle with product 1, a 2-cycle with product -1, a fixed point
         # scaled by 2 and one fixed outright
         space = VectorSpace.make(7)
         op = LinearMap.from_entries(space, space, [
             (1, 0, Fraction(2, 3)), (2, 1, -3), (0, 2, Fraction(-1, 2)),
             (4, 3, 1), (3, 4, -1), (5, 5, 2), (6, 6, 1)])
-        got = monomial_fixed_subspace(op)
+        expected = subspace_from_kernel(LinearMap.identity(space) - op)
+
+        def refuse(*args):
+            raise AssertionError("fixed_subspace eliminated")
+
+        monkeypatch.setattr(linalg, "_eliminate", refuse)
+        for cycles, kernel in cases:
+            got = fixed_subspace(cycles, prefix="l")
+            assert got == kernel
+            assert got.space.labels == kernel.space.labels
+        got = fixed_subspace(op)
         assert got.dim == 2 and got.supports == (2, 6)
         assert got.basis.column(0)[:3] == [Fraction(-1, 2), Fraction(-1, 3), 1]
-        assert got == subspace_from_kernel(LinearMap.identity(space) - op)
+        assert got == expected
 
-    def test_monomial_fixed_subspace_refuses_other_maps(self):
+    def test_fixed_subspace_of_other_maps_is_eliminated(self):
         space = VectorSpace.make(3)
         two_entries = LinearMap.from_rows(space, space, [[1, 1, 0], [0, 0, 1], [0, 0, 0]])
         repeated_row = LinearMap.from_rows(space, space, [[1, 1, 0], [0, 0, 0], [0, 0, 1]])
         empty_column = LinearMap.from_rows(space, space, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        wide = LinearMap.zero(space, VectorSpace.make(2))
-        for op in (two_entries, repeated_row, empty_column, wide):
-            assert monomial_fixed_subspace(op) is None
+        zero = LinearMap.zero(space, space)
+        for op in (two_entries, repeated_row, empty_column, zero):
+            assert fixed_subspace(op) == subspace_from_kernel(LinearMap.identity(space) - op)
+        with pytest.raises(LinAlgError):
+            fixed_subspace(LinearMap.zero(space, VectorSpace.make(2)))
 
     def test_tensor_subspace_is_the_eliminated_joint_kernel(self):
         """ker A (x) ker B, built as a Kronecker product, is the joint kernel
