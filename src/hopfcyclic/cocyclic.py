@@ -93,7 +93,7 @@ from .linalg import (
     tensor_space,
 )
 from .reporting import Report
-from .valueclass import field, valueclass
+from .valueclass import field, memoised, valueclass
 
 DEFAULT_DEGREE_CAP = 4
 
@@ -116,9 +116,7 @@ class CocyclicModule:
     faces: tuple[tuple[LinearMap, ...], ...]
     degeneracies: tuple[tuple[LinearMap, ...], ...]
     cyclic: tuple[LinearMap, ...]
-    # ("b", n) / ("B", n) / ("N", n) / ("bN", n) / ("P", n) / ("fixed", n) ->
-    # full_b / full_B / normalized_cochains / _normalized_b /
-    # normalization_projector / _cyclic_fixed of this tower, built on first use
+    # the derived quantities of this tower, built on first use (`memoised`)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -628,54 +626,46 @@ def check_dualization(iso: DualizationIsomorphism,
 # mixed complex: b, B, normalization
 
 
+@memoised
 def full_b(module: CocyclicModule, n: int) -> LinearMap:
     """Alternating sum of the cofaces out of degree n, built once per tower."""
     _require_degree(module, n, "the Hochschild coboundary", high=module.degree_cap - 1)
-    cache = module._memo
-    if ("b", n) not in cache:
-        cache["b", n] = signed_sum([((-1) ** i, f) for i, f in enumerate(module.faces[n])])
-    return cache["b", n]
+    return signed_sum([((-1) ** i, f) for i, f in enumerate(module.faces[n])])
 
 
+@memoised
 def full_B(module: CocyclicModule, n: int) -> LinearMap:
     """The Connes boundary C^n -> C^{n-1} (n >= 1), built once per tower."""
     _require_degree(module, n, "the Connes boundary", low=1)
-    cache = module._memo
-    if ("B", n) not in cache:
-        # the sum over i of (-1)^{(n-1) i} t^i s_{n-1} t, t^i taken in degree n - 1
-        terms = [(1, module.degeneracies[n][n - 1] @ module.cyclic[n])]
-        for i in range(1, n):
-            terms.append(((-1) ** ((n - 1) * i), module.cyclic[n - 1] @ terms[-1][1]))
-        cache["B", n] = signed_sum(terms)
-    return cache["B", n]
+    # the sum over i of (-1)^{(n-1) i} t^i s_{n-1} t, t^i taken in degree n - 1
+    terms = [(1, module.degeneracies[n][n - 1] @ module.cyclic[n])]
+    for i in range(1, n):
+        terms.append(((-1) ** ((n - 1) * i), module.cyclic[n - 1] @ terms[-1][1]))
+    return signed_sum(terms)
 
 
 def lambda_operator(module: CocyclicModule, n: int) -> LinearMap:
     return module.tau(n).scale(Fraction((-1) ** n))
 
 
+@memoised
 def normalized_cochains(module: CocyclicModule, n: int) -> Subspace:
     """The normalized cochains N^n, the joint kernel of the codegeneracies out
     of degree n, built once per tower.  Its basis is the RREF kernel basis,
     the identity on its support rows."""
     _require_degree(module, n, "the normalized cochains")
-    memo = module._memo
-    if ("N", n) not in memo:
-        memo["N", n] = solve_constrained_subspace(module.spaces[n], module.degeneracies[n],
-                                                  prefix="n")
-    return memo["N", n]
+    return solve_constrained_subspace(module.spaces[n], module.degeneracies[n], prefix="n")
 
 
+@memoised
 def _normalized_b(module: CocyclicModule, n: int) -> LinearMap:
     """The Hochschild coboundary N^n -> N^{n+1}, verified, built once per tower."""
-    memo = module._memo
-    if ("bN", n) not in memo:
-        memo["bN", n] = _induced(
-            full_b(module, n), normalized_cochains(module, n), normalized_cochains(module, n + 1),
-            f"the Hochschild coboundary leaves the normalized complex at degree {n}")
-    return memo["bN", n]
+    return _induced(
+        full_b(module, n), normalized_cochains(module, n), normalized_cochains(module, n + 1),
+        f"the Hochschild coboundary leaves the normalized complex at degree {n}")
 
 
+@memoised
 def normalization_projector(module: CocyclicModule, n: int) -> LinearMap:
     """Idempotent onto N^n, the joint kernel of the codegeneracies at degree n,
     along the images of the cofaces d_1, ..., d_n into degree n: the product
@@ -683,9 +673,6 @@ def normalization_projector(module: CocyclicModule, n: int) -> LinearMap:
     of d_{j+1}.  Built and checked (every s_j misses it, it is idempotent)
     once per tower."""
     _require_degree(module, n, "the normalization projector")
-    memo = module._memo
-    if ("P", n) in memo:
-        return memo["P", n]
     out = LinearMap.identity(module.spaces[n])
     for j in range(n):
         factor = LinearMap.identity(module.spaces[n]) - (
@@ -696,7 +683,6 @@ def normalization_projector(module: CocyclicModule, n: int) -> LinearMap:
             raise LinAlgError(f"normalization projector misses s{j} at degree {n}")
     if out @ out != out:
         raise LinAlgError(f"normalization projector is not idempotent at degree {n}")
-    memo["P", n] = out
     return out
 
 
@@ -802,13 +788,11 @@ def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     return CohomologyResult(n, len(reps), tuple(reps), module.spaces[n])
 
 
+@memoised
 def _cyclic_fixed(module: CocyclicModule, n: int) -> Subspace:
     """The fixed vectors of the signed cyclic operator lambda at degree n,
     ker(1 - lambda) as its RREF kernel basis, built once per tower."""
-    memo = module._memo
-    if ("fixed", n) not in memo:
-        memo["fixed", n] = fixed_subspace(lambda_operator(module, n), prefix="l")
-    return memo["fixed", n]
+    return fixed_subspace(lambda_operator(module, n), prefix="l")
 
 
 def cyclic_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:

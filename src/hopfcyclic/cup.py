@@ -110,7 +110,7 @@ from .linalg import (
     vectors_equal,
 )
 from .reporting import Report, require
-from .valueclass import field, valueclass
+from .valueclass import field, memoised, valueclass
 
 
 def _as_vector(vec, dim: int, label: str) -> list[Fraction]:
@@ -544,12 +544,7 @@ class _CupSetup:
     scalar_target: CocyclicModule | None
     # the scalar target itself when L is one-dimensional
     tensor_target: CocyclicModule
-    # ("transformer", n) -> the family's transformer (`_transformer`);
-    # ("psi", q, tensor_valued) -> that variant's psi and the basis maps that
-    # see the relations (`_psi`); ("phi", n, tensor_valued) -> that variant's
-    # `phi_matrix`; ("convolution target", one_dimensional) -> the target
-    # tower of `check_psi`, shared by the variants whose values have
-    # dimension 1; each built on first use
+    # the derived quantities of this setup, built on first use (`memoised`)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -675,14 +670,12 @@ def _variant(setup, tensor_valued: bool) -> tuple[LinearMap, VectorSpace, Cocycl
     return setup.pair.pairing, VectorSpace.ground(), setup.scalar_target
 
 
+@memoised
 def _transformer(setup, n: int, build) -> LinearMap:
     """`build(setup, n)`, the comparison map's transformer at degree n.  It
     depends on neither the collapse nor the values, so it is built once per
     setup and degree and shared by both variants."""
-    memo = setup._memo
-    if ("transformer", n) not in memo:
-        memo["transformer", n] = build(setup, n)
-    return memo["transformer", n]
+    return build(setup, n)
 
 
 def _comparison_end(setup, n: int, tensor_valued: bool, build, factors,
@@ -703,6 +696,7 @@ def _comparison_end(setup, n: int, tensor_valued: bool, build, factors,
 # the convolution-algebra comparison map
 
 
+@memoised
 def _psi(setup: ConvolutionCupSetup, q: int,
          tensor_valued: bool) -> tuple[LinearMap, list[int]]:
     """psi at degree q, and the algebra-cochain basis maps that see the
@@ -716,20 +710,16 @@ def _psi(setup: ConvolutionCupSetup, q: int,
     quotient when there are none.  That relation product is the widest map
     psi needs.
     """
-    memo, key = setup._memo, ("psi", q, tensor_valued)
-    if key not in memo:
-        x, y = setup.algebra_cochains, setup.coalgebra_cochains
-        # Hom(A^{(q+1)}, M) (x) N (x) C^{(q+1)} -> Hom(C^{(q+1)} (x) A^{(q+1)}, N (x) M)
-        factors = [x.domains[q], x.values, setup.module.space,
-                   tensor_spaces([setup.coalgebra.space] * (q + 1))]
-        end = _comparison_end(setup, q, tensor_valued, _psi_transformer, factors,
-                              [3, 0, 2, 1])
-        out = end @ tensor_map(x.subspaces[q].basis, y.quotients[q].section)
-        seen = end @ tensor_map(x.subspaces[q].basis, y.relations[q])
-        width = y.relations[q].source.dim
-        memo[key] = (relabel(out, setup.diagonal_module.spaces[q]),
-                     sorted({j // width for j in seen.nonzero_columns()}))
-    return memo[key]
+    x, y = setup.algebra_cochains, setup.coalgebra_cochains
+    # Hom(A^{(q+1)}, M) (x) N (x) C^{(q+1)} -> Hom(C^{(q+1)} (x) A^{(q+1)}, N (x) M)
+    factors = [x.domains[q], x.values, setup.module.space,
+               tensor_spaces([setup.coalgebra.space] * (q + 1))]
+    end = _comparison_end(setup, q, tensor_valued, _psi_transformer, factors, [3, 0, 2, 1])
+    out = end @ tensor_map(x.subspaces[q].basis, y.quotients[q].section)
+    seen = end @ tensor_map(x.subspaces[q].basis, y.relations[q])
+    width = y.relations[q].source.dim
+    return (relabel(out, setup.diagonal_module.spaces[q]),
+            sorted({j // width for j in seen.nonzero_columns()}))
 
 
 def _psi_transformer(setup: ConvolutionCupSetup, q: int) -> LinearMap:
@@ -807,6 +797,7 @@ def _phi_transformer(setup: CrossedProductCupSetup, n: int) -> LinearMap:
 PHI_MAX_CELLS = 2 ** 24
 
 
+@memoised
 def phi_matrix(setup: CrossedProductCupSetup, n: int, tensor_valued: bool) -> LinearMap:
     """Diagonal degree-n space -> Hom((A x B)^{(n+1)}, V).
 
@@ -816,15 +807,12 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, tensor_valued: bool) -> Li
     The map is built once per setup, degree and variant.
     """
     _require_degree(setup.diagonal_module, n, "the comparison map")
-    memo, key = setup._memo, ("phi", n, tensor_valued)
-    if key not in memo:
-        x, y = setup.comodule_cochains, setup.algebra_cochains
-        # Hom(D, N) (x) Hom(E, M) -> Hom(D (x) E, N (x) M) reorders the factors
-        end = _comparison_end(setup, n, tensor_valued, _phi_transformer,
-                              [x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3])
-        memo[key] = relabel(end @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis),
-                            setup.diagonal_module.spaces[n])
-    return memo[key]
+    x, y = setup.comodule_cochains, setup.algebra_cochains
+    # Hom(D, N) (x) Hom(E, M) -> Hom(D (x) E, N (x) M) reorders the factors
+    end = _comparison_end(setup, n, tensor_valued, _phi_transformer,
+                          [x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3])
+    return relabel(end @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis),
+                   setup.diagonal_module.spaces[n])
 
 
 # --------------------------------------------------------------------------
@@ -858,13 +846,17 @@ def check_psi(setup: ConvolutionCupSetup, tensor_valued: bool = False) -> Report
         rep.add(f"well defined on the relation subspace (degree {q})",
                 not bad, "" if not bad else f"basis maps {bad} see the relations")
     # as in `_cup_setup`, values of dimension 1 give the scalar cochains
-    memo, key = setup._memo, ("convolution target", values.dim == 1)
-    if key not in memo:
-        memo[key] = plain_algebra_cocyclic(setup.convolution.algebra,
-                                           None if values.dim == 1 else values,
-                                           setup.degree_cap)
-    _check_cyclic_map(rep, setup.diagonal_module, memo[key], maps)
+    target = _convolution_target(setup, None if values.dim == 1 else values)
+    _check_cyclic_map(rep, setup.diagonal_module, target, maps)
     return rep
+
+
+@memoised
+def _convolution_target(setup: ConvolutionCupSetup, values: VectorSpace | None) -> CocyclicModule:
+    """The plain tower of the convolution algebra with values in `values`,
+    None for scalars, that `check_psi` maps into; built once per setup and
+    values."""
+    return plain_algebra_cocyclic(setup.convolution.algebra, values, setup.degree_cap)
 
 
 def check_phi(setup: CrossedProductCupSetup, tensor_valued: bool = False) -> Report:

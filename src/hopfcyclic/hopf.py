@@ -42,7 +42,7 @@ from .linalg import (
     tensor_subspace,
 )
 from .reporting import Report, require
-from .valueclass import field, valueclass
+from .valueclass import field, memoised, valueclass
 
 _Q = VectorSpace.ground()
 
@@ -99,7 +99,7 @@ class HopfAlgebra:
     counit: LinearMap
     antipode: LinearMap
     antipode_inv: LinearMap
-    # "generators" -> algebra_generators of this Hopf algebra, built on first use
+    # the derived quantities of this Hopf algebra, built on first use (`memoised`)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -183,24 +183,23 @@ def require_generators(h: HopfAlgebra, elements: Sequence[int]) -> None:
                           f"{reached}, not all {h.dim} dimensions of the Hopf algebra")
 
 
+@memoised
 def algebra_generators(h: HopfAlgebra) -> tuple[int, ...]:
     """Basis indices of a set of algebra generators of H, built once per Hopf
     algebra: the basis is walked in order and an element is kept when it is
     not in the subalgebra generated by those kept so far, and the kept set is
     checked to generate H.  A group algebra gives a set of group generators
     and sweedler4 gives {g, x}."""
-    if "generators" not in h._memo:
-        kept: list[int] = []
-        reached = _generated_span(h, kept)
-        for i in range(h.dim):
-            if reached == h.dim:
-                break
-            grown = _generated_span(h, kept + [i])
-            if grown > reached:
-                kept, reached = kept + [i], grown
-        require_generators(h, kept)
-        h._memo["generators"] = tuple(kept)
-    return h._memo["generators"]
+    kept: list[int] = []
+    reached = _generated_span(h, kept)
+    for i in range(h.dim):
+        if reached == h.dim:
+            break
+        grown = _generated_span(h, kept + [i])
+        if grown > reached:
+            kept, reached = kept + [i], grown
+    require_generators(h, kept)
+    return tuple(kept)
 
 
 def element_inclusion(h: HopfAlgebra, elements: Sequence[int]) -> LinearMap:

@@ -340,25 +340,11 @@ class LinearMap:
                 append({i: v for i, v in acc.items() if v} if 0 in acc.values() else acc)
         return _canonical(other.source, self.target, cols, self._den * other._den)
 
-    def _add_sub(self, other: "LinearMap", sign: int) -> "LinearMap":
-        if self.shape != other.shape:
-            raise LinAlgError("cannot add maps of different shapes")
-        den = math.lcm(self._den, other._den)
-        fa, fb = den // self._den, sign * (den // other._den)
-        cols = []
-        for ca, cb in zip(self._cols, other._cols):
-            acc = ca.copy() if fa == 1 else {i: v * fa for i, v in ca.items()}
-            get = acc.get
-            for i, v in cb.items():
-                acc[i] = get(i, 0) + v * fb
-            cols.append({i: v for i, v in acc.items() if v} if 0 in acc.values() else acc)
-        return _canonical(self.source, self.target, cols, den)
-
     def __add__(self, other: "LinearMap") -> "LinearMap":
-        return self._add_sub(other, 1)
+        return signed_sum(((1, self), (1, other)))
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return self._add_sub(other, -1)
+        return signed_sum(((1, self), (-1, other)))
 
     def __neg__(self) -> "LinearMap":
         cols = tuple({i: -v for i, v in col.items()} for col in self._cols)
@@ -451,15 +437,16 @@ def signed_sum(terms: Sequence[tuple[int, LinearMap]]) -> LinearMap:
     if any(sign not in (1, -1) for sign, _ in terms):
         raise LinAlgError("a signed sum takes the signs 1 and -1")
     den = math.lcm(*(m._den for _, m in terms))
-    factors = [sign * (den // m._den) for sign, m in terms]
-    cols = []
-    for group in zip(*(m._cols for _, m in terms)):
-        acc = {}
-        get = acc.get
-        for f, col in zip(factors, group):
+    f0, *factors = [sign * (den // m._den) for sign, m in terms]
+    # term by term, so that a column costs no per-term tuple or iterator
+    cols = ([c.copy() for c in first._cols] if f0 == 1
+            else [{i: v * f0 for i, v in c.items()} for c in first._cols])
+    for f, (_, m) in zip(factors, terms[1:]):
+        for acc, col in zip(cols, m._cols):
+            get = acc.get
             for i, v in col.items():
                 acc[i] = get(i, 0) + v * f
-        cols.append({i: v for i, v in acc.items() if v} if 0 in acc.values() else acc)
+    cols = [{i: v for i, v in acc.items() if v} if 0 in acc.values() else acc for acc in cols]
     return _canonical(first.source, first.target, cols, den)
 
 
@@ -682,8 +669,7 @@ def _reduce_row(row: dict[int, int], a: int, prow: dict[int, int], p: int) -> di
     return new
 
 
-def _kernel_vectors(rows: Sequence[dict[int, int]], ncols: int,
-                    sign_normalize: bool) -> dict[int, dict[int, Fraction]]:
+def _kernel_vectors(rows: Sequence[dict[int, int]], ncols: int) -> dict[int, dict[int, Fraction]]:
     """Kernel basis of sparse integer rows read off their RREF, one sparse
     vector per free column: 1 there, minus that RREF column at the pivots.
     The vectors are keyed by their free column, ascending."""
@@ -694,10 +680,6 @@ def _kernel_vectors(rows: Sequence[dict[int, int]], ncols: int,
         for j, x in row.items():
             if j != c:
                 vecs[j][c] = -x
-    if sign_normalize:
-        for f, v in vecs.items():
-            if v[min(v)] < 0:
-                vecs[f] = {i: -x for i, x in v.items()}
     return vecs
 
 
@@ -724,9 +706,11 @@ def rref(mat: LinearMap) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def kernel_basis(mat: LinearMap) -> list[list[Fraction]]:
-    """One kernel vector per non-pivot column, read off the RREF."""
+    """One kernel vector per non-pivot column, read off the RREF, negated
+    when its first nonzero entry is negative."""
     n = mat.source.dim
-    return [_dense(v, n) for v in _kernel_vectors(_rows(mat), n, sign_normalize=True).values()]
+    return [_dense(v if v[min(v)] > 0 else {i: -x for i, x in v.items()}, n)
+            for v in _kernel_vectors(_rows(mat), n).values()]
 
 
 def solve(mat: LinearMap, rhs: Sequence) -> list[Fraction] | None:
@@ -807,7 +791,7 @@ class Subspace:
 
 
 def subspace_from_kernel(mat: LinearMap, prefix: str = "k") -> Subspace:
-    vecs = _kernel_vectors(_rows(mat), mat.source.dim, sign_normalize=False)
+    vecs = _kernel_vectors(_rows(mat), mat.source.dim)
     return _subspace(mat.source, list(vecs.values()), prefix)
 
 
@@ -947,7 +931,7 @@ def cokernel(f: LinearMap) -> Quotient:
     W = f.target
     # the columns of f are the rows of its transpose; row k of the projection
     # is their kernel vector at the k-th free column
-    vecs = _kernel_vectors(f._cols, W.dim, sign_normalize=False)
+    vecs = _kernel_vectors(f._cols, W.dim)
     free = tuple(vecs)
     q_space = VectorSpace._derived(len(free), lambda: (f"[{W.labels[j]}]" for j in free))
     projection = _from_columns(W, q_space, _transposed(vecs.values(), W.dim))

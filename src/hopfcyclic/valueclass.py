@@ -17,10 +17,17 @@ name with a class attribute, the class is rebuilt once with its annotated
 defaults moved into the field list.  A hot class can hand-write its
 `__init__` to set each field through `slot_setters`: one call per field, and
 no argument binding.
+
+`memoised` keeps a quantity derived from a value in its `_memo`, a field
+declared `field(default_factory=dict, init=False, repr=False, compare=False)`:
+it takes no part in equality, hash or repr, and `replace` starts it afresh.
+Only `memoised` touches `_memo`, and it stores a result only once the build
+returned, so a refusal is never stored.
 """
 
 from __future__ import annotations
 
+import functools
 from operator import attrgetter
 
 _MISSING = object()
@@ -178,3 +185,19 @@ def _refuse(verb):
         raise FrozenInstanceError(f"cannot {verb} field {name!r}")
 
     return refuse
+
+
+def memoised(build):
+    """`build(obj, *args)`, run once per object and positional arguments; the
+    result is kept in `obj._memo` under `(build.__name__, *args)`."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def cached(obj, *args):
+        key = (name, *args)
+        out = obj._memo.get(key, _MISSING)
+        if out is _MISSING:
+            out = obj._memo[key] = build(obj, *args)
+        return out
+
+    return cached

@@ -27,11 +27,10 @@ DEMO = Path(__file__).resolve().parent.parent / "demo"
 CATALOG = str(DEMO / "builtin_catalog.json")
 PLAIN = str(DEMO / "plain_rationals.json")
 Z2CUP = str(DEMO / "z2_cup.json")
-SWEEDLER = str(DEMO / "sweedler_plain.json")
-S3PLAIN = str(DEMO / "s3_plain.json")
-S3EQUIVARIANT = str(DEMO / "s3_equivariant.json")
 DATA = Path(__file__).resolve().parent / "data"
-Z2CUP_GOLDEN = DATA / "z2_cup_report.json"
+# (golden report, the hcc arguments, from the repository root, that print it)
+GOLDEN_RUNS = [tuple(line.split(maxsplit=1))
+               for line in (DATA / "golden_runs.txt").read_text(encoding="utf-8").splitlines()]
 # variant -> (p, q, left, right) of each pinned `hcc cup` demo run
 Z2CUP_RUNS = {"ac": (1, 1, "phi", "omega"), "ac-general": (1, 1, "phi", "omega"),
               "aa": (0, 1, "psi0", "phi1"), "aa-general": (0, 1, "psi0", "phi1")}
@@ -661,77 +660,20 @@ class TestDeterminism:
         assert first == second
         return first
 
-    def test_check_reports_byte_identical(self, capsys):
-        out = self.run_twice(capsys, ["check", CATALOG, "--format", "json"])
-        assert out.startswith("{")
-
-    def test_cup_demo_check_matches_golden_report(self, capsys):
-        """The comparison-map checks of the cup demo, names and details
-        included, are pinned by a committed report."""
-        out = self.run_twice(capsys, ["check", Z2CUP, "--format", "json"])
-        assert out == Z2CUP_GOLDEN.read_text(encoding="utf-8")
-
-    @pytest.mark.parametrize("variant", sorted(Z2CUP_RUNS))
-    def test_cup_demo_matches_golden_report(self, capsys, variant):
-        """Each product family, scalar and contratensor-valued, is pinned by
-        the committed report of one demo run."""
-        p, q, left, right = Z2CUP_RUNS[variant]
-        out = self.run_twice(capsys, ["cup", Z2CUP, "--variant", variant, "--p", str(p),
-                                      "--q", str(q), "--left", left, "--right", right,
-                                      "--format", "json"])
-        assert out == (DATA / f"z2_cup_{variant}_report.json").read_text(encoding="utf-8")
-
-    @pytest.mark.parametrize("argv, golden", [
-        (["check", PLAIN], "plain_rationals_report.json"),
-        (["cohomology", PLAIN, "z2-algebra", "--max-degree", "3"],
-         "plain_rationals_z2_cohomology_report.json")])
-    def test_plain_demo_matches_golden_report(self, capsys, argv, golden):
-        out = self.run_twice(capsys, argv + ["--format", "json"])
+    @pytest.mark.parametrize("golden, args", GOLDEN_RUNS,
+                             ids=[golden.removesuffix(".json") for golden, _ in GOLDEN_RUNS])
+    def test_demo_run_matches_golden_report(self, capsys, monkeypatch, golden, args):
+        """Each committed report is the output of its demo run, as listed in
+        the table CI reads too: the catalog and demo checks, the HH and HC
+        bases of plain, equivariant, non-group and S3 towers, and the four
+        product families, scalar and contratensor-valued."""
+        monkeypatch.chdir(DEMO.parent)
+        out = self.run_twice(capsys, args.split())
         assert out == (DATA / golden).read_text(encoding="utf-8")
-
-    def test_equivariant_cohomology_matches_golden_report(self, capsys):
-        """The HH and HC bases of an equivariant tower, the coalgebra cochains
-        of the cup demo, are pinned by a committed report."""
-        out = self.run_twice(capsys, ["cohomology", Z2CUP, "regular-cochains",
-                                      "--max-degree", "3", "--format", "json"])
-        golden = DATA / "z2_cup_regular-cochains_cohomology_report.json"
-        assert out == golden.read_text(encoding="utf-8")
-
-    def test_non_group_cohomology_matches_golden_report(self, capsys):
-        """The HH and HC bases of the plain tower of sweedler4, a carrier that
-        is not a group algebra, are pinned by a committed report."""
-        out = self.run_twice(capsys, ["cohomology", SWEEDLER, "sweedler-algebra",
-                                      "--max-degree", "4", "--format", "json"])
-        golden = DATA / "sweedler_plain_cohomology_report.json"
-        assert out == golden.read_text(encoding="utf-8")
-
-    def test_s3_cohomology_matches_golden_report(self, capsys):
-        """The HH and HC bases of the plain tower of Q[S3] up to degree 3, the
-        largest catalog carrier, are pinned by a committed report."""
-        out = self.run_twice(capsys, ["cohomology", S3PLAIN, "s3-algebra",
-                                      "--max-degree", "3", "--format", "json"])
-        golden = DATA / "s3_plain_cohomology_report.json"
-        assert out == golden.read_text(encoding="utf-8")
-
-    @pytest.mark.parametrize("construction", ["s3-coalgebra", "s3-balanced", "s3-colinear",
-                                              "s3-contra"])
-    def test_s3_equivariant_cohomology_matches_golden_report(self, capsys, construction):
-        """The HH and HC bases of the coalgebra, balanced-functional, colinear
-        and contramodule-valued towers over Q[S3], a group with two
-        generators, are pinned by committed reports up to degree 3."""
-        out = self.run_twice(capsys, ["cohomology", S3EQUIVARIANT, construction,
-                                      "--max-degree", "3", "--format", "json"])
-        golden = DATA / f"s3_equivariant_{construction}_cohomology_report.json"
-        assert out == golden.read_text(encoding="utf-8")
 
     def test_cohomology_reports_byte_identical(self, capsys):
         self.run_twice(capsys, ["cohomology", PLAIN, "point-algebra",
                                 "--max-degree", "3", "--format", "json"])
-
-    def test_cup_reports_byte_identical(self, capsys):
-        self.run_twice(capsys, ["cup", Z2CUP, "--variant", "ac", "--p", "1",
-                                "--q", "1", "--left", "phi", "--right", "omega",
-                                "--format", "json"])
 
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():

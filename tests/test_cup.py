@@ -757,8 +757,8 @@ def test_one_dimensional_values_share_the_scalar_target(demo_setups, setup_ac_gr
     assert setup_ac_block.tensor_target is not setup_ac_block.scalar_target
     for tensor_valued in (False, True):
         assert check_psi(setup_ac_grouplike, tensor_valued).passed
-    assert [k for k in setup_ac_grouplike._memo if k[0] == "convolution target"] == \
-        [("convolution target", True)]
+    assert [k for k in setup_ac_grouplike._memo if k[0] == "_convolution_target"] == \
+        [("_convolution_target", None)]
 
 
 def test_an_unpaired_setup_builds_no_scalar_target(z2, z2_convolution_data, setup_ac_block,

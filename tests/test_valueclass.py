@@ -7,13 +7,17 @@ from pathlib import Path
 
 import pytest
 
+from hopfcyclic import cocyclic, hopf
 from hopfcyclic import valueclass as valueclass_module
-from hopfcyclic.cocyclic import CocyclicModule, plain_algebra_cocyclic
-from hopfcyclic.cup import ConvolutionCupSetup, _CupSetup
-from hopfcyclic.hopf import algebra_generators, cyclic_group_table, group_algebra
+from hopfcyclic.coefficients import trivial_coefficients
+from hopfcyclic.cocyclic import (CocyclicModule, algebra_module_cocyclic, full_b,
+                                 plain_algebra_cocyclic)
+from hopfcyclic.cup import ConvolutionCupSetup, _CupSetup, phi_matrix
+from hopfcyclic.hopf import (ModuleAlgebra, adjoint_action, algebra_generators,
+                             cyclic_group_table, group_algebra)
 from hopfcyclic.linalg import LinAlgError, LinearMap, Subspace, VectorSpace
 from hopfcyclic.reporting import Report, ReportEntry
-from hopfcyclic.valueclass import FrozenInstanceError, field, replace, valueclass
+from hopfcyclic.valueclass import FrozenInstanceError, field, memoised, replace, valueclass
 
 
 @valueclass
@@ -199,3 +203,76 @@ def test_cup_setups_extend_the_shared_fields():
     assert names[:len(shared)] == shared and "_memo" in shared
     assert names[len(shared):] == ["coalgebra", "action", "convolution", "embedding",
                                    "coalgebra_cochains"]
+
+
+@valueclass
+class Holder:
+    name: str
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+@memoised
+def doubled(holder: Holder, n: int, tag=None) -> list:
+    """A fresh list, so that a rebuilt value is told apart by identity."""
+    if n < 0:
+        raise ValueError("negative n")
+    return [holder.name] * (2 * n)
+
+
+def test_memoised_keys_a_result_by_name_and_positional_arguments():
+    h = Holder("a")
+    out = doubled(h, 2)
+    assert out == ["a"] * 4 and doubled(h, 2) is out
+    assert doubled(h, 2, "t") is not out
+    assert list(h._memo) == [("doubled", 2), ("doubled", 2, "t")]
+    assert Holder("a") == h and Holder("a")._memo == {} and replace(h)._memo == {}
+
+
+def test_memoised_keeps_the_name_qualname_and_doc():
+    for fn, name in ((doubled, "doubled"), (full_b, "full_b"), (phi_matrix, "phi_matrix"),
+                     (algebra_generators, "algebra_generators")):
+        assert fn.__name__ == fn.__qualname__ == name
+        assert fn.__doc__ and fn.__doc__ == fn.__wrapped__.__doc__
+    assert doubled.__doc__.startswith("A fresh list")
+
+
+def test_a_refused_call_leaves_no_entry():
+    tower = plain_algebra_cocyclic(z2_hopf().algebra, degree_cap=2)
+    full_b(tower, 0)
+    before = dict(tower._memo)
+    for _ in range(2):
+        with pytest.raises(LinAlgError, match="Hochschild coboundary"):
+            full_b(tower, tower.degree_cap)
+    assert tower._memo == before and list(tower._memo) == [("full_b", 0)]
+    h = Holder("a")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative n"):
+            doubled(h, -1)
+    assert h._memo == {}
+
+
+def test_a_second_call_returns_the_same_object_and_builds_nothing(monkeypatch):
+    tower = plain_algebra_cocyclic(z2_hopf().algebra, degree_cap=2)
+    sums = []
+    signed_sum = cocyclic.signed_sum
+    monkeypatch.setattr(cocyclic, "signed_sum", lambda terms: sums.append(terms) or
+                        signed_sum(terms))
+    first = full_b(tower, 1)
+    assert len(sums) == 1
+    assert full_b(tower, 1) is first and len(sums) == 1
+    assert full_b(tower, 0) is not first and len(sums) == 2
+
+
+def test_algebra_generators_are_found_once_per_hopf_algebra(monkeypatch):
+    h = z2_hopf()
+    algebra = ModuleAlgebra(h, h.space, h.mul, h.unit, adjoint_action(h))
+    coefficients = trivial_coefficients(h).module
+    spans = []
+    generated_span = hopf._generated_span
+    monkeypatch.setattr(hopf, "_generated_span", lambda *args: spans.append(args) or
+                        generated_span(*args))
+    first = algebra_module_cocyclic(algebra, coefficients, 2)
+    found = len(spans)
+    assert found > 0 and list(h._memo) == [("algebra_generators",)]
+    second = algebra_module_cocyclic(algebra, coefficients, 2)
+    assert second is not first and len(spans) == found
