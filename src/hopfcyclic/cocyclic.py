@@ -573,7 +573,6 @@ def dualization_isomorphism(algebra: ModuleAlgebra, coefficients: SaydModule,
     forward = []
     backward = []
     for n in range(degree_cap + 1):
-        p = module_side.domains[n]  # recorded as M (x) A^{(n+1)}
         power = contra_side.domains[n]
         amb_fwd = relabel(tensor_permutation([m, power], [1, 0]),
                           module_side.subspaces[n].ambient, contra_side.subspaces[n].ambient)

@@ -35,8 +35,12 @@ Each fact is checked once: `check_bicocyclic` reads its row and column
 entries off one `verify_cocyclic` of each factor, its cross entries hold by
 the interchange law of the Kronecker product, and psi decides its
 well-definedness once per setup, degree and variant.  Each comparison map is
-built once per setup, degree and variant, and the contratensor-valued
-products share the scalar target tower when L is one-dimensional.
+built once per setup, degree and variant.
+
+One rule gives every target tower: `_plain_tower` builds the plain cochains
+of an algebra at the setup's cap, with scalar values or values in V, on first
+read and once per setup.  Values of dimension 1 give the scalar tower, so the
+contratensor-valued products share it when L is one-dimensional.
 """
 
 from __future__ import annotations
@@ -528,7 +532,9 @@ class _CupSetup:
     """The fields both families share.  The left cochains are the vertical
     factor of the bicomplex, the right ones the horizontal factor.  A family
     adds `_sides`, `_base` (the target algebra), `_comparison` and
-    `_check_comparison`."""
+    `_check_comparison`.  The products land in the plain cochains of `_base`:
+    `scalar_target` with scalar values and `tensor_target` with values in L,
+    each built on first read by `_plain_tower`."""
 
     algebra: ModuleAlgebra
     module: SaydModule
@@ -540,21 +546,21 @@ class _CupSetup:
     diagonal_module: CocyclicModule
     tensor_values: Contratensor
     pair_collapse: LinearMap | None
-    # None without a pairing unless L is one-dimensional (`_cup_setup`)
-    scalar_target: CocyclicModule | None
-    # the scalar target itself when L is one-dimensional
-    tensor_target: CocyclicModule
     # the derived quantities of this setup, built on first use (`memoised`)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @property
+    def scalar_target(self) -> CocyclicModule:
+        return _plain_tower(self, self._base, None)
+
+    @property
+    def tensor_target(self) -> CocyclicModule:
+        return _plain_tower(self, self._base, self.tensor_values.space)
+
 
 def _cup_setup(cls, algebra: ModuleAlgebra, coefficients, degree_cap: int,
-               target: Algebra, left, right, **parts):
-    """A `cls` setup on the cochain complexes `left` and `right`, with
-    products in the cochains of `target`.  Cochains with values in a
-    one-dimensional L have the labels and operators of scalar cochains, so
-    then both variants share the scalar target tower.  Otherwise the scalar
-    tower is built only with a pairing, as every scalar product needs one."""
+               left, right, **parts):
+    """A `cls` setup on the cochain complexes `left` and `right`."""
     module, contra, pair = coefficients
     bicomplex = tensor_bicocyclic(left.module, right.module)
     tensor_values = contratensor(module, contra)
@@ -562,17 +568,21 @@ def _cup_setup(cls, algebra: ModuleAlgebra, coefficients, degree_cap: int,
     if pair is not None:
         require(check_compatible_pair(pair), "coefficient pair")
         pair_collapse = collapse_map(pair, tensor_values)
-    one_dimensional = tensor_values.space.dim == 1
-    scalar_target = (plain_algebra_cocyclic(target, None, degree_cap)
-                     if pair is not None or one_dimensional else None)
     return cls(
         algebra=algebra, module=module, contramodule=contra, pair=pair,
         degree_cap=degree_cap, bicomplex=bicomplex, diagonal_module=diagonal(bicomplex),
-        tensor_values=tensor_values, pair_collapse=pair_collapse,
-        scalar_target=scalar_target,
-        tensor_target=(scalar_target if one_dimensional else
-                       plain_algebra_cocyclic(target, tensor_values.space, degree_cap)),
-        **parts)
+        tensor_values=tensor_values, pair_collapse=pair_collapse, **parts)
+
+
+@memoised
+def _plain_tower(setup, algebra: Algebra, values: VectorSpace | None) -> CocyclicModule:
+    """The plain cochains of `algebra` at the setup's cap with values in
+    `values`, None for scalars, built once per setup, algebra and values.
+    Cochains with values in a one-dimensional space have the labels and
+    operators of scalar cochains, so such values give the scalar tower."""
+    if values is not None and values.dim == 1:
+        return _plain_tower(setup, algebra, None)
+    return plain_algebra_cocyclic(algebra, values, setup.degree_cap)
 
 
 @valueclass
@@ -594,7 +604,7 @@ class ConvolutionCupSetup(_CupSetup):
 
     def _comparison(self, n: int, tensor_valued: bool) -> LinearMap:
         """psi, pulled back along the embedding of the algebra."""
-        _, values, _ = _variant(self, tensor_valued)
+        _, values = _variant(self, tensor_valued)
         pullback = hom_precompose(tensor_maps([self.embedding] * (n + 1)), values)
         return pullback @ psi_matrix(self, n, tensor_valued)
 
@@ -613,7 +623,7 @@ def ac_cup_setup(algebra: ModuleAlgebra, coalgebra: ModuleCoalgebra,
     x = algebra_contra_cocyclic(algebra, contra, degree_cap)
     y = coalgebra_cocyclic(coalgebra, module, degree_cap)
     return _cup_setup(ConvolutionCupSetup, algebra, (module, contra, pair), degree_cap,
-                      algebra.algebra, x, y, algebra_cochains=x, coalgebra=coalgebra,
+                      x, y, algebra_cochains=x, coalgebra=coalgebra,
                       action=action, convolution=conv, embedding=iota(action, conv),
                       coalgebra_cochains=y)
 
@@ -650,7 +660,7 @@ def aa_cup_setup(algebra: ModuleAlgebra, comodule_algebra: ComoduleAlgebra,
     x = comodule_algebra_cocyclic(comodule_algebra, module, degree_cap)
     y = algebra_contra_cocyclic(algebra, contra, degree_cap)
     return _cup_setup(CrossedProductCupSetup, algebra, (module, contra, pair), degree_cap,
-                      crossed, x, y, algebra_cochains=y, comodule_algebra=comodule_algebra,
+                      x, y, algebra_cochains=y, comodule_algebra=comodule_algebra,
                       crossed=crossed, comodule_cochains=x)
 
 
@@ -658,16 +668,15 @@ def aa_cup_setup(algebra: ModuleAlgebra, comodule_algebra: ComoduleAlgebra,
 # the comparison maps: shared parts
 
 
-def _variant(setup, tensor_valued: bool) -> tuple[LinearMap, VectorSpace, CocyclicModule]:
-    """The collapse N (x) M -> V, the values V and the target cochains of a
-    product variant: the contratensor projection onto L, or the pairing onto
-    the ground field."""
+def _variant(setup, tensor_valued: bool) -> tuple[LinearMap, VectorSpace]:
+    """The collapse N (x) M -> V and the values V of a product variant: the
+    contratensor projection onto L, or the pairing onto the ground field."""
     if tensor_valued:
-        return setup.tensor_values.projection, setup.tensor_values.space, setup.tensor_target
+        return setup.tensor_values.projection, setup.tensor_values.space
     if setup.pair_collapse is None:
         raise LinAlgError("no compatible pairing was provided; use the contratensor-valued "
                           "product cup_ac_general or cup_aa_general")
-    return setup.pair.pairing, VectorSpace.ground(), setup.scalar_target
+    return setup.pair.pairing, VectorSpace.ground()
 
 
 @memoised
@@ -685,7 +694,7 @@ def _comparison_end(setup, n: int, tensor_valued: bool, build, factors,
     k_j: D -> N (x) M is column j of the product once its tensor `factors`
     are put in `order` (D the transformer's target).  The collapse is the
     variant's, and the transformer is `_transformer(setup, n, build)`."""
-    collapse, values, _ = _variant(setup, tensor_valued)
+    collapse, values = _variant(setup, tensor_valued)
     transformer = _transformer(setup, n, build)
     return (hom_precompose(transformer, values)
             @ hom_postcompose(transformer.target, collapse)
@@ -837,7 +846,7 @@ def _check_cyclic_map(rep: Report, source: CocyclicModule, target: CocyclicModul
 
 def check_psi(setup: ConvolutionCupSetup, tensor_valued: bool = False) -> Report:
     """Well-definedness and generator commutation of the convolution comparison map."""
-    _, values, _ = _variant(setup, tensor_valued)
+    _, values = _variant(setup, tensor_valued)
     rep = Report("contratensor-valued convolution comparison map" if tensor_valued
                  else "convolution comparison map")
     maps = {}
@@ -845,26 +854,18 @@ def check_psi(setup: ConvolutionCupSetup, tensor_valued: bool = False) -> Report
         maps[q], bad = _psi(setup, q, tensor_valued)
         rep.add(f"well defined on the relation subspace (degree {q})",
                 not bad, "" if not bad else f"basis maps {bad} see the relations")
-    # as in `_cup_setup`, values of dimension 1 give the scalar cochains
-    target = _convolution_target(setup, None if values.dim == 1 else values)
+    target = _plain_tower(setup, setup.convolution.algebra, values)
     _check_cyclic_map(rep, setup.diagonal_module, target, maps)
     return rep
 
 
-@memoised
-def _convolution_target(setup: ConvolutionCupSetup, values: VectorSpace | None) -> CocyclicModule:
-    """The plain tower of the convolution algebra with values in `values`,
-    None for scalars, that `check_psi` maps into; built once per setup and
-    values."""
-    return plain_algebra_cocyclic(setup.convolution.algebra, values, setup.degree_cap)
-
-
 def check_phi(setup: CrossedProductCupSetup, tensor_valued: bool = False) -> Report:
     """Generator commutation of the crossed-product comparison map."""
-    _, _, target = _variant(setup, tensor_valued)
+    _, values = _variant(setup, tensor_valued)
     rep = Report("contratensor-valued crossed-product comparison map"
                  if tensor_valued else "crossed-product comparison map")
     maps = {n: phi_matrix(setup, n, tensor_valued) for n in range(setup.degree_cap + 1)}
+    target = _plain_tower(setup, setup._base, values)
     _check_cyclic_map(rep, setup.diagonal_module, target, maps)
     return rep
 
@@ -911,7 +912,7 @@ def _cup(setup, p: int, q: int, left, right, tensor_valued: bool) -> BBcocycle:
     """The one product pipeline: validate both cochains, take the AW image of
     their product, map it into the target cochains by the family's
     comparison map, complete it to a (b, B)-cocycle and check that."""
-    _, _, target = _variant(setup, tensor_valued)
+    _, values = _variant(setup, tensor_valued)
     first, second = setup._sides
     _require_degree(setup, p, f"the {first} cochain", high=setup.degree_cap - 1)
     _require_degree(setup, q, f"the {second} cochain", high=setup.degree_cap - 1 - p)
@@ -920,7 +921,9 @@ def _cup(setup, p: int, q: int, left, right, tensor_valued: bool) -> BBcocycle:
                            f"the {second} cochain")
     n = p + q
     y_vec = aw_map(setup.bicomplex, p, q).apply([a * b for a in u for b in v])
-    cocycle = cyclic_complete(target, n, setup._comparison(n, tensor_valued).apply(y_vec))
+    top = setup._comparison(n, tensor_valued).apply(y_vec)
+    target = _plain_tower(setup, setup._base, values)
+    cocycle = cyclic_complete(target, n, top)
     require(check_bb_cocycle(target, cocycle), "cup product output")
     return cocycle
 

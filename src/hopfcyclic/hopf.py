@@ -77,8 +77,8 @@ class Coalgebra:
     counit: LinearMap
 
 
-def check_coalgebra(c: Coalgebra, title: str = "coalgebra") -> Report:
-    rep = Report(title)
+def check_coalgebra(c: Coalgebra) -> Report:
+    rep = Report("coalgebra")
     i_c = LinearMap.identity(c.space)
     rep.check_equal(
         "comultiplication coassociative",
@@ -398,8 +398,8 @@ def regular_coaction(h: HopfAlgebra) -> LinearMap:
     return h.comul
 
 
-def check_module(h: HopfAlgebra, space: VectorSpace, action: LinearMap, title: str = "module") -> Report:
-    rep = Report(title)
+def check_module(h: HopfAlgebra, space: VectorSpace, action: LinearMap) -> Report:
+    rep = Report("module")
     i_h = LinearMap.identity(h.space)
     i_v = LinearMap.identity(space)
     rep.check_equal(
@@ -411,8 +411,8 @@ def check_module(h: HopfAlgebra, space: VectorSpace, action: LinearMap, title: s
     return rep
 
 
-def check_comodule(h: HopfAlgebra, space: VectorSpace, coaction: LinearMap, title: str = "comodule") -> Report:
-    rep = Report(title)
+def check_comodule(h: HopfAlgebra, space: VectorSpace, coaction: LinearMap) -> Report:
+    rep = Report("comodule")
     i_h = LinearMap.identity(h.space)
     i_v = LinearMap.identity(space)
     rep.check_equal(

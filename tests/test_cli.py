@@ -671,6 +671,12 @@ class TestDeterminism:
         out = self.run_twice(capsys, args.split())
         assert out == (DATA / golden).read_text(encoding="utf-8")
 
+    def test_every_golden_report_is_named_by_one_run(self):
+        """The goldens the table names are the committed `*_report.json`
+        files, each named once, so CI's loop over the table checks them all."""
+        assert sorted(golden for golden, _ in GOLDEN_RUNS) == \
+            sorted(path.name for path in DATA.glob("*_report.json"))
+
     def test_cohomology_reports_byte_identical(self, capsys):
         self.run_twice(capsys, ["cohomology", PLAIN, "point-algebra",
                                 "--max-degree", "3", "--format", "json"])

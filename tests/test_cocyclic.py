@@ -36,11 +36,13 @@ from hopfcyclic.cocyclic import (
     verify_cocyclic,
 )
 from hopfcyclic.hopf import (
+    Algebra,
     ComoduleAlgebra,
     ModuleAlgebra,
     ModuleCoalgebra,
     adjoint_action,
     algebra_generators,
+    check_algebra,
     cyclic_group_table,
     group_algebra,
     left_regular_action,
@@ -610,6 +612,46 @@ class TestFullComplexReference:
             self.assert_matches_reference(module)
 
 
+def x_cubed_algebra(c):
+    """Q[x]/(x^3) on the basis b0 = 1 + c x^2, b1 = x, b2 = x^2: b0 b0 =
+    b0 + c b2, b0 b1 = b1 b0 = b1, b0 b2 = b2 b0 = b2, b1 b1 = b2, and the
+    unit b0 - c b2 is no basis vector."""
+    space = VectorSpace(3, ("b0", "b1", "b2"))
+    products = {(0, 0): {0: 1, 2: c}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1},
+                (2, 0): {2: 1}, (1, 1): {2: 1}}
+    mul = LinearMap.from_entries(tensor_space(space, space), space,
+                                 [(k, 3 * i + j, x) for (i, j), out in products.items()
+                                  for k, x in out.items()])
+    unit = LinearMap.from_entries(VectorSpace.ground(), space, [(0, 0, 1), (2, 0, -c)])
+    return Algebra(space, mul, unit)
+
+
+@pytest.mark.parametrize("c", [1, -1], ids=["1+x^2", "1-x^2"])
+def test_hochschild_classes_lifted_off_n_are_not_yet_the_representatives(c):
+    """Where the unit is no basis vector, N^n has one entry per basis column
+    only in degree 0.  There the classes solved on N and lifted to C^n are
+    not the full complex's representatives: the last elimination of
+    `hochschild_cohomology`, of the RREF rows of im b_{n-1} with the lifted
+    classes, reorders them for b0 = 1 + x^2 and changes the vectors for
+    b0 = 1 - x^2."""
+    algebra = x_cubed_algebra(c)
+    assert check_algebra(algebra).passed
+    module = plain_algebra_cocyclic(algebra, degree_cap=3)
+    assert [one_entry_per_column(normalized_cochains(module, n)) for n in range(4)] == \
+        [True, False, False, False]
+    classes = [hochschild_cohomology(module, n) for n in range(3)]
+    assert [h.dim for h in classes] == [3, 2, 2]
+    for n, h in enumerate(classes):
+        assert h.representatives == reference_hochschild(module, n), n
+    for n in (1, 2):
+        normalized = normalized_cochains(module, n)
+        solved = cocyclic._quotient_representatives(full_b(module, n) @ normalized.basis,
+                                                    cocyclic._normalized_b(module, n - 1))
+        lifted = tuple(tuple(normalized.basis.apply(r)) for r in solved)
+        assert len(lifted) == classes[n].dim and lifted != classes[n].representatives, n
+        assert (set(lifted) != set(classes[n].representatives)) == (c == -1), n
+
+
 def test_normalized_cochains_of_a_plain_tower_eliminate_nothing(monkeypatch):
     """Every row of every codegeneracy of a plain tower holds one nonzero at
     most, so N^n is read off them with no elimination."""
@@ -720,6 +762,27 @@ def test_dualization_round_trip_is_identity(z2, z2_sign_algebra):
         assert (iso.backward[n] @ iso.forward[n]) == (
             LinearMap.identity(iso.module_side.module.spaces[n]))
         assert dim == iso.contra_side.module.spaces[n].dim
+
+
+def test_a_perturbed_transposition_fails_where_it_is_read(z2, z2_sign_algebra):
+    """One entry of the forward map perturbed in degree 1 fails both round
+    trips of that degree and every commutation entry that reads it (the
+    cofaces out of degrees 0 and 1, the codegeneracies into degrees 0 and
+    1), each with its first residual; the cyclic operator fixes the
+    perturbed entry, and every entry that reads only other degrees passes."""
+    iso = dualization_isomorphism(z2_sign_algebra, trivial_coefficients(z2).module,
+                                  degree_cap=3)
+    forward = list(iso.forward)
+    forward[1] = perturbed(forward[1], 0, 0)
+    report = check_dualization(replace(iso, forward=tuple(forward)))
+    failing = [e.name for e in report.entries if not e.passed]
+    assert failing == [
+        "backward forward = id (degree 1)", "forward backward = id (degree 1)",
+        *(f"transposition commutes with d{i} (degree 0)" for i in range(2)),
+        *(f"transposition commutes with d{i} (degree 1)" for i in range(3)),
+        "transposition commutes with s0 (degree 1)",
+        *(f"transposition commutes with s{j} (degree 2)" for j in range(2))]
+    assert all(WITNESS.fullmatch(e.detail) for e in report.entries if not e.passed)
 
 
 # -------------------------------------------------------------- cohomology

@@ -91,6 +91,7 @@ from hopfcyclic.linalg import (
 from hopfcyclic.reporting import Report
 from hopfcyclic.specfile import parse_spec
 from hopfcyclic.valueclass import replace
+from test_cocyclic import perturbed
 from test_coefficients import block_module
 
 Z2CUP = str(Path(__file__).resolve().parent.parent / "demo" / "z2_cup.json")
@@ -460,6 +461,82 @@ def test_collapse_factorization(setup_ac_grouplike, setup_aa_grouplike):
         assert report.passed, failures(report)
 
 
+# family -> the failing entries of its comparison-map check on the cap-3
+# setups of demo/z2_cup.json when entry (0, 0) of the degree-2 map is
+# perturbed: each reads that map (s2 of degree 3 on the left, d0 of degree 1
+# on the right), and every entry that reads only other degrees passes.
+PINNED_COMPARISON_FAULTS = {
+    "psi": [("commutes with d0 (degree 2)",
+             "first residual -1 at row 'f0⊗f0⊗f0⊗f0*', column 'p0⊗[n⊗g⊗1⊗1]'"),
+            ("commutes with s1 (degree 2)",
+             "first residual -1 at row 'f0⊗f0*', column 'p0⊗[n⊗g⊗1⊗1]'"),
+            ("commutes with s2 (degree 3)",
+             "first residual 1 at row 'f0⊗f0⊗f0*', column 'p0⊗[n⊗g⊗1⊗1⊗1]'"),
+            ("commutes with t (degree 2)",
+             "first residual -1 at row 'f0⊗f0⊗f0*', column 'p0⊗[n⊗g⊗1⊗1]'")],
+    "phi": [("commutes with d0 (degree 1)",
+             "first residual 1 at row '1⊗1⊗1⊗1⊗1⊗1*', column 'p0⊗p0'"),
+            ("commutes with d0 (degree 2)",
+             "first residual -1 at row '1⊗1⊗1⊗1⊗1⊗1⊗1⊗1*', column 'p0⊗p0'"),
+            ("commutes with s1 (degree 2)", "first residual -1 at row '1⊗1⊗1⊗1*', column 'p0⊗p0'"),
+            ("commutes with s2 (degree 3)",
+             "first residual 1 at row '1⊗1⊗1⊗1⊗1⊗1*', column 'p1⊗p0'"),
+            ("commutes with t (degree 2)",
+             "first residual -1 at row '1⊗1⊗1⊗1⊗1⊗1*', column 'p0⊗p0'")],
+}
+
+
+@pytest.mark.parametrize("tensor_valued", [False, True], ids=["scalar", "tensor"])
+@pytest.mark.parametrize("family", ["psi", "phi"])
+def test_a_perturbed_comparison_map_fails_where_it_is_read(demo_setups, monkeypatch,
+                                                          family, tensor_valued):
+    """One entry of psi or phi perturbed in degree 2 fails the commutation
+    entries that read it, each with its first residual, and no other."""
+    if family == "psi":
+        setup, check, build = demo_setups[0], check_psi, cup._psi
+
+        def faulty(setup, q, tensor_valued):
+            out, bad = build(setup, q, tensor_valued)
+            return (perturbed(out, 0, 0) if q == 2 else out), bad
+
+        monkeypatch.setattr(cup, "_psi", faulty)
+    else:
+        setup, check, build = demo_setups[1], check_phi, cup.phi_matrix
+
+        def faulty(setup, n, tensor_valued):
+            out = build(setup, n, tensor_valued)
+            return perturbed(out, 0, 0) if n == 2 else out
+
+        monkeypatch.setattr(cup, "phi_matrix", faulty)
+    report = check(setup, tensor_valued)
+    assert [(e.name, e.detail) for e in report.entries if not e.passed] == \
+        PINNED_COMPARISON_FAULTS[family]
+
+
+@pytest.mark.parametrize("tensor_valued", [False, True], ids=["scalar", "tensor"])
+def test_a_perturbed_convolution_tower_fails_its_cyclic_commutation(monkeypatch,
+                                                                    tensor_valued):
+    """A convolution tower whose cyclic operator has one entry perturbed in
+    degree 2, handed to `check_psi` by `_plain_tower`, fails the one entry
+    that reads that operator, with its first residual."""
+    setup = parse_spec(Z2CUP).build_cup_setup("ac", 3)
+    build = cup.plain_algebra_cocyclic
+
+    def faulty(algebra, values=None, degree_cap=None):
+        tower = build(algebra, values, degree_cap)
+        if algebra != setup.convolution.algebra:
+            return tower
+        cyclic = list(tower.cyclic)
+        cyclic[2] = perturbed(cyclic[2], 0, 0)
+        return replace(tower, cyclic=tuple(cyclic))
+
+    monkeypatch.setattr(cup, "plain_algebra_cocyclic", faulty)
+    report = check_psi(setup, tensor_valued)
+    assert [(e.name, e.detail) for e in report.entries if not e.passed] == [
+        ("commutes with t (degree 2)",
+         "first residual -1 at row 'f0⊗f0⊗f0*', column 'p0⊗[n⊗g⊗1⊗1]'")]
+
+
 # sha256 of (source labels, target labels, nonzero entries) of the comparison
 # maps of the cap-3 setups of demo/z2_cup.json in degrees 0..3, recorded before
 # their parts were memoized.  The grouplike coefficients are one-dimensional,
@@ -757,33 +834,66 @@ def test_one_dimensional_values_share_the_scalar_target(demo_setups, setup_ac_gr
     assert setup_ac_block.tensor_target is not setup_ac_block.scalar_target
     for tensor_valued in (False, True):
         assert check_psi(setup_ac_grouplike, tensor_valued).passed
-    assert [k for k in setup_ac_grouplike._memo if k[0] == "_convolution_target"] == \
-        [("_convolution_target", None)]
+    convolution = setup_ac_grouplike.convolution.algebra
+    towers = [tower for key, tower in setup_ac_grouplike._memo.items()
+              if key[:2] == ("_plain_tower", convolution)]
+    assert towers and all(tower is towers[0] for tower in towers)
+
+
+def counted_plain_towers(monkeypatch):
+    """The (algebra, values dimension or None) of each plain tower `cup`
+    builds from now on."""
+    built = []
+
+    def counted(algebra, values=None, degree_cap=None):
+        built.append((algebra, None if values is None else values.dim))
+        return plain_algebra_cocyclic(algebra, values, degree_cap)
+
+    monkeypatch.setattr(cup, "plain_algebra_cocyclic", counted)
+    return built
 
 
 def test_an_unpaired_setup_builds_no_scalar_target(z2, z2_convolution_data, setup_ac_block,
                                                    monkeypatch):
     """With no pairing and a two-dimensional L no scalar product can be taken,
     so the setup builds one plain target tower, the contratensor-valued one;
-    the scalar product keeps its refusal."""
-    built = []
-
-    def counted(algebra, values=None, degree_cap=None):
-        built.append(None if values is None else values.dim)
-        return plain_algebra_cocyclic(algebra, values, degree_cap)
-
-    monkeypatch.setattr(cup, "plain_algebra_cocyclic", counted)
+    the scalar product and checks keep their refusal and build nothing."""
+    built = counted_plain_towers(monkeypatch)
     algebra, coalgebra, action = z2_convolution_data
     module = block_module(z2)
     setup = ac_cup_setup(algebra, coalgebra, action, (module, dualize(module)), degree_cap=3)
-    assert built == [2]
-    assert setup.scalar_target is None and setup_ac_block.scalar_target is None
+    assert built == []
     assert setup.tensor_target == setup_ac_block.tensor_target
-    left = basis_cocycle(setup_ac_block.algebra_cochains.module, 1)
-    right = basis_cocycle(setup_ac_block.coalgebra_cochains.module, 1)
-    with pytest.raises(LinAlgError, match="^no compatible pairing was provided"):
-        cup_ac(setup_ac_block, 1, 1, left, right)
-    assert built == [2]
+    assert built == [(setup._base, 2)]
+    left = basis_cocycle(setup.algebra_cochains.module, 1)
+    right = basis_cocycle(setup.coalgebra_cochains.module, 1)
+    for scalar in (lambda: cup_ac(setup, 1, 1, left, right), lambda: check_psi(setup),
+                   lambda: check_collapse_factorization(setup)):
+        with pytest.raises(LinAlgError, match="^no compatible pairing was provided"):
+            scalar()
+    assert built == [(setup._base, 2)]
+    assert not [key for key in setup._memo if key[0] == "_plain_tower" and key[2] is None]
+
+
+def test_target_towers_are_built_on_first_read(monkeypatch):
+    """Building a setup of either family builds no plain tower.  The first
+    read of a target builds one, and later reads build none; with a
+    one-dimensional L the scalar target is that same tower, and both
+    variants of `check_psi` read one convolution tower."""
+    built = counted_plain_towers(monkeypatch)
+    spec = parse_spec(Z2CUP)
+    setups = spec.build_cup_setup("ac", 3), spec.build_cup_setup("aa", 3)
+    assert built == []
+    for setup in setups:
+        built.clear()
+        target = setup.tensor_target
+        assert built == [(setup._base, None)]
+        assert setup.scalar_target is target and setup.tensor_target is target
+        assert len(built) == 1
+    built.clear()
+    for tensor_valued in (False, True):
+        assert check_psi(setups[0], tensor_valued).passed
+    assert built == [(setups[0].convolution.algebra, None)]
 
 
 def test_comparison_maps_are_built_once_per_variant(demo_setups, setup_ac_unpaired):
@@ -1516,3 +1626,26 @@ def test_unpaired_crossed_setup_refuses_the_scalar_product(z2, sign_action):
                    lambda: phi_matrix(setup, 1, False), lambda: check_phi(setup)):
         with pytest.raises(LinAlgError, match=refusal):
             scalar()
+
+
+@pytest.mark.parametrize("other", ["algebra", "coalgebra"])
+def test_ac_setup_refuses_an_action_on_other_structures(triv, z2, z2_convolution_data, other):
+    """The coalgebra action must be one of the given coalgebra on the given
+    algebra; the one-dimensional algebra or coalgebra in its place is refused."""
+    algebra, coalgebra, action = z2_convolution_data
+    point = trivial_action(z2, triv.space)
+    if other == "algebra":
+        algebra = ModuleAlgebra(z2, triv.space, triv.mul, triv.unit, point)
+    else:
+        coalgebra = ModuleCoalgebra(z2, triv.space, triv.comul, triv.counit, point)
+    with pytest.raises(LinAlgError, match="^the coalgebra action does not match the given "
+                                          "algebra and coalgebra$"):
+        ac_cup_setup(algebra, coalgebra, action, trivial_coefficients(z2), degree_cap=2)
+
+
+def test_aa_setup_refuses_algebras_over_two_hopf_algebras(z2, sign_action):
+    h = sweedler_h4()
+    algebra = ModuleAlgebra(z2, z2.space, z2.mul, z2.unit, sign_action)
+    comodule = ComoduleAlgebra(h, h.space, h.mul, h.unit, regular_coaction(h))
+    with pytest.raises(LinAlgError, match="^the two algebras live over different Hopf algebras$"):
+        aa_cup_setup(algebra, comodule, trivial_coefficients(z2), degree_cap=2)

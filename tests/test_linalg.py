@@ -321,6 +321,31 @@ class TestArithmetic:
         with pytest.raises(LinAlgError, match=refusal):
             access(f)
 
+    @pytest.mark.parametrize("call,refusal", [
+        (lambda f: LinearMap.from_rows(f.source, f.target, [[1, 2], [3, 4]]),
+         r"^matrix with 2 rows does not match \(3, 2\)$"),
+        (lambda f: LinearMap.from_rows(f.source, f.target, [[1, 2], [3, 4], [5]]),
+         r"^matrix with 3 rows does not match \(3, 2\)$"),
+        (lambda f: f.apply([1, 2, 3]), r"^vector length mismatch$"),
+        (lambda f: f.inverse(), r"^only square maps can be inverted$"),
+        (lambda f: stack_vertical([]), r"^nothing to stack$"),
+        (lambda f: stack_vertical([f, f.transpose()]), r"^stacked maps must share their source$"),
+        (lambda f: from_blocks([f.source], [f.source], {(0, 0): f}), r"^block shape mismatch$"),
+        (lambda f: relabel(f, f.target),
+         r"^relabel dimension mismatch: map is 3x2, requested 3x3$"),
+        (lambda f: subspace_from_kernel(f.transpose()).support_rows(f.transpose()),
+         r"^cannot compose: inner dims 3 != 2$"),
+    ], ids=["from_rows(rows)", "from_rows(row length)", "apply", "inverse",
+            "stack_vertical(nothing)", "stack_vertical(sources)", "from_blocks", "relabel",
+            "support_rows"])
+    def test_shape_mismatches_are_refused(self, call, refusal):
+        """Every shape mismatch is refused with its message, never broadcast
+        or truncated."""
+        f = LinearMap.from_rows(VectorSpace.make(2), VectorSpace.make(3),
+                                [[1, 2], [3, 4], [5, 6]])
+        with pytest.raises(LinAlgError, match=refusal):
+            call(f)
+
 
 class TestElimination:
     def test_row_echelon_is_the_nonzero_rref_rows(self):
