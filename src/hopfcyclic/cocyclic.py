@@ -93,7 +93,7 @@ from .linalg import (
     tensor_space,
 )
 from .reporting import Report
-from .valueclass import field, memoised, valueclass
+from .valueclass import memoised, valueclass
 
 DEFAULT_DEGREE_CAP = 4
 
@@ -116,8 +116,6 @@ class CocyclicModule:
     faces: tuple[tuple[LinearMap, ...], ...]
     degeneracies: tuple[tuple[LinearMap, ...], ...]
     cyclic: tuple[LinearMap, ...]
-    # the derived quantities of this tower, built on first use (`memoised`)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cap = self.degree_cap

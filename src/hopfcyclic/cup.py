@@ -114,7 +114,7 @@ from .linalg import (
     vectors_equal,
 )
 from .reporting import Report, require
-from .valueclass import field, memoised, valueclass
+from .valueclass import memoised, valueclass
 
 
 def _as_vector(vec, dim: int, label: str) -> list[Fraction]:
@@ -546,8 +546,6 @@ class _CupSetup:
     diagonal_module: CocyclicModule
     tensor_values: Contratensor
     pair_collapse: LinearMap | None
-    # the derived quantities of this setup, built on first use (`memoised`)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def scalar_target(self) -> CocyclicModule:

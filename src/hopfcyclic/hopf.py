@@ -42,7 +42,7 @@ from .linalg import (
     tensor_subspace,
 )
 from .reporting import Report, require
-from .valueclass import field, memoised, valueclass
+from .valueclass import memoised, valueclass
 
 _Q = VectorSpace.ground()
 
@@ -99,8 +99,6 @@ class HopfAlgebra:
     counit: LinearMap
     antipode: LinearMap
     antipode_inv: LinearMap
-    # the derived quantities of this Hopf algebra, built on first use (`memoised`)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -445,20 +443,21 @@ def check_module_algebra(a: ModuleAlgebra) -> Report:
     rep = Report("module algebra")
     rep.extend(check_algebra(a.algebra))
     rep.extend(check_module(a.hopf, a.space, a.action))
-    h, s = a.hopf, a.space
-    i_a = LinearMap.identity(s)
-    mid_swap = tensor_permutation([h.space, h.space, s, s], [0, 2, 1, 3])
+    _check_measuring(rep, a.action, a.hopf.coalgebra, a.algebra)
+    return rep
+
+
+def _check_measuring(rep: Report, action: LinearMap, c: Coalgebra, a: Algebra) -> None:
+    """Record that `action`: C (x) A -> A measures A: c.(ab) = (c_(1).a)(c_(2).b)
+    and c.1 = counit(c) 1."""
+    i_c, i_a = LinearMap.identity(c.space), LinearMap.identity(a.space)
+    mid_swap = tensor_permutation([c.space, c.space, a.space, a.space], [0, 2, 1, 3])
     rep.check_equal(
         "action distributes over products",
-        a.action @ tensor_map(LinearMap.identity(h.space), a.mul),
-        a.mul @ tensor_map(a.action, a.action) @ mid_swap @ tensor_map(h.comul, tensor_map(i_a, i_a)),
+        action @ tensor_map(i_c, a.mul),
+        a.mul @ tensor_map(action, action) @ mid_swap @ tensor_map(c.comul, tensor_map(i_a, i_a)),
     )
-    rep.check_equal(
-        "action fixes the unit",
-        a.action @ tensor_map(LinearMap.identity(h.space), a.unit),
-        a.unit @ h.counit,
-    )
-    return rep
+    rep.check_equal("action fixes the unit", action @ tensor_map(i_c, a.unit), a.unit @ c.counit)
 
 
 @valueclass
@@ -535,24 +534,13 @@ def check_coalgebra_action(ca: CoalgebraAction) -> Report:
     c, a = ca.coalgebra, ca.algebra
     h = c.hopf
     i_h = LinearMap.identity(h.space)
-    i_c = LinearMap.identity(c.space)
     i_a = LinearMap.identity(a.space)
     rep.check_equal(
         "action is equivariant",
         ca.act @ tensor_map(c.action, i_a),
         a.action @ tensor_map(i_h, ca.act),
     )
-    mid_swap = tensor_permutation([c.space, c.space, a.space, a.space], [0, 2, 1, 3])
-    rep.check_equal(
-        "action distributes over products",
-        ca.act @ tensor_map(i_c, a.mul),
-        a.mul @ tensor_map(ca.act, ca.act) @ mid_swap @ tensor_map(c.comul, tensor_map(i_a, i_a)),
-    )
-    rep.check_equal(
-        "action fixes the unit",
-        ca.act @ tensor_map(i_c, a.unit),
-        a.unit @ c.counit,
-    )
+    _check_measuring(rep, ca.act, c.coalgebra, a.algebra)
     return rep
 
 

@@ -41,7 +41,7 @@ class ReportEntry:
 _ENTRY_SLOTS = slot_setters(ReportEntry)
 
 
-@valueclass(frozen=False)
+@valueclass
 class Report:
     title: str
     entries: list[ReportEntry] = field(default_factory=list)

@@ -204,7 +204,7 @@ Checkable = (HopfAlgebra | Algebra | ModuleAlgebra | ModuleCoalgebra
              | CompatiblePair | CoalgebraAction)
 
 
-@valueclass(frozen=False)
+@valueclass
 class SpecFile:
     hopf_algebras: dict[str, HopfAlgebra] = field(default_factory=dict)
     algebras: dict[str, Algebra | ModuleAlgebra] = field(default_factory=dict)

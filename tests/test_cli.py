@@ -203,6 +203,18 @@ class TestParsing:
         with pytest.raises(SpecError, match=message):
             parse_spec_data(data)
 
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(SpecError) as info:
+            parse_spec_data([])
+        assert str(info.value) == "top level: the spec must be a JSON object"
+
+    def test_missing_file_is_refused(self, tmp_path):
+        path = str(tmp_path / "absent.json")
+        with pytest.raises(SpecError) as info:
+            parse_spec(path)
+        assert str(info.value).startswith(f"{path}: cannot read the spec file: ")
+        assert isinstance(info.value.__cause__, FileNotFoundError)
+
     def test_malformed_json_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"hopf_algebras": {', encoding="utf-8")
@@ -240,8 +252,34 @@ def construction_fields(**fields):
     return change
 
 
+def z2_mul(change):
+    """The cup demo with z2's multiplication triples replaced by `change(triples)`."""
+    def edit(data):
+        fields = data["hopf_algebras"]["z2"]
+        fields["mul"] = change(fields["mul"])
+    return edit
+
+
+def first_triple(row="1", value=1):
+    """The cup demo with z2's first multiplication triple, 1 (x) 1 -> 1, given
+    the row and value passed."""
+    return z2_mul(lambda triples: [[row, ["1", "1"], value], *triples[1:]])
+
+
 # The exact text of each refusal, at the position it names.
 REFUSALS = [
+    ("boolean entry", first_triple(value=True),
+     "hopf_algebras.z2.mul[0]: not an exact rational: True"),
+    ("zero denominator", first_triple(value="1/0"),
+     "hopf_algebras.z2.mul[0]: not an exact rational: '1/0'"),
+    ("list entry", first_triple(value=[1]),
+     "hopf_algebras.z2.mul[0]: not an exact rational: [1]"),
+    ("number as a row", first_triple(row=5),
+     "hopf_algebras.z2.mul[0]: expected a label or list of labels, got 5"),
+    ("triples given as an object", z2_mul(lambda triples: {}),
+     "hopf_algebras.z2.mul: expected a list of [row, column, value] triples"),
+    ("two-item triple", z2_mul(lambda triples: [triples[0][:2], *triples[1:]]),
+     "hopf_algebras.z2.mul[0]: expected a [row, column, value] triple"),
     ("left-regular on a line", declared("algebras", dict(LINE_ALGEBRA, action="left-regular")),
      "algebras.extra.action: the left-regular action needs the Hopf algebra "
      "itself as carrier"),
@@ -360,6 +398,14 @@ def test_refusal_text(change, text):
     with pytest.raises(SpecError) as info:
         parse_spec_data(data)
     assert str(info.value) == text
+
+
+def test_an_unparsable_rational_keeps_its_cause():
+    data = z2cup_data()
+    first_triple(value="1/0")(data)
+    with pytest.raises(SpecError, match="not an exact rational") as info:
+        parse_spec_data(data)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_keywords_build_their_library_maps():
@@ -649,6 +695,25 @@ class TestCupCommand:
     def test_product_degree_beyond_tower_exit_2(self):
         assert main(["cup", Z2CUP, "--variant", "ac", "--p", "1", "--q", "2",
                      "--left", "phi", "--right", "omega"]) == 2
+
+
+@pytest.mark.parametrize("cap, argv, text", [
+    ("0", ["cohomology", PLAIN, "point-algebra", "--max-degree", "1"],
+     "HCC_MAX_DEGREE: the degree cap must be positive"),
+    (None, ["cohomology", PLAIN, "point-algebra", "--max-degree", "-1"],
+     "--max-degree: the degree must be nonnegative"),
+    (None, ["cup", Z2CUP, "--variant", "ac", "--p", "-1", "--q", "1", "--left", "phi",
+            "--right", "omega"],
+     "--p/--q: cochain degrees must be nonnegative"),
+], ids=["zero cap", "negative degree", "negative cochain degree"])
+def test_degree_refusals_exit_2(monkeypatch, capsys, cap, argv, text):
+    if cap is None:
+        monkeypatch.delenv("HCC_MAX_DEGREE", raising=False)
+    else:
+        monkeypatch.setenv("HCC_MAX_DEGREE", cap)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"hcc: {text}\n"
 
 
 class TestDeterminism:

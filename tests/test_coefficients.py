@@ -22,6 +22,8 @@ from hopfcyclic.coefficients import (
     trivial_coefficients,
 )
 from hopfcyclic.hopf import (
+    HopfAlgebra,
+    check_hopf_axioms,
     cyclic_group_table,
     group_algebra,
     iterated_comultiplication,
@@ -30,6 +32,7 @@ from hopfcyclic.hopf import (
     trivial_hopf,
 )
 from hopfcyclic.linalg import (
+    LinAlgError,
     LinearMap,
     VectorSpace,
     basis_vector,
@@ -95,6 +98,24 @@ class TestModuleChecker:
             assert check_sayd_module(pair.module).passed
             assert check_sayd_contramodule(pair.contramodule).passed
             assert check_compatible_pair(pair).passed
+
+    def test_trivial_coefficients_need_the_unit_as_a_basis_element(self):
+        """Q[Z/2] in the basis e = 1 + g, f = 1 - g is a Hopf algebra whose
+        unit (e + f)/2 is no basis element, so no grouplike index names it."""
+        h = z2()
+        space = VectorSpace(2, ("e", "f"))
+        to_old = LinearMap.from_rows(space, h.space, [[1, 1], [1, -1]])
+        to_new = LinearMap.from_rows(h.space, space, [[Fraction(1, 2)] * 2,
+                                                      [Fraction(1, 2), Fraction(-1, 2)]])
+        rebased = HopfAlgebra(
+            space, to_new @ h.mul @ tensor_map(to_old, to_old), to_new @ h.unit,
+            tensor_map(to_new, to_new) @ h.comul @ to_old, h.counit @ to_old,
+            to_new @ h.antipode @ to_old, to_new @ h.antipode_inv @ to_old)
+        assert check_hopf_axioms(rebased).passed
+        assert rebased.unit.column(0) == [Fraction(1, 2)] * 2
+        with pytest.raises(LinAlgError,
+                           match="^the unit of this Hopf algebra is not a basis element$"):
+            trivial_coefficients(rebased)
 
     def test_trivial_coefficients_fail_over_sweedler(self):
         # the identity requires sum S(h2)h1 = counit(h) 1, which fails at x

@@ -33,6 +33,7 @@ from hopfcyclic.cocyclic import (
 )
 from hopfcyclic.cup import (
     BBcocycle,
+    _CupSetup,
     _as_vector,
     _bb_rows,
     _solve_blocks,
@@ -858,12 +859,13 @@ def test_an_unpaired_setup_builds_no_scalar_target(z2, z2_convolution_data, setu
     """With no pairing and a two-dimensional L no scalar product can be taken,
     so the setup builds one plain target tower, the contratensor-valued one;
     the scalar product and checks keep their refusal and build nothing."""
+    expected = setup_ac_block.tensor_target
     built = counted_plain_towers(monkeypatch)
     algebra, coalgebra, action = z2_convolution_data
     module = block_module(z2)
     setup = ac_cup_setup(algebra, coalgebra, action, (module, dualize(module)), degree_cap=3)
     assert built == []
-    assert setup.tensor_target == setup_ac_block.tensor_target
+    assert setup.tensor_target == expected
     assert built == [(setup._base, 2)]
     left = basis_cocycle(setup.algebra_cochains.module, 1)
     right = basis_cocycle(setup.coalgebra_cochains.module, 1)
@@ -894,6 +896,17 @@ def test_target_towers_are_built_on_first_read(monkeypatch):
     for tensor_valued in (False, True):
         assert check_psi(setups[0], tensor_valued).passed
     assert built == [(setups[0].convolution.algebra, None)]
+
+
+def test_both_setup_families_memoise_through_the_root_slot():
+    """`_CupSetup` declares the memo slot; a setup of either family has no
+    memo until its first derived quantity, which is kept there."""
+    spec = parse_spec(Z2CUP)
+    for setup in (spec.build_cup_setup("ac", 3), spec.build_cup_setup("aa", 3)):
+        assert type(setup)._memo is _CupSetup._memo and not hasattr(setup, "_memo")
+        target = setup.tensor_target
+        assert setup._memo and all(key[0] == "_plain_tower" for key in setup._memo)
+        assert target in setup._memo.values()
 
 
 def test_comparison_maps_are_built_once_per_variant(demo_setups, setup_ac_unpaired):

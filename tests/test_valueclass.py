@@ -3,29 +3,32 @@
 import ast
 import copy
 import pickle
+import types
 from pathlib import Path
 
 import pytest
 
-from hopfcyclic import cocyclic, hopf
+from hopfcyclic import cocyclic, coefficients, cup, hopf, linalg, reporting, specfile
 from hopfcyclic import valueclass as valueclass_module
 from hopfcyclic.coefficients import trivial_coefficients
 from hopfcyclic.cocyclic import (CocyclicModule, algebra_module_cocyclic, full_b,
                                  plain_algebra_cocyclic)
 from hopfcyclic.cup import ConvolutionCupSetup, _CupSetup, phi_matrix
-from hopfcyclic.hopf import (ModuleAlgebra, adjoint_action, algebra_generators,
+from hopfcyclic.hopf import (HopfAlgebra, ModuleAlgebra, adjoint_action, algebra_generators,
                              cyclic_group_table, group_algebra)
 from hopfcyclic.linalg import LinAlgError, LinearMap, Subspace, VectorSpace
 from hopfcyclic.reporting import Report, ReportEntry
+from hopfcyclic.specfile import SpecFile, parse_spec
 from hopfcyclic.valueclass import FrozenInstanceError, field, memoised, replace, valueclass
+
+Z2CUP = str(Path(__file__).resolve().parent.parent / "demo" / "z2_cup.json")
 
 
 @valueclass
 class Point:
     x: int
     y: int = 0
-    tags: list = field(default_factory=list, compare=False)
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    tags: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.x < 0:
@@ -37,7 +40,7 @@ class LabelledPoint(Point):
     label: str = "p"
 
 
-@valueclass(frozen=False)
+@valueclass
 class Tally:
     name: str
     counts: list = field(default_factory=list)
@@ -56,19 +59,19 @@ def test_helper_module_generates_no_code():
 
 def test_construction_by_position_keyword_and_default():
     assert Point(1, 2) == Point(x=1, y=2) == Point(1, y=2)
-    assert Point(1).y == 0
-    a, b = Point(1), Point(1)
-    assert a.tags == [] and a.tags is not b.tags and a.cache is not b.cache
+    assert Point(1).y == 0 and Point(1).tags == ()
+    a, b = Tally("a"), Tally("a")
+    assert a.counts == [] and a.counts is not b.counts
     with pytest.raises(ValueError, match="negative x"):
         Point(-1)
 
 
 @pytest.mark.parametrize("args, kwargs, text", [
     ((), {}, "missing required argument 'x'"),
-    ((1, 2, [], 4), {}, "takes 3 positional arguments but 4 were given"),
+    ((1, 2, (), 4), {}, "takes 3 positional arguments but 4 were given"),
     ((1,), {"x": 2}, "multiple values for argument 'x'"),
     ((1,), {"z": 2}, "unexpected keyword argument 'z'"),
-    ((1,), {"cache": {}}, "unexpected keyword argument 'cache'"),
+    ((1,), {"_memo": {}}, "unexpected keyword argument '_memo'"),
 ])
 def test_bad_arguments_are_refused(args, kwargs, text):
     with pytest.raises(TypeError, match=text):
@@ -76,11 +79,10 @@ def test_bad_arguments_are_refused(args, kwargs, text):
 
 
 def test_equality_hash_and_repr_follow_the_field_flags():
-    a, b = Point(1, 2, ["a"]), Point(1, 2, ["b"])
-    a.cache["k"] = 1
+    a, b = Point(1, 2, ("a",)), Point(1, 2, ("a",))
     assert a == b and hash(a) == hash(b)
-    assert a != Point(1, 3) and a != LabelledPoint(1, 2)
-    assert repr(a) == "Point(x=1, y=2, tags=['a'])"
+    assert a != Point(1, 2, ("b",)) and a != Point(1, 3) and a != LabelledPoint(1, 2)
+    assert repr(a) == "Point(x=1, y=2)"
 
 
 def test_frozen_fields_refuse_assignment_and_deletion():
@@ -94,36 +96,36 @@ def test_frozen_fields_refuse_assignment_and_deletion():
 
 def test_a_subclass_adds_its_fields_after_the_base():
     p = LabelledPoint(1, 2, label="q")
-    assert [f.name for f in LabelledPoint._value_fields] == ["x", "y", "tags", "cache", "label"]
-    assert repr(p) == "LabelledPoint(x=1, y=2, tags=[], label='q')"
+    assert [f.name for f in LabelledPoint._value_fields] == ["x", "y", "tags", "label"]
+    assert repr(p) == "LabelledPoint(x=1, y=2, label='q')"
     with pytest.raises(ValueError, match="negative x"):
         LabelledPoint(-1)
 
 
 def test_replace_reruns_the_constructor():
     p = LabelledPoint(1, 2, label="q")
-    p.cache["k"] = 1
     moved = replace(p, y=5)
-    assert moved == LabelledPoint(1, 5, label="q") and moved.cache == {}
+    assert moved == LabelledPoint(1, 5, label="q")
     with pytest.raises(ValueError, match="negative x"):
         replace(p, x=-1)
-    with pytest.raises(ValueError, match="'cache' is not set by the constructor"):
-        replace(p, cache={})
+    with pytest.raises(TypeError, match="unexpected keyword argument '_memo'"):
+        replace(p, _memo={})
 
 
-def test_mutable_records_assign_and_do_not_hash():
+def test_a_value_holding_a_list_fills_it_but_refuses_assignment():
     t = Tally("t")
     t.counts.append(1)
-    t.name = "u"
-    assert t == Tally("u", [1]) and repr(t) == "Tally(name='u', counts=[1])"
-    with pytest.raises(TypeError):
+    assert t == Tally("t", [1]) and repr(t) == "Tally(name='t', counts=[1])"
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'counts'"):
+        t.counts = []
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
         hash(t)
 
 
 def test_copy_and_pickle_rebuild_through_the_constructor():
-    p = LabelledPoint(1, 2, ["a"], label="q")
+    p = LabelledPoint(1, 2, ("a",), label="q")
     for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-        assert other == p and type(other) is LabelledPoint and other.cache == {}
+        assert other == p and type(other) is LabelledPoint
 
 
 # -- the engine's classes --------------------------------------------
@@ -142,17 +144,38 @@ def test_hopf_algebras_built_alike_are_equal_and_hash_alike():
 def test_memo_is_left_out_of_equality_and_repr():
     h, k = z2_hopf(), z2_hopf()
     algebra_generators(h)
-    assert h._memo and not k._memo
+    assert h._memo and not hasattr(k, "_memo")
     assert h == k and hash(h) == hash(k)
     assert "_memo" not in repr(h) and repr(h) == repr(k)
 
 
-def test_assigning_an_engine_field_raises_attribute_error():
+def test_each_root_value_class_has_one_memo_slot_and_no_memo_field():
+    modules = (linalg, hopf, coefficients, cocyclic, cup, reporting, specfile)
+    classes = {cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and "_value_fields" in vars(cls)}
+    assert {HopfAlgebra, CocyclicModule, _CupSetup, ConvolutionCupSetup, Report,
+            SpecFile, LinearMap} <= classes
+    for cls in classes | {Point, LabelledPoint, Tally, Holder}:
+        assert "_memo" not in [f.name for f in cls._value_fields]
+        root = not any(hasattr(base, "_value_fields") for base in cls.__bases__)
+        assert vars(cls)["__slots__"].count("_memo") == root
+        assert isinstance(cls._memo, types.MemberDescriptorType)
+
+
+def test_assigning_an_engine_field_raises_frozen_instance_error():
     h = z2_hopf()
     m = LinearMap.identity(VectorSpace.make(2))
-    for obj, name in ((h, "mul"), (m, "_den"), (ReportEntry("e", True), "passed")):
-        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+    rep = Report("r")
+    spec = parse_spec(Z2CUP)
+    for obj, name in ((h, "mul"), (m, "_den"), (ReportEntry("e", True), "passed"),
+                      (rep, "entries"), (rep, "title"), (spec, "cup"),
+                      (spec, "hopf_algebras")):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
             setattr(obj, name, None)
+    rep.add("a", True)
+    rep.extend(Report("s", [ReportEntry("b", False, "why")]), "s.")
+    assert [e.name for e in rep.entries] == ["a", "s.b"] and not rep.passed
+    assert list(spec.cup) == ["ac", "aa"] and "z2" in spec.hopf_algebras
 
 
 def test_linear_map_repr_text_is_unchanged():
@@ -193,14 +216,15 @@ def test_replace_keeps_the_malformed_tower_refusals(change, text):
     tower = plain_algebra_cocyclic(z2_hopf().algebra, degree_cap=2)
     with pytest.raises(LinAlgError, match=text):
         replace(tower, **change(tower))
+    full_b(tower, 0)
     again = replace(tower)
-    assert again == tower and again._memo == {} and isinstance(again, CocyclicModule)
+    assert again == tower and not hasattr(again, "_memo") and isinstance(again, CocyclicModule)
 
 
 def test_cup_setups_extend_the_shared_fields():
     shared = [f.name for f in _CupSetup._value_fields]
     names = [f.name for f in ConvolutionCupSetup._value_fields]
-    assert names[:len(shared)] == shared and "_memo" in shared
+    assert names[:len(shared)] == shared and "_memo" not in names
     assert names[len(shared):] == ["coalgebra", "action", "convolution", "embedding",
                                    "coalgebra_cochains"]
 
@@ -208,7 +232,6 @@ def test_cup_setups_extend_the_shared_fields():
 @valueclass
 class Holder:
     name: str
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @memoised
@@ -221,11 +244,19 @@ def doubled(holder: Holder, n: int, tag=None) -> list:
 
 def test_memoised_keys_a_result_by_name_and_positional_arguments():
     h = Holder("a")
+    assert not hasattr(h, "_memo")
     out = doubled(h, 2)
     assert out == ["a"] * 4 and doubled(h, 2) is out
     assert doubled(h, 2, "t") is not out
     assert list(h._memo) == [("doubled", 2), ("doubled", 2, "t")]
-    assert Holder("a") == h and Holder("a")._memo == {} and replace(h)._memo == {}
+
+
+def test_copies_pickles_and_replacements_start_without_a_memo():
+    h = Holder("a")
+    doubled(h, 1)
+    for other in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h)), replace(h)):
+        assert other == h and not hasattr(other, "_memo")
+        assert doubled(other, 1) is not doubled(h, 1)
 
 
 def test_memoised_keeps_the_name_qualname_and_doc():
