@@ -27,6 +27,7 @@ from .linalg import (
     cokernel,
     dual_space,
     evaluation_pairing,
+    from_blocks,
     partial_transpose,
     relabel,
     tensor_map,
@@ -214,15 +215,14 @@ def contratensor(n_mod: SaydModule, m_con: SaydContramodule) -> Contratensor:
     i_n = LinearMap.identity(n_mod.space)
     i_m = LinearMap.identity(m_con.space)
     rho = tensor_map(n_mod.action, i_m) - tensor_map(i_n, m_con.action)
-    over_h = cokernel(rho)
     delta = tensor_map(i_n, m_con.alpha) - _evaluated_lift(n_mod, m_con)
-    lifted = over_h.projection @ delta
-    final = cokernel(lifted)
-    projection = final.projection @ over_h.projection
-    section = over_h.section @ final.section
+    # one cokernel of rho and delta side by side: N (x) M over im rho + im delta
+    quotient = cokernel(from_blocks([rho.source, delta.source], [rho.target],
+                                    {(0, 0): rho, (0, 1): delta}, target_space=rho.target))
+    projection = quotient.projection
     if not (projection @ delta).is_zero() or not (projection @ rho).is_zero():
         raise LinAlgError("contratensor projection fails to coequalize its relations")
-    return Contratensor(n_mod, m_con, final.space, projection, section)
+    return Contratensor(n_mod, m_con, quotient.space, projection, quotient.section)
 
 
 def collapse_map(p: CompatiblePair, ct: Contratensor) -> LinearMap:

@@ -37,10 +37,14 @@ the interchange law of the Kronecker product, and psi decides its
 well-definedness once per setup, degree and variant.  Each comparison map is
 built once per setup, degree and variant.
 
-One rule gives every target tower: `_plain_tower` builds the plain cochains
-of an algebra at the setup's cap, with scalar values or values in V, on first
-read and once per setup.  Values of dimension 1 give the scalar tower, so the
-contratensor-valued products share it when L is one-dimensional.
+A setup stores each input once, and a tower it derives is built on first
+read: the diagonal by `diagonal`, once per bicomplex, and every target tower
+by `_plain_tower`, which builds the plain cochains of an algebra at the
+setup's cap, with scalar values or values in V, once per setup.  Values of
+dimension 1 give the scalar tower, so the contratensor-valued products share
+it when L is one-dimensional.  The products read only the diagonal's spaces,
+which are the bicomplex's C^{n,n}; the whole diagonal tower is read by the
+comparison-map checks `check_psi`, `check_phi` and `check_aw_chain_map`.
 """
 
 from __future__ import annotations
@@ -208,9 +212,11 @@ def check_bicocyclic(module: BicocyclicModule,
 # diagonal and total complexes
 
 
+@memoised
 def diagonal(module: BicocyclicModule) -> CocyclicModule:
     """The cocyclic module of the C^{n,n}: each coface, codegeneracy and
-    cyclic operator is the Kronecker product of the two factors' ones."""
+    cyclic operator is the Kronecker product of the two factors' ones.
+    Built once per bicomplex; only the checks of the comparison maps read it."""
     x, y = module.vertical_factor, module.horizontal_factor
 
     def paired(xs, ys):
@@ -529,23 +535,28 @@ def _checked_coefficients(coefficients: Coefficients):
 
 @valueclass
 class _CupSetup:
-    """The fields both families share.  The left cochains are the vertical
-    factor of the bicomplex, the right ones the horizontal factor.  A family
-    adds `_sides`, `_base` (the target algebra), `_comparison` and
-    `_check_comparison`.  The products land in the plain cochains of `_base`:
-    `scalar_target` with scalar values and `tensor_target` with values in L,
-    each built on first read by `_plain_tower`."""
+    """The fields both families share, each input stored once: the module
+    and contramodule are those of `tensor_values`.  The left cochains are
+    the vertical factor of the bicomplex, the right ones the horizontal
+    factor.  A family adds `_sides`, `_base` (the target algebra),
+    `_comparison` and `_check_comparison`.  A tower derived from the fields
+    is built on first read: `diagonal_module`, the diagonal of the
+    bicomplex, by `diagonal`, and the products' targets in the plain
+    cochains of `_base`, `scalar_target` with scalar values and
+    `tensor_target` with values in L, by `_plain_tower`.  The products read
+    only the diagonal's spaces, `bicomplex.space(n, n)`."""
 
     algebra: ModuleAlgebra
-    module: SaydModule
-    contramodule: SaydContramodule
     pair: CompatiblePair | None
     degree_cap: int
     algebra_cochains: HomCochainComplex
     bicomplex: BicocyclicModule
-    diagonal_module: CocyclicModule
     tensor_values: Contratensor
     pair_collapse: LinearMap | None
+
+    @property
+    def diagonal_module(self) -> CocyclicModule:
+        return diagonal(self.bicomplex)
 
     @property
     def scalar_target(self) -> CocyclicModule:
@@ -567,8 +578,7 @@ def _cup_setup(cls, algebra: ModuleAlgebra, coefficients, degree_cap: int,
         require(check_compatible_pair(pair), "coefficient pair")
         pair_collapse = collapse_map(pair, tensor_values)
     return cls(
-        algebra=algebra, module=module, contramodule=contra, pair=pair,
-        degree_cap=degree_cap, bicomplex=bicomplex, diagonal_module=diagonal(bicomplex),
+        algebra=algebra, pair=pair, degree_cap=degree_cap, bicomplex=bicomplex,
         tensor_values=tensor_values, pair_collapse=pair_collapse, **parts)
 
 
@@ -586,10 +596,10 @@ def _plain_tower(setup, algebra: Algebra, values: VectorSpace | None) -> Cocycli
 @valueclass
 class ConvolutionCupSetup(_CupSetup):
     """Everything needed to cup contramodule-valued algebra cochains with
-    module-coefficient coalgebra cochains through the convolution algebra."""
+    module-coefficient coalgebra cochains through the convolution algebra.
+    The coalgebra action is `convolution.source`."""
 
     coalgebra: ModuleCoalgebra
-    action: CoalgebraAction
     convolution: ConvolutionAlgebra
     embedding: LinearMap
     coalgebra_cochains: QuotientCochainComplex
@@ -600,8 +610,10 @@ class ConvolutionCupSetup(_CupSetup):
     def _base(self) -> Algebra:
         return self.algebra.algebra
 
+    @memoised
     def _comparison(self, n: int, tensor_valued: bool) -> LinearMap:
-        """psi, pulled back along the embedding of the algebra."""
+        """psi, pulled back along the embedding of the algebra, built once
+        per setup, degree and variant."""
         _, values = _variant(self, tensor_valued)
         pullback = hom_precompose(tensor_maps([self.embedding] * (n + 1)), values)
         return pullback @ psi_matrix(self, n, tensor_valued)
@@ -621,9 +633,8 @@ def ac_cup_setup(algebra: ModuleAlgebra, coalgebra: ModuleCoalgebra,
     x = algebra_contra_cocyclic(algebra, contra, degree_cap)
     y = coalgebra_cocyclic(coalgebra, module, degree_cap)
     return _cup_setup(ConvolutionCupSetup, algebra, (module, contra, pair), degree_cap,
-                      x, y, algebra_cochains=x, coalgebra=coalgebra,
-                      action=action, convolution=conv, embedding=iota(action, conv),
-                      coalgebra_cochains=y)
+                      x, y, algebra_cochains=x, coalgebra=coalgebra, convolution=conv,
+                      embedding=iota(action, conv), coalgebra_cochains=y)
 
 
 @valueclass
@@ -719,13 +730,13 @@ def _psi(setup: ConvolutionCupSetup, q: int,
     """
     x, y = setup.algebra_cochains, setup.coalgebra_cochains
     # Hom(A^{(q+1)}, M) (x) N (x) C^{(q+1)} -> Hom(C^{(q+1)} (x) A^{(q+1)}, N (x) M)
-    factors = [x.domains[q], x.values, setup.module.space,
+    factors = [x.domains[q], x.values, setup.tensor_values.module.space,
                tensor_spaces([setup.coalgebra.space] * (q + 1))]
     end = _comparison_end(setup, q, tensor_valued, _psi_transformer, factors, [3, 0, 2, 1])
     out = end @ tensor_map(x.subspaces[q].basis, y.quotients[q].section)
     seen = end @ tensor_map(x.subspaces[q].basis, y.relations[q])
     width = y.relations[q].source.dim
-    return (relabel(out, setup.diagonal_module.spaces[q]),
+    return (relabel(out, setup.bicomplex.space(q, q)),
             sorted({j // width for j in seen.nonzero_columns()}))
 
 
@@ -749,7 +760,7 @@ def psi_matrix(setup: ConvolutionCupSetup, q: int, tensor_valued: bool) -> Linea
     representatives.  Map and verdict are built once per setup, degree and
     variant (`_psi`); a map that sees the relations is refused on every call.
     """
-    _require_degree(setup.diagonal_module, q, "the comparison map")
+    _require_degree(setup, q, "the comparison map")
     out, bad = _psi(setup, q, tensor_valued)
     if bad:
         raise LinAlgError(
@@ -813,13 +824,13 @@ def phi_matrix(setup: CrossedProductCupSetup, n: int, tensor_valued: bool) -> Li
     one Kronecker product of the two cochain bases (`_phi_transformer`).
     The map is built once per setup, degree and variant.
     """
-    _require_degree(setup.diagonal_module, n, "the comparison map")
+    _require_degree(setup, n, "the comparison map")
     x, y = setup.comodule_cochains, setup.algebra_cochains
     # Hom(D, N) (x) Hom(E, M) -> Hom(D (x) E, N (x) M) reorders the factors
     end = _comparison_end(setup, n, tensor_valued, _phi_transformer,
                           [x.domains[n], x.values, y.domains[n], y.values], [0, 2, 1, 3])
     return relabel(end @ tensor_map(x.subspaces[n].basis, y.subspaces[n].basis),
-                   setup.diagonal_module.spaces[n])
+                   setup.bicomplex.space(n, n))
 
 
 # --------------------------------------------------------------------------

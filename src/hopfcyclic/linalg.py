@@ -160,12 +160,16 @@ def tensor_spaces(spaces: Sequence[VectorSpace]) -> VectorSpace:
 
 
 def _coerce_fraction(x) -> Fraction:
+    """A Fraction, an int other than a bool, or the text of a rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and x.__class__ is not bool:
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise LinAlgError(f"not an exact rational: {x!r}")
 
 

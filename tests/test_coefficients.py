@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
 from hopfcyclic.coefficients import (
     CompatiblePair,
+    _evaluated_lift,
     SaydContramodule,
     SaydModule,
     check_compatible_pair,
@@ -36,6 +38,7 @@ from hopfcyclic.linalg import (
     LinearMap,
     VectorSpace,
     basis_vector,
+    cokernel,
     dual_space,
     evaluation_pairing,
     insert_vector,
@@ -46,6 +49,9 @@ from hopfcyclic.linalg import (
     vector_from,
     vectors_equal,
 )
+from hopfcyclic.specfile import parse_spec
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def z2():
@@ -308,6 +314,55 @@ class TestContratensor:
 
         rho = tm(n.action, LinearMap.identity(m.space)) - tm(LinearMap.identity(n.space), m.action)
         assert (ct.projection @ rho).is_zero()
+
+
+def two_step_contratensor(n_mod, m_con):
+    """The contratensor as two cokernels, by rho and then by the image of
+    delta: (space, projection, section)."""
+    i_n = LinearMap.identity(n_mod.space)
+    i_m = LinearMap.identity(m_con.space)
+    rho = tensor_map(n_mod.action, i_m) - tensor_map(i_n, m_con.action)
+    over_h = cokernel(rho)
+    delta = tensor_map(i_n, m_con.alpha) - _evaluated_lift(n_mod, m_con)
+    lifted = over_h.projection @ delta
+    final = cokernel(lifted)
+    projection = final.projection @ over_h.projection
+    section = over_h.section @ final.section
+    return final.space, projection, section
+
+
+def contratensor_pairs():
+    """(module, contramodule) pairs: every builtin grouplike pair, every
+    pair of the demo specs and each spec module against its dual, and
+    random modules of dimension 1 to 3 against their own and another's dual."""
+    rng = random.Random(133)
+    pairs = []
+    for _, h in hopf_ladder():
+        pairs += [grouplike_coefficients(h, sigma) for sigma in grouplikes(h)]
+        for dim in (1, 2, 3):
+            first, second = random_module(h, rng, dim), random_module(h, rng, dim)
+            pairs += [evaluation_pair(first), evaluation_pair(second)]
+            yield first, dualize(second)
+    for path in sorted(DEMO.glob("*.json")):
+        spec = parse_spec(str(path))
+        pairs += [*spec.pairs.values(), *map(evaluation_pair, spec.modules.values())]
+    pairs.append(evaluation_pair(block_module(z2())))
+    for pair in pairs:
+        yield pair.module, pair.contramodule
+
+
+def test_contratensor_is_the_two_step_quotient():
+    """One cokernel of rho and delta side by side has the projection and
+    section of the quotient by im rho and then by the image of delta; only
+    the labels of L lose one pair of brackets."""
+    dims = set()
+    for n_mod, m_con in contratensor_pairs():
+        ct = contratensor(n_mod, m_con)
+        space, projection, section = two_step_contratensor(n_mod, m_con)
+        assert ct.projection == projection and ct.section == section
+        assert ct.space.labels == tuple(label[1:-1] for label in space.labels)
+        dims.add(ct.space.dim)
+    assert {0, 1, 2} <= dims
 
 
 # -- the per-basis-element formulation, kept as a reference -----------------

@@ -768,8 +768,8 @@ def test_zero_dimensional_values(z2, setup_ac_zero_values):
     """Checked coefficients whose contratensor product is zero give a zero
     target tower, which passes its checks and receives the zero product."""
     setup = setup_ac_zero_values
-    assert check_sayd_module(setup.module).passed
-    assert check_sayd_contramodule(setup.contramodule).passed
+    assert check_sayd_module(setup.tensor_values.module).passed
+    assert check_sayd_contramodule(setup.tensor_values.contramodule).passed
     assert setup.tensor_values.space.dim == 0
     zero = plain_algebra_cocyclic(z2.algebra, VectorSpace.make(0), 3)
     for tower in (zero, setup.tensor_target):
@@ -788,12 +788,15 @@ def test_zero_dimensional_values(z2, setup_ac_zero_values):
 # sha256 of psi (as `map_digest`) in degrees 0..3 and of the cups (as
 # `bb_digest`) at (0, 0), (1, 1), (0, 2) and (2, 0) of the `setup_ac_block`
 # fixture, whose values L are two-dimensional; recorded while every setup
-# built its own contratensor-valued target tower.
+# built its own contratensor-valued target tower.  The psi digests read L's
+# labels; they were re-recorded when L became one cokernel, which labels its
+# basis [u⊗u*] where two nested cokernels gave [[u⊗u*]], with every entry
+# unchanged.
 PINNED_BLOCK_PSI_DIGESTS = [
-    "b2aed26e5d8e7f619ca618aaf3884c7c3adb5a505f77fb74b7d06c5591b0ae36",
-    "476da633555c9b58e69e7b3f3001f862b32fca46f09fabac5b559cca333f973e",
-    "dde8737bd3e5168094acbcd0a07e965ce7eb3e6169d58b3c88eb6995e134c3f4",
-    "95bd07dd8004eb8f67a5c16fa50979c909f0092585f5bdf8a329c165e7a3a16f"]
+    "0486c032fa7fc51409803e28bd3f4758bfcbe5f0d72de3098f0f4e42386ac137",
+    "4bf1498960dde6c8fc01085aba5ecbf8ac39e5c03ff7b6dd56b7a26e85cde97a",
+    "551319708820f49c82601bfcd93eb9a43f4ee86826904162737d270b702a9e0e",
+    "ceb3334170ef2890a63e2207b41b7900aec687537941c9577c9ce0b2b839b6e3"]
 PINNED_BLOCK_CUP_DIGESTS = {
     (0, 0): "6c948f6352d9095c7e33bb0e5beba065c21ef2f29349432832731603d7be7655",
     (1, 1): "743b133c8e563832ae7efeaeae843964ddacabd96dcd5630e5f0b4c828a282fd",
@@ -907,6 +910,77 @@ def test_both_setup_families_memoise_through_the_root_slot():
         target = setup.tensor_target
         assert setup._memo and all(key[0] == "_plain_tower" for key in setup._memo)
         assert target in setup._memo.values()
+
+
+def counted_diagonals(monkeypatch):
+    """The number of degrees of each diagonal tower `cup.diagonal` builds
+    from now on."""
+    built = []
+
+    def counted(degree_cap, spaces, faces, degeneracies, cyclic):
+        built.append(len(spaces))
+        return CocyclicModule(degree_cap, spaces, faces, degeneracies, cyclic)
+
+    monkeypatch.setattr(cup, "CocyclicModule", counted)
+    return built
+
+
+def test_products_build_no_diagonal(monkeypatch):
+    """Setups of both families at cap 4, all four products and the cocycle
+    checks of their outputs build no diagonal tower.  The first read of
+    `diagonal_module` builds one, and later reads and the comparison-map
+    checks read that same tower."""
+    built = counted_diagonals(monkeypatch)
+    spec = parse_spec(Z2CUP)
+    algebra, pair = spec.algebras["signed-line"], spec.pairs["grouplike"]
+    ac = ac_cup_setup(algebra, spec.coalgebras["regular-z2"],
+                      spec.coalgebra_actions["signed-eval"], pair, degree_cap=4)
+    aa = aa_cup_setup(algebra, spec.comodule_algebras["crossed-z2"], pair, degree_cap=4)
+    for product, setup, p, q, general in ((cup_ac, ac, 1, 1, False),
+                                          (cup_ac_general, ac, 1, 1, True),
+                                          (cup_aa, aa, 0, 1, False),
+                                          (cup_aa_general, aa, 2, 1, True)):
+        left = basis_cocycle(setup.bicomplex.vertical_factor, p)
+        right = basis_cocycle(setup.bicomplex.horizontal_factor, q)
+        out = product(setup, p, q, left, right)
+        target = setup.tensor_target if general else setup.scalar_target
+        report = check_bb_cocycle(target, out)
+        assert report.passed, failures(report)
+    assert built == []
+    for setup, check in ((ac, check_psi), (aa, check_phi)):
+        built.clear()
+        diag = setup.diagonal_module
+        assert built == [5] and diag is diagonal(setup.bicomplex)
+        assert setup.diagonal_module is diag
+        for tensor_valued in (False, True):
+            report = check(setup, tensor_valued)
+            assert report.passed, failures(report)
+        assert built == [5] and setup.diagonal_module is diag
+
+
+def test_the_ac_comparison_map_is_built_once(setup_ac_grouplike, monkeypatch):
+    """A second `cup_ac` of the same degree composes no new pullback along
+    the embedding, and neither does a second collapse factorization."""
+    pulled = []
+
+    def counted(p, y, precompose=cup.hom_precompose):
+        pulled.append(p.source.dim)
+        return precompose(p, y)
+
+    monkeypatch.setattr(cup, "hom_precompose", counted)
+    setup = replace(setup_ac_grouplike)
+    left = basis_cocycle(setup.algebra_cochains.module, 1)
+    right = basis_cocycle(setup.coalgebra_cochains.module, 1)
+    first = cup_ac(setup, 1, 1, left, right)
+    assert pulled
+    pulled.clear()
+    assert cup_ac(setup, 1, 1, left, right) == first
+    assert setup._comparison(2, False) is setup._comparison(2, False)
+    assert pulled == []
+    assert check_collapse_factorization(setup).passed
+    built = len(pulled)
+    assert check_collapse_factorization(setup).passed
+    assert len(pulled) == built
 
 
 def test_comparison_maps_are_built_once_per_variant(demo_setups, setup_ac_unpaired):
@@ -1572,6 +1646,11 @@ def test_float_inputs_are_rejected(triv, setup_ac_grouplike):
         cyclic_complete(module, 2, [0.1])
     with pytest.raises(LinAlgError, match="not an exact rational"):
         cup_ac(setup_ac_grouplike, 1, 1, [0.0, 1.0], [-1, 1])
+    for inexact in (True, False, "1/0", "abc"):
+        with pytest.raises(LinAlgError, match=f"^not an exact rational: {inexact!r}$"):
+            cyclic_complete(module, 0, [inexact])
+    with pytest.raises(LinAlgError, match="not an exact rational"):
+        cup_ac(setup_ac_grouplike, 1, 1, [False, True], [-1, 1])
     for exact in (1, Fraction(1, 3), "1/3"):
         assert cyclic_complete(module, 2, [exact]).degree == 2
     assert cup_ac(setup_ac_grouplike, 1, 1, ["0", "1"], [-1, Fraction(1)]).degree == 2

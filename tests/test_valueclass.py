@@ -225,7 +225,9 @@ def test_cup_setups_extend_the_shared_fields():
     shared = [f.name for f in _CupSetup._value_fields]
     names = [f.name for f in ConvolutionCupSetup._value_fields]
     assert names[:len(shared)] == shared and "_memo" not in names
-    assert names[len(shared):] == ["coalgebra", "action", "convolution", "embedding",
+    assert shared == ["algebra", "pair", "degree_cap", "algebra_cochains", "bicomplex",
+                      "tensor_values", "pair_collapse"]
+    assert names[len(shared):] == ["coalgebra", "convolution", "embedding",
                                    "coalgebra_cochains"]
 
 
