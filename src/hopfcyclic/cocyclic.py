@@ -30,8 +30,10 @@ I = im b_{n-1}, and the RREF of I + span(R) is unique, so the representatives
 are those of the full complex.
 
 The cyclic cochains are ker(1 - lambda) (`_cyclic_fixed`), and b and B are
-each one signed sum of their terms.  Every quantity outside its degree range
-is refused by one rule, `_require_degree`.
+each one signed sum of their terms.  Both cohomologies take their classes
+through one rule, `_classes`, for a b-stable subcomplex: N for HH, the cyclic
+cochains for HC.  Every quantity outside its degree range is refused by one
+rule, `_require_degree`.
 
 Equivariance on generators.  The balanced relations of the coalgebra and
 balanced-functional towers and the equivariance constraints of the
@@ -750,29 +752,39 @@ def _quotient_representatives(b: LinearMap, b_prev: LinearMap) -> list[tuple[Fra
     return [tuple(row) for row, p in zip(rows, pivots) if p not in image_pivots]
 
 
+def _classes(module: CocyclicModule, n: int, cochains, coboundary,
+             checked: bool = False) -> tuple[Subspace, list[tuple[Fraction, ...]]]:
+    """The one class rule for a b-stable subcomplex S of `module` (N or
+    C_lambda) with S^d = cochains(module, d) and b: S^d -> S^{d+1} =
+    coboundary(module, d): S^n, and representatives of its degree-n classes
+    as coordinates on S^n, the `_quotient_representatives` of b_n on S^n's
+    basis against b from S^{n-1}.  b_n o b_{n-1} = 0 is checked on S unless
+    the caller has `checked` it."""
+    here = cochains(module, n)
+    into = coboundary(module, n - 1) if n else LinearMap.zero(VectorSpace.make(0), here.space)
+    b_n = full_b(module, n) @ here.basis
+    if not checked:
+        _require_square_zero(b_n, into, n)
+    return here, _quotient_representatives(b_n, into)
+
+
 def hochschild_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
     """ker b / im b at degree n, with the representatives of the full complex:
     the RREF rows of K = ker b_n whose pivots are not pivots of I = im b_{n-1}.
 
     The check b_n o b_{n-1} = 0 runs on the full complex.  The classes are
-    solved on the normalized complex, which has the same cohomology (the
-    normalization theorem for cosimplicial modules): R, the representatives
-    of ker(b|N^n) / im(b|N^{n-1}), lifted to C^n, gives K = I + span(R).  The
-    RREF of K is unique, so eliminating the RREF rows of I together with R
-    gives it, and its rows whose pivots are not pivots of I are the
-    representatives.
+    those of the class rule on the normalized complex, which has the same
+    cohomology (the normalization theorem for cosimplicial modules): R, the
+    representatives of ker(b|N^n) / im(b|N^{n-1}), lifted to C^n, gives
+    K = I + span(R).  The RREF of K is unique, so eliminating the RREF rows
+    of I together with R gives it, and its rows whose pivots are not pivots
+    of I are the representatives.
     """
     _require_degree(module, n, "Hochschild cohomology", high=module.degree_cap - 1)
     b_n = full_b(module, n)
-    b_prev = LinearMap.zero(VectorSpace.make(0), module.spaces[n])
-    if n >= 1:
-        b_prev = full_b(module, n - 1)
+    b_prev = full_b(module, n - 1) if n else LinearMap.zero(VectorSpace.make(0), module.spaces[n])
     _require_square_zero(b_n, b_prev, n)
-    normalized = normalized_cochains(module, n)
-    into = LinearMap.zero(VectorSpace.make(0), normalized.space)
-    if n >= 1:
-        into = _normalized_b(module, n - 1)
-    classes = _quotient_representatives(b_n @ normalized.basis, into)
+    normalized, classes = _classes(module, n, normalized_cochains, _normalized_b, checked=True)
     reps = []
     if classes:
         image, image_pivots = row_echelon(b_prev.transpose())
@@ -792,21 +804,17 @@ def _cyclic_fixed(module: CocyclicModule, n: int) -> Subspace:
     return fixed_subspace(lambda_operator(module, n), prefix="l")
 
 
-def cyclic_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
-    """Cohomology of the cyclic-eigenspace complex at degree n.
+def _cyclic_b(module: CocyclicModule, n: int) -> LinearMap:
+    """The coboundary of the cyclic cochains out of degree n, verified."""
+    return _induced(full_b(module, n), _cyclic_fixed(module, n), _cyclic_fixed(module, n + 1),
+                    f"the coboundary does not preserve the cyclic eigenspace at degree {n + 1}")
 
-    The degree-n cochains are the fixed vectors of the signed cyclic operator;
-    the coboundary is the restriction of b, which is verified to preserve the
-    eigenspaces.
-    """
+
+def cyclic_cohomology(module: CocyclicModule, n: int) -> CohomologyResult:
+    """Cohomology of the cyclic-eigenspace complex at degree n: the class rule
+    on the fixed vectors of the signed cyclic operator, whose coboundary is
+    the restriction of b, verified to preserve them."""
     _require_degree(module, n, "cyclic cohomology", high=module.degree_cap - 1)
-    fixed = _cyclic_fixed(module, n)
-    image = LinearMap.zero(VectorSpace.make(0), fixed.space)
-    if n >= 1:
-        image = _induced(full_b(module, n - 1), _cyclic_fixed(module, n - 1), fixed,
-                         f"the coboundary does not preserve the cyclic eigenspace at degree {n}")
-    b_n = full_b(module, n) @ fixed.basis
-    _require_square_zero(b_n, image, n)
-    reps = _quotient_representatives(b_n, image)
-    ambient_reps = tuple(tuple(fixed.basis.apply(r)) for r in reps)
-    return CohomologyResult(n, len(reps), ambient_reps, module.spaces[n])
+    fixed, classes = _classes(module, n, _cyclic_fixed, _cyclic_b)
+    reps = tuple(tuple(fixed.basis.apply(r)) for r in classes)
+    return CohomologyResult(n, len(reps), reps, module.spaces[n])

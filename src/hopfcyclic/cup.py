@@ -12,8 +12,9 @@ Ingredients, all realized as exact rational matrices:
   * `psi_matrix` / `phi_matrix`, each in its scalar or contratensor-valued
     variant: the cyclic comparison maps from the diagonal into plain cochains
     of a convolution algebra respectively a crossed product algebra;
-  * `cyclic_complete`: upgrade a closed top cochain to a full (b, B)-cocycle
-    by one exact linear solve, with an explicit obstruction on failure;
+  * `check_bb_cocycle`, `cyclic_complete` and `bb_cohomologous`: check a
+    (b, B)-cocycle, upgrade a closed top cochain to one by one exact linear
+    solve (with an explicit obstruction on failure), and compare two;
   * `cup_ac`, `cup_aa`, `cup_ac_general`, `cup_aa_general`: the four
     products, through one pipeline: validate, AW image, the family's
     comparison map into the target cochains, cyclic completion and check.
@@ -30,6 +31,13 @@ so nothing is rebuilt or eliminated on a bicomplex space.  Likewise psi and
 phi are each one Kronecker product of the two factors' cochain bases, with
 its factors reordered, collapsed into the values and precomposed with one
 transformer out of the target algebra's tensor power.
+
+The (b, B) equations are written once, by `_bb_map`: b + B on components of
+degrees n, n-2, ... as one map.  `check_bb_cocycle` applies it, and
+`cyclic_complete` and `bb_cohomologous` solve with it, their unknown
+components as coordinates on the normalized cochains N^d.  `full_B` is
+Connes' B only on N (B B need not vanish on the full cochains), and over Q the
+normalized (b, B) complex computes HC, so a solve on N decides a class.
 
 Each fact is checked once: `check_bicocyclic` reads its row and column
 entries off one `verify_cocyclic` of each factor, its cross entries hold by
@@ -49,7 +57,6 @@ comparison-map checks `check_psi`, `check_phi` and `check_aw_chain_map`.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .coefficients import (
@@ -383,8 +390,8 @@ class BBcocycle:
 
 
 def _components(module: CocyclicModule, cocycle: BBcocycle, label: str,
-                stop_early: bool = False) -> list[list[Fraction]]:
-    """The components as exact vectors, refused unless they run from the
+                stop_early: bool = False) -> list[Fraction]:
+    """The components as one exact vector, refused unless they run from the
     cocycle's degree down to 0 or 1 (with `stop_early`, down to any degree
     of at least 0) and each fits its space of the tower."""
     degrees = cocycle.component_degrees()
@@ -392,119 +399,120 @@ def _components(module: CocyclicModule, cocycle: BBcocycle, label: str,
     if bottom is None or not 0 <= bottom <= (cocycle.degree if stop_early else 1):
         raise LinAlgError(f"{label} has components down to degree {bottom}, not to 0 or 1")
     _require_degree(module, cocycle.degree, label)
-    return [_as_vector(comp, module.spaces[d].dim, f"the degree-{d} component of {label}")
-            for d, comp in zip(degrees, cocycle.components)]
+    return [x for d, comp in zip(degrees, cocycle.components)
+            for x in _as_vector(comp, module.spaces[d].dim, f"the degree-{d} component of {label}")]
 
 
-def _bb_rows(module: CocyclicModule, degrees: list[int]) -> list[tuple[int, dict]]:
-    """The block rows (target degree, {component: block}) of b + B on
-    components of degrees n, n-2, ...: b on component 0 while it stays in the
-    tower, then B on component k-1 plus b on component k, and B into degree 0
-    of a bottom component of degree 1."""
-    rows = []
-    if degrees[0] < module.degree_cap:
-        rows.append((degrees[0] + 1, {0: full_b(module, degrees[0])}))
-    for k in range(1, len(degrees)):
-        rows.append((degrees[k] + 1, {k - 1: full_B(module, degrees[k - 1]),
-                                      k: full_b(module, degrees[k])}))
-    if degrees[-1] == 1:
-        rows.append((0, {len(degrees) - 1: full_B(module, 1)}))
-    return rows
+@memoised
+def _bb_map(module: CocyclicModule, degrees: range,
+            normalized: bool = False) -> tuple[LinearMap, list[int]]:
+    """b + B on components of degrees n, n-2, ... as one map, and the degrees
+    of its block rows, built once per tower, degrees and coordinates.  Row k
+    holds B of component k - 1 and b of component k, into degree n + 1 - 2k:
+    the top row b y0 while n + 1 is in the tower, and past the last
+    component a row only into degree 0.  With `normalized`, component k is
+    a coordinate vector on N^{d_k}, where B is Connes' B."""
+    blocks, rows = {}, []
+    for k in range(len(degrees) + 1):
+        target = degrees[0] + 1 - 2 * k
+        if target <= module.degree_cap and (k < len(degrees) or not target):
+            if k:
+                blocks[len(rows), k - 1] = full_B(module, target + 1)
+            if k < len(degrees):
+                blocks[len(rows), k] = full_b(module, target - 1)
+            rows.append(target)
+    if normalized:
+        blocks = {(r, k): op @ normalized_cochains(module, degrees[k]).basis
+                  for (r, k), op in blocks.items()}
+    sources = [normalized_cochains(module, d).space if normalized else module.spaces[d]
+               for d in degrees]
+    return from_blocks(sources, [module.spaces[t] for t in rows], blocks), rows
 
 
 def check_bb_cocycle(module: CocyclicModule, cocycle: BBcocycle,
                      name: str = "(b, B) cocycle") -> Report:
-    """The (b, B)-cocycle equations, each as a report entry.  A cocycle that
-    stops above degree 1 fails the first entry; one with no components,
-    with components below degree 0 or that does not fit the tower is
-    refused with LinAlgError."""
+    """The (b, B)-cocycle equations, one report entry per row of `_bb_map`.
+    A cocycle that stops above degree 1 fails the first entry; one with no
+    components, with components below degree 0 or that does not fit the
+    tower is refused with LinAlgError."""
     rep = Report(name)
     comps = _components(module, cocycle, "the cocycle", stop_early=True)
     degrees = cocycle.component_degrees()
     rep.add("components reach degree 0 or 1", degrees[-1] in (0, 1),
             "" if degrees[-1] in (0, 1) else f"bottom degree is {degrees[-1]}")
-    for target, blocks in _bb_rows(module, degrees):
-        k = min(blocks)
-        vec = blocks[k].apply(comps[k])
-        if len(blocks) == 2:  # B on component k meets b on component k + 1
-            vec = [x + y for x, y in zip(vec, blocks[k + 1].apply(comps[k + 1]))]
-            entry = f"B y{k} + b y{k + 1} = 0 (into degree {target})"
-        else:
-            entry = "b y0 = 0" if target else "B of the bottom component = 0"
-        _vector_entry(rep, entry, vec, module.spaces[target])
+    mat, rows = _bb_map(module, range(degrees[0], degrees[-1] - 1, -2))
+    out = mat.apply(comps)
+    for target in rows:
+        k = (degrees[0] + 1 - target) // 2  # the row's b term is on component k
+        entry = ("B of the bottom component = 0" if not target else "b y0 = 0" if not k
+                 else f"B y{k - 1} + b y{k} = 0 (into degree {target})")
+        space = module.spaces[target]
+        _vector_entry(rep, entry, out[:space.dim], space)
+        out = out[space.dim:]
     return rep
 
 
-def _solve_blocks(unknowns: list[VectorSpace],
-                  equations: list[tuple[VectorSpace, dict[int, LinearMap]]],
-                  rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of a block system, or None.  Unknown k is a vector in
-    unknowns[k]; equation r is (space, {k: block}) and sums block @ unknown k
-    into that space.  `rhs` gives the leading right-hand entries, the rest are 0."""
-    blocks = {(r, k): m for r, (_, eq) in enumerate(equations) for k, m in eq.items()}
-    mat = from_blocks(unknowns, [space for space, _ in equations], blocks)
-    return solve(mat, rhs + [Fraction(0)] * (mat.target.dim - len(rhs)))
-
-
 def cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcocycle:
-    """Extend a b-closed top cochain to a full (b, B)-cocycle.
+    """Extend a b-closed top cochain y0 to a full (b, B)-cocycle.
 
-    Each lower component is a coordinate vector on the normalized cochains of
-    its degree, which pins the solution.  Row r of b + B is B on component r
-    plus b on component r + 1, or B alone into degree 0; the rows are solved
-    as growing prefixes, and the first infeasible row raises
-    `CompletionObstruction` at its target degree less one (at least 0), with
-    B of component r from the previous prefix as witness.  Only the tail is
-    normalized, so a top with a nonzero codegeneracy image may be obstructed
-    although its class lifts; `_validated_cocycle` normalizes cup inputs.
+    The lower components solve `_bb_map` on degrees n-2, n-4, ... against
+    -(B y0, 0, ...) in one system, each a coordinate vector on the
+    normalized cochains of its degree, which pins the solution.  Only when
+    that system is infeasible are its rows solved as growing prefixes: the
+    first infeasible row r raises `CompletionObstruction` at its target
+    degree less one (at least 0), with B of component r from the previous
+    prefix as witness.  Only the tail is normalized, so a top with a nonzero
+    codegeneracy image may be obstructed although its class lifts;
+    `_validated_cocycle` normalizes cup inputs.
     """
     _require_degree(module, degree, "the top component")
     y0 = _as_vector(top, module.spaces[degree].dim, "top component")
-    degrees = list(range(degree, -1, -2))
-    rows = _bb_rows(module, degrees)
-    if degree < module.degree_cap:
-        (_, closed), *rows = rows
-        if not _vector_is_zero(closed[0].apply(y0)):
-            raise LinAlgError(
-                "the top component is not closed under the Hochschild coboundary")
-
-    # unknown k is the coordinate vector of component k + 1 on its N^d; only
-    # the first row, b u0 = -B y0, meets y0 and carries a right-hand side
-    normalized = [normalized_cochains(module, d) for d in degrees[1:]]
-    unknowns = [sub.space for sub in normalized]
-    offsets = list(itertools.accumulate((u.dim for u in unknowns), initial=0))
-    equations = [(module.spaces[target],
-                  {k - 1: m @ normalized[k - 1].basis for k, m in blocks.items() if k})
-                 for target, blocks in rows]
-    rhs = [-x for x in rows[0][1][0].apply(y0)] if rows else []
-    components = [y0]
-    for r, (target, blocks) in enumerate(rows):
-        sol = _solve_blocks(unknowns, equations[:r + 1], rhs)
-        if sol is None:
-            raise CompletionObstruction(max(target - 1, 0), blocks[r].apply(components[r]))
-        components = [y0] + [sub.basis.apply(sol[start:end])
-                             for sub, start, end in zip(normalized, offsets, offsets[1:])]
-    return BBcocycle(degree, tuple(map(tuple, components)))
+    if degree < module.degree_cap and any(full_b(module, degree).apply(y0)):
+        raise LinAlgError("the top component is not closed under the Hochschild coboundary")
+    boundary = full_B(module, degree).apply(y0) if degree else []
+    if degree < 2:
+        if any(boundary):
+            raise CompletionObstruction(0, boundary)
+        return BBcocycle(degree, (tuple(y0),))
+    tail = range(degree - 2, -1, -2)
+    mat, rows = _bb_map(module, tail, True)
+    rhs = [-x for x in boundary] + [0] * (mat.target.dim - len(boundary))
+    sol = solve(mat, rhs)
+    if sol is None:
+        # the b term of row r meets no earlier row, so its unknowns are free,
+        # hence zero, in the prefix before it: there row r's residual is B of
+        # component r, and B y0 before the first prefix
+        sol, end = [0] * mat.source.dim, 0
+        for target in rows:
+            start, end = end, end + module.spaces[target].dim
+            cut = LinearMap.from_entries(mat.target, VectorSpace.make(end),
+                                         [(i, i, 1) for i in range(end)])
+            prefix = solve(cut @ mat, rhs[:end])
+            if prefix is None:
+                raise CompletionObstruction(max(target - 1, 0), [
+                    x - y for x, y in zip(mat.apply(sol)[start:end], rhs[start:end])])
+            sol = prefix
+    components = [tuple(y0)]
+    for d in tail:
+        basis = normalized_cochains(module, d).basis
+        components.append(tuple(basis.apply(sol[:basis.source.dim])))
+        sol = sol[basis.source.dim:]
+    return BBcocycle(degree, tuple(components))
 
 
 def bb_cohomologous(module: CocyclicModule, first: BBcocycle,
                     second: BBcocycle) -> bool:
-    """Whether two (b, B)-cocycles of equal degree differ by a (b+B)-coboundary."""
+    """Whether two (b, B)-cocycles of equal degree n differ by b + B of a
+    chain of degrees n-1, n-3, ... on the normalized cochains: `_bb_map`'s
+    rows then land in degrees n, n-2, ..., the difference's, in order."""
     if first.degree != second.degree:
         raise LinAlgError("cannot compare cocycles of different degrees")
-    n = first.degree
-    deltas = [b - a for c1, c2 in zip(_components(module, first, "the first cocycle"),
-                                      _components(module, second, "the second cocycle"))
-              for a, b in zip(c1, c2)]
-    hom_degrees = list(range(n - 1, -1, -2))
-    if not hom_degrees:
-        return _vector_is_zero(deltas)
-    # the rows of b + B on chains of degrees n-1, n-3, ... land in the
-    # difference's degrees n, n-2, ..., in order
-    equations = [(module.spaces[target], blocks)
-                 for target, blocks in _bb_rows(module, hom_degrees)]
-    unknowns = [module.spaces[d] for d in hom_degrees]
-    return _solve_blocks(unknowns, equations, deltas) is not None
+    deltas = [b - a for a, b in zip(_components(module, first, "the first cocycle"),
+                                    _components(module, second, "the second cocycle"))]
+    if not first.degree:
+        return not any(deltas)
+    chains = range(first.degree - 1, -1, -2)
+    return solve(_bb_map(module, chains, True)[0], deltas) is not None
 
 
 def cyclic_cocycle_subspace(module: CocyclicModule, degree: int) -> Subspace:

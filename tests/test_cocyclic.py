@@ -49,6 +49,7 @@ from hopfcyclic.hopf import (
     regular_coaction,
     require_generators,
     sweedler_h4,
+    symmetric_group_table,
     trivial_action,
     trivial_coaction,
     trivial_hopf,
@@ -57,6 +58,7 @@ from hopfcyclic.linalg import (
     LinAlgError,
     LinearMap,
     VectorSpace,
+    from_blocks,
     hom_vector_to_map,
     map_to_hom_vector,
     partial_transpose,
@@ -861,6 +863,51 @@ def test_cyclic_fixed_subspaces_are_built_once_per_tower(z2, monkeypatch):
     assert cyclic_cohomology(second, 1).dim == 0
     assert builds[4:] == [(id(second), 1), (id(second), 0)]
     assert cocyclic._cyclic_fixed(first, 2) is cocyclic._cyclic_fixed(first, 2)
+
+
+def bb_total_cohomology(module):
+    """dim H^n, n below the cap, of the normalized (b, B) total complex
+    Tot^n = N^n + N^{n-2} + ..., from ranks alone: the differential is b on
+    each summand and B of summand k one row below, in the row of summand
+    k + 1 of Tot^{n+1}.  Over Q it computes HC (A. Connes, Non-commutative
+    differential geometry, 1985; J.-L. Loday, Cyclic Homology, ch. 2)."""
+    view = mixed_complex(module)
+
+    def summands(n):
+        return [view.normalized[d].space for d in range(n, -1, -2)]
+
+    def rank(n):  # of the differential Tot^n -> Tot^{n+1}
+        if n < 0:
+            return 0
+        blocks = {(k, k): view.b[d] for k, d in enumerate(range(n, -1, -2))}
+        blocks.update({(k + 1, k): view.B[d] for k, d in enumerate(range(n, 0, -2))})
+        return from_blocks(summands(n), summands(n + 1), blocks).rank()
+
+    return [sum(s.dim for s in summands(n)) - rank(n) - rank(n - 1)
+            for n in range(module.degree_cap)]
+
+
+SECOND_ROUTE_TOWERS = [("plain", name, 4) for name in ("Q", "Z/2", "Z/3", "sweedler4")]
+SECOND_ROUTE_TOWERS += [("plain", "S3", 3)]
+SECOND_ROUTE_TOWERS += [(kind, hopf, 3) for hopf in ("Z/3", "sweedler4")
+                        for kind in ("coalgebra", "algebra_module", "comodule_algebra",
+                                     "algebra_contra")]
+
+
+@pytest.mark.parametrize("kind,hopf,cap", SECOND_ROUTE_TOWERS,
+                         ids=[f"{kind} {hopf}" for kind, hopf, _ in SECOND_ROUTE_TOWERS])
+def test_cyclic_cohomology_agrees_with_the_normalized_bb_complex(kind, hopf, cap):
+    """HC from C_lambda has the dimensions of the cohomology of the
+    normalized (b, B) total complex, on plain towers and on the four
+    equivariant towers over Z/3 (sigma index 1) and sweedler4 (sigma = g)."""
+    if kind == "plain":
+        h = (trivial_hopf() if hopf == "Q" else group_algebra(symmetric_group_table(3))
+             if hopf == "S3" else _pin_hopf(hopf))
+        module = plain_algebra_cocyclic(h.algebra, degree_cap=cap)
+    else:
+        module = _equivariant_tower(kind, _pin_hopf(hopf), 1, cap).module
+    assert [cyclic_cohomology(module, n).dim for n in range(cap)] == \
+        bb_total_cohomology(module)
 
 
 # ------------------------------------------------------------- realizations

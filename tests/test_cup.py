@@ -25,6 +25,8 @@ from hopfcyclic.cocyclic import (
     full_B,
     _require_degree,
     full_b,
+    hochschild_cohomology,
+    lambda_operator,
     mixed_complex,
     normalization_projector,
     normalized_cochains,
@@ -35,8 +37,6 @@ from hopfcyclic.cup import (
     BBcocycle,
     _CupSetup,
     _as_vector,
-    _bb_rows,
-    _solve_blocks,
     _vector_is_zero,
     CompletionObstruction,
     aa_cup_setup,
@@ -84,6 +84,9 @@ from hopfcyclic.linalg import (
     LinAlgError,
     LinearMap,
     VectorSpace,
+    fixed_subspace,
+    from_blocks,
+    solve,
     solve_constrained_subspace,
     subspace_from_kernel,
     tensor_map,
@@ -595,19 +598,28 @@ PINNED_PSI_DIGESTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def setup_ac_sweedler4():
-    """H acting on itself by the adjoint action as a module algebra, on
-    itself by left multiplication as a module coalgebra, with the adjoint
-    action of the coalgebra on the algebra and grouplike coefficients."""
-    h = sweedler_h4()
+def regular_cup_setup(family, h, coefficients, cap):
+    """h acting on itself by the adjoint action as a module algebra, with,
+    for `ac`, h on itself by left multiplication as a module coalgebra and
+    the adjoint action of the coalgebra on the algebra, and for `aa`, h
+    coacting on itself by the regular coaction."""
     algebra = ModuleAlgebra(h, h.space, h.mul, h.unit, adjoint_action(h))
+    if family == "aa":
+        return aa_cup_setup(algebra, ComoduleAlgebra(h, h.space, h.mul, h.unit,
+                                                     regular_coaction(h)),
+                            coefficients, degree_cap=cap)
     coalgebra = ModuleCoalgebra(h, h.space, h.comul, h.counit, left_regular_action(h))
     action = CoalgebraAction(coalgebra, algebra, adjoint_action(h))
     report = check_coalgebra_action(action)
     assert report.passed, failures(report)
-    return ac_cup_setup(algebra, coalgebra, action, grouplike_coefficients(h, 1),
-                        degree_cap=3)
+    return ac_cup_setup(algebra, coalgebra, action, coefficients, degree_cap=cap)
+
+
+@pytest.fixture(scope="module")
+def setup_ac_sweedler4():
+    """The `ac` regular setup of sweedler4 with grouplike coefficients."""
+    h = sweedler_h4()
+    return regular_cup_setup("ac", h, grouplike_coefficients(h, 1), 3)
 
 
 def test_psi_on_wider_coefficients_is_pinned(setup_ac_unpaired):
@@ -638,9 +650,7 @@ def sweedler4_aa_setup():
     itself by the regular coaction, with grouplike coefficients, at cap 2:
     S^{-1} is not S and the crossed product is not commutative."""
     h = sweedler_h4()
-    return aa_cup_setup(ModuleAlgebra(h, h.space, h.mul, h.unit, adjoint_action(h)),
-                        ComoduleAlgebra(h, h.space, h.mul, h.unit, regular_coaction(h)),
-                        grouplike_coefficients(h, 1), degree_cap=2)
+    return regular_cup_setup("aa", h, grouplike_coefficients(h, 1), 2)
 
 
 @pytest.fixture(scope="module")
@@ -653,6 +663,50 @@ def test_phi_over_sweedler4_is_pinned(setup_aa_sweedler4, tensor_valued):
     assert [map_digest(phi_matrix(setup_aa_sweedler4, n, tensor_valued))
             for n in range(3)] == \
         PINNED_PHI_DIGESTS
+
+
+# HH of the diagonal of X (x) Y and of the factors, in every degree below the
+# cap, for the regular setups of `regular_cup_setup` (trivial coefficients
+# over the groups, grouplike coefficients over sweedler4) and the demo's.
+KUENNETH_CASES = {
+    "Z/2 ac": ([2, 0, 0], [1, 0, 0], [2, 0, 0]),
+    "Z/2 aa": ([1, 0, 0], [2, 0, 0], [2, 0, 0]),
+    "Z/3 ac": ([3, 0, 0], [1, 0, 0], [3, 0, 0]),
+    "Z/3 aa": ([1, 0, 0], [3, 0, 0], [3, 0, 0]),
+    "sweedler4 ac": ([2, 0, 1], [0, 1, 0], [0, 2, 0]),
+    "sweedler4 aa": ([0, 1], [2, 0], [0, 2]),
+    "demo ac": ([0, 0, 0], [0, 0, 0], [0, 0, 0]),
+    "demo aa": ([1, 0, 0], [0, 0, 0], [0, 0, 0]),
+}
+
+
+def kuenneth_setup(case):
+    name, family = case.split()
+    if name == "demo":
+        return parse_spec(Z2CUP).build_cup_setup(family, 3)
+    if name == "sweedler4":
+        h = sweedler_h4()
+        return regular_cup_setup(family, h, grouplike_coefficients(h, 1),
+                                 3 if family == "ac" else 2)
+    h = group_algebra(cyclic_group_table(int(name[-1])))
+    return regular_cup_setup(family, h, trivial_coefficients(h), 3)
+
+
+@pytest.mark.parametrize("case", KUENNETH_CASES)
+def test_hochschild_cohomology_of_every_cup_diagonal_is_kuenneth(case):
+    """dim HH^n of the diagonal is the sum over p + q = n of dim HH^p(X) times
+    dim HH^q(Y), by the Eilenberg-Zilber theorem for bicosimplicial modules
+    and the Kuenneth formula over a field."""
+    setup = kuenneth_setup(case)
+
+    def dims(module):
+        return [hochschild_cohomology(module, n).dim for n in range(setup.degree_cap)]
+
+    x, y = dims(setup.bicomplex.vertical_factor), dims(setup.bicomplex.horizontal_factor)
+    diagonal_dims = dims(setup.diagonal_module)
+    assert diagonal_dims == [sum(x[p] * y[n - p] for p in range(n + 1))
+                             for n in range(setup.degree_cap)]
+    assert (x, y, diagonal_dims) == KUENNETH_CASES[case]
 
 
 def test_phi_takes_no_dense_view(monkeypatch):
@@ -1052,6 +1106,7 @@ def test_comparison_parts_are_built_once_per_setup(monkeypatch):
     module = first.scalar_target
     assert full_b(module, 1) is full_b(module, 1)
     assert full_B(module, 2) is full_B(module, 2)
+    assert cup._bb_map(module, range(2, -1, -2)) is cup._bb_map(module, range(2, -1, -2))
 
 
 def test_oversized_comparison_map_is_refused_up_front():
@@ -1369,6 +1424,46 @@ def test_cohomologous_controls(triv):
     assert not bb_cohomologous(module, one, double)
 
 
+def test_a_nonzero_cyclic_class_is_not_a_coboundary():
+    """(delta_{g⊗g⊗g⊗g⊗g*}, 0, 0) on plain sweedler4 at cap 5 is a degree-4
+    (b, B)-cocycle whose top is cyclic and not b of a cyclic 3-cochain, so a
+    nonzero class of HC^4.  The chains of `bb_cohomologous` lie on the
+    normalized cochains, where B is Connes' B; on the full cochains, where
+    B B is not zero, the block rows of b + B do reach the cocycle."""
+    module = plain_algebra_cocyclic(sweedler_h4().algebra, degree_cap=5)
+    top = [0] * module.spaces[4].dim
+    top[module.spaces[4].labels.index("g⊗g⊗g⊗g⊗g*")] = 1
+    cocycle = BBcocycle(4, (tuple(top), (0,) * module.spaces[2].dim,
+                            (0,) * module.spaces[0].dim))
+    zero = BBcocycle(4, tuple((0,) * len(comp) for comp in cocycle.components))
+    report = check_bb_cocycle(module, cocycle)
+    assert report.passed, failures(report)
+    assert lambda_operator(module, 4).apply(top) == top
+    cyclic = fixed_subspace(lambda_operator(module, 3))
+    assert solve(full_b(module, 3) @ cyclic.basis, top) is None
+    assert not bb_cohomologous(module, cocycle, zero)
+    full_rows = [(module.spaces[t], blocks) for t, blocks in _bb_rows(module, [3, 1])]
+    assert _solve_blocks([module.spaces[3], module.spaces[1]], full_rows, top) is not None
+
+
+def test_a_feasible_completion_runs_one_solve(monkeypatch):
+    """The first cyclic cocycle of degree 3 on plain sweedler4 at cap 4 has a
+    feasible (b, B) system of two block rows; it is solved once, and its
+    rows are walked only when that solve fails."""
+    module = plain_algebra_cocyclic(sweedler_h4().algebra, degree_cap=4)
+    top = cyclic_cocycle_subspace(module, 3).basis.column(0)
+    solves = []
+
+    def counted(mat, rhs):
+        solves.append(mat.shape)
+        return solve(mat, rhs)
+
+    monkeypatch.setattr(cup, "solve", counted)
+    cocycle = cyclic_complete(module, 3, top)
+    assert len(solves) == 1
+    assert cocycle == reference_cyclic_complete(module, 3, top)
+
+
 def test_cohomologous_refuses_malformed_cocycles(demo_setups):
     """A short or missing component is refused, not padded with zeros."""
     target = demo_setups[0].scalar_target
@@ -1436,6 +1531,38 @@ def test_cocycle_subspace_dimensions(setup_ac_grouplike, setup_aa_grouplike):
 
 
 # ------------------------------------------- constraint-row completion reference
+
+
+# `_bb_rows` and `_solve_blocks` are the block rows and the block solve that
+# `cup.py` completed and compared cocycles with before it assembled b + B as
+# one map; kept verbatim so that the reference shares no code with it.
+
+
+def _bb_rows(module: CocyclicModule, degrees: list[int]) -> list[tuple[int, dict]]:
+    """The block rows (target degree, {component: block}) of b + B on
+    components of degrees n, n-2, ...: b on component 0 while it stays in the
+    tower, then B on component k-1 plus b on component k, and B into degree 0
+    of a bottom component of degree 1."""
+    rows = []
+    if degrees[0] < module.degree_cap:
+        rows.append((degrees[0] + 1, {0: full_b(module, degrees[0])}))
+    for k in range(1, len(degrees)):
+        rows.append((degrees[k] + 1, {k - 1: full_B(module, degrees[k - 1]),
+                                      k: full_b(module, degrees[k])}))
+    if degrees[-1] == 1:
+        rows.append((0, {len(degrees) - 1: full_B(module, 1)}))
+    return rows
+
+
+def _solve_blocks(unknowns: list[VectorSpace],
+                  equations: list[tuple[VectorSpace, dict[int, LinearMap]]],
+                  rhs: list[Fraction]) -> list[Fraction] | None:
+    """One solution of a block system, or None.  Unknown k is a vector in
+    unknowns[k]; equation r is (space, {k: block}) and sums block @ unknown k
+    into that space.  `rhs` gives the leading right-hand entries, the rest are 0."""
+    blocks = {(r, k): m for r, (_, eq) in enumerate(equations) for k, m in eq.items()}
+    mat = from_blocks(unknowns, [space for space, _ in equations], blocks)
+    return solve(mat, rhs + [Fraction(0)] * (mat.target.dim - len(rhs)))
 
 
 def reference_cyclic_complete(module: CocyclicModule, degree: int, top) -> BBcocycle:
